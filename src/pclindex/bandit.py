@@ -184,18 +184,6 @@ def occupation_measures(model: RBModel, u, i: int) -> tuple[np.ndarray, np.ndarr
     return x0, x1
 
 
-def activity_of_policy(model: RBModel, u, i: int) -> float:
-    """Discounted activity measure of an arbitrary stationary policy."""
-    _, x1 = occupation_measures(model, u, i)
-    return float(model.theta1 @ x1)
-
-
-def cost_of_policy(model: RBModel, u, i: int) -> float:
-    """Discounted cost measure of an arbitrary stationary policy."""
-    x0, x1 = occupation_measures(model, u, i)
-    return float(model.h0 @ x0 + model.h1 @ x1)
-
-
 def marginal_workload(model: RBModel, s, b: np.ndarray | None = None) -> np.ndarray:
     """Increment of the activity measure from a passive-to-active
     interchange against the S-active policy; exactly zero at
@@ -318,34 +306,6 @@ def measure_tables(model: RBModel, chain) -> MeasureTables:
         c={s: cache.c(s) for s in chain},
         h_hat0=normalized_passive_cost(model),
     )
-
-
-def rb_workload_oracle(model: RBModel, initial: int | None = None,
-                       weights=None, monotone: bool = False) -> WorkloadOracle:
-    """Workload oracle over ground sets indexed into sorted(controllable).
-
-    w(S, j) is the model's marginal workload; the optional right-hand side
-    b(S) is the activity measure at a fixed initial state (or averaged
-    under ``weights``).  Measures are cached per set.
-    """
-    ctrl = _ctrl_order(model)
-    cache = _MeasureCache(model)
-
-    def w(s: frozenset, e: int) -> float:
-        return float(cache.w(_states_of(s, ctrl))[ctrl[e]])
-
-    b_fn = None
-    if initial is not None or weights is not None:
-        if weights is None:
-            def b_fn(s: frozenset) -> float:
-                return float(cache.b(_states_of(s, ctrl))[initial])
-        else:
-            p = np.asarray(weights, dtype=float)
-
-            def b_fn(s: frozenset) -> float:
-                return float(p @ cache.b(_states_of(s, ctrl)))
-
-    return WorkloadOracle(w, b_fn, monotone=monotone)
 
 
 @dataclass(frozen=True)

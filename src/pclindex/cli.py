@@ -89,7 +89,7 @@ def cmd_index(args) -> int:
             _emit(_report("index", doc, results))
             _log("regularity assumptions violated; no indices computed")
             return EXIT_ASSUMPTION
-        nu = admission.indices(model) if model.alpha > 0 else admission.average_indices(model)
+        nu = admission.indices(model)
         results["indices"] = {str(j): float(nu[j]) for j in range(model.n)}
         rb = admission.uniformize(model)
         fam = _family_for(model.n, args.family, doc)

@@ -8,37 +8,35 @@ the stock buffer).  The resulting policy engages the project whose
 current state has the smallest index below the charge/subsidy level.
 
 Rate and cost parameters may be given as scalars (constant rate / linear
-cost), sequences indexed by the state, or callables; scalar forms enable
-the closed-form index expressions.
+cost), sequences indexed by the state, or callables.  Every built-in
+policy is one rule, :func:`engage`, applied to a different score table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import admission
-from .admission import ACModel, closed_form_index
+from .admission import ACModel
 
 Action = int | None   # queue/product number, or None for reject/idle
 
 
-def _as_fn(spec, name: str) -> Callable[[int], float]:
-    if callable(spec):
-        return lambda j: float(spec(j))
+def _at(spec, j: int, name: str) -> float:
+    """Entry j of a parameter given as a scalar (the same in every state),
+    a sequence or a callable."""
     if isinstance(spec, (int, float)):
-        raise TypeError(f"{name}: scalar form must be handled by the caller")
-    seq = list(spec)
-
-    def fn(j: int) -> float:
-        if j >= len(seq):
-            raise ValueError(f"{name} sequence too short for state {j}")
-        return float(seq[j])
-
-    return fn
+        return float(spec)
+    if callable(spec):
+        return float(spec(j))
+    if j >= len(spec):
+        raise ValueError(f"{name} sequence too short for state {j}")
+    return float(spec[j])
 
 
 @dataclass(frozen=True)
@@ -64,16 +62,12 @@ class QueueSpec:
         return isinstance(self.h, (int, float))
 
     def mu_at(self, j: int) -> float:
-        if j < 1:
-            return 0.0
-        if self.constant_rate:
-            return float(self.mu)
-        return _as_fn(self.mu, "mu")(j - 1)
+        return _at(self.mu, j - 1, "mu") if j >= 1 else 0.0
 
     def h_at(self, j: int) -> float:
         if self.linear_cost:
             return float(self.h) * j
-        return _as_fn(self.h, "h")(j)
+        return _at(self.h, j, "h")
 
 
 @dataclass(frozen=True)
@@ -111,33 +105,63 @@ class RoutingSystem:
 
 
 def routing_index(sys: RoutingSystem, k: int, j: int) -> float:
-    """Fair rejection charge of queue k at occupancy j.
-
-    Constant-rate linear-cost queues under the average criterion use the
-    closed form (its critical branch covers traffic ratio one); otherwise
-    the index comes from the admission recursion, whose forward structure
-    makes a truncation at j+2 exact even for infinite buffers.
-    """
-    q = sys.queues[k]
-    if q.n is not None and j >= q.n:
-        raise ValueError(f"index undefined at a full buffer (j = {j}, n = {q.n})")
-    if q.constant_rate and q.linear_cost and sys.alpha == 0:
-        return closed_form_index("linear", sys.lam, float(q.mu), float(q.h), j)
-    n_eff = q.n if q.n is not None else j + 2
-    model = sys.admission_model(k, n_eff)
-    nu = admission.indices(model) if sys.alpha > 0 else admission.average_indices(model)
-    return float(nu[j])
+    """Fair rejection charge of queue k at occupancy j (an entry of
+    :func:`routing_index_table`)."""
+    return float(routing_index_table(sys, k, j + 1)[j])
 
 
 def routing_index_table(sys: RoutingSystem, k: int, up_to: int) -> np.ndarray:
-    """Indices of queue k for occupancies 0..up_to-1 in one pass."""
+    """Indices of queue k for occupancies 0..up_to-1 in one pass.
+
+    The admission recursion runs on the queue's own model: the whole
+    buffer when it is finite, occupancies 0..up_to+1 when it is infinite
+    (the recursion is forward, so that truncation is exact).  The
+    constant-rate closed forms of :func:`closed_form_index` are reference
+    formulas only.
+    """
     q = sys.queues[k]
-    if q.constant_rate and q.linear_cost and sys.alpha == 0:
-        return np.array([closed_form_index("linear", sys.lam, float(q.mu), float(q.h), j)
-                         for j in range(up_to)])
-    model = sys.admission_model(k, max(up_to + 1, q.n or 0))
-    nu = admission.indices(model) if sys.alpha > 0 else admission.average_indices(model)
-    return nu[:up_to]
+    n = q.n if q.n is not None else up_to + 1
+    if up_to > n:
+        raise ValueError(f"index undefined at a full buffer (n = {n}, up_to = {up_to})")
+    return admission.indices(sys.admission_model(k, n))[:up_to]
+
+
+def engage(state: Sequence[int], scores: Sequence, caps: Sequence[float],
+           gate: float) -> Action:
+    """The decision rule of every built-in policy.
+
+    Among the buffers below their cap, engage the one whose score at its
+    current level, ``scores[k][state[k]]``, is smallest and below
+    ``gate``; ties go to the lowest number.  None (reject or idle) when no
+    buffer qualifies.
+    """
+    best, pick = gate, None
+    for k, j in enumerate(state):
+        if j < caps[k]:
+            score = scores[k][j]
+            if score < best:
+                best, pick = score, k
+    return pick
+
+
+class _OnDemand:
+    """Score table whose entries are computed as they are read."""
+
+    def __init__(self, fn: Callable[[int], float]):
+        self.fn = fn
+
+    def __getitem__(self, j: int) -> float:
+        return self.fn(j)
+
+
+_LEVELS = _OnDemand(float)   # the occupancy itself: shortest queue, least stock
+
+
+def _limits(specs, full: Sequence[int | None] | None) -> list[float]:
+    """Caps for a decision: ``full`` if given, else the buffer sizes, with
+    inf for an uncapped buffer."""
+    caps = full if full is not None else [spec.n for spec in specs]
+    return [math.inf if cap is None else cap for cap in caps]
 
 
 def routing_decide(sys: RoutingSystem, state: Sequence[int], nu: float | None = None,
@@ -149,50 +173,24 @@ def routing_decide(sys: RoutingSystem, state: Sequence[int], nu: float | None = 
     nonfull queue has an index below ``nu``.  ``tables``/``full`` allow a
     simulator to pass precomputed index tables and truncation caps.
     """
-    if nu is None:
-        nu = sys.nu
-    best: tuple[float, int] | None = None
-    for k, q in enumerate(sys.queues):
-        cap = full[k] if full is not None else q.n
-        j = state[k]
-        if cap is not None and j >= cap:
-            continue
-        idx = float(tables[k][j]) if tables is not None else routing_index(sys, k, j)
-        if idx < nu and (best is None or idx < best[0]):
-            best = (idx, k)
-    return None if best is None else best[1]
+    if tables is None:
+        tables = [_OnDemand(partial(routing_index, sys, k)) for k in range(len(sys.queues))]
+    return engage(state, tables, _limits(sys.queues, full), sys.nu if nu is None else nu)
 
 
 def shortest_queue_decide(sys: RoutingSystem, state: Sequence[int],
                           nu: float | None = None,
                           full: Sequence[int] | None = None) -> Action:
     """Baseline: route to the shortest nonfull queue, never reject early."""
-    best: tuple[int, int] | None = None
-    for k, q in enumerate(sys.queues):
-        cap = full[k] if full is not None else q.n
-        if cap is not None and state[k] >= cap:
-            continue
-        if best is None or state[k] < best[0]:
-            best = (state[k], k)
-    return None if best is None else best[1]
+    return engage(state, [_LEVELS] * len(sys.queues), _limits(sys.queues, full), math.inf)
 
 
 def naive_decide(sys: RoutingSystem, state: Sequence[int], nu: float | None = None,
                  full: Sequence[int] | None = None) -> Action:
     """Baseline: route by the one-step rate h_k(j_k + 1) / mu_k(j_k + 1),
     with the same charge gate as the index policy."""
-    if nu is None:
-        nu = sys.nu
-    best: tuple[float, int] | None = None
-    for k, q in enumerate(sys.queues):
-        cap = full[k] if full is not None else q.n
-        j = state[k]
-        if cap is not None and j >= cap:
-            continue
-        guess = q.h_at(j + 1) / q.mu_at(j + 1)
-        if guess < nu and (best is None or guess < best[0]):
-            best = (guess, k)
-    return None if best is None else best[1]
+    scores = [_OnDemand(lambda j, q=q: q.h_at(j + 1) / q.mu_at(j + 1)) for q in sys.queues]
+    return engage(state, scores, _limits(sys.queues, full), sys.nu if nu is None else nu)
 
 
 # ---------------------------------------------------------------------------
@@ -221,24 +219,18 @@ class ProductSpec:
         return isinstance(self.lam, (int, float)) and isinstance(self.mu, (int, float))
 
     def lam_at(self, j: int) -> float:
-        if isinstance(self.lam, (int, float)):
-            return float(self.lam)
-        return _as_fn(self.lam, "lam")(j)
+        return _at(self.lam, j, "lam")
 
     def mu_at(self, j: int) -> float:
-        if isinstance(self.mu, (int, float)):
-            return float(self.mu)
-        return _as_fn(self.mu, "mu")(j)
+        return _at(self.mu, j, "mu")
 
     def c_at(self, j: int) -> float:
         if isinstance(self.c, (int, float)):
             return float(self.c) * j
-        return _as_fn(self.c, "c")(j)
+        return _at(self.c, j, "c")
 
     def r_at(self, j: int) -> float:
-        if isinstance(self.r, (int, float)):
-            return float(self.r)
-        return _as_fn(self.r, "r")(j)
+        return _at(self.r, j, "r")
 
     def net_cost(self, j: int) -> float:
         """Holding plus expected stockout minus sales revenue, per unit time."""
@@ -300,9 +292,7 @@ def mts_index(sys: MTSSystem, k: int, j: int) -> float:
             return mts_linear_index(float(p.c), float(p.mu), rho, float(p.s),
                                     float(p.r), j)
     n_eff = p.n if p.n is not None else j + 2
-    model = sys.admission_model(k, n_eff)
-    nu = admission.indices(model) if sys.alpha > 0 else admission.average_indices(model)
-    return float(nu[j])
+    return float(admission.indices(sys.admission_model(k, n_eff))[j])
 
 
 def mts_linear_index(c: float, mu: float, rho: float, s: float, r: float,
@@ -329,9 +319,7 @@ def mts_quadratic_index(c: float, mu: float, rho: float, s: float, r: float,
 def mts_index_table(sys: MTSSystem, k: int, up_to: int) -> np.ndarray:
     """Indices of product k for stock levels 0..up_to-1 in one pass."""
     p = sys.products[k]
-    model = sys.admission_model(k, max(up_to + 1, p.n or 0))
-    nu = admission.indices(model) if sys.alpha > 0 else admission.average_indices(model)
-    return nu[:up_to]
+    return admission.indices(sys.admission_model(k, max(up_to + 1, p.n or 0)))[:up_to]
 
 
 def mts_decide(sys: MTSSystem, state: Sequence[int], nu: float | None = None,
@@ -340,31 +328,16 @@ def mts_decide(sys: MTSSystem, state: Sequence[int], nu: float | None = None,
     """Produce the product with the smallest index below the subsidy,
     among those with nonfull stock; idle otherwise.  Ties go to the
     lowest product number."""
-    if nu is None:
-        nu = sys.nu
-    best: tuple[float, int] | None = None
-    for k, p in enumerate(sys.products):
-        cap = full[k] if full is not None else p.n
-        j = state[k]
-        if cap is not None and j >= cap:
-            continue
-        idx = float(tables[k][j]) if tables is not None else mts_index(sys, k, j)
-        if idx < nu and (best is None or idx < best[0]):
-            best = (idx, k)
-    return None if best is None else best[1]
+    if tables is None:
+        tables = [_OnDemand(partial(mts_index, sys, k)) for k in range(len(sys.products))]
+    return engage(state, tables, _limits(sys.products, full), sys.nu if nu is None else nu)
 
 
 def least_stock_decide(sys: MTSSystem, state: Sequence[int], nu: float | None = None,
                        full: Sequence[int] | None = None) -> Action:
     """Baseline: always produce the product with the least stock."""
-    best: tuple[int, int] | None = None
-    for k, p in enumerate(sys.products):
-        cap = full[k] if full is not None else p.n
-        if cap is not None and state[k] >= cap:
-            continue
-        if best is None or state[k] < best[0]:
-            best = (state[k], k)
-    return None if best is None else best[1]
+    return engage(state, [_LEVELS] * len(sys.products), _limits(sys.products, full),
+                  math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,27 @@
 """Event-driven continuous-time simulation of the index policies.
 
-The chains are simulated exactly: exponential clocks race between the
-global arrival (or per-product order/production) events, holding costs
-are integrated in closed form between events since the cost rate is
+Routing and make-to-stock run through one event loop over birth--death
+buffers that share one controlled birth stream, with rates and cost
+rates tabulated per level once per run.  The chains are simulated
+exactly: exponential clocks race between the events, holding costs are
+integrated in closed form between events since the cost rate is
 piecewise constant, and rejection charges / production subsidies are
-lumped at their event epochs with the appropriate discount.  Replications
-are independent, each with its own substream of the base seed, and the
-report always carries the confidence interval, never a bare mean.
+lumped at their event epochs with the appropriate discount.
+Replications are independent, each with its own substream of the base
+seed, and the report always carries the confidence interval, never a
+bare mean.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .policies import (MTSSystem, RoutingSystem, mts_decide, mts_index_table,
-                       routing_decide, routing_index_table)
+from .policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem, engage,
+                       mts_index_table, routing_index_table)
 
 BOUNDARY_FLAG_FRACTION = 1e-3
 
@@ -30,7 +33,8 @@ class SimConfig:
     ``horizon`` is simulated time per replication; ``max_events`` caps the
     event count instead when set.  Infinite buffers are truncated at
     ``truncation`` and the report flags runs where the truncation boundary
-    was hit too often.  Under the average criterion the first
+    was hit too often: a boundary hit is an event epoch at which some
+    truncated buffer is at its cap.  Under the average criterion the first
     ``warmup_fraction`` of the horizon is discarded.
     """
 
@@ -54,7 +58,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Monte Carlo estimate of a policy's cost objective."""
+    """Monte Carlo estimate of a policy's cost objective.
+
+    ``boundary_hits`` counts the event epochs at which some truncated
+    buffer was at its cap; the run is flagged when they exceed
+    ``BOUNDARY_FLAG_FRACTION`` of the events.
+    """
 
     policy: str
     mean: float
@@ -131,137 +140,132 @@ def _new_accumulator(alpha: float, horizon: float, config: SimConfig):
     return _CostAccumulator(alpha, math.inf), warmup_events
 
 
-def _caps(ns: Sequence[int | None], truncation: int) -> list[int]:
-    return [n if n is not None else truncation for n in ns]
+@dataclass(frozen=True)
+class _Network:
+    """Birth--death buffers sharing one controlled birth stream, with
+    every rate and cost tabulated per level.
 
-
-def simulate_routing(sys: RoutingSystem, policy: Callable | str,
-                     config: SimConfig, name: str | None = None) -> SimReport:
-    """Simulate an admission/routing policy on the parallel-queue system.
-
-    ``policy`` is "index", "shortest", "naive", or a callable
-    ``(state, tables, caps) -> queue | None``.  The objective is the
-    discounted (or long-run average) sum of holding costs and rejection
-    charges.
+    At each event epoch the policy picks a buffer below its cap, or none.
+    The birth stream then runs at ``birth[k][j]`` into buffer k at level
+    j (``idle_birth`` when none is picked), and a birth lumps
+    ``fed_charge`` into the objective (``idle_charge`` when none is
+    picked).  Buffer k dies at rate ``death[k][j]``; a death at level 0
+    leaves the level at 0.  ``cost[k][j]`` is the cost rate.
     """
-    from .policies import naive_decide, shortest_queue_decide
 
-    caps = _caps([q.n for q in sys.queues], config.truncation)
-    tables = [routing_index_table(sys, k, caps[k]) for k in range(len(sys.queues))]
-    truncated = [q.n is None for q in sys.queues]
+    birth: list[list[float]]
+    idle_birth: float
+    death: list[list[float]]
+    cost: list[list[float]]
+    fed_charge: float
+    idle_charge: float
 
-    if callable(policy):
-        decide = policy
-        name = name or getattr(policy, "__name__", "custom")
-    elif policy == "index":
-        decide = lambda st, tb, cp: routing_decide(sys, st, tables=tb, full=cp)
-        name = name or "index"
-    elif policy == "shortest":
-        decide = lambda st, tb, cp: shortest_queue_decide(sys, st, full=cp)
-        name = name or "shortest-queue"
-    elif policy == "naive":
-        decide = lambda st, tb, cp: naive_decide(sys, st, full=cp)
-        name = name or "naive-rate"
+
+def _tabulate(fn, specs, caps: list[int], extra: int) -> list[list[float]]:
+    """``fn(spec, j)`` at levels 0..cap-1+extra of each buffer."""
+    return [[fn(spec, j) for j in range(cap + extra)] for spec, cap in zip(specs, caps)]
+
+
+def _routing(sys: RoutingSystem, caps: list[int]):
+    """Arrivals are the birth stream and a rejection costs the charge."""
+    queues, lam = sys.queues, float(sys.lam)
+    death = _tabulate(QueueSpec.mu_at, queues, caps, 1)
+    cost = _tabulate(QueueSpec.h_at, queues, caps, 1)
+    net = _Network([[lam] * cap for cap in caps], lam, death, cost, 0.0,
+                   sys.nu if math.isfinite(sys.nu) else 0.0)
+    rules = {
+        "index": ("index", sys.nu,
+                  lambda: [routing_index_table(sys, k, cap) for k, cap in enumerate(caps)]),
+        "shortest": ("shortest-queue", math.inf, lambda: [range(cap) for cap in caps]),
+        "naive": ("naive-rate", sys.nu,
+                  lambda: [[c[j + 1] / d[j + 1] for j in range(cap)]
+                           for c, d, cap in zip(cost, death, caps)]),
+    }
+    return net, rules
+
+
+def _mts(sys: MTSSystem, caps: list[int]):
+    """Production is the birth stream and earns the subsidy; orders are
+    deaths, lost at zero stock."""
+    products = sys.products
+    net = _Network(_tabulate(ProductSpec.mu_at, products, caps, 0), 0.0,
+                   _tabulate(ProductSpec.lam_at, products, caps, 1),
+                   _tabulate(ProductSpec.net_cost, products, caps, 1), -sys.nu, 0.0)
+    rules = {
+        "index": ("index", sys.nu,
+                  lambda: [mts_index_table(sys, k, cap) for k, cap in enumerate(caps)]),
+        "least-stock": ("least-stock", math.inf, lambda: [range(cap) for cap in caps]),
+    }
+    return net, rules
+
+
+def _build(system, policy: Callable | str, config: SimConfig, name: str | None = None):
+    """Network, caps, truncated buffers, decision function of the state
+    and report name.  A built-in policy applies :func:`engage` to its
+    score table; a custom ``policy(state, tables, caps)`` gets the index
+    tables."""
+    if isinstance(system, RoutingSystem):
+        specs, adapter = system.queues, _routing
+    elif isinstance(system, MTSSystem):
+        specs, adapter = system.products, _mts
     else:
+        raise TypeError(f"cannot simulate {type(system).__name__}")
+    caps = [spec.n if spec.n is not None else config.truncation for spec in specs]
+    truncated = [k for k, spec in enumerate(specs) if spec.n is None]
+    net, rules = adapter(system, caps)
+    if callable(policy):
+        tables = rules["index"][2]()
+        decide = lambda state: policy(state, tables, caps)
+        return net, caps, truncated, decide, name or getattr(policy, "__name__", "custom")
+    if policy not in rules:
         raise ValueError(f"unknown policy {policy!r}")
+    label, gate, build = rules[policy]
+    scores = [np.asarray(table, dtype=float).tolist() for table in build()]
+    decide = lambda state: engage(state, scores, caps, gate)
+    return net, caps, truncated, decide, name or label
 
+
+def simulate(system, policy, config: SimConfig, name: str | None = None) -> SimReport:
+    """Simulate a policy on a routing or make-to-stock system.
+
+    Routing: ``policy`` is "index", "shortest" or "naive"; each arrival
+    joins the chosen queue or is rejected at the charge, and the
+    objective sums holding costs and rejection charges.  Make-to-stock:
+    ``policy`` is "index" or "least-stock"; the chosen product is
+    produced and each completion earns the subsidy, while orders deplete
+    stock (lost when empty, already priced into the net cost rate).
+    Either may be a callable ``(state, tables, caps) -> buffer | None``
+    over the index tables.  The policy is consulted once per event epoch.
+    """
+    net, caps, truncated, decide, name = _build(system, policy, config, name)
+    birth, death, cost = net.birth, net.death, net.cost
+    buffers = range(len(caps))
+    horizon = config.horizon if config.horizon is not None else math.inf
     values: list[float] = []
     total_events = 0
     boundary_hits = 0
     for rep in range(config.replications):
         rng = np.random.default_rng([config.seed, rep])
-        state = [0] * len(sys.queues)
+        state = [0] * len(caps)
         t = 0.0
         events = 0
-        horizon = config.horizon if config.horizon is not None else math.inf
-        acc, warmup_events = _new_accumulator(sys.alpha, horizon, config)
+        acc, warmup_events = _new_accumulator(system.alpha, horizon, config)
         while t < horizon and (config.max_events is None or events < config.max_events):
-            rates = [sys.lam] + [q.mu_at(state[k]) for k, q in enumerate(sys.queues)]
-            total = sum(rates)
-            dt = rng.exponential(1.0 / total)
-            t_next = t + dt
-            if t_next > horizon:
-                acc.accrue(sum(q.h_at(state[k]) for k, q in enumerate(sys.queues)),
-                           t, horizon)
-                t = horizon
-                break
-            acc.accrue(sum(q.h_at(state[k]) for k, q in enumerate(sys.queues)),
-                       t, t_next)
-            t = t_next
-            events += 1
-            if events == warmup_events:
-                acc.warmup = t
-            pick = rng.random() * total
-            if pick < rates[0]:
-                k = decide(state, tables, caps)
-                if k is None:
-                    acc.lump(sys.nu if math.isfinite(sys.nu) else 0.0, t)
-                    if any(truncated[k2] and state[k2] >= caps[k2]
-                           for k2 in range(len(sys.queues))):
-                        boundary_hits += 1
-                else:
-                    state[k] += 1
+            target = decide(state)
+            if target is None:
+                born = net.idle_birth
+            elif state[target] < caps[target]:
+                born = birth[target][state[target]]
             else:
-                acc_rate = rates[0]
-                for k in range(len(sys.queues)):
-                    acc_rate += rates[k + 1]
-                    if pick < acc_rate:
-                        state[k] -= 1
-                        break
-        total_events += events
-        values.append(acc.objective(t))
-    return _finish_report(name, values, total_events, boundary_hits, config.seed)
-
-
-def simulate_mts(sys: MTSSystem, policy: Callable | str, config: SimConfig,
-                 name: str | None = None) -> SimReport:
-    """Simulate a production policy on the make-to-stock facility.
-
-    The facility's target product is re-chosen at every event epoch from
-    the stationary policy; orders deplete stock (lost when empty, already
-    priced into the net cost rate) and completions earn the subsidy.
-    """
-    from .policies import least_stock_decide
-
-    caps = _caps([p.n for p in sys.products], config.truncation)
-    tables = [mts_index_table(sys, k, caps[k]) for k in range(len(sys.products))]
-    truncated = [p.n is None for p in sys.products]
-
-    if callable(policy):
-        decide = policy
-        name = name or getattr(policy, "__name__", "custom")
-    elif policy == "index":
-        decide = lambda st, tb, cp: mts_decide(sys, st, tables=tb, full=cp)
-        name = name or "index"
-    elif policy == "least-stock":
-        decide = lambda st, tb, cp: least_stock_decide(sys, st, full=cp)
-        name = name or "least-stock"
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
-
-    values: list[float] = []
-    total_events = 0
-    boundary_hits = 0
-    m = len(sys.products)
-    for rep in range(config.replications):
-        rng = np.random.default_rng([config.seed, rep])
-        state = [0] * m
-        t = 0.0
-        events = 0
-        horizon = config.horizon if config.horizon is not None else math.inf
-        acc, warmup_events = _new_accumulator(sys.alpha, horizon, config)
-        while t < horizon and (config.max_events is None or events < config.max_events):
-            target = decide(state, tables, caps)
-            if target is not None and truncated[target] and state[target] >= caps[target] - 1:
-                boundary_hits += 1
-            order_rates = [p.lam_at(state[k]) for k, p in enumerate(sys.products)]
-            prod_rate = sys.products[target].mu_at(state[target]) if target is not None else 0.0
-            total = sum(order_rates) + prod_rate
+                raise ValueError(f"policy chose buffer {target}, which is at its cap")
+            total, cost_rate = born, 0.0
+            for k in buffers:
+                total += death[k][state[k]]
+                cost_rate += cost[k][state[k]]
             if total <= 0:
                 break
             dt = rng.exponential(1.0 / total)
             t_next = t + dt
-            cost_rate = sum(p.net_cost(state[k]) for k, p in enumerate(sys.products))
             if t_next > horizon:
                 acc.accrue(cost_rate, t, horizon)
                 t = horizon
@@ -271,14 +275,23 @@ def simulate_mts(sys: MTSSystem, policy: Callable | str, config: SimConfig,
             events += 1
             if events == warmup_events:
                 acc.warmup = t
+            for k in truncated:
+                if state[k] >= caps[k]:
+                    boundary_hits += 1
+                    break
             pick = rng.random() * total
-            if pick < prod_rate:
-                state[target] += 1
-                acc.lump(-sys.nu, t)
+            if pick < born:
+                if target is None:
+                    charge = net.idle_charge
+                else:
+                    state[target] += 1
+                    charge = net.fed_charge
+                if charge:
+                    acc.lump(charge, t)
             else:
-                acc_rate = prod_rate
-                for k in range(m):
-                    acc_rate += order_rates[k]
+                acc_rate = born
+                for k in buffers:
+                    acc_rate += death[k][state[k]]
                     if pick < acc_rate:
                         if state[k] > 0:
                             state[k] -= 1
@@ -286,12 +299,3 @@ def simulate_mts(sys: MTSSystem, policy: Callable | str, config: SimConfig,
         total_events += events
         values.append(acc.objective(t))
     return _finish_report(name, values, total_events, boundary_hits, config.seed)
-
-
-def simulate(system, policy, config: SimConfig, name: str | None = None) -> SimReport:
-    """Dispatch on the system type (routing or make-to-stock)."""
-    if isinstance(system, RoutingSystem):
-        return simulate_routing(system, policy, config, name)
-    if isinstance(system, MTSSystem):
-        return simulate_mts(system, policy, config, name)
-    raise TypeError(f"cannot simulate {type(system).__name__}")

@@ -28,6 +28,14 @@ def test_routing_index_critical_ratio_uses_other_branch():
     assert routing_index(sys, 0, 2) == pytest.approx(6.0)   # (j+1)(j+2)/2
 
 
+def test_routing_index_near_critical_ratio_follows_the_recursion():
+    # lam/mu = 1 + 1e-9 is within rounding of the critical branch
+    # (j+1)(j+2)/2; the geometric closed form cancels to 0.0 there
+    sys = RoutingSystem(1.0 + 1e-9, (linear_queue(None, 1.0),), alpha=0.0)
+    got = [routing_index(sys, 0, j) for j in range(5)]
+    assert got == pytest.approx([1.0, 3.0, 6.0, 10.0, 15.0], rel=1e-6)
+
+
 def test_routing_index_rejects_full_buffer():
     sys = RoutingSystem(lam=1.0, queues=(linear_queue(4, 2.0),), alpha=0.0)
     with pytest.raises(ValueError):

@@ -101,6 +101,30 @@ def test_truncation_flag_on_unstable_queue():
     assert rep.truncation_flagged
 
 
+def test_finite_buffer_with_per_state_rates_as_documented():
+    # mu over occupancies 1..n and h over 0..n, exactly as QueueSpec
+    # documents them, must be enough for every policy
+    n = 4
+    q = QueueSpec(n, [1.0, 1.2, 1.3, 1.35], [0.0, 1.0, 2.5, 4.5, 7.0])
+    sys = RoutingSystem(1.0, (q, QueueSpec(3, 1.1, 1.0)), alpha=0.0, nu=5.0)
+    config = SimConfig(max_events=2000, replications=2, seed=4)
+    for policy in ("index", "shortest", "naive"):
+        rep = simulate(sys, policy, config)
+        assert math.isfinite(rep.mean)
+    table = routing_index_table(sys, 0, n)
+    assert len(table) == n and np.all(np.diff(table) >= 0)
+
+
+def test_truncation_flag_on_overstocked_product():
+    # production far faster than demand: an infinite stock truncated low
+    # sits at its cap, and the report must say so
+    sys = MTSSystem((ProductSpec(None, 0.2, 5.0, 1.0, 0.5, 0.6),), alpha=0.0)
+    config = SimConfig(max_events=4000, replications=2, seed=2, truncation=5)
+    rep = simulate(sys, "least-stock", config)
+    assert rep.boundary_hits > 0
+    assert rep.truncation_flagged
+
+
 def test_mts_simulation_runs_and_subsidy_lowers_cost():
     spec = ProductSpec(6, 0.8, 1.2, 1.0, 0.5, 0.6)
     base = MTSSystem((spec, spec), alpha=0.0, nu=0.5)
@@ -124,6 +148,13 @@ def test_mts_single_product_matches_birth_death_oracle():
     completions = sum(p[j] * spec.mu_at(j) for j in range(5))
     want = net - sys.nu * completions
     assert abs(rep.mean - want) <= 3.0 * rep.se
+
+
+def test_custom_policy_may_not_overfill_a_buffer():
+    sys = RoutingSystem(3.0, (QueueSpec(2, 1.0, 1.0),), alpha=0.0)
+    config = SimConfig(max_events=500, replications=1, seed=1)
+    with pytest.raises(ValueError, match="at its cap"):
+        simulate(sys, lambda st, tb, cp: 0, config, name="always-join")
 
 
 def test_config_validation():
