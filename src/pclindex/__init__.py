@@ -29,11 +29,12 @@ from .dp import DPResult, crosscheck_indices, fair_charge, nu_sweep, solve
 from .admission import (ACModel, ak_coefficients, average_indices,
                         closed_form_index, indices, marginal_cost_pivots,
                         threshold_steady_state, uniformize, validate_assumptions,
-                        whittle_counterexample, whittle_variant, workload_table)
+                        whittle_counterexample, whittle_variant, workload_pivots,
+                        workload_table)
 from .policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                        mts_decide, mts_index, routing_decide, routing_index,
                        switching_curve)
 from .simulate import SimConfig, SimReport, simulate
 from .errors import (AssumptionError, DegeneracyError, InfeasibleTargetError,
-                     InternalConsistencyError, PclIndexError, StructureError,
-                     UnsupportedModelError)
+                     InternalConsistencyError, NumericalRangeError, PclIndexError,
+                     StructureError, UnsupportedModelError)

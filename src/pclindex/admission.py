@@ -22,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .bandit import RBModel
-from .errors import AssumptionError, DegeneracyError, InternalConsistencyError
+from .errors import (AssumptionError, DegeneracyError, InternalConsistencyError,
+                     NumericalRangeError)
 
 SIGN_SLACK = 1e-12  # slack for strict-inequality checks, scaled by magnitude
 
@@ -193,20 +194,43 @@ def ak_coefficients(m: ACModel) -> np.ndarray:
     return a
 
 
+def _pivot_recursion(m: ACModel, f: np.ndarray) -> np.ndarray:
+    """p_0 = lam_0 f_0 / (alpha + lam_0 + mu_1) and
+    p_k = (lam_k / a_k) (f_k + p_{k-1} / rho_{k-1}) / (alpha + lam_k + mu_{k+1}):
+    the workload pivots for f = alpha + delta_d, the cost pivots for
+    f = delta_h."""
+    alpha, lam, rho, mu = m.alpha, m.lam, m.rho, m.mu_full
+    a = ak_coefficients(m)
+    p = np.zeros(m.n)
+    p[0] = lam[0] * f[0] / (alpha + lam[0] + mu[1])
+    for k in range(1, m.n):
+        p[k] = (lam[k] / a[k]) * (f[k] + p[k - 1] / rho[k - 1]) / (alpha + lam[k] + mu[k + 1])
+    return p
+
+
+def workload_pivots(m: ACModel) -> np.ndarray:
+    """Pivot workloads w(S_{k+2}, k) for k = 0..n-1, in O(n): each pivot
+    follows from the previous one, so the index recursion needs no other
+    entry of :func:`workload_table`."""
+    if np.any(m.lam[: m.n] <= 0) or np.any(m.mu <= 0):
+        raise DegeneracyError("workload recursion needs positive lambda_0..lambda_{n-1} "
+                              "and mu_1..mu_n")
+    return _pivot_recursion(m, m.alpha + m.delta_d)
+
+
 def workload_table(m: ACModel) -> np.ndarray:
     """Marginal workloads W[k-1, i] = w(S_k, i) for the threshold chain.
 
     S_k = {k-1, ..., n-1} for k = 1..n and S_{n+1} = {}; states i run over
     the controllable range 0..n-1.  Values carry the (alpha + Lambda)
-    scaling, so they depend only on the rates, not on Lambda.
+    scaling, so they depend only on the rates, not on Lambda.  Its pivot
+    diagonal W[k, k-1] comes from :func:`workload_pivots`; the O(n^2)
+    table itself is a verification path.
     """
     n, alpha = m.n, m.alpha
     lam, rho, dd = m.lam, m.rho, m.delta_d
     mu = m.mu_full
-    if np.any(lam[: n] <= 0) or np.any(m.mu <= 0):
-        raise DegeneracyError("workload recursion needs positive lambda_0..lambda_{n-1} "
-                              "and mu_1..mu_n")
-    a = ak_coefficients(m)
+    pivots = workload_pivots(m)
     W = np.zeros((n + 1, n))
 
     def fill_up(k: int, start: int):
@@ -217,13 +241,10 @@ def workload_table(m: ACModel) -> np.ndarray:
 
     W[0, 0] = lam[0] * (alpha + dd[0]) / (alpha + mu[1])
     fill_up(1, 1)
-    W[1, 0] = lam[0] * (alpha + dd[0]) / (alpha + lam[0] + mu[1])
+    W[1, 0] = pivots[0]
     fill_up(2, 1)
     for k in range(2, n + 1):
-        # pivot w(S_{k+1}, k-1) from the previous pivot w(S_k, k-2)
-        W[k, k - 1] = (lam[k - 1] / a[k - 1]) \
-            * (alpha + dd[k - 1] + W[k - 1, k - 2] / rho[k - 2]) \
-            / (alpha + lam[k - 1] + mu[k])
+        W[k, k - 1] = pivots[k - 1]
         W[k, k - 2] = rho[k - 2] * (
             -(alpha + dd[k - 1])
             + (alpha + lam[k - 1] + mu[k]) / lam[k - 1] * W[k, k - 1])
@@ -238,33 +259,32 @@ def workload_table(m: ACModel) -> np.ndarray:
 
 def marginal_cost_pivots(m: ACModel) -> np.ndarray:
     """Marginal costs c(S_{k+2}, k) for k = 0..n-1 (the pivot diagonal)."""
-    n, alpha = m.n, m.alpha
-    lam, rho, dh = m.lam, m.rho, m.delta_h
-    mu = m.mu_full
-    a = ak_coefficients(m)
-    c = np.zeros(n)
-    c[0] = lam[0] * dh[0] / (alpha + lam[0] + mu[1])
-    for k in range(1, n):
-        c[k] = (lam[k] / a[k]) * (dh[k] + c[k - 1] / rho[k - 1]) \
-            / (alpha + lam[k] + mu[k + 1])
-    return c
+    return _pivot_recursion(m, m.delta_h)
 
 
 def indices(m: ACModel, _check: bool = True) -> np.ndarray:
     """Allocation indices nu_0..nu_{n-1} (fair rejection charges).
 
-    Computed by the pivot recursion; under the regularity conditions the
-    sequence is nondecreasing and equals the marginal cost/workload pivot
-    ratio, both of which are verified before returning.
+    Computed by the O(n) pivot recursion; under the regularity conditions
+    the sequence is nondecreasing and equals the marginal cost/workload
+    pivot ratio, both of which are verified before returning.  Raises
+    :class:`NumericalRangeError` at the first state whose index left the
+    floating-point range.
     """
     n, alpha = m.n, m.alpha
     dd, dh, rho = m.delta_d, m.delta_h, m.rho
-    W = workload_table(m)
+    pivots_w = workload_pivots(m)
     nu = np.zeros(n)
     nu[0] = dh[0] / (alpha + dd[0])
-    for j in range(1, n):
-        denom = alpha + dd[j] + W[j, j - 1] / rho[j - 1]
-        nu[j] = nu[j - 1] + (dh[j] - nu[j - 1] * (alpha + dd[j])) / denom
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below instead
+        for j in range(1, n):
+            denom = alpha + dd[j] + pivots_w[j - 1] / rho[j - 1]
+            nu[j] = nu[j - 1] + (dh[j] - nu[j - 1] * (alpha + dd[j])) / denom
+    bad = np.flatnonzero(~np.isfinite(nu))
+    if bad.size:
+        raise NumericalRangeError(
+            f"index of state {bad[0]} is {nu[bad[0]]}: the recursion left the "
+            f"floating-point range (n = {n})")
     if _check:
         scale = max(1.0, float(np.max(np.abs(nu))))
         if validate_assumptions(m).ok:
@@ -272,7 +292,6 @@ def indices(m: ACModel, _check: bool = True) -> np.ndarray:
                 raise InternalConsistencyError(
                     "indices not nondecreasing although the regularity conditions hold")
             pivots_c = marginal_cost_pivots(m)
-            pivots_w = np.array([W[j + 1, j] for j in range(n)])
             if np.max(np.abs(nu - pivots_c / pivots_w)) > 1e-9 * scale:
                 raise InternalConsistencyError(
                     "index recursion disagrees with pivot cost/workload ratios")

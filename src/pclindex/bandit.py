@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cache as memoize
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -125,27 +126,27 @@ def _mix_rows(model: RBModel, mask: np.ndarray) -> np.ndarray:
     return P
 
 
+def _set_active_measure(model: RBModel, s, active, passive) -> np.ndarray:
+    """Expected total discounted per-period reward (``active`` where the
+    S-active policy engages, ``passive`` elsewhere), over initial states."""
+    _require_discounted(model)
+    mask = model.active_rows(s)
+    rhs = np.where(mask, active, passive)
+    A = np.eye(model.n_states) - model.beta * _mix_rows(model, mask)
+    x = np.linalg.solve(A, rhs)
+    _check_residual(A, x, rhs)
+    return x
+
+
 def activity_measure(model: RBModel, s) -> np.ndarray:
     """Expected total discounted activity weight collected under the
     S-active policy, as a vector over initial states."""
-    _require_discounted(model)
-    mask = model.active_rows(s)
-    P = _mix_rows(model, mask)
-    rhs = np.where(mask, model.theta1, 0.0)
-    b = np.linalg.solve(np.eye(model.n_states) - model.beta * P, rhs)
-    _check_residual(np.eye(model.n_states) - model.beta * P, b, rhs)
-    return b
+    return _set_active_measure(model, s, model.theta1, 0.0)
 
 
 def cost_measure(model: RBModel, s) -> np.ndarray:
     """Expected total discounted holding cost under the S-active policy."""
-    _require_discounted(model)
-    mask = model.active_rows(s)
-    P = _mix_rows(model, mask)
-    rhs = np.where(mask, model.h1, model.h0)
-    v = np.linalg.solve(np.eye(model.n_states) - model.beta * P, rhs)
-    _check_residual(np.eye(model.n_states) - model.beta * P, v, rhs)
-    return v
+    return _set_active_measure(model, s, model.h1, model.h0)
 
 
 def _check_residual(A: np.ndarray, x: np.ndarray, rhs: np.ndarray):
@@ -239,44 +240,20 @@ def normalized_model(model: RBModel) -> RBModel:
 # Index machinery
 # ---------------------------------------------------------------------------
 
-def _ctrl_order(model: RBModel) -> list[int]:
-    return sorted(model.controllable)
-
-
-def _states_of(ground_set: Iterable, ctrl: Sequence[int]) -> frozenset:
-    return frozenset(ctrl[e] for e in ground_set)
-
-
 class _MeasureCache:
-    """Per-model cache of set-indexed measures; not thread-safe, create one
-    per computation."""
+    """Per-model memo of set-indexed measures; not thread-safe, create one
+    per computation.  Measures are keyed by sets of states; ``states``
+    translates a set of ground elements (positions in sorted(controllable))
+    once per set."""
 
     def __init__(self, model: RBModel):
-        self.model = model
-        self._b: dict[frozenset, np.ndarray] = {}
-        self._v: dict[frozenset, np.ndarray] = {}
-        self._w: dict[frozenset, np.ndarray] = {}
-        self._c: dict[frozenset, np.ndarray] = {}
-
-    def b(self, s: frozenset) -> np.ndarray:
-        if s not in self._b:
-            self._b[s] = activity_measure(self.model, s)
-        return self._b[s]
-
-    def v(self, s: frozenset) -> np.ndarray:
-        if s not in self._v:
-            self._v[s] = cost_measure(self.model, s)
-        return self._v[s]
-
-    def w(self, s: frozenset) -> np.ndarray:
-        if s not in self._w:
-            self._w[s] = marginal_workload(self.model, s, self.b(s))
-        return self._w[s]
-
-    def c(self, s: frozenset) -> np.ndarray:
-        if s not in self._c:
-            self._c[s] = marginal_cost(self.model, s, self.v(s))
-        return self._c[s]
+        ctrl = self.ctrl = sorted(model.controllable)
+        self.states = memoize(lambda ground_set: frozenset(ctrl[e] for e in ground_set))
+        self.b = b = memoize(lambda s: activity_measure(model, s))
+        self.v = v = memoize(lambda s: cost_measure(model, s))
+        self.w = memoize(lambda s: marginal_workload(model, s, b(s)))
+        self.c = memoize(lambda s: marginal_cost(model, s, v(s)))
+        self.limits = memoize(lambda s: average_limits(model, s))
 
 
 @dataclass(frozen=True)
@@ -332,16 +309,39 @@ class PCLReport:
         return self.ag.nu
 
 
-def _workload_positivity(model: RBModel, sys: SetSystem, cache: _MeasureCache,
-                         ctrl: Sequence[int]):
+def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
+    """The indexability test under either criterion: the marginal
+    workloads and the cost input come from the discounted measures or from
+    the long-run average limits."""
+    cache = _MeasureCache(model)
+    ctrl = cache.ctrl
+    if sys.n != len(ctrl):
+        raise ValueError(f"set system has ground size {sys.n}, expected {len(ctrl)}")
+    at = np.array(ctrl, dtype=int)
+    workloads = (lambda states: cache.limits(states).w_bar) if average else cache.w
     violations = []
     for s in sys.family:
-        states = _states_of(s, ctrl)
-        w = cache.w(states)
-        for j in ctrl:
-            if not w[j] > 0.0:
-                violations.append((states, j, float(w[j])))
-    return tuple(violations)
+        states = cache.states(s)
+        w = workloads(states)[at]
+        violations.extend((states, ctrl[e], float(w[e])) for e in np.flatnonzero(~(w > 0.0)))
+    cost = cache.limits(frozenset(ctrl)).c_bar if average else normalized_passive_cost(model)
+
+    def row(s: frozenset) -> np.ndarray:
+        return workloads(cache.states(s))[at[sorted(s)]]
+
+    out = ag2(cost[at], WorkloadOracle(row=row), sys)
+    positive = not violations
+    return PCLReport(
+        indexable=positive and out.admissible,
+        positive_workloads=positive,
+        admissible=out.admissible,
+        workload_violations=tuple(violations),
+        nu_by_state={ctrl[e]: float(out.nu[e]) for e in range(sys.n)},
+        state_order=tuple(ctrl[e] for e in out.pi),
+        chain_states=tuple(cache.states(s) for s in out.chain),
+        ag=out,
+        controllable_order=tuple(ctrl),
+    )
 
 
 def pcl_index(model: RBModel, sys: SetSystem) -> PCLReport:
@@ -352,26 +352,7 @@ def pcl_index(model: RBModel, sys: SetSystem) -> PCLReport:
     controllable states, then runs the rate-recursion greedy algorithm on
     the normalized passive cost with the model-derived workload oracle.
     """
-    ctrl = _ctrl_order(model)
-    if sys.n != len(ctrl):
-        raise ValueError(f"set system has ground size {sys.n}, expected {len(ctrl)}")
-    cache = _MeasureCache(model)
-    violations = _workload_positivity(model, sys, cache, ctrl)
-    hhat = normalized_passive_cost(model)
-    oracle = WorkloadOracle(lambda s, e: float(cache.w(_states_of(s, ctrl))[ctrl[e]]))
-    out = ag2(hhat[ctrl], oracle, sys)
-    positive = not violations
-    return PCLReport(
-        indexable=positive and out.admissible,
-        positive_workloads=positive,
-        admissible=out.admissible,
-        workload_violations=violations,
-        nu_by_state={ctrl[e]: float(out.nu[e]) for e in range(sys.n)},
-        state_order=tuple(ctrl[e] for e in out.pi),
-        chain_states=tuple(_states_of(s, ctrl) for s in out.chain),
-        ag=out,
-        controllable_order=tuple(ctrl),
-    )
+    return _pcl_report(model, sys, average=False)
 
 
 @dataclass(frozen=True)
@@ -597,38 +578,7 @@ def average_pcl_index(model: RBModel, sys: SetSystem) -> PCLReport:
     marginal cost at the all-controllable active set as the cost input
     (the average analog of the normalized passive cost).
     """
-    ctrl = _ctrl_order(model)
-    if sys.n != len(ctrl):
-        raise ValueError(f"set system has ground size {sys.n}, expected {len(ctrl)}")
-    cache: dict[frozenset, AverageLimits] = {}
-
-    def limits(states: frozenset) -> AverageLimits:
-        if states not in cache:
-            cache[states] = average_limits(model, states)
-        return cache[states]
-
-    violations = []
-    for s in sys.family:
-        states = _states_of(s, ctrl)
-        w = limits(states).w_bar
-        for j in ctrl:
-            if not w[j] > 0.0:
-                violations.append((states, j, float(w[j])))
-    c_full = limits(frozenset(ctrl)).c_bar
-    oracle = WorkloadOracle(lambda s, e: float(limits(_states_of(s, ctrl)).w_bar[ctrl[e]]))
-    out = ag2(c_full[ctrl], oracle, sys)
-    positive = not violations
-    return PCLReport(
-        indexable=positive and out.admissible,
-        positive_workloads=positive,
-        admissible=out.admissible,
-        workload_violations=tuple(violations),
-        nu_by_state={ctrl[e]: float(out.nu[e]) for e in range(sys.n)},
-        state_order=tuple(ctrl[e] for e in out.pi),
-        chain_states=tuple(_states_of(s, ctrl) for s in out.chain),
-        ag=out,
-        controllable_order=tuple(ctrl),
-    )
+    return _pcl_report(model, sys, average=True)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,11 @@ class InfeasibleTargetError(PclIndexError):
     """A constrained-control target is outside the achievable range."""
 
 
+class NumericalRangeError(PclIndexError):
+    """A computation left the floating-point range (an overflow to inf or
+    a NaN), so its result would be meaningless."""
+
+
 class InternalConsistencyError(PclIndexError):
     """Two computation paths that must agree did not; indicates a bug
     or a silently violated precondition, never user error."""

@@ -9,7 +9,7 @@ the generated priority order, the index vector and an admissibility flag
 the marginal-rate/reduced-cost tables along the chain.
 
 Workload coefficients are supplied by a :class:`WorkloadOracle`, queried
-lazily only for the chain sets the run actually visits.
+lazily one row per chain set the run actually visits.
 """
 
 from __future__ import annotations
@@ -30,32 +30,52 @@ ADMISSIBLE_SLACK = 1e-9
 class WorkloadOracle:
     """Evaluator of marginal workloads w(S, j) and optional right-hand sides b(S).
 
+    Built from a scalar evaluator ``w(S, j)``, or from a row evaluator
+    ``row(S)`` that returns w(S, j) for every j in sorted(S) in one call.
     Positivity of every queried workload is checked at query time.  The
     ``monotone`` flag declares that w(S, j) is nondecreasing in S (needed
     by the max-form index characterization); it is trusted, not verified.
     """
 
-    def __init__(self, w: Callable[[frozenset, int], float],
+    def __init__(self, w: Callable[[frozenset, int], float] | None = None,
                  b: Callable[[frozenset], float] | None = None,
-                 monotone: bool = False):
+                 monotone: bool = False,
+                 row: Callable[[frozenset], np.ndarray] | None = None):
+        if (w is None) == (row is None):
+            raise ValueError("give exactly one of a scalar evaluator w and a row evaluator")
         self._w = w
+        self._row = row
         self._b = b
         self.monotone = monotone
 
-    def workload(self, s: frozenset, j: int) -> float:
-        val = float(self._w(s, j))
-        if not val > 0.0:
-            raise ValueError(f"workload w({sorted(s)}, {j}) = {val} is not positive")
-        return val
+    def workload(self, s: frozenset, j: int | None = None):
+        """w(S, j); with j omitted, the row of w(S, j) over j in sorted(S)
+        as an array (one evaluator call for a row evaluator)."""
+        if j is not None:
+            if self._w is not None:
+                val = float(self._w(s, j))
+            elif j in s:
+                val = float(self._row(s)[sorted(s).index(j)])
+            else:
+                raise ValueError(f"element {j} not in {sorted(s)}")
+            if not val > 0.0:
+                raise ValueError(f"workload w({sorted(s)}, {j}) = {val} is not positive")
+            return val
+        elems = sorted(s)
+        if self._row is not None:
+            vals = np.asarray(self._row(s), dtype=float)
+        else:
+            vals = np.array([self._w(s, i) for i in elems], dtype=float)
+        bad = np.flatnonzero(~(vals > 0.0))
+        if bad.size:
+            raise ValueError(f"workload w({elems}, {elems[bad[0]]}) = {vals[bad[0]]} "
+                             "is not positive")
+        return vals
 
     def rhs(self, s: frozenset) -> float:
         if self._b is None:
             raise ValueError("oracle has no right-hand-side evaluator")
         return float(self._b(s))
-
-    @property
-    def has_rhs(self) -> bool:
-        return self._b is not None
 
     @classmethod
     def from_tables(cls, w: Mapping[frozenset, Mapping[int, float]],
@@ -93,39 +113,22 @@ class AGOutput:
         return len(self.cost)
 
 
-def _argmin_boundary(values: Mapping[int, float], boundary: frozenset,
-                     tie_break: str) -> int:
+def _argmin_boundary(rate: np.ndarray, boundary: frozenset, tie_break: str) -> int:
     if not boundary:
         raise StructureError("empty inner boundary mid-run; system is not accessible")
-    best = min(values[j] for j in boundary)
-    ties = [j for j in boundary if values[j] == best]
-    return min(ties) if tie_break == "low" else max(ties)
+    cand = np.fromiter(boundary, dtype=int, count=len(boundary))
+    vals = rate[cand]
+    ties = cand[vals == vals.min()]
+    return int(ties.min() if tie_break == "low" else ties.max())
 
 
-def _admissible(nu_seq: Sequence[float]) -> bool:
-    return all(nu_seq[k] >= nu_seq[k - 1] - ADMISSIBLE_SLACK * max(1.0, abs(nu_seq[k]))
-               for k in range(1, len(nu_seq)))
-
-
-def _finish(pi, nu_seq, n, chain, rates, redc, wtabs, c, completed) -> AGOutput:
-    nu = np.full(n, np.nan)
-    for j, v in zip(pi, nu_seq):
-        nu[j] = v
-    dual: dict[frozenset, float] = {}
-    if nu_seq:
-        dual[chain[0]] = nu_seq[0]
-        for k in range(1, len(nu_seq)):
-            dual[chain[k]] = nu_seq[k] - nu_seq[k - 1]
-    return AGOutput(
-        admissible=completed and _admissible(nu_seq),
-        pi=tuple(pi), nu=nu, chain=tuple(chain), dual=dual,
-        rate_table=tuple(rates), reduced_costs=tuple(redc),
-        workloads=tuple(wtabs), cost=np.asarray(c, dtype=float),
-        completed=completed,
-    )
-
-
-def _start(c, sys: SetSystem):
+def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
+          early_exit: bool, dual_increments: bool) -> AGOutput:
+    """The chain walk shared by both algorithms, which differ only in the
+    rate update.  Step k makes one row query for the chain set S_k and one
+    inner-boundary call, then peels off the boundary element with the
+    smallest rate.  Arrays run over the whole ground set, NaN outside S_k.
+    """
     c = np.asarray(c, dtype=float)
     if c.shape != (sys.n,):
         raise ValueError(f"cost vector must have shape ({sys.n},), got {c.shape}")
@@ -133,7 +136,56 @@ def _start(c, sys: SetSystem):
         raise ValueError("cost vector must be finite")
     if sys.ground not in sys:
         raise StructureError("ground set J is not a member of the family")
-    return c
+    n = sys.n
+    s = sys.ground
+    alive = np.ones(n, dtype=bool)
+    wk = np.full(n, np.nan)
+    acc = np.zeros(n)           # ag1: sum of y_l w(S_l, .) over the steps so far
+    pivot, pivot_rate = None, 0.0
+    pi: list[int] = []
+    nu_seq: list[float] = []
+    chain: list[frozenset] = []
+    rates, redc, wtabs = [], [], []
+    completed = True
+    for k in range(n):
+        members = np.flatnonzero(alive)
+        w_prev, wk = wk, np.full(n, np.nan)
+        wk[members] = oracle.workload(s)
+        if dual_increments:
+            if k:
+                acc = acc + (bracket[pivot] / w_prev[pivot]) * w_prev
+            bracket = c - acc
+            rate = bracket / wk + pivot_rate
+            cost = rate * wk
+        elif k == 0:
+            rate, cost = c / wk, c
+        else:
+            rate = rate + (w_prev / wk - 1.0) * (rate - pivot_rate)
+            cost = cost - (cost[pivot] / w_prev[pivot]) * (w_prev - wk)
+        elems = members.tolist()
+        chain.append(s)
+        wtabs.append(dict(zip(elems, wk[members].tolist())))
+        rates.append(dict(zip(elems, rate[members].tolist())))
+        redc.append(dict(zip(elems, cost[members].tolist())))
+        pivot = _argmin_boundary(rate, sys.inner_boundary(s), tie_break)
+        pivot_rate = float(rate[pivot])
+        pi.append(pivot)
+        nu_seq.append(pivot_rate)
+        if early_exit and k and nu_seq[-1] < nu_seq[-2] - ADMISSIBLE_SLACK * max(1.0, abs(nu_seq[-1])):
+            completed = False
+            break
+        s = s - {pivot}
+        alive[pivot] = False
+    nu = np.full(n, np.nan)
+    nu[pi] = nu_seq
+    admissible = completed and all(
+        nu_seq[k] >= nu_seq[k - 1] - ADMISSIBLE_SLACK * max(1.0, abs(nu_seq[k]))
+        for k in range(1, n))
+    return AGOutput(
+        admissible=admissible, pi=tuple(pi), nu=nu, chain=tuple(chain),
+        dual={s: v - prev for s, v, prev in zip(chain, nu_seq, [0.0] + nu_seq)},
+        rate_table=tuple(rates), reduced_costs=tuple(redc), workloads=tuple(wtabs),
+        cost=c, completed=completed)
 
 
 def ag1(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str = "low",
@@ -145,30 +197,7 @@ def ag1(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str = "low",
     the partial sums of the selected dual increments.  Ties go to the
     lowest element (``tie_break="high"`` flips this, for tests).
     """
-    c = _start(c, sys)
-    n = sys.n
-    s = sys.ground
-    ys: list[float] = []
-    pi: list[int] = []
-    nu_seq: list[float] = []
-    chain: list[frozenset] = []
-    rates, redc, wtabs = [], [], []
-    for k in range(n):
-        wk = {j: oracle.workload(s, j) for j in s}
-        bracket = {j: c[j] - sum(ys[l] * wtabs[l][j] for l in range(k)) for j in s}
-        rate = {j: bracket[j] / wk[j] + (nu_seq[-1] if k else 0.0) for j in s}
-        chain.append(s)
-        wtabs.append(wk)
-        rates.append(rate)
-        redc.append({j: rate[j] * wk[j] for j in s})
-        j_star = _argmin_boundary(rate, sys.inner_boundary(s), tie_break)
-        ys.append(bracket[j_star] / wk[j_star])
-        pi.append(j_star)
-        nu_seq.append(rate[j_star])
-        if early_exit and k and nu_seq[-1] < nu_seq[-2] - ADMISSIBLE_SLACK * max(1.0, abs(nu_seq[-1])):
-            return _finish(pi, nu_seq, n, chain, rates, redc, wtabs, c, completed=False)
-        s = s - {j_star}
-    return _finish(pi, nu_seq, n, chain, rates, redc, wtabs, c, completed=True)
+    return _walk(c, oracle, sys, tie_break, early_exit, dual_increments=True)
 
 
 def ag2(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str = "low",
@@ -180,39 +209,7 @@ def ag2(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str = "low",
     rate'(j) = rate(j) + (w_old(j)/w_new(j) - 1) (rate(j) - rate(pivot)),
     which is the form that admits closed-form analysis in applications.
     """
-    c = _start(c, sys)
-    n = sys.n
-    s = sys.ground
-    pi: list[int] = []
-    nu_seq: list[float] = []
-    chain: list[frozenset] = []
-    rates, redc, wtabs = [], [], []
-    rate: dict[int, float] = {}
-    for k in range(n):
-        wk = {j: oracle.workload(s, j) for j in s}
-        if k == 0:
-            rate = {j: c[j] / wk[j] for j in s}
-        else:
-            w_prev, pivot_rate = wtabs[-1], nu_seq[-1]
-            rate = {j: rate[j] + (w_prev[j] / wk[j] - 1.0) * (rate[j] - pivot_rate)
-                    for j in s}
-        chain.append(s)
-        wtabs.append(wk)
-        rates.append(dict(rate))
-        if k == 0:
-            redc.append({j: c[j] for j in s})
-        else:
-            prev_c, w_prev = redc[-1], wtabs[-2]
-            pivot = pi[-1]
-            scale = prev_c[pivot] / w_prev[pivot]
-            redc.append({j: prev_c[j] - scale * (w_prev[j] - wk[j]) for j in s})
-        j_star = _argmin_boundary(rate, sys.inner_boundary(s), tie_break)
-        pi.append(j_star)
-        nu_seq.append(rate[j_star])
-        if early_exit and k and nu_seq[-1] < nu_seq[-2] - ADMISSIBLE_SLACK * max(1.0, abs(nu_seq[-1])):
-            return _finish(pi, nu_seq, n, chain, rates, redc, wtabs, c, completed=False)
-        s = s - {j_star}
-    return _finish(pi, nu_seq, n, chain, rates, redc, wtabs, c, completed=True)
+    return _walk(c, oracle, sys, tie_break, early_exit, dual_increments=False)
 
 
 def primal_vertex(pi: Sequence[int], oracle: WorkloadOracle) -> np.ndarray:
@@ -227,14 +224,13 @@ def primal_vertex(pi: Sequence[int], oracle: WorkloadOracle) -> np.ndarray:
     if sorted(pi) != list(range(n)):
         raise ValueError(f"{tuple(pi)} is not a permutation of 0..{n - 1}")
     chain = [frozenset(pi[k:]) for k in range(n)]
+    rows = [dict(zip(sorted(s), oracle.workload(s).tolist())) for s in chain]
     x = np.zeros(n)
     for k in range(n - 1, -1, -1):
-        w_row = {j: oracle.workload(chain[k], j) for j in chain[k]}
-        tail = sum(w_row[pi[l]] * x[pi[l]] for l in range(k + 1, n))
-        x[pi[k]] = (oracle.rhs(chain[k]) - tail) / w_row[pi[k]]
+        tail = sum(rows[k][pi[l]] * x[pi[l]] for l in range(k + 1, n))
+        x[pi[k]] = (oracle.rhs(chain[k]) - tail) / rows[k][pi[k]]
     for k in range(n):
-        w_row = {j: oracle.workload(chain[k], j) for j in chain[k]}
-        lhs = sum(w_row[j] * x[j] for j in chain[k])
+        lhs = sum(rows[k][j] * x[j] for j in chain[k])
         b = oracle.rhs(chain[k])
         if abs(lhs - b) > 1e-10 * max(1.0, abs(b), abs(lhs)):
             raise DegeneracyError(f"chain equation {k + 1} residual {lhs - b:g} too large")

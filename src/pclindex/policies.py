@@ -26,6 +26,10 @@ from .admission import ACModel
 
 Action = int | None   # queue/product number, or None for reject/idle
 
+# The make-to-stock closed forms divide by powers of (1 - rho) and cancel
+# catastrophically as rho nears 1; inside this band the recursion is used.
+CLOSED_FORM_MIN_GAP = 1e-3
+
 
 def _at(spec, j: int, name: str) -> float:
     """Entry j of a parameter given as a scalar (the same in every state),
@@ -277,10 +281,11 @@ class MTSSystem:
 def mts_index(sys: MTSSystem, k: int, j: int) -> float:
     """Critical production subsidy for product k at stock level j.
 
-    Constant rates with linear or quadratic stock costs (constant price)
-    under the average criterion use the closed forms when the traffic
-    ratio differs from one; the critical ratio and all state-dependent
-    cases fall back to the swapped admission recursion.
+    Constant rates with linear stock costs (constant price) under the
+    average criterion use the closed form when the traffic ratio is at
+    least ``CLOSED_FORM_MIN_GAP`` away from one; near-critical ratios and
+    all state-dependent cases fall back to the swapped admission
+    recursion.
     """
     p = sys.products[k]
     if p.n is not None and j >= p.n:
@@ -288,7 +293,7 @@ def mts_index(sys: MTSSystem, k: int, j: int) -> float:
     if (p.constant_rates and sys.alpha == 0 and isinstance(p.r, (int, float))
             and isinstance(p.c, (int, float))):
         rho = p.lam_at(0) / p.mu_at(0)
-        if abs(rho - 1.0) > 1e-14:
+        if abs(rho - 1.0) >= CLOSED_FORM_MIN_GAP:
             return mts_linear_index(float(p.c), float(p.mu), rho, float(p.s),
                                     float(p.r), j)
     n_eff = p.n if p.n is not None else j + 2

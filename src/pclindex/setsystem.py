@@ -18,8 +18,10 @@ from .errors import StructureError
 FrozenSets = tuple[frozenset, ...]
 
 
-def _canon_key(s: frozenset):
-    return (len(s), tuple(sorted(s)))
+def _mask(s: Iterable[int]) -> int:
+    """The set as a bit mask, so that adding or removing one element is an
+    integer XOR rather than a new frozenset."""
+    return sum(1 << j for j in s)
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,8 @@ class SetSystem:
 
     n: int
     family: FrozenSets = field(default=())
+    _members: frozenset = field(init=False, repr=False, compare=False)
+    _masks: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -41,42 +45,44 @@ class SetSystem:
         for s in members:
             if not all(isinstance(j, int) and 0 <= j < self.n for j in s):
                 raise ValueError(f"family member {sorted(s)} not a subset of 0..{self.n - 1}")
-        object.__setattr__(self, "family", tuple(sorted(members, key=_canon_key)))
+        canonical = sorted(members, key=lambda s: (len(s), sorted(s)))
+        object.__setattr__(self, "family", tuple(canonical))
+        object.__setattr__(self, "_members", frozenset(members))
+        object.__setattr__(self, "_masks", frozenset(map(_mask, members)))
 
     @property
     def ground(self) -> frozenset:
         return frozenset(range(self.n))
 
     def __contains__(self, s: Iterable) -> bool:
-        return frozenset(s) in set(self.family)
+        return frozenset(s) in self._members
 
     def _require_member(self, s: Iterable) -> frozenset:
         fs = frozenset(s)
-        if fs not in set(self.family):
+        if fs not in self._members:
             raise ValueError(f"set {sorted(fs)} is not a member of the family")
         return fs
 
     def inner_boundary(self, s: Iterable) -> frozenset:
         """Elements j of S whose removal stays in the family: {j in S : S\\{j} in F}."""
         fs = self._require_member(s)
-        members = set(self.family)
-        return frozenset(j for j in fs if fs - {j} in members)
+        m = _mask(fs)
+        return frozenset(j for j in fs if m ^ (1 << j) in self._masks)
 
     def outer_boundary(self, s: Iterable) -> frozenset:
         """Elements j outside S whose addition stays in the family: {j not in S : S+{j} in F}."""
         fs = self._require_member(s)
-        members = set(self.family)
-        return frozenset(j for j in self.ground - fs if fs | {j} in members)
+        m = _mask(fs)
+        return frozenset(j for j in self.ground - fs if m ^ (1 << j) in self._masks)
 
     def is_full_string(self, pi: Sequence[int]) -> bool:
         """True iff every suffix set {pi_k, ..., pi_n} belongs to the family."""
         if sorted(pi) != list(range(self.n)):
             raise ValueError(f"{tuple(pi)} is not a permutation of 0..{self.n - 1}")
-        members = set(self.family)
         suffix: set[int] = set()
         for j in reversed(pi):
             suffix.add(j)
-            if frozenset(suffix) not in members:
+            if frozenset(suffix) not in self._members:
                 return False
         return True
 
@@ -110,7 +116,7 @@ def validate(sys: SetSystem) -> ValidationReport:
     """
     if not sys.family:
         raise ValueError("family is empty")
-    members = set(sys.family)
+    members = sys._members
     has_empty = frozenset() in members
     for s in sys.family:
         if s and not any(s - {j} in members for j in s):
@@ -187,7 +193,7 @@ def enumerate_full_strings(sys: SetSystem, cap: int = 10) -> list[tuple[int, ...
     """
     if sys.n > cap:
         raise ValueError(f"ground set size {sys.n} exceeds cap {cap}")
-    members = set(sys.family)
+    members = sys._members
     if sys.ground not in members:
         return []
     out: list[tuple[int, ...]] = []

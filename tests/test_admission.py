@@ -7,6 +7,7 @@ from pclindex.admission import (ACModel, ak_coefficients, average_indices,
                                 threshold_steady_state, uniformize,
                                 validate_assumptions, whittle_counterexample,
                                 workload_table)
+from pclindex.errors import NumericalRangeError
 from pclindex.setsystem import threshold_family
 
 from conftest import random_compliant_admission
@@ -265,6 +266,19 @@ def test_indices_equal_greedy_route(rng):
         rep = bandit.pcl_index(uniformize(m), threshold_family(n))
         assert rep.indexable
         assert np.allclose([rep.nu_by_state[j] for j in range(n)], nu, atol=1e-9)
+
+
+def test_indices_raise_at_first_state_past_float_range():
+    # queue 2 of a heavy-traffic switching curve once its table doubles to
+    # n = 1209 overflows from state 1018 on; a NaN passes both internal
+    # checks, so the recursion has to reject it itself
+    n = 1209
+    m = ACModel(n, np.full(n + 1, 2.0), np.full(n, 1.0),
+                3.0 * np.arange(n + 1.0) ** 1.3, 0.0)
+    with pytest.raises(NumericalRangeError, match="state 1018 "):
+        indices(m)
+    assert np.all(np.isfinite(indices(ACModel(1000, m.lam[:1001], m.mu[:1000],
+                                              m.h[:1001], 0.0))))
 
 
 def test_full_buffer_arrival_rate_moves_only_top_index(rng):

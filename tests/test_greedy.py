@@ -79,6 +79,69 @@ def test_early_exit_stops_at_first_decrease():
     assert full.completed and not full.admissible and full.pi == (0, 1, 2)
 
 
+class CountingOracle(WorkloadOracle):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.queries = []
+
+    def workload(self, s, j=None):
+        self.queries.append((s, j))
+        return super().workload(s, j)
+
+
+@pytest.mark.parametrize("algo", [ag1, ag2])
+@pytest.mark.parametrize("family", ["threshold", "product"])
+def test_walker_queries_one_row_and_one_boundary_per_chain_set(algo, family, rng,
+                                                               monkeypatch):
+    if family == "threshold":
+        sys = threshold_family(50)
+    else:
+        sys = product([threshold_family(20), random_valid_family(rng, 5),
+                       threshold_family(25)])
+    oracle = CountingOracle(lambda s, j: 1.0 + 0.1 * len(s) + 0.01 * j)
+    boundary_calls = []
+    inner_boundary = SetSystem.inner_boundary
+
+    def counted(self, s):
+        boundary_calls.append(frozenset(s))
+        return inner_boundary(self, s)
+
+    monkeypatch.setattr(SetSystem, "inner_boundary", counted)
+    out = algo(rng.uniform(-5.0, 5.0, sys.n), oracle, sys)
+    assert len(out.chain) == sys.n
+    assert oracle.queries == [(s, None) for s in out.chain]
+    assert boundary_calls == list(out.chain)
+
+
+def test_row_oracle_matches_scalar_oracle():
+    def w(s, j):
+        return 1.0 + len(s) + 0.5 * j
+
+    scalar = WorkloadOracle(w)
+    rows = WorkloadOracle(row=lambda s: np.array([w(s, j) for j in sorted(s)]))
+    s = frozenset({4, 1, 2})
+    assert rows.workload(s).tolist() == scalar.workload(s).tolist() == [4.5, 5.0, 6.0]
+    assert rows.workload(s, 2) == scalar.workload(s, 2) == 5.0
+    with pytest.raises(ValueError, match="not in"):
+        rows.workload(s, 3)
+    c = np.array([3.0, 1.0, 2.0, 0.5, 4.0])
+    sys = powerset_family(5)
+    assert ag2(c, rows, sys).nu.tolist() == ag2(c, scalar, sys).nu.tolist()
+
+
+def test_row_query_names_first_nonpositive_element():
+    oracle = WorkloadOracle(row=lambda s: np.array([1.0, 0.0, -1.0]))
+    with pytest.raises(ValueError, match=r"w\(\[0, 3, 5\], 3\) = 0.0 is not positive"):
+        oracle.workload(frozenset({0, 3, 5}))
+
+
+def test_oracle_needs_exactly_one_evaluator():
+    with pytest.raises(ValueError):
+        WorkloadOracle()
+    with pytest.raises(ValueError):
+        WorkloadOracle(lambda s, j: 1.0, row=lambda s: np.ones(len(s)))
+
+
 # ---------------------------------------------------------------------------
 # Primal vertex / dual solution / LP value
 # ---------------------------------------------------------------------------

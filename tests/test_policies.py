@@ -185,6 +185,14 @@ def test_mts_critical_ratio_falls_back_to_general_sum():
     assert got == pytest.approx(table[3], rel=1e-9)
 
 
+def test_mts_index_near_critical_ratio_matches_table():
+    # the closed form cancels catastrophically this close to rho = 1
+    sys = MTSSystem((ProductSpec(None, 1 + 1e-9, 1.0, 1.0, 0.5, 0.7),), alpha=0.0)
+    got = [mts_index(sys, 0, j) for j in range(4)]
+    assert got == pytest.approx(mts_index_table(sys, 0, 4), abs=1e-6)
+    assert got == pytest.approx([-0.2, 1.8, 4.8, 8.8], abs=1e-6)
+
+
 def test_mts_heavy_demand_keeps_index_negative_over_truncation_range():
     # demand exceeds capacity and margins dominate holding costs: producing
     # is always worth a nonnegative subsidy, so at subsidy 0 never idle

@@ -1,5 +1,6 @@
-"""Property tests: index tables against the closed forms, and the
-simulator's tabulated decisions against the public decision functions."""
+"""Property tests: index tables against the closed forms, the simulator's
+tabulated decisions against the public decision functions, and the three
+routes to the admission indices against each other."""
 
 import math
 
@@ -8,12 +9,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pclindex.admission import closed_form_index
+from pclindex import bandit
+from pclindex.admission import (closed_form_index, indices, uniformize, workload_pivots,
+                                workload_table)
+from pclindex.greedy import WorkloadOracle, ag1, ag2
 from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                                least_stock_decide, mts_decide, mts_index_table,
                                naive_decide, routing_decide, routing_index_table,
                                shortest_queue_decide)
+from pclindex.setsystem import threshold_family
 from pclindex.simulate import SimConfig, _build
+
+from conftest import random_compliant_admission, random_valid_family, random_workload_tables
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -130,3 +137,44 @@ def test_mts_table_decisions_match_decide_functions(sys, truncation, data):
                for a, b in zip(values, values[1:])))
     _, _, _, decide, _ = _build(sys, "index", config)
     assert decide(state) == mts_decide(sys, state, full=caps)
+
+
+# ---------------------------------------------------------------------------
+# The O(n) pivots, the two greedy forms and the greedy route to the indices
+# ---------------------------------------------------------------------------
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(1, 60), alpha=st.floats(0.0, 1.0))
+def test_pivots_equal_workload_table_diagonal(seed, n, alpha):
+    m = random_compliant_admission(np.random.default_rng(seed), n, alpha)
+    W = workload_table(m)
+    assert workload_pivots(m).tolist() == [W[k + 1, k] for k in range(n)]
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(1, 6))
+def test_ag1_and_ag2_agree_on_random_valid_systems(seed, n):
+    rng = np.random.default_rng(seed)
+    sys = random_valid_family(rng, n)
+    w, _ = random_workload_tables(rng, sys)
+    c = rng.uniform(-10.0, 10.0, n)
+    o1 = ag1(c, WorkloadOracle.from_tables(w), sys)
+    o2 = ag2(c, WorkloadOracle.from_tables(w), sys)
+    assert o1.pi == o2.pi
+    assert o1.chain == o2.chain
+    # the two rate updates round differently
+    assert o1.nu == pytest.approx(o2.nu, rel=1e-10, abs=1e-10)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(seed=seeds, n=st.integers(1, 60), alpha=st.floats(1e-3, 1.0))
+def test_pcl_index_on_uniformized_model_matches_recursion(seed, n, alpha):
+    m = random_compliant_admission(np.random.default_rng(seed), n, alpha)
+    nu = indices(m)
+    rep = bandit.pcl_index(uniformize(m), threshold_family(n))
+    assert rep.indexable
+    greedy = np.array([rep.nu_by_state[j] for j in range(n)])
+    assert np.max(np.abs(greedy - nu)) <= 1e-9 * max(1.0, float(np.max(np.abs(nu))))
