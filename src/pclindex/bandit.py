@@ -9,17 +9,20 @@ workloads and costs of one-state action interchanges, and the index
 machinery built from them: the indexability test via the adaptive-greedy
 run on the normalized passive cost, value-function breakpoints,
 conservation-law residuals, long-run average limits, and optimal control
-under an average-activity constraint.
+under an average-activity constraint.  Discounted set-active measures are
+solved in band storage when the transition matrices are banded (as the
+birth--death models of :mod:`pclindex.admission` are), densely otherwise.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache as memoize
 from typing import Iterable
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (InfeasibleTargetError, InternalConsistencyError,
@@ -28,6 +31,74 @@ from .greedy import AGOutput, WorkloadOracle, ag2
 from .setsystem import SetSystem
 
 SOFT_STATE_CAP = 2000
+
+
+class _SolveKernel:
+    """The discounted one-step operators beta*P0, beta*P1 and
+    beta*(P1 - P0) of a model, and the set-active systems I - beta*P_S
+    built from them.
+
+    When the nonzero pattern of P0|P1 lies within l sub- and u
+    superdiagonals and l + u + 1 < n, everything is held in LAPACK band
+    storage (entry (i, j) at row u + i - j, column j) and each solve or
+    product costs O(n * (l + u + 1)); otherwise the operators are dense.
+    """
+
+    def __init__(self, P0: np.ndarray, P1: np.ndarray, beta: float):
+        n = P0.shape[0]
+        nonzero = (P0 != 0) | (P1 != 0)
+        states = np.arange(n)
+        first = nonzero.argmax(axis=1)                      # every row has a nonzero
+        last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
+        lower = int(max(0, np.max(states - first)))
+        upper = int(max(0, np.max(last - states)))
+        self.band = (lower, upper) if lower + upper + 1 < n else None
+        ops = (beta * P0, beta * P1, beta * (P1 - P0))
+        if self.band is not None:
+            rows = np.arange(-upper, lower + 1)[:, None] + states
+            inside = (rows >= 0) & (rows < n)
+            self._rows = np.clip(rows, 0, n - 1)   # matrix row of each band entry
+            ops = tuple(np.where(inside, M[self._rows, states], 0.0) for M in ops)
+        for M in ops:
+            M.setflags(write=False)
+        self.bP0, self.bP1, self.dP = ops
+
+    def system(self, mask: np.ndarray) -> np.ndarray:
+        """I - beta*P_S, with the rows of P1 where ``mask`` holds and the
+        rows of P0 elsewhere, in this kernel's storage."""
+        if self.band is None:
+            A = -np.where(mask[:, None], self.bP1, self.bP0)
+            A.flat[::A.shape[0] + 1] += 1.0
+        else:
+            A = -np.where(mask[self._rows], self.bP1, self.bP0)
+            A[self.band[1]] += 1.0
+        return A
+
+    def apply(self, M: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Matrix-vector product of an operator held in this kernel's storage."""
+        if self.band is None:
+            return M @ x
+        lower, upper = self.band
+        n = x.shape[0]
+        y = M[upper] * x
+        for d in range(1, upper + 1):
+            y[:n - d] += M[upper - d, d:] * x[d:]
+        for d in range(1, lower + 1):
+            y[d:] += M[upper + d, :n - d] * x[:n - d]
+        return y
+
+    def solve(self, mask: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve (I - beta*P_S) x = rhs and check the residual."""
+        A = self.system(mask)
+        if self.band is None:
+            x = np.linalg.solve(A, rhs)
+        else:
+            x = solve_banded(self.band, A, rhs)
+        res = np.abs(self.apply(A, x) - rhs).max()
+        # the scale is at least 1, so it is needed only past 1e-10
+        if not (res <= 1e-10 or res <= 1e-10 * max(1.0, np.abs(rhs).max(), np.abs(x).max())):
+            raise InternalConsistencyError(f"linear solve residual {res:g} exceeds tolerance")
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +111,9 @@ class RBModel:
     actions must coincide structurally (equal transition rows and equal
     costs); this is validated, not assumed.  ``beta == 1`` is accepted so a
     uniformized average-criterion model can be represented, but all
-    discounted computations require ``beta < 1``.
+    discounted computations require ``beta < 1``.  Construction derives
+    ``ctrl_mask``, the boolean mask of controllable states, and
+    ``kernel``, the solve kernel of the model's discounted operators.
     """
 
     P0: np.ndarray
@@ -50,6 +123,8 @@ class RBModel:
     theta1: np.ndarray
     beta: float
     controllable: frozenset
+    kernel: _SolveKernel = field(init=False, repr=False)
+    ctrl_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         P0 = np.array(self.P0, dtype=float)
@@ -63,8 +138,6 @@ class RBModel:
         for name, v in (("h0", h0), ("h1", h1), ("theta1", theta1)):
             if v.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
-        if n > SOFT_STATE_CAP:
-            warnings.warn(f"model has {n} states; dense linear algebra may be slow")
         for name, P in (("P0", P0), ("P1", P1)):
             if np.any(P < -1e-12):
                 raise ValueError(f"{name} has negative entries")
@@ -82,7 +155,12 @@ class RBModel:
             if np.max(np.abs(P0[i] - P1[i])) > 1e-12 or abs(h0[i] - h1[i]) > 1e-12:
                 raise ValueError(
                     f"state {i} declared uncontrollable but its two actions differ")
-        for arr in (P0, P1, h0, h1, theta1):
+        ctrl_mask = np.zeros(n, dtype=bool)
+        ctrl_mask[sorted(ctrl)] = True
+        kernel = _SolveKernel(P0, P1, self.beta)
+        if n > SOFT_STATE_CAP and kernel.band is None:
+            warnings.warn(f"model has {n} states; dense linear algebra may be slow")
+        for arr in (P0, P1, h0, h1, theta1, ctrl_mask):
             arr.setflags(write=False)
         object.__setattr__(self, "P0", P0)
         object.__setattr__(self, "P1", P1)
@@ -90,6 +168,8 @@ class RBModel:
         object.__setattr__(self, "h1", h1)
         object.__setattr__(self, "theta1", theta1)
         object.__setattr__(self, "controllable", ctrl)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "ctrl_mask", ctrl_mask)
 
     @property
     def n_states(self) -> int:
@@ -104,9 +184,8 @@ class RBModel:
         s = frozenset(s)
         if not s <= self.controllable:
             raise ValueError("active set must consist of controllable states")
-        mask = np.zeros(self.n_states, dtype=bool)
-        mask[sorted(s)] = True
-        mask[sorted(self.uncontrollable)] = True
+        mask = ~self.ctrl_mask
+        mask[list(s)] = True
         return mask
 
     def policy_vector(self, s: Iterable) -> np.ndarray:
@@ -120,22 +199,12 @@ def _require_discounted(model: RBModel):
         raise UnsupportedModelError("operation needs a discount factor beta < 1")
 
 
-def _mix_rows(model: RBModel, mask: np.ndarray) -> np.ndarray:
-    P = model.P0.copy()
-    P[mask] = model.P1[mask]
-    return P
-
-
 def _set_active_measure(model: RBModel, s, active, passive) -> np.ndarray:
     """Expected total discounted per-period reward (``active`` where the
     S-active policy engages, ``passive`` elsewhere), over initial states."""
     _require_discounted(model)
     mask = model.active_rows(s)
-    rhs = np.where(mask, active, passive)
-    A = np.eye(model.n_states) - model.beta * _mix_rows(model, mask)
-    x = np.linalg.solve(A, rhs)
-    _check_residual(A, x, rhs)
-    return x
+    return model.kernel.solve(mask, np.where(mask, active, passive))
 
 
 def activity_measure(model: RBModel, s) -> np.ndarray:
@@ -147,13 +216,6 @@ def activity_measure(model: RBModel, s) -> np.ndarray:
 def cost_measure(model: RBModel, s) -> np.ndarray:
     """Expected total discounted holding cost under the S-active policy."""
     return _set_active_measure(model, s, model.h1, model.h0)
-
-
-def _check_residual(A: np.ndarray, x: np.ndarray, rhs: np.ndarray):
-    res = np.max(np.abs(A @ x - rhs))
-    scale = max(1.0, float(np.max(np.abs(rhs))), float(np.max(np.abs(x))))
-    if res > 1e-10 * scale:
-        raise InternalConsistencyError(f"linear solve residual {res:g} exceeds tolerance")
 
 
 def occupation_measures(model: RBModel, u, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,10 +253,8 @@ def marginal_workload(model: RBModel, s, b: np.ndarray | None = None) -> np.ndar
     uncontrollable states."""
     if b is None:
         b = activity_measure(model, s)
-    ctrl_mask = np.zeros(model.n_states, dtype=bool)
-    ctrl_mask[sorted(model.controllable)] = True
-    w = np.where(ctrl_mask, model.theta1, 0.0) + model.beta * (model.P1 - model.P0) @ b
-    w[~ctrl_mask] = 0.0
+    w = model.theta1 + model.kernel.apply(model.kernel.dP, b)
+    w[~model.ctrl_mask] = 0.0
     return w
 
 
@@ -203,8 +263,8 @@ def marginal_cost(model: RBModel, s, v: np.ndarray | None = None) -> np.ndarray:
     against the S-active policy; exactly zero at uncontrollable states."""
     if v is None:
         v = cost_measure(model, s)
-    c = model.h0 - model.h1 + model.beta * (model.P0 - model.P1) @ v
-    c[sorted(model.uncontrollable)] = 0.0
+    c = model.h0 - model.h1 - model.kernel.apply(model.kernel.dP, v)
+    c[~model.ctrl_mask] = 0.0
     return c
 
 
@@ -214,10 +274,9 @@ def normalized_passive_cost(model: RBModel) -> np.ndarray:
     Equals the marginal cost at the all-controllable active set; vanishes
     at uncontrollable states (verified to 1e-10, then zeroed exactly).
     """
-    _require_discounted(model)
-    n = model.n_states
-    inner = np.linalg.solve(np.eye(n) - model.beta * model.P1, model.h1)
-    hhat = model.h0 - (np.eye(n) - model.beta * model.P0) @ inner
+    kernel = model.kernel
+    inner = cost_measure(model, model.controllable)
+    hhat = model.h0 - kernel.apply(kernel.system(np.zeros(model.n_states, dtype=bool)), inner)
     unctrl = sorted(model.uncontrollable)
     if unctrl:
         worst = float(np.max(np.abs(hhat[unctrl])))
@@ -559,15 +618,13 @@ def average_limits(model: RBModel, s) -> AverageLimits:
     if not is_communicating(model):
         raise UnsupportedModelError("model is not communicating")
     mask = model.active_rows(s)
-    P = _mix_rows(model, mask)
+    P = np.where(mask[:, None], model.P1, model.P0)
     b_bar, a, _ = _gain_bias(P, np.where(mask, model.theta1, 0.0))
     v_bar, f, _ = _gain_bias(P, np.where(mask, model.h1, model.h0))
-    ctrl_mask = np.zeros(model.n_states, dtype=bool)
-    ctrl_mask[sorted(model.controllable)] = True
-    w_bar = np.where(ctrl_mask, model.theta1, 0.0) + (model.P1 - model.P0) @ a
-    w_bar[~ctrl_mask] = 0.0
+    w_bar = model.theta1 + (model.P1 - model.P0) @ a
+    w_bar[~model.ctrl_mask] = 0.0
     c_bar = model.h0 - model.h1 + (model.P0 - model.P1) @ f
-    c_bar[~ctrl_mask] = 0.0
+    c_bar[~model.ctrl_mask] = 0.0
     return AverageLimits(b_bar, v_bar, a, f, w_bar, c_bar)
 
 
@@ -614,8 +671,9 @@ def constrained_policy(model: RBModel, sys: SetSystem, t: float,
     if not rep.indexable:
         raise UnsupportedModelError("model is not PCL-indexable under the average criterion")
     chain = list(rep.chain_states) + [frozenset()]
-    b_bar = [average_limits(model, s).b_bar for s in chain]
-    v_bar = [average_limits(model, s).v_bar for s in chain]
+    limits = [average_limits(model, s) for s in chain]
+    b_bar = [al.b_bar for al in limits]
+    v_bar = [al.v_bar for al in limits]
     scale = max(1.0, max(abs(x) for x in b_bar))
     lo, hi = b_bar[-1], b_bar[0]
     if t < lo - rel_tol * scale or t > hi + rel_tol * scale:

@@ -43,8 +43,9 @@ class DPResult:
 
 
 def _action_values(model: RBModel, nu: float, v: np.ndarray):
-    q0 = model.h0 + model.beta * model.P0 @ v
-    q1 = model.h1 + nu * model.theta1 + model.beta * model.P1 @ v
+    kernel = model.kernel
+    q0 = model.h0 + kernel.apply(kernel.bP0, v)
+    q1 = model.h1 + nu * model.theta1 + kernel.apply(kernel.bP1, v)
     return q0, q1
 
 
@@ -61,23 +62,20 @@ def solve(model: RBModel, nu: float, method: str = "policy",
         raise ValueError("DP solve requires beta < 1")
     n = model.n_states
     ctrl = sorted(model.controllable)
-    forced = np.zeros(n, dtype=bool)
-    forced[sorted(model.uncontrollable)] = True
+    forced = ~model.ctrl_mask
 
     if method == "policy":
         active = np.ones(n, dtype=bool)
-        v = np.zeros(n)
+        engaged = model.h1 + nu * model.theta1
         iterations = 0
         for _ in range(2 ** max(1, len(ctrl)) + 2):
             iterations += 1
-            P = np.where(active[:, None], model.P1, model.P0)
-            r = np.where(active, model.h1 + nu * model.theta1, model.h0)
-            v = np.linalg.solve(np.eye(n) - model.beta * P, r)
+            v = model.kernel.solve(active, np.where(active, engaged, model.h0))
             q0, q1 = _action_values(model, nu, v)
-            scale = max(1.0, float(np.max(np.abs(v))))
+            scale = max(1.0, float(np.abs(v).max()))
             better = np.where(active, q0 < q1 - 1e-12 * scale, q1 < q0 - 1e-12 * scale)
-            better &= ~forced
-            if not np.any(better):
+            better &= model.ctrl_mask
+            if not better.any():
                 break
             active = active ^ better
         else:
@@ -99,13 +97,13 @@ def solve(model: RBModel, nu: float, method: str = "policy",
             v = v_new
         else:
             raise InternalConsistencyError("value iteration failed to converge")
+        q0, q1 = _action_values(model, nu, v)
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    q0, q1 = _action_values(model, nu, v)
     bellman = np.where(forced, q1, np.minimum(q0, q1))
-    scale = max(1.0, float(np.max(np.abs(v))))
-    if float(np.max(np.abs(bellman - v))) > 1e-8 * scale:
+    scale = max(1.0, float(np.abs(v).max()))
+    if float(np.abs(bellman - v).max()) > 1e-8 * scale:
         raise InternalConsistencyError("Bellman residual too large after solve")
     gap = q1 - q0
     active_opt = frozenset(j for j in ctrl if gap[j] < -eps)

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from pclindex import admission, dp
+from pclindex import admission, bandit, dp
 from pclindex.bandit import (RBModel, activity_measure, average_limits,
                              average_pcl_index, constrained_policy, cost_measure,
                              dmr_report, marginal_cost, marginal_workload,
@@ -9,7 +11,8 @@ from pclindex.bandit import (RBModel, activity_measure, average_limits,
                              occupation_measures, pcl_index, value_breakpoints,
                              verify_cost_decomposition,
                              verify_workload_decomposition)
-from pclindex.errors import InfeasibleTargetError, UnsupportedModelError
+from pclindex.errors import (InfeasibleTargetError, InternalConsistencyError,
+                             UnsupportedModelError)
 from pclindex.setsystem import SetSystem, powerset_family, threshold_family
 
 from conftest import (random_compliant_admission, random_positive_workload_rb,
@@ -500,3 +503,80 @@ def test_constrained_value_piecewise_linear_convex(rng):
     # slopes of the cost curve are nondecreasing in t: convex value,
     # concave return
     assert all(b >= a - 1e-9 for a, b in zip(slopes[::-1], slopes[::-1][1:]))
+
+
+# ---------------------------------------------------------------------------
+# Chain-set evaluation counts, and the set-active solve kernel: banded on
+# birth-death models, dense otherwise
+# ---------------------------------------------------------------------------
+
+def regular_admission(n: int, alpha: float = 0.1) -> admission.ACModel:
+    return admission.ACModel(n, np.full(n + 1, 1.0), np.full(n, 1.3),
+                             np.arange(n + 1.0) ** 2, alpha)
+
+
+def test_constrained_policy_evaluates_each_chain_set_once(monkeypatch):
+    rb = admission.uniformize(regular_admission(20, alpha=0.0))
+    fam = threshold_family(20)
+    rep = average_pcl_index(rb, fam)
+    chain = list(rep.chain_states) + [frozenset()]
+    t = 0.5 * (average_limits(rb, chain[3]).b_bar + average_limits(rb, chain[4]).b_bar)
+    calls = []
+
+    def counting(model, s):
+        calls.append(frozenset(s))
+        return average_limits(model, s)
+
+    monkeypatch.setattr(bandit, "average_limits", counting)
+    constrained_policy(rb, fam, t, report=rep)
+    assert len(chain) == 21
+    assert sorted(calls, key=len) == sorted(chain, key=len)
+
+
+def test_state_cap_warning_only_on_dense_path(monkeypatch, rng):
+    monkeypatch.setattr(bandit, "SOFT_STATE_CAP", 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rb = admission.uniformize(regular_admission(10))
+    assert rb.kernel.band == (1, 1)
+    with pytest.warns(UserWarning, match="dense linear algebra"):
+        dense = random_rb(rng, 8, 6)
+    assert dense.kernel.band is None
+
+
+def test_perturbed_banded_solve_fails_the_residual_check(monkeypatch):
+    rb = admission.uniformize(regular_admission(10))
+    exact = bandit.solve_banded
+    monkeypatch.setattr(bandit, "solve_banded",
+                        lambda *args, **kw: exact(*args, **kw) * (1.0 + 1e-6))
+    with pytest.raises(InternalConsistencyError, match="residual"):
+        activity_measure(rb, frozenset(range(5)))
+
+
+def test_three_state_whittle_model_stays_dense(monkeypatch):
+    model, _ = admission.whittle_counterexample()
+    calls = []
+    exact = bandit.solve_banded
+
+    def counting(*args, **kw):
+        calls.append(args[0])
+        return exact(*args, **kw)
+
+    monkeypatch.setattr(bandit, "solve_banded", counting)
+    wrb = admission.whittle_variant(model)
+    assert wrb.kernel.band is None
+    pcl_index(wrb, powerset_family(3))
+    dp.fair_charge(wrb, 0)
+    assert calls == []
+    # the same counter sees the solves of a banded model
+    activity_measure(admission.uniformize(regular_admission(10)), frozenset({0}))
+    assert calls == [(1, 1)]
+
+
+def test_pcl_index_matches_recursion_at_400_states():
+    m = regular_admission(400)
+    nu = admission.indices(m)
+    rep = pcl_index(admission.uniformize(m), threshold_family(400))
+    assert rep.indexable
+    greedy = np.array([rep.nu_by_state[j] for j in range(400)])
+    assert np.max(np.abs(greedy - nu)) <= 1e-9 * max(1.0, float(np.max(np.abs(nu))))

@@ -1,6 +1,7 @@
 """Property tests: index tables against the closed forms, the simulator's
-tabulated decisions against the public decision functions, and the three
-routes to the admission indices against each other."""
+tabulated decisions against the public decision functions, the three
+routes to the admission indices against each other, and the banded
+set-active solves against dense linear algebra."""
 
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pclindex import bandit
+from pclindex import bandit, dp
 from pclindex.admission import (closed_form_index, indices, uniformize, workload_pivots,
                                 workload_table)
 from pclindex.greedy import WorkloadOracle, ag1, ag2
@@ -178,3 +179,81 @@ def test_pcl_index_on_uniformized_model_matches_recursion(seed, n, alpha):
     assert rep.indexable
     greedy = np.array([rep.nu_by_state[j] for j in range(n)])
     assert np.max(np.abs(greedy - nu)) <= 1e-9 * max(1.0, float(np.max(np.abs(nu))))
+
+
+# ---------------------------------------------------------------------------
+# Banded set-active solves vs. dense linear algebra
+# ---------------------------------------------------------------------------
+
+def banded_rb(rng: np.random.Generator, n: int, lower: int, upper: int,
+              beta: float) -> bandit.RBModel:
+    """Random model whose transition rows are positive exactly on the band
+    of ``lower`` sub- and ``upper`` superdiagonals."""
+    i, j = np.indices((n, n))
+    inside = (i - j <= lower) & (j - i <= upper)
+    P0, P1 = (np.where(inside, rng.uniform(0.1, 1.0, (n, n)), 0.0) for _ in range(2))
+    ctrl = rng.random(n) < 0.8
+    P1[~ctrl] = P0[~ctrl]
+    P0, P1 = (P / P.sum(axis=1, keepdims=True) for P in (P0, P1))
+    h0, h1 = rng.uniform(0.0, 5.0, n), rng.uniform(0.0, 5.0, n)
+    h1[~ctrl] = h0[~ctrl]
+    return bandit.RBModel(P0, P1, h0, h1, rng.uniform(0.2, 2.0, n), beta,
+                          frozenset(np.flatnonzero(ctrl).tolist()))
+
+
+def dense_measure(m: bandit.RBModel, mask, active, passive) -> np.ndarray:
+    P = np.where(mask[:, None], m.P1, m.P0)
+    return np.linalg.solve(np.eye(m.n_states) - m.beta * P, np.where(mask, active, passive))
+
+
+def dense_dp_solve(m: bandit.RBModel, nu: float):
+    """Policy iteration with dense solves, the tie rules of ``dp.solve``."""
+    forced = ~m.ctrl_mask
+    active = np.ones(m.n_states, dtype=bool)
+    while True:
+        v = dense_measure(m, active, m.h1 + nu * m.theta1, m.h0)
+        q0 = m.h0 + m.beta * m.P0 @ v
+        q1 = m.h1 + nu * m.theta1 + m.beta * m.P1 @ v
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
+        better = np.where(active, q0 < q1 - tol, q1 < q0 - tol) & ~forced
+        if not np.any(better):
+            return v, q1 - q0
+        active ^= better
+
+
+def assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, float(np.max(np.abs(want))))
+
+
+@settings(PROPERTY, max_examples=80)
+@given(seed=seeds, n=st.integers(1, 60), lower=st.integers(0, 3), upper=st.integers(0, 3),
+       beta=st.floats(0.5, 0.999))
+def test_banded_measures_match_dense_solves(seed, n, lower, upper, beta):
+    rng = np.random.default_rng(seed)
+    m = banded_rb(rng, n, lower, upper, beta)
+    assert (m.kernel.band is None) == (lower + upper + 1 >= n)
+    ctrl = sorted(m.controllable)
+    s = frozenset(j for j in ctrl if rng.random() < 0.5)
+    mask = m.active_rows(s)
+    unctrl = ~m.ctrl_mask
+
+    b = dense_measure(m, mask, m.theta1, 0.0)
+    v = dense_measure(m, mask, m.h1, m.h0)
+    w = m.theta1 + m.beta * (m.P1 - m.P0) @ b
+    c = m.h0 - m.h1 + m.beta * (m.P0 - m.P1) @ v
+    inner = np.linalg.solve(np.eye(n) - m.beta * m.P1, m.h1)
+    hhat = m.h0 - (np.eye(n) - m.beta * m.P0) @ inner
+    w[unctrl] = c[unctrl] = hhat[unctrl] = 0.0
+    assert_close(bandit.activity_measure(m, s), b)
+    assert_close(bandit.cost_measure(m, s), v)
+    assert_close(bandit.marginal_workload(m, s), w)
+    assert_close(bandit.marginal_cost(m, s), c)
+    assert_close(bandit.normalized_passive_cost(m), hhat)
+
+    nu = float(rng.uniform(-1.0, 1.0) * max(1.0, float(np.max(np.abs(hhat)))))
+    got = dp.solve(m, nu)
+    v_ref, gap_ref = dense_dp_solve(m, nu)
+    assert_close(got.v, v_ref)
+    eps = dp.DEFAULT_INDIFFERENCE
+    assert got.active_opt == frozenset(j for j in ctrl if gap_ref[j] < -eps)
+    assert got.indifferent == frozenset(j for j in ctrl if abs(gap_ref[j]) <= eps)
