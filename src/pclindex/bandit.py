@@ -23,6 +23,7 @@ from typing import Iterable
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (InfeasibleTargetError, InternalConsistencyError,
@@ -578,15 +579,14 @@ def is_communicating(model: RBModel) -> bool:
 
 
 def _recurrent_classes(P: np.ndarray) -> list[list[int]]:
-    n_comp, labels = connected_components((P > 0).astype(int), directed=True,
-                                          connection="strong")
-    leaves = []
-    for comp in range(n_comp):
-        members = np.flatnonzero(labels == comp)
-        out_mass = P[np.ix_(members, np.flatnonzero(labels != comp))].sum()
-        if out_mass <= 0:
-            leaves.append(sorted(int(m) for m in members))
-    return leaves
+    """The closed strong components of the positive edges, in label order:
+    a component is closed when no edge leaves it."""
+    edges = P > 0
+    n_comp, labels = connected_components(csr_array(edges), directed=True, connection="strong")
+    src, dst = np.nonzero(edges)
+    closed = np.ones(n_comp, dtype=bool)
+    closed[labels[src][labels[src] != labels[dst]]] = False
+    return [np.flatnonzero(labels == comp).tolist() for comp in np.flatnonzero(closed)]
 
 
 def _gain_bias(P: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray, int]:

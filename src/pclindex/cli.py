@@ -78,6 +78,11 @@ def _pcl_results(report: bandit.PCLReport) -> dict:
     }
 
 
+def _pcl(rb: bandit.RBModel, fam: SetSystem) -> bandit.PCLReport:
+    """The discounted PCL report when beta < 1, else the average one."""
+    return bandit.pcl_index(rb, fam) if rb.beta < 1 else bandit.average_pcl_index(rb, fam)
+
+
 def cmd_index(args) -> int:
     model, doc = load_model(args.file)
     results: dict = {"kind": doc["kind"]}
@@ -91,10 +96,7 @@ def cmd_index(args) -> int:
             return EXIT_ASSUMPTION
         nu = admission.indices(model)
         results["indices"] = {str(j): float(nu[j]) for j in range(model.n)}
-        rb = admission.uniformize(model)
-        fam = _family_for(model.n, args.family, doc)
-        rep = (bandit.pcl_index(rb, fam) if model.alpha > 0
-               else bandit.average_pcl_index(rb, fam))
+        rep = _pcl(admission.uniformize(model), _family_for(model.n, args.family, doc))
         results["pcl"] = _pcl_results(rep)
         agree = max(abs(rep.nu_by_state[j] - nu[j]) for j in range(model.n))
         results["recursion_vs_greedy_gap"] = float(agree)
@@ -103,9 +105,7 @@ def cmd_index(args) -> int:
             _log("closed recursion and greedy route disagree")
             return EXIT_INCONSISTENT
     elif isinstance(model, bandit.RBModel):
-        fam = _family_for(len(model.controllable), args.family, doc)
-        rep = (bandit.pcl_index(model, fam) if model.beta < 1
-               else bandit.average_pcl_index(model, fam))
+        rep = _pcl(model, _family_for(len(model.controllable), args.family, doc))
         results["pcl"] = _pcl_results(rep)
     else:
         raise ModelFileError("index command expects an 'rb' or 'admission' model")
@@ -116,17 +116,14 @@ def cmd_index(args) -> int:
 def cmd_dp_verify(args) -> int:
     model, doc = load_model(args.file)
     if isinstance(model, admission.ACModel):
-        if model.alpha <= 0:
-            raise ModelFileError("dp-verify needs a discounted model (alpha > 0)")
-        rb = admission.uniformize(model)
-        fam = threshold_family(model.n)
+        rb, fam, need = admission.uniformize(model), threshold_family(model.n), "alpha > 0"
     elif isinstance(model, bandit.RBModel):
-        if not model.beta < 1:
-            raise ModelFileError("dp-verify needs a discounted model (beta < 1)")
-        rb = model
+        rb, need = model, "beta < 1"
         fam = _family_for(len(model.controllable), args.family, doc)
     else:
         raise ModelFileError("dp-verify expects an 'rb' or 'admission' model")
+    if not rb.beta < 1:
+        raise ModelFileError(f"dp-verify needs a discounted model ({need})")
     rep = bandit.pcl_index(rb, fam)
     results: dict = {"pcl": _pcl_results(rep)}
     if not rep.indexable:

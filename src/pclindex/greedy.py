@@ -5,8 +5,10 @@ peeling off at each step the inner-boundary element with the smallest
 marginal cost rate.  The first accumulates dual increments directly; the
 second propagates the rate table through a one-step update.  Both return
 the generated priority order, the index vector and an admissibility flag
-(the index sequence came out nondecreasing), plus the dual solution and
-the marginal-rate/reduced-cost tables along the chain.
+(the index sequence came out nondecreasing), plus the chain record:
+arrays of marginal workloads, rates and reduced costs, one row per chain
+set, and the dual increments.  The certificates below are array
+expressions over that record.
 
 Workload coefficients are supplied by a :class:`WorkloadOracle`, queried
 lazily one row per chain set the run actually visits.
@@ -90,21 +92,22 @@ class WorkloadOracle:
 class AGOutput:
     """Result of an adaptive-greedy run.
 
-    ``rate_table[k-1][j]`` holds the marginal cost rate of element j against
-    chain set S_k, and ``reduced_costs`` the corresponding marginal costs;
-    ``workloads`` caches w(S_k, j) so later checks need not re-query the
-    oracle.  When ``completed`` is False the run stopped early at the first
-    monotonicity failure and the chain is partial.
+    ``workloads``, ``rate_table`` and ``reduced_costs`` are read-only
+    arrays of shape (len(chain), n): row k holds w(S_k, j), the marginal
+    cost rate and the marginal cost of every j against S_k = ``chain[k]``,
+    NaN outside S_k.  ``dual[k]`` is the increment y(S_k) = nu_{pi_k} -
+    nu_{pi_{k-1}}.  When ``completed`` is False the run stopped early at
+    the first monotonicity failure and the chain is partial.
     """
 
     admissible: bool
     pi: tuple[int, ...]
     nu: np.ndarray
     chain: tuple[frozenset, ...]
-    dual: dict[frozenset, float]
-    rate_table: tuple[dict[int, float], ...]
-    reduced_costs: tuple[dict[int, float], ...]
-    workloads: tuple[dict[int, float], ...]
+    dual: np.ndarray
+    rate_table: np.ndarray
+    reduced_costs: np.ndarray
+    workloads: np.ndarray
     cost: np.ndarray
     completed: bool = True
 
@@ -139,18 +142,17 @@ def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
     n = sys.n
     s = sys.ground
     alive = np.ones(n, dtype=bool)
-    wk = np.full(n, np.nan)
+    tables = np.full((3, n, n), np.nan)     # rate and cost rows inherit the NaN of w
+    wtab, rtab, ctab = tables
     acc = np.zeros(n)           # ag1: sum of y_l w(S_l, .) over the steps so far
     pivot, pivot_rate = None, 0.0
     pi: list[int] = []
     nu_seq: list[float] = []
     chain: list[frozenset] = []
-    rates, redc, wtabs = [], [], []
     completed = True
     for k in range(n):
-        members = np.flatnonzero(alive)
-        w_prev, wk = wk, np.full(n, np.nan)
-        wk[members] = oracle.workload(s)
+        wk = wtab[k]
+        wk[alive] = oracle.workload(s)
         if dual_increments:
             if k:
                 acc = acc + (bracket[pivot] / w_prev[pivot]) * w_prev
@@ -162,11 +164,8 @@ def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
         else:
             rate = rate + (w_prev / wk - 1.0) * (rate - pivot_rate)
             cost = cost - (cost[pivot] / w_prev[pivot]) * (w_prev - wk)
-        elems = members.tolist()
         chain.append(s)
-        wtabs.append(dict(zip(elems, wk[members].tolist())))
-        rates.append(dict(zip(elems, rate[members].tolist())))
-        redc.append(dict(zip(elems, cost[members].tolist())))
+        rtab[k], ctab[k] = rate, cost
         pivot = _argmin_boundary(rate, sys.inner_boundary(s), tie_break)
         pivot_rate = float(rate[pivot])
         pi.append(pivot)
@@ -176,16 +175,18 @@ def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
             break
         s = s - {pivot}
         alive[pivot] = False
+        w_prev = wk
     nu = np.full(n, np.nan)
     nu[pi] = nu_seq
     admissible = completed and all(
         nu_seq[k] >= nu_seq[k - 1] - ADMISSIBLE_SLACK * max(1.0, abs(nu_seq[k]))
         for k in range(1, n))
+    tables = tables[:, :len(chain)]
+    tables.flags.writeable = False
     return AGOutput(
         admissible=admissible, pi=tuple(pi), nu=nu, chain=tuple(chain),
-        dual={s: v - prev for s, v, prev in zip(chain, nu_seq, [0.0] + nu_seq)},
-        rate_table=tuple(rates), reduced_costs=tuple(redc), workloads=tuple(wtabs),
-        cost=c, completed=completed)
+        dual=np.diff(nu_seq, prepend=0.0), rate_table=tables[1],
+        reduced_costs=tables[2], workloads=tables[0], cost=c, completed=completed)
 
 
 def ag1(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str = "low",
@@ -224,17 +225,20 @@ def primal_vertex(pi: Sequence[int], oracle: WorkloadOracle) -> np.ndarray:
     if sorted(pi) != list(range(n)):
         raise ValueError(f"{tuple(pi)} is not a permutation of 0..{n - 1}")
     chain = [frozenset(pi[k:]) for k in range(n)]
-    rows = [dict(zip(sorted(s), oracle.workload(s).tolist())) for s in chain]
-    x = np.zeros(n)
+    table = np.zeros((n, n))            # row k: w(S_k, .), zero outside S_k
+    for k, s in enumerate(chain):
+        table[k, sorted(s)] = oracle.workload(s)
+    upper = table[:, pi]                # columns in chain order: upper triangular
+    b = np.array([oracle.rhs(s) for s in chain])
+    xs = np.zeros(n)                    # x along pi
     for k in range(n - 1, -1, -1):
-        tail = sum(rows[k][pi[l]] * x[pi[l]] for l in range(k + 1, n))
-        x[pi[k]] = (oracle.rhs(chain[k]) - tail) / rows[k][pi[k]]
-    for k in range(n):
-        lhs = sum(rows[k][j] * x[j] for j in chain[k])
-        b = oracle.rhs(chain[k])
-        if abs(lhs - b) > 1e-10 * max(1.0, abs(b), abs(lhs)):
-            raise DegeneracyError(f"chain equation {k + 1} residual {lhs - b:g} too large")
-    return x
+        xs[k] = (b[k] - upper[k, k + 1:] @ xs[k + 1:]) / upper[k, k]
+    lhs = upper @ xs
+    bad = np.abs(lhs - b) > 1e-10 * np.maximum(1.0, np.maximum(np.abs(b), np.abs(lhs)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DegeneracyError(f"chain equation {k + 1} residual {lhs[k] - b[k]:g} too large")
+    return xs[np.argsort(pi)]
 
 
 def dual_solution(out: AGOutput, atol: float = 1e-10) -> dict[frozenset, float]:
@@ -245,20 +249,23 @@ def dual_solution(out: AGOutput, atol: float = 1e-10) -> dict[frozenset, float]:
     """
     if not out.completed:
         raise ValueError("dual solution undefined for an early-exited run")
-    y = dict(out.dual)
-    for k, j in enumerate(out.pi):
-        recon = sum(y[out.chain[l]] * out.workloads[l][j] for l in range(k + 1))
-        if abs(recon - out.cost[j]) > atol * max(1.0, abs(out.cost[j])):
-            raise DegeneracyError(
-                f"dual reconstruction of c[{j}] off by {recon - out.cost[j]:g}")
-    return y
+    pi = list(out.pi)
+    # c_{pi_k} = sum_{l <= k} y(S_l) w(S_l, pi_k); w(S_l, pi_k) is NaN for l > k
+    recon = out.dual @ np.nan_to_num(out.workloads[:, pi], nan=0.0)
+    cost = out.cost[pi]
+    bad = np.abs(recon - cost) > atol * np.maximum(1.0, np.abs(cost))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DegeneracyError(
+            f"dual reconstruction of c[{pi[k]}] off by {recon[k] - cost[k]:g}")
+    return dict(zip(out.chain, out.dual.tolist()))
 
 
 def lp_value(out: AGOutput, oracle: WorkloadOracle) -> float:
     """Optimal value nu_1 b(S_1) + sum_k (nu_k - nu_{k-1}) b(S_k) of the chain LP."""
     if not out.completed:
         raise ValueError("lp_value undefined for an early-exited run")
-    return sum(out.dual[s] * oracle.rhs(s) for s in out.chain)
+    return float(out.dual @ np.array([oracle.rhs(s) for s in out.chain]))
 
 
 def objective_representation_check(c, out: AGOutput, oracle: WorkloadOracle, x) -> float:
@@ -270,12 +277,8 @@ def objective_representation_check(c, out: AGOutput, oracle: WorkloadOracle, x) 
     """
     c = np.asarray(c, dtype=float)
     x = np.asarray(x, dtype=float)
-    lhs = float(c @ x)
-    rhs = 0.0
-    for k, s in enumerate(out.chain):
-        workload = sum(out.workloads[k][j] * x[j] for j in s)
-        rhs += out.dual[s] * workload
-    return abs(lhs - rhs)
+    chain_workloads = np.nan_to_num(out.workloads, nan=0.0) @ x
+    return abs(float(c @ x) - float(out.dual @ chain_workloads))
 
 
 @dataclass(frozen=True)
@@ -295,18 +298,16 @@ def local_minmax_check(out: AGOutput, monotone: bool = False,
     nondecreasing workloads): nu_j attains the maximum of the rates of j
     over the chain sets containing j.
     """
-    worst_min = 0.0
-    for k, j_k in enumerate(out.pi):
-        row_min = min(out.rate_table[k].values())
-        worst_min = max(worst_min, out.nu[j_k] - row_min)
-    min_ok = worst_min <= tol * max(1.0, float(np.max(np.abs(out.nu))))
+    pi = list(out.pi)
+    nu, scale = out.nu[pi], max(1.0, float(np.max(np.abs(out.nu))))
+    worst_min = max(0.0, float(np.max(nu - np.nanmin(out.rate_table, axis=1))))
+    min_ok = worst_min <= tol * scale
     if not monotone:
         return MinMaxReport(min_ok, None, worst_min, None)
-    worst_max = 0.0
-    for k, j_k in enumerate(out.pi):
-        best = max(out.rate_table[l][j_k] for l in range(k + 1))
-        worst_max = max(worst_max, abs(best - out.nu[j_k]))
-    max_ok = worst_max <= tol * max(1.0, float(np.max(np.abs(out.nu))))
+    # column k holds the rates of pi_k against S_0..S_k, NaN further down
+    best = np.nanmax(out.rate_table[:, pi], axis=0)
+    worst_max = max(0.0, float(np.max(np.abs(best - nu))))
+    max_ok = worst_max <= tol * scale
     return MinMaxReport(min_ok, max_ok, worst_min, worst_max)
 
 

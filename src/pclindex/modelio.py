@@ -179,24 +179,17 @@ def document_from_model(model) -> dict:
             "Lambda": float(model.Lambda),
         }
     if isinstance(model, RoutingSystem):
-        queues = []
-        for q in model.queues:
-            if callable(q.mu) or callable(q.h):
-                raise ModelFileError("callable queue parameters cannot be serialized")
-            queues.append({"n": q.n, "mu": _maybe_scalar(q.mu), "h": _maybe_scalar(q.h)})
+        queues = [{"n": q.n, "mu": _maybe_scalar(q.mu), "h": _maybe_scalar(q.h)}
+                  for q in model.queues]
         doc = {"kind": "routing", "lambda": model.lam, "alpha": model.alpha,
                "queues": queues}
         if np.isfinite(model.nu):
             doc["nu"] = model.nu
         return doc
     if isinstance(model, MTSSystem):
-        products = []
-        for p in model.products:
-            if any(callable(x) for x in (p.lam, p.mu, p.c, p.r)):
-                raise ModelFileError("callable product parameters cannot be serialized")
-            products.append({"n": p.n, "lambda": _maybe_scalar(p.lam),
-                             "mu": _maybe_scalar(p.mu), "c": _maybe_scalar(p.c),
-                             "s": p.s, "r": _maybe_scalar(p.r)})
+        products = [{"n": p.n, "lambda": _maybe_scalar(p.lam), "mu": _maybe_scalar(p.mu),
+                     "c": _maybe_scalar(p.c), "s": p.s, "r": _maybe_scalar(p.r)}
+                    for p in model.products]
         return {"kind": "mts", "alpha": model.alpha, "nu": model.nu,
                 "products": products}
     raise TypeError(f"cannot serialize {type(model).__name__}")

@@ -8,8 +8,8 @@ the stock buffer).  The resulting policy engages the project whose
 current state has the smallest index below the charge/subsidy level.
 
 Rate and cost parameters may be given as scalars (constant rate / linear
-cost), sequences indexed by the state, or callables.  Every built-in
-policy is one rule, :func:`engage`, applied to a different score table.
+cost) or sequences indexed by the state.  Every built-in policy is one
+rule, :func:`engage`, applied to a different score table.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ CLOSED_FORM_MIN_GAP = 1e-3
 
 
 def _at(spec, j: int, name: str) -> float:
-    """Entry j of a parameter given as a scalar (the same in every state),
-    a sequence or a callable."""
+    """Entry j of a parameter given as a scalar (the same in every state)
+    or a sequence."""
     if isinstance(spec, (int, float)):
         return float(spec)
-    if callable(spec):
-        return float(spec(j))
     if j >= len(spec):
         raise ValueError(f"{name} sequence too short for state {j}")
     return float(spec[j])
@@ -48,9 +46,9 @@ class QueueSpec:
     """One queue of a routing system.
 
     ``n`` is the buffer size (None = infinite).  ``mu`` is the service
-    rate: a scalar means a constant rate, otherwise a sequence/callable
-    over occupancies 1..n.  ``h`` is the holding cost rate: a scalar h
-    means the linear cost h*j, otherwise a sequence/callable over 0..n.
+    rate: a scalar means a constant rate, otherwise a sequence over
+    occupancies 1..n.  ``h`` is the holding cost rate: a scalar h means
+    the linear cost h*j, otherwise a sequence over 0..n.
     """
 
     n: int | None
@@ -98,14 +96,6 @@ class RoutingSystem:
         mu = np.array([q.mu_at(j) for j in range(1, n_states + 1)])
         h = np.array([q.h_at(j) for j in range(n_states + 1)])
         return ACModel(n_states, lam, mu, h, self.alpha)
-
-    def validate(self):
-        """Per-queue regularity reports for the induced admission models."""
-        out = []
-        for k, q in enumerate(self.queues):
-            n = q.n if q.n is not None else 8
-            out.append(admission.validate_assumptions(self.admission_model(k, n)))
-        return out
 
 
 def routing_index(sys: RoutingSystem, k: int, j: int) -> float:
@@ -269,13 +259,6 @@ class MTSSystem:
         mu = np.array([p.lam_at(j) for j in range(1, n_states + 1)])
         h = np.array([p.net_cost(j) for j in range(n_states + 1)])
         return ACModel(n_states, lam, mu, h, self.alpha)
-
-    def validate(self):
-        out = []
-        for k, p in enumerate(self.products):
-            n = p.n if p.n is not None else 8
-            out.append(admission.validate_assumptions(self.admission_model(k, n)))
-        return out
 
 
 def mts_index(sys: MTSSystem, k: int, j: int) -> float:

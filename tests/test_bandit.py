@@ -457,6 +457,48 @@ def test_average_limits_rejects_multichain_policy():
     assert al.b_bar == pytest.approx(1.0)
 
 
+def _random_multichain(rng, n, n_closed):
+    """Row-stochastic matrix on n shuffled states: n_closed irreducible
+    closed blocks, the rest transient with random edges (cycles among the
+    transient states included) and at least one edge into a closed block."""
+    perm = rng.permutation(n)
+    cuts = np.sort(rng.choice(np.arange(1, n), n_closed, replace=False))
+    blocks, transient = np.split(perm[:cuts[-1]], cuts[:-1]), perm[cuts[-1]:]
+    P = np.zeros((n, n))
+    for block in blocks:
+        P[block, np.roll(block, 1)] = 1.0          # a cycle makes the block irreducible
+        extra = rng.random((len(block), len(block))) < 0.3
+        P[np.ix_(block, block)] += extra * rng.uniform(0.1, 1.0, extra.shape)
+    for i in transient:
+        P[i, transient] = (rng.random(len(transient)) < 0.4) * rng.uniform(0.1, 1.0)
+        P[i, rng.choice(perm[:cuts[-1]])] += rng.uniform(0.1, 1.0)
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def test_recurrent_classes_match_component_loop(rng):
+    from scipy.sparse.csgraph import connected_components
+
+    def reference(P):
+        n_comp, labels = connected_components((P > 0).astype(int), directed=True,
+                                              connection="strong")
+        leaves = []
+        for comp in range(n_comp):
+            members = np.flatnonzero(labels == comp)
+            out_mass = P[np.ix_(members, np.flatnonzero(labels != comp))].sum()
+            if out_mass <= 0:
+                leaves.append(sorted(int(m) for m in members))
+        return leaves
+
+    for _ in range(60):
+        n = int(rng.integers(2, 30))
+        n_closed = int(rng.integers(1, min(n, 5)))
+        P = _random_multichain(rng, n, n_closed)
+        want = reference(P)
+        assert len(want) == n_closed
+        assert bandit._recurrent_classes(P) == want
+    assert bandit._recurrent_classes(np.eye(3)) == [[0], [1], [2]]
+
+
 def test_constrained_policy_breakpoints_and_interpolation(rng):
     m = random_compliant_admission(rng, 4, alpha=0.0)
     rb = admission.uniformize(m)

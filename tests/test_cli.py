@@ -136,6 +136,18 @@ def test_index_explicit_family(tmp_path, capsys):
     assert out["results"]["pcl"]["chain"]
 
 
+def test_index_vanishing_discount_uses_the_average_criterion(tmp_path, capsys):
+    # alpha this small uniformizes to beta == 1.0 exactly: the criterion
+    # follows the uniformized beta, so the run matches alpha = 0
+    doc = dict(ADMISSION_DOC, alpha=1e-17)
+    assert admission.uniformize(model_from_document(doc)).beta == 1.0
+    code, out, _ = run_cli(capsys, "index", write_doc(tmp_path, doc))
+    assert code == 0
+    code0, out0, _ = run_cli(capsys, "index", write_doc(tmp_path, ADMISSION_DOC, "flat.json"))
+    assert code0 == 0
+    assert out["results"]["pcl"] == out0["results"]["pcl"]
+
+
 # ---------------------------------------------------------------------------
 # dp-verify command
 # ---------------------------------------------------------------------------
@@ -154,6 +166,13 @@ def test_dp_verify_agrees_on_compliant_model(tmp_path, capsys):
 def test_dp_verify_needs_discounting(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "dp-verify", write_doc(tmp_path, ADMISSION_DOC))
     assert code == 2
+
+
+def test_dp_verify_vanishing_discount_is_an_input_error(tmp_path, capsys):
+    doc = dict(ADMISSION_DOC, alpha=1e-17)
+    code, out, _ = run_cli(capsys, "dp-verify", write_doc(tmp_path, doc))
+    assert code == 2
+    assert out["error"] == "dp-verify needs a discounted model (alpha > 0)"
 
 
 def test_dp_verify_disagreement_exits_4(tmp_path, capsys):

@@ -3,6 +3,7 @@ tabulated decisions against the public decision functions, the three
 routes to the admission indices against each other, and the banded
 set-active solves against dense linear algebra."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from pclindex import bandit, dp
 from pclindex.admission import (closed_form_index, indices, uniformize, workload_pivots,
                                 workload_table)
-from pclindex.greedy import WorkloadOracle, ag1, ag2
+from pclindex.greedy import (WorkloadOracle, ag1, ag2, dual_solution, local_minmax_check,
+                             lp_value, objective_representation_check, primal_vertex)
 from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                                least_stock_decide, mts_decide, mts_index_table,
                                naive_decide, routing_decide, routing_index_table,
@@ -168,6 +170,73 @@ def test_ag1_and_ag2_agree_on_random_valid_systems(seed, n):
     assert o1.chain == o2.chain
     # the two rate updates round differently
     assert o1.nu == pytest.approx(o2.nu, rel=1e-10, abs=1e-10)
+
+
+def _close(got, want, scale):
+    """Agreement to 1e-12 relative to the size of the terms summed."""
+    return abs(got - want) <= 1e-12 * max(1.0, scale)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(1, 6))
+def test_chain_record_matches_loop_references(seed, n):
+    # the array record and the certificates over it against the per-element
+    # loops over chain sets that they replace
+    rng = np.random.default_rng(seed)
+    sys = random_valid_family(rng, n)
+    w, b = random_workload_tables(rng, sys)
+    oracle = WorkloadOracle.from_tables(w, b)
+    c = rng.uniform(-10.0, 10.0, n)
+    x = rng.uniform(0.0, 3.0, n)
+    for algo, early_exit in itertools.product((ag1, ag2), (False, True)):
+        out = algo(c, oracle, sys, early_exit=early_exit)
+        chain, pi = out.chain, out.pi
+        for table in (out.workloads, out.rate_table, out.reduced_costs):
+            assert table.shape == (len(chain), n) and not table.flags.writeable
+            for k, s in enumerate(chain):
+                assert set(np.flatnonzero(np.isfinite(table[k])).tolist()) == s
+        for k, s in enumerate(chain):
+            assert out.workloads[k][sorted(s)].tolist() == [w[s][j] for j in sorted(s)]
+        nu = [float(out.nu[j]) for j in pi]
+        sums = np.cumsum(out.dual)
+        assert all(_close(sums[k], nu[k], float(np.sum(np.abs(out.dual[:k + 1]))))
+                   for k in range(len(chain)))
+        y = {s: v - prev for s, v, prev in zip(chain, nu, [0.0] + nu)}
+        assert out.dual.tolist() == list(y.values())
+        # rate of j against S_k: residual cost per unit workload plus nu_{k-1};
+        # ag2 reaches it by its own recursion, which rounds differently
+        for k, s in enumerate(chain):
+            for j in s:
+                resid = c[j] - sum(y[chain[l]] * w[chain[l]][j] for l in range(k))
+                rate = resid / w[s][j] + (nu[k - 1] if k else 0.0)
+                scale = (abs(c[j]) + sum(abs(y[chain[l]] * w[chain[l]][j]) for l in range(k))) \
+                    / w[s][j] + abs(rate)
+                assert abs(out.rate_table[k][j] - rate) <= 1e-9 * max(1.0, scale)
+                assert abs(out.reduced_costs[k][j] - rate * w[s][j]) \
+                    <= 1e-9 * max(1.0, scale * w[s][j])
+
+        worst_min = max(0.0, max(nu[k] - min(out.rate_table[k][j] for j in s)
+                                 for k, s in enumerate(chain)))
+        worst_max = max(0.0, max(abs(max(out.rate_table[l][j] for l in range(k + 1)) - nu[k])
+                                 for k, j in enumerate(pi)))
+        rep = local_minmax_check(out, monotone=True)     # same arithmetic: exact
+        assert (rep.worst_min_residual, rep.worst_max_residual) == (worst_min, worst_max)
+
+        terms = [y[s] * sum(w[s][j] * x[j] for j in s) for s in chain]
+        resid = abs(float(c @ x) - sum(terms))
+        assert _close(objective_representation_check(c, out, oracle, x), resid,
+                      float(np.abs(c) @ x) + sum(map(abs, terms)))
+        if not out.completed:
+            continue
+        assert dual_solution(out) == y
+        lp = [y[s] * b[s] for s in chain]
+        assert _close(lp_value(out, oracle), sum(lp), sum(map(abs, lp)))
+
+        vertex = np.zeros(n)
+        for k in range(n - 1, -1, -1):
+            tail = sum(w[chain[k]][pi[l]] * vertex[pi[l]] for l in range(k + 1, n))
+            vertex[pi[k]] = (b[chain[k]] - tail) / w[chain[k]][pi[k]]
+        assert np.allclose(primal_vertex(pi, oracle), vertex, rtol=1e-12, atol=1e-12)
 
 
 @settings(PROPERTY, max_examples=60)
