@@ -18,11 +18,11 @@ from .setsystem import (SetSystem, ValidationReport, enumerate_full_strings,
 from .greedy import (AGOutput, WorkloadOracle, ag1, ag2, dual_solution,
                      local_minmax_check, lp_value, objective_representation_check,
                      primal_vertex, second_order_workload_recursion)
-from .bandit import (AverageLimits, ConstrainedPolicy, DMRReport, MeasureTables,
-                     PCLReport, RBModel, activity_measure, average_limits,
+from .bandit import (AverageLimits, ConstrainedPolicy, DMRReport, PCLReport,
+                     RBModel, activity_measure, average_limits,
                      average_pcl_index, constrained_policy, cost_measure,
                      dmr_report, marginal_cost, marginal_workload,
-                     measure_tables, normalized_passive_cost,
+                     normalized_passive_cost,
                      occupation_measures, pcl_index, value_breakpoints,
                      verify_cost_decomposition, verify_workload_decomposition)
 from .dp import DPResult, crosscheck_indices, fair_charge, nu_sweep, solve

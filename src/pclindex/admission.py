@@ -340,8 +340,10 @@ def closed_form_index(kind: str, lam: float, mu: float, h: float, j: int,
     if kind == "linear":
         if branch == "critical":
             return (h / mu) * (j + 1) * (j + 2) / 2.0
-        return (h / mu) * ((rho ** (j + 2) - 1.0) / (rho - 1.0) ** 2
-                           - (j + 2) / (rho - 1.0))
+        # (rho^(j+2) - 1)/(rho - 1)^2 - (j + 2)/(rho - 1) as its finite sum
+        # of positive terms, which does not cancel near rho = 1
+        l = np.arange(j + 1)
+        return (h / mu) * float(np.sum((j + 1 - l) * rho ** l))
     if kind == "quadratic":
         if branch == "critical":
             return (h / mu) * (j + 1) * (j + 2) * (4 * j + 3) / 6.0

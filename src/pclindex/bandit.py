@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cache as memoize
+from functools import cache as memoize, cached_property
 from typing import Iterable
 
 import numpy as np
@@ -189,6 +189,14 @@ class RBModel:
         mask[list(s)] = True
         return mask
 
+    @cached_property
+    def communicating(self) -> bool:
+        """Strong connectivity of the union of the two transition graphs,
+        computed on first use; see :func:`is_communicating`."""
+        adj = ((self.P0 > 0) | (self.P1 > 0)).astype(int)
+        n_comp, _ = connected_components(adj, directed=True, connection="strong")
+        return n_comp == 1
+
     def policy_vector(self, s: Iterable) -> np.ndarray:
         """Activation probabilities of the S-active policy (1 on S and
         the uncontrollable states, 0 elsewhere)."""
@@ -314,35 +322,6 @@ class _MeasureCache:
         self.w = memoize(lambda s: marginal_workload(model, s, b(s)))
         self.c = memoize(lambda s: marginal_cost(model, s, v(s)))
         self.limits = memoize(lambda s: average_limits(model, s))
-
-
-@dataclass(frozen=True)
-class MeasureTables:
-    """Chain-indexed measure bundle: for each set S_k of a chain, the
-    activity and cost measures, the marginal workloads and costs, plus the
-    normalized passive-cost vector.  Marginal entries vanish at
-    uncontrollable states by construction."""
-
-    chain: tuple[frozenset, ...]
-    b: dict[frozenset, np.ndarray]
-    v: dict[frozenset, np.ndarray]
-    w: dict[frozenset, np.ndarray]
-    c: dict[frozenset, np.ndarray]
-    h_hat0: np.ndarray
-
-
-def measure_tables(model: RBModel, chain) -> MeasureTables:
-    """Evaluate all set-indexed measures along a chain of active sets."""
-    cache = _MeasureCache(model)
-    chain = tuple(frozenset(s) for s in chain)
-    return MeasureTables(
-        chain=chain,
-        b={s: cache.b(s) for s in chain},
-        v={s: cache.v(s) for s in chain},
-        w={s: cache.w(s) for s in chain},
-        c={s: cache.c(s) for s in chain},
-        h_hat0=normalized_passive_cost(model),
-    )
 
 
 @dataclass(frozen=True)
@@ -572,10 +551,9 @@ class AverageLimits:
 
 def is_communicating(model: RBModel) -> bool:
     """True iff every state is reachable from every other under some policy
-    (strong connectivity of the union of the two transition graphs)."""
-    adj = ((model.P0 > 0) | (model.P1 > 0)).astype(int)
-    n_comp, _ = connected_components(adj, directed=True, connection="strong")
-    return n_comp == 1
+    (strong connectivity of the union of the two transition graphs),
+    decided once per model."""
+    return model.communicating
 
 
 def _recurrent_classes(P: np.ndarray) -> list[list[int]]:

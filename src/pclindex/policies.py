@@ -5,18 +5,25 @@ per queue or product, whose indices are computed by the recursions in
 :mod:`pclindex.admission` (the make-to-stock case swaps the roles of the
 arrival and service rates: producing an item is opening the entry gate of
 the stock buffer).  The resulting policy engages the project whose
-current state has the smallest index below the charge/subsidy level.
+current state has the smallest index below the charge/subsidy level.  A
+product's index is the critical charge per unit of production forgone
+by idling; with a constant production rate that is the critical subsidy
+per completed item, which the policy and the simulator pay.
 
 Rate and cost parameters may be given as scalars (constant rate / linear
-cost) or sequences indexed by the state.  Every built-in policy is one
-rule, :func:`engage`, applied to a different score table.
+cost) or sequences indexed by the state.  Each system has one index-table
+path: the admission recursion on the buffer's own model, whole when the
+buffer is finite and truncated past the levels read when it is infinite.
+Every built-in policy is one :class:`Rule` in :data:`ROUTING_RULES` or
+:data:`MTS_RULES`: a report label, a gate and score tables, which the
+``*_decide`` functions and :func:`pclindex.simulate.simulate` both read
+and apply through :func:`engage`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,10 +32,6 @@ from . import admission
 from .admission import ACModel
 
 Action = int | None   # queue/product number, or None for reject/idle
-
-# The make-to-stock closed forms divide by powers of (1 - rho) and cancel
-# catastrophically as rho nears 1; inside this band the recursion is used.
-CLOSED_FORM_MIN_GAP = 1e-3
 
 
 def _at(spec, j: int, name: str) -> float:
@@ -113,8 +116,12 @@ def routing_index_table(sys: RoutingSystem, k: int, up_to: int) -> np.ndarray:
     constant-rate closed forms of :func:`closed_form_index` are reference
     formulas only.
     """
-    q = sys.queues[k]
-    n = q.n if q.n is not None else up_to + 1
+    return _index_table(sys, k, sys.queues[k].n, up_to)
+
+
+def _index_table(sys, k: int, n: int | None, up_to: int) -> np.ndarray:
+    """Indices 0..up_to-1 of buffer k's model of size n, or up_to+1 if None."""
+    n = n if n is not None else up_to + 1
     if up_to > n:
         raise ValueError(f"index undefined at a full buffer (n = {n}, up_to = {up_to})")
     return admission.indices(sys.admission_model(k, n))[:up_to]
@@ -138,24 +145,30 @@ def engage(state: Sequence[int], scores: Sequence, caps: Sequence[float],
     return pick
 
 
-class _OnDemand:
-    """Score table whose entries are computed as they are read."""
+@dataclass(frozen=True)
+class Rule:
+    """One built-in policy: its report label, whether the charge (routing)
+    or subsidy (make-to-stock) gates it, and ``scores(sys, lengths)``, the
+    score table of each buffer k over levels 0..lengths[k]-1."""
 
-    def __init__(self, fn: Callable[[int], float]):
-        self.fn = fn
+    label: str
+    gated: bool
+    scores: Callable[[object, Sequence[int]], list]
 
-    def __getitem__(self, j: int) -> float:
-        return self.fn(j)
+    def gate(self, sys, nu: float | None = None) -> float:
+        """``nu`` if given, else the system's, for a gated rule; inf otherwise."""
+        return (sys.nu if nu is None else nu) if self.gated else math.inf
 
-
-_LEVELS = _OnDemand(float)   # the occupancy itself: shortest queue, least stock
-
-
-def _limits(specs, full: Sequence[int | None] | None) -> list[float]:
-    """Caps for a decision: ``full`` if given, else the buffer sizes, with
-    inf for an uncapped buffer."""
-    caps = full if full is not None else [spec.n for spec in specs]
-    return [math.inf if cap is None else cap for cap in caps]
+    def decide(self, sys, specs, state: Sequence[int], nu: float | None = None,
+               tables=None, full: Sequence[int | None] | None = None) -> Action:
+        """:func:`engage` at ``state``, with caps ``full`` if given, else the
+        buffer sizes (inf for an infinite buffer).  Without ``tables`` the
+        scores are built up to each buffer's current level."""
+        caps = [math.inf if cap is None else cap
+                for cap in (full if full is not None else [spec.n for spec in specs])]
+        if tables is None:
+            tables = self.scores(sys, [j + 1 if j < cap else 0 for j, cap in zip(state, caps)])
+        return engage(state, tables, caps, self.gate(sys, nu))
 
 
 def routing_decide(sys: RoutingSystem, state: Sequence[int], nu: float | None = None,
@@ -167,24 +180,21 @@ def routing_decide(sys: RoutingSystem, state: Sequence[int], nu: float | None = 
     nonfull queue has an index below ``nu``.  ``tables``/``full`` allow a
     simulator to pass precomputed index tables and truncation caps.
     """
-    if tables is None:
-        tables = [_OnDemand(partial(routing_index, sys, k)) for k in range(len(sys.queues))]
-    return engage(state, tables, _limits(sys.queues, full), sys.nu if nu is None else nu)
+    return ROUTING_RULES["index"].decide(sys, sys.queues, state, nu, tables, full)
 
 
 def shortest_queue_decide(sys: RoutingSystem, state: Sequence[int],
                           nu: float | None = None,
                           full: Sequence[int] | None = None) -> Action:
     """Baseline: route to the shortest nonfull queue, never reject early."""
-    return engage(state, [_LEVELS] * len(sys.queues), _limits(sys.queues, full), math.inf)
+    return ROUTING_RULES["shortest"].decide(sys, sys.queues, state, nu, None, full)
 
 
 def naive_decide(sys: RoutingSystem, state: Sequence[int], nu: float | None = None,
                  full: Sequence[int] | None = None) -> Action:
     """Baseline: route by the one-step rate h_k(j_k + 1) / mu_k(j_k + 1),
     with the same charge gate as the index policy."""
-    scores = [_OnDemand(lambda j, q=q: q.h_at(j + 1) / q.mu_at(j + 1)) for q in sys.queues]
-    return engage(state, scores, _limits(sys.queues, full), sys.nu if nu is None else nu)
+    return ROUTING_RULES["naive"].decide(sys, sys.queues, state, nu, None, full)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +206,11 @@ class ProductSpec:
     """One product of a make-to-stock facility.
 
     ``lam`` is the order rate (scalar = constant, else per stock level
-    0..n), ``mu`` the production rate over stock levels 0..n-1, ``c`` the
-    stock holding cost rate (scalar c = linear c*j), ``s`` the cost per
-    lost order and ``r`` the selling price (scalar = constant).
+    0..n), ``mu`` the production rate over stock levels 0..n-1 (n entries
+    for a finite product), ``c`` the stock holding cost rate (scalar c =
+    linear c*j), ``s`` the cost per lost order and ``r`` the selling price
+    (scalar = constant).  A full stock's project model keeps the rate
+    mu_(n-1) (:meth:`MTSSystem.admission_model`).
     """
 
     n: int | None
@@ -207,10 +219,6 @@ class ProductSpec:
     c: object
     s: float
     r: object
-
-    @property
-    def constant_rates(self) -> bool:
-        return isinstance(self.lam, (int, float)) and isinstance(self.mu, (int, float))
 
     def lam_at(self, j: int) -> float:
         return _at(self.lam, j, "lam")
@@ -251,46 +259,34 @@ class MTSSystem:
         object.__setattr__(self, "products", tuple(self.products))
 
     def admission_model(self, k: int, n_states: int) -> ACModel:
-        """Product k's stock as an admission-control project with the roles
-        of arrivals and services swapped: births are production completions,
-        deaths are filled orders, costs are the net cost rates."""
+        """Product k's stock as an admission-control project on 0..n_states
+        with the roles of arrivals and services swapped: births are
+        production completions, deaths are filled orders, costs are the net
+        cost rates.  The cap always idles, forgoing production at rate
+        mu_(n_states-1), which keeps its activity weight positive."""
         p = self.products[k]
-        lam = np.array([p.mu_at(j) for j in range(n_states)] + [0.0])
+        lam = np.array([p.mu_at(j) for j in range(n_states)] + [p.mu_at(n_states - 1)])
         mu = np.array([p.lam_at(j) for j in range(1, n_states + 1)])
         h = np.array([p.net_cost(j) for j in range(n_states + 1)])
         return ACModel(n_states, lam, mu, h, self.alpha)
 
 
 def mts_index(sys: MTSSystem, k: int, j: int) -> float:
-    """Critical production subsidy for product k at stock level j.
-
-    Constant rates with linear stock costs (constant price) under the
-    average criterion use the closed form when the traffic ratio is at
-    least ``CLOSED_FORM_MIN_GAP`` away from one; near-critical ratios and
-    all state-dependent cases fall back to the swapped admission
-    recursion.
-    """
-    p = sys.products[k]
-    if p.n is not None and j >= p.n:
-        raise ValueError(f"index undefined at a full stock (j = {j}, n = {p.n})")
-    if (p.constant_rates and sys.alpha == 0 and isinstance(p.r, (int, float))
-            and isinstance(p.c, (int, float))):
-        rho = p.lam_at(0) / p.mu_at(0)
-        if abs(rho - 1.0) >= CLOSED_FORM_MIN_GAP:
-            return mts_linear_index(float(p.c), float(p.mu), rho, float(p.s),
-                                    float(p.r), j)
-    n_eff = p.n if p.n is not None else j + 2
-    return float(admission.indices(sys.admission_model(k, n_eff))[j])
+    """Critical production subsidy for product k at stock level j (an
+    entry of :func:`mts_index_table`)."""
+    return float(mts_index_table(sys, k, j + 1)[j])
 
 
 def mts_linear_index(c: float, mu: float, rho: float, s: float, r: float,
                      j: int) -> float:
     """Closed-form production index: constant rates, linear stock cost,
-    constant price, average criterion, traffic ratio != 1."""
+    constant price, average criterion, traffic ratio != 1.  Evaluated as
+    the finite sum (c/mu) sum_{l=0..j} (j+1-l) rho^-(l+1) - r - s, whose
+    terms are all positive, so it stays exact near rho = 1."""
     if abs(rho - 1.0) < 1e-14:
         raise ValueError("closed form needs traffic ratio != 1")
-    one = 1.0 - rho
-    return (c / mu) * ((rho ** (-j - 1) - 1.0) / one ** 2 - (j + 1) / one) - r - s
+    l = np.arange(j + 1)
+    return (c / mu) * float(np.sum((j + 1 - l) * rho ** -(l + 1.0))) - r - s
 
 
 def mts_quadratic_index(c: float, mu: float, rho: float, s: float, r: float,
@@ -305,9 +301,17 @@ def mts_quadratic_index(c: float, mu: float, rho: float, s: float, r: float,
 
 
 def mts_index_table(sys: MTSSystem, k: int, up_to: int) -> np.ndarray:
-    """Indices of product k for stock levels 0..up_to-1 in one pass."""
-    p = sys.products[k]
-    return admission.indices(sys.admission_model(k, max(up_to + 1, p.n or 0)))[:up_to]
+    """Indices of product k for stock levels 0..up_to-1 in one pass.
+
+    As :func:`routing_index_table`, on the product's own model
+    (:meth:`MTSSystem.admission_model`) of size n, or up_to+1 when the
+    stock is infinite.  Entry j is the critical charge per unit of
+    production forgone by idling at level j: the critical subsidy per
+    completed item at a constant production rate, not otherwise.  The
+    closed forms of :func:`mts_linear_index` and
+    :func:`mts_quadratic_index` are reference formulas only.
+    """
+    return _index_table(sys, k, sys.products[k].n, up_to)
 
 
 def mts_decide(sys: MTSSystem, state: Sequence[int], nu: float | None = None,
@@ -316,16 +320,43 @@ def mts_decide(sys: MTSSystem, state: Sequence[int], nu: float | None = None,
     """Produce the product with the smallest index below the subsidy,
     among those with nonfull stock; idle otherwise.  Ties go to the
     lowest product number."""
-    if tables is None:
-        tables = [_OnDemand(partial(mts_index, sys, k)) for k in range(len(sys.products))]
-    return engage(state, tables, _limits(sys.products, full), sys.nu if nu is None else nu)
+    return MTS_RULES["index"].decide(sys, sys.products, state, nu, tables, full)
 
 
 def least_stock_decide(sys: MTSSystem, state: Sequence[int], nu: float | None = None,
                        full: Sequence[int] | None = None) -> Action:
     """Baseline: always produce the product with the least stock."""
-    return engage(state, [_LEVELS] * len(sys.products), _limits(sys.products, full),
-                  math.inf)
+    return MTS_RULES["least-stock"].decide(sys, sys.products, state, nu, None, full)
+
+
+# ---------------------------------------------------------------------------
+# The built-in rules
+# ---------------------------------------------------------------------------
+
+def _levels(sys, lengths: Sequence[int]) -> list:
+    """The level itself: shortest queue, least stock."""
+    return [range(length) for length in lengths]
+
+
+def _index_scores(table: Callable[[object, int, int], np.ndarray]):
+    return lambda sys, lengths: [table(sys, k, length) for k, length in enumerate(lengths)]
+
+
+def _one_step_rates(sys: RoutingSystem, lengths: Sequence[int]) -> list:
+    """h_k(j + 1) / mu_k(j + 1), the naive routing score."""
+    return [[q.h_at(j + 1) / q.mu_at(j + 1) for j in range(length)]
+            for q, length in zip(sys.queues, lengths)]
+
+
+ROUTING_RULES = {
+    "index": Rule("index", True, _index_scores(routing_index_table)),
+    "shortest": Rule("shortest-queue", False, _levels),
+    "naive": Rule("naive-rate", True, _one_step_rates),
+}
+MTS_RULES = {
+    "index": Rule("index", True, _index_scores(mts_index_table)),
+    "least-stock": Rule("least-stock", False, _levels),
+}
 
 
 # ---------------------------------------------------------------------------

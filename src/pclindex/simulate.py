@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem, engage,
-                       mts_index_table, routing_index_table)
+from .policies import (MTS_RULES, ROUTING_RULES, MTSSystem, ProductSpec, QueueSpec,
+                       RoutingSystem, engage)
 
 BOUNDARY_FLAG_FRACTION = 1e-3
 
@@ -166,63 +166,49 @@ def _tabulate(fn, specs, caps: list[int], extra: int) -> list[list[float]]:
     return [[fn(spec, j) for j in range(cap + extra)] for spec, cap in zip(specs, caps)]
 
 
-def _routing(sys: RoutingSystem, caps: list[int]):
+def _routing(sys: RoutingSystem, caps: list[int]) -> _Network:
     """Arrivals are the birth stream and a rejection costs the charge."""
     queues, lam = sys.queues, float(sys.lam)
-    death = _tabulate(QueueSpec.mu_at, queues, caps, 1)
-    cost = _tabulate(QueueSpec.h_at, queues, caps, 1)
-    net = _Network([[lam] * cap for cap in caps], lam, death, cost, 0.0,
-                   sys.nu if math.isfinite(sys.nu) else 0.0)
-    rules = {
-        "index": ("index", sys.nu,
-                  lambda: [routing_index_table(sys, k, cap) for k, cap in enumerate(caps)]),
-        "shortest": ("shortest-queue", math.inf, lambda: [range(cap) for cap in caps]),
-        "naive": ("naive-rate", sys.nu,
-                  lambda: [[c[j + 1] / d[j + 1] for j in range(cap)]
-                           for c, d, cap in zip(cost, death, caps)]),
-    }
-    return net, rules
+    return _Network([[lam] * cap for cap in caps], lam,
+                    _tabulate(QueueSpec.mu_at, queues, caps, 1),
+                    _tabulate(QueueSpec.h_at, queues, caps, 1), 0.0,
+                    sys.nu if math.isfinite(sys.nu) else 0.0)
 
 
-def _mts(sys: MTSSystem, caps: list[int]):
+def _mts(sys: MTSSystem, caps: list[int]) -> _Network:
     """Production is the birth stream and earns the subsidy; orders are
     deaths, lost at zero stock."""
     products = sys.products
-    net = _Network(_tabulate(ProductSpec.mu_at, products, caps, 0), 0.0,
-                   _tabulate(ProductSpec.lam_at, products, caps, 1),
-                   _tabulate(ProductSpec.net_cost, products, caps, 1), -sys.nu, 0.0)
-    rules = {
-        "index": ("index", sys.nu,
-                  lambda: [mts_index_table(sys, k, cap) for k, cap in enumerate(caps)]),
-        "least-stock": ("least-stock", math.inf, lambda: [range(cap) for cap in caps]),
-    }
-    return net, rules
+    return _Network(_tabulate(ProductSpec.mu_at, products, caps, 0), 0.0,
+                    _tabulate(ProductSpec.lam_at, products, caps, 1),
+                    _tabulate(ProductSpec.net_cost, products, caps, 1), -sys.nu, 0.0)
 
 
 def _build(system, policy: Callable | str, config: SimConfig, name: str | None = None):
     """Network, caps, truncated buffers, decision function of the state
-    and report name.  A built-in policy applies :func:`engage` to its
-    score table; a custom ``policy(state, tables, caps)`` gets the index
-    tables."""
+    and report name.  A built-in policy applies :func:`engage` to the
+    score tables of its rule in :mod:`pclindex.policies`; a custom
+    ``policy(state, tables, caps)`` gets the index tables."""
     if isinstance(system, RoutingSystem):
-        specs, adapter = system.queues, _routing
+        specs, network, rules = system.queues, _routing, ROUTING_RULES
     elif isinstance(system, MTSSystem):
-        specs, adapter = system.products, _mts
+        specs, network, rules = system.products, _mts, MTS_RULES
     else:
         raise TypeError(f"cannot simulate {type(system).__name__}")
     caps = [spec.n if spec.n is not None else config.truncation for spec in specs]
     truncated = [k for k, spec in enumerate(specs) if spec.n is None]
-    net, rules = adapter(system, caps)
+    net = network(system, caps)
     if callable(policy):
-        tables = rules["index"][2]()
+        tables = rules["index"].scores(system, caps)
         decide = lambda state: policy(state, tables, caps)
         return net, caps, truncated, decide, name or getattr(policy, "__name__", "custom")
     if policy not in rules:
         raise ValueError(f"unknown policy {policy!r}")
-    label, gate, build = rules[policy]
-    scores = [np.asarray(table, dtype=float).tolist() for table in build()]
+    rule = rules[policy]
+    scores = [np.asarray(table, dtype=float).tolist() for table in rule.scores(system, caps)]
+    gate = rule.gate(system)
     decide = lambda state: engage(state, scores, caps, gate)
-    return net, caps, truncated, decide, name or label
+    return net, caps, truncated, decide, name or rule.label
 
 
 def simulate(system, policy, config: SimConfig, name: str | None = None) -> SimReport:

@@ -7,7 +7,7 @@ from pclindex import admission, bandit, dp
 from pclindex.bandit import (RBModel, activity_measure, average_limits,
                              average_pcl_index, constrained_policy, cost_measure,
                              dmr_report, marginal_cost, marginal_workload,
-                             measure_tables, normalized_model, normalized_passive_cost,
+                             normalized_model, normalized_passive_cost,
                              occupation_measures, pcl_index, value_breakpoints,
                              verify_cost_decomposition,
                              verify_workload_decomposition)
@@ -197,16 +197,16 @@ def test_marginal_cost_single_swap_identity(rng):
         assert v_s[i] - v_sj[i] == pytest.approx(c[j] * x1[j], abs=1e-9)
 
 
-def test_measure_tables_bundle_zeroes_marginals_at_uncontrollable(rng):
+def test_chain_measures_zero_marginals_at_uncontrollable(rng):
     m = random_rb(rng, 5, 3)
-    chain = [frozenset({0, 1, 2}), frozenset({1, 2}), frozenset()]
-    tabs = measure_tables(m, chain)
-    assert tabs.chain == tuple(chain)
-    for s in chain:
-        assert np.allclose(tabs.b[s], activity_measure(m, s))
-        assert np.all(tabs.w[s][3:] == 0.0)
-        assert np.all(tabs.c[s][3:] == 0.0)
-    assert np.all(tabs.h_hat0[3:] == 0.0)
+    for s in [frozenset({0, 1, 2}), frozenset({1, 2}), frozenset()]:
+        b, v = activity_measure(m, s), cost_measure(m, s)
+        w, c = marginal_workload(m, s, b), marginal_cost(m, s, v)
+        assert np.array_equal(w, marginal_workload(m, s))
+        assert np.array_equal(c, marginal_cost(m, s))
+        assert np.all(w[3:] == 0.0)
+        assert np.all(c[3:] == 0.0)
+    assert np.all(normalized_passive_cost(m)[3:] == 0.0)
 
 
 def test_normalized_passive_cost_trivial_cases(rng):
@@ -444,6 +444,34 @@ def test_average_limits_rejects_noncommunicating():
     m = RBModel(P, P, np.zeros(2), np.zeros(2), np.ones(2), 0.9, frozenset())
     with pytest.raises(UnsupportedModelError):
         average_limits(m, frozenset())
+    with pytest.raises(UnsupportedModelError):   # also once the answer is cached
+        average_limits(m, frozenset())
+
+
+def test_communication_is_decided_once_per_model(rng, monkeypatch):
+    # every strong-components pass outside _recurrent_classes is a
+    # communication check; average_pcl_index makes one per chain set
+    # without the per-model cache
+    passes = {"all": 0, "classes": 0}
+    components, classes = bandit.connected_components, bandit._recurrent_classes
+
+    def counted_components(*args, **kwargs):
+        passes["all"] += 1
+        return components(*args, **kwargs)
+
+    def counted_classes(P):
+        passes["classes"] += 1
+        return classes(P)
+
+    monkeypatch.setattr(bandit, "connected_components", counted_components)
+    monkeypatch.setattr(bandit, "_recurrent_classes", counted_classes)
+    m = admission.uniformize(random_compliant_admission(rng, 6, alpha=0.0))
+    rep = average_pcl_index(m, threshold_family(6))
+    assert rep.indexable
+    assert passes["classes"] > 6
+    assert passes["all"] - passes["classes"] == 1
+    assert bandit.is_communicating(m)
+    assert passes["all"] - passes["classes"] == 1
 
 
 def test_average_limits_rejects_multichain_policy():

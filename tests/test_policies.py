@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,21 @@ def test_equal_index_maps_reduce_to_shortest_queue(rng):
             shortest_queue_decide(sys, state)
 
 
+def test_explicit_charge_overrides_the_system_charge():
+    # an explicit nu gates the index and naive rules even when the system's
+    # charge is the default inf; the shortest-queue baseline ignores it
+    sys = RoutingSystem(1.0, (QueueSpec(None, 1.0, 1.0),))
+    assert sys.nu == math.inf
+    assert routing_decide(sys, [5], nu=0.5) is None
+    assert naive_decide(sys, [5], nu=0.5) is None
+    assert shortest_queue_decide(sys, [5], nu=0.5) == 0
+    assert routing_decide(sys, [5]) == 0 and naive_decide(sys, [5]) == 0
+    gated = two_queue_sys(nu=0.0)
+    assert routing_decide(gated, [0, 0], nu=np.inf) == 0
+    assert naive_decide(gated, [0, 0], nu=np.inf) == 0
+    assert shortest_queue_decide(gated, [1, 0], nu=-1.0) == 1
+
+
 def test_naive_baseline_uses_one_step_rates():
     sys = RoutingSystem(1.0, (linear_queue(3, 1.0, 1.0), linear_queue(3, 2.0, 1.0)),
                         alpha=0.0)
@@ -193,6 +210,44 @@ def test_mts_index_near_critical_ratio_matches_table():
     assert got == pytest.approx([-0.2, 1.8, 4.8, 8.8], abs=1e-6)
 
 
+def test_mts_linear_closed_form_near_critical_ratio():
+    # the former closed form cancelled to -1.2 here
+    assert mts_linear_index(1.0, 1.0, 1 + 1e-9, 0.5, 0.7, 3) == pytest.approx(8.8, rel=1e-8)
+    with pytest.raises(ValueError):
+        mts_linear_index(1.0, 1.0, 1.0, 0.5, 0.7, 3)
+
+
+def test_mts_index_at_the_last_level_reads_the_table():
+    # the last level below the cap: the model of the whole stock, whose cap
+    # keeps the production rate, gives 3.138; a model whose cap produced at
+    # rate 0 gave 0.993
+    sys = MTSSystem((ProductSpec(5, 0.8, 1.2, 1.0, 0.5, 0.7),), alpha=0.3)
+    table = mts_index_table(sys, 0, 5)
+    assert table[4] == pytest.approx(3.138, abs=5e-4)
+    for j in range(5):
+        assert mts_index(sys, 0, j) == table[j]
+    assert mts_decide(sys, [4], nu=3.0) is None
+    assert mts_decide(sys, [4], nu=3.2) == 0
+
+
+def test_mts_index_rejects_full_stock():
+    sys = MTSSystem((ProductSpec(5, 0.8, 1.2, 1.0, 0.5, 0.7),), alpha=0.3)
+    with pytest.raises(ValueError):
+        mts_index(sys, 0, 5)
+    with pytest.raises(ValueError):
+        mts_index_table(sys, 0, 6)
+
+
+def test_mts_per_state_production_needs_n_entries():
+    # a finite product's per-state production rates cover levels 0..n-1
+    scalar = MTSSystem((ProductSpec(4, 0.8, 1.2, 1.0, 0.5, 0.7),), alpha=0.2)
+    listed = MTSSystem((ProductSpec(4, 0.8, [1.2] * 4, 1.0, 0.5, 0.7),), alpha=0.2)
+    assert mts_index_table(listed, 0, 4).tolist() == mts_index_table(scalar, 0, 4).tolist()
+    short = MTSSystem((ProductSpec(4, 0.8, [1.2] * 3, 1.0, 0.5, 0.7),), alpha=0.2)
+    with pytest.raises(ValueError, match="too short"):
+        mts_index_table(short, 0, 4)
+
+
 def test_mts_heavy_demand_keeps_index_negative_over_truncation_range():
     # demand exceeds capacity and margins dominate holding costs: producing
     # is always worth a nonnegative subsidy, so at subsidy 0 never idle
@@ -212,6 +267,17 @@ def test_mts_identical_products_make_least_stock(rng):
         state = [int(rng.integers(0, 9)) for _ in range(3)]
         assert mts_decide(sys, state, tables=tables) == \
             least_stock_decide(sys, state)
+
+
+def test_explicit_subsidy_overrides_the_system_subsidy():
+    spec = ProductSpec(None, 0.8, 1.2, 1.0, 0.5, 0.7)
+    sys = MTSSystem((spec, spec), alpha=0.1, nu=np.inf)
+    assert mts_decide(sys, [3, 1]) == 1
+    assert mts_decide(sys, [3, 1], nu=-1e9) is None
+    assert least_stock_decide(sys, [3, 1], nu=-1e9) == 1
+    cheap = MTSSystem((spec, spec), alpha=0.1, nu=-1e9)
+    assert mts_decide(cheap, [3, 1]) is None
+    assert mts_decide(cheap, [3, 1], nu=np.inf) == 1
 
 
 def test_mts_decide_idles_when_all_full_or_expensive():

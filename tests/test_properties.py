@@ -1,6 +1,7 @@
 """Property tests: index tables against the closed forms, the simulator's
-tabulated decisions against the public decision functions, the three
-routes to the admission indices against each other, and the banded
+tabulated decisions against the public decision functions, the
+make-to-stock table against the DP and greedy indices of its project, the
+three routes to the admission indices against each other, and the banded
 set-active solves against dense linear algebra."""
 
 import itertools
@@ -8,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pclindex import bandit, dp
@@ -35,8 +36,7 @@ positive = st.floats(0.2, 5.0)
 # ---------------------------------------------------------------------------
 
 @PROPERTY
-@given(mu=positive, h=positive, n=st.integers(1, 60),
-       rho=st.floats(0.1, 10.0).filter(lambda r: abs(r - 1.0) >= 1e-3))
+@given(mu=positive, h=positive, n=st.integers(1, 60), rho=st.floats(0.1, 10.0))
 def test_routing_table_matches_geometric_closed_form(mu, h, n, rho):
     sys = RoutingSystem(rho * mu, (QueueSpec(None, mu, h),), alpha=0.0)
     table = routing_index_table(sys, 0, n)
@@ -111,8 +111,6 @@ def test_routing_table_decisions_match_decide_functions(sys, truncation, data):
 
 @st.composite
 def mts_systems(draw):
-    # per-state production rates run one level past a finite cap, because
-    # mts_index_table reads that level
     products = tuple(ProductSpec(draw(buffer_sizes), draw(positive), draw(concave_rates()),
                                  draw(convex_costs()), draw(st.floats(0.1, 3.0)),
                                  draw(st.floats(0.1, 3.0)))
@@ -127,19 +125,32 @@ def test_mts_table_decisions_match_decide_functions(sys, truncation, data):
     _, caps, _, decide, _ = _build(sys, "least-stock", config)
     state = data.draw(states(caps))
     assert decide(state) == least_stock_decide(sys, state, full=caps)
-
-    # mts_index uses the capped model at the last level below a finite cap,
-    # where it differs from mts_index_table; compare the other levels only
-    assume(all(p.n is None or j != p.n - 1 for p, j in zip(sys.products, state)))
-    # for constant rates under the average criterion mts_index takes the
-    # closed form, which agrees with the tables to rounding: skip near-ties
-    tables = [mts_index_table(sys, k, cap) for k, cap in enumerate(caps)]
-    values = [float(tables[k][j]) for k, j in enumerate(state) if j < caps[k]]
-    values = sorted(values + [sys.nu] if math.isfinite(sys.nu) else values)
-    assume(all(a == b or b - a > 1e-9 * max(1.0, abs(a))
-               for a, b in zip(values, values[1:])))
     _, _, _, decide, _ = _build(sys, "index", config)
     assert decide(state) == mts_decide(sys, state, full=caps)
+
+
+# ---------------------------------------------------------------------------
+# The make-to-stock table vs. the DP and greedy indices of its project
+# ---------------------------------------------------------------------------
+
+@settings(PROPERTY, max_examples=40)
+@given(n=st.integers(1, 8), lam=positive, mu=positive, c=st.floats(0.1, 3.0),
+       s=st.floats(0.1, 3.0), r=st.floats(0.1, 3.0), alpha=st.floats(0.05, 1.0),
+       quadratic=st.booleans())
+def test_mts_table_matches_dp_and_greedy_on_constant_rate_products(n, lam, mu, c, s, r,
+                                                                   alpha, quadratic):
+    # the capped project is a valid restless bandit, and its DP critical
+    # charge and adaptive-greedy index equal the table at every level
+    cost = [c * j * j for j in range(n + 1)] if quadratic else c
+    sys = MTSSystem((ProductSpec(n, lam, mu, cost, s, r),), alpha=alpha)
+    table = mts_index_table(sys, 0, n)
+    rb = uniformize(sys.admission_model(0, n))
+    rep = bandit.pcl_index(rb, threshold_family(n))
+    assert rep.indexable
+    for j in range(n):
+        scale = max(1.0, abs(table[j]))
+        assert abs(dp.fair_charge(rb, j) - table[j]) <= 1e-9 * scale
+        assert abs(rep.nu_by_state[j] - table[j]) <= 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,17 @@ def test_mts_simulation_runs_and_subsidy_lowers_cost():
     assert math.isfinite(rep_idx.mean) and math.isfinite(rep_ls.mean)
 
 
+def test_mts_index_policy_runs_with_per_state_production_rates():
+    # n per-state production rates cover a finite stock's levels 0..n-1
+    p = ProductSpec(4, 0.8, [1.2] * 4, 1.0, 0.5, 0.7)
+    config = SimConfig(max_events=2000, replications=2, seed=3)
+    rep = simulate(MTSSystem((p, p)), "index", config)
+    assert math.isfinite(rep.mean)
+    scalar = ProductSpec(4, 0.8, 1.2, 1.0, 0.5, 0.7)
+    assert rep.per_replication == simulate(MTSSystem((scalar, scalar)), "index",
+                                           config).per_replication
+
+
 def test_mts_single_product_matches_birth_death_oracle():
     # a single product under an always-produce policy is a birth--death
     # chain: steady-state net cost minus subsidized completions
