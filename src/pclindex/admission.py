@@ -347,9 +347,9 @@ def closed_form_index(kind: str, lam: float, mu: float, h: float, j: int,
     if kind == "quadratic":
         if branch == "critical":
             return (h / mu) * (j + 1) * (j + 2) * (4 * j + 3) / 6.0
-        r1 = rho - 1.0
-        return (h / mu) * (((2 * j + 1) / r1 ** 2 - 2.0 / r1 ** 3) * rho ** (j + 2)
-                           - j * (j + 2) / r1 + 3.0 / r1 ** 2 + 2.0 / r1 ** 3)
+        # likewise its geometric form, as sum_{l<=j} ((j+1)^2 - l^2) rho^l
+        l = np.arange(j + 1)
+        return (h / mu) * float(np.sum(((j + 1) ** 2 - l ** 2) * rho ** l))
     raise ValueError(f"unknown closed form kind {kind!r}")
 
 

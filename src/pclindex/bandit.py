@@ -567,7 +567,9 @@ def _recurrent_classes(P: np.ndarray) -> list[list[int]]:
     return [np.flatnonzero(labels == comp).tolist() for comp in np.flatnonzero(closed)]
 
 
-def _gain_bias(P: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray, int]:
+def _gain_bias(P: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gains (one per column of the reward matrix ``r``) and bias columns
+    of the unichain P, from one recurrent-class pass and one solve."""
     classes = _recurrent_classes(P)
     if len(classes) != 1:
         raise UnsupportedModelError(
@@ -576,13 +578,13 @@ def _gain_bias(P: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray, int]:
     n = P.shape[0]
     # unknowns: gain g and bias vector a with a[ref] = 0
     A = np.zeros((n + 1, n + 1))
-    rhs = np.zeros(n + 1)
+    rhs = np.zeros((n + 1, r.shape[1]))
     A[:n, 0] = 1.0
     A[:n, 1:] = np.eye(n) - P
     rhs[:n] = r
     A[n, 1 + ref] = 1.0
     sol = np.linalg.solve(A, rhs)
-    return float(sol[0]), sol[1:], ref
+    return sol[0], sol[1:]
 
 
 def average_limits(model: RBModel, s) -> AverageLimits:
@@ -597,8 +599,9 @@ def average_limits(model: RBModel, s) -> AverageLimits:
         raise UnsupportedModelError("model is not communicating")
     mask = model.active_rows(s)
     P = np.where(mask[:, None], model.P1, model.P0)
-    b_bar, a, _ = _gain_bias(P, np.where(mask, model.theta1, 0.0))
-    v_bar, f, _ = _gain_bias(P, np.where(mask, model.h1, model.h0))
+    gains, bias = _gain_bias(P, np.column_stack((np.where(mask, model.theta1, 0.0),
+                                                 np.where(mask, model.h1, model.h0))))
+    (b_bar, v_bar), (a, f) = gains.tolist(), bias.T
     w_bar = model.theta1 + (model.P1 - model.P0) @ a
     w_bar[~model.ctrl_mask] = 0.0
     c_bar = model.h0 - model.h1 + (model.P0 - model.P1) @ f

@@ -291,13 +291,12 @@ def mts_linear_index(c: float, mu: float, rho: float, s: float, r: float,
 
 def mts_quadratic_index(c: float, mu: float, rho: float, s: float, r: float,
                         j: int) -> float:
-    """Closed-form production index: quadratic stock cost variant."""
+    """Closed-form production index: quadratic stock cost variant, as the
+    finite sum (c/mu) sum_{l=0..j} ((j+1)^2 - l^2) rho^-(l+1) - r - s."""
     if abs(rho - 1.0) < 1e-14:
         raise ValueError("closed form needs traffic ratio != 1")
-    one = 1.0 - rho
-    bracket = (((2 * j + 3) / one ** 2 - 2.0 / one ** 3) * rho ** (-j - 1)
-               - (j + 1) ** 2 / one - 1.0 / one ** 2 + 2.0 / one ** 3)
-    return (c / mu) * bracket - r - s
+    l = np.arange(j + 1)
+    return (c / mu) * float(np.sum(((j + 1) ** 2 - l ** 2) * rho ** -(l + 1.0))) - r - s
 
 
 def mts_index_table(sys: MTSSystem, k: int, up_to: int) -> np.ndarray:

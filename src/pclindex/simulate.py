@@ -2,8 +2,10 @@
 
 Routing and make-to-stock run through one event loop over birth--death
 buffers that share one controlled birth stream, with rates and cost
-rates tabulated per level once per run.  The chains are simulated
-exactly: exponential clocks race between the events, holding costs are
+rates tabulated per level once per run, and the event row of each
+visited joint state (decision, rates, outcomes) built once per run.  The
+chains are simulated exactly: exponential clocks race between the
+events, holding costs are
 integrated in closed form between events since the cost rate is
 piecewise constant, and rejection charges / production subsidies are
 lumped at their event epochs with the appropriate discount.
@@ -15,6 +17,7 @@ bare mean.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,50 +97,19 @@ def _finish_report(name: str, values: list[float], events: int, hits: int,
     )
 
 
-class _CostAccumulator:
-    """Discounted or time-average cost bookkeeping for one replication."""
-
-    def __init__(self, alpha: float, warmup: float):
-        self.alpha = alpha
-        self.warmup = warmup
-        self.total = 0.0
-
-    def accrue(self, rate: float, t0: float, t1: float):
-        if t1 <= t0:
-            return
-        if self.alpha > 0:
-            self.total += rate * (math.exp(-self.alpha * t0)
-                                  - math.exp(-self.alpha * t1)) / self.alpha
-        else:
-            lo = max(t0, self.warmup)
-            if t1 > lo:
-                self.total += rate * (t1 - lo)
-
-    def lump(self, amount: float, t: float):
-        if self.alpha > 0:
-            self.total += amount * math.exp(-self.alpha * t)
-        elif t >= self.warmup:
-            self.total += amount
-
-    def objective(self, elapsed: float) -> float:
-        if self.alpha > 0:
-            return self.total
-        return self.total / max(elapsed - self.warmup, 1e-300)
-
-
-def _new_accumulator(alpha: float, horizon: float, config: SimConfig):
-    """Accumulator plus the event count at which warm-up ends.
+def _warmup(alpha: float, horizon: float, config: SimConfig) -> tuple[float, int]:
+    """Time at which average-cost accrual starts, plus the event count at
+    which warm-up ends.
 
     Time-based warm-up when a horizon is given; with a pure event budget
     the warm-up endpoint becomes known only when that event is reached,
-    so accrual starts disabled and the caller stamps the time then.
+    so accrual starts disabled and the loop stamps the time then.
     """
     if alpha > 0 or config.warmup_fraction == 0.0:
-        return _CostAccumulator(alpha, 0.0), -1
+        return 0.0, -1
     if math.isfinite(horizon):
-        return _CostAccumulator(alpha, config.warmup_fraction * horizon), -1
-    warmup_events = max(1, int(config.warmup_fraction * (config.max_events or 0)))
-    return _CostAccumulator(alpha, math.inf), warmup_events
+        return config.warmup_fraction * horizon, -1
+    return math.inf, max(1, int(config.warmup_fraction * (config.max_events or 0)))
 
 
 @dataclass(frozen=True)
@@ -211,6 +183,34 @@ def _build(system, policy: Callable | str, config: SimConfig, name: str | None =
     return net, caps, truncated, decide, name or rule.label
 
 
+def _event_row(net: _Network, caps: list[int], truncated: list[int], decide,
+               place: list[int], code: int) -> tuple:
+    """Everything one event needs at the joint state whose mixed-radix
+    code is ``code`` (buffer k has place value ``place[k]``): the clock
+    scale 1/total, the total rate, the cost rate, whether some truncated
+    buffer is at its cap, the cumulative outcome rates [born, born + d_0,
+    born + d_0 + d_1, ...], the code after each outcome (the birth, a
+    death of each buffer, and a pick past every cut, which changes
+    nothing) and the charge lumped at the birth."""
+    state = [code // p % (cap + 1) for p, cap in zip(place, caps)]
+    target = decide(state)
+    if target is None:
+        born, step, charge = net.idle_birth, 0, net.idle_charge
+    elif state[target] < caps[target]:
+        born, step, charge = net.birth[target][state[target]], place[target], net.fed_charge
+    else:
+        raise ValueError(f"policy chose buffer {target}, which is at its cap")
+    total, rate, cuts, nexts = born, 0.0, [born], [code + step]
+    for k, j in enumerate(state):
+        total += net.death[k][j]
+        rate += net.cost[k][j]
+        cuts.append(total)
+        nexts.append(code - place[k] if j else code)
+    nexts.append(code)
+    at_cap = any(state[k] >= caps[k] for k in truncated)
+    return 1.0 / total if total > 0 else 0.0, total, rate, at_cap, cuts, nexts, charge
+
+
 def simulate(system, policy, config: SimConfig, name: str | None = None) -> SimReport:
     """Simulate a policy on a routing or make-to-stock system.
 
@@ -221,67 +221,56 @@ def simulate(system, policy, config: SimConfig, name: str | None = None) -> SimR
     produced and each completion earns the subsidy, while orders deplete
     stock (lost when empty, already priced into the net cost rate).
     Either may be a callable ``(state, tables, caps) -> buffer | None``
-    over the index tables.  The policy is consulted once per event epoch.
+    over the index tables, which must be a deterministic function of the
+    state: the policy is consulted once per distinct joint state in a
+    call, when its event row is built, and the replications share the
+    rows.
     """
     net, caps, truncated, decide, name = _build(system, policy, config, name)
-    birth, death, cost = net.birth, net.death, net.cost
-    buffers = range(len(caps))
+    place = [math.prod(cap + 1 for cap in caps[:k]) for k in range(len(caps))]
+    rows: dict[int, tuple] = {}
+    alpha, exp = system.alpha, math.exp
     horizon = config.horizon if config.horizon is not None else math.inf
+    budget = config.max_events if config.max_events is not None else math.inf
     values: list[float] = []
     total_events = 0
     boundary_hits = 0
     for rep in range(config.replications):
         rng = np.random.default_rng([config.seed, rep])
-        state = [0] * len(caps)
-        t = 0.0
-        events = 0
-        acc, warmup_events = _new_accumulator(system.alpha, horizon, config)
-        while t < horizon and (config.max_events is None or events < config.max_events):
-            target = decide(state)
-            if target is None:
-                born = net.idle_birth
-            elif state[target] < caps[target]:
-                born = birth[target][state[target]]
-            else:
-                raise ValueError(f"policy chose buffer {target}, which is at its cap")
-            total, cost_rate = born, 0.0
-            for k in buffers:
-                total += death[k][state[k]]
-                cost_rate += cost[k][state[k]]
+        exponential, uniform = rng.exponential, rng.random
+        code, t, events, acc, disc = 0, 0.0, 0, 0.0, 1.0
+        warmup, warmup_events = _warmup(alpha, horizon, config)
+        while t < horizon and events < budget:
+            row = rows.get(code)
+            if row is None:
+                row = rows[code] = _event_row(net, caps, truncated, decide, place, code)
+            scale, total, rate, at_cap, cuts, nexts, charge = row
             if total <= 0:
                 break
-            dt = rng.exponential(1.0 / total)
-            t_next = t + dt
-            if t_next > horizon:
-                acc.accrue(cost_rate, t, horizon)
-                t = horizon
-                break
-            acc.accrue(cost_rate, t, t_next)
+            t_next = t + exponential(scale)
+            ended = t_next > horizon
+            if ended:
+                t_next = horizon
+            # the cost rate integrated over [t, t_next]; disc = exp(-alpha t)
+            if alpha > 0:
+                later = exp(-alpha * t_next)
+                acc += rate * (disc - later) / alpha
+                disc = later
+            else:
+                start = t if t >= warmup else warmup
+                if t_next > start:
+                    acc += rate * (t_next - start)
             t = t_next
+            if ended:
+                break
             events += 1
             if events == warmup_events:
-                acc.warmup = t
-            for k in truncated:
-                if state[k] >= caps[k]:
-                    boundary_hits += 1
-                    break
-            pick = rng.random() * total
-            if pick < born:
-                if target is None:
-                    charge = net.idle_charge
-                else:
-                    state[target] += 1
-                    charge = net.fed_charge
-                if charge:
-                    acc.lump(charge, t)
-            else:
-                acc_rate = born
-                for k in buffers:
-                    acc_rate += death[k][state[k]]
-                    if pick < acc_rate:
-                        if state[k] > 0:
-                            state[k] -= 1
-                        break
+                warmup = t
+            boundary_hits += at_cap
+            outcome = bisect_right(cuts, uniform() * total)
+            code = nexts[outcome]
+            if not outcome and t >= warmup:
+                acc += charge * disc
         total_events += events
-        values.append(acc.objective(t))
+        values.append(acc if alpha > 0 else acc / max(t - warmup, 1e-300))
     return _finish_report(name, values, total_events, boundary_hits, config.seed)

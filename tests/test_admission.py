@@ -351,6 +351,14 @@ def test_linear_geometric_branch_near_critical_ratio():
     assert got == pytest.approx([1.0, 3.0, 6.0, 10.0, 15.0, 21.0], rel=1e-8)
 
 
+def test_quadratic_geometric_branch_near_critical_ratio():
+    # the former closed form cancelled to 0.0 at rho = 1 + 1e-9
+    got = [closed_form_index("quadratic", 1.0 + 1e-9, 1.0, 1.0, j) for j in range(6)]
+    want = [(j + 1) * (j + 2) * (4 * j + 3) / 6.0 for j in range(6)]
+    assert got[5] == pytest.approx(161.0, rel=1e-8)
+    assert got == pytest.approx(want, rel=1e-8)
+
+
 def test_branch_errors():
     with pytest.raises(ValueError):
         closed_form_index("linear", 1.0, 1.0, 1.0, 2, branch="geometric")

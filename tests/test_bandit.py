@@ -474,6 +474,27 @@ def test_communication_is_decided_once_per_model(rng, monkeypatch):
     assert passes["all"] - passes["classes"] == 1
 
 
+def test_average_limits_makes_one_class_pass_per_chain_set(rng, monkeypatch):
+    # the activity and cost rewards share one recurrent-class pass and one
+    # bordered solve
+    calls = {"limits": 0, "classes": 0}
+    limits, classes = bandit.average_limits, bandit._recurrent_classes
+
+    def counted_limits(model, s):
+        calls["limits"] += 1
+        return limits(model, s)
+
+    def counted_classes(P):
+        calls["classes"] += 1
+        return classes(P)
+
+    monkeypatch.setattr(bandit, "average_limits", counted_limits)
+    monkeypatch.setattr(bandit, "_recurrent_classes", counted_classes)
+    m = admission.uniformize(random_compliant_admission(rng, 6, alpha=0.0))
+    assert average_pcl_index(m, threshold_family(6)).indexable
+    assert calls == {"limits": 7, "classes": 7}
+
+
 def test_average_limits_rejects_multichain_policy():
     P0 = np.eye(2)                         # passive freezes the state
     P1 = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -193,6 +193,15 @@ def test_mts_quadratic_closed_form_matches_general_route():
             assert table[j] == pytest.approx(want, rel=1e-9)
 
 
+def test_mts_quadratic_closed_form_near_unit_ratio():
+    # the former closed form cancelled to -1.2 at rho = 1 + 1e-9
+    spec = ProductSpec(None, 1.0 + 1e-9, 1.0, [j ** 2 for j in range(30)], 0.5, 0.7)
+    table = mts_index_table(MTSSystem((spec,), alpha=0.0), 0, 4)
+    got = mts_quadratic_index(1.0, 1.0, 1.0 + 1e-9, 0.5, 0.7, 3)
+    assert got == pytest.approx(48.8, rel=1e-8)
+    assert got == pytest.approx(table[3], rel=1e-8)
+
+
 def test_mts_critical_ratio_falls_back_to_general_sum():
     sys = MTSSystem((ProductSpec(None, 1.0, 1.0, 1.0, 0.0, 0.0),), alpha=0.0)
     got = mts_index(sys, 0, 3)

@@ -1,15 +1,16 @@
 """Property tests: index tables against the closed forms, the simulator's
-tabulated decisions against the public decision functions, the
-make-to-stock table against the DP and greedy indices of its project, the
-three routes to the admission indices against each other, and the banded
-set-active solves against dense linear algebra."""
+tabulated decisions against the public decision functions, the memoized
+simulator against a per-event reference loop, the make-to-stock table
+against the DP and greedy indices of its project, the three routes to the
+admission indices against each other, and the banded set-active solves
+against dense linear algebra."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pclindex import bandit, dp
@@ -19,10 +20,10 @@ from pclindex.greedy import (WorkloadOracle, ag1, ag2, dual_solution, local_minm
                              lp_value, objective_representation_check, primal_vertex)
 from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                                least_stock_decide, mts_decide, mts_index_table,
-                               naive_decide, routing_decide, routing_index_table,
-                               shortest_queue_decide)
+                               mts_quadratic_index, naive_decide, routing_decide,
+                               routing_index_table, shortest_queue_decide)
 from pclindex.setsystem import threshold_family
-from pclindex.simulate import SimConfig, _build
+from pclindex.simulate import SimConfig, _build, simulate
 
 from conftest import random_compliant_admission, random_valid_family, random_workload_tables
 
@@ -51,6 +52,22 @@ def test_routing_table_matches_critical_form_near_unit_traffic(mu, h, n, eps):
     table = routing_index_table(sys, 0, n)
     want = [(h / mu) * (j + 1) * (j + 2) / 2.0 for j in range(n)]
     assert table == pytest.approx(want, rel=1e-6)
+
+
+@PROPERTY
+@given(mu=positive, h=positive, n=st.integers(1, 30), eps=st.floats(-1e-9, 1e-9),
+       s=st.floats(0.1, 3.0), r=st.floats(0.1, 3.0))
+def test_quadratic_forms_match_tables_near_unit_traffic(mu, h, n, eps, s, r):
+    rho = 1.0 + eps
+    costs = [h * j * j for j in range(n + 2)]
+    sys = RoutingSystem(rho * mu, (QueueSpec(None, mu, costs),), alpha=0.0)
+    want = [closed_form_index("quadratic", rho * mu, mu, h, j) for j in range(n)]
+    assert routing_index_table(sys, 0, n) == pytest.approx(want, rel=1e-6)
+    assume(abs(rho - 1.0) >= 1e-14)
+    sys = MTSSystem((ProductSpec(None, rho * mu, mu, costs, s, r),), alpha=0.0)
+    want = [mts_quadratic_index(h, mu, rho, s, r, j) for j in range(n)]
+    scale = (h / mu) * (n + 1) ** 3
+    assert mts_index_table(sys, 0, n) == pytest.approx(want, rel=1e-6, abs=1e-9 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +144,162 @@ def test_mts_table_decisions_match_decide_functions(sys, truncation, data):
     assert decide(state) == least_stock_decide(sys, state, full=caps)
     _, _, _, decide, _ = _build(sys, "index", config)
     assert decide(state) == mts_decide(sys, state, full=caps)
+
+
+# ---------------------------------------------------------------------------
+# The memoized event loop vs. a per-event reference loop
+# ---------------------------------------------------------------------------
+
+class _CostAccumulator:
+    """Discounted or time-average cost bookkeeping for one replication."""
+
+    def __init__(self, alpha: float, warmup: float):
+        self.alpha = alpha
+        self.warmup = warmup
+        self.total = 0.0
+
+    def accrue(self, rate: float, t0: float, t1: float):
+        if t1 <= t0:
+            return
+        if self.alpha > 0:
+            self.total += rate * (math.exp(-self.alpha * t0)
+                                  - math.exp(-self.alpha * t1)) / self.alpha
+        else:
+            lo = max(t0, self.warmup)
+            if t1 > lo:
+                self.total += rate * (t1 - lo)
+
+    def lump(self, amount: float, t: float):
+        if self.alpha > 0:
+            self.total += amount * math.exp(-self.alpha * t)
+        elif t >= self.warmup:
+            self.total += amount
+
+    def objective(self, elapsed: float) -> float:
+        if self.alpha > 0:
+            return self.total
+        return self.total / max(elapsed - self.warmup, 1e-300)
+
+
+def _new_accumulator(alpha: float, horizon: float, config: SimConfig):
+    if alpha > 0 or config.warmup_fraction == 0.0:
+        return _CostAccumulator(alpha, 0.0), -1
+    if math.isfinite(horizon):
+        return _CostAccumulator(alpha, config.warmup_fraction * horizon), -1
+    warmup_events = max(1, int(config.warmup_fraction * (config.max_events or 0)))
+    return _CostAccumulator(alpha, math.inf), warmup_events
+
+
+def reference_simulate(system, policy, config: SimConfig):
+    """The event loop that rebuilds every event from the per-buffer
+    tables and consults the policy at every epoch: per-replication
+    objectives, event count and boundary hits."""
+    net, caps, truncated, decide, name = _build(system, policy, config)
+    birth, death, cost = net.birth, net.death, net.cost
+    buffers = range(len(caps))
+    horizon = config.horizon if config.horizon is not None else math.inf
+    values: list[float] = []
+    total_events = 0
+    boundary_hits = 0
+    for rep in range(config.replications):
+        rng = np.random.default_rng([config.seed, rep])
+        state = [0] * len(caps)
+        t = 0.0
+        events = 0
+        acc, warmup_events = _new_accumulator(system.alpha, horizon, config)
+        while t < horizon and (config.max_events is None or events < config.max_events):
+            target = decide(state)
+            if target is None:
+                born = net.idle_birth
+            elif state[target] < caps[target]:
+                born = birth[target][state[target]]
+            else:
+                raise ValueError(f"policy chose buffer {target}, which is at its cap")
+            total, cost_rate = born, 0.0
+            for k in buffers:
+                total += death[k][state[k]]
+                cost_rate += cost[k][state[k]]
+            if total <= 0:
+                break
+            dt = rng.exponential(1.0 / total)
+            t_next = t + dt
+            if t_next > horizon:
+                acc.accrue(cost_rate, t, horizon)
+                t = horizon
+                break
+            acc.accrue(cost_rate, t, t_next)
+            t = t_next
+            events += 1
+            if events == warmup_events:
+                acc.warmup = t
+            for k in truncated:
+                if state[k] >= caps[k]:
+                    boundary_hits += 1
+                    break
+            pick = rng.random() * total
+            if pick < born:
+                if target is None:
+                    charge = net.idle_charge
+                else:
+                    state[target] += 1
+                    charge = net.fed_charge
+                if charge:
+                    acc.lump(charge, t)
+            else:
+                acc_rate = born
+                for k in buffers:
+                    acc_rate += death[k][state[k]]
+                    if pick < acc_rate:
+                        if state[k] > 0:
+                            state[k] -= 1
+                        break
+        total_events += events
+        values.append(acc.objective(t))
+    return tuple(values), total_events, boundary_hits
+
+
+def lowest_level_below_five(state, tables, caps):
+    """Custom policy: the buffer at the lowest level among those below
+    their cap whose index is below 5."""
+    open_ = [k for k, j in enumerate(state) if j < caps[k] and tables[k][j] < 5.0]
+    return min(open_, key=lambda k: state[k]) if open_ else None
+
+
+budgets = st.one_of(
+    st.fixed_dictionaries({"max_events": st.integers(1, 400)}),
+    st.fixed_dictionaries({"horizon": st.floats(0.5, 150.0)}),
+    st.fixed_dictionaries({"max_events": st.integers(1, 400),
+                           "horizon": st.floats(0.5, 150.0)}))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(sys=st.one_of(routing_systems(), mts_systems()), budget=budgets,
+       warmup=st.sampled_from([0.0, 0.1, 0.2, 0.5]), truncation=st.integers(3, 10),
+       replications=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_simulate_matches_reference_loop(sys, budget, warmup, truncation, replications,
+                                         seed, data):
+    config = SimConfig(replications=replications, seed=seed, truncation=truncation,
+                       warmup_fraction=warmup, **budget)
+    builtin = ["index", "shortest", "naive"] if isinstance(sys, RoutingSystem) \
+        else ["index", "least-stock"]
+    policy = data.draw(st.sampled_from(builtin + [lowest_level_below_five]))
+    rep = simulate(sys, policy, config)
+    got = (tuple(map(repr, rep.per_replication)), rep.events, rep.boundary_hits)
+    values, events, hits = reference_simulate(sys, policy, config)
+    assert got == (tuple(map(repr, values)), events, hits)
+
+
+def test_simulate_matches_reference_loop_when_warmup_ends_at_a_charged_birth():
+    # with an event budget the warm-up ends at an event epoch, and a
+    # subsidy lumped at that epoch counts
+    products = (ProductSpec(8, 0.9, 1.5, 1.0, 2.0, 1.2),
+                ProductSpec(8, 0.5, 1.1, 0.6, 4.0, 2.0))
+    sys = MTSSystem(products, alpha=0.0, nu=3.0)
+    for seed in range(5):
+        config = SimConfig(max_events=100, replications=2, seed=seed, warmup_fraction=0.5)
+        rep = simulate(sys, "least-stock", config)
+        got = (rep.per_replication, rep.events, rep.boundary_hits)
+        assert got == reference_simulate(sys, "least-stock", config)
 
 
 # ---------------------------------------------------------------------------

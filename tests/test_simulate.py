@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -175,3 +176,45 @@ def test_config_validation():
         SimConfig()
     with pytest.raises(ValueError):
         SimConfig(horizon=-1.0)
+
+
+def test_custom_policy_is_consulted_once_per_visited_state():
+    # two buffers of size 2 under a long run visit all 9 joint states, and
+    # the replications share one event row per state
+    seen = []
+
+    def counting(state, tables, caps):
+        seen.append(tuple(state))
+        return min((k for k in range(2) if state[k] < caps[k]),
+                   key=lambda k: state[k], default=None)
+
+    sys = RoutingSystem(2.0, (QueueSpec(2, 1.0, 1.0), QueueSpec(2, 1.5, 1.0)),
+                        alpha=0.0, nu=4.0)
+    rep = simulate(sys, counting, SimConfig(max_events=5000, replications=3, seed=2))
+    assert len(seen) == len(set(seen)) == 9
+    assert rep.events == 15_000
+
+
+def stream_digest(runs) -> str:
+    """SHA-256 of the per-replication objectives of every report in ``runs``."""
+    text = repr([simulate(sys, policy, config).per_replication
+                 for sys, policy, config in runs])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_random_streams_are_pinned():
+    # any change to the random streams or to the order of the arithmetic
+    # shows up here; the digest was computed with the per-event loop
+    routing = [RoutingSystem(2.2, (QueueSpec(10, 1.0, 1.0), QueueSpec(10, 1.6, 1.8)),
+                             alpha=alpha, nu=8.0) for alpha in (0.0, 0.1)]
+    products = (ProductSpec(8, 0.9, 1.5, 1.0, 2.0, 1.2),
+                ProductSpec(8, 0.5, 1.1, 0.6, 4.0, 2.0))
+    mts = [MTSSystem(products, alpha=alpha, nu=0.0) for alpha in (0.0, 0.1)]
+    budget = SimConfig(max_events=4000, replications=3, seed=0)
+    horizon = SimConfig(horizon=400.0, replications=3, seed=7, warmup_fraction=0.2)
+    runs = [(sys, policy, config) for config in (budget, horizon)
+            for sys in routing for policy in ("index", "shortest", "naive")]
+    runs += [(sys, policy, config) for config in (budget, horizon)
+             for sys in mts for policy in ("index", "least-stock")]
+    assert stream_digest(runs) == ("196f2b0fa3927b6af8a65505434aab39"
+                                   "f070fb0385aac1c2fca04994a0bc13b5")
