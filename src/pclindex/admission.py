@@ -262,7 +262,7 @@ def marginal_cost_pivots(m: ACModel) -> np.ndarray:
     return _pivot_recursion(m, m.delta_h)
 
 
-def indices(m: ACModel, _check: bool = True) -> np.ndarray:
+def indices(m: ACModel) -> np.ndarray:
     """Allocation indices nu_0..nu_{n-1} (fair rejection charges).
 
     Computed by the O(n) pivot recursion; under the regularity conditions
@@ -285,16 +285,14 @@ def indices(m: ACModel, _check: bool = True) -> np.ndarray:
         raise NumericalRangeError(
             f"index of state {bad[0]} is {nu[bad[0]]}: the recursion left the "
             f"floating-point range (n = {n})")
-    if _check:
-        scale = max(1.0, float(np.max(np.abs(nu))))
-        if validate_assumptions(m).ok:
-            if np.any(np.diff(nu) < -1e-9 * scale):
-                raise InternalConsistencyError(
-                    "indices not nondecreasing although the regularity conditions hold")
-            pivots_c = marginal_cost_pivots(m)
-            if np.max(np.abs(nu - pivots_c / pivots_w)) > 1e-9 * scale:
-                raise InternalConsistencyError(
-                    "index recursion disagrees with pivot cost/workload ratios")
+    scale = max(1.0, float(np.max(np.abs(nu))))
+    if validate_assumptions(m).ok:
+        if np.any(np.diff(nu) < -1e-9 * scale):
+            raise InternalConsistencyError(
+                "indices not nondecreasing although the regularity conditions hold")
+        if np.max(np.abs(nu - marginal_cost_pivots(m) / pivots_w)) > 1e-9 * scale:
+            raise InternalConsistencyError(
+                "index recursion disagrees with pivot cost/workload ratios")
     return nu
 
 

@@ -208,23 +208,22 @@ def _require_discounted(model: RBModel):
         raise UnsupportedModelError("operation needs a discount factor beta < 1")
 
 
-def _set_active_measure(model: RBModel, s, active, passive) -> np.ndarray:
+def _set_active_measure(model: RBModel, mask: np.ndarray, active, passive) -> np.ndarray:
     """Expected total discounted per-period reward (``active`` where the
-    S-active policy engages, ``passive`` elsewhere), over initial states."""
+    policy engages, on ``mask``, ``passive`` elsewhere), over initial states."""
     _require_discounted(model)
-    mask = model.active_rows(s)
     return model.kernel.solve(mask, np.where(mask, active, passive))
 
 
 def activity_measure(model: RBModel, s) -> np.ndarray:
     """Expected total discounted activity weight collected under the
     S-active policy, as a vector over initial states."""
-    return _set_active_measure(model, s, model.theta1, 0.0)
+    return _set_active_measure(model, model.active_rows(s), model.theta1, 0.0)
 
 
 def cost_measure(model: RBModel, s) -> np.ndarray:
     """Expected total discounted holding cost under the S-active policy."""
-    return _set_active_measure(model, s, model.h1, model.h0)
+    return _set_active_measure(model, model.active_rows(s), model.h1, model.h0)
 
 
 def occupation_measures(model: RBModel, u, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -310,18 +309,22 @@ def normalized_model(model: RBModel) -> RBModel:
 
 class _MeasureCache:
     """Per-model memo of set-indexed measures; not thread-safe, create one
-    per computation.  Measures are keyed by sets of states; ``states``
-    translates a set of ground elements (positions in sorted(controllable))
-    once per set."""
+    per computation.  Measures are keyed by sets of ground elements
+    (positions ``e`` of the controllable state ``at[e]``), the family's
+    own members; ``w`` gives the marginal workloads over the ground."""
 
     def __init__(self, model: RBModel):
-        ctrl = self.ctrl = sorted(model.controllable)
-        self.states = memoize(lambda ground_set: frozenset(ctrl[e] for e in ground_set))
-        self.b = b = memoize(lambda s: activity_measure(model, s))
-        self.v = v = memoize(lambda s: cost_measure(model, s))
-        self.w = memoize(lambda s: marginal_workload(model, s, b(s)))
-        self.c = memoize(lambda s: marginal_cost(model, s, v(s)))
-        self.limits = memoize(lambda s: average_limits(model, s))
+        self.ctrl = ctrl = sorted(model.controllable)
+        self.at = at = np.array(ctrl, dtype=int)
+
+        def rows(s: frozenset) -> np.ndarray:
+            mask = ~model.ctrl_mask
+            mask[at[list(s)]] = True
+            return mask
+        self.b = b = memoize(lambda s: _set_active_measure(model, rows(s), model.theta1, 0.0))
+        self.v = memoize(lambda s: _set_active_measure(model, rows(s), model.h1, model.h0))
+        self.w = memoize(lambda s: marginal_workload(model, None, b(s))[at])
+        self.limits = memoize(lambda s: average_limits(model, (ctrl[e] for e in s)))
 
 
 @dataclass(frozen=True)
@@ -353,31 +356,27 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
     workloads and the cost input come from the discounted measures or from
     the long-run average limits."""
     cache = _MeasureCache(model)
-    ctrl = cache.ctrl
+    ctrl, at = cache.ctrl, cache.at
     if sys.n != len(ctrl):
         raise ValueError(f"set system has ground size {sys.n}, expected {len(ctrl)}")
-    at = np.array(ctrl, dtype=int)
-    workloads = (lambda states: cache.limits(states).w_bar) if average else cache.w
+    workloads = (lambda s: cache.limits(s).w_bar[at]) if average else cache.w
     violations = []
     for s in sys.family:
-        states = cache.states(s)
-        w = workloads(states)[at]
-        violations.extend((states, ctrl[e], float(w[e])) for e in np.flatnonzero(~(w > 0.0)))
-    cost = cache.limits(frozenset(ctrl)).c_bar if average else normalized_passive_cost(model)
-
-    def row(s: frozenset) -> np.ndarray:
-        return workloads(cache.states(s))[at[sorted(s)]]
-
-    out = ag2(cost[at], WorkloadOracle(row=row), sys)
+        w = workloads(s)
+        violations.extend((s, e, float(w[e])) for e in np.flatnonzero(~(w > 0.0)))
+    cost = cache.limits(sys.ground).c_bar if average else normalized_passive_cost(model)
+    out = ag2(cost[at], WorkloadOracle(row=lambda s: workloads(s)[sorted(s)]), sys)
+    order = tuple(ctrl[e] for e in out.pi)
     positive = not violations
     return PCLReport(
         indexable=positive and out.admissible,
         positive_workloads=positive,
         admissible=out.admissible,
-        workload_violations=tuple(violations),
+        workload_violations=tuple((frozenset(ctrl[e] for e in s), ctrl[j], w)
+                                  for s, j, w in violations),
         nu_by_state={ctrl[e]: float(out.nu[e]) for e in range(sys.n)},
-        state_order=tuple(ctrl[e] for e in out.pi),
-        chain_states=tuple(cache.states(s) for s in out.chain),
+        state_order=order,
+        chain_states=tuple(frozenset(order[k:]) for k in range(len(out.chain))),
         ag=out,
         controllable_order=tuple(ctrl),
     )
@@ -421,7 +420,7 @@ def value_breakpoints(model: RBModel, sys: SetSystem, i: int,
     rep = report if report is not None else pcl_index(model, sys)
     if not rep.indexable:
         raise UnsupportedModelError("model is not PCL-indexable for this family")
-    chain = list(rep.chain_states) + [frozenset()]
+    chain = list(rep.ag.chain) + [frozenset()]
     cache = _MeasureCache(model)
     intercepts = [float(cache.v(s)[i]) for s in chain]
     slopes = [float(cache.b(s)[i]) for s in chain]
@@ -497,7 +496,7 @@ def dmr_report(model: RBModel, sys: SetSystem, p=None, tol: float = 1e-9,
     if p.shape != (n_states,) or not np.all(p > 0):
         raise ValueError("initial distribution must be strictly positive over all states")
     cache = _MeasureCache(model)
-    chain = list(rep.chain_states) + [frozenset()]
+    chain = list(rep.ag.chain) + [frozenset()]
     b_agg = [float(p @ cache.b(s)) for s in chain]
     v_agg = [float(p @ cache.v(s)) for s in chain]
     scale_b = max(1.0, max(abs(x) for x in b_agg))
@@ -506,8 +505,7 @@ def dmr_report(model: RBModel, sys: SetSystem, p=None, tol: float = 1e-9,
     nu_seq = [float(rep.ag.nu[e]) for e in rep.ag.pi]
     worst = 0.0
     min_ok = max_ok = True
-    ctrl = set(model.controllable)
-    for k, s in enumerate(rep.chain_states):
+    for k, s in enumerate(rep.ag.chain):
         denom = b_agg[k] - b_agg[k + 1]
         ratio = (v_agg[k + 1] - v_agg[k]) / denom
         worst = max(worst, abs(ratio - nu_seq[k]))
@@ -522,7 +520,7 @@ def dmr_report(model: RBModel, sys: SetSystem, p=None, tol: float = 1e-9,
             min_ok = False
         # ... and adding one to the next chain set saves at rate <= nu_k
         succ = chain[k + 1]
-        mx = max(swap_ratio(k + 1, succ | {j}) for j in sorted(ctrl - succ))
+        mx = max(swap_ratio(k + 1, succ | {j}) for j in sorted(sys.ground - succ))
         if abs(mx - nu_seq[k]) > tol * max(1.0, abs(nu_seq[k])):
             max_ok = False
     scale_nu = max(1.0, max(abs(x) for x in nu_seq))

@@ -5,6 +5,12 @@ family F of subsets.  Priority orders whose suffix sets all belong to F
 ("full F-strings") are the combinatorial backbone of the index algorithms
 in :mod:`pclindex.greedy`: the family encodes which active sets a policy
 class is allowed to use (e.g. the nested family of threshold policies).
+
+The family is indexed by cardinality, each member with its bit mask, so
+the inner boundary of S is read off the members one size smaller (T is
+one of them iff T | S == S as masks).  A step of the greedy walk down a
+chain thus costs one mask test per member one size smaller: O(1) for
+the threshold family, and at most |F| tests over a whole walk.
 """
 
 from __future__ import annotations
@@ -18,25 +24,20 @@ from .errors import StructureError
 FrozenSets = tuple[frozenset, ...]
 
 
-def _mask(s: Iterable[int]) -> int:
-    """The set as a bit mask, so that adding or removing one element is an
-    integer XOR rather than a new frozenset."""
-    return sum(1 << j for j in s)
-
-
 @dataclass(frozen=True)
 class SetSystem:
     """Ground set {0..n-1} plus an explicit family of subsets.
 
     The family is stored in a canonical order (by cardinality, then
-    lexicographically) so iteration is deterministic.  Instances are
+    lexicographically) so iteration is deterministic; layer k of the
+    private index maps each member of size k to its bit mask, and
+    membership and both boundaries go through it.  Instances are
     immutable and safe to share across threads.
     """
 
     n: int
     family: FrozenSets = field(default=())
-    _members: frozenset = field(init=False, repr=False, compare=False)
-    _masks: frozenset = field(init=False, repr=False, compare=False)
+    _layers: tuple[dict[frozenset, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -45,46 +46,43 @@ class SetSystem:
         for s in members:
             if not all(isinstance(j, int) and 0 <= j < self.n for j in s):
                 raise ValueError(f"family member {sorted(s)} not a subset of 0..{self.n - 1}")
-        canonical = sorted(members, key=lambda s: (len(s), sorted(s)))
-        object.__setattr__(self, "family", tuple(canonical))
-        object.__setattr__(self, "_members", frozenset(members))
-        object.__setattr__(self, "_masks", frozenset(map(_mask, members)))
+        layers = tuple({} for _ in range(self.n + 1))
+        for s in sorted(members, key=lambda s: (len(s), sorted(s))):
+            layers[len(s)][s] = sum(1 << j for j in s)
+        object.__setattr__(self, "family", tuple(s for layer in layers for s in layer))
+        object.__setattr__(self, "_layers", layers)
 
     @property
     def ground(self) -> frozenset:
         return frozenset(range(self.n))
 
     def __contains__(self, s: Iterable) -> bool:
-        return frozenset(s) in self._members
-
-    def _require_member(self, s: Iterable) -> frozenset:
         fs = frozenset(s)
-        if fs not in self._members:
+        return len(fs) <= self.n and fs in self._layers[len(fs)]
+
+    def _neighbours(self, s: Iterable, step: int) -> tuple[int, Iterable[int]]:
+        """Bit mask of the member S and the masks of the members of size
+        |S| + step; ValueError when S is not a member."""
+        fs = frozenset(s)
+        k = len(fs)
+        m = self._layers[k].get(fs) if k <= self.n else None
+        if m is None:
             raise ValueError(f"set {sorted(fs)} is not a member of the family")
-        return fs
+        return m, self._layers[k + step].values() if 0 <= k + step <= self.n else ()
 
     def inner_boundary(self, s: Iterable) -> frozenset:
         """Elements j of S whose removal stays in the family: {j in S : S\\{j} in F}."""
-        fs = self._require_member(s)
-        m = _mask(fs)
-        return frozenset(j for j in fs if m ^ (1 << j) in self._masks)
+        m, inner = self._neighbours(s, -1)
+        return frozenset((m ^ t).bit_length() - 1 for t in inner if t | m == m)
 
     def outer_boundary(self, s: Iterable) -> frozenset:
         """Elements j outside S whose addition stays in the family: {j not in S : S+{j} in F}."""
-        fs = self._require_member(s)
-        m = _mask(fs)
-        return frozenset(j for j in self.ground - fs if m ^ (1 << j) in self._masks)
+        m, outer = self._neighbours(s, 1)
+        return frozenset((m ^ t).bit_length() - 1 for t in outer if t & m == m)
 
     def is_full_string(self, pi: Sequence[int]) -> bool:
         """True iff every suffix set {pi_k, ..., pi_n} belongs to the family."""
-        if sorted(pi) != list(range(self.n)):
-            raise ValueError(f"{tuple(pi)} is not a permutation of 0..{self.n - 1}")
-        suffix: set[int] = set()
-        for j in reversed(pi):
-            suffix.add(j)
-            if frozenset(suffix) not in self._members:
-                return False
-        return True
+        return all(s in self for s in self.suffix_chain(pi))
 
     def suffix_chain(self, pi: Sequence[int]) -> list[frozenset]:
         """The nested sets S_1 > S_2 > ... > S_n of a priority order (S_1 = J)."""
@@ -116,14 +114,12 @@ def validate(sys: SetSystem) -> ValidationReport:
     """
     if not sys.family:
         raise ValueError("family is empty")
-    members = sys._members
-    has_empty = frozenset() in members
+    has_empty = frozenset() in sys
     for s in sys.family:
-        if s and not any(s - {j} in members for j in s):
+        if s and not sys.inner_boundary(s):
             return ValidationReport(has_empty, False, True, violating_set=s)
-    ground = sys.ground
     for s in sys.family:
-        if s != ground and not any(s | {j} in members for j in ground - s):
+        if len(s) < sys.n and not sys.outer_boundary(s):
             return ValidationReport(has_empty, True, False, violating_set=s)
     return ValidationReport(has_empty, True, True)
 
@@ -193,8 +189,7 @@ def enumerate_full_strings(sys: SetSystem, cap: int = 10) -> list[tuple[int, ...
     """
     if sys.n > cap:
         raise ValueError(f"ground set size {sys.n} exceeds cap {cap}")
-    members = sys._members
-    if sys.ground not in members:
+    if sys.ground not in sys:
         return []
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
@@ -203,11 +198,10 @@ def enumerate_full_strings(sys: SetSystem, cap: int = 10) -> list[tuple[int, ...
         if not s:
             out.append(tuple(prefix))
             return
-        for j in sorted(s):
-            if s - {j} in members:
-                prefix.append(j)
-                descend(s - {j})
-                prefix.pop()
+        for j in sorted(sys.inner_boundary(s)):
+            prefix.append(j)
+            descend(s - {j})
+            prefix.pop()
 
     descend(sys.ground)
     return out

@@ -153,7 +153,8 @@ def _mts(sys: MTSSystem, caps: list[int]) -> _Network:
     products = sys.products
     return _Network(_tabulate(ProductSpec.mu_at, products, caps, 0), 0.0,
                     _tabulate(ProductSpec.lam_at, products, caps, 1),
-                    _tabulate(ProductSpec.net_cost, products, caps, 1), -sys.nu, 0.0)
+                    _tabulate(ProductSpec.net_cost, products, caps, 1),
+                    -sys.nu if math.isfinite(sys.nu) else 0.0, 0.0)
 
 
 def _build(system, policy: Callable | str, config: SimConfig, name: str | None = None):
@@ -220,7 +221,9 @@ def simulate(system, policy, config: SimConfig, name: str | None = None) -> SimR
     ``policy`` is "index" or "least-stock"; the chosen product is
     produced and each completion earns the subsidy, while orders deplete
     stock (lost when empty, already priced into the net cost rate).
-    Either may be a callable ``(state, tables, caps) -> buffer | None``
+    An infinite charge or subsidy only gates the rule (the index policy
+    then never rejects, or always produces below the caps) and is never
+    lumped into the objective.  Either may be a callable ``(state, tables, caps) -> buffer | None``
     over the index tables, which must be a deterministic function of the
     state: the policy is consulted once per distinct joint state in a
     call, when its event row is built, and the replications share the

@@ -412,6 +412,69 @@ def test_dmr_rejects_nonpositive_distribution(rng):
         dmr_report(rb, threshold_family(3), p=np.array([0.5, 0.5, 0.0, 0.0]))
 
 
+def relabel(m: RBModel, perm) -> RBModel:
+    """The same bandit with state i renamed perm[i]."""
+    inv = np.argsort(perm)
+    return RBModel(m.P0[np.ix_(inv, inv)], m.P1[np.ix_(inv, inv)], m.h0[inv], m.h1[inv],
+                   m.theta1[inv], m.beta, frozenset(perm[i] for i in m.controllable))
+
+
+# controllable states 0..3 of six become 1, 2, 4, 5, in the same order
+PERM = [1, 2, 4, 5, 0, 3]
+
+
+def assert_reports_match_under_relabelling(rep, moved):
+    assert moved.ag.pi == rep.ag.pi
+    assert moved.nu == pytest.approx(rep.nu, rel=1e-9, abs=1e-12)
+    assert moved.state_order == tuple(PERM[i] for i in rep.state_order)
+    assert moved.nu_by_state == pytest.approx(
+        {PERM[i]: v for i, v in rep.nu_by_state.items()}, rel=1e-9, abs=1e-12)
+    assert moved.chain_states == tuple(frozenset(PERM[i] for i in s)
+                                       for s in rep.chain_states)
+    assert [(s, j) for s, j, _ in moved.workload_violations] == \
+        [(frozenset(PERM[i] for i in s), PERM[j]) for s, j, _ in rep.workload_violations]
+    assert (moved.indexable, moved.admissible) == (rep.indexable, rep.admissible)
+
+
+def test_reports_follow_a_non_identity_ground_to_state_map(rng):
+    fam = powerset_family(4)
+    checked = {"violations": 0, "indexable": 0}
+    while min(checked.values()) == 0:
+        m = random_rb(rng, 6, 4, near=bool(rng.integers(2)))
+        moved = relabel(m, PERM)
+        assert sorted(moved.controllable) == [1, 2, 4, 5]
+        try:
+            rep = pcl_index(m, fam)
+        except ValueError:          # a nonpositive workload on the walked chain
+            with pytest.raises(ValueError):
+                pcl_index(moved, fam)
+            continue
+        moved_rep = pcl_index(moved, fam)
+        assert_reports_match_under_relabelling(rep, moved_rep)
+        checked["violations"] += bool(rep.workload_violations)
+        if rep.indexable:
+            checked["indexable"] += 1
+            for i in range(6):
+                segs = value_breakpoints(m, fam, i, report=rep)
+                moved_segs = value_breakpoints(moved, fam, PERM[i], report=moved_rep)
+                for field in ("breakpoints", "intercepts", "slopes"):
+                    assert getattr(moved_segs, field) == pytest.approx(
+                        getattr(segs, field), rel=1e-9, abs=1e-12)
+            dmr, moved_dmr = dmr_report(m, fam, report=rep), dmr_report(moved, fam,
+                                                                         report=moved_rep)
+            assert dmr.all_ok and moved_dmr.all_ok
+            assert moved_dmr.worst_ratio_residual == pytest.approx(
+                dmr.worst_ratio_residual, abs=1e-12)
+
+
+def test_average_reports_follow_a_non_identity_ground_to_state_map(rng):
+    fam = powerset_family(4)
+    for _ in range(3):
+        m = random_rb(rng, 6, 4, beta=1.0, near=True)
+        assert_reports_match_under_relabelling(average_pcl_index(m, fam),
+                                               average_pcl_index(relabel(m, PERM), fam))
+
+
 # ---------------------------------------------------------------------------
 # Long-run average criterion
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                                least_stock_decide, mts_decide, mts_index_table,
                                mts_quadratic_index, naive_decide, routing_decide,
                                routing_index_table, shortest_queue_decide)
-from pclindex.setsystem import threshold_family
+from pclindex.setsystem import powerset_family, product, threshold_family
 from pclindex.simulate import SimConfig, _build, simulate
 
 from conftest import random_compliant_admission, random_valid_family, random_workload_tables
@@ -30,6 +30,7 @@ from conftest import random_compliant_admission, random_valid_family, random_wor
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 positive = st.floats(0.2, 5.0)
+seeds = st.integers(0, 2**32 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +304,41 @@ def test_simulate_matches_reference_loop_when_warmup_ends_at_a_charged_birth():
 
 
 # ---------------------------------------------------------------------------
+# The size-layered boundaries of a set system vs. their definitions
+# ---------------------------------------------------------------------------
+
+@st.composite
+def set_systems(draw):
+    rng = np.random.default_rng(draw(seeds))
+    kind = draw(st.sampled_from(["valid", "product", "powerset"]))
+    if kind == "valid":
+        return random_valid_family(rng, draw(st.integers(1, 7)))
+    if kind == "powerset":
+        return powerset_family(draw(st.integers(1, 7)))
+    n1 = draw(st.integers(1, 4))
+    n2 = draw(st.integers(1, 7 - n1))
+    second = threshold_family(n2) if draw(st.booleans()) else random_valid_family(rng, n2)
+    return product([random_valid_family(rng, n1), second])
+
+
+@PROPERTY
+@given(sys=set_systems(), data=st.data())
+def test_layered_boundaries_match_their_definitions(sys, data):
+    members = set(sys.family)
+    for s in sys.family:
+        assert s in sys
+        assert sys.inner_boundary(s) == {j for j in s if s - {j} in members}
+        assert sys.outer_boundary(s) == {j for j in sys.ground - s if s | {j} in members}
+    other = frozenset(data.draw(st.sets(st.integers(0, sys.n))))
+    if other in members:
+        return
+    assert other not in sys
+    for boundary in (sys.inner_boundary, sys.outer_boundary):
+        with pytest.raises(ValueError):
+            boundary(other)
+
+
+# ---------------------------------------------------------------------------
 # The make-to-stock table vs. the DP and greedy indices of its project
 # ---------------------------------------------------------------------------
 
@@ -329,9 +365,6 @@ def test_mts_table_matches_dp_and_greedy_on_constant_rate_products(n, lam, mu, c
 # ---------------------------------------------------------------------------
 # The O(n) pivots, the two greedy forms and the greedy route to the indices
 # ---------------------------------------------------------------------------
-
-seeds = st.integers(0, 2**32 - 1)
-
 
 @PROPERTY
 @given(seed=seeds, n=st.integers(1, 60), alpha=st.floats(0.0, 1.0))

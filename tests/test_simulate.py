@@ -146,6 +146,17 @@ def test_mts_index_policy_runs_with_per_state_production_rates():
                                            config).per_replication
 
 
+def test_infinite_subsidy_gates_the_index_rule_and_lumps_nothing():
+    spec = ProductSpec(4, 0.8, 1.2, 1.0, 0.5, 0.7)
+    config = SimConfig(max_events=2000, replications=3, seed=5)
+    rep = simulate(MTSSystem((spec,), nu=math.inf), "index", config)
+    assert all(math.isfinite(v) for v in rep.per_replication) and math.isfinite(rep.se)
+    # the index rule then always produces below the cap, and no subsidy is paid
+    always = simulate(MTSSystem((spec,), nu=0.0), lambda st, tb, cp: 0 if st[0] < 4 else None,
+                      config)
+    assert rep.per_replication == always.per_replication
+
+
 def test_mts_single_product_matches_birth_death_oracle():
     # a single product under an always-produce policy is a birth--death
     # chain: steady-state net cost minus subsidized completions
