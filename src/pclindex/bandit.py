@@ -22,7 +22,8 @@ from functools import cache as memoize, cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbsv, dgtsv
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
@@ -32,6 +33,23 @@ from .greedy import AGOutput, WorkloadOracle, ag2
 from .setsystem import SetSystem
 
 SOFT_STATE_CAP = 2000
+
+
+def solve_banded(band: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_banded(band, ab, b)`` for float64 input and
+    n > 1, bit for bit, minus scipy's per-call validation and finiteness
+    scan: LAPACK ``dgtsv`` when band == (1, 1), ``dgbsv`` otherwise.
+    Leaves ``ab`` and ``b`` unchanged; LinAlgError when singular."""
+    lower, upper = band
+    if lower == upper == 1:
+        x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+    else:
+        lu = np.zeros((2 * lower + upper + 1, ab.shape[1]))
+        lu[lower:] = ab
+        x, info = dgbsv(lower, upper, lu, b, overwrite_ab=True)[2:]
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
 
 
 class _SolveKernel:
@@ -108,11 +126,12 @@ class RBModel:
 
     ``P0``/``P1`` are the passive/active transition matrices, ``h0``/``h1``
     the per-period costs, ``theta1`` the strictly positive activity weights
-    and ``beta`` the discount factor.  At every uncontrollable state both
-    actions must coincide structurally (equal transition rows and equal
-    costs); this is validated, not assumed.  ``beta == 1`` is accepted so a
-    uniformized average-criterion model can be represented, but all
-    discounted computations require ``beta < 1``.  Construction derives
+    and ``beta`` the discount factor; every entry must be finite.  At
+    every uncontrollable state both actions must coincide structurally
+    (equal transition rows and equal costs); this is validated, not
+    assumed.  ``beta == 1`` is accepted so a uniformized average-criterion
+    model can be represented, but all discounted computations require
+    ``beta < 1``.  Construction derives
     ``ctrl_mask``, the boolean mask of controllable states, and
     ``kernel``, the solve kernel of the model's discounted operators.
     """
@@ -139,6 +158,9 @@ class RBModel:
         for name, v in (("h0", h0), ("h1", h1), ("theta1", theta1)):
             if v.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
+        for name, v in (("P0", P0), ("P1", P1), ("h0", h0), ("h1", h1), ("theta1", theta1)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} has non-finite entries")
         for name, P in (("P0", P0), ("P1", P1)):
             if np.any(P < -1e-12):
                 raise ValueError(f"{name} has negative entries")

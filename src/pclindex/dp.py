@@ -50,25 +50,29 @@ def _action_values(model: RBModel, nu: float, v: np.ndarray):
 
 
 def solve(model: RBModel, nu: float, method: str = "policy",
-          eps: float = DEFAULT_INDIFFERENCE) -> DPResult:
+          eps: float = DEFAULT_INDIFFERENCE, *,
+          start: np.ndarray | None = None) -> DPResult:
     """Solve the charge problem exactly at a fixed charge.
 
     Policy iteration evaluates each candidate policy by a linear solve and
-    improves greedily, so termination is finite; value iteration is the
-    independent fallback (sup-norm stop 1e-12).  Uncontrollable states are
-    forced active.
+    improves greedily, so termination is finite from any initial policy;
+    it starts from the policy engaged on the boolean mask ``start``
+    (all-active by default).  Value iteration is the independent fallback
+    (sup-norm stop 1e-12) and ignores ``start``.  Uncontrollable states
+    are forced active.
     """
     if not model.beta < 1.0:
         raise ValueError("DP solve requires beta < 1")
     n = model.n_states
-    ctrl = sorted(model.controllable)
     forced = ~model.ctrl_mask
 
     if method == "policy":
-        active = np.ones(n, dtype=bool)
+        active = np.ones(n, dtype=bool) if start is None else forced | start
+        if active.shape != (n,):
+            raise ValueError(f"start must be a boolean mask of shape ({n},)")
         engaged = model.h1 + nu * model.theta1
         iterations = 0
-        for _ in range(2 ** max(1, len(ctrl)) + 2):
+        for _ in range(2 ** max(1, len(model.controllable)) + 2):
             iterations += 1
             v = model.kernel.solve(active, np.where(active, engaged, model.h0))
             q0, q1 = _action_values(model, nu, v)
@@ -106,9 +110,23 @@ def solve(model: RBModel, nu: float, method: str = "policy",
     if float(np.abs(bellman - v).max()) > 1e-8 * scale:
         raise InternalConsistencyError("Bellman residual too large after solve")
     gap = q1 - q0
-    active_opt = frozenset(j for j in ctrl if gap[j] < -eps)
-    indifferent = frozenset(j for j in ctrl if abs(gap[j]) <= eps)
+    active_opt = frozenset(np.flatnonzero(model.ctrl_mask & (gap < -eps)).tolist())
+    indifferent = frozenset(np.flatnonzero(model.ctrl_mask & (np.abs(gap) <= eps)).tolist())
     return DPResult(v, active_opt, indifferent, gap, iterations, method)
+
+
+def _warm_solver(model: RBModel, eps: float = DEFAULT_INDIFFERENCE):
+    """``solve`` over a sequence of charges, each policy iteration started
+    from the previous optimal closed active set: along a sorted sequence
+    that is optimal already, or a few states away."""
+    prev = None
+
+    def at(nu: float) -> DPResult:
+        nonlocal prev
+        start = None if prev is None else model.active_rows(prev.active_closed)
+        prev = solve(model, nu, eps=eps, start=start)
+        return prev
+    return at
 
 
 @dataclass(frozen=True)
@@ -131,7 +149,8 @@ def nu_sweep(model: RBModel, grid, eps: float = DEFAULT_INDIFFERENCE,
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted ascending")
     ctrl = sorted(model.controllable)
-    sets = [solve(model, g, eps=eps).active_closed for g in grid]
+    at = _warm_solver(model, eps)
+    sets = [at(g).active_closed for g in grid]
     nested = all(t <= s for s, t in zip(sets, sets[1:]))
     in_family = None
     if family is not None:
@@ -153,8 +172,10 @@ def fair_charge(model: RBModel, j: int, tol: float = 1e-10,
     if j not in model.controllable:
         raise ValueError(f"state {j} is not controllable")
 
+    at = _warm_solver(model)
+
     def gap(nu: float) -> float:
-        return float(solve(model, nu).gap[j])
+        return float(at(nu).gap[j])
 
     hhat = normalized_passive_cost(model)
     ctrl = sorted(model.controllable)
@@ -225,18 +246,19 @@ def crosscheck_indices(model: RBModel, sys: SetSystem, pcl_report,
     grid.append(distinct[-1] + 0.5 * span)
     grid = sorted(grid + distinct)
 
-    def near_breakpoint(nu: float) -> bool:
-        return any(abs(nu - v) <= 1e-9 * span for v in values)
-
+    states = np.array(sorted(nu_by_state))
+    nus = np.array([nu_by_state[j] for j in states])
+    at = _warm_solver(model, eps)
     expected, observed, mismatches = [], [], []
     for g in grid:
-        closed = frozenset(j for j, v in nu_by_state.items() if g <= v)
-        dp_set = solve(model, g, eps=eps).active_closed
+        engaged = g <= nus
+        closed = frozenset(states[engaged].tolist())
+        dp_set = at(g).active_closed
         expected.append(closed)
         observed.append(dp_set)
-        if near_breakpoint(g):
-            open_set = frozenset(j for j, v in nu_by_state.items()
-                                 if g <= v and abs(g - v) > 1e-9 * span)
+        near = np.abs(g - nus) <= 1e-9 * span
+        if near.any():
+            open_set = frozenset(states[engaged & ~near].tolist())
             if not (open_set <= dp_set <= closed):
                 mismatches.append((g, closed, dp_set))
         elif dp_set != closed:

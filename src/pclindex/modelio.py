@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -124,7 +125,19 @@ def validate_document(doc: Any) -> str:
     if errors:
         where = "/".join(str(p) for p in errors[0].absolute_path) or "(root)"
         raise ModelFileError(f"schema violation at {where}: {errors[0].message}")
+    if not _finite(doc):
+        raise ModelFileError("model document holds a non-finite number (NaN or infinity)")
     return kind
+
+
+def _finite(x) -> bool:
+    """No NaN or infinity anywhere in a parsed document (Python's json
+    reads NaN, Infinity and overflowing literals such as 1e999)."""
+    if isinstance(x, float):
+        return math.isfinite(x)
+    if isinstance(x, (list, dict)):
+        return all(map(_finite, x.values() if isinstance(x, dict) else x))
+    return True
 
 
 def _maybe_scalar(x):

@@ -40,15 +40,25 @@ class SetSystem:
     _layers: tuple[dict[frozenset, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"ground set size must be >= 1, got {self.n}")
-        members = {frozenset(s) for s in self.family}
-        for s in members:
-            if not all(isinstance(j, int) and 0 <= j < self.n for j in s):
-                raise ValueError(f"family member {sorted(s)} not a subset of 0..{self.n - 1}")
-        layers = tuple({} for _ in range(self.n + 1))
-        for s in sorted(members, key=lambda s: (len(s), sorted(s))):
-            layers[len(s)][s] = sum(1 << j for j in s)
+        n = self.n
+        if n < 1:
+            raise ValueError(f"ground set size must be >= 1, got {n}")
+        pow2 = [1 << j for j in range(n)]
+        keyed = []
+        for s in {frozenset(s) for s in self.family}:
+            ints = all(map(isinstance, s, itertools.repeat(int)))
+            elems = sorted(s) if ints else list(s)
+            if not ints or elems and not (0 <= elems[0] and elems[-1] < n):
+                raise ValueError(f"family member {elems} not a subset of 0..{n - 1}")
+            k = len(elems)
+            # k distinct ints spanning k values are an interval: one shifted mask
+            mask = (((1 << k) - 1) << elems[0] if k and elems[-1] - elems[0] == k - 1
+                    else sum(map(pow2.__getitem__, elems)))
+            keyed.append((k, elems, s, mask))
+        keyed.sort()                                # distinct members never tie on (k, elems)
+        layers = tuple({} for _ in range(n + 1))
+        for k, _, s, mask in keyed:
+            layers[k][s] = mask
         object.__setattr__(self, "family", tuple(s for layer in layers for s in layer))
         object.__setattr__(self, "_layers", layers)
 

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pclindex import admission, bandit, dp
 from pclindex.bandit import (RBModel, activity_measure, average_limits,
@@ -33,6 +34,18 @@ def counterexample_rb():
 # ---------------------------------------------------------------------------
 # Model validation
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, i, value", [
+    ("P0", (0, 1), np.nan), ("P1", (1, 0), np.nan), ("h0", 0, np.inf),
+    ("h0", 1, np.nan), ("h1", 0, -np.inf), ("h1", 1, np.nan), ("theta1", 0, np.inf)])
+def test_non_finite_entries_are_rejected(name, i, value):
+    P = np.array([[0.5, 0.5], [0.5, 0.5]])
+    fields = {"P0": P.copy(), "P1": P.copy(), "h0": np.ones(2), "h1": np.ones(2),
+              "theta1": np.ones(2)}
+    fields[name][i] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        RBModel(**fields, beta=0.9, controllable=frozenset({0, 1}))
+
 
 def test_rows_must_be_stochastic():
     P = np.array([[0.5, 0.4], [0.5, 0.5]])
@@ -705,6 +718,29 @@ def test_perturbed_banded_solve_fails_the_residual_check(monkeypatch):
                         lambda *args, **kw: exact(*args, **kw) * (1.0 + 1e-6))
     with pytest.raises(InternalConsistencyError, match="residual"):
         activity_measure(rb, frozenset(range(5)))
+
+
+@pytest.mark.parametrize("band", [(0, 0), (1, 0), (1, 1), (2, 1), (0, 3), (3, 3)])
+@pytest.mark.parametrize("columns", [None, 2])
+def test_solve_banded_matches_scipy_bit_for_bit(band, columns):
+    rng = np.random.default_rng(sum(band) + 7 * (columns or 0))
+    n = 9
+    ab = rng.uniform(-1.0, 1.0, (sum(band) + 1, n))
+    ab[band[1]] += 4.0                       # diagonally dominant
+    b = rng.uniform(-1.0, 1.0, n if columns is None else (n, columns))
+    ab_in, b_in = ab.copy(), b.copy()
+    got = bandit.solve_banded(band, ab, b)
+    want = scipy.linalg.solve_banded(band, ab, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(ab, ab_in) and np.array_equal(b, b_in)
+
+
+def test_solve_banded_singular_tridiagonal_raises():
+    # [[1, 1, 0], [1, 1, 0], [0, 1, 1]]: its first two rows are equal
+    ab = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        bandit.solve_banded((1, 1), ab, np.ones(3))
 
 
 def test_three_state_whittle_model_stays_dense(monkeypatch):

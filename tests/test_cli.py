@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -79,6 +80,17 @@ def test_schema_rejects_bad_shapes(tmp_path, capsys):
     doc["mu"] = [2.0, 2.0]   # wrong length
     code, out, _ = run_cli(capsys, "index", write_doc(tmp_path, doc))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["index", "dp-verify"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+def test_non_finite_numbers_are_input_errors(tmp_path, capsys, command, literal):
+    path = tmp_path / "model.json"
+    text = json.dumps(dict(ADMISSION_DOC, alpha=0.3))
+    path.write_text(text.replace('"h": [0.0', f'"h": [{literal}'))
+    code, out, _ = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert "non-finite" in out["error"]
 
 
 def test_missing_file_is_input_error(capsys):
@@ -186,6 +198,17 @@ def test_dp_verify_disagreement_exits_4(tmp_path, capsys):
     assert out["results"]["crosscheck"]["mismatches"]
 
 
+def test_dp_verify_report_is_pinned(tmp_path, capsys):
+    # SHA-256 of the whole stdout: a change in any reported bit, or in
+    # the version string, moves it
+    doc = {"kind": "admission", "n": 30, "alpha": 0.1, "lambda": [1.0] * 31,
+           "mu": [1.3] * 30, "h": [float(j * j) for j in range(31)]}
+    assert cli.main(["dp-verify", write_doc(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "fff9d25bacc3cac9f732a0eb125371019553e9fc6c91f111dd359d8bcc5ed43c"
+
+
 # ---------------------------------------------------------------------------
 # simulate command
 # ---------------------------------------------------------------------------
@@ -231,3 +254,11 @@ def test_counterexample_passes_end_to_end(capsys):
     assert res["whittle_indices"]["1"] == pytest.approx(3300 / 6767, abs=1e-8)
     assert res["whittle_indices"]["0"] == pytest.approx(11022 / 19111, abs=1e-8)
     assert "PASS" in err
+
+
+def test_counterexample_report_is_pinned(capsys):
+    # pinned like the dp-verify report
+    assert cli.main(["counterexample"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "0ad7bed71c35247ca4ac4738cd273449d1fc6a8274cb2ffea8db3c4f39100187"

@@ -68,6 +68,19 @@ def test_solve_matches_best_active_set_evaluation(rng):
     assert np.allclose(v, best, atol=1e-8)
 
 
+def test_start_sets_only_the_initial_policy(rng):
+    m = random_rb(rng, 6, 4, beta=0.9)
+    cold = dp.solve(m, 0.3)
+    for start in (np.zeros(6, dtype=bool), m.active_rows(cold.active_closed)):
+        warm = dp.solve(m, 0.3, start=start)
+        assert warm.active_closed == cold.active_closed
+        assert np.allclose(warm.v, cold.v, rtol=1e-12, atol=1e-12)
+    # started at its own optimum, policy iteration confirms it in one pass
+    assert dp.solve(m, 0.3, start=m.active_rows(cold.active_closed)).iterations == 1
+    with pytest.raises(ValueError, match="shape"):
+        dp.solve(m, 0.3, start=np.ones(5, dtype=bool))
+
+
 def test_value_concave_in_charge(rng):
     _, rb = compliant_rb(rng, n=4, alpha=0.2)
     grid = np.linspace(-1.0, 3.0, 9)
@@ -180,6 +193,17 @@ def test_crosscheck_compliant_instance_eleven_grid_points(rng):
     assert check.expected[-1] == frozenset()
 
 
+def test_crosscheck_accepts_the_open_set_at_a_breakpoint():
+    # with no indifference band the DP settles each breakpoint state by the
+    # sign of a roundoff-sized gap, so some breakpoints see the open set
+    m = admission.ACModel(12, np.full(13, 1.0), np.full(12, 1.3),
+                          np.arange(13.0) ** 2, 0.1)
+    rb, fam = admission.uniformize(m), threshold_family(12)
+    check = dp.crosscheck_indices(rb, fam, bandit.pcl_index(rb, fam), eps=0.0)
+    assert check.agree
+    assert any(o < e for e, o in zip(check.expected, check.observed))
+
+
 def test_crosscheck_extremes(rng):
     m, rb = compliant_rb(rng, n=3, alpha=0.8)
     rep = bandit.pcl_index(rb, threshold_family(3))
@@ -197,3 +221,25 @@ def test_crosscheck_requires_indexable_report(rng):
     if not rep.indexable:
         with pytest.raises(ValueError):
             dp.crosscheck_indices(m, fam, rep)
+
+
+def test_crosscheck_warm_start_needs_under_two_passes_per_grid_point(monkeypatch):
+    # regular queue: lam 1, mu 1.3, h_i = i^2, alpha 0.1; cold starts
+    # from all-active averaged 3.9 passes per grid point here
+    m = admission.ACModel(100, np.full(101, 1.0), np.full(100, 1.3),
+                          np.arange(101.0) ** 2, 0.1)
+    rb, fam = admission.uniformize(m), threshold_family(100)
+    rep = bandit.pcl_index(rb, fam)
+    passes = []
+    exact = dp.solve
+
+    def counting(*args, **kw):
+        res = exact(*args, **kw)
+        passes.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(dp, "solve", counting)
+    check = dp.crosscheck_indices(rb, fam, rep)
+    assert check.agree
+    assert len(passes) == len(check.grid) == 201
+    assert sum(passes) <= 2 * len(check.grid)

@@ -25,7 +25,8 @@ from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
 from pclindex.setsystem import powerset_family, product, threshold_family
 from pclindex.simulate import SimConfig, _build, simulate
 
-from conftest import random_compliant_admission, random_valid_family, random_workload_tables
+from conftest import (random_compliant_admission, random_rb, random_valid_family,
+                      random_workload_tables)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -543,3 +544,31 @@ def test_banded_measures_match_dense_solves(seed, n, lower, upper, beta):
     eps = dp.DEFAULT_INDIFFERENCE
     assert got.active_opt == frozenset(j for j in ctrl if gap_ref[j] < -eps)
     assert got.indifferent == frozenset(j for j in ctrl if abs(gap_ref[j]) <= eps)
+
+
+# ---------------------------------------------------------------------------
+# Warm-started charge sweeps vs. cold policy iteration
+# ---------------------------------------------------------------------------
+
+@settings(PROPERTY, max_examples=60)
+@given(seed=seeds, n=st.integers(1, 30), lower=st.integers(0, 3), upper=st.integers(0, 3),
+       dense=st.booleans(), beta=st.floats(0.5, 0.99),
+       charges=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12))
+def test_warm_started_sweep_matches_cold_solves(seed, n, lower, upper, dense, beta, charges):
+    rng = np.random.default_rng(seed)
+    if dense:
+        m = random_rb(rng, n, int(rng.integers(0, n + 1)), beta=beta)
+    else:
+        m = banded_rb(rng, n, lower, upper, beta)
+    scale = max(1.0, float(np.max(np.abs(bandit.normalized_passive_cost(m)))))
+    grid = sorted(c * scale / float(np.min(m.theta1)) for c in charges)
+    eps = dp.DEFAULT_INDIFFERENCE
+    cold = [dp.solve(m, g) for g in grid]
+    for res in cold:
+        # a gap this close to the indifference band may fall on either side
+        assume(not np.any(np.abs(np.abs(res.gap[m.ctrl_mask]) - eps) <= 1e-9))
+    sweep = dp.nu_sweep(m, grid)
+    assert sweep.active_sets == tuple(res.active_closed for res in cold)
+    warm = dp._warm_solver(m)
+    for g, res in zip(grid, cold):
+        assert_close(warm(g).v, res.v)

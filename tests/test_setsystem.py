@@ -21,6 +21,21 @@ def brute_force_validate(sys: SetSystem):
     return has_empty, accessible, augmentable
 
 
+@pytest.mark.parametrize("bad", [{0.5}, {"a"}, {1, "a"}, {-1}, {3}, {0, 3}, {None}])
+def test_members_must_be_int_subsets_of_the_ground(bad):
+    with pytest.raises(ValueError, match="not a subset of 0..2"):
+        SetSystem(3, (frozenset(), frozenset(bad)))
+
+
+def test_layer_masks_and_canonical_order():
+    members = [frozenset(s) for s in ({4, 5, 6}, {0, 2}, set(), {1}, {0, 1, 2, 3, 4, 5, 6},
+                                      {0, 6}, {2, 3})]
+    sys = SetSystem(7, tuple(members))
+    assert sys.family == tuple(sorted(members, key=lambda s: (len(s), sorted(s))))
+    for s in members:
+        assert sys._layers[len(s)][s] == sum(1 << j for j in s)
+
+
 def test_validate_smallest_violating_case():
     report = validate(SetSystem(1, (frozenset(),)))
     assert not report.valid
