@@ -53,6 +53,10 @@ class ACModel:
             raise ValueError(f"mu must have {self.n} entries mu_1..mu_n")
         if h.shape != (self.n + 1,):
             raise ValueError(f"h must have {self.n + 1} entries h_0..h_n")
+        for name, v in (("lambda", lam), ("mu", mu), ("h", h), ("alpha", self.alpha),
+                        ("Lambda", 0.0 if self.Lambda is None else self.Lambda)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} has non-finite entries")
         if np.any(lam < 0) or np.any(mu < 0):
             raise ValueError("rates must be nonnegative")
         if self.alpha < 0:

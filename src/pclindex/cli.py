@@ -45,9 +45,35 @@ def _report(command: str, doc, results: dict, seed: int | None = None) -> dict:
     return out
 
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=True)
+
+
+def _dumps(o, indent: str = "") -> str:
+    """``json.dumps(o, sort_keys=True, indent=2, allow_nan=True)`` for str
+    keys, in one pass: scalars and flat lists of numbers, bools and nulls
+    go through json's C encoder, and the indentation is added here."""
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        items = (f"{inner}{_COMPACT.encode(k)}: {_dumps(o[k], inner)}" for k in sorted(o))
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        # a nested first element rules the flat form out without encoding
+        flat = not isinstance(o[0], (dict, list, tuple, str)) and _COMPACT.encode(o)
+        if flat and not ('"' in flat or "{" in flat or "[" in flat[1:]):
+            body = inner + flat[1:-1].replace(",", ",\n" + inner)
+        else:
+            body = ",\n".join(inner + _dumps(v, inner) for v in o)
+        return "[\n" + body + "\n" + indent + "]"
+    return _COMPACT.encode(o)
+
+
 def _emit(report: dict) -> None:
-    json.dump(report, _sys.stdout, sort_keys=True, indent=2, allow_nan=True)
-    _sys.stdout.write("\n")
+    _sys.stdout.write(_dumps(report) + "\n")
 
 
 def _family_for(n: int, name: str, doc: dict) -> SetSystem:
@@ -59,7 +85,10 @@ def _family_for(n: int, name: str, doc: dict) -> SetSystem:
         fam = doc.get("family")
         if fam is None:
             raise ModelFileError("--family=explicit requires a 'family' field in the model file")
-        return SetSystem(n, tuple(frozenset(s) for s in fam))
+        try:
+            return SetSystem(n, tuple(frozenset(s) for s in fam))
+        except ValueError as exc:
+            raise ModelFileError(f"bad 'family': {exc}") from exc
     raise ModelFileError(f"unknown family {name!r}")
 
 

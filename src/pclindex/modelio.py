@@ -16,7 +16,7 @@ import math
 from typing import Any
 
 import numpy as np
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, validators
 
 from .admission import ACModel
 from .bandit import RBModel
@@ -109,6 +109,24 @@ SCHEMAS: dict[str, dict] = {
 }
 
 
+_STOCK_ITEMS = Draft202012Validator.VALIDATORS["items"]
+
+
+def _items(validator, items, instance, schema):
+    """Draft 2020-12 ``items``, with one pass over an array of numbers:
+    it passes ``{"type": "number"}`` when every element is exactly an int
+    or a float (bool is not a number); any other array goes to the stock
+    keyword, so errors, paths and messages are jsonschema's own."""
+    if items == _NUM and isinstance(instance, list) and {int, float}.issuperset(
+            map(type, instance)):
+        return
+    yield from _STOCK_ITEMS(validator, items, instance, schema)
+
+
+_Validator = validators.extend(Draft202012Validator, {"items": _items})
+_VALIDATORS = {kind: _Validator(schema) for kind, schema in SCHEMAS.items()}
+
+
 class ModelFileError(ValueError):
     """Malformed model document (bad JSON, unknown kind, schema violation)."""
 
@@ -120,7 +138,7 @@ def validate_document(doc: Any) -> str:
     kind = doc["kind"]
     if kind not in SCHEMAS:
         raise ModelFileError(f"unknown model kind {kind!r}")
-    errors = sorted(Draft202012Validator(SCHEMAS[kind]).iter_errors(doc),
+    errors = sorted(_VALIDATORS[kind].iter_errors(doc),
                     key=lambda e: list(e.absolute_path))
     if errors:
         where = "/".join(str(p) for p in errors[0].absolute_path) or "(root)"

@@ -34,6 +34,19 @@ def test_default_uniformization_rate():
         ACModel(3, np.full(4, 1.0), np.full(3, 2.0), np.arange(4.0), 0.0, Lambda=2.5)
 
 
+@pytest.mark.parametrize("name", ["lam", "mu", "h", "alpha", "Lambda"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_entries_are_rejected(name, value):
+    fields = {"n": 2, "lam": np.ones(3), "mu": np.ones(2), "h": np.arange(3.0),
+              "alpha": 0.1, "Lambda": 2.0}
+    if name in ("alpha", "Lambda"):
+        fields[name] = value
+    else:
+        fields[name][1] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        ACModel(**fields)
+
+
 def test_assumptions_constant_rates_linear_costs_pass():
     assert validate_assumptions(constant_rate_model(5, 1.0, 1.5)).ok
 

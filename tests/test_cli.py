@@ -93,6 +93,13 @@ def test_non_finite_numbers_are_input_errors(tmp_path, capsys, command, literal)
     assert "non-finite" in out["error"]
 
 
+def test_non_number_array_element_is_a_schema_violation(tmp_path, capsys):
+    doc = dict(ADMISSION_DOC, h=[0.0, "x", 2.0, 3.0, 4.0])
+    code, out, _ = run_cli(capsys, "index", write_doc(tmp_path, doc))
+    assert code == 2
+    assert out["error"].startswith("schema violation at h/1")
+
+
 def test_missing_file_is_input_error(capsys):
     code, out, _ = run_cli(capsys, "index", "/nonexistent/x.json")
     assert code == 2
@@ -146,6 +153,17 @@ def test_index_explicit_family(tmp_path, capsys):
                            "--family", "explicit")
     assert code == 0
     assert out["results"]["pcl"]["chain"]
+
+
+@pytest.mark.parametrize("command", ["index", "dp-verify"])
+@pytest.mark.parametrize("member", [[2.0], [3], [1, 5]], ids=["float", "past", "mixed"])
+def test_explicit_family_bad_member_is_an_input_error(tmp_path, capsys, command, member):
+    doc = rb_doc()
+    doc["family"] = [[], member, [1, 2], [0, 1, 2]]
+    code, out, _ = run_cli(capsys, command, write_doc(tmp_path, doc), "--family", "explicit")
+    assert code == 2
+    assert out["exit_code"] == 2
+    assert "not a subset of 0..2" in out["error"]
 
 
 def test_index_vanishing_discount_uses_the_average_criterion(tmp_path, capsys):
@@ -207,6 +225,27 @@ def test_dp_verify_report_is_pinned(tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "fff9d25bacc3cac9f732a0eb125371019553e9fc6c91f111dd359d8bcc5ed43c"
+
+
+PINNED_N30 = {"kind": "admission", "n": 30, "alpha": 0.1, "lambda": [1.0] * 31,
+              "mu": [1.3] * 30, "h": [float(j * j) for j in range(31)]}
+
+
+@pytest.mark.parametrize("doc, argv, code, sha", [
+    (PINNED_N30, ["index"], 0,
+     "fddc8a8fef6dd17df3d2681564c371856e59aa88f95d71212b2a3c763c00029c"),
+    (dict(PINNED_N30, alpha=0.0), ["index"], 0,
+     "9950b28abb3b73dbff895613a51a35c8c7ad6368b76c85d063c5416329db7a17"),
+    (rb_doc(), ["index", "--family", "powerset"], 0,
+     "25492a748b1e7e60b9b648419255e8da4f75d9c21e71e86d7e440dfbf22bc006"),
+    (dict(PINNED_N30, h=[0.0, "x"] + PINNED_N30["h"][2:]), ["index"], 2,
+     "bbacc5f335090888fca6c349d63b282fd324eba449e3fa6a255bfd5a255a59a5"),
+], ids=["discounted", "average", "rb-powerset", "input-error"])
+def test_index_report_is_pinned(tmp_path, capsys, doc, argv, code, sha):
+    # pinned like the dp-verify report
+    assert cli.main([argv[0], write_doc(tmp_path, doc), *argv[1:]]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,20 @@ tabulated decisions against the public decision functions, the memoized
 simulator against a per-event reference loop, the make-to-stock table
 against the DP and greedy indices of its project, the three routes to the
 admission indices against each other, and the banded set-active solves
-against dense linear algebra."""
+against dense linear algebra, the CLI report writer against ``json.dumps``
+and the one-pass schema check against stock jsonschema."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
-from pclindex import bandit, dp
+from pclindex import admission, bandit, cli, dp, modelio
 from pclindex.admission import (closed_form_index, indices, uniformize, workload_pivots,
                                 workload_table)
 from pclindex.greedy import (WorkloadOracle, ag1, ag2, dual_solution, local_minmax_check,
@@ -572,3 +575,97 @@ def test_warm_started_sweep_matches_cold_solves(seed, n, lower, upper, dense, be
     warm = dp._warm_solver(m)
     for g, res in zip(grid, cold):
         assert_close(warm(g).v, res.v)
+
+
+# ---------------------------------------------------------------------------
+# The CLI report writer vs. json.dumps
+# ---------------------------------------------------------------------------
+
+tricky_text = st.text(st.one_of(st.sampled_from(',"[{}]\n\\ \u00e9\u20ac\U0001f600'),
+                                st.characters()), max_size=6)
+json_numbers = st.one_of(
+    st.integers(), st.integers(-2**70, 2**70), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324]))
+json_scalars = st.one_of(st.none(), st.booleans(), json_numbers, tricky_text)
+flat_lists = st.lists(st.one_of(json_numbers, st.booleans(), st.none()), max_size=8)
+json_trees = st.recursive(
+    st.one_of(json_scalars, flat_lists),
+    lambda kids: st.one_of(st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
+                           st.dictionaries(tricky_text, kids, max_size=5)),
+    max_leaves=30)
+
+
+@PROPERTY
+@given(tree=json_trees)
+def test_report_writer_matches_json_dumps(tree):
+    assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2, allow_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass number-array schema check vs. stock jsonschema
+# ---------------------------------------------------------------------------
+
+def _schema_docs() -> dict:
+    model, _ = admission.whittle_counterexample()
+    return {
+        "rb": dict(modelio.document_from_model(admission.whittle_variant(model)),
+                   family=[[], [2], [1, 2], [0, 1, 2]]),
+        "admission": modelio.document_from_model(model),
+        "routing": {"kind": "routing", "lambda": 1.0, "alpha": 0.1, "queues": [
+            {"n": 3, "mu": 1.0, "h": [0.0, 1.0, 2.5, 4.0]},
+            {"n": None, "mu": [0.5, 0.75, 1.0, 1.25], "h": 2.0}]},
+        "mts": {"kind": "mts", "alpha": 0.1, "nu": 1.0, "products": [
+            {"n": 3, "lambda": [0.25, 0.5, 0.5], "mu": 1.0, "c": [0.0, 1.0, 2.0, 3.0],
+             "s": 1.0, "r": [1.0, 1, 2.0]}]},
+    }
+
+
+# every number array of the four documents (top level, matrix rows, and the
+# vector branches of the routing and make-to-stock oneOf fields), and the
+# rb document's integer arrays, whose items stay with the stock keyword
+ARRAYS = [
+    ("rb", ("controllable",)), ("rb", ("family", 2)),
+    ("rb", ("h0",)), ("rb", ("theta1",)), ("rb", ("P0", 1)), ("rb", ("P1", 0)),
+    ("admission", ("lambda",)), ("admission", ("mu",)), ("admission", ("h",)),
+    ("routing", ("queues", 0, "h")), ("routing", ("queues", 1, "mu")),
+    ("mts", ("products", 0, "lambda")), ("mts", ("products", 0, "c")),
+    ("mts", ("products", 0, "r")),
+]
+NON_NUMBERS = ['a,"[{\n\u00e9', "", True, False, None, [], [1.0], {}, {"x": 1}]
+NON_INTEGERS = NON_NUMBERS + [1.5, -0.5]
+
+
+def _schema_errors(validator, doc):
+    return [(list(e.absolute_path), e.message) for e in validator.iter_errors(doc)]
+
+
+def test_schema_documents_are_valid():
+    for kind, doc in _schema_docs().items():
+        assert _schema_errors(modelio._VALIDATORS[kind], doc) == []
+        modelio.model_from_document(doc)
+
+
+def _array_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("kind, path", ARRAYS,
+                         ids=["/".join(map(str, (k,) + p)) for k, p in ARRAYS])
+def test_one_pass_schema_check_matches_stock_jsonschema(kind, path, tmp_path):
+    bad_values = NON_INTEGERS if path[0] in ("controllable", "family") else NON_NUMBERS
+    stock_validator = Draft202012Validator(modelio.SCHEMAS[kind])
+    file = tmp_path / "model.json"
+    size = len(_array_at(_schema_docs()[kind], path))
+    for i, bad in itertools.product(range(size), bad_values):
+        doc = _schema_docs()[kind]
+        _array_at(doc, path)[i] = bad
+        stock = _schema_errors(stock_validator, doc)
+        assert stock
+        assert _schema_errors(modelio._VALIDATORS[kind], doc) == stock
+        where, message = min(stock, key=lambda e: e[0])
+        file.write_text(json.dumps(doc))
+        with pytest.raises(modelio.ModelFileError) as exc:
+            modelio.load_model(str(file))
+        assert str(exc.value) == f"schema violation at {'/'.join(map(str, where))}: {message}"
