@@ -46,30 +46,46 @@ def _report(command: str, doc, results: dict, seed: int | None = None) -> dict:
 
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=True)
+_NESTED = (dict, list, tuple, str)
 
 
 def _dumps(o, indent: str = "") -> str:
     """``json.dumps(o, sort_keys=True, indent=2, allow_nan=True)`` for str
-    keys, in one pass: scalars and flat lists of numbers, bools and nulls
-    go through json's C encoder, and the indentation is added here."""
+    keys, in one pass: scalars, and the values of flat lists and dicts of
+    numbers, bools and nulls, go through json's C encoder, and the
+    indentation is added here."""
     if isinstance(o, dict):
         if not o:
             return "{}"
         inner = indent + "  "
-        items = (f"{inner}{_COMPACT.encode(k)}: {_dumps(o[k], inner)}" for k in sorted(o))
+        keys = sorted(o)
+        values = [o[k] for k in keys]
+        # a dict may mix scalars and containers in any order, so look at every value
+        flat = not any(isinstance(v, _NESTED) for v in values) and _flat(values)
+        parts = flat.split(",") if flat else [_dumps(v, inner) for v in values]
+        items = (f"{inner}{_COMPACT.encode(k)}: {p}" for k, p in zip(keys, parts))
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
         inner = indent + "  "
-        # a nested first element rules the flat form out without encoding
-        flat = not isinstance(o[0], (dict, list, tuple, str)) and _COMPACT.encode(o)
-        if flat and not ('"' in flat or "{" in flat or "[" in flat[1:]):
-            body = inner + flat[1:-1].replace(",", ",\n" + inner)
+        flat = _flat(o)
+        if flat:
+            body = inner + flat.replace(",", ",\n" + inner)
         else:
             body = ",\n".join(inner + _dumps(v, inner) for v in o)
         return "[\n" + body + "\n" + indent + "]"
     return _COMPACT.encode(o)
+
+
+def _flat(values) -> str | None:
+    """The compact encodings of ``values``, comma-separated, from one
+    C-encoder pass; None when some value is a string or a container."""
+    # a nested first element rules the flat form out without encoding
+    flat = not isinstance(values[0], _NESTED) and _COMPACT.encode(values)
+    if flat and not ('"' in flat or "{" in flat or "[" in flat[1:]):
+        return flat[1:-1]
+    return None
 
 
 def _emit(report: dict) -> None:
@@ -189,9 +205,12 @@ def cmd_simulate(args) -> int:
     model, doc = load_model(args.file)
     if not isinstance(model, (policies.RoutingSystem, policies.MTSSystem)):
         raise ModelFileError("simulate expects a 'routing' or 'mts' model")
-    config = SimConfig(
-        horizon=args.horizon, max_events=args.events,
-        replications=args.reps, seed=args.seed, truncation=args.truncation)
+    try:
+        config = SimConfig(
+            horizon=args.horizon, max_events=args.events,
+            replications=args.reps, seed=args.seed, truncation=args.truncation)
+    except ValueError as exc:
+        raise ModelFileError(f"bad simulation budget: {exc}") from exc
     results = {}
     for pol in args.policy.split(","):
         report = run_simulation(model, pol.strip(), config)

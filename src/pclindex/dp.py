@@ -196,6 +196,8 @@ def fair_charge(model: RBModel, j: int, tol: float = 1e-10,
     scan_lo, scan_hi = lo, hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:   # tol is below the float spacing here
+            break
         if gap(mid) < 0:
             lo = mid
         else:

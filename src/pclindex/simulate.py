@@ -1,23 +1,26 @@
 """Event-driven continuous-time simulation of the index policies.
 
-Routing and make-to-stock run through one event loop over birth--death
+Routing and make-to-stock run through one simulator over birth--death
 buffers that share one controlled birth stream, with rates and cost
 rates tabulated per level once per run, and the event row of each
 visited joint state (decision, rates, outcomes) built once per run.  The
 chains are simulated exactly: exponential clocks race between the
-events, holding costs are
-integrated in closed form between events since the cost rate is
-piecewise constant, and rejection charges / production subsidies are
-lumped at their event epochs with the appropriate discount.
-Replications are independent, each with its own substream of the base
-seed, and the report always carries the confidence interval, never a
-bare mean.
+events, holding costs are integrated in closed form between events since
+the cost rate is piecewise constant, and rejection charges / production
+subsidies are lumped at their event epochs with the appropriate discount.
+The replications run in lockstep as arrays, ``CHUNK`` events at a time:
+replication r draws ``standard_exponential(CHUNK)`` and then
+``random(CHUNK)`` from its own ``default_rng([seed, r])`` per chunk, and
+event i of a chunk takes the clock E[i] / total and the outcome
+``bisect_right(cuts, U[i] * total)``, so a replication's value does not
+depend on how many replications run.  Costs accrue in event order
+(holding cost, then charge) by one cumulative sum per chunk, and the
+report always carries the confidence interval, never a bare mean.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,6 +30,7 @@ from .policies import (MTS_RULES, ROUTING_RULES, MTSSystem, ProductSpec, QueueSp
                        RoutingSystem, engage)
 
 BOUNDARY_FLAG_FRACTION = 1e-3
+CHUNK = 256   # events per block of random draws; part of the stream definition
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,10 @@ class SimConfig:
             raise ValueError("set a time horizon or an event budget")
         if self.horizon is not None and self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        if self.max_events is not None and self.max_events < 1:
+            raise ValueError("the event budget must be at least one event")
+        if self.truncation < 1:
+            raise ValueError("truncation must be at least 1")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup fraction must lie in [0, 1)")
 
@@ -103,7 +111,7 @@ def _warmup(alpha: float, horizon: float, config: SimConfig) -> tuple[float, int
 
     Time-based warm-up when a horizon is given; with a pure event budget
     the warm-up endpoint becomes known only when that event is reached,
-    so accrual starts disabled and the loop stamps the time then.
+    so accrual starts disabled and the simulator stamps the time then.
     """
     if alpha > 0 or config.warmup_fraction == 0.0:
         return 0.0, -1
@@ -185,14 +193,13 @@ def _build(system, policy: Callable | str, config: SimConfig, name: str | None =
 
 
 def _event_row(net: _Network, caps: list[int], truncated: list[int], decide,
-               place: list[int], code: int) -> tuple:
+               place: list[int], code: int) -> tuple[list[float], list[int]]:
     """Everything one event needs at the joint state whose mixed-radix
-    code is ``code`` (buffer k has place value ``place[k]``): the clock
-    scale 1/total, the total rate, the cost rate, whether some truncated
-    buffer is at its cap, the cumulative outcome rates [born, born + d_0,
-    born + d_0 + d_1, ...], the code after each outcome (the birth, a
-    death of each buffer, and a pick past every cut, which changes
-    nothing) and the charge lumped at the birth."""
+    code is ``code`` (buffer k has place value ``place[k]``): the values
+    [clock scale 1/total, total rate, cost rate, charge lumped at the
+    birth, 1.0 if some truncated buffer is at its cap, then the cumulative
+    outcome rates born, born + d_0, ...] and the code after each outcome
+    (the birth, a death of each buffer, a pick past every cut: no change)."""
     state = [code // p % (cap + 1) for p, cap in zip(place, caps)]
     target = decide(state)
     if target is None:
@@ -209,7 +216,39 @@ def _event_row(net: _Network, caps: list[int], truncated: list[int], decide,
         nexts.append(code - place[k] if j else code)
     nexts.append(code)
     at_cap = any(state[k] >= caps[k] for k in truncated)
-    return 1.0 / total if total > 0 else 0.0, total, rate, at_cap, cuts, nexts, charge
+    return [1.0 / total if total > 0 else 0.0, total, rate, charge, at_cap, *cuts], nexts
+
+
+class _Rows:
+    """The event rows of the states reached, one slot each: ``vals`` holds
+    the values of :func:`_event_row` and ``nexts`` the slot after each
+    outcome, -1 until that transition is first taken, so the policy is
+    consulted once per state reached.  Slot 0 is a dead sentinel (all
+    zero, every outcome back to slot 0) for replications past the horizon."""
+
+    def __init__(self, make_row, buffers: int):
+        self.make_row, self.slot_of, self.codes = make_row, {}, [None]
+        self.vals, self.nexts = np.zeros((64, buffers + 6)), np.full((64, buffers + 2), -1)
+        self.nexts[0] = 0
+
+    def slot(self, code: int) -> int:
+        s = self.slot_of.get(code)
+        if s is None:
+            (vals, nexts), s = self.make_row(code), len(self.codes)
+            if s == len(self.vals):
+                self.vals = np.concatenate([self.vals, np.zeros_like(self.vals)])
+                self.nexts = np.concatenate([self.nexts, np.full_like(self.nexts, -1)])
+            self.vals[s], self.slot_of[code] = vals, s
+            self.codes.append(nexts)
+        return s
+
+    def follow(self, edges, after):
+        """Fill in the -1 entries of ``after``: transitions taken the first time."""
+        miss = after < 0
+        for edge in dict.fromkeys(edges[miss].tolist()):
+            s, o = divmod(edge, self.nexts.shape[1])
+            self.nexts[s, o] = self.slot(self.codes[s][o])
+        after[miss] = self.nexts.take(edges[miss])
 
 
 def simulate(system, policy, config: SimConfig, name: str | None = None) -> SimReport:
@@ -231,49 +270,50 @@ def simulate(system, policy, config: SimConfig, name: str | None = None) -> SimR
     """
     net, caps, truncated, decide, name = _build(system, policy, config, name)
     place = [math.prod(cap + 1 for cap in caps[:k]) for k in range(len(caps))]
-    rows: dict[int, tuple] = {}
-    alpha, exp = system.alpha, math.exp
+    rows = _Rows(lambda code: _event_row(net, caps, truncated, decide, place, code), len(caps))
+    alpha, reps, width = system.alpha, config.replications, len(caps) + 2
     horizon = config.horizon if config.horizon is not None else math.inf
     budget = config.max_events if config.max_events is not None else math.inf
-    values: list[float] = []
-    total_events = 0
-    boundary_hits = 0
-    for rep in range(config.replications):
-        rng = np.random.default_rng([config.seed, rep])
-        exponential, uniform = rng.exponential, rng.random
-        code, t, events, acc, disc = 0, 0.0, 0, 0.0, 1.0
-        warmup, warmup_events = _warmup(alpha, horizon, config)
-        while t < horizon and events < budget:
-            row = rows.get(code)
-            if row is None:
-                row = rows[code] = _event_row(net, caps, truncated, decide, place, code)
-            scale, total, rate, at_cap, cuts, nexts, charge = row
-            if total <= 0:
-                break
-            t_next = t + exponential(scale)
-            ended = t_next > horizon
-            if ended:
-                t_next = horizon
-            # the cost rate integrated over [t, t_next]; disc = exp(-alpha t)
-            if alpha > 0:
-                later = exp(-alpha * t_next)
-                acc += rate * (disc - later) / alpha
-                disc = later
-            else:
-                start = t if t >= warmup else warmup
-                if t_next > start:
-                    acc += rate * (t_next - start)
-            t = t_next
-            if ended:
-                break
-            events += 1
-            if events == warmup_events:
-                warmup = t
-            boundary_hits += at_cap
-            outcome = bisect_right(cuts, uniform() * total)
-            code = nexts[outcome]
-            if not outcome and t >= warmup:
-                acc += charge * disc
-        total_events += events
-        values.append(acc if alpha > 0 else acc / max(t - warmup, 1e-300))
-    return _finish_report(name, values, total_events, boundary_hits, config.seed)
+    start, warmup_events = _warmup(alpha, horizon, config)
+    rngs = np.array([np.random.default_rng([config.seed, rep]) for rep in range(reps)])
+    live, done, hits, count, slots = np.arange(reps), 0, 0, 0, np.full(reps, rows.slot(0))
+    t, disc, acc, warm = np.zeros(reps), np.ones(reps), np.zeros(reps), np.full(reps, start)
+    while live.size and done < budget:
+        n, m = int(min(CHUNK, budget - done)), live.size
+        draws = np.array([(g.standard_exponential(CHUNK), g.random(CHUNK)) for g in rngs[live]])
+        at, outcome = np.empty((2, m, n), dtype=np.intp)   # slot and outcome per event
+        clock = np.empty((m, n + 1))                       # event epochs
+        clock[:, 0], s = t[live], slots[live]
+        for i in range(n):
+            at[:, i], v = s, rows.vals.take(s, 0)
+            clock[:, i + 1] = clock[:, i] + draws[:, 0, i] * v[:, 0]
+            outcome[:, i] = (v[:, 5:] <= (draws[:, 1, i] * v[:, 1])[:, None]).sum(1)
+            edges = s * width + outcome[:, i]
+            s = rows.nexts.take(edges)
+            s[clock[:, i + 1] >= horizon] = 0
+            if s.min() < 0:
+                rows.follow(edges, s)
+        # steps end at a dead state, the budget or the horizon (accrued to, but no event)
+        v, tnext = rows.vals[at], np.minimum(clock[:, 1:], horizon)
+        event = (v[..., 1] > 0) & (clock[:, 1:] <= horizon)
+        k, before = warmup_events - done - 1, warm[live]   # k: the warm-up's last event
+        after = np.where(event[:, k], tnext[:, k], before) if 0 <= k < n else before
+        gate = np.where(np.arange(n) >= k, after[:, None], before[:, None])
+        terms = np.empty((m, 2 * n + 1))
+        terms[:, 0] = acc[live]
+        if alpha > 0:
+            later = np.exp(-alpha * tnext)
+            earlier = np.concatenate([disc[live][:, None], later[:, :-1]], axis=1)
+            terms[:, 1::2] = v[..., 2] * (earlier - later) / alpha
+            disc[live] = later[:, -1]
+        else:
+            later = 1.0
+            terms[:, 1::2] = v[..., 2] * np.maximum(tnext - np.maximum(clock[:, :-1], gate), 0.0)
+        lumped = event & (outcome == 0) & (tnext >= gate)
+        terms[:, 2::2] = np.where(lumped, v[..., 3] * later, 0.0)
+        acc[live] = np.add.accumulate(terms, axis=1)[:, -1]
+        hits, count = hits + int((event & (v[..., 4] > 0)).sum()), count + int(event.sum())
+        t[live], warm[live], slots[live] = tnext[:, -1], after, s
+        live, done = live[event[:, -1] & (clock[:, -1] < horizon)], done + n
+    values = acc if alpha > 0 else acc / np.maximum(t - warm, 1e-300)
+    return _finish_report(name, values.tolist(), count, hits, config.seed)

@@ -279,6 +279,17 @@ def test_simulate_rejects_admission_kind(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--events", "0"], ["--events", "-3"], ["--events", "100", "--reps", "0"],
+    ["--horizon", "0"], ["--events", "100", "--truncation", "0"]])
+def test_simulate_bad_budget_is_an_input_error(tmp_path, capsys, argv):
+    # an empty budget used to report mean 0.0 with exit 0, and a bad
+    # replication count or horizon ended in a traceback
+    code, out, _ = run_cli(capsys, "simulate", write_doc(tmp_path, ROUTING_DOC), *argv)
+    assert code == 2
+    assert out["exit_code"] == 2 and "results" not in out
+
+
 # ---------------------------------------------------------------------------
 # counterexample command
 # ---------------------------------------------------------------------------

@@ -156,6 +156,29 @@ def test_fair_charge_quadratic_closed_form_at_vanishing_discount():
             pytest.approx(want, abs=1e-4)
 
 
+def test_fair_charge_stops_when_the_bracket_reaches_float_spacing(monkeypatch):
+    # indices near 1e8 have a float spacing far above the absolute
+    # tolerance; the bisection must stop there instead of running forever
+    warm = dp._warm_solver
+
+    def limited(model, *args, **kwargs):
+        at, calls = warm(model, *args, **kwargs), [0]
+
+        def counted(nu):
+            calls[0] += 1
+            if calls[0] > 5000:
+                raise RuntimeError("fair_charge made over 5000 DP solves")
+            return at(nu)
+        return counted
+
+    monkeypatch.setattr(dp, "_warm_solver", limited)
+    m = admission.ACModel(10, [1.0] * 11, [1.3] * 10, [1e7 * i * i for i in range(11)], 0.1)
+    want = admission.indices(m)
+    rb = admission.uniformize(m)
+    for j in (2, 5, 9):
+        assert dp.fair_charge(rb, j) == pytest.approx(want[j], rel=1e-12, abs=0)
+
+
 def test_fair_charge_zero_when_actions_differ_only_through_charge(rng):
     P = np.array([[0.3, 0.7], [0.6, 0.4]])
     m = RBModel(P, P, np.array([1.0, 2.0]), np.array([1.0, 2.0]),

@@ -1,5 +1,5 @@
 """Property tests: index tables against the closed forms, the simulator's
-tabulated decisions against the public decision functions, the memoized
+tabulated decisions against the public decision functions, the lockstep
 simulator against a per-event reference loop, the make-to-stock table
 against the DP and greedy indices of its project, the three routes to the
 admission indices against each other, and the banded set-active solves
@@ -26,7 +26,7 @@ from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                                mts_quadratic_index, naive_decide, routing_decide,
                                routing_index_table, shortest_queue_decide)
 from pclindex.setsystem import powerset_family, product, threshold_family
-from pclindex.simulate import SimConfig, _build, simulate
+from pclindex.simulate import CHUNK, SimConfig, _build, simulate
 
 from conftest import (random_compliant_admission, random_rb, random_valid_family,
                       random_workload_tables)
@@ -152,11 +152,13 @@ def test_mts_table_decisions_match_decide_functions(sys, truncation, data):
 
 
 # ---------------------------------------------------------------------------
-# The memoized event loop vs. a per-event reference loop
+# The lockstep simulator vs. a per-event reference loop
 # ---------------------------------------------------------------------------
 
 class _CostAccumulator:
-    """Discounted or time-average cost bookkeeping for one replication."""
+    """Discounted or time-average cost bookkeeping for one replication.
+    Discount factors come from numpy's ``exp``, as in the simulator,
+    whose array ``exp`` is not always equal to ``math.exp``."""
 
     def __init__(self, alpha: float, warmup: float):
         self.alpha = alpha
@@ -167,23 +169,26 @@ class _CostAccumulator:
         if t1 <= t0:
             return
         if self.alpha > 0:
-            self.total += rate * (math.exp(-self.alpha * t0)
-                                  - math.exp(-self.alpha * t1)) / self.alpha
+            self.total += rate * (np.exp(-self.alpha * t0)
+                                  - np.exp(-self.alpha * t1)) / self.alpha
         else:
             lo = max(t0, self.warmup)
             if t1 > lo:
                 self.total += rate * (t1 - lo)
 
-    def lump(self, amount: float, t: float):
+    def lump(self, amount: float, t: float) -> bool:
         if self.alpha > 0:
-            self.total += amount * math.exp(-self.alpha * t)
+            self.total += amount * np.exp(-self.alpha * t)
         elif t >= self.warmup:
             self.total += amount
+        else:
+            return False
+        return True
 
     def objective(self, elapsed: float) -> float:
         if self.alpha > 0:
-            return self.total
-        return self.total / max(elapsed - self.warmup, 1e-300)
+            return float(self.total)
+        return float(self.total / max(elapsed - self.warmup, 1e-300))
 
 
 def _new_accumulator(alpha: float, horizon: float, config: SimConfig):
@@ -195,10 +200,14 @@ def _new_accumulator(alpha: float, horizon: float, config: SimConfig):
     return _CostAccumulator(alpha, math.inf), warmup_events
 
 
-def reference_simulate(system, policy, config: SimConfig):
+def reference_simulate(system, policy, config: SimConfig, lumps: list | None = None):
     """The event loop that rebuilds every event from the per-buffer
     tables and consults the policy at every epoch: per-replication
-    objectives, event count and boundary hits."""
+    objectives, event count and boundary hits.  Replication r reads its
+    clocks and outcomes from blocks of ``CHUNK`` standard exponentials,
+    then ``CHUNK`` uniforms, drawn from ``default_rng([seed, r])`` as its
+    events reach each block.  Each charge lumped into the objective is
+    appended to ``lumps`` as (replication, event count, amount)."""
     net, caps, truncated, decide, name = _build(system, policy, config)
     birth, death, cost = net.birth, net.death, net.cost
     buffers = range(len(caps))
@@ -226,14 +235,16 @@ def reference_simulate(system, policy, config: SimConfig):
                 cost_rate += cost[k][state[k]]
             if total <= 0:
                 break
-            dt = rng.exponential(1.0 / total)
-            t_next = t + dt
+            if events % CHUNK == 0:
+                clocks, picks = rng.standard_exponential(CHUNK), rng.random(CHUNK)
+            t_next = t + clocks[events % CHUNK] * (1.0 / total)
             if t_next > horizon:
                 acc.accrue(cost_rate, t, horizon)
                 t = horizon
                 break
             acc.accrue(cost_rate, t, t_next)
             t = t_next
+            pick = picks[events % CHUNK] * total
             events += 1
             if events == warmup_events:
                 acc.warmup = t
@@ -241,15 +252,14 @@ def reference_simulate(system, policy, config: SimConfig):
                 if state[k] >= caps[k]:
                     boundary_hits += 1
                     break
-            pick = rng.random() * total
             if pick < born:
                 if target is None:
                     charge = net.idle_charge
                 else:
                     state[target] += 1
                     charge = net.fed_charge
-                if charge:
-                    acc.lump(charge, t)
+                if charge and acc.lump(charge, t) and lumps is not None:
+                    lumps.append((rep, events, charge))
             else:
                 acc_rate = born
                 for k in buffers:
@@ -288,23 +298,65 @@ def test_simulate_matches_reference_loop(sys, budget, warmup, truncation, replic
     builtin = ["index", "shortest", "naive"] if isinstance(sys, RoutingSystem) \
         else ["index", "least-stock"]
     policy = data.draw(st.sampled_from(builtin + [lowest_level_below_five]))
-    rep = simulate(sys, policy, config)
-    got = (tuple(map(repr, rep.per_replication)), rep.events, rep.boundary_hits)
-    values, events, hits = reference_simulate(sys, policy, config)
-    assert got == (tuple(map(repr, values)), events, hits)
+    assert _same_run(simulate(sys, policy, config), reference_simulate(sys, policy, config))
+
+
+def _same_run(rep, reference) -> bool:
+    values, events, hits = reference
+    return (tuple(map(repr, rep.per_replication)), rep.events, rep.boundary_hits) == \
+        (tuple(map(repr, values)), events, hits)
 
 
 def test_simulate_matches_reference_loop_when_warmup_ends_at_a_charged_birth():
     # with an event budget the warm-up ends at an event epoch, and a
-    # subsidy lumped at that epoch counts
+    # subsidy lumped at that epoch counts.  Past 100 events the budgets end
+    # just before, at and just after a block of draws; the last two end the
+    # warm-up at the last event of the first block and at the first event
+    # of the second
     products = (ProductSpec(8, 0.9, 1.5, 1.0, 2.0, 1.2),
                 ProductSpec(8, 0.5, 1.1, 0.6, 4.0, 2.0))
     sys = MTSSystem(products, alpha=0.0, nu=3.0)
-    for seed in range(5):
-        config = SimConfig(max_events=100, replications=2, seed=seed, warmup_fraction=0.5)
-        rep = simulate(sys, "least-stock", config)
-        got = (rep.per_replication, rep.events, rep.boundary_hits)
-        assert got == reference_simulate(sys, "least-stock", config)
+    for events in (100, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 2):
+        at_warmup = 0
+        for seed in range(5):
+            config = SimConfig(max_events=events, replications=2, seed=seed,
+                               warmup_fraction=0.5)
+            lumps: list = []
+            assert _same_run(simulate(sys, "least-stock", config),
+                             reference_simulate(sys, "least-stock", config, lumps))
+            at_warmup += sum(event == events // 2 for _, event, _ in lumps)
+        assert at_warmup > 0, events
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_simulate_matches_reference_loop_over_several_blocks(alpha):
+    # a horizon run whose replications each draw several blocks, with an
+    # infinite buffer truncated low enough to hit its cap
+    sys = RoutingSystem(2.2, (QueueSpec(10, 1.0, 1.0), QueueSpec(None, 1.6, 1.8)),
+                        alpha=alpha, nu=8.0)
+    config = SimConfig(horizon=300.0, replications=3, seed=4, truncation=6,
+                       warmup_fraction=0.2)
+    hits = 0
+    for policy in ("index", "shortest", "naive", lowest_level_below_five):
+        rep = simulate(sys, policy, config)
+        assert _same_run(rep, reference_simulate(sys, policy, config))
+        assert rep.events > 3 * CHUNK * config.replications
+        hits += rep.boundary_hits
+    assert hits > 0
+
+
+@settings(PROPERTY, max_examples=40)
+@given(sys=st.one_of(routing_systems(), mts_systems()), budget=budgets,
+       seed=st.integers(0, 2 ** 32 - 1), rep=st.integers(0, 3), data=st.data())
+def test_replication_value_does_not_depend_on_replication_count(sys, budget, seed, rep,
+                                                                data):
+    builtin = ["index", "shortest", "naive"] if isinstance(sys, RoutingSystem) \
+        else ["index", "least-stock"]
+    policy = data.draw(st.sampled_from(builtin + [lowest_level_below_five]))
+    few, many = (simulate(sys, policy, SimConfig(replications=count, seed=seed,
+                                                 truncation=6, **budget))
+                 for count in (rep + 1, rep + 5))
+    assert repr(few.per_replication[rep]) == repr(many.per_replication[rep])
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,27 @@
 import hashlib
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from pclindex import admission
+from pclindex.modelio import model_from_document
 from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
-                               routing_index_table)
+                               mts_index_table, routing_index_table)
 from pclindex.simulate import SimConfig, simulate
+
+REFERENCE_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+
+
+def load_reference():
+    """The benchmark's exact joint-chain solver, which is independent of
+    the package; it is only imported here, never changed."""
+    spec = importlib.util.spec_from_file_location("bench_reference", REFERENCE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def single_queue(nu, n=8, lam=1.0, mu=1.4, h=1.0):
@@ -187,6 +201,11 @@ def test_config_validation():
         SimConfig()
     with pytest.raises(ValueError):
         SimConfig(horizon=-1.0)
+    for events in (0, -3):
+        with pytest.raises(ValueError, match="event budget"):
+            SimConfig(max_events=events)
+    with pytest.raises(ValueError, match="truncation"):
+        SimConfig(max_events=10, truncation=0)
 
 
 def test_custom_policy_is_consulted_once_per_visited_state():
@@ -215,7 +234,8 @@ def stream_digest(runs) -> str:
 
 def test_random_streams_are_pinned():
     # any change to the random streams or to the order of the arithmetic
-    # shows up here; the digest was computed with the per-event loop
+    # shows up here; the digest was computed with the lockstep simulator,
+    # whose streams are blocks of CHUNK draws per replication
     routing = [RoutingSystem(2.2, (QueueSpec(10, 1.0, 1.0), QueueSpec(10, 1.6, 1.8)),
                              alpha=alpha, nu=8.0) for alpha in (0.0, 0.1)]
     products = (ProductSpec(8, 0.9, 1.5, 1.0, 2.0, 1.2),
@@ -227,5 +247,43 @@ def test_random_streams_are_pinned():
             for sys in routing for policy in ("index", "shortest", "naive")]
     runs += [(sys, policy, config) for config in (budget, horizon)
              for sys in mts for policy in ("index", "least-stock")]
-    assert stream_digest(runs) == ("196f2b0fa3927b6af8a65505434aab39"
-                                   "f070fb0385aac1c2fca04994a0bc13b5")
+    assert stream_digest(runs) == ("b2431295092324b4564061aa77ed67b3"
+                                   "72f15a0795cda1ed17c55930d8f074df")
+
+
+# ---------------------------------------------------------------------------
+# Simulated means vs. the exact values of the truncated joint chain
+# ---------------------------------------------------------------------------
+
+EXACT_ROUTING_DOC = {
+    "kind": "routing", "lambda": 1.8, "alpha": 0.2, "nu": 12.0,
+    "queues": [{"n": 6, "mu": [1.0, 1.1, 1.2, 1.25, 1.3, 1.3],
+                "h": [0.0, 1.0, 2.2, 3.6, 5.2, 7.0, 9.0]},
+               {"n": 5, "mu": [0.8, 0.9, 1.0, 1.05, 1.1],
+                "h": [0.0, 1.5, 3.2, 5.1, 7.2, 9.5]}]}
+
+EXACT_MTS_DOC = {
+    "kind": "mts", "alpha": 0.15, "nu": 5.0,
+    "products": [{"n": 6, "lambda": 0.5, "mu": 1.2, "c": 1.0, "s": 2.0, "r": 1.5},
+                 {"n": 5, "lambda": 0.4, "mu": 1.0, "c": 0.7, "s": 3.0, "r": 2.0}]}
+
+
+@pytest.mark.parametrize("doc, policy, seed", [
+    (EXACT_ROUTING_DOC, "index", 11), (EXACT_ROUTING_DOC, "shortest", 11),
+    (EXACT_ROUTING_DOC, "naive", 11),
+    (EXACT_MTS_DOC, "index", 12), (EXACT_MTS_DOC, "least-stock", 12)],
+    ids=["routing-index", "routing-shortest", "routing-naive", "mts-index",
+         "mts-least-stock"])
+def test_simulated_discounted_cost_matches_exact_joint_chain(doc, policy, seed):
+    # the horizon leaves a discount factor below 1e-6, far inside the error
+    reference = load_reference()
+    sys = model_from_document(doc)
+    if isinstance(sys, RoutingSystem):
+        tables = [routing_index_table(sys, k, q.n) for k, q in enumerate(sys.queues)]
+        # both buffers are finite, so the truncation is never used
+        exact = reference.routing_value(doc, policy, tables, truncation=1)
+    else:
+        tables = [mts_index_table(sys, k, p.n) for k, p in enumerate(sys.products)]
+        exact = reference.mts_value(doc, policy, tables)
+    rep = simulate(sys, policy, SimConfig(horizon=100.0, replications=300, seed=seed))
+    assert abs(rep.mean - exact) <= 4.0 * rep.se
