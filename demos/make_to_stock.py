@@ -11,7 +11,7 @@ import numpy as np
 
 from pclindex.policies import (MTSSystem, ProductSpec, mts_index_table,
                                mts_linear_index)
-from pclindex.simulate import SimConfig, simulate
+from pclindex.simulate import SimConfig, simulate_all
 
 products = (
     ProductSpec(n=8, lam=0.9, mu=1.5, c=1.0, s=2.0, r=1.2),   # steady seller
@@ -32,7 +32,6 @@ print("\nnegative index = producing is worth it even unsubsidized;")
 print("the zero crossing is the product's base-stock level")
 
 config = SimConfig(max_events=30_000, replications=10, seed=7)
-for policy in ("index", "least-stock"):
-    rep = simulate(sys, policy, config)
+for rep in simulate_all(sys, ["index", "least-stock"], config):
     half = 1.96 * rep.se
     print(f"  {rep.policy:>12}: net cost rate {rep.mean:8.4f} +- {half:.4f}")

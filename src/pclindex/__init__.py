@@ -34,7 +34,7 @@ from .admission import (ACModel, ak_coefficients, average_indices,
 from .policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                        mts_decide, mts_index, routing_decide, routing_index,
                        switching_curve)
-from .simulate import SimConfig, SimReport, simulate
+from .simulate import SimConfig, SimReport, simulate, simulate_all
 from .errors import (AssumptionError, DegeneracyError, InfeasibleTargetError,
                      InternalConsistencyError, NumericalRangeError, PclIndexError,
                      StructureError, UnsupportedModelError)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, admission, bandit, dp, policies
 from .errors import AssumptionError, InternalConsistencyError, PclIndexError
-from .simulate import SimConfig, simulate as run_simulation
+from .simulate import SimConfig, simulate_all
 from .modelio import (ModelFileError, digest, document_from_model, load_model)
 from .setsystem import SetSystem, powerset_family, threshold_family
 
@@ -211,9 +211,13 @@ def cmd_simulate(args) -> int:
             replications=args.reps, seed=args.seed, truncation=args.truncation)
     except ValueError as exc:
         raise ModelFileError(f"bad simulation budget: {exc}") from exc
+    names = list(dict.fromkeys(name.strip() for name in args.policy.split(",")))
+    try:   # an unknown policy, or a warm-up that uses up the event budget
+        reports = simulate_all(model, names, config)
+    except ValueError as exc:
+        raise ModelFileError(str(exc)) from exc
     results = {}
-    for pol in args.policy.split(","):
-        report = run_simulation(model, pol.strip(), config)
+    for report in reports:
         _log(f"{report.policy}: mean {report.mean:.6g} +- {1.96 * report.se:.2g} (95% CI)")
         results[report.policy] = {
             "mean": report.mean, "se": report.se, "ci95": list(report.ci95),

@@ -8,14 +8,17 @@ chains are simulated exactly: exponential clocks race between the
 events, holding costs are integrated in closed form between events since
 the cost rate is piecewise constant, and rejection charges / production
 subsidies are lumped at their event epochs with the appropriate discount.
-The replications run in lockstep as arrays, ``CHUNK`` events at a time:
-replication r draws ``standard_exponential(CHUNK)`` and then
-``random(CHUNK)`` from its own ``default_rng([seed, r])`` per chunk, and
-event i of a chunk takes the clock E[i] / total and the outcome
-``bisect_right(cuts, U[i] * total)``, so a replication's value does not
-depend on how many replications run.  Costs accrue in event order
-(holding cost, then charge) by one cumulative sum per chunk, and the
-report always carries the confidence interval, never a bare mean.
+Every policy of a :func:`simulate_all` call and every replication is one
+row of a single lockstep, ``CHUNK`` events at a time: replication r
+draws ``standard_exponential(CHUNK)`` and then ``random(CHUNK)`` from its
+own ``default_rng([seed, r])`` per chunk, every policy's row r reads that
+block (common random numbers), and event i of a chunk takes the clock
+E[i] / total and the outcome ``bisect_right(cuts, U[i] * total)``.  So a
+row's value depends neither on how many replications nor on which other
+policies run.  Costs accrue in event order (holding cost, then charge) by
+one cumulative sum per span of steps, so memory is O(rows x CHUNK) for
+the draws, in batches of at most ``BATCH`` rows, and the report always
+carries the confidence interval, never a bare mean.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .policies import (MTS_RULES, ROUTING_RULES, MTSSystem, ProductSpec, QueueSp
 
 BOUNDARY_FLAG_FRACTION = 1e-3
 CHUNK = 256   # events per block of random draws; part of the stream definition
+BATCH = 4096  # most rows (policy x replication) per lockstep batch; bounds memory only
+CELLS = 8192  # most steps x rows accrued by one pass of array expressions; speed only
 
 
 @dataclass(frozen=True)
@@ -111,13 +116,18 @@ def _warmup(alpha: float, horizon: float, config: SimConfig) -> tuple[float, int
 
     Time-based warm-up when a horizon is given; with a pure event budget
     the warm-up endpoint becomes known only when that event is reached,
-    so accrual starts disabled and the simulator stamps the time then.
+    so accrual starts disabled and the simulator stamps the time then;
+    a warm-up that takes the whole budget raises ``ValueError``.
     """
     if alpha > 0 or config.warmup_fraction == 0.0:
         return 0.0, -1
     if math.isfinite(horizon):
         return config.warmup_fraction * horizon, -1
-    return math.inf, max(1, int(config.warmup_fraction * (config.max_events or 0)))
+    warmup_events = max(1, int(config.warmup_fraction * config.max_events))
+    if warmup_events >= config.max_events:
+        raise ValueError(f"a warm-up of {warmup_events} events leaves none of the "
+                         f"{config.max_events} events in the budget to average over")
+    return math.inf, warmup_events
 
 
 @dataclass(frozen=True)
@@ -165,11 +175,8 @@ def _mts(sys: MTSSystem, caps: list[int]) -> _Network:
                     -sys.nu if math.isfinite(sys.nu) else 0.0, 0.0)
 
 
-def _build(system, policy: Callable | str, config: SimConfig, name: str | None = None):
-    """Network, caps, truncated buffers, decision function of the state
-    and report name.  A built-in policy applies :func:`engage` to the
-    score tables of its rule in :mod:`pclindex.policies`; a custom
-    ``policy(state, tables, caps)`` gets the index tables."""
+def _setup(system, config: SimConfig):
+    """Built-in rules, caps, truncated buffers and network of a system."""
     if isinstance(system, RoutingSystem):
         specs, network, rules = system.queues, _routing, ROUTING_RULES
     elif isinstance(system, MTSSystem):
@@ -178,18 +185,32 @@ def _build(system, policy: Callable | str, config: SimConfig, name: str | None =
         raise TypeError(f"cannot simulate {type(system).__name__}")
     caps = [spec.n if spec.n is not None else config.truncation for spec in specs]
     truncated = [k for k, spec in enumerate(specs) if spec.n is None]
-    net = network(system, caps)
+    return rules, caps, truncated, network(system, caps)
+
+
+def _decider(system, rules, caps: list[int], policy: Callable | str, name: str | None):
+    """Decision function of the state and report name.  A built-in policy
+    applies :func:`engage` to the score tables of its rule in
+    :mod:`pclindex.policies`; a custom ``policy(state, tables, caps)``
+    gets the index tables."""
     if callable(policy):
         tables = rules["index"].scores(system, caps)
         decide = lambda state: policy(state, tables, caps)
-        return net, caps, truncated, decide, name or getattr(policy, "__name__", "custom")
+        return decide, name or getattr(policy, "__name__", "custom")
     if policy not in rules:
-        raise ValueError(f"unknown policy {policy!r}")
+        raise ValueError(f"unknown policy {policy!r}; the built-in rules are "
+                         + ", ".join(rules))
     rule = rules[policy]
     scores = [np.asarray(table, dtype=float).tolist() for table in rule.scores(system, caps)]
     gate = rule.gate(system)
-    decide = lambda state: engage(state, scores, caps, gate)
-    return net, caps, truncated, decide, name or rule.label
+    return lambda state: engage(state, scores, caps, gate), name or rule.label
+
+
+def _build(system, policy: Callable | str, config: SimConfig, name: str | None = None):
+    """Network, caps, truncated buffers, decision function of the state
+    and report name of one policy."""
+    rules, caps, truncated, net = _setup(system, config)
+    return (net, caps, truncated, *_decider(system, rules, caps, policy, name))
 
 
 def _event_row(net: _Network, caps: list[int], truncated: list[int], decide,
@@ -224,7 +245,7 @@ class _Rows:
     the values of :func:`_event_row` and ``nexts`` the slot after each
     outcome, -1 until that transition is first taken, so the policy is
     consulted once per state reached.  Slot 0 is a dead sentinel (all
-    zero, every outcome back to slot 0) for replications past the horizon."""
+    zero, every outcome back to slot 0) for rows past the horizon."""
 
     def __init__(self, make_row, buffers: int):
         self.make_row, self.slot_of, self.codes = make_row, {}, [None]
@@ -268,52 +289,83 @@ def simulate(system, policy, config: SimConfig, name: str | None = None) -> SimR
     call, when its event row is built, and the replications share the
     rows.
     """
-    net, caps, truncated, decide, name = _build(system, policy, config, name)
-    place = [math.prod(cap + 1 for cap in caps[:k]) for k in range(len(caps))]
-    rows = _Rows(lambda code: _event_row(net, caps, truncated, decide, place, code), len(caps))
-    alpha, reps, width = system.alpha, config.replications, len(caps) + 2
+    return simulate_all(system, [policy], config, [name])[0]
+
+
+def simulate_all(system, policies, config: SimConfig, names=None) -> list[SimReport]:
+    """Report p is ``simulate(system, policies[p], config, names[p])``; the
+    budget and every policy are checked (``ValueError``) before anything is
+    drawn.  Row ``r * P + p`` (replication r, policy p) runs in a batch of
+    whole replications and at most ``BATCH`` rows, and the steps in spans
+    of at most ``CELLS`` steps x rows: a span records each row's slot,
+    outcome and epoch, then array expressions accrue it."""
+    rules, caps, truncated, net = _setup(system, config)
     horizon = config.horizon if config.horizon is not None else math.inf
     budget = config.max_events if config.max_events is not None else math.inf
-    start, warmup_events = _warmup(alpha, horizon, config)
-    rngs = np.array([np.random.default_rng([config.seed, rep]) for rep in range(reps)])
-    live, done, hits, count, slots = np.arange(reps), 0, 0, 0, np.full(reps, rows.slot(0))
-    t, disc, acc, warm = np.zeros(reps), np.ones(reps), np.zeros(reps), np.full(reps, start)
-    while live.size and done < budget:
-        n, m = int(min(CHUNK, budget - done)), live.size
-        draws = np.array([(g.standard_exponential(CHUNK), g.random(CHUNK)) for g in rngs[live]])
-        at, outcome = np.empty((2, m, n), dtype=np.intp)   # slot and outcome per event
-        clock = np.empty((m, n + 1))                       # event epochs
-        clock[:, 0], s = t[live], slots[live]
-        for i in range(n):
-            at[:, i], v = s, rows.vals.take(s, 0)
-            clock[:, i + 1] = clock[:, i] + draws[:, 0, i] * v[:, 0]
-            outcome[:, i] = (v[:, 5:] <= (draws[:, 1, i] * v[:, 1])[:, None]).sum(1)
-            edges = s * width + outcome[:, i]
-            s = rows.nexts.take(edges)
-            s[clock[:, i + 1] >= horizon] = 0
-            if s.min() < 0:
-                rows.follow(edges, s)
-        # steps end at a dead state, the budget or the horizon (accrued to, but no event)
-        v, tnext = rows.vals[at], np.minimum(clock[:, 1:], horizon)
-        event = (v[..., 1] > 0) & (clock[:, 1:] <= horizon)
-        k, before = warmup_events - done - 1, warm[live]   # k: the warm-up's last event
-        after = np.where(event[:, k], tnext[:, k], before) if 0 <= k < n else before
-        gate = np.where(np.arange(n) >= k, after[:, None], before[:, None])
-        terms = np.empty((m, 2 * n + 1))
-        terms[:, 0] = acc[live]
-        if alpha > 0:
-            later = np.exp(-alpha * tnext)
-            earlier = np.concatenate([disc[live][:, None], later[:, :-1]], axis=1)
-            terms[:, 1::2] = v[..., 2] * (earlier - later) / alpha
-            disc[live] = later[:, -1]
-        else:
-            later = 1.0
-            terms[:, 1::2] = v[..., 2] * np.maximum(tnext - np.maximum(clock[:, :-1], gate), 0.0)
-        lumped = event & (outcome == 0) & (tnext >= gate)
-        terms[:, 2::2] = np.where(lumped, v[..., 3] * later, 0.0)
-        acc[live] = np.add.accumulate(terms, axis=1)[:, -1]
-        hits, count = hits + int((event & (v[..., 4] > 0)).sum()), count + int(event.sum())
-        t[live], warm[live], slots[live] = tnext[:, -1], after, s
-        live, done = live[event[:, -1] & (clock[:, -1] < horizon)], done + n
+    start, warmup_events = _warmup(system.alpha, horizon, config)
+    decide, labels = zip(*(_decider(system, rules, caps, policy, name) for policy, name
+                           in zip(policies, names or [None] * len(policies), strict=True)))
+    size = math.prod(cap + 1 for cap in caps)   # policy p's codes are p * size + code
+    place = [math.prod(cap + 1 for cap in caps[:k]) for k in range(len(caps))]
+    rows = _Rows(lambda code: _event_row(net, caps, truncated, decide[code // size], place,
+                                         code), len(caps))
+    P, reps, alpha, width = len(decide), config.replications, system.alpha, len(caps) + 2
+    slots, per = np.tile([rows.slot(p * size) for p in range(P)], reps), max(1, BATCH // P)
+    (t, acc), disc, warm = np.zeros((2, P * reps)), np.ones(P * reps), np.full(P * reps, start)
+    events, hits = np.zeros((2, P * reps), dtype=np.intp)
+    for first in range(0, reps, per):
+        batch = range(first, min(reps, first + per))
+        rngs = {rep: np.random.default_rng([config.seed, rep]) for rep in batch}
+        live, done = np.arange(batch.start * P, batch.stop * P), 0
+        while live.size and done < budget:
+            n, m = int(min(CHUNK, budget - done)), live.size
+            drawn, col = np.unique(live // P, return_inverse=True)
+            # one block per replication, read by each of its rows: (n, m) each, step-major
+            E, U = np.array([(g.standard_exponential(CHUNK), g.random(CHUNK)) for g in map(
+                rngs.get, drawn.tolist())])[col, :, :n].transpose(1, 2, 0).copy()
+            span = max(1, min(n, CELLS // m))
+            at, outcome = np.empty((2, span, m), dtype=np.intp)   # slot and outcome per step
+            clock = np.empty((span + 1, m))                       # event epochs
+            clock[0], s, a, d, w = t[live], slots[live], acc[live], disc[live], warm[live]
+            ev = hit = 0
+            for lo in range(0, n, span):
+                j = min(span, n - lo)
+                for i in range(j):
+                    at[i], v = s, rows.vals.take(s, 0).T
+                    np.add(clock[i], E[lo + i] * v[0], out=clock[i + 1])
+                    np.less_equal(v[5:], U[lo + i] * v[1], order="C").sum(0, out=outcome[i])
+                    edges = s * width + outcome[i]
+                    s = rows.nexts.take(edges)
+                    s[clock[i + 1] >= horizon] = 0
+                    if s.min() < 0:
+                        rows.follow(edges, s)
+                # steps end at a dead state, the budget or the horizon (accrued to, no event)
+                total, rate, charge, flag = (rows.vals[:, c].take(at[:j]) for c in range(1, 5))
+                tnext = np.minimum(clock[1:j + 1], horizon)
+                event = (total > 0) & (clock[1:j + 1] <= horizon)
+                lump = event & (outcome[:j] == 0)
+                k = warmup_events - done - lo - 1   # the warm-up's last event, in the span
+                after = np.where(event[k], tnext[k], w) if 0 <= k < j else w
+                terms = np.empty((2 * j + 1, m))   # the objective, then cost and charge per step
+                terms[0] = a
+                if alpha > 0:
+                    later = np.exp(-alpha * tnext)
+                    terms[1::2] = rate * (np.concatenate([d[None], later[:-1]]) - later) / alpha
+                    terms[2::2] = np.where(lump, charge * later, 0.0)
+                    d = later[-1]
+                else:
+                    gate = np.where(np.arange(j)[:, None] >= k, after, w)
+                    terms[1::2] = rate * np.maximum(tnext - np.maximum(clock[:j], gate), 0.0)
+                    terms[2::2] = np.where(lump & (tnext >= gate), charge, 0.0)
+                a = np.add.accumulate(terms, out=terms)[-1]
+                ev, hit = ev + event.sum(0), hit + (event & (flag > 0)).sum(0)
+                w, clock[0] = after, clock[j]
+            del E, U   # before the next chunk's draws
+            acc[live], disc[live], warm[live], t[live], slots[live] = a, d, w, tnext[-1], s
+            events[live] += ev
+            hits[live] += hit
+            live, done = live[event[-1] & (clock[0] < horizon)], done + n
     values = acc if alpha > 0 else acc / np.maximum(t - warm, 1e-300)
-    return _finish_report(name, values.tolist(), count, hits, config.seed)
+    return [_finish_report(label, values[p::P].tolist(), int(events[p::P].sum()),
+                           int(hits[p::P].sum()), config.seed)
+            for p, label in enumerate(labels)]

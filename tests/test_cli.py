@@ -290,6 +290,60 @@ def test_simulate_bad_budget_is_an_input_error(tmp_path, capsys, argv):
     assert out["exit_code"] == 2 and "results" not in out
 
 
+@pytest.mark.parametrize("argv, sha", [
+    (["--events", "3000", "--reps", "4", "--seed", "2"],
+     "54e433cc56490ae37aef04d1730a2c7ea5e6949824e1eb61029cebb8bc32e2d7"),
+    (["--horizon", "300", "--reps", "3", "--seed", "5"],
+     "7e71bc5af5cf87724ee195e159168b04e2474c1a42df088ce538fa0a32d56da1"),
+], ids=["events", "horizon"])
+def test_simulate_report_is_pinned(tmp_path, capsys, argv, sha):
+    # pinned like the dp-verify report; the digests were taken when each
+    # policy still ran its own lockstep, so sharing one leaves every bit
+    assert cli.main(["simulate", write_doc(tmp_path, ROUTING_DOC),
+                     "--policy", "index,shortest,naive", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("doc, policy, unknown", [
+    (ROUTING_DOC, "index,bogus", "'bogus'"), (ROUTING_DOC, "least-stock", "'least-stock'"),
+    (MTS_DOC, "index,naive", "'naive'")],
+    ids=["bogus", "mts-rule-on-routing", "routing-rule-on-mts"])
+def test_simulate_unknown_policy_is_an_input_error(tmp_path, capsys, doc, policy, unknown):
+    # every name is checked before any simulation starts, so nothing is
+    # logged for the known names either
+    code, out, err = run_cli(capsys, "simulate", write_doc(tmp_path, doc),
+                             "--policy", policy, "--events", "100")
+    assert code == 2 and "results" not in out
+    assert unknown in out["error"]
+    rules = "index, shortest, naive" if doc is ROUTING_DOC else "index, least-stock"
+    assert out["error"].endswith(rules)
+    assert "mean" not in err
+
+
+def test_simulate_repeated_policy_is_simulated_once(tmp_path, capsys):
+    path = write_doc(tmp_path, ROUTING_DOC)
+    argv = ["--events", "500", "--reps", "3", "--seed", "1"]
+    code, once, err_once = run_cli(capsys, "simulate", path, "--policy", "index", *argv)
+    code_twice, twice, err_twice = run_cli(capsys, "simulate", path, "--policy",
+                                           "index, index", *argv)
+    assert code == code_twice == 0
+    assert twice == once and list(twice["results"]) == ["index"]
+    assert err_twice == err_once
+
+
+def test_simulate_warmup_that_uses_up_the_budget_is_an_input_error(tmp_path, capsys):
+    # the warm-up of max(1, int(0.1 * 1)) events is the whole budget, which
+    # used to divide the lumped subsidies by 1e-300
+    doc = {"kind": "mts", "alpha": 0.0, "nu": 3.0,
+           "products": [{"n": 8, "lambda": 0.9, "mu": 1.5, "c": 1.0, "s": 2.0, "r": 1.2},
+                        {"n": 8, "lambda": 0.5, "mu": 1.1, "c": 0.6, "s": 4.0, "r": 2.0}]}
+    code, out, _ = run_cli(capsys, "simulate", write_doc(tmp_path, doc),
+                           "--policy", "least-stock", "--events", "1", "--reps", "4")
+    assert code == 2 and "results" not in out
+    assert "warm-up" in out["error"]
+
+
 # ---------------------------------------------------------------------------
 # counterexample command
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ admission indices against each other, and the banded set-active solves
 against dense linear algebra, the CLI report writer against ``json.dumps``
 and the one-pass schema check against stock jsonschema."""
 
+import importlib
 import itertools
 import json
 import math
@@ -26,7 +27,7 @@ from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                                mts_quadratic_index, naive_decide, routing_decide,
                                routing_index_table, shortest_queue_decide)
 from pclindex.setsystem import powerset_family, product, threshold_family
-from pclindex.simulate import CHUNK, SimConfig, _build, simulate
+from pclindex.simulate import CHUNK, SimConfig, _build, simulate, simulate_all
 
 from conftest import (random_compliant_admission, random_rb, random_valid_family,
                       random_workload_tables)
@@ -298,7 +299,45 @@ def test_simulate_matches_reference_loop(sys, budget, warmup, truncation, replic
     builtin = ["index", "shortest", "naive"] if isinstance(sys, RoutingSystem) \
         else ["index", "least-stock"]
     policy = data.draw(st.sampled_from(builtin + [lowest_level_below_five]))
+    if _warmup_takes_budget(sys, config):
+        with pytest.raises(ValueError, match="warm-up"):
+            simulate(sys, policy, config)
+        return
     assert _same_run(simulate(sys, policy, config), reference_simulate(sys, policy, config))
+
+
+def _warmup_takes_budget(sys, config: SimConfig) -> bool:
+    """Average criterion, a pure event budget and a count warm-up that
+    reaches its end: the simulator rejects these before drawing."""
+    return (sys.alpha == 0 and config.horizon is None and config.warmup_fraction > 0
+            and max(1, int(config.warmup_fraction * config.max_events)) >= config.max_events)
+
+
+@settings(PROPERTY, max_examples=80)
+@given(sys=st.one_of(routing_systems(), mts_systems()), budget=budgets,
+       warmup=st.sampled_from([0.0, 0.2, 0.5]), truncation=st.integers(3, 10),
+       replications=st.integers(1, 4), seed=seeds, batch=st.sampled_from([1, 3, 4096]),
+       cells=st.sampled_from([1, 7, 8192]), data=st.data())
+def test_simulate_all_matches_one_call_per_policy(sys, budget, warmup, truncation,
+                                                  replications, seed, batch, cells, data):
+    # one lockstep for every policy, in batches of any size and accrued in
+    # spans of any length, gives each policy's own run bit for bit
+    config = SimConfig(replications=replications, seed=seed, truncation=truncation,
+                       warmup_fraction=warmup, **budget)
+    assume(not _warmup_takes_budget(sys, config))
+    builtin = ["index", "shortest", "naive"] if isinstance(sys, RoutingSystem) \
+        else ["index", "least-stock"]
+    policies = data.draw(st.lists(st.sampled_from(builtin + [lowest_level_below_five]),
+                                  min_size=1, max_size=4))
+    with pytest.MonkeyPatch.context() as patch:
+        module = importlib.import_module("pclindex.simulate")
+        patch.setattr(module, "BATCH", batch)
+        patch.setattr(module, "CELLS", cells)
+        together = simulate_all(sys, policies, config)
+    alone = [simulate(sys, policy, config) for policy in policies]
+    assert [rep.policy for rep in together] == [rep.policy for rep in alone]
+    for rep, one in zip(together, alone):
+        assert _same_run(rep, (one.per_replication, one.events, one.boundary_hits))
 
 
 def _same_run(rep, reference) -> bool:
@@ -353,9 +392,13 @@ def test_replication_value_does_not_depend_on_replication_count(sys, budget, see
     builtin = ["index", "shortest", "naive"] if isinstance(sys, RoutingSystem) \
         else ["index", "least-stock"]
     policy = data.draw(st.sampled_from(builtin + [lowest_level_below_five]))
-    few, many = (simulate(sys, policy, SimConfig(replications=count, seed=seed,
-                                                 truncation=6, **budget))
-                 for count in (rep + 1, rep + 5))
+    configs = [SimConfig(replications=count, seed=seed, truncation=6, **budget)
+               for count in (rep + 1, rep + 5)]
+    if _warmup_takes_budget(sys, configs[0]):
+        with pytest.raises(ValueError, match="warm-up"):
+            simulate(sys, policy, configs[0])
+        return
+    few, many = (simulate(sys, policy, config) for config in configs)
     assert repr(few.per_replication[rep]) == repr(many.per_replication[rep])
 
 

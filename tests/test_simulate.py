@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import importlib.util
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from pclindex import admission
 from pclindex.modelio import model_from_document
 from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                                mts_index_table, routing_index_table)
-from pclindex.simulate import SimConfig, simulate
+from pclindex.simulate import CHUNK, SimConfig, simulate, simulate_all
+
+SIMULATE = importlib.import_module("pclindex.simulate")   # the module, not the function
 
 REFERENCE_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.py"
 
@@ -223,6 +227,111 @@ def test_custom_policy_is_consulted_once_per_visited_state():
     rep = simulate(sys, counting, SimConfig(max_events=5000, replications=3, seed=2))
     assert len(seen) == len(set(seen)) == 9
     assert rep.events == 15_000
+
+
+def lowest_level(state, tables, caps):
+    """Custom policy: the lowest buffer below its cap whose index is below 5."""
+    open_ = [k for k, j in enumerate(state) if j < caps[k] and tables[k][j] < 5.0]
+    return min(open_, key=lambda k: state[k]) if open_ else None
+
+
+def run_signature(rep):
+    return rep.policy, tuple(map(repr, rep.per_replication)), rep.events, rep.boundary_hits
+
+
+ROUTING_TRUNCATED = [RoutingSystem(2.2, (QueueSpec(10, 1.0, 1.0), QueueSpec(None, 1.6, 1.8)),
+                                   alpha=alpha, nu=8.0) for alpha in (0.0, 0.1)]
+MTS_PAIR = [MTSSystem((ProductSpec(8, 0.9, 1.5, 1.0, 2.0, 1.2),
+                       ProductSpec(8, 0.5, 1.1, 0.6, 4.0, 2.0)), alpha=alpha, nu=3.0)
+            for alpha in (0.0, 0.1)]
+
+
+@pytest.mark.parametrize("batch", [3, SIMULATE.BATCH], ids=["batch-3", "batch-default"])
+@pytest.mark.parametrize("budget", [dict(max_events=700), dict(horizon=300.0),
+                                    dict(max_events=600, horizon=300.0)],
+                         ids=["events", "horizon", "both"])
+@pytest.mark.parametrize("sys, policies", [
+    *[(sys, ["index", "shortest", lowest_level, "naive"]) for sys in ROUTING_TRUNCATED],
+    *[(sys, ["least-stock", "index"]) for sys in MTS_PAIR]],
+    ids=["routing-average", "routing-discounted", "mts-average", "mts-discounted"])
+def test_simulate_all_equals_one_call_per_policy(monkeypatch, sys, policies, budget, batch):
+    # the policies share one lockstep and one generator per replication; on
+    # a horizon their rows die in different chunks, the infinite buffer is
+    # truncated low enough to sit at its cap, a batch of 3 rows splits the
+    # replications, and short spans split the chunks
+    config = SimConfig(replications=5, seed=9, truncation=6, warmup_fraction=0.2, **budget)
+    alone = [simulate(sys, policy, config) for policy in policies]   # one span per chunk
+    monkeypatch.setattr(SIMULATE, "BATCH", batch)
+    monkeypatch.setattr(SIMULATE, "CELLS", 50)   # spans of 2 to 25 steps
+    together = simulate_all(sys, policies, config)
+    assert list(map(run_signature, together)) == list(map(run_signature, alone))
+    if isinstance(sys, RoutingSystem):
+        assert sum(rep.boundary_hits for rep in together) > 0
+    if "horizon" in budget and "max_events" not in budget:
+        assert len({rep.events for rep in together}) == len(policies)
+        assert min(rep.events for rep in together) > 2 * CHUNK * config.replications
+
+
+def test_simulate_all_names_its_reports():
+    config = SimConfig(max_events=300, replications=2, seed=1)
+    reps = simulate_all(ROUTING_TRUNCATED[1], ["index", lowest_level, "naive"], config,
+                        names=["a", None, "c"])
+    assert [rep.policy for rep in reps] == ["a", "lowest_level", "c"]
+    with pytest.raises(ValueError):   # one name per policy, or none
+        simulate_all(ROUTING_TRUNCATED[1], ["index", "naive"], config, names=["a"])
+
+
+def test_simulate_all_checks_every_policy_before_drawing(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("simulated before checking every policy")
+
+    monkeypatch.setattr(SIMULATE, "_Rows", no_rows)
+    with pytest.raises(ValueError, match="unknown policy 'least-stock'; the built-in "
+                                         "rules are index, shortest, naive"):
+        simulate_all(ROUTING_TRUNCATED[0], ["index", "least-stock"],
+                     SimConfig(max_events=100, replications=2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("warmup", [0.1, 0.5, 0.95])
+def test_warmup_that_uses_up_the_event_budget_raises(monkeypatch, warmup):
+    # the average criterion with a count warm-up of at least one event and a
+    # budget of one used to report +-3e300 and warn of an overflow; now
+    # nothing is drawn
+    def no_rows(*args):
+        raise AssertionError("simulated before checking the warm-up")
+
+    monkeypatch.setattr(SIMULATE, "_Rows", no_rows)
+    config = SimConfig(max_events=1, replications=4, warmup_fraction=warmup)
+    with pytest.raises(ValueError, match="warm-up"):
+        simulate(MTS_PAIR[0], "least-stock", config)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_warmup_short_of_the_event_budget_still_runs():
+    # one event past the warm-up, no warm-up, and the discounted criterion
+    for events, warmup in ((2, 0.1), (10, 0.95), (1, 0.0)):
+        config = SimConfig(max_events=events, replications=4, warmup_fraction=warmup)
+        rep = simulate(MTS_PAIR[0], "least-stock", config)
+        assert all(math.isfinite(v) and abs(v) < 1e6 for v in rep.per_replication)
+    rep = simulate(MTS_PAIR[1], "least-stock", SimConfig(max_events=1, replications=4))
+    assert rep.events == 4
+
+
+def test_peak_memory_is_flat_in_the_number_of_batches(monkeypatch):
+    # rows past the batch size wait for the next batch, so four batches of
+    # rows peak where one does
+    monkeypatch.setattr(SIMULATE, "BATCH", 64)
+    sys = ROUTING_TRUNCATED[1]
+    simulate_all(sys, ["index", "naive"], SimConfig(max_events=CHUNK, replications=2))
+    peaks = []
+    for replications in (32, 128):
+        config = SimConfig(max_events=CHUNK, replications=replications, seed=3)
+        tracemalloc.start()
+        simulate_all(sys, ["index", "naive"], config)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def stream_digest(runs) -> str:
