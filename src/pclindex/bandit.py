@@ -213,16 +213,12 @@ class RBModel:
 
     @cached_property
     def communicating(self) -> bool:
-        """Strong connectivity of the union of the two transition graphs,
-        computed on first use; see :func:`is_communicating`."""
+        """True iff every state is reachable from every other under some
+        policy (strong connectivity of the union of the two transition
+        graphs), decided once per model, on first use."""
         adj = ((self.P0 > 0) | (self.P1 > 0)).astype(int)
         n_comp, _ = connected_components(adj, directed=True, connection="strong")
         return n_comp == 1
-
-    def policy_vector(self, s: Iterable) -> np.ndarray:
-        """Activation probabilities of the S-active policy (1 on S and
-        the uncontrollable states, 0 elsewhere)."""
-        return self.active_rows(s).astype(float)
 
 
 def _require_discounted(model: RBModel):
@@ -387,7 +383,18 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
         w = workloads(s)
         violations.extend((s, e, float(w[e])) for e in np.flatnonzero(~(w > 0.0)))
     cost = cache.limits(sys.ground).c_bar if average else normalized_passive_cost(model)
-    out = ag2(cost[at], WorkloadOracle(row=lambda s: workloads(s)[sorted(s)]), sys)
+    row = lambda s: workloads(s)[sorted(s)]
+    if violations:   # the walk cannot pass a member with a nonpositive workload of its own
+        inside = {s: (e, w) for s, e, w in reversed(violations) if e in s}   # first e per s
+
+        def row(s, read=row):
+            if s in inside:
+                e, w = inside[s]
+                raise UnsupportedModelError(
+                    f"marginal workload w({sorted(ctrl[i] for i in s)}, {ctrl[e]}) = {w} is "
+                    "not positive on the adaptive-greedy chain")
+            return read(s)
+    out = ag2(cost[at], WorkloadOracle(row=row), sys)
     order = tuple(ctrl[e] for e in out.pi)
     positive = not violations
     return PCLReport(
@@ -410,7 +417,9 @@ def pcl_index(model: RBModel, sys: SetSystem) -> PCLReport:
     The ground set of ``sys`` indexes sorted(controllable).  Checks that
     every family member has strictly positive marginal workloads at all
     controllable states, then runs the rate-recursion greedy algorithm on
-    the normalized passive cost with the model-derived workload oracle.
+    the normalized passive cost with the model-derived workload oracle,
+    which raises :class:`UnsupportedModelError` if the walk reaches a
+    member with a nonpositive workload at one of its own states.
     """
     return _pcl_report(model, sys, average=False)
 
@@ -569,13 +578,6 @@ class AverageLimits:
     c_bar: np.ndarray
 
 
-def is_communicating(model: RBModel) -> bool:
-    """True iff every state is reachable from every other under some policy
-    (strong connectivity of the union of the two transition graphs),
-    decided once per model."""
-    return model.communicating
-
-
 def _recurrent_classes(P: np.ndarray) -> list[list[int]]:
     """The closed strong components of the positive edges, in label order:
     a component is closed when no edge leaves it."""
@@ -615,7 +617,7 @@ def average_limits(model: RBModel, s) -> AverageLimits:
     fixes the lowest-index recurrent state at zero; the marginal
     quantities are gauge-independent.
     """
-    if not is_communicating(model):
+    if not model.communicating:
         raise UnsupportedModelError("model is not communicating")
     mask = model.active_rows(s)
     P = np.where(mask[:, None], model.P1, model.P0)

@@ -11,9 +11,11 @@ by idling; with a constant production rate that is the critical subsidy
 per completed item, which the policy and the simulator pay.
 
 Rate and cost parameters may be given as scalars (constant rate / linear
-cost) or sequences indexed by the state.  Each system has one index-table
-path: the admission recursion on the buffer's own model, whole when the
-buffer is finite and truncated past the levels read when it is infinite.
+cost) or sequences indexed by the state, and read only by each system's
+``levels(k, n)``, the one per-level rate table of buffer k.  Each system
+has one index-table path: the admission recursion on the buffer's own
+model, whole when the buffer is finite and truncated past the levels
+read when it is infinite.
 Every built-in policy is one :class:`Rule` in :data:`ROUTING_RULES` or
 :data:`MTS_RULES`: a report label, a gate and score tables, which the
 ``*_decide`` functions and :func:`pclindex.simulate.simulate` both read
@@ -75,8 +77,17 @@ class QueueSpec:
         return _at(self.h, j, "h")
 
 
+class _Buffers:
+    """Birth--death buffers whose rates come from ``levels(k, n)``."""
+
+    def admission_model(self, k: int, n_states: int) -> ACModel:
+        """Buffer k as an admission-control project on 0..n_states."""
+        birth, death, cost = self.levels(k, n_states)
+        return ACModel(n_states, birth, death[1:], cost, self.alpha)
+
+
 @dataclass(frozen=True)
-class RoutingSystem:
+class RoutingSystem(_Buffers):
     """Poisson arrivals at rate ``lam`` routed to parallel queues (or
     rejected at charge ``nu``); discount rate ``alpha`` (0 = average)."""
 
@@ -92,13 +103,12 @@ class RoutingSystem:
             raise ValueError("discount rate must be nonnegative")
         object.__setattr__(self, "queues", tuple(self.queues))
 
-    def admission_model(self, k: int, n_states: int) -> ACModel:
-        """Queue k viewed as an admission-control project on 0..n_states."""
+    def levels(self, k: int, n: int) -> tuple[list[float], list[float], list[float]]:
+        """Queue k's birth, death and cost rates at levels 0..n: the
+        arrival rate, the service rate (0 at level 0) and the holding cost."""
         q = self.queues[k]
-        lam = np.full(n_states + 1, self.lam)
-        mu = np.array([q.mu_at(j) for j in range(1, n_states + 1)])
-        h = np.array([q.h_at(j) for j in range(n_states + 1)])
-        return ACModel(n_states, lam, mu, h, self.alpha)
+        return ([float(self.lam)] * (n + 1), [q.mu_at(j) for j in range(n + 1)],
+                [q.h_at(j) for j in range(n + 1)])
 
 
 def routing_index(sys: RoutingSystem, k: int, j: int) -> float:
@@ -210,7 +220,7 @@ class ProductSpec:
     for a finite product), ``c`` the stock holding cost rate (scalar c =
     linear c*j), ``s`` the cost per lost order and ``r`` the selling price
     (scalar = constant).  A full stock's project model keeps the rate
-    mu_(n-1) (:meth:`MTSSystem.admission_model`).
+    mu_(n-1) (:meth:`MTSSystem.levels`).
     """
 
     n: int | None
@@ -245,7 +255,7 @@ class ProductSpec:
 
 
 @dataclass(frozen=True)
-class MTSSystem:
+class MTSSystem(_Buffers):
     """Make-to-stock facility: one product may be produced at a time,
     subsidized at rate ``nu`` per completed item."""
 
@@ -258,17 +268,15 @@ class MTSSystem:
             raise ValueError("discount rate must be nonnegative")
         object.__setattr__(self, "products", tuple(self.products))
 
-    def admission_model(self, k: int, n_states: int) -> ACModel:
-        """Product k's stock as an admission-control project on 0..n_states
+    def levels(self, k: int, n: int) -> tuple[list[float], list[float], list[float]]:
+        """Product k's birth, death and cost rates at stock levels 0..n,
         with the roles of arrivals and services swapped: births are
-        production completions, deaths are filled orders, costs are the net
-        cost rates.  The cap always idles, forgoing production at rate
-        mu_(n_states-1), which keeps its activity weight positive."""
+        production completions, deaths are orders (lost at level 0), costs
+        are the net cost rates.  The cap keeps the production rate
+        mu_(n-1), which keeps its activity weight positive."""
         p = self.products[k]
-        lam = np.array([p.mu_at(j) for j in range(n_states)] + [p.mu_at(n_states - 1)])
-        mu = np.array([p.lam_at(j) for j in range(1, n_states + 1)])
-        h = np.array([p.net_cost(j) for j in range(n_states + 1)])
-        return ACModel(n_states, lam, mu, h, self.alpha)
+        return ([p.mu_at(j) for j in range(n)] + [p.mu_at(n - 1)],
+                [p.lam_at(j) for j in range(n + 1)], [p.net_cost(j) for j in range(n + 1)])
 
 
 def mts_index(sys: MTSSystem, k: int, j: int) -> float:
@@ -343,8 +351,9 @@ def _index_scores(table: Callable[[object, int, int], np.ndarray]):
 
 def _one_step_rates(sys: RoutingSystem, lengths: Sequence[int]) -> list:
     """h_k(j + 1) / mu_k(j + 1), the naive routing score."""
-    return [[q.h_at(j + 1) / q.mu_at(j + 1) for j in range(length)]
-            for q, length in zip(sys.queues, lengths)]
+    tables = (sys.levels(k, length) for k, length in enumerate(lengths))
+    return [[cost[j] / death[j] for j in range(1, length + 1)]
+            for length, (_, death, cost) in zip(lengths, tables)]
 
 
 ROUTING_RULES = {

@@ -1,9 +1,10 @@
 """Event-driven continuous-time simulation of the index policies.
 
 Routing and make-to-stock run through one simulator over birth--death
-buffers that share one controlled birth stream, with rates and cost
-rates tabulated per level once per run, and the event row of each
-visited joint state (decision, rates, outcomes) built once per run.  The
+buffers that share one controlled birth stream.  Rates and cost rates
+are read once per run from the system's one per-level table,
+``levels(k, cap)`` (:mod:`pclindex.policies`), and the event row of each
+visited joint state (decision, rates, outcomes) is built once per run.  The
 chains are simulated exactly: exponential clocks race between the
 events, holding costs are integrated in closed form between events since
 the cost rate is piecewise constant, and rejection charges / production
@@ -25,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .policies import (MTS_RULES, ROUTING_RULES, MTSSystem, ProductSpec, QueueSpec,
-                       RoutingSystem, engage)
+from .policies import MTS_RULES, ROUTING_RULES, MTSSystem, RoutingSystem, engage
 
 BOUNDARY_FLAG_FRACTION = 1e-3
 CHUNK = 256   # events per block of random draws; part of the stream definition
@@ -143,49 +143,32 @@ class _Network:
     leaves the level at 0.  ``cost[k][j]`` is the cost rate.
     """
 
-    birth: list[list[float]]
+    birth: Sequence[list[float]]
     idle_birth: float
-    death: list[list[float]]
-    cost: list[list[float]]
+    death: Sequence[list[float]]
+    cost: Sequence[list[float]]
     fed_charge: float
     idle_charge: float
 
 
-def _tabulate(fn, specs, caps: list[int], extra: int) -> list[list[float]]:
-    """``fn(spec, j)`` at levels 0..cap-1+extra of each buffer."""
-    return [[fn(spec, j) for j in range(cap + extra)] for spec, cap in zip(specs, caps)]
-
-
-def _routing(sys: RoutingSystem, caps: list[int]) -> _Network:
-    """Arrivals are the birth stream and a rejection costs the charge."""
-    queues, lam = sys.queues, float(sys.lam)
-    return _Network([[lam] * cap for cap in caps], lam,
-                    _tabulate(QueueSpec.mu_at, queues, caps, 1),
-                    _tabulate(QueueSpec.h_at, queues, caps, 1), 0.0,
-                    sys.nu if math.isfinite(sys.nu) else 0.0)
-
-
-def _mts(sys: MTSSystem, caps: list[int]) -> _Network:
-    """Production is the birth stream and earns the subsidy; orders are
-    deaths, lost at zero stock."""
-    products = sys.products
-    return _Network(_tabulate(ProductSpec.mu_at, products, caps, 0), 0.0,
-                    _tabulate(ProductSpec.lam_at, products, caps, 1),
-                    _tabulate(ProductSpec.net_cost, products, caps, 1),
-                    -sys.nu if math.isfinite(sys.nu) else 0.0, 0.0)
-
-
 def _setup(system, config: SimConfig):
-    """Built-in rules, caps, truncated buffers and network of a system."""
+    """Built-in rules, caps, truncated buffers and network of a system.
+    Routing: arrivals are the birth stream and a rejection costs the
+    charge.  Make-to-stock: production is the birth stream and earns the
+    subsidy; orders are deaths, lost at zero stock."""
     if isinstance(system, RoutingSystem):
-        specs, network, rules = system.queues, _routing, ROUTING_RULES
+        specs, rules, idle_birth = system.queues, ROUTING_RULES, float(system.lam)
     elif isinstance(system, MTSSystem):
-        specs, network, rules = system.products, _mts, MTS_RULES
+        specs, rules, idle_birth = system.products, MTS_RULES, 0.0
     else:
         raise TypeError(f"cannot simulate {type(system).__name__}")
+    nu = system.nu if math.isfinite(system.nu) else 0.0
     caps = [spec.n if spec.n is not None else config.truncation for spec in specs]
     truncated = [k for k, spec in enumerate(specs) if spec.n is None]
-    return rules, caps, truncated, network(system, caps)
+    birth, death, cost = zip(*(system.levels(k, cap) for k, cap in enumerate(caps)))
+    births = [rates[:cap] for rates, cap in zip(birth, caps)]
+    charges = (0.0, nu) if isinstance(system, RoutingSystem) else (-nu, 0.0)
+    return rules, caps, truncated, _Network(births, idle_birth, death, cost, *charges)
 
 
 def _decider(system, rules, caps: list[int], policy: Callable | str, name: str | None):
@@ -204,13 +187,6 @@ def _decider(system, rules, caps: list[int], policy: Callable | str, name: str |
     scores = [np.asarray(table, dtype=float).tolist() for table in rule.scores(system, caps)]
     gate = rule.gate(system)
     return lambda state: engage(state, scores, caps, gate), name or rule.label
-
-
-def _build(system, policy: Callable | str, config: SimConfig, name: str | None = None):
-    """Network, caps, truncated buffers, decision function of the state
-    and report name of one policy."""
-    rules, caps, truncated, net = _setup(system, config)
-    return (net, caps, truncated, *_decider(system, rules, caps, policy, name))
 
 
 def _event_row(net: _Network, caps: list[int], truncated: list[int], decide,

@@ -1,3 +1,5 @@
+import json
+import re
 import warnings
 
 import numpy as np
@@ -127,7 +129,7 @@ def test_cost_measure_matches_occupancies(rng):
     s = frozenset({0, 2})
     v = cost_measure(m, s)
     for i in range(5):
-        x0, x1 = occupation_measures(m, m.policy_vector(s), i)
+        x0, x1 = occupation_measures(m, m.active_rows(s).astype(float), i)
         assert v[i] == pytest.approx(float(m.h0 @ x0 + m.h1 @ x1), abs=1e-9)
 
 
@@ -151,7 +153,7 @@ def test_activity_measure_via_occupancies():
     s = frozenset({1})
     b = activity_measure(m, s)
     for i in range(m.n_states):
-        _, x1 = occupation_measures(m, m.policy_vector(s), i)
+        _, x1 = occupation_measures(m, m.active_rows(s).astype(float), i)
         assert b[i] == pytest.approx(float(m.theta1 @ x1), abs=1e-9)
 
 
@@ -182,7 +184,7 @@ def test_marginal_workload_single_swap_identity(rng):
         b_s = activity_measure(m, s)
         b_sj = activity_measure(m, s | {j})
         for i in range(5):
-            _, x1 = occupation_measures(m, m.policy_vector(s | {j}), i)
+            _, x1 = occupation_measures(m, m.active_rows(s | {j}).astype(float), i)
             assert b_sj[i] - b_s[i] == pytest.approx(w[j] * x1[j], abs=1e-9)
 
 
@@ -206,7 +208,7 @@ def test_marginal_cost_single_swap_identity(rng):
     v_s = cost_measure(m, s)
     v_sj = cost_measure(m, s | {j})
     for i in range(5):
-        _, x1 = occupation_measures(m, m.policy_vector(s | {j}), i)
+        _, x1 = occupation_measures(m, m.active_rows(s | {j}).astype(float), i)
         assert v_s[i] - v_sj[i] == pytest.approx(c[j] * x1[j], abs=1e-9)
 
 
@@ -313,7 +315,7 @@ def test_vector_swap_identities(rng):
 def test_decomposition_reduces_to_equal_measures_for_matching_policy(rng):
     m = random_rb(rng, 5, 3)
     s = frozenset({0, 2})
-    u = m.policy_vector(s)
+    u = m.active_rows(s).astype(float)
     assert verify_workload_decomposition(m, u, s, 1) <= 1e-9
     assert verify_cost_decomposition(m, u, s, 1) <= 1e-9
 
@@ -334,7 +336,7 @@ def test_decomposition_laws_random_policies(rng):
 
 def test_decomposition_fully_passive_policy(rng):
     m = random_rb(rng, 5, 3)
-    u = m.policy_vector(frozenset())
+    u = m.active_rows(frozenset()).astype(float)
     s = frozenset(range(3))
     assert verify_workload_decomposition(m, u, s, 0) <= 1e-9
     assert verify_cost_decomposition(m, u, s, 0) <= 1e-9
@@ -436,6 +438,12 @@ def relabel(m: RBModel, perm) -> RBModel:
 PERM = [1, 2, 4, 5, 0, 3]
 
 
+def named_workload(err: UnsupportedModelError) -> tuple[list[int], int]:
+    """The set and the state whose workload stopped the greedy walk."""
+    s, j = re.match(r"marginal workload w\((\[[\d, ]*\]), (\d+)\)", str(err)).groups()
+    return json.loads(s), int(j)
+
+
 def assert_reports_match_under_relabelling(rep, moved):
     assert moved.ag.pi == rep.ag.pi
     assert moved.nu == pytest.approx(rep.nu, rel=1e-9, abs=1e-12)
@@ -451,16 +459,19 @@ def assert_reports_match_under_relabelling(rep, moved):
 
 def test_reports_follow_a_non_identity_ground_to_state_map(rng):
     fam = powerset_family(4)
-    checked = {"violations": 0, "indexable": 0}
+    checked = {"violations": 0, "indexable": 0, "errors": 0}
     while min(checked.values()) == 0:
         m = random_rb(rng, 6, 4, near=bool(rng.integers(2)))
         moved = relabel(m, PERM)
         assert sorted(moved.controllable) == [1, 2, 4, 5]
         try:
             rep = pcl_index(m, fam)
-        except ValueError:          # a nonpositive workload on the walked chain
-            with pytest.raises(ValueError):
+        except UnsupportedModelError as err:   # a nonpositive workload on the walked chain
+            with pytest.raises(UnsupportedModelError) as moved_err:
                 pcl_index(moved, fam)
+            s, j = named_workload(err)   # named by states, not ground positions
+            assert named_workload(moved_err.value) == (sorted(PERM[i] for i in s), PERM[j])
+            checked["errors"] += 1
             continue
         moved_rep = pcl_index(moved, fam)
         assert_reports_match_under_relabelling(rep, moved_rep)
@@ -546,7 +557,7 @@ def test_communication_is_decided_once_per_model(rng, monkeypatch):
     assert rep.indexable
     assert passes["classes"] > 6
     assert passes["all"] - passes["classes"] == 1
-    assert bandit.is_communicating(m)
+    assert m.communicating
     assert passes["all"] - passes["classes"] == 1
 
 

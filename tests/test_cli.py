@@ -8,6 +8,8 @@ from pclindex import admission, cli
 from pclindex.modelio import (canonical_json, document_from_model, load_model,
                               model_from_document, save_model)
 
+from conftest import random_rb
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -153,6 +155,30 @@ def test_index_explicit_family(tmp_path, capsys):
                            "--family", "explicit")
     assert code == 0
     assert out["results"]["pcl"]["chain"]
+
+
+def test_index_nonpositive_workload_on_the_chain_exits_3(tmp_path, capsys):
+    # alpha 0, lam 1, mu 0.8, h_i = i^2: the limiting workload of the
+    # threshold set {131..199} at state 169 rounds to about -1.6e-15
+    n = 200
+    doc = {"kind": "admission", "n": n, "lambda": [1.0] * (n + 1), "mu": [0.8] * n,
+           "h": [float(i * i) for i in range(n + 1)], "alpha": 0.0}
+    code, out, _ = run_cli(capsys, "index", write_doc(tmp_path, doc))
+    assert code == 3 and out["exit_code"] == 3
+    assert out["error"].startswith("marginal workload w([")
+    assert "not positive on the adaptive-greedy chain" in out["error"]
+
+
+def test_index_rb_nonpositive_workload_on_the_chain_exits_3(tmp_path, capsys):
+    # the 84th draw has w(J, 0) = -0.048 at the whole ground set J, where
+    # the powerset walk starts
+    rng = np.random.default_rng(0)
+    for _ in range(84):
+        model = random_rb(rng, 4, 3, near=bool(rng.integers(2)))
+    code, out, _ = run_cli(capsys, "index", write_doc(tmp_path, document_from_model(model)),
+                           "--family", "powerset")
+    assert code == 3 and out["exit_code"] == 3
+    assert out["error"].startswith("marginal workload w([0, 1, 2], 0) = -0.047")
 
 
 @pytest.mark.parametrize("command", ["index", "dp-verify"])

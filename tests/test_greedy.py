@@ -169,7 +169,7 @@ def test_primal_vertex_equals_occupation_measures(rng):
         active = frozenset(j for j in pi_star[pos + 1:])
         x = primal_vertex(pi_star, oracle)
         x0, _ = bandit.occupation_measures(
-            model, model.policy_vector(active), initial)
+            model, model.active_rows(active).astype(float), initial)
         b = bandit.activity_measure(model, active)[initial]
         assert np.allclose(x[:3], x0[:3], atol=1e-9)
         assert abs(x[3] - b) <= 1e-9 * max(1.0, abs(b))

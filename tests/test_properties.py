@@ -1,5 +1,6 @@
 """Property tests: index tables against the closed forms, the simulator's
-tabulated decisions against the public decision functions, the lockstep
+tabulated decisions against the public decision functions, the per-level
+rate tables against the spec accessors, the lockstep
 simulator against a per-event reference loop, the make-to-stock table
 against the DP and greedy indices of its project, the three routes to the
 admission indices against each other, and the banded set-active solves
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from pclindex import admission, bandit, cli, dp, modelio
-from pclindex.admission import (closed_form_index, indices, uniformize, workload_pivots,
-                                workload_table)
+from pclindex.admission import (ACModel, closed_form_index, indices, uniformize,
+                                workload_pivots, workload_table)
 from pclindex.greedy import (WorkloadOracle, ag1, ag2, dual_solution, local_minmax_check,
                              lp_value, objective_representation_check, primal_vertex)
 from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
@@ -27,7 +28,7 @@ from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                                mts_quadratic_index, naive_decide, routing_decide,
                                routing_index_table, shortest_queue_decide)
 from pclindex.setsystem import powerset_family, product, threshold_family
-from pclindex.simulate import CHUNK, SimConfig, _build, simulate, simulate_all
+from pclindex.simulate import CHUNK, SimConfig, _decider, _setup, simulate, simulate_all
 
 from conftest import (random_compliant_admission, random_rb, random_valid_family,
                       random_workload_tables)
@@ -126,8 +127,9 @@ def test_routing_table_decisions_match_decide_functions(sys, truncation, data):
     config = SimConfig(max_events=1, truncation=truncation)
     public = {"index": routing_decide, "shortest": shortest_queue_decide,
               "naive": naive_decide}
+    rules, caps, _, _ = _setup(sys, config)
     for policy, decide_fn in public.items():
-        _, caps, _, decide, _ = _build(sys, policy, config)
+        decide, _ = _decider(sys, rules, caps, policy, None)
         state = data.draw(states(caps))
         assert decide(state) == decide_fn(sys, state, full=caps)
 
@@ -145,11 +147,33 @@ def mts_systems(draw):
 @given(sys=mts_systems(), truncation=st.integers(3, 10), data=st.data())
 def test_mts_table_decisions_match_decide_functions(sys, truncation, data):
     config = SimConfig(max_events=1, truncation=truncation)
-    _, caps, _, decide, _ = _build(sys, "least-stock", config)
+    rules, caps, _, _ = _setup(sys, config)
     state = data.draw(states(caps))
+    decide, _ = _decider(sys, rules, caps, "least-stock", None)
     assert decide(state) == least_stock_decide(sys, state, full=caps)
-    _, _, _, decide, _ = _build(sys, "index", config)
+    decide, _ = _decider(sys, rules, caps, "index", None)
     assert decide(state) == mts_decide(sys, state, full=caps)
+
+
+@PROPERTY
+@given(sys=st.one_of(routing_systems(), mts_systems()), n=st.integers(1, LONG - 1))
+def test_levels_read_the_spec_rates(sys, n):
+    # the one table of a buffer's rates, and the admission project built from it
+    routing = isinstance(sys, RoutingSystem)
+    for k, spec in enumerate(sys.queues if routing else sys.products):
+        birth, death, cost = sys.levels(k, n)
+        if routing:
+            assert birth == [float(sys.lam)] * (n + 1)
+            assert death == [0.0] + [spec.mu_at(j) for j in range(1, n + 1)]
+            assert cost == [spec.h_at(j) for j in range(n + 1)]
+        else:
+            # the cap keeps the last production rate; orders at level 0 are lost
+            assert birth == [spec.mu_at(j) for j in range(n)] + [spec.mu_at(n - 1)]
+            assert death == [spec.lam_at(j) for j in range(n + 1)]
+            assert cost == [spec.net_cost(j) for j in range(n + 1)]
+        model, want = sys.admission_model(k, n), ACModel(n, birth, death[1:], cost, sys.alpha)
+        for field in ("n", "lam", "mu", "h", "alpha", "Lambda"):
+            assert np.array_equal(getattr(model, field), getattr(want, field))
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +226,22 @@ def _new_accumulator(alpha: float, horizon: float, config: SimConfig):
 
 
 def reference_simulate(system, policy, config: SimConfig, lumps: list | None = None):
-    """The event loop that rebuilds every event from the per-buffer
-    tables and consults the policy at every epoch: per-replication
-    objectives, event count and boundary hits.  Replication r reads its
-    clocks and outcomes from blocks of ``CHUNK`` standard exponentials,
-    then ``CHUNK`` uniforms, drawn from ``default_rng([seed, r])`` as its
-    events reach each block.  Each charge lumped into the objective is
+    """The event loop that rebuilds every event from the system's
+    ``levels`` tables and consults the policy at every epoch:
+    per-replication objectives, event count and boundary hits.
+    Replication r reads its clocks and outcomes from blocks of ``CHUNK``
+    standard exponentials, then ``CHUNK`` uniforms, drawn from
+    ``default_rng([seed, r])`` as its events reach each block.  Each charge lumped into the objective is
     appended to ``lumps`` as (replication, event count, amount)."""
-    net, caps, truncated, decide, name = _build(system, policy, config)
-    birth, death, cost = net.birth, net.death, net.cost
+    rules, caps, truncated, _ = _setup(system, config)
+    decide, _ = _decider(system, rules, caps, policy, None)
+    birth, death, cost = zip(*(system.levels(k, cap) for k, cap in enumerate(caps)))
+    nu = system.nu if math.isfinite(system.nu) else 0.0
+    # routing: arrivals feed a queue or are rejected at the charge;
+    # make-to-stock: production earns the subsidy, idling earns nothing
+    routing = isinstance(system, RoutingSystem)
+    idle_birth = float(system.lam) if routing else 0.0
+    idle_charge, fed_charge = (nu, 0.0) if routing else (0.0, -nu)
     buffers = range(len(caps))
     horizon = config.horizon if config.horizon is not None else math.inf
     values: list[float] = []
@@ -225,7 +256,7 @@ def reference_simulate(system, policy, config: SimConfig, lumps: list | None = N
         while t < horizon and (config.max_events is None or events < config.max_events):
             target = decide(state)
             if target is None:
-                born = net.idle_birth
+                born = idle_birth
             elif state[target] < caps[target]:
                 born = birth[target][state[target]]
             else:
@@ -255,10 +286,10 @@ def reference_simulate(system, policy, config: SimConfig, lumps: list | None = N
                     break
             if pick < born:
                 if target is None:
-                    charge = net.idle_charge
+                    charge = idle_charge
                 else:
                     state[target] += 1
-                    charge = net.fed_charge
+                    charge = fed_charge
                 if charge and acc.lump(charge, t) and lumps is not None:
                     lumps.append((rep, events, charge))
             else:
