@@ -107,16 +107,18 @@ class _SolveKernel:
         return y
 
     def solve(self, mask: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - beta*P_S) x = rhs and check the residual."""
+        """Solve (I - beta*P_S) x = rhs, for one right-hand side or an
+        (n, k) array of them, and check the residual of each column."""
         A = self.system(mask)
         if self.band is None:
             x = np.linalg.solve(A, rhs)
         else:
             x = solve_banded(self.band, A, rhs)
-        res = np.abs(self.apply(A, x) - rhs).max()
-        # the scale is at least 1, so it is needed only past 1e-10
-        if not (res <= 1e-10 or res <= 1e-10 * max(1.0, np.abs(rhs).max(), np.abs(x).max())):
-            raise InternalConsistencyError(f"linear solve residual {res:g} exceeds tolerance")
+        for b, y in ((rhs, x),) if rhs.ndim == 1 else zip(rhs.T, x.T):
+            res = np.abs(self.apply(A, y) - b).max()
+            # the scale is at least 1, so it is needed only past 1e-10
+            if not (res <= 1e-10 or res <= 1e-10 * max(1.0, np.abs(b).max(), np.abs(y).max())):
+                raise InternalConsistencyError(f"linear solve residual {res:g} exceeds tolerance")
         return x
 
 

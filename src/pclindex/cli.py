@@ -159,6 +159,10 @@ def cmd_index(args) -> int:
 
 
 def cmd_dp_verify(args) -> int:
+    if args.grid < 2:
+        raise ModelFileError(f"--grid must be at least 2, got {args.grid}")
+    if not (np.isfinite(args.eps) and args.eps >= 0):
+        raise ModelFileError(f"--eps must be finite and nonnegative, got {args.eps}")
     model, doc = load_model(args.file)
     if isinstance(model, admission.ACModel):
         rb, fam, need = admission.uniformize(model), threshold_family(model.n), "alpha > 0"

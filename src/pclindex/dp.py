@@ -6,10 +6,14 @@ a value-iteration fallback kept as an independent path), sweeps the charge
 to trace out the optimal active sets, locates each state's critical charge
 by bisection, and cross-checks index vectors produced by the greedy
 machinery against the sets the DP actually prefers.
+
+A fixed policy's value is linear in the charge, so policy iteration over
+a sequence of charges solves each policy once and reuses it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +25,7 @@ from .setsystem import SetSystem
 
 DEFAULT_INDIFFERENCE = 1e-8
 PI_SOFT_ITER_BOUND = 30
+EVALUATIONS_KEPT = 32      # policy evaluations cached per charge sequence
 
 
 @dataclass(frozen=True)
@@ -49,43 +54,143 @@ def _action_values(model: RBModel, nu: float, v: np.ndarray):
     return q0, q1
 
 
+def _checked_gap(model: RBModel, v: np.ndarray, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+    """The action gap q1 - q0, after checking the Bellman residual of each
+    row of ``v`` against 1e-8 times that row's scale (a NaN fails)."""
+    scale = np.maximum(1.0, np.abs(v).max(axis=-1))
+    bellman = np.where(model.ctrl_mask, np.minimum(q0, q1), q1)
+    if not np.all(np.abs(bellman - v).max(axis=-1) <= 1e-8 * scale):
+        raise InternalConsistencyError("Bellman residual too large after solve")
+    return q1 - q0
+
+
+class _Policies:
+    """Policy iteration at a sequence of charges, each started from the
+    previous charge's closed optimal set (all-active at first).
+
+    A policy S costs h_S + nu*theta_S, so it is solved once, for both
+    columns, and its action-value pieces are kept for the most recent
+    ``EVALUATIONS_KEPT`` policies.  Every test at a charge (improvement at
+    1e-12 times the value scale, Bellman residual, eps classification) is
+    that of a fresh policy iteration there.
+    """
+
+    def __init__(self, model: RBModel, eps: float = DEFAULT_INDIFFERENCE):
+        if not model.beta < 1.0:
+            raise ValueError("DP solve requires beta < 1")
+        self.model, self.eps = model, eps
+        self.forced = ~model.ctrl_mask
+        self.start = np.ones(model.n_states, dtype=bool)
+        self.limit = 2 ** max(1, len(model.controllable)) + 2
+        self._pieces: dict[bytes, tuple] = {}
+
+    def _test(self, active: np.ndarray, nus: np.ndarray):
+        """Values, action values and improving switches of the policy
+        ``active`` at a column of charges, one row per charge."""
+        key = active.tobytes()
+        if key not in self._pieces:
+            m, k = self.model, self.model.kernel
+            rhs = np.array([np.where(active, m.h1, m.h0), np.where(active, m.theta1, 0.0)]).T
+            vh, vt = np.ascontiguousarray(k.solve(active, rhs).T)
+            if len(self._pieces) == EVALUATIONS_KEPT:
+                del self._pieces[next(iter(self._pieces))]
+            # q0 = a0 + nu*b0 and q1 = a1 + nu*b1
+            self._pieces[key] = (vh, vt, m.h0 + k.apply(k.bP0, vh), k.apply(k.bP0, vt),
+                                 m.h1 + k.apply(k.bP1, vh), m.theta1 + k.apply(k.bP1, vt))
+        vh, vt, a0, b0, a1, b1 = self._pieces[key]
+        v = vh + nus * vt
+        q0 = a0 + nus * b0
+        q1 = a1 + nus * b1
+        tol = 1e-12 * np.maximum(1.0, np.abs(v).max(axis=1, keepdims=True))
+        better = np.where(active, q0 < q1 - tol, q1 < q0 - tol) & self.model.ctrl_mask
+        return v, q0, q1, better
+
+    def run(self, nus: np.ndarray):
+        """Policy iteration at each charge of ``nus`` in turn: (v, gap,
+        closed mask, passes), one row per charge.
+
+        A pass tests one policy at a window of charges from the current one
+        in one array expression.  Once the policy is optimal at the current
+        charge, it also settles the next charges while each settled one's
+        closed set is the policy (the next start) and the next finds no
+        improving switch.  Along an ascending sequence a policy stays
+        optimal over a run of charges, so the window is sized by the last
+        run, and grows while the current run fills it.
+        """
+        k, n = len(nus), self.model.n_states
+        values, gaps = np.empty((k, n)), np.empty((k, n))
+        closed, iterations = np.empty((k, n), dtype=bool), np.ones(k, dtype=int)
+        active, passes, i, w, run = self.start, 1, 0, 1, 0
+        while i < k:
+            v, q0, q1, better = self._test(active, nus[i:i + w, None])
+            if better[0].any():
+                if passes == self.limit:
+                    raise InternalConsistencyError("policy iteration failed to terminate")
+                active, passes = active ^ better[0], passes + 1
+                w, run = (run + 1 if run > 1 else 1), 0
+                continue
+            if passes > PI_SOFT_ITER_BOUND:
+                warnings.warn(f"policy iteration took {passes} passes")
+            gap = q1 - q0
+            cl = self.model.ctrl_mask & ((gap < -self.eps) | (np.abs(gap) <= self.eps))
+            start = self.forced | cl
+            kept = (start == active).all(axis=1)
+            rows = settled = len(v)
+            if rows > 1:
+                ok = kept[:-1] & ~better[1:].any(axis=1)
+                if not ok.all():
+                    settled = 1 + int(ok.argmin())
+            _checked_gap(self.model, v[:settled], q0[:settled], q1[:settled])
+            done = slice(i, i + settled)
+            values[done], gaps[done], closed[done] = v[:settled], gap[:settled], cl[:settled]
+            iterations[i] = passes
+            i += settled
+            run += settled
+            if kept[settled - 1] and settled == rows:
+                passes, w = 1, run
+                continue
+            w, run = (run + 1 if run > 1 else 1), 0
+            if kept[settled - 1]:   # the next charge starts from this policy and improves on it
+                active, passes = active ^ better[settled], 2
+            else:
+                active, passes = start[settled - 1], 1
+        self.start = active
+        return values, gaps, closed, iterations
+
+    def at(self, nu: float):
+        """``run`` at one charge: (v, gap, closed mask, passes)."""
+        return tuple(a[0] for a in self.run(np.array([nu], dtype=float)))
+
+
 def solve(model: RBModel, nu: float, method: str = "policy",
           eps: float = DEFAULT_INDIFFERENCE, *,
           start: np.ndarray | None = None) -> DPResult:
     """Solve the charge problem exactly at a fixed charge.
 
-    Policy iteration evaluates each candidate policy by a linear solve and
-    improves greedily, so termination is finite from any initial policy;
-    it starts from the policy engaged on the boolean mask ``start``
-    (all-active by default).  Value iteration is the independent fallback
-    (sup-norm stop 1e-12) and ignores ``start``.  Uncontrollable states
-    are forced active.
+    Policy iteration (the one-charge case of the charge-sequence engine)
+    evaluates each candidate policy by a linear solve and improves
+    greedily, so termination is finite from any initial policy; it starts
+    from the policy engaged on the boolean mask ``start`` of shape
+    (n_states,) (all-active by default).  Value iteration is the
+    independent fallback (sup-norm stop 1e-12) and ignores ``start``.
+    Uncontrollable states are forced active.
     """
     if not model.beta < 1.0:
         raise ValueError("DP solve requires beta < 1")
+    if not math.isfinite(nu):
+        raise ValueError(f"charge must be finite, got {nu}")
     n = model.n_states
     forced = ~model.ctrl_mask
 
     if method == "policy":
-        active = np.ones(n, dtype=bool) if start is None else forced | start
-        if active.shape != (n,):
-            raise ValueError(f"start must be a boolean mask of shape ({n},)")
-        engaged = model.h1 + nu * model.theta1
-        iterations = 0
-        for _ in range(2 ** max(1, len(model.controllable)) + 2):
-            iterations += 1
-            v = model.kernel.solve(active, np.where(active, engaged, model.h0))
-            q0, q1 = _action_values(model, nu, v)
-            scale = max(1.0, float(np.abs(v).max()))
-            better = np.where(active, q0 < q1 - 1e-12 * scale, q1 < q0 - 1e-12 * scale)
-            better &= model.ctrl_mask
-            if not better.any():
-                break
-            active = active ^ better
-        else:
-            raise InternalConsistencyError("policy iteration failed to terminate")
-        if iterations > PI_SOFT_ITER_BOUND:
-            warnings.warn(f"policy iteration took {iterations} passes")
+        policies = _Policies(model, eps)
+        if start is not None:
+            start = np.asarray(start)
+            if start.shape != (n,) or start.dtype != bool:
+                raise ValueError(f"start must be a boolean mask of shape ({n},)")
+            policies.start = forced | start
+        v, gap, _, passes = policies.at(nu)
+        iterations = int(passes)
     elif method == "value":
         v = np.zeros(n)
         iterations = 0
@@ -101,32 +206,18 @@ def solve(model: RBModel, nu: float, method: str = "policy",
             v = v_new
         else:
             raise InternalConsistencyError("value iteration failed to converge")
-        q0, q1 = _action_values(model, nu, v)
+        gap = _checked_gap(model, v, *_action_values(model, nu, v))
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    bellman = np.where(forced, q1, np.minimum(q0, q1))
-    scale = max(1.0, float(np.abs(v).max()))
-    if float(np.abs(bellman - v).max()) > 1e-8 * scale:
-        raise InternalConsistencyError("Bellman residual too large after solve")
-    gap = q1 - q0
     active_opt = frozenset(np.flatnonzero(model.ctrl_mask & (gap < -eps)).tolist())
     indifferent = frozenset(np.flatnonzero(model.ctrl_mask & (np.abs(gap) <= eps)).tolist())
     return DPResult(v, active_opt, indifferent, gap, iterations, method)
 
 
-def _warm_solver(model: RBModel, eps: float = DEFAULT_INDIFFERENCE):
-    """``solve`` over a sequence of charges, each policy iteration started
-    from the previous optimal closed active set: along a sorted sequence
-    that is optimal already, or a few states away."""
-    prev = None
-
-    def at(nu: float) -> DPResult:
-        nonlocal prev
-        start = None if prev is None else model.active_rows(prev.active_closed)
-        prev = solve(model, nu, eps=eps, start=start)
-        return prev
-    return at
+def _sets(masks: np.ndarray) -> tuple[frozenset, ...]:
+    """The states of each row of a boolean mask array, as frozensets."""
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in masks)
 
 
 @dataclass(frozen=True)
@@ -146,17 +237,18 @@ def nu_sweep(model: RBModel, grid, eps: float = DEFAULT_INDIFFERENCE,
     sorted(controllable) is supplied, whether every set belongs to it.
     """
     grid = [float(g) for g in grid]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("grid charges must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted ascending")
-    ctrl = sorted(model.controllable)
-    at = _warm_solver(model, eps)
-    sets = [at(g).active_closed for g in grid]
-    nested = all(t <= s for s, t in zip(sets, sets[1:]))
+    closed = _Policies(model, eps).run(np.array(grid))[2]
+    sets = _sets(closed)
+    nested = not np.any(closed[1:] & ~closed[:-1])
     in_family = None
     if family is not None:
-        pos = {j: e for e, j in enumerate(ctrl)}
+        pos = {j: e for e, j in enumerate(sorted(model.controllable))}
         in_family = tuple(frozenset(pos[j] for j in s) in family for s in sets)
-    return SweepReport(tuple(grid), tuple(sets), nested, in_family)
+    return SweepReport(tuple(grid), sets, nested, in_family)
 
 
 def fair_charge(model: RBModel, j: int, tol: float = 1e-10,
@@ -172,10 +264,10 @@ def fair_charge(model: RBModel, j: int, tol: float = 1e-10,
     if j not in model.controllable:
         raise ValueError(f"state {j} is not controllable")
 
-    at = _warm_solver(model)
+    policies = _Policies(model)
 
     def gap(nu: float) -> float:
-        return float(at(nu).gap[j])
+        return float(policies.at(nu)[1][j])
 
     hhat = normalized_passive_cost(model)
     ctrl = sorted(model.controllable)
@@ -205,7 +297,7 @@ def fair_charge(model: RBModel, j: int, tol: float = 1e-10,
     root = 0.5 * (lo + hi)
     if check_single_root:
         pts = np.linspace(scan_lo, scan_hi, 33)
-        vals = [gap(p) for p in pts]
+        vals = policies.run(pts)[1][:, j]
         crossings = [(float(pts[k]), float(pts[k + 1])) for k in range(len(pts) - 1)
                      if (vals[k] < 0.0) != (vals[k + 1] < 0.0)]
         if len(crossings) > 1:
@@ -248,22 +340,16 @@ def crosscheck_indices(model: RBModel, sys: SetSystem, pcl_report,
     grid.append(distinct[-1] + 0.5 * span)
     grid = sorted(grid + distinct)
 
+    charges = np.array(grid)
+    dp_sets = _Policies(model, eps).run(charges)[2]
     states = np.array(sorted(nu_by_state))
     nus = np.array([nu_by_state[j] for j in states])
-    at = _warm_solver(model, eps)
-    expected, observed, mismatches = [], [], []
-    for g in grid:
-        engaged = g <= nus
-        closed = frozenset(states[engaged].tolist())
-        dp_set = at(g).active_closed
-        expected.append(closed)
-        observed.append(dp_set)
-        near = np.abs(g - nus) <= 1e-9 * span
-        if near.any():
-            open_set = frozenset(states[engaged & ~near].tolist())
-            if not (open_set <= dp_set <= closed):
-                mismatches.append((g, closed, dp_set))
-        elif dp_set != closed:
-            mismatches.append((g, closed, dp_set))
-    return CrosscheckReport(tuple(grid), tuple(expected), tuple(observed),
-                            tuple(mismatches), not mismatches)
+    closed = np.zeros_like(dp_sets)
+    near = np.zeros_like(dp_sets)
+    closed[:, states] = charges[:, None] <= nus
+    near[:, states] = np.abs(charges[:, None] - nus) <= 1e-9 * span
+    # the DP set must lie between the open set (breakpoint states dropped) and the closed one
+    bad = np.flatnonzero((closed & ~near & ~dp_sets).any(axis=1) | (dp_sets & ~closed).any(axis=1))
+    expected, observed = _sets(closed), _sets(dp_sets)
+    mismatches = tuple((grid[r], expected[r], observed[r]) for r in bad.tolist())
+    return CrosscheckReport(tuple(grid), expected, observed, mismatches, not mismatches)

@@ -242,6 +242,19 @@ def test_dp_verify_disagreement_exits_4(tmp_path, capsys):
     assert out["results"]["crosscheck"]["mismatches"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--grid", "-3"], ["--grid", "0"], ["--grid", "1"],
+    ["--eps", "-1"], ["--eps", "nan"], ["--eps", "inf"]])
+def test_dp_verify_bad_option_is_an_input_error(tmp_path, capsys, argv):
+    # a negative grid ended in a traceback, an empty one checked nothing
+    # and passed, and a negative or NaN eps was reported as an oracle
+    # disagreement (exit 4)
+    doc = dict(ADMISSION_DOC, alpha=0.3)
+    code, out, _ = run_cli(capsys, "dp-verify", write_doc(tmp_path, doc), *argv)
+    assert code == 2
+    assert out["exit_code"] == 2 and "results" not in out
+
+
 def test_dp_verify_report_is_pinned(tmp_path, capsys):
     # SHA-256 of the whole stdout: a change in any reported bit, or in
     # the version string, moves it

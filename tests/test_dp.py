@@ -77,8 +77,23 @@ def test_start_sets_only_the_initial_policy(rng):
         assert np.allclose(warm.v, cold.v, rtol=1e-12, atol=1e-12)
     # started at its own optimum, policy iteration confirms it in one pass
     assert dp.solve(m, 0.3, start=m.active_rows(cold.active_closed)).iterations == 1
-    with pytest.raises(ValueError, match="shape"):
-        dp.solve(m, 0.3, start=np.ones(5, dtype=bool))
+    # the mask is checked before the forced states are added to it, so a
+    # mask that would broadcast, or one of another dtype, is refused
+    for bad in (np.ones(5, dtype=bool), np.ones(1, dtype=bool), np.ones(6, dtype=int)):
+        with pytest.raises(ValueError, match="boolean mask of shape"):
+            dp.solve(m, 0.3, start=bad)
+
+
+@pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf])
+def test_non_finite_charge_is_refused(rng, nu):
+    # a policy is solved without the charge, so no later check would see
+    # a non-finite one
+    m = random_rb(rng, 5, 3)
+    for method in ("policy", "value"):
+        with pytest.raises(ValueError, match="finite"):
+            dp.solve(m, nu, method=method)
+    with pytest.raises(ValueError, match="finite"):
+        dp.nu_sweep(m, [0.0, nu])
 
 
 def test_value_concave_in_charge(rng):
@@ -159,24 +174,21 @@ def test_fair_charge_quadratic_closed_form_at_vanishing_discount():
 def test_fair_charge_stops_when_the_bracket_reaches_float_spacing(monkeypatch):
     # indices near 1e8 have a float spacing far above the absolute
     # tolerance; the bisection must stop there instead of running forever
-    warm = dp._warm_solver
+    at, calls = dp._Policies.at, [0]
 
-    def limited(model, *args, **kwargs):
-        at, calls = warm(model, *args, **kwargs), [0]
+    def counted(self, nu):
+        calls[0] += 1
+        if calls[0] > 5000:
+            raise RuntimeError("fair_charge made over 5000 one-charge DP queries")
+        return at(self, nu)
 
-        def counted(nu):
-            calls[0] += 1
-            if calls[0] > 5000:
-                raise RuntimeError("fair_charge made over 5000 DP solves")
-            return at(nu)
-        return counted
-
-    monkeypatch.setattr(dp, "_warm_solver", limited)
+    monkeypatch.setattr(dp._Policies, "at", counted)
     m = admission.ACModel(10, [1.0] * 11, [1.3] * 10, [1e7 * i * i for i in range(11)], 0.1)
     want = admission.indices(m)
     rb = admission.uniformize(m)
     for j in (2, 5, 9):
         assert dp.fair_charge(rb, j) == pytest.approx(want[j], rel=1e-12, abs=0)
+    assert calls[0] > 0   # the cap counts the bisection's queries
 
 
 def test_fair_charge_zero_when_actions_differ_only_through_charge(rng):
@@ -246,23 +258,25 @@ def test_crosscheck_requires_indexable_report(rng):
             dp.crosscheck_indices(m, fam, rep)
 
 
-def test_crosscheck_warm_start_needs_under_two_passes_per_grid_point(monkeypatch):
-    # regular queue: lam 1, mu 1.3, h_i = i^2, alpha 0.1; cold starts
-    # from all-active averaged 3.9 passes per grid point here
+def test_crosscheck_evaluates_each_policy_once(monkeypatch):
+    # regular queue: lam 1, mu 1.3, h_i = i^2, alpha 0.1; each of the 201
+    # charges settles on one of about 100 threshold policies, and each
+    # policy is solved once, for its cost and activity columns together
     m = admission.ACModel(100, np.full(101, 1.0), np.full(100, 1.3),
                           np.arange(101.0) ** 2, 0.1)
     rb, fam = admission.uniformize(m), threshold_family(100)
     rep = bandit.pcl_index(rb, fam)
-    passes = []
-    exact = dp.solve
+    solved = []
+    exact = rb.kernel.solve
 
-    def counting(*args, **kw):
-        res = exact(*args, **kw)
-        passes.append(res.iterations)
-        return res
+    def counting(mask, rhs):
+        solved.append((mask.tobytes(), rhs.shape))
+        return exact(mask, rhs)
 
-    monkeypatch.setattr(dp, "solve", counting)
+    monkeypatch.setattr(rb.kernel, "solve", counting)
     check = dp.crosscheck_indices(rb, fam, rep)
     assert check.agree
-    assert len(passes) == len(check.grid) == 201
-    assert sum(passes) <= 2 * len(check.grid)
+    assert len(check.grid) == 201
+    assert len(solved) <= 110
+    assert len({mask for mask, _ in solved}) == len(solved)
+    assert all(shape == (101, 2) for _, shape in solved)

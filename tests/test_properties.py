@@ -3,9 +3,11 @@ tabulated decisions against the public decision functions, the per-level
 rate tables against the spec accessors, the lockstep
 simulator against a per-event reference loop, the make-to-stock table
 against the DP and greedy indices of its project, the three routes to the
-admission indices against each other, and the banded set-active solves
-against dense linear algebra, the CLI report writer against ``json.dumps``
-and the one-pass schema check against stock jsonschema."""
+admission indices against each other, the banded set-active solves
+against dense linear algebra, the multi-column kernel solve against
+column-by-column solves, the charge-sequence policy iteration against
+cold value iteration, the CLI report writer against ``json.dumps`` and
+the one-pass schema check against stock jsonschema."""
 
 import importlib
 import itertools
@@ -675,32 +677,64 @@ def test_banded_measures_match_dense_solves(seed, n, lower, upper, beta):
     assert got.indifferent == frozenset(j for j in ctrl if abs(gap_ref[j]) <= eps)
 
 
+@PROPERTY
+@given(seed=seeds, n=st.integers(1, 40), lower=st.integers(0, 3), upper=st.integers(0, 3),
+       beta=st.floats(0.5, 0.999), columns=st.integers(1, 3))
+def test_multi_column_solve_matches_column_solves(seed, n, lower, upper, beta, columns):
+    rng = np.random.default_rng(seed)
+    m = banded_rb(rng, n, lower, upper, beta)
+    mask = m.active_rows(j for j in m.controllable if rng.random() < 0.5)
+    rhs = rng.uniform(-5.0, 5.0, (n, columns))
+    x = m.kernel.solve(mask, rhs)
+    one = np.array([m.kernel.solve(mask, np.ascontiguousarray(b)) for b in rhs.T]).T
+    if m.kernel.band is not None:
+        assert np.array_equal(x, one)
+    else:
+        assert np.max(np.abs(x - one)) <= 1e-14 * max(1.0, float(np.max(np.abs(one))))
+
+
 # ---------------------------------------------------------------------------
-# Warm-started charge sweeps vs. cold policy iteration
+# Charge-parametric policy iteration vs. cold value iteration
 # ---------------------------------------------------------------------------
 
 @settings(PROPERTY, max_examples=60)
 @given(seed=seeds, n=st.integers(1, 30), lower=st.integers(0, 3), upper=st.integers(0, 3),
-       dense=st.booleans(), beta=st.floats(0.5, 0.99),
+       dense=st.booleans(), beta=st.floats(0.5, 0.99), ascending=st.booleans(),
        charges=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12))
-def test_warm_started_sweep_matches_cold_solves(seed, n, lower, upper, dense, beta, charges):
+def test_warm_started_sweep_matches_cold_solves(seed, n, lower, upper, dense, beta,
+                                                ascending, charges):
     rng = np.random.default_rng(seed)
     if dense:
         m = random_rb(rng, n, int(rng.integers(0, n + 1)), beta=beta)
     else:
         m = banded_rb(rng, n, lower, upper, beta)
     scale = max(1.0, float(np.max(np.abs(bandit.normalized_passive_cost(m)))))
-    grid = sorted(c * scale / float(np.min(m.theta1)) for c in charges)
+    nus = [c * scale / float(np.min(m.theta1)) for c in charges]
+    if ascending:
+        nus.sort()
+    v, gap, closed, passes = dp._Policies(m).run(np.array(nus))
+    # the whole sequence at once settles each charge bit for bit as
+    # one-charge queries in turn do, in as many passes
+    one = dp._Policies(m)
+    for got, want in zip((v, gap, closed, passes), zip(*(one.at(nu) for nu in nus))):
+        assert np.array_equal(got, np.array(want))
     eps = dp.DEFAULT_INDIFFERENCE
-    cold = [dp.solve(m, g) for g in grid]
-    for res in cold:
+    for k, nu in enumerate(nus):
+        got = frozenset(np.flatnonzero(closed[k]).tolist())
+        # warm starts against a cold policy iteration from all-active
+        cold = dp.solve(m, nu)
+        assert_close(v[k], cold.v)
         # a gap this close to the indifference band may fall on either side
-        assume(not np.any(np.abs(np.abs(res.gap[m.ctrl_mask]) - eps) <= 1e-9))
-    sweep = dp.nu_sweep(m, grid)
-    assert sweep.active_sets == tuple(res.active_closed for res in cold)
-    warm = dp._warm_solver(m)
-    for g, res in zip(grid, cold):
-        assert_close(warm(g).v, res.v)
+        if not np.any(np.abs(np.abs(cold.gap[m.ctrl_mask]) - eps) <= 1e-9):
+            assert got == cold.active_closed
+        # and against the independent value iteration
+        cold = dp.solve(m, nu, method="value")
+        assert np.max(np.abs(v[k] - cold.v)) <= 1e-9 * max(1.0, float(np.max(np.abs(cold.v))))
+        if np.all(np.abs(cold.gap[m.ctrl_mask]) > 1e-6):
+            assert got == cold.active_closed
+    if ascending:
+        sweep = dp.nu_sweep(m, nus)
+        assert sweep.active_sets == tuple(frozenset(np.flatnonzero(c).tolist()) for c in closed)
 
 
 # ---------------------------------------------------------------------------
