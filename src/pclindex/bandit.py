@@ -9,8 +9,8 @@ workloads and costs of one-state action interchanges, and the index
 machinery built from them: the indexability test via the adaptive-greedy
 run on the normalized passive cost, value-function breakpoints,
 conservation-law residuals, long-run average limits, and optimal control
-under an average-activity constraint.  Discounted set-active measures are
-solved in band storage when the transition matrices are banded (as the
+under an average-activity constraint.  Both criteria solve set-active
+systems in band storage when the transition matrices are banded (as the
 birth--death models of :mod:`pclindex.admission` are), densely otherwise.
 """
 
@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbsv, dgtsv
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, dia_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (InfeasibleTargetError, InternalConsistencyError,
@@ -53,9 +53,8 @@ def solve_banded(band: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.nda
 
 
 class _SolveKernel:
-    """The discounted one-step operators beta*P0, beta*P1 and
-    beta*(P1 - P0) of a model, and the set-active systems I - beta*P_S
-    built from them.
+    """The one-step operators beta*P0, beta*P1 and beta*(P1 - P0) of a
+    model, and the set-active systems I - beta*P_S built from them.
 
     When the nonzero pattern of P0|P1 lies within l sub- and u
     superdiagonals and l + u + 1 < n, everything is held in LAPACK band
@@ -73,30 +72,59 @@ class _SolveKernel:
         upper = int(max(0, np.max(last - states)))
         self.band = (lower, upper) if lower + upper + 1 < n else None
         ops = (beta * P0, beta * P1, beta * (P1 - P0))
+        self._rows, self._diag = states[:, None], (states, states)
         if self.band is not None:
             rows = np.arange(-upper, lower + 1)[:, None] + states
             inside = (rows >= 0) & (rows < n)
-            self._rows = np.clip(rows, 0, n - 1)   # matrix row of each band entry
+            # the matrix row of each band entry, and the diagonal's band row
+            self._rows, self._diag = np.clip(rows, 0, n - 1), upper
             ops = tuple(np.where(inside, M[self._rows, states], 0.0) for M in ops)
         for M in ops:
             M.setflags(write=False)
         self.bP0, self.bP1, self.dP = ops
 
-    def system(self, mask: np.ndarray) -> np.ndarray:
-        """I - beta*P_S, with the rows of P1 where ``mask`` holds and the
-        rows of P0 elsewhere, in this kernel's storage."""
+    def _mixed(self, mask: np.ndarray) -> np.ndarray:
+        """beta*P_S, with the rows of beta*P1 where ``mask`` holds and the
+        rows of beta*P0 elsewhere, in this kernel's storage."""
+        return np.where(mask[self._rows], self.bP1, self.bP0)
+
+    def graph(self, mask: np.ndarray):
+        """beta*P_S as a dense array, or as a scipy sparse matrix over the band."""
         if self.band is None:
-            A = -np.where(mask[:, None], self.bP1, self.bP0)
-            A.flat[::A.shape[0] + 1] += 1.0
-        else:
-            A = -np.where(mask[self._rows], self.bP1, self.bP0)
-            A[self.band[1]] += 1.0
+            return self._mixed(mask)
+        n, (lower, upper) = self._rows.shape[1], self.band
+        return dia_array((self._mixed(mask), np.arange(upper, -lower - 1, -1)), shape=(n, n))
+
+    def system(self, mask: np.ndarray) -> np.ndarray:
+        """I - beta*P_S in this kernel's storage."""
+        A = -self._mixed(mask)
+        A[self._diag] += 1.0
         return A
 
+    def occupancy(self, mask: np.ndarray) -> np.ndarray:
+        """The u with (I - b*beta*P_S)^T u = 1 for b = 1 - 1e-9: the
+        expected time in each state over about 1e9 steps, summed over the
+        initial states."""
+        b = 1.0 - 1e-9
+        A = b * self.system(mask)
+        A[self._diag] += 1.0 - b
+        ones = np.ones(A.shape[1])
+        if self.band is None:
+            return np.linalg.solve(A.T, ones)
+        (lower, upper), n = self.band, A.shape[1]
+        q = np.arange(lower + upper + 1)[:, None]   # A^T, stored with the band (upper, lower)
+        cols = np.arange(n) + q - lower
+        inside = (cols >= 0) & (cols < n)
+        T = np.where(inside, A[lower + upper - q, np.clip(cols, 0, n - 1)], 0.0)
+        return solve_banded((upper, lower), T, ones)
+
     def apply(self, M: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product of an operator held in this kernel's storage."""
+        """Product of an operator held in this kernel's storage with a
+        vector, or with each column of an (n, k) array."""
         if self.band is None:
             return M @ x
+        if x.ndim > 1:
+            return np.array([self.apply(M, col) for col in x.T]).T
         lower, upper = self.band
         n = x.shape[0]
         y = M[upper] * x
@@ -106,19 +134,24 @@ class _SolveKernel:
             y[d:] += M[upper + d, :n - d] * x[:n - d]
         return y
 
-    def solve(self, mask: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - beta*P_S) x = rhs, for one right-hand side or an
-        (n, k) array of them, and check the residual of each column."""
+    def solve(self, mask: np.ndarray, rhs: np.ndarray, anchor: int | None = None) -> np.ndarray:
+        """Solve (I - beta*P_S + e_r e_r^T) x = rhs, with the last term
+        only if an ``anchor`` state r is given, for one right-hand side or
+        an (n, k) array of them, and check the residual of each column.
+        At beta = 1 the anchored matrix is nonsingular exactly when P_S is
+        unichain and r is recurrent."""
         A = self.system(mask)
-        if self.band is None:
-            x = np.linalg.solve(A, rhs)
-        else:
-            x = solve_banded(self.band, A, rhs)
-        for b, y in ((rhs, x),) if rhs.ndim == 1 else zip(rhs.T, x.T):
-            res = np.abs(self.apply(A, y) - b).max()
-            # the scale is at least 1, so it is needed only past 1e-10
-            if not (res <= 1e-10 or res <= 1e-10 * max(1.0, np.abs(b).max(), np.abs(y).max())):
-                raise InternalConsistencyError(f"linear solve residual {res:g} exceeds tolerance")
+        if anchor is not None:
+            A[anchor if self.band is None else self.band[1], anchor] += 1.0
+        x = np.linalg.solve(A, rhs) if self.band is None else solve_banded(self.band, A, rhs)
+        err = np.abs(self.apply(A, x) - rhs)
+        # the scales are at least 1, so they are needed only past 1e-10
+        if not err.max() <= 1e-10:
+            res = err.max(axis=0)
+            scale = np.maximum(1.0, np.maximum(np.abs(rhs).max(axis=0), np.abs(x).max(axis=0)))
+            if not (res <= 1e-10 * scale).all():
+                raise InternalConsistencyError(
+                    f"linear solve residual {res.max():g} exceeds tolerance")
         return x
 
 
@@ -135,7 +168,7 @@ class RBModel:
     model can be represented, but all discounted computations require
     ``beta < 1``.  Construction derives
     ``ctrl_mask``, the boolean mask of controllable states, and
-    ``kernel``, the solve kernel of the model's discounted operators.
+    ``kernel``, the solve kernel of the model's operators at ``beta``.
     """
 
     P0: np.ndarray
@@ -222,6 +255,12 @@ class RBModel:
         n_comp, _ = connected_components(adj, directed=True, connection="strong")
         return n_comp == 1
 
+    @cached_property
+    def average_kernel(self) -> _SolveKernel:
+        """The solve kernel at beta = 1, which the average criterion reads
+        whatever ``beta`` is; built once per model, on first use."""
+        return self.kernel if self.beta == 1 else _SolveKernel(self.P0, self.P1, 1.0)
+
 
 def _require_discounted(model: RBModel):
     if not model.beta < 1.0:
@@ -247,12 +286,12 @@ def cost_measure(model: RBModel, s) -> np.ndarray:
 
 
 def occupation_measures(model: RBModel, u, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """State-action occupation measures (x0, x1) of a stationary policy.
-
-    ``u`` gives per-state activation probabilities; it must equal 1 at
+    """State-action occupation measures (x0, x1) of a stationary policy:
+    a dense transposed solve that bypasses the kernel, kept as the
+    reference path the conservation-law checks compare against.  ``u``
+    gives per-state activation probabilities; it must equal 1 at
     uncontrollable states.  Row i of the balance equations is enforced to
-    1e-10 before returning.
-    """
+    1e-10 before returning."""
     _require_discounted(model)
     u = np.asarray(u, dtype=float)
     if u.shape != (model.n_states,):
@@ -580,57 +619,48 @@ class AverageLimits:
     c_bar: np.ndarray
 
 
-def _recurrent_classes(P: np.ndarray) -> list[list[int]]:
-    """The closed strong components of the positive edges, in label order:
-    a component is closed when no edge leaves it."""
-    edges = P > 0
-    n_comp, labels = connected_components(csr_array(edges), directed=True, connection="strong")
-    src, dst = np.nonzero(edges)
+def _recurrent_classes(P) -> list[list[int]]:
+    """The closed strong components of the positive edges of P (a dense
+    array or a scipy sparse matrix), in label order: a component is closed
+    when no edge leaves it."""
+    edges = csr_array(P > 0)
+    n_comp, labels = connected_components(edges, directed=True, connection="strong")
+    src, dst = edges.nonzero()
     closed = np.ones(n_comp, dtype=bool)
     closed[labels[src][labels[src] != labels[dst]]] = False
     return [np.flatnonzero(labels == comp).tolist() for comp in np.flatnonzero(closed)]
-
-
-def _gain_bias(P: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gains (one per column of the reward matrix ``r``) and bias columns
-    of the unichain P, from one recurrent-class pass and one solve."""
-    classes = _recurrent_classes(P)
-    if len(classes) != 1:
-        raise UnsupportedModelError(
-            f"policy chain is multichain ({len(classes)} recurrent classes)")
-    ref = classes[0][0]
-    n = P.shape[0]
-    # unknowns: gain g and bias vector a with a[ref] = 0
-    A = np.zeros((n + 1, n + 1))
-    rhs = np.zeros((n + 1, r.shape[1]))
-    A[:n, 0] = 1.0
-    A[:n, 1:] = np.eye(n) - P
-    rhs[:n] = r
-    A[n, 1 + ref] = 1.0
-    sol = np.linalg.solve(A, rhs)
-    return sol[0], sol[1:]
 
 
 def average_limits(model: RBModel, s) -> AverageLimits:
     """Long-run average activity/cost rates and bias vectors of the
     S-active policy, plus the limiting marginal workloads and costs.
 
-    Requires a communicating model and a unichain policy.  The bias gauge
-    fixes the lowest-index recurrent state at zero; the marginal
-    quantities are gauge-independent.
+    Requires a communicating model and a unichain policy.  One anchored
+    beta = 1 solve of (I - P_S + e_r e_r^T) [y, z] = [reward_S, 1] gives
+    the gain y[r] / z[r] and the bias y - gain * z, gauged to vanish at the
+    lowest recurrent state; the marginals are gauge-independent.  As
+    z[r] = 1 / pi_r, and y - gain * z loses the digits of z, the anchor is
+    the recurrent state of largest occupancy over about 1e9 steps.
     """
     if not model.communicating:
         raise UnsupportedModelError("model is not communicating")
-    mask = model.active_rows(s)
-    P = np.where(mask[:, None], model.P1, model.P0)
-    gains, bias = _gain_bias(P, np.column_stack((np.where(mask, model.theta1, 0.0),
-                                                 np.where(mask, model.h1, model.h0))))
-    (b_bar, v_bar), (a, f) = gains.tolist(), bias.T
-    w_bar = model.theta1 + (model.P1 - model.P0) @ a
-    w_bar[~model.ctrl_mask] = 0.0
-    c_bar = model.h0 - model.h1 + (model.P0 - model.P1) @ f
-    c_bar[~model.ctrl_mask] = 0.0
-    return AverageLimits(b_bar, v_bar, a, f, w_bar, c_bar)
+    mask, kernel = model.active_rows(s), model.average_kernel
+    classes = _recurrent_classes(kernel.graph(mask))
+    if len(classes) != 1:
+        raise UnsupportedModelError(
+            f"policy chain is multichain ({len(classes)} recurrent classes)")
+    recurrent = classes[0]
+    anchor = recurrent[int(np.argmax(kernel.occupancy(mask)[recurrent]))]
+    rhs = np.column_stack((np.where(mask, model.theta1, 0.0),
+                           np.where(mask, model.h1, model.h0), np.ones(model.n_states)))
+    y = kernel.solve(mask, rhs, anchor)
+    gains = y[anchor, :2] / y[anchor, 2]
+    bias = y[:, :2] - y[:, 2:] * gains
+    bias -= bias[recurrent[0]]
+    d = kernel.apply(kernel.dP, bias)
+    w_bar = np.where(model.ctrl_mask, model.theta1 + d[:, 0], 0.0)
+    c_bar = np.where(model.ctrl_mask, model.h0 - model.h1 - d[:, 1], 0.0)
+    return AverageLimits(float(gains[0]), float(gains[1]), *bias.T, w_bar, c_bar)
 
 
 def average_pcl_index(model: RBModel, sys: SetSystem) -> PCLReport:

@@ -83,6 +83,8 @@ class _Policies:
         self.start = np.ones(model.n_states, dtype=bool)
         self.limit = 2 ** max(1, len(model.controllable)) + 2
         self._pieces: dict[bytes, tuple] = {}
+        self._on = np.array([model.h1, model.theta1]).T
+        self._off = np.array([model.h0, np.zeros(model.n_states)]).T
 
     def _test(self, active: np.ndarray, nus: np.ndarray):
         """Values, action values and improving switches of the policy
@@ -90,7 +92,7 @@ class _Policies:
         key = active.tobytes()
         if key not in self._pieces:
             m, k = self.model, self.model.kernel
-            rhs = np.array([np.where(active, m.h1, m.h0), np.where(active, m.theta1, 0.0)]).T
+            rhs = np.where(active[:, None], self._on, self._off)   # [h_S, theta_S]
             vh, vt = np.ascontiguousarray(k.solve(active, rhs).T)
             if len(self._pieces) == EVALUATIONS_KEPT:
                 del self._pieces[next(iter(self._pieces))]

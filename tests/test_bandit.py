@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import dia_array
 
 from pclindex import admission, bandit, dp
 from pclindex.bandit import (RBModel, activity_measure, average_limits,
@@ -510,6 +511,29 @@ def test_average_limits_always_active_unit_weights(rng):
     assert al.b_bar == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("banded", [True, False])
+def test_average_criterion_ignores_beta(rng, banded):
+    # the average limits and indices read the beta = 1 operators whatever
+    # beta is, so a model at beta = 0.9 gives what its beta = 1 copy gives;
+    # unit weights on an always-active set would not show a wrong kernel
+    if banded:
+        m = admission.uniformize(random_compliant_admission(rng, 8, alpha=0.0))
+    else:
+        m = random_rb(rng, 6, 5, beta=1.0, near=True)
+    discounted = RBModel(m.P0, m.P1, m.h0, m.h1, m.theta1, 0.9, m.controllable)
+    assert (discounted.kernel.band is None) == (not banded)
+    ctrl = sorted(m.controllable)
+    for s in (frozenset(), frozenset(ctrl[:2]), frozenset(ctrl[3:]), frozenset(ctrl)):
+        want, got = average_limits(m, s), average_limits(discounted, s)
+        assert (got.b_bar, got.v_bar) == (want.b_bar, want.v_bar)
+        for name in ("a", "f", "w_bar", "c_bar"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    fam = threshold_family(len(ctrl))
+    want, got = average_pcl_index(m, fam), average_pcl_index(discounted, fam)
+    assert got.nu_by_state == want.nu_by_state
+    assert got.state_order == want.state_order
+
+
 def test_tauberian_limits(rng):
     # discounted quantities at beta -> 1 approach the average-criterion ones
     m = random_compliant_admission(rng, 4, alpha=0.0)
@@ -563,7 +587,7 @@ def test_communication_is_decided_once_per_model(rng, monkeypatch):
 
 def test_average_limits_makes_one_class_pass_per_chain_set(rng, monkeypatch):
     # the activity and cost rewards share one recurrent-class pass and one
-    # bordered solve
+    # anchored solve
     calls = {"limits": 0, "classes": 0}
     limits, classes = bandit.average_limits, bandit._recurrent_classes
 
@@ -632,6 +656,7 @@ def test_recurrent_classes_match_component_loop(rng):
         want = reference(P)
         assert len(want) == n_closed
         assert bandit._recurrent_classes(P) == want
+        assert bandit._recurrent_classes(dia_array(P)) == want   # the banded kernel's form
     assert bandit._recurrent_classes(np.eye(3)) == [[0], [1], [2]]
 
 
@@ -729,6 +754,25 @@ def test_perturbed_banded_solve_fails_the_residual_check(monkeypatch):
                         lambda *args, **kw: exact(*args, **kw) * (1.0 + 1e-6))
     with pytest.raises(InternalConsistencyError, match="residual"):
         activity_measure(rb, frozenset(range(5)))
+    with pytest.raises(InternalConsistencyError, match="residual"):
+        average_limits(admission.uniformize(regular_admission(10, alpha=0.0)),
+                       frozenset(range(5)))
+
+
+def test_anchored_solve_is_the_bordered_gain_bias_system():
+    # (I - P + e_r e_r^T) [y, z] = [r, 1] on a two-state cycle-with-rest
+    # chain: stationary (2/3, 1/3), so z[r] = 1 / pi_r and the gain is
+    # y[r] / z[r] whichever recurrent state anchors it
+    P = np.array([[0.5, 0.5], [1.0, 0.0]])
+    kernel = bandit._SolveKernel(P, P, 1.0)
+    mask = np.zeros(2, dtype=bool)
+    rhs = np.column_stack(([3.0, 0.0], np.ones(2)))
+    for anchor, pi in ((0, 2 / 3), (1, 1 / 3)):
+        y = kernel.solve(mask, rhs, anchor)
+        assert y[anchor, 1] == pytest.approx(1.0 / pi)
+        assert y[anchor, 0] / y[anchor, 1] == pytest.approx(2.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        kernel.solve(mask, rhs)        # I - P alone is singular
 
 
 @pytest.mark.parametrize("band", [(0, 0), (1, 0), (1, 1), (2, 1), (0, 3), (3, 3)])

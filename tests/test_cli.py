@@ -274,7 +274,7 @@ PINNED_N30 = {"kind": "admission", "n": 30, "alpha": 0.1, "lambda": [1.0] * 31,
     (PINNED_N30, ["index"], 0,
      "fddc8a8fef6dd17df3d2681564c371856e59aa88f95d71212b2a3c763c00029c"),
     (dict(PINNED_N30, alpha=0.0), ["index"], 0,
-     "9950b28abb3b73dbff895613a51a35c8c7ad6368b76c85d063c5416329db7a17"),
+     "c4e6d35a676daf7faa973304ec07fe651ad6740f0d2d49e4f34cac0f871c4455"),
     (rb_doc(), ["index", "--family", "powerset"], 0,
      "25492a748b1e7e60b9b648419255e8da4f75d9c21e71e86d7e440dfbf22bc006"),
     (dict(PINNED_N30, h=[0.0, "x"] + PINNED_N30["h"][2:]), ["index"], 2,

@@ -3,8 +3,9 @@ tabulated decisions against the public decision functions, the per-level
 rate tables against the spec accessors, the lockstep
 simulator against a per-event reference loop, the make-to-stock table
 against the DP and greedy indices of its project, the three routes to the
-admission indices against each other, the banded set-active solves
-against dense linear algebra, the multi-column kernel solve against
+admission indices against each other, the average indices against an
+exact rational reference, the banded set-active solves and average
+limits against dense linear algebra, the multi-column kernel solve against
 column-by-column solves, the charge-sequence policy iteration against
 cold value iteration, the CLI report writer against ``json.dumps`` and
 the one-pass schema check against stock jsonschema."""
@@ -13,6 +14,7 @@ import importlib
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -599,6 +601,46 @@ def test_pcl_index_on_uniformized_model_matches_recursion(seed, n, alpha):
     assert np.max(np.abs(greedy - nu)) <= 1e-9 * max(1.0, float(np.max(np.abs(nu))))
 
 
+def exact_average_indices(m: ACModel) -> list[float]:
+    """Average-criterion indices in rational arithmetic.  C_k and R_k are
+    the cost and rejection rates of threshold policy k (gate shut from
+    state k-1 on), from detailed balance as in
+    ``admission.threshold_steady_state``; nu_j = (C_{j+2} - C_{j+1}) /
+    (R_{j+1} - R_{j+2})."""
+    lam, h = [Fraction(x) for x in m.lam.tolist()], [Fraction(x) for x in m.h.tolist()]
+    mu = [Fraction(0)] + [Fraction(x) for x in m.mu.tolist()]
+    C, R = [None], [None]
+    weight = total = Fraction(1)
+    held = h[0]
+    for k in range(1, m.n + 2):       # the chain lives on 0..k-1
+        if k > 1:
+            weight *= lam[k - 2] / mu[k - 1]
+            total += weight
+            held += weight * h[k - 1]
+        C.append(held / total)
+        R.append(weight * lam[k - 1] / total)
+    return [float((C[j + 2] - C[j + 1]) / (R[j + 1] - R[j + 2])) for j in range(m.n)]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(seed=seeds, n=st.integers(1, 40), rho=st.floats(0.5, 1.2), varying=st.booleans())
+def test_average_indices_match_exact_reference(seed, n, rho, varying):
+    # arrivals at rate 1; service at rate 1/rho, or rising concavely
+    # towards it, so the regularity conditions hold
+    mu = np.full(n, 1.0 / rho)
+    if varying:
+        mu *= 1.0 - 0.5 * 0.7 ** np.arange(n)
+    dh = np.sort(np.random.default_rng(seed).uniform(0.0, 2.0, n))
+    m = ACModel(n, np.ones(n + 1), mu, np.concatenate(([0.0], np.cumsum(dh))), 0.0)
+    exact = np.array(exact_average_indices(m))
+    scale = np.maximum(1.0, np.abs(exact))
+    assert np.max(np.abs(admission.average_indices(m) - exact) / scale) <= 1e-13
+    rep = bandit.average_pcl_index(uniformize(m), threshold_family(n))
+    assert rep.indexable
+    greedy = np.array([rep.nu_by_state[j] for j in range(n)])
+    assert np.max(np.abs(greedy - exact) / scale) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Banded set-active solves vs. dense linear algebra
 # ---------------------------------------------------------------------------
@@ -667,6 +709,9 @@ def test_banded_measures_match_dense_solves(seed, n, lower, upper, beta):
     assert_close(bandit.marginal_workload(m, s), w)
     assert_close(bandit.marginal_cost(m, s), c)
     assert_close(bandit.normalized_passive_cost(m), hhat)
+    b = 1.0 - 1e-9                       # the occupancy's fixed discount
+    P = np.where(mask[:, None], m.P1, m.P0)
+    assert_close(m.kernel.occupancy(mask), np.linalg.solve((np.eye(n) - b * m.beta * P).T, np.ones(n)))
 
     nu = float(rng.uniform(-1.0, 1.0) * max(1.0, float(np.max(np.abs(hhat)))))
     got = dp.solve(m, nu)
@@ -691,6 +736,32 @@ def test_multi_column_solve_matches_column_solves(seed, n, lower, upper, beta, c
         assert np.array_equal(x, one)
     else:
         assert np.max(np.abs(x - one)) <= 1e-14 * max(1.0, float(np.max(np.abs(one))))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(seed=seeds, n=st.integers(2, 40), lower=st.integers(1, 3), upper=st.integers(1, 3),
+       beta=st.sampled_from([0.5, 1.0]))
+def test_average_limits_match_dense_bordered_system(seed, n, lower, upper, beta):
+    # every transition row is positive on its whole band, so each policy is
+    # irreducible; the reference is the dense bordered system of Puterman
+    # (1994, section 8.2) in the unknowns (gain, bias) with bias[0] = 0
+    rng = np.random.default_rng(seed)
+    m = banded_rb(rng, n, lower, upper, beta)
+    s = frozenset(j for j in m.controllable if rng.random() < 0.5)
+    mask = m.active_rows(s)
+    A = np.zeros((n + 1, n + 1))
+    A[:n, 0] = 1.0
+    A[:n, 1:] = np.eye(n) - np.where(mask[:, None], m.P1, m.P0)
+    A[n, 1] = 1.0
+    rewards = np.column_stack((np.where(mask, m.theta1, 0.0), np.where(mask, m.h1, m.h0)))
+    sol = np.linalg.solve(A, np.vstack((rewards, np.zeros((1, 2)))))
+    (b_bar, v_bar), (a, f) = sol[0], sol[1:].T
+    w = np.where(m.ctrl_mask, m.theta1 + (m.P1 - m.P0) @ a, 0.0)
+    c = np.where(m.ctrl_mask, m.h0 - m.h1 - (m.P1 - m.P0) @ f, 0.0)
+    al = bandit.average_limits(m, s)
+    assert_close(np.array([al.b_bar, al.v_bar]), np.array([b_bar, v_bar]))
+    for got, want in ((al.a, a), (al.f, f), (al.w_bar, w), (al.c_bar, c)):
+        assert_close(got, want)
 
 
 # ---------------------------------------------------------------------------
