@@ -68,10 +68,8 @@ class ACModel:
             raise ValueError(f"uniformization rate {big} below max(lambda_i + mu_i) = {needed}")
         for arr in (lam, mu, h):
             arr.setflags(write=False)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "Lambda", big)
+        for name, value in (("lam", lam), ("mu", mu), ("h", h), ("Lambda", big)):
+            object.__setattr__(self, name, value)
 
     @property
     def mu_full(self) -> np.ndarray:
@@ -158,20 +156,11 @@ def uniformize(m: ACModel) -> RBModel:
     if not np.all(lam[: n] > 0):
         raise ValueError("arrival rates at controllable states must be positive "
                          "(zero arrivals make the activity weight vanish)")
-    N = n + 1
-    P1 = np.zeros((N, N))
-    P0 = np.zeros((N, N))
-    for i in range(N):
-        P1[i, i] = (big - mu[i]) / big
-        if i > 0:
-            P1[i, i - 1] = mu[i] / big
-        if i < n:
-            P0[i, i + 1] = lam[i] / big
-            P0[i, i] = (big - lam[i] - mu[i]) / big
-        else:
-            P0[i, i] = (big - mu[i]) / big
-        if i > 0:
-            P0[i, i - 1] = mu[i] / big
+    P0, P1, i = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1)), np.arange(n + 1)
+    P0[i[1:], i[:-1]] = P1[i[1:], i[:-1]] = mu[1:] / big
+    P0[i[:-1], i[1:]] = lam[:n] / big     # no arrival is admitted into the full buffer
+    P0[i, i] = (big - np.append(lam[:n], 0.0) - mu) / big
+    P1[i, i] = (big - mu) / big
     scale = m.alpha + big
     hbar = m.h / scale
     theta = lam / scale
@@ -302,10 +291,7 @@ def indices(m: ACModel) -> np.ndarray:
 
 def average_indices(m: ACModel) -> np.ndarray:
     """Long-run average indices: the same recursions evaluated at alpha = 0."""
-    if m.alpha == 0:
-        return indices(m)
-    flat = ACModel(m.n, m.lam, m.mu, m.h, 0.0, m.Lambda)
-    return indices(flat)
+    return indices(m if m.alpha == 0 else ACModel(m.n, m.lam, m.mu, m.h, 0.0, m.Lambda))
 
 
 def closed_form_index(kind: str, lam: float, mu: float, h: float, j: int,
@@ -408,9 +394,6 @@ def threshold_steady_state(m: ACModel, k: int) -> tuple[np.ndarray, float, float
         weights[i] = weights[i - 1] * m.lam[i - 1] / m.mu_full[i]
     p = weights / weights.sum()
     cost_rate = float(p @ m.h)
-    # rejections occur while the gate is shut, and in the full-buffer state
-    if k <= m.n:
-        reject_rate = float(p[top] * m.lam[top])
-    else:
-        reject_rate = float(p[m.n] * m.lam[m.n])
+    # rejections occur while the gate is shut, or else in the full-buffer state
+    reject_rate = float(p[top] * m.lam[top])
     return p, cost_rate, reject_rate

@@ -24,13 +24,13 @@ from typing import Iterable
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbsv, dgtsv
-from scipy.sparse import csr_array, dia_array
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (InfeasibleTargetError, InternalConsistencyError,
                      UnsupportedModelError)
 from .greedy import AGOutput, WorkloadOracle, ag2
-from .setsystem import SetSystem
+from .setsystem import SetSystem, suffix_sets
 
 SOFT_STATE_CAP = 2000
 
@@ -88,12 +88,15 @@ class _SolveKernel:
         rows of beta*P0 elsewhere, in this kernel's storage."""
         return np.where(mask[self._rows], self.bP1, self.bP0)
 
-    def graph(self, mask: np.ndarray):
-        """beta*P_S as a dense array, or as a scipy sparse matrix over the band."""
+    def edges(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (source, target) states of the positive entries of beta*P_S,
+        read from this kernel's storage, in row-major order."""
+        rows, cols = np.nonzero(self._mixed(mask) > 0)
         if self.band is None:
-            return self._mixed(mask)
-        n, (lower, upper) = self._rows.shape[1], self.band
-        return dia_array((self._mixed(mask), np.arange(upper, -lower - 1, -1)), shape=(n, n))
+            return rows, cols
+        src = self._rows[rows, cols]
+        order = np.lexsort((cols, src))
+        return src[order], cols[order]
 
     def system(self, mask: np.ndarray) -> np.ndarray:
         """I - beta*P_S in this kernel's storage."""
@@ -220,14 +223,9 @@ class RBModel:
             warnings.warn(f"model has {n} states; dense linear algebra may be slow")
         for arr in (P0, P1, h0, h1, theta1, ctrl_mask):
             arr.setflags(write=False)
-        object.__setattr__(self, "P0", P0)
-        object.__setattr__(self, "P1", P1)
-        object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "theta1", theta1)
-        object.__setattr__(self, "controllable", ctrl)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "ctrl_mask", ctrl_mask)
+        for name, value in (("P0", P0), ("P1", P1), ("h0", h0), ("h1", h1), ("theta1", theta1),
+                            ("controllable", ctrl), ("kernel", kernel), ("ctrl_mask", ctrl_mask)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_states(self) -> int:
@@ -392,7 +390,8 @@ class PCLReport:
 
     ``indexable`` requires strictly positive marginal workloads on every
     family member and a nondecreasing index sequence out of the
-    adaptive-greedy run on the normalized passive cost.
+    adaptive-greedy run on the normalized passive cost.  ``state_order``,
+    that run's priority order in states, is the only stored form of its chain.
     """
 
     indexable: bool
@@ -401,13 +400,16 @@ class PCLReport:
     workload_violations: tuple
     nu_by_state: dict[int, float]
     state_order: tuple[int, ...]
-    chain_states: tuple[frozenset, ...]
     ag: AGOutput
-    controllable_order: tuple[int, ...]
 
     @property
     def nu(self) -> np.ndarray:
         return self.ag.nu
+
+    @property
+    def chain_states(self) -> tuple[frozenset, ...]:
+        """The sets ``state_order[k:]``, built anew on each access: bind them once."""
+        return suffix_sets(self.state_order)
 
 
 def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
@@ -436,7 +438,6 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
                     "not positive on the adaptive-greedy chain")
             return read(s)
     out = ag2(cost[at], WorkloadOracle(row=row), sys)
-    order = tuple(ctrl[e] for e in out.pi)
     positive = not violations
     return PCLReport(
         indexable=positive and out.admissible,
@@ -445,10 +446,8 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
         workload_violations=tuple((frozenset(ctrl[e] for e in s), ctrl[j], w)
                                   for s, j, w in violations),
         nu_by_state={ctrl[e]: float(out.nu[e]) for e in range(sys.n)},
-        state_order=order,
-        chain_states=tuple(frozenset(order[k:]) for k in range(len(out.chain))),
+        state_order=tuple(ctrl[e] for e in out.pi),
         ag=out,
-        controllable_order=tuple(ctrl),
     )
 
 
@@ -568,7 +567,7 @@ def dmr_report(model: RBModel, sys: SetSystem, p=None, tol: float = 1e-9,
     if p.shape != (n_states,) or not np.all(p > 0):
         raise ValueError("initial distribution must be strictly positive over all states")
     cache = _MeasureCache(model)
-    chain = list(rep.ag.chain) + [frozenset()]
+    chain = rep.ag.chain + (frozenset(),)
     b_agg = [float(p @ cache.b(s)) for s in chain]
     v_agg = [float(p @ cache.v(s)) for s in chain]
     scale_b = max(1.0, max(abs(x) for x in b_agg))
@@ -577,7 +576,7 @@ def dmr_report(model: RBModel, sys: SetSystem, p=None, tol: float = 1e-9,
     nu_seq = [float(rep.ag.nu[e]) for e in rep.ag.pi]
     worst = 0.0
     min_ok = max_ok = True
-    for k, s in enumerate(rep.ag.chain):
+    for k, s in enumerate(chain[:-1]):
         denom = b_agg[k] - b_agg[k + 1]
         ratio = (v_agg[k + 1] - v_agg[k]) / denom
         worst = max(worst, abs(ratio - nu_seq[k]))
@@ -619,13 +618,13 @@ class AverageLimits:
     c_bar: np.ndarray
 
 
-def _recurrent_classes(P) -> list[list[int]]:
-    """The closed strong components of the positive edges of P (a dense
-    array or a scipy sparse matrix), in label order: a component is closed
-    when no edge leaves it."""
-    edges = csr_array(P > 0)
-    n_comp, labels = connected_components(edges, directed=True, connection="strong")
-    src, dst = edges.nonzero()
+def _recurrent_classes(n: int, src: np.ndarray, dst: np.ndarray) -> list[list[int]]:
+    """The closed strong components of the graph on n states with the
+    edges src -> dst, given in row-major order, in label order: a
+    component is closed when no edge leaves it."""
+    indptr = np.searchsorted(src, np.arange(n + 1))
+    graph = csr_array((np.ones(len(src)), np.ascontiguousarray(dst), indptr), shape=(n, n))
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
     closed = np.ones(n_comp, dtype=bool)
     closed[labels[src][labels[src] != labels[dst]]] = False
     return [np.flatnonzero(labels == comp).tolist() for comp in np.flatnonzero(closed)]
@@ -645,7 +644,7 @@ def average_limits(model: RBModel, s) -> AverageLimits:
     if not model.communicating:
         raise UnsupportedModelError("model is not communicating")
     mask, kernel = model.active_rows(s), model.average_kernel
-    classes = _recurrent_classes(kernel.graph(mask))
+    classes = _recurrent_classes(model.n_states, *kernel.edges(mask))
     if len(classes) != 1:
         raise UnsupportedModelError(
             f"policy chain is multichain ({len(classes)} recurrent classes)")
@@ -711,7 +710,7 @@ def constrained_policy(model: RBModel, sys: SetSystem, t: float,
     v_bar = [al.v_bar for al in limits]
     scale = max(1.0, max(abs(x) for x in b_bar))
     lo, hi = b_bar[-1], b_bar[0]
-    if t < lo - rel_tol * scale or t > hi + rel_tol * scale:
+    if not lo - rel_tol * scale <= t <= hi + rel_tol * scale:   # a NaN target too
         raise InfeasibleTargetError(
             f"target {t} outside achievable activity range [{lo:g}, {hi:g}]")
     for k, bk in enumerate(b_bar):

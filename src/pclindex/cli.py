@@ -112,7 +112,6 @@ def _pcl_results(report: bandit.PCLReport) -> dict:
     return {
         "indices": {str(j): v for j, v in sorted(report.nu_by_state.items())},
         "priority_order": list(report.state_order),
-        "chain": [sorted(s) for s in report.chain_states],
         "admissible": report.admissible,
         "positive_workloads": report.positive_workloads,
         "pcl_indexable": report.indexable,
@@ -194,7 +193,7 @@ def cmd_dp_verify(args) -> int:
     sweep = dp.nu_sweep(rb, grid, eps=args.eps, family=fam)
     results["sweep"] = {
         "grid": list(sweep.grid),
-        "active_sets": [sorted(s) for s in sweep.active_sets],
+        "active_sets": [np.flatnonzero(row).tolist() for row in sweep.active_masks],
         "nested_decreasing": sweep.nested_decreasing,
         "all_in_family": all(sweep.in_family),
     }

@@ -78,6 +78,8 @@ class _Policies:
     def __init__(self, model: RBModel, eps: float = DEFAULT_INDIFFERENCE):
         if not model.beta < 1.0:
             raise ValueError("DP solve requires beta < 1")
+        if not (math.isfinite(eps) and eps >= 0.0):
+            raise ValueError(f"tolerance eps must be finite and nonnegative, got {eps}")
         self.model, self.eps = model, eps
         self.forced = ~model.ctrl_mask
         self.start = np.ones(model.n_states, dtype=bool)
@@ -177,15 +179,12 @@ def solve(model: RBModel, nu: float, method: str = "policy",
     independent fallback (sup-norm stop 1e-12) and ignores ``start``.
     Uncontrollable states are forced active.
     """
-    if not model.beta < 1.0:
-        raise ValueError("DP solve requires beta < 1")
+    policies = _Policies(model, eps)   # checks beta and eps for both methods
     if not math.isfinite(nu):
         raise ValueError(f"charge must be finite, got {nu}")
-    n = model.n_states
-    forced = ~model.ctrl_mask
+    n, forced = model.n_states, policies.forced
 
     if method == "policy":
-        policies = _Policies(model, eps)
         if start is not None:
             start = np.asarray(start)
             if start.shape != (n,) or start.dtype != bool:
@@ -201,19 +200,16 @@ def solve(model: RBModel, nu: float, method: str = "policy",
         for _ in range(max_iter):
             iterations += 1
             q0, q1 = _action_values(model, nu, v)
-            v_new = np.where(forced, q1, np.minimum(q0, q1))
-            if float(np.max(np.abs(v_new - v))) < 1e-12:
-                v = v_new
+            v, v_old = np.where(forced, q1, np.minimum(q0, q1)), v
+            if float(np.max(np.abs(v - v_old))) < 1e-12:
                 break
-            v = v_new
         else:
             raise InternalConsistencyError("value iteration failed to converge")
         gap = _checked_gap(model, v, *_action_values(model, nu, v))
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    active_opt = frozenset(np.flatnonzero(model.ctrl_mask & (gap < -eps)).tolist())
-    indifferent = frozenset(np.flatnonzero(model.ctrl_mask & (np.abs(gap) <= eps)).tolist())
+    active_opt, indifferent = _sets(model.ctrl_mask & np.array([gap < -eps, np.abs(gap) <= eps]))
     return DPResult(v, active_opt, indifferent, gap, iterations, method)
 
 
@@ -224,10 +220,16 @@ def _sets(masks: np.ndarray) -> tuple[frozenset, ...]:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """The DP-optimal active sets along a charge grid, one mask row per charge."""
+
     grid: tuple[float, ...]
-    active_sets: tuple[frozenset, ...]
+    active_masks: np.ndarray
     nested_decreasing: bool
     in_family: tuple[bool, ...] | None
+
+    @property
+    def active_sets(self) -> tuple[frozenset, ...]:
+        return _sets(self.active_masks)
 
 
 def nu_sweep(model: RBModel, grid, eps: float = DEFAULT_INDIFFERENCE,
@@ -244,13 +246,11 @@ def nu_sweep(model: RBModel, grid, eps: float = DEFAULT_INDIFFERENCE,
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted ascending")
     closed = _Policies(model, eps).run(np.array(grid))[2]
-    sets = _sets(closed)
     nested = not np.any(closed[1:] & ~closed[:-1])
-    in_family = None
-    if family is not None:
-        pos = {j: e for e, j in enumerate(sorted(model.controllable))}
-        in_family = tuple(frozenset(pos[j] for j in s) in family for s in sets)
-    return SweepReport(tuple(grid), sets, nested, in_family)
+    # the family's ground indexes sorted(controllable)
+    in_family = None if family is None else tuple(
+        s in family for s in _sets(closed[:, model.ctrl_mask]))
+    return SweepReport(tuple(grid), closed, nested, in_family)
 
 
 def fair_charge(model: RBModel, j: int, tol: float = 1e-10,
@@ -265,6 +265,8 @@ def fair_charge(model: RBModel, j: int, tol: float = 1e-10,
     """
     if j not in model.controllable:
         raise ValueError(f"state {j} is not controllable")
+    if not math.isfinite(tol):
+        raise ValueError(f"bisection tolerance must be finite, got {tol}")
 
     policies = _Policies(model)
 
@@ -310,11 +312,22 @@ def fair_charge(model: RBModel, j: int, tol: float = 1e-10,
 
 @dataclass(frozen=True)
 class CrosscheckReport:
+    """Index sets {j : charge <= nu_j} against DP-optimal sets, one mask row
+    per charge; the failing rows as (charge, expected set, observed set)."""
+
     grid: tuple[float, ...]
-    expected: tuple[frozenset, ...]
-    observed: tuple[frozenset, ...]
+    expected_masks: np.ndarray
+    observed_masks: np.ndarray
     mismatches: tuple[tuple[float, frozenset, frozenset], ...]
     agree: bool
+
+    @property
+    def expected(self) -> tuple[frozenset, ...]:
+        return _sets(self.expected_masks)
+
+    @property
+    def observed(self) -> tuple[frozenset, ...]:
+        return _sets(self.observed_masks)
 
 
 def crosscheck_indices(model: RBModel, sys: SetSystem, pcl_report,
@@ -352,6 +365,5 @@ def crosscheck_indices(model: RBModel, sys: SetSystem, pcl_report,
     near[:, states] = np.abs(charges[:, None] - nus) <= 1e-9 * span
     # the DP set must lie between the open set (breakpoint states dropped) and the closed one
     bad = np.flatnonzero((closed & ~near & ~dp_sets).any(axis=1) | (dp_sets & ~closed).any(axis=1))
-    expected, observed = _sets(closed), _sets(dp_sets)
-    mismatches = tuple((grid[r], expected[r], observed[r]) for r in bad.tolist())
-    return CrosscheckReport(tuple(grid), expected, observed, mismatches, not mismatches)
+    mismatches = tuple(zip([grid[r] for r in bad], _sets(closed[bad]), _sets(dp_sets[bad])))
+    return CrosscheckReport(tuple(grid), closed, dp_sets, mismatches, not mismatches)

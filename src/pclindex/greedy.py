@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DegeneracyError, StructureError
-from .setsystem import SetSystem
+from .setsystem import SetSystem, suffix_sets
 
 # Slack used by the end-of-run admissibility test; floating-point chains
 # of nearly-tied indices must not be flagged inadmissible.
@@ -90,20 +90,20 @@ class WorkloadOracle:
 
 @dataclass(frozen=True)
 class AGOutput:
-    """Result of an adaptive-greedy run.
+    """Result of an adaptive-greedy run; ``pi`` is the only stored form of
+    its chain S_0 > S_1 > ..., with S_k = J minus {pi_0, ..., pi_{k-1}}.
 
     ``workloads``, ``rate_table`` and ``reduced_costs`` are read-only
-    arrays of shape (len(chain), n): row k holds w(S_k, j), the marginal
-    cost rate and the marginal cost of every j against S_k = ``chain[k]``,
-    NaN outside S_k.  ``dual[k]`` is the increment y(S_k) = nu_{pi_k} -
+    arrays of shape (len(pi), n): row k holds w(S_k, j), the marginal cost
+    rate and the marginal cost of every j against S_k = ``chain[k]``, NaN
+    outside S_k.  ``dual[k]`` is the increment y(S_k) = nu_{pi_k} -
     nu_{pi_{k-1}}.  When ``completed`` is False the run stopped early at
-    the first monotonicity failure and the chain is partial.
+    the first monotonicity failure, and ``pi`` and the chain are partial.
     """
 
     admissible: bool
     pi: tuple[int, ...]
     nu: np.ndarray
-    chain: tuple[frozenset, ...]
     dual: np.ndarray
     rate_table: np.ndarray
     reduced_costs: np.ndarray
@@ -114,6 +114,12 @@ class AGOutput:
     @property
     def n(self) -> int:
         return len(self.cost)
+
+    @property
+    def chain(self) -> tuple[frozenset, ...]:
+        """The sets S_k, as frozensets built anew on each access: bind them once."""
+        rest = tuple(set(range(self.n)).difference(self.pi))   # empty unless partial
+        return suffix_sets(self.pi + rest)[:len(self.pi)]
 
 
 def _argmin_boundary(rate: np.ndarray, boundary: frozenset, tie_break: str) -> int:
@@ -148,7 +154,6 @@ def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
     pivot, pivot_rate = None, 0.0
     pi: list[int] = []
     nu_seq: list[float] = []
-    chain: list[frozenset] = []
     completed = True
     for k in range(n):
         wk = wtab[k]
@@ -164,7 +169,6 @@ def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
         else:
             rate = rate + (w_prev / wk - 1.0) * (rate - pivot_rate)
             cost = cost - (cost[pivot] / w_prev[pivot]) * (w_prev - wk)
-        chain.append(s)
         rtab[k], ctab[k] = rate, cost
         pivot = _argmin_boundary(rate, sys.inner_boundary(s), tie_break)
         pivot_rate = float(rate[pivot])
@@ -181,12 +185,12 @@ def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
     admissible = completed and all(
         nu_seq[k] >= nu_seq[k - 1] - ADMISSIBLE_SLACK * max(1.0, abs(nu_seq[k]))
         for k in range(1, n))
-    tables = tables[:, :len(chain)]
+    tables = tables[:, :len(pi)]
     tables.flags.writeable = False
     return AGOutput(
-        admissible=admissible, pi=tuple(pi), nu=nu, chain=tuple(chain),
-        dual=np.diff(nu_seq, prepend=0.0), rate_table=tables[1],
-        reduced_costs=tables[2], workloads=tables[0], cost=c, completed=completed)
+        admissible=admissible, pi=tuple(pi), nu=nu, dual=np.diff(nu_seq, prepend=0.0),
+        rate_table=tables[1], reduced_costs=tables[2], workloads=tables[0], cost=c,
+        completed=completed)
 
 
 def ag1(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str = "low",
@@ -224,7 +228,7 @@ def primal_vertex(pi: Sequence[int], oracle: WorkloadOracle) -> np.ndarray:
     n = len(pi)
     if sorted(pi) != list(range(n)):
         raise ValueError(f"{tuple(pi)} is not a permutation of 0..{n - 1}")
-    chain = [frozenset(pi[k:]) for k in range(n)]
+    chain = suffix_sets(pi)
     table = np.zeros((n, n))            # row k: w(S_k, .), zero outside S_k
     for k, s in enumerate(chain):
         table[k, sorted(s)] = oracle.workload(s)

@@ -24,6 +24,11 @@ from .errors import StructureError
 FrozenSets = tuple[frozenset, ...]
 
 
+def suffix_sets(seq: Sequence[int]) -> FrozenSets:
+    """The suffix sets {seq[k], seq[k+1], ...} of a sequence, k = 0, 1, ..."""
+    return tuple(frozenset(seq[k:]) for k in range(len(seq)))
+
+
 @dataclass(frozen=True)
 class SetSystem:
     """Ground set {0..n-1} plus an explicit family of subsets.
@@ -94,11 +99,11 @@ class SetSystem:
         """True iff every suffix set {pi_k, ..., pi_n} belongs to the family."""
         return all(s in self for s in self.suffix_chain(pi))
 
-    def suffix_chain(self, pi: Sequence[int]) -> list[frozenset]:
+    def suffix_chain(self, pi: Sequence[int]) -> FrozenSets:
         """The nested sets S_1 > S_2 > ... > S_n of a priority order (S_1 = J)."""
         if sorted(pi) != list(range(self.n)):
             raise ValueError(f"{tuple(pi)} is not a permutation of 0..{self.n - 1}")
-        return [frozenset(pi[k:]) for k in range(self.n)]
+        return suffix_sets(pi)
 
 
 @dataclass(frozen=True)
@@ -143,8 +148,7 @@ def threshold_family(n: int) -> SetSystem:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    sets = [frozenset(range(k - 1, n)) for k in range(1, n + 1)] + [frozenset()]
-    return SetSystem(n, tuple(sets))
+    return SetSystem(n, suffix_sets(range(n)) + (frozenset(),))
 
 
 def powerset_family(n: int) -> SetSystem:
@@ -165,16 +169,10 @@ def product(systems: Sequence[SetSystem], offsets: Sequence[int] | None = None) 
     if not systems:
         raise ValueError("need at least one component system")
     if offsets is None:
-        offsets = []
-        acc = 0
-        for s in systems:
-            offsets.append(acc)
-            acc += s.n
+        offsets = list(itertools.accumulate((s.n for s in systems[:-1]), initial=0))
     if len(offsets) != len(systems):
         raise ValueError("offsets and systems must have equal length")
-    ranges = []
-    for sys_k, off in zip(systems, offsets):
-        ranges.append(set(range(off, off + sys_k.n)))
+    ranges = [set(range(off, off + sys_k.n)) for sys_k, off in zip(systems, offsets)]
     for a, b in itertools.combinations(ranges, 2):
         if a & b:
             raise ValueError("component ground sets overlap after relabeling")

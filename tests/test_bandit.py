@@ -1,11 +1,12 @@
+import gc
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse import dia_array
 
 from pclindex import admission, bandit, dp
 from pclindex.bandit import (RBModel, activity_measure, average_limits,
@@ -550,6 +551,27 @@ def test_tauberian_limits(rng):
         assert np.max(np.abs(marginal_cost(rb_hi, s) - al.c_bar)) < 1e-4
 
 
+def test_report_retains_little_beyond_its_chain_tables():
+    # the chain is stored once, as the priority order; the frozenset
+    # chains that AGOutput and PCLReport each stored came to twice the
+    # bytes of the three chain tables
+    n = 300
+    m = admission.ACModel(n, np.full(n + 1, 1.0), np.full(n, 1.3), np.arange(n + 1.0) ** 2, 0.1)
+    rb, fam = admission.uniformize(m), threshold_family(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = pcl_index(rb, fam)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    tables = sum(t.nbytes for t in (rep.ag.workloads, rep.ag.rate_table, rep.ag.reduced_costs))
+    assert tables == 3 * 8 * n * n
+    assert retained <= 1.5 * tables
+
+
 def test_average_limits_rejects_noncommunicating():
     P = np.eye(2)   # two absorbing states under both actions
     m = RBModel(P, P, np.zeros(2), np.zeros(2), np.ones(2), 0.9, frozenset())
@@ -570,9 +592,9 @@ def test_communication_is_decided_once_per_model(rng, monkeypatch):
         passes["all"] += 1
         return components(*args, **kwargs)
 
-    def counted_classes(P):
+    def counted_classes(*args):
         passes["classes"] += 1
-        return classes(P)
+        return classes(*args)
 
     monkeypatch.setattr(bandit, "connected_components", counted_components)
     monkeypatch.setattr(bandit, "_recurrent_classes", counted_classes)
@@ -595,9 +617,9 @@ def test_average_limits_makes_one_class_pass_per_chain_set(rng, monkeypatch):
         calls["limits"] += 1
         return limits(model, s)
 
-    def counted_classes(P):
+    def counted_classes(*args):
         calls["classes"] += 1
-        return classes(P)
+        return classes(*args)
 
     monkeypatch.setattr(bandit, "average_limits", counted_limits)
     monkeypatch.setattr(bandit, "_recurrent_classes", counted_classes)
@@ -649,15 +671,25 @@ def test_recurrent_classes_match_component_loop(rng):
                 leaves.append(sorted(int(m) for m in members))
         return leaves
 
+    def classes(P):
+        # the edges as the average criterion's kernel reads them from its storage
+        kernel = bandit._SolveKernel(P, P, 1.0)
+        return bandit._recurrent_classes(len(P), *kernel.edges(np.zeros(len(P), dtype=bool)))
+
     for _ in range(60):
         n = int(rng.integers(2, 30))
         n_closed = int(rng.integers(1, min(n, 5)))
         P = _random_multichain(rng, n, n_closed)
         want = reference(P)
         assert len(want) == n_closed
-        assert bandit._recurrent_classes(P) == want
-        assert bandit._recurrent_classes(dia_array(P)) == want   # the banded kernel's form
-    assert bandit._recurrent_classes(np.eye(3)) == [[0], [1], [2]]
+        assert bandit._recurrent_classes(n, *np.nonzero(P > 0)) == want
+        assert classes(P) == want
+        # keep two diagonals each side, so that the kernel stores a band past 5 states
+        B = np.triu(np.tril(P, 2), -2) + np.eye(n)
+        B /= B.sum(axis=1, keepdims=True)
+        assert n <= 5 or bandit._SolveKernel(B, B, 1.0).band is not None
+        assert classes(B) == reference(B)
+    assert bandit._recurrent_classes(3, *np.nonzero(np.eye(3))) == [[0], [1], [2]]
 
 
 def test_constrained_policy_breakpoints_and_interpolation(rng):
@@ -681,6 +713,14 @@ def test_constrained_policy_breakpoints_and_interpolation(rng):
     # outside the achievable range
     with pytest.raises(InfeasibleTargetError):
         constrained_policy(rb, fam, b_bars[0] + 1.0, report=rep)
+
+
+def test_constrained_policy_refuses_a_nan_target():
+    # a NaN target passed the range test and ended in a bare StopIteration
+    m = admission.ACModel(5, np.full(6, 1.0), np.full(5, 1.3), np.arange(6.0) ** 2, 0.0)
+    rb = admission.uniformize(m)
+    with pytest.raises(InfeasibleTargetError, match="target nan outside"):
+        constrained_policy(rb, threshold_family(5), np.nan)
 
 
 def test_constrained_value_piecewise_linear_convex(rng):

@@ -154,7 +154,13 @@ def test_index_explicit_family(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "index", write_doc(tmp_path, doc),
                            "--family", "explicit")
     assert code == 0
-    assert out["results"]["pcl"]["chain"]
+    pcl = out["results"]["pcl"]
+    # the chain is not reported: chain[k] = sorted(priority_order[k:])
+    assert "chain" not in pcl
+    ground = {j: e for e, j in enumerate(sorted(doc["controllable"]))}
+    order = [ground[j] for j in pcl["priority_order"]]
+    assert sorted(order) == list(range(len(order)))
+    assert all(sorted(order[k:]) in doc["family"] for k in range(len(order)))
 
 
 def test_index_nonpositive_workload_on_the_chain_exits_3(tmp_path, capsys):
@@ -263,7 +269,17 @@ def test_dp_verify_report_is_pinned(tmp_path, capsys):
     assert cli.main(["dp-verify", write_doc(tmp_path, doc)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "fff9d25bacc3cac9f732a0eb125371019553e9fc6c91f111dd359d8bcc5ed43c"
+        "076d462708f3c411d9485eaa2da346c40097dad96ca016cf04dadbe9ae49cb18"
+
+
+def test_dp_verify_mismatch_report_is_pinned(tmp_path, capsys):
+    # pinned like the report above, on the disagreement path: the
+    # mismatch rows and the sweep's sets printed from the boolean masks
+    doc = dict(ADMISSION_DOC, alpha=0.3)
+    assert cli.main(["dp-verify", write_doc(tmp_path, doc), "--eps", "1e9"]) == 4
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "1ff2f6794637016481b364f2e5373ba4c8bb3c5cc44e633b424e28cc6f04bddb"
 
 
 PINNED_N30 = {"kind": "admission", "n": 30, "alpha": 0.1, "lambda": [1.0] * 31,
@@ -272,11 +288,11 @@ PINNED_N30 = {"kind": "admission", "n": 30, "alpha": 0.1, "lambda": [1.0] * 31,
 
 @pytest.mark.parametrize("doc, argv, code, sha", [
     (PINNED_N30, ["index"], 0,
-     "fddc8a8fef6dd17df3d2681564c371856e59aa88f95d71212b2a3c763c00029c"),
+     "e43ad9b9a61250fbf34088be230cd87c112f0b3a758d99a00df4357892d65b6d"),
     (dict(PINNED_N30, alpha=0.0), ["index"], 0,
-     "c4e6d35a676daf7faa973304ec07fe651ad6740f0d2d49e4f34cac0f871c4455"),
+     "bfbd956afcc086d6399188b25d0b88989faa31cf24ffc59fc4eec5c7638a8016"),
     (rb_doc(), ["index", "--family", "powerset"], 0,
-     "25492a748b1e7e60b9b648419255e8da4f75d9c21e71e86d7e440dfbf22bc006"),
+     "c908f410bd78f9e0b1ba5bf078c915750fd25146d967e332202612f68c1ee503"),
     (dict(PINNED_N30, h=[0.0, "x"] + PINNED_N30["h"][2:]), ["index"], 2,
      "bbacc5f335090888fca6c349d63b282fd324eba449e3fa6a255bfd5a255a59a5"),
 ], ids=["discounted", "average", "rb-powerset", "input-error"])

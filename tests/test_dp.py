@@ -15,6 +15,12 @@ def compliant_rb(rng, n=5, alpha=0.3):
     return m, admission.uniformize(m)
 
 
+def six_state_queue():
+    """The admission queue lam 1, mu 1.3, h_j = j^2 on 0..5, alpha 0.1."""
+    return admission.uniformize(admission.ACModel(
+        5, np.full(6, 1.0), np.full(5, 1.3), np.arange(6.0) ** 2, 0.1))
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -94,6 +100,24 @@ def test_non_finite_charge_is_refused(rng, nu):
             dp.solve(m, nu, method=method)
     with pytest.raises(ValueError, match="finite"):
         dp.nu_sweep(m, [0.0, nu])
+
+
+@pytest.mark.parametrize("eps", [np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("call", ["policy", "value", "nu_sweep", "crosscheck_indices"])
+def test_bad_indifference_tolerance_is_refused(eps, call):
+    # a NaN eps classified no state as active, a negative one put states
+    # with a positive action gap in the closed set, and either made the
+    # cross-check report a disagreement; an infinite one made every state
+    # indifferent
+    rb = six_state_queue()
+    fam = threshold_family(5)
+    run = {"policy": lambda: dp.solve(rb, 3.0, eps=eps),
+           "value": lambda: dp.solve(rb, 3.0, method="value", eps=eps),
+           "nu_sweep": lambda: dp.nu_sweep(rb, [3.0], eps=eps),
+           "crosscheck_indices": lambda: dp.crosscheck_indices(
+               rb, fam, bandit.pcl_index(rb, fam), eps=eps)}[call]
+    with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+        run()
 
 
 def test_value_concave_in_charge(rng):
@@ -204,6 +228,17 @@ def test_fair_charge_requires_controllable_state(rng):
     m = random_rb(rng, 3, 1)
     with pytest.raises(ValueError):
         dp.fair_charge(m, 2)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_fair_charge_refuses_a_non_finite_tolerance(tol):
+    # a NaN tolerance ended the bisection at once and returned 0.0, an
+    # infinite one returned the midpoint of the first bracket; the answer
+    # at state 2 is 10.675
+    rb = six_state_queue()
+    assert dp.fair_charge(rb, 2) == pytest.approx(10.675416, abs=1e-6)
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        dp.fair_charge(rb, 2, tol=tol)
 
 
 def test_fair_charge_agrees_with_recursion_indices(rng):
