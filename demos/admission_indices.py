@@ -34,7 +34,7 @@ print("max |recursion - greedy|:",
       max(abs(rep.nu_by_state[j] - nu[j]) for j in range(n)))
 
 # And from the DP oracle, one bisection per state.
-charges = [dp.fair_charge(rb, j, check_single_root=False) for j in range(n)]
+charges = [dp.fair_charge(rb, j) for j in range(n)]
 print("max |recursion - DP bisection|:",
       max(abs(c - v) for c, v in zip(charges, nu)))
 

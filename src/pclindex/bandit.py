@@ -33,6 +33,8 @@ from .greedy import AGOutput, WorkloadOracle, ag2
 from .setsystem import SetSystem, suffix_sets
 
 SOFT_STATE_CAP = 2000
+DMR_TOL = 1e-9           # residual allowed in the diminishing-marginal-returns checks
+TARGET_REL_TOL = 1e-12   # activity targets this close to a chain value hit it exactly
 
 
 def solve_banded(band: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -265,6 +267,11 @@ def _require_discounted(model: RBModel):
         raise UnsupportedModelError("operation needs a discount factor beta < 1")
 
 
+def _require_state(model: RBModel, i: int):
+    if not 0 <= i < model.n_states:
+        raise ValueError(f"initial state {i} outside 0..{model.n_states - 1}")
+
+
 def _set_active_measure(model: RBModel, mask: np.ndarray, active, passive) -> np.ndarray:
     """Expected total discounted per-period reward (``active`` where the
     policy engages, on ``mask``, ``passive`` elsewhere), over initial states."""
@@ -291,6 +298,7 @@ def occupation_measures(model: RBModel, u, i: int) -> tuple[np.ndarray, np.ndarr
     uncontrollable states.  Row i of the balance equations is enforced to
     1e-10 before returning."""
     _require_discounted(model)
+    _require_state(model, i)
     u = np.asarray(u, dtype=float)
     if u.shape != (model.n_states,):
         raise ValueError(f"policy must have shape ({model.n_states},)")
@@ -488,6 +496,7 @@ def value_breakpoints(model: RBModel, sys: SetSystem, i: int,
     checked to be nonincreasing (strict decrease is not guaranteed for a
     fixed initial state, only for positively weighted averages).
     """
+    _require_state(model, i)
     rep = report if report is not None else pcl_index(model, sys)
     if not rep.indexable:
         raise UnsupportedModelError("model is not PCL-indexable for this family")
@@ -550,14 +559,15 @@ class DMRReport:
                 and self.min_form_ok and self.max_form_ok and self.rates_nondecreasing)
 
 
-def dmr_report(model: RBModel, sys: SetSystem, p=None, tol: float = 1e-9,
+def dmr_report(model: RBModel, sys: SetSystem, p=None,
                report: PCLReport | None = None) -> DMRReport:
     """Check that the indices are optimal marginal cost rates.
 
     Aggregates measures under a positive initial distribution ``p``
     (uniform by default) and verifies: strictly increasing activity along
     the chain, the index as the chain cost/activity difference ratio, its
-    min/max one-swap characterizations, and nondecreasing rates.
+    min/max one-swap characterizations, and nondecreasing rates, each to
+    ``DMR_TOL``.
     """
     rep = report if report is not None else pcl_index(model, sys)
     if not rep.indexable:
@@ -587,16 +597,16 @@ def dmr_report(model: RBModel, sys: SetSystem, p=None, tol: float = 1e-9,
 
         # removing a state from S_k can only cost at rate >= nu_k ...
         m = min(swap_ratio(k, s - {j}) for j in sorted(s))
-        if abs(m - nu_seq[k]) > tol * max(1.0, abs(nu_seq[k])):
+        if abs(m - nu_seq[k]) > DMR_TOL * max(1.0, abs(nu_seq[k])):
             min_ok = False
         # ... and adding one to the next chain set saves at rate <= nu_k
         succ = chain[k + 1]
         mx = max(swap_ratio(k + 1, succ | {j}) for j in sorted(sys.ground - succ))
-        if abs(mx - nu_seq[k]) > tol * max(1.0, abs(nu_seq[k])):
+        if abs(mx - nu_seq[k]) > DMR_TOL * max(1.0, abs(nu_seq[k])):
             max_ok = False
     scale_nu = max(1.0, max(abs(x) for x in nu_seq))
-    ratio_ok = worst <= tol * scale_nu
-    nondec = all(nu_seq[k + 1] >= nu_seq[k] - tol * scale_nu for k in range(len(nu_seq) - 1))
+    ratio_ok = worst <= DMR_TOL * scale_nu
+    nondec = all(nu_seq[k + 1] >= nu_seq[k] - DMR_TOL * scale_nu for k in range(len(nu_seq) - 1))
     return DMRReport(strict, ratio_ok, min_ok, max_ok, nondec, worst)
 
 
@@ -691,8 +701,7 @@ class ConstrainedPolicy:
 
 
 def constrained_policy(model: RBModel, sys: SetSystem, t: float,
-                       report: PCLReport | None = None,
-                       rel_tol: float = 1e-12) -> ConstrainedPolicy:
+                       report: PCLReport | None = None) -> ConstrainedPolicy:
     """Minimize the average cost rate subject to average activity rate = t.
 
     The optimum randomizes between two adjacent chain policies; its value
@@ -710,11 +719,11 @@ def constrained_policy(model: RBModel, sys: SetSystem, t: float,
     v_bar = [al.v_bar for al in limits]
     scale = max(1.0, max(abs(x) for x in b_bar))
     lo, hi = b_bar[-1], b_bar[0]
-    if not lo - rel_tol * scale <= t <= hi + rel_tol * scale:   # a NaN target too
+    if not lo - TARGET_REL_TOL * scale <= t <= hi + TARGET_REL_TOL * scale:   # a NaN target too
         raise InfeasibleTargetError(
             f"target {t} outside achievable activity range [{lo:g}, {hi:g}]")
     for k, bk in enumerate(b_bar):
-        if abs(t - bk) <= rel_tol * scale:
+        if abs(t - bk) <= TARGET_REL_TOL * scale:
             return ConstrainedPolicy(chain[k], None, None, v_bar[k], None)
     k = next(k for k in range(len(chain) - 1) if b_bar[k + 1] < t < b_bar[k])
     p = (t - b_bar[k + 1]) / (b_bar[k] - b_bar[k + 1])

@@ -24,6 +24,7 @@ from .errors import InternalConsistencyError
 from .setsystem import SetSystem
 
 DEFAULT_INDIFFERENCE = 1e-8
+FAIR_CHARGE_TOL = 1e-10    # width at which the critical-charge bisection stops
 PI_SOFT_ITER_BOUND = 30
 EVALUATIONS_KEPT = 32      # policy evaluations cached per charge sequence
 
@@ -167,33 +168,24 @@ class _Policies:
 
 
 def solve(model: RBModel, nu: float, method: str = "policy",
-          eps: float = DEFAULT_INDIFFERENCE, *,
-          start: np.ndarray | None = None) -> DPResult:
+          eps: float = DEFAULT_INDIFFERENCE) -> DPResult:
     """Solve the charge problem exactly at a fixed charge.
 
     Policy iteration (the one-charge case of the charge-sequence engine)
     evaluates each candidate policy by a linear solve and improves
-    greedily, so termination is finite from any initial policy; it starts
-    from the policy engaged on the boolean mask ``start`` of shape
-    (n_states,) (all-active by default).  Value iteration is the
-    independent fallback (sup-norm stop 1e-12) and ignores ``start``.
+    greedily from the all-active policy, so termination is finite.  Value
+    iteration is the independent fallback (sup-norm stop 1e-12).
     Uncontrollable states are forced active.
     """
     policies = _Policies(model, eps)   # checks beta and eps for both methods
     if not math.isfinite(nu):
         raise ValueError(f"charge must be finite, got {nu}")
-    n, forced = model.n_states, policies.forced
 
     if method == "policy":
-        if start is not None:
-            start = np.asarray(start)
-            if start.shape != (n,) or start.dtype != bool:
-                raise ValueError(f"start must be a boolean mask of shape ({n},)")
-            policies.start = forced | start
         v, gap, _, passes = policies.at(nu)
         iterations = int(passes)
     elif method == "value":
-        v = np.zeros(n)
+        forced, v = policies.forced, np.zeros(model.n_states)
         iterations = 0
         # geometric contraction: bound the pass count from beta, generously
         max_iter = 10_000 if model.beta == 0 else int(60 / max(1e-12, -np.log10(model.beta))) + 10_000
@@ -253,11 +245,11 @@ def nu_sweep(model: RBModel, grid, eps: float = DEFAULT_INDIFFERENCE,
     return SweepReport(tuple(grid), closed, nested, in_family)
 
 
-def fair_charge(model: RBModel, j: int, tol: float = 1e-10,
-                check_single_root: bool = True) -> float:
+def fair_charge(model: RBModel, j: int) -> float:
     """Critical charge at which both actions are optimal in state j.
 
-    Bisection on the action gap at j under the optimal continuation value.
+    Bisection on the action gap at j under the optimal continuation value,
+    down to a bracket of width ``FAIR_CHARGE_TOL`` or the float spacing.
     The initial bracket scales with the normalized passive costs and is
     expanded geometrically until the gap changes sign; if a coarse scan of
     the final bracket reveals several crossings a warning listing the
@@ -265,8 +257,6 @@ def fair_charge(model: RBModel, j: int, tol: float = 1e-10,
     """
     if j not in model.controllable:
         raise ValueError(f"state {j} is not controllable")
-    if not math.isfinite(tol):
-        raise ValueError(f"bisection tolerance must be finite, got {tol}")
 
     policies = _Policies(model)
 
@@ -290,24 +280,22 @@ def fair_charge(model: RBModel, j: int, tol: float = 1e-10,
     if g_lo > 0 or g_hi < 0:
         raise InternalConsistencyError("failed to bracket the critical charge")
     scan_lo, scan_hi = lo, hi
-    while hi - lo > tol:
+    while hi - lo > FAIR_CHARGE_TOL:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:   # tol is below the float spacing here
+        if mid == lo or mid == hi:   # the tolerance is below the float spacing here
             break
         if gap(mid) < 0:
             lo = mid
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
-    if check_single_root:
-        pts = np.linspace(scan_lo, scan_hi, 33)
-        vals = policies.run(pts)[1][:, j]
-        crossings = [(float(pts[k]), float(pts[k + 1])) for k in range(len(pts) - 1)
-                     if (vals[k] < 0.0) != (vals[k + 1] < 0.0)]
-        if len(crossings) > 1:
-            warnings.warn(f"action gap at state {j} crosses zero in several "
-                          f"intervals: {crossings}; returning bisection root")
-    return root
+    pts = np.linspace(scan_lo, scan_hi, 33)
+    vals = policies.run(pts)[1][:, j]
+    crossings = [(float(pts[k]), float(pts[k + 1])) for k in range(len(pts) - 1)
+                 if (vals[k] < 0.0) != (vals[k + 1] < 0.0)]
+    if len(crossings) > 1:
+        warnings.warn(f"action gap at state {j} crosses zero in several "
+                      f"intervals: {crossings}; returning bisection root")
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ marginal cost rate.  The first accumulates dual increments directly; the
 second propagates the rate table through a one-step update.  Both return
 the generated priority order, the index vector and an admissibility flag
 (the index sequence came out nondecreasing), plus the chain record:
-arrays of marginal workloads, rates and reduced costs, one row per chain
-set, and the dual increments.  The certificates below are array
+arrays of marginal workloads and rates, one row per chain set, and the
+dual increments.  The certificates below are array
 expressions over that record.
 
 Workload coefficients are supplied by a :class:`WorkloadOracle`, queried
@@ -27,6 +27,8 @@ from .setsystem import SetSystem, suffix_sets
 # Slack used by the end-of-run admissibility test; floating-point chains
 # of nearly-tied indices must not be flagged inadmissible.
 ADMISSIBLE_SLACK = 1e-9
+DUAL_TOL = 1e-10     # relative error allowed in the dual reconstruction of c
+MINMAX_TOL = 1e-9    # residual allowed in the min/max rate characterizations
 
 
 class WorkloadOracle:
@@ -93,12 +95,10 @@ class AGOutput:
     """Result of an adaptive-greedy run; ``pi`` is the only stored form of
     its chain S_0 > S_1 > ..., with S_k = J minus {pi_0, ..., pi_{k-1}}.
 
-    ``workloads``, ``rate_table`` and ``reduced_costs`` are read-only
-    arrays of shape (len(pi), n): row k holds w(S_k, j), the marginal cost
-    rate and the marginal cost of every j against S_k = ``chain[k]``, NaN
-    outside S_k.  ``dual[k]`` is the increment y(S_k) = nu_{pi_k} -
-    nu_{pi_{k-1}}.  When ``completed`` is False the run stopped early at
-    the first monotonicity failure, and ``pi`` and the chain are partial.
+    ``workloads`` and ``rate_table`` are read-only arrays of shape (n, n):
+    row k holds w(S_k, j) and the marginal cost rate of every j against
+    S_k = ``chain[k]``, NaN outside S_k.  ``dual[k]`` is the increment
+    y(S_k) = nu_{pi_k} - nu_{pi_{k-1}}.
     """
 
     admissible: bool
@@ -106,10 +106,8 @@ class AGOutput:
     nu: np.ndarray
     dual: np.ndarray
     rate_table: np.ndarray
-    reduced_costs: np.ndarray
     workloads: np.ndarray
     cost: np.ndarray
-    completed: bool = True
 
     @property
     def n(self) -> int:
@@ -118,8 +116,15 @@ class AGOutput:
     @property
     def chain(self) -> tuple[frozenset, ...]:
         """The sets S_k, as frozensets built anew on each access: bind them once."""
-        rest = tuple(set(range(self.n)).difference(self.pi))   # empty unless partial
-        return suffix_sets(self.pi + rest)[:len(self.pi)]
+        return suffix_sets(self.pi)
+
+    @property
+    def reduced_costs(self) -> np.ndarray:
+        """The marginal costs rate * w(S_k, j), laid out as ``rate_table``;
+        a read-only array built anew on each access."""
+        out = self.rate_table * self.workloads
+        out.flags.writeable = False
+        return out
 
 
 def _argmin_boundary(rate: np.ndarray, boundary: frozenset, tie_break: str) -> int:
@@ -132,7 +137,7 @@ def _argmin_boundary(rate: np.ndarray, boundary: frozenset, tie_break: str) -> i
 
 
 def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
-          early_exit: bool, dual_increments: bool) -> AGOutput:
+          dual_increments: bool) -> AGOutput:
     """The chain walk shared by both algorithms, which differ only in the
     rate update.  Step k makes one row query for the chain set S_k and one
     inner-boundary call, then peels off the boundary element with the
@@ -148,13 +153,12 @@ def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
     n = sys.n
     s = sys.ground
     alive = np.ones(n, dtype=bool)
-    tables = np.full((3, n, n), np.nan)     # rate and cost rows inherit the NaN of w
-    wtab, rtab, ctab = tables
+    tables = np.full((2, n, n), np.nan)     # rate rows inherit the NaN of w
+    wtab, rtab = tables
     acc = np.zeros(n)           # ag1: sum of y_l w(S_l, .) over the steps so far
     pivot, pivot_rate = None, 0.0
     pi: list[int] = []
     nu_seq: list[float] = []
-    completed = True
     for k in range(n):
         wk = wtab[k]
         wk[alive] = oracle.workload(s)
@@ -163,38 +167,30 @@ def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
                 acc = acc + (bracket[pivot] / w_prev[pivot]) * w_prev
             bracket = c - acc
             rate = bracket / wk + pivot_rate
-            cost = rate * wk
         elif k == 0:
-            rate, cost = c / wk, c
+            rate = c / wk
         else:
             rate = rate + (w_prev / wk - 1.0) * (rate - pivot_rate)
-            cost = cost - (cost[pivot] / w_prev[pivot]) * (w_prev - wk)
-        rtab[k], ctab[k] = rate, cost
+        rtab[k] = rate
         pivot = _argmin_boundary(rate, sys.inner_boundary(s), tie_break)
         pivot_rate = float(rate[pivot])
         pi.append(pivot)
         nu_seq.append(pivot_rate)
-        if early_exit and k and nu_seq[-1] < nu_seq[-2] - ADMISSIBLE_SLACK * max(1.0, abs(nu_seq[-1])):
-            completed = False
-            break
         s = s - {pivot}
         alive[pivot] = False
         w_prev = wk
-    nu = np.full(n, np.nan)
+    nu = np.empty(n)
     nu[pi] = nu_seq
-    admissible = completed and all(
+    admissible = all(
         nu_seq[k] >= nu_seq[k - 1] - ADMISSIBLE_SLACK * max(1.0, abs(nu_seq[k]))
         for k in range(1, n))
-    tables = tables[:, :len(pi)]
     tables.flags.writeable = False
     return AGOutput(
         admissible=admissible, pi=tuple(pi), nu=nu, dual=np.diff(nu_seq, prepend=0.0),
-        rate_table=tables[1], reduced_costs=tables[2], workloads=tables[0], cost=c,
-        completed=completed)
+        rate_table=tables[1], workloads=tables[0], cost=c)
 
 
-def ag1(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str = "low",
-        early_exit: bool = False) -> AGOutput:
+def ag1(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str = "low") -> AGOutput:
     """Dual-increment form of the adaptive-greedy algorithm.
 
     Step k selects, over the inner boundary of the current set, the element
@@ -202,11 +198,10 @@ def ag1(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str = "low",
     the partial sums of the selected dual increments.  Ties go to the
     lowest element (``tie_break="high"`` flips this, for tests).
     """
-    return _walk(c, oracle, sys, tie_break, early_exit, dual_increments=True)
+    return _walk(c, oracle, sys, tie_break, dual_increments=True)
 
 
-def ag2(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str = "low",
-        early_exit: bool = False) -> AGOutput:
+def ag2(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str = "low") -> AGOutput:
     """Rate-recursion form of the adaptive-greedy algorithm.
 
     Equivalent to :func:`ag1` under the same tie-breaking rule, but the
@@ -214,7 +209,7 @@ def ag2(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str = "low",
     rate'(j) = rate(j) + (w_old(j)/w_new(j) - 1) (rate(j) - rate(pivot)),
     which is the form that admits closed-form analysis in applications.
     """
-    return _walk(c, oracle, sys, tie_break, early_exit, dual_increments=False)
+    return _walk(c, oracle, sys, tie_break, dual_increments=False)
 
 
 def primal_vertex(pi: Sequence[int], oracle: WorkloadOracle) -> np.ndarray:
@@ -245,19 +240,17 @@ def primal_vertex(pi: Sequence[int], oracle: WorkloadOracle) -> np.ndarray:
     return xs[np.argsort(pi)]
 
 
-def dual_solution(out: AGOutput, atol: float = 1e-10) -> dict[frozenset, float]:
+def dual_solution(out: AGOutput) -> dict[frozenset, float]:
     """Dual vector supported on the chain: y(S_1) = nu_1, y(S_k) = nu_k - nu_{k-1}.
 
     Reconstructs each input cost c_{pi_k} from the chain workloads as a
-    consistency check before returning.
+    consistency check, to ``DUAL_TOL`` relative, before returning.
     """
-    if not out.completed:
-        raise ValueError("dual solution undefined for an early-exited run")
     pi = list(out.pi)
     # c_{pi_k} = sum_{l <= k} y(S_l) w(S_l, pi_k); w(S_l, pi_k) is NaN for l > k
     recon = out.dual @ np.nan_to_num(out.workloads[:, pi], nan=0.0)
     cost = out.cost[pi]
-    bad = np.abs(recon - cost) > atol * np.maximum(1.0, np.abs(cost))
+    bad = np.abs(recon - cost) > DUAL_TOL * np.maximum(1.0, np.abs(cost))
     if bad.any():
         k = int(np.argmax(bad))
         raise DegeneracyError(
@@ -267,8 +260,6 @@ def dual_solution(out: AGOutput, atol: float = 1e-10) -> dict[frozenset, float]:
 
 def lp_value(out: AGOutput, oracle: WorkloadOracle) -> float:
     """Optimal value nu_1 b(S_1) + sum_k (nu_k - nu_{k-1}) b(S_k) of the chain LP."""
-    if not out.completed:
-        raise ValueError("lp_value undefined for an early-exited run")
     return float(out.dual @ np.array([oracle.rhs(s) for s in out.chain]))
 
 
@@ -293,8 +284,7 @@ class MinMaxReport:
     worst_max_residual: float | None
 
 
-def local_minmax_check(out: AGOutput, monotone: bool = False,
-                       tol: float = 1e-9) -> MinMaxReport:
+def local_minmax_check(out: AGOutput, monotone: bool = False) -> MinMaxReport:
     """Verify the two marginal-cost-rate characterizations of the indices.
 
     Min form: nu_{pi_k} attains the minimum rate over the *whole* chain set
@@ -305,13 +295,13 @@ def local_minmax_check(out: AGOutput, monotone: bool = False,
     pi = list(out.pi)
     nu, scale = out.nu[pi], max(1.0, float(np.max(np.abs(out.nu))))
     worst_min = max(0.0, float(np.max(nu - np.nanmin(out.rate_table, axis=1))))
-    min_ok = worst_min <= tol * scale
+    min_ok = worst_min <= MINMAX_TOL * scale
     if not monotone:
         return MinMaxReport(min_ok, None, worst_min, None)
     # column k holds the rates of pi_k against S_0..S_k, NaN further down
     best = np.nanmax(out.rate_table[:, pi], axis=0)
     worst_max = max(0.0, float(np.max(np.abs(best - nu))))
-    max_ok = worst_max <= tol * scale
+    max_ok = worst_max <= MINMAX_TOL * scale
     return MinMaxReport(min_ok, max_ok, worst_min, worst_max)
 
 

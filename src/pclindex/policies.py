@@ -80,6 +80,14 @@ class QueueSpec:
 class _Buffers:
     """Birth--death buffers whose rates come from ``levels(k, n)``."""
 
+    def _check_alpha_nu(self):
+        """A finite nonnegative discount rate and a charge that is not NaN
+        (an infinite charge is legal)."""
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("discount rate must be finite and nonnegative")
+        if math.isnan(self.nu):
+            raise ValueError("charge must not be NaN")
+
     def admission_model(self, k: int, n_states: int) -> ACModel:
         """Buffer k as an admission-control project on 0..n_states."""
         birth, death, cost = self.levels(k, n_states)
@@ -97,10 +105,9 @@ class RoutingSystem(_Buffers):
     nu: float = math.inf
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("arrival rate must be positive")
-        if self.alpha < 0:
-            raise ValueError("discount rate must be nonnegative")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("arrival rate must be finite and positive")
+        self._check_alpha_nu()
         object.__setattr__(self, "queues", tuple(self.queues))
 
     def levels(self, k: int, n: int) -> tuple[list[float], list[float], list[float]]:
@@ -264,8 +271,7 @@ class MTSSystem(_Buffers):
     nu: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("discount rate must be nonnegative")
+        self._check_alpha_nu()
         object.__setattr__(self, "products", tuple(self.products))
 
     def levels(self, k: int, n: int) -> tuple[list[float], list[float], list[float]]:

@@ -42,9 +42,9 @@ CELLS = 8192  # most steps x rows accrued by one pass of array expressions; spee
 class SimConfig:
     """Budget and bookkeeping knobs for one simulation study.
 
-    ``horizon`` is simulated time per replication; ``max_events`` caps the
-    event count instead when set.  Infinite buffers are truncated at
-    ``truncation`` and the report flags runs where the truncation boundary
+    ``horizon`` is finite simulated time per replication; ``max_events``
+    caps the event count instead when set.  Infinite buffers are truncated
+    at ``truncation`` and the report flags runs where the truncation boundary
     was hit too often: a boundary hit is an event epoch at which some
     truncated buffer is at its cap.  Under the average criterion the first
     ``warmup_fraction`` of the horizon is discarded.
@@ -62,10 +62,11 @@ class SimConfig:
             raise ValueError("need at least one replication")
         if self.horizon is None and self.max_events is None:
             raise ValueError("set a time horizon or an event budget")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.max_events is not None and self.max_events < 1:
-            raise ValueError("the event budget must be at least one event")
+        # the chained tests also refuse NaN
+        if self.horizon is not None and not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be finite and positive")
+        if self.max_events is not None and not 1 <= self.max_events < math.inf:
+            raise ValueError("the event budget must be a finite number of at least one event")
         if self.truncation < 1:
             raise ValueError("truncation must be at least 1")
         if not 0.0 <= self.warmup_fraction < 1.0:

@@ -167,8 +167,7 @@ def test_acceptance_08_diminishing_marginal_returns(rng):
     for _ in range(8):
         n = int(rng.integers(2, 7))
         m = random_compliant_admission(rng, n, float(rng.uniform(0.05, 0.9)))
-        rep = bandit.dmr_report(admission.uniformize(m), threshold_family(n),
-                                tol=1e-9)
+        rep = bandit.dmr_report(admission.uniformize(m), threshold_family(n))
         ok = ok and rep.all_ok
     report(8, "diminishing marginal returns (parts a-c)", ok)
 

@@ -308,8 +308,7 @@ def test_full_buffer_arrival_rate_moves_only_top_index(rng):
     assert abs(nu1[-1] - nu2[-1]) > 1e-3
     rep = bandit.pcl_index(uniformize(m2), threshold_family(4))
     assert rep.nu_by_state[3] == pytest.approx(nu2[-1], abs=1e-9)
-    assert dp.fair_charge(uniformize(m2), 3, check_single_root=False) == \
-        pytest.approx(nu2[-1], abs=1e-8)
+    assert dp.fair_charge(uniformize(m2), 3) == pytest.approx(nu2[-1], abs=1e-8)
 
 
 def test_monotone_index_with_concave_increasing_costs():

@@ -392,6 +392,20 @@ def test_value_breakpoints_structure_and_dp_agreement(rng):
         assert segs.evaluate(float(nu)) == pytest.approx(ref, abs=1e-7 * max(1, abs(ref)))
 
 
+@pytest.mark.parametrize("i", [-1, 5])
+def test_initial_state_out_of_range_is_refused(rng, i):
+    # i = -1 used to read state n's values, and i = n_states raised a bare
+    # IndexError; the decompositions inherit the check
+    m = random_compliant_admission(rng, 4, alpha=0.35)
+    rb, u = admission.uniformize(m), np.ones(5)
+    for call in (lambda: value_breakpoints(rb, threshold_family(4), i),
+                 lambda: occupation_measures(rb, u, i),
+                 lambda: verify_workload_decomposition(rb, u, frozenset({1}), i),
+                 lambda: verify_cost_decomposition(rb, u, frozenset({1}), i)):
+        with pytest.raises(ValueError, match="initial state"):
+            call()
+
+
 def test_value_breakpoints_requires_indexability(rng):
     m = random_rb(rng, 4, 3)
     fam = threshold_family(3)
@@ -552,9 +566,9 @@ def test_tauberian_limits(rng):
 
 
 def test_report_retains_little_beyond_its_chain_tables():
-    # the chain is stored once, as the priority order; the frozenset
-    # chains that AGOutput and PCLReport each stored came to twice the
-    # bytes of the three chain tables
+    # the chain is stored once, as the priority order, and the reduced
+    # costs are derived on read; the frozenset chains that AGOutput and
+    # PCLReport each stored came to twice the bytes of the chain tables
     n = 300
     m = admission.ACModel(n, np.full(n + 1, 1.0), np.full(n, 1.3), np.arange(n + 1.0) ** 2, 0.1)
     rb, fam = admission.uniformize(m), threshold_family(n)
@@ -567,8 +581,8 @@ def test_report_retains_little_beyond_its_chain_tables():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    tables = sum(t.nbytes for t in (rep.ag.workloads, rep.ag.rate_table, rep.ag.reduced_costs))
-    assert tables == 3 * 8 * n * n
+    tables = rep.ag.workloads.nbytes + rep.ag.rate_table.nbytes
+    assert tables == 2 * 8 * n * n
     assert retained <= 1.5 * tables
 
 

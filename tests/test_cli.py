@@ -336,7 +336,7 @@ def test_simulate_rejects_admission_kind(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--events", "0"], ["--events", "-3"], ["--events", "100", "--reps", "0"],
-    ["--horizon", "0"], ["--events", "100", "--truncation", "0"]])
+    ["--horizon", "0"], ["--events", "100", "--truncation", "0"], ["--horizon", "nan"]])
 def test_simulate_bad_budget_is_an_input_error(tmp_path, capsys, argv):
     # an empty budget used to report mean 0.0 with exit 0, and a bad
     # replication count or horizon ended in a traceback

@@ -74,22 +74,6 @@ def test_solve_matches_best_active_set_evaluation(rng):
     assert np.allclose(v, best, atol=1e-8)
 
 
-def test_start_sets_only_the_initial_policy(rng):
-    m = random_rb(rng, 6, 4, beta=0.9)
-    cold = dp.solve(m, 0.3)
-    for start in (np.zeros(6, dtype=bool), m.active_rows(cold.active_closed)):
-        warm = dp.solve(m, 0.3, start=start)
-        assert warm.active_closed == cold.active_closed
-        assert np.allclose(warm.v, cold.v, rtol=1e-12, atol=1e-12)
-    # started at its own optimum, policy iteration confirms it in one pass
-    assert dp.solve(m, 0.3, start=m.active_rows(cold.active_closed)).iterations == 1
-    # the mask is checked before the forced states are added to it, so a
-    # mask that would broadcast, or one of another dtype, is refused
-    for bad in (np.ones(5, dtype=bool), np.ones(1, dtype=bool), np.ones(6, dtype=int)):
-        with pytest.raises(ValueError, match="boolean mask of shape"):
-            dp.solve(m, 0.3, start=bad)
-
-
 @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf])
 def test_non_finite_charge_is_refused(rng, nu):
     # a policy is solved without the charge, so no later check would see
@@ -161,7 +145,7 @@ def test_sweep_counterexample_leaves_threshold_family():
 
 def test_sweep_single_controllable_state_has_one_transition(rng):
     m = random_rb(rng, 3, 1, beta=0.9)
-    root = dp.fair_charge(m, 0, check_single_root=False)
+    root = dp.fair_charge(m, 0)
     sweep = dp.nu_sweep(m, [root - 0.5, root + 0.5])
     assert sweep.active_sets[0] == frozenset({0})
     assert sweep.active_sets[1] == frozenset()
@@ -191,8 +175,7 @@ def test_fair_charge_quadratic_closed_form_at_vanishing_discount():
     rb = admission.uniformize(m)
     for j in (0, 2, 4):
         want = admission.closed_form_index("quadratic", lam, mu, h, j)
-        assert dp.fair_charge(rb, j, check_single_root=False) == \
-            pytest.approx(want, abs=1e-4)
+        assert dp.fair_charge(rb, j) == pytest.approx(want, abs=1e-4)
 
 
 def test_fair_charge_stops_when_the_bracket_reaches_float_spacing(monkeypatch):
@@ -220,8 +203,7 @@ def test_fair_charge_zero_when_actions_differ_only_through_charge(rng):
     m = RBModel(P, P, np.array([1.0, 2.0]), np.array([1.0, 2.0]),
                 np.array([0.5, 1.5]), 0.9, frozenset({0, 1}))
     for j in (0, 1):
-        assert dp.fair_charge(m, j, check_single_root=False) == \
-            pytest.approx(0.0, abs=1e-9)
+        assert dp.fair_charge(m, j) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fair_charge_requires_controllable_state(rng):
@@ -230,23 +212,11 @@ def test_fair_charge_requires_controllable_state(rng):
         dp.fair_charge(m, 2)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf])
-def test_fair_charge_refuses_a_non_finite_tolerance(tol):
-    # a NaN tolerance ended the bisection at once and returned 0.0, an
-    # infinite one returned the midpoint of the first bracket; the answer
-    # at state 2 is 10.675
-    rb = six_state_queue()
-    assert dp.fair_charge(rb, 2) == pytest.approx(10.675416, abs=1e-6)
-    with pytest.raises(ValueError, match="tolerance must be finite"):
-        dp.fair_charge(rb, 2, tol=tol)
-
-
 def test_fair_charge_agrees_with_recursion_indices(rng):
     m, rb = compliant_rb(rng, n=4, alpha=0.5)
     nu = admission.indices(m)
     for j in range(4):
-        assert dp.fair_charge(rb, j, check_single_root=False) == \
-            pytest.approx(nu[j], abs=1e-8)
+        assert dp.fair_charge(rb, j) == pytest.approx(nu[j], abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

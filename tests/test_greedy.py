@@ -69,14 +69,13 @@ def test_ag_rejects_nonpositive_workload():
         ag2([1.0, 2.0], WorkloadOracle(lambda s, j: -1.0), sys)
 
 
-def test_early_exit_stops_at_first_decrease():
+def test_decreasing_index_is_inadmissible_over_the_full_walk():
     # costs chosen so the second index strictly drops: nu = c under unit w
     sys = threshold_family(3)   # forced order (0, 1, 2)
-    out = ag2([5.0, 1.0, 7.0], unit_oracle(None), sys, early_exit=True)
-    assert not out.admissible and not out.completed
-    assert out.pi == (0, 1)
-    full = ag2([5.0, 1.0, 7.0], unit_oracle(None), sys)
-    assert full.completed and not full.admissible and full.pi == (0, 1, 2)
+    for algo in (ag1, ag2):
+        out = algo([5.0, 1.0, 7.0], unit_oracle(None), sys)
+        assert not out.admissible and out.pi == (0, 1, 2)
+        assert out.nu.tolist() == [5.0, 1.0, 7.0]
 
 
 class CountingOracle(WorkloadOracle):
@@ -447,6 +446,35 @@ def test_reduced_cost_identity(rng):
             head = sum(nu_seq[k] * (b_seq[k] - b_seq[k + 1]) for k in range(m))
             tail = sum(out.reduced_costs[m][j] * x_star[j] for j in out.chain[m])
             assert abs(val - head - tail) <= 1e-9 * max(1.0, abs(val))
+
+
+def test_reduced_costs_are_derived_read_only_tables(rng):
+    # the reduced costs are rate * w(S_k, .), built on read: for ag1 that is
+    # the product its walk stored, bit for bit; ag2's agrees to 1e-12 with
+    # the cost recursion c'(j) = c(j) - (c(pivot) / w(pivot)) (w(j) - w'(j))
+    for _ in range(100):
+        n = int(rng.integers(1, 7))
+        sys = random_valid_family(rng, n)
+        w, _ = random_workload_tables(rng, sys)
+        oracle = WorkloadOracle.from_tables(w)
+        c = rng.uniform(-10, 10, n)
+        one, two = ag1(c, oracle, sys), ag2(c, oracle, sys)
+        for out in (one, two):
+            rc = out.reduced_costs
+            assert rc.shape == (n, n) and not rc.flags.writeable
+            with pytest.raises(ValueError):
+                rc[0, out.pi[0]] = 0.0
+        assert np.array_equal(one.reduced_costs, one.rate_table * one.workloads,
+                              equal_nan=True)
+        ref = np.empty((n, n))
+        ref[0] = c
+        for k in range(1, n):
+            prev, pivot = two.workloads[k - 1], two.pi[k - 1]
+            ref[k] = ref[k - 1] - (ref[k - 1][pivot] / prev[pivot]) * (prev - two.workloads[k])
+        got = two.reduced_costs
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        fin = np.isfinite(ref)
+        assert np.all(np.abs(got[fin] - ref[fin]) <= 1e-12 * np.maximum(1.0, np.abs(ref[fin])))
 
 
 def test_index_decomposition_over_products(rng):

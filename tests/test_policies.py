@@ -247,6 +247,23 @@ def test_mts_index_rejects_full_stock():
         mts_index_table(sys, 0, 6)
 
 
+def test_systems_refuse_nan_parameters():
+    # model files refuse NaN already; a library caller's NaN used to run:
+    # an empty simulation, the average criterion, or an index policy that
+    # rejected every arrival
+    queues, products = (linear_queue(3, 1.0),), (ProductSpec(4, 0.8, 1.2, 1.0, 0.5, 0.7),)
+    for kwargs in ({"lam": math.nan}, {"alpha": math.nan}, {"nu": math.nan},
+                   {"lam": math.inf}, {"alpha": math.inf}, {"lam": 0.0}, {"alpha": -1.0}):
+        with pytest.raises(ValueError):
+            RoutingSystem(**{"lam": 1.0, "queues": queues, **kwargs})
+    for kwargs in ({"alpha": math.nan}, {"nu": math.nan}, {"alpha": math.inf}):
+        with pytest.raises(ValueError):
+            MTSSystem(products, **kwargs)
+    for nu in (math.inf, -math.inf):   # an infinite charge stays legal
+        assert RoutingSystem(1.0, queues, nu=nu).nu == nu
+        assert MTSSystem(products, nu=nu).nu == nu
+
+
 def test_mts_per_state_production_needs_n_entries():
     # a finite product's per-state production rates cover levels 0..n-1
     scalar = MTSSystem((ProductSpec(4, 0.8, 1.2, 1.0, 0.5, 0.7),), alpha=0.2)

@@ -539,8 +539,8 @@ def test_chain_record_matches_loop_references(seed, n):
     oracle = WorkloadOracle.from_tables(w, b)
     c = rng.uniform(-10.0, 10.0, n)
     x = rng.uniform(0.0, 3.0, n)
-    for algo, early_exit in itertools.product((ag1, ag2), (False, True)):
-        out = algo(c, oracle, sys, early_exit=early_exit)
+    for algo in (ag1, ag2):
+        out = algo(c, oracle, sys)
         chain, pi = out.chain, out.pi
         for table in (out.workloads, out.rate_table, out.reduced_costs):
             assert table.shape == (len(chain), n) and not table.flags.writeable
@@ -577,8 +577,6 @@ def test_chain_record_matches_loop_references(seed, n):
         resid = abs(float(c @ x) - sum(terms))
         assert _close(objective_representation_check(c, out, oracle, x), resid,
                       float(np.abs(c) @ x) + sum(map(abs, terms)))
-        if not out.completed:
-            continue
         assert dual_solution(out) == y
         lp = [y[s] * b[s] for s in chain]
         assert _close(lp_value(out, oracle), sum(lp), sum(map(abs, lp)))

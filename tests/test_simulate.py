@@ -210,6 +210,13 @@ def test_config_validation():
             SimConfig(max_events=events)
     with pytest.raises(ValueError, match="truncation"):
         SimConfig(max_events=10, truncation=0)
+    # a NaN horizon or event budget used to run no event and report a mean
+    # (NaN or 0.0), and an infinite horizon alone never returned
+    for budget in ({"horizon": math.nan}, {"horizon": math.inf},
+                   {"horizon": math.inf, "max_events": 100},
+                   {"max_events": math.nan}, {"max_events": math.inf}):
+        with pytest.raises(ValueError, match="horizon|event budget"):
+            SimConfig(replications=2, **budget)
 
 
 def test_custom_policy_is_consulted_once_per_visited_state():
