@@ -16,6 +16,7 @@ through :mod:`pclindex.bandit`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,14 +78,10 @@ class ACModel:
         return np.concatenate(([0.0], self.mu))
 
     @property
-    def d(self) -> np.ndarray:
-        """d_i = mu_i - lambda_i with the d_0 = -lambda_0 convention."""
-        return self.mu_full - self.lam
-
-    @property
     def delta_d(self) -> np.ndarray:
-        """Increments d_i - d_{i-1} for i = 1..n."""
-        return np.diff(self.d)
+        """Increments d_i - d_{i-1} for i = 1..n of the net service surplus
+        d_i = mu_i - lambda_i (d_0 = -lambda_0)."""
+        return np.diff(self.mu_full - self.lam)
 
     @property
     def delta_h(self) -> np.ndarray:
@@ -116,30 +113,29 @@ class AssumptionReport:
 
 
 def validate_assumptions(m: ACModel) -> AssumptionReport:
-    """List any violations of the regularity conditions (report, no raise)."""
+    """List any violations of the regularity conditions (report, no raise).
+
+    Each condition is one comparison over the increment arrays; messages
+    are built only at the flagged states, in state order, d before h."""
     dd, dh = m.delta_d, m.delta_h
-    violations = []
     first = bool(dd[0] > 0)
-    if not first:
-        violations.append(f"delta_d[1] = {dd[0]:g} is not > 0")
-    noninc = nonneg = True
-    for i in range(1, m.n):   # compares increments i and i+1 in 1-based terms
-        if dd[i] > dd[i - 1] + SIGN_SLACK * max(1.0, abs(dd[i])):
-            noninc = False
+    violations = [] if first else [f"delta_d[1] = {dd[0]:g} is not > 0"]
+    # entry i - 1 compares increments i and i+1 in 1-based terms, i = 1..n-1
+    d_inc = dd[1:] > dd[:-1] + SIGN_SLACK * np.maximum(1.0, np.abs(dd[1:]))
+    h_dec = dh[1:] < dh[:-1] - SIGN_SLACK * np.maximum(1.0, np.abs(dh[1:]))
+    d_neg, h_neg = dd[1:] < 0, dh[:-1] < 0
+    for i in np.flatnonzero(d_inc | d_neg) + 1:
+        if d_inc[i - 1]:
             violations.append(f"delta_d[{i + 1}] > delta_d[{i}]")
-        if dd[i] < 0:
-            nonneg = False
+        if d_neg[i - 1]:
             violations.append(f"delta_d[{i + 1}] = {dd[i]:g} < 0")
-    h_nondec = h_nonneg = True
-    for i in range(1, m.n):
-        if dh[i] < dh[i - 1] - SIGN_SLACK * max(1.0, abs(dh[i])):
-            h_nondec = False
+    for i in np.flatnonzero(h_dec | h_neg) + 1:
+        if h_dec[i - 1]:
             violations.append(f"delta_h[{i + 1}] < delta_h[{i}]")
-        if dh[i - 1] < 0:
-            h_nonneg = False
+        if h_neg[i - 1]:
             violations.append(f"delta_h[{i}] = {dh[i - 1]:g} < 0")
-    return AssumptionReport(first, noninc, nonneg, h_nondec, h_nonneg,
-                            tuple(violations))
+    return AssumptionReport(first, not d_inc.any(), not d_neg.any(), not h_dec.any(),
+                            not h_neg.any(), tuple(violations))
 
 
 def uniformize(m: ACModel) -> RBModel:
@@ -169,46 +165,68 @@ def uniformize(m: ACModel) -> RBModel:
                    controllable=frozenset(range(n)))
 
 
+def _div(x: float, y: float) -> float:
+    """x / y, and at y = +-0.0, where Python raises, IEEE's (numpy's) value."""
+    return x / y if y else x * math.copysign(math.inf, y)
+
+
 def ak_coefficients(m: ACModel) -> np.ndarray:
     """Pivot normalizers a_1..a_n of the workload recursion.
 
     a_1 = 1 and each subsequent value discounts the previous pivot's
     feedback through one birth--death cycle; all values must stay
-    positive, which the regularity conditions guarantee.
+    positive, which the regularity conditions guarantee.  The rate
+    products are arrays computed once; per state only a_k runs, on floats.
     """
-    lam, mu, alpha = m.lam, m.mu_full, m.alpha
-    a = np.ones(m.n)
-    for k in range(2, m.n + 1):
-        denom = (alpha + lam[k - 2] + mu[k - 1]) * (alpha + lam[k - 1] + mu[k]) * a[k - 2]
-        a[k - 1] = 1.0 - lam[k - 1] * mu[k - 1] / denom
-        if a[k - 1] <= 0:
-            raise AssumptionError(f"a_{k} = {a[k - 1]:g} is not positive; "
+    s = m.alpha + m.lam[:-1] + m.mu
+    a = [1.0]
+    for k, (x, y) in enumerate(zip((m.lam[1:-1] * m.mu[:-1]).tolist(),
+                                   (s[:-1] * s[1:]).tolist()), start=2):
+        try:
+            a.append(1.0 - x / (y * a[-1]))
+        except ZeroDivisionError:
+            a.append(1.0 - _div(x, y * a[-1]))
+        if a[-1] <= 0:
+            raise AssumptionError(f"a_{k} = {a[-1]:g} is not positive; "
                                   "regularity conditions violated")
-    return a
+    return np.array(a)
 
 
-def _pivot_recursion(m: ACModel, f: np.ndarray) -> np.ndarray:
+def _pivot_recursion(m: ACModel) -> tuple[np.ndarray, np.ndarray]:
     """p_0 = lam_0 f_0 / (alpha + lam_0 + mu_1) and
     p_k = (lam_k / a_k) (f_k + p_{k-1} / rho_{k-1}) / (alpha + lam_k + mu_{k+1}):
-    the workload pivots for f = alpha + delta_d, the cost pivots for
-    f = delta_h."""
-    alpha, lam, rho, mu = m.alpha, m.lam, m.rho, m.mu_full
-    a = ak_coefficients(m)
-    p = np.zeros(m.n)
-    p[0] = lam[0] * f[0] / (alpha + lam[0] + mu[1])
-    for k in range(1, m.n):
-        p[k] = (lam[k] / a[k]) * (f[k] + p[k - 1] / rho[k - 1]) / (alpha + lam[k] + mu[k + 1])
-    return p
+    the workload pivots (f = alpha + delta_d) and the cost pivots
+    (f = delta_h) in one pass.  a, lam_k / a_k, rho and the rate sums are
+    arrays computed once; per state only the recurrences run, on floats."""
+    lam = m.lam[:-1]
+    s, gain = (m.alpha + lam + m.mu).tolist(), (lam / ak_coefficients(m)).tolist()
+    with np.errstate(divide="ignore", invalid="ignore"):   # zero rates give inf/NaN
+        rho = m.rho.tolist()
+    fw, fc = (m.alpha + m.delta_d).tolist(), m.delta_h.tolist()
+    pw, pc = _div(gain[0] * fw[0], s[0]), _div(gain[0] * fc[0], s[0])
+    out_w, out_c = [pw], [pc]
+    for g, x, y, r, sk in zip(gain[1:], fw[1:], fc[1:], rho, s[1:]):
+        try:
+            pw, pc = g * (x + pw / r) / sk, g * (y + pc / r) / sk
+        except ZeroDivisionError:
+            pw, pc = _div(g * (x + _div(pw, r)), sk), _div(g * (y + _div(pc, r)), sk)
+        out_w.append(pw)
+        out_c.append(pc)
+    return np.array(out_w), np.array(out_c)
+
+
+def _require_positive_rates(m: ACModel):
+    if np.any(m.lam[: m.n] <= 0) or np.any(m.mu <= 0):
+        raise DegeneracyError("workload recursion needs positive lambda_0..lambda_{n-1} "
+                              "and mu_1..mu_n")
 
 
 def workload_pivots(m: ACModel) -> np.ndarray:
     """Pivot workloads w(S_{k+2}, k) for k = 0..n-1, in O(n): each pivot
     follows from the previous one, so the index recursion needs no other
     entry of :func:`workload_table`."""
-    if np.any(m.lam[: m.n] <= 0) or np.any(m.mu <= 0):
-        raise DegeneracyError("workload recursion needs positive lambda_0..lambda_{n-1} "
-                              "and mu_1..mu_n")
-    return _pivot_recursion(m, m.alpha + m.delta_d)
+    _require_positive_rates(m)
+    return _pivot_recursion(m)[0]
 
 
 def workload_table(m: ACModel) -> np.ndarray:
@@ -218,41 +236,29 @@ def workload_table(m: ACModel) -> np.ndarray:
     the controllable range 0..n-1.  Values carry the (alpha + Lambda)
     scaling, so they depend only on the rates, not on Lambda.  Its pivot
     diagonal W[k, k-1] comes from :func:`workload_pivots`; the O(n^2)
-    table itself is a verification path.
+    table itself, filled one column at a time across its rows, is a
+    verification path.
     """
     n, alpha = m.n, m.alpha
-    lam, rho, dd = m.lam, m.rho, m.delta_d
-    mu = m.mu_full
     pivots = workload_pivots(m)
+    lam, mu, rho, e = m.lam, m.mu_full, m.rho, alpha + m.delta_d
+    back = (alpha + lam[1:n] + mu[2:]) / lam[1:n]
     W = np.zeros((n + 1, n))
-
-    def fill_up(k: int, start: int):
-        # w(S_k, i) for i >= start from w(S_k, i-1), common to every column
-        for i in range(start, n):
-            W[k - 1, i] = lam[i] * (alpha + dd[i] + W[k - 1, i - 1] / rho[i - 1]) \
-                / (alpha + mu[i + 1])
-
-    W[0, 0] = lam[0] * (alpha + dd[0]) / (alpha + mu[1])
-    fill_up(1, 1)
-    W[1, 0] = pivots[0]
-    fill_up(2, 1)
-    for k in range(2, n + 1):
-        W[k, k - 1] = pivots[k - 1]
-        W[k, k - 2] = rho[k - 2] * (
-            -(alpha + dd[k - 1])
-            + (alpha + lam[k - 1] + mu[k]) / lam[k - 1] * W[k, k - 1])
-        fill_up(k + 1, k)
-        for i in range(k - 3, -1, -1):
-            W[k, i] = rho[i] * (
-                -(alpha + dd[i + 1])
-                + (alpha + lam[i + 1] + mu[i + 2]) / lam[i + 1] * W[k, i + 1]
-                - W[k, i + 2])
+    W[0, 0] = lam[0] * e[0] / (alpha + mu[1])
+    k = np.arange(1, n + 1)
+    W[k, k - 1] = pivots
+    for i in range(1, n):   # w(S_k, i) from w(S_k, i-1), in every row k <= i at once
+        W[: i + 1, i] = lam[i] * (e[i] + W[: i + 1, i - 1] / rho[i - 1]) / (alpha + mu[i + 1])
+    k = k[1:]
+    W[k, k - 2] = rho[k - 2] * (-e[k - 1] + back[k - 2] * pivots[k - 1])
+    for i in range(n - 3, -1, -1):   # leftwards from the pivot, in every row k >= i + 3
+        W[i + 3:, i] = rho[i] * (-e[i + 1] + back[i] * W[i + 3:, i + 1] - W[i + 3:, i + 2])
     return W
 
 
 def marginal_cost_pivots(m: ACModel) -> np.ndarray:
     """Marginal costs c(S_{k+2}, k) for k = 0..n-1 (the pivot diagonal)."""
-    return _pivot_recursion(m, m.delta_h)
+    return _pivot_recursion(m)[1]
 
 
 def indices(m: ACModel) -> np.ndarray:
@@ -262,28 +268,34 @@ def indices(m: ACModel) -> np.ndarray:
     the sequence is nondecreasing and equals the marginal cost/workload
     pivot ratio, both of which are verified before returning.  Raises
     :class:`NumericalRangeError` at the first state whose index left the
-    floating-point range.
+    floating-point range.  Both pivot sequences come from one
+    :func:`_pivot_recursion` pass and the denominators from one array
+    expression; per state only the nu update runs, on Python floats.
     """
-    n, alpha = m.n, m.alpha
-    dd, dh, rho = m.delta_d, m.delta_h, m.rho
-    pivots_w = workload_pivots(m)
-    nu = np.zeros(n)
-    nu[0] = dh[0] / (alpha + dd[0])
+    _require_positive_rates(m)
+    pivots_w, pivots_c = _pivot_recursion(m)
+    e = m.alpha + m.delta_d
     with np.errstate(over="ignore", invalid="ignore"):   # reported below instead
-        for j in range(1, n):
-            denom = alpha + dd[j] + pivots_w[j - 1] / rho[j - 1]
-            nu[j] = nu[j - 1] + (dh[j] - nu[j - 1] * (alpha + dd[j])) / denom
+        denoms = (e[1:] + pivots_w[:-1] / m.rho[:-1]).tolist()
+    dh, e = m.delta_h.tolist(), e.tolist()
+    nu = [_div(dh[0], e[0])]
+    for x, y, denom in zip(dh[1:], e[1:], denoms):
+        try:
+            nu.append(nu[-1] + (x - nu[-1] * y) / denom)
+        except ZeroDivisionError:
+            nu.append(nu[-1] + _div(x - nu[-1] * y, denom))
+    nu = np.array(nu)
     bad = np.flatnonzero(~np.isfinite(nu))
     if bad.size:
         raise NumericalRangeError(
             f"index of state {bad[0]} is {nu[bad[0]]}: the recursion left the "
-            f"floating-point range (n = {n})")
+            f"floating-point range (n = {m.n})")
     scale = max(1.0, float(np.max(np.abs(nu))))
     if validate_assumptions(m).ok:
         if np.any(np.diff(nu) < -1e-9 * scale):
             raise InternalConsistencyError(
                 "indices not nondecreasing although the regularity conditions hold")
-        if np.max(np.abs(nu - marginal_cost_pivots(m) / pivots_w)) > 1e-9 * scale:
+        if np.max(np.abs(nu - pivots_c / pivots_w)) > 1e-9 * scale:
             raise InternalConsistencyError(
                 "index recursion disagrees with pivot cost/workload ratios")
     return nu

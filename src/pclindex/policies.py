@@ -25,7 +25,7 @@ and apply through :func:`engage`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,18 +36,34 @@ from .admission import ACModel
 Action = int | None   # queue/product number, or None for reject/idle
 
 
-def _at(spec, j: int, name: str) -> float:
-    """Entry j of a parameter given as a scalar (the same in every state)
-    or a sequence."""
+def _entries(spec, stop: int, name: str, start: int = 0, linear: bool = False) -> np.ndarray:
+    """Entries start..stop-1 of a parameter given as a scalar (the same in
+    every state, times the state if ``linear``) or a sequence, which is
+    sliced once and fails at the first state it lacks."""
     if isinstance(spec, (int, float)):
-        return float(spec)
-    if j >= len(spec):
-        raise ValueError(f"{name} sequence too short for state {j}")
-    return float(spec[j])
+        scalar = float(spec)
+        return scalar * np.arange(start, stop) if linear else np.full(stop - start, scalar)
+    if max(start, len(spec)) < stop:
+        raise ValueError(f"{name} sequence too short for state {max(start, len(spec))}")
+    return np.array(spec[start:stop], dtype=float)
+
+
+def _at(spec, j: int, name: str, linear: bool = False) -> float:
+    """Entry j >= 0 of a parameter (:func:`_entries`)."""
+    return float(_entries(spec, j + 1, name, j, linear)[0])
+
+
+class _Spec:
+    def __post_init__(self):
+        """Refuse a NaN or infinite rate or cost (every field after the
+        buffer size ``n``), scalar or sequence entry."""
+        for field in fields(self)[1:]:
+            if not np.all(np.isfinite(np.asarray(getattr(self, field.name), dtype=float))):
+                raise ValueError(f"{field.name} has non-finite entries")
 
 
 @dataclass(frozen=True)
-class QueueSpec:
+class QueueSpec(_Spec):
     """One queue of a routing system.
 
     ``n`` is the buffer size (None = infinite).  ``mu`` is the service
@@ -60,21 +76,11 @@ class QueueSpec:
     mu: object
     h: object
 
-    @property
-    def constant_rate(self) -> bool:
-        return isinstance(self.mu, (int, float))
-
-    @property
-    def linear_cost(self) -> bool:
-        return isinstance(self.h, (int, float))
-
     def mu_at(self, j: int) -> float:
         return _at(self.mu, j - 1, "mu") if j >= 1 else 0.0
 
     def h_at(self, j: int) -> float:
-        if self.linear_cost:
-            return float(self.h) * j
-        return _at(self.h, j, "h")
+        return _at(self.h, j, "h", linear=True)
 
 
 class _Buffers:
@@ -112,10 +118,11 @@ class RoutingSystem(_Buffers):
 
     def levels(self, k: int, n: int) -> tuple[list[float], list[float], list[float]]:
         """Queue k's birth, death and cost rates at levels 0..n: the
-        arrival rate, the service rate (0 at level 0) and the holding cost."""
+        arrival rate, the service rate (0 at level 0) and the holding cost,
+        each one array expression (the values of ``mu_at`` and ``h_at``)."""
         q = self.queues[k]
-        return ([float(self.lam)] * (n + 1), [q.mu_at(j) for j in range(n + 1)],
-                [q.h_at(j) for j in range(n + 1)])
+        return ([float(self.lam)] * (n + 1), [0.0] + _entries(q.mu, n, "mu").tolist(),
+                _entries(q.h, n + 1, "h", linear=True).tolist())
 
 
 def routing_index(sys: RoutingSystem, k: int, j: int) -> float:
@@ -219,7 +226,7 @@ def naive_decide(sys: RoutingSystem, state: Sequence[int], nu: float | None = No
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(_Spec):
     """One product of a make-to-stock facility.
 
     ``lam`` is the order rate (scalar = constant, else per stock level
@@ -243,22 +250,11 @@ class ProductSpec:
     def mu_at(self, j: int) -> float:
         return _at(self.mu, j, "mu")
 
-    def c_at(self, j: int) -> float:
-        if isinstance(self.c, (int, float)):
-            return float(self.c) * j
-        return _at(self.c, j, "c")
-
-    def r_at(self, j: int) -> float:
-        return _at(self.r, j, "r")
-
     def net_cost(self, j: int) -> float:
         """Holding plus expected stockout minus sales revenue, per unit time."""
-        out = self.c_at(j)
         if j == 0:
-            out += self.s * self.lam_at(0)
-        else:
-            out -= self.r_at(j) * self.lam_at(j)
-        return out
+            return _at(self.c, 0, "c", linear=True) + self.s * self.lam_at(0)
+        return _at(self.c, j, "c", linear=True) - _at(self.r, j, "r") * self.lam_at(j)
 
 
 @dataclass(frozen=True)
@@ -279,10 +275,18 @@ class MTSSystem(_Buffers):
         with the roles of arrivals and services swapped: births are
         production completions, deaths are orders (lost at level 0), costs
         are the net cost rates.  The cap keeps the production rate
-        mu_(n-1), which keeps its activity weight positive."""
+        mu_(n-1), which keeps its activity weight positive.  Each table is
+        one array expression (the values of ``mu_at``, ``lam_at``, ``net_cost``)."""
         p = self.products[k]
-        return ([p.mu_at(j) for j in range(n)] + [p.mu_at(n - 1)],
-                [p.lam_at(j) for j in range(n + 1)], [p.net_cost(j) for j in range(n + 1)])
+        rates = _entries(p.mu, n, "mu").tolist()
+        orders = _entries(p.lam, n + 1, "lam")
+        # net_cost reads c_j, then r_j: r is read first, up to where a short c ends
+        price = _entries(p.r, n + 1 if isinstance(p.c, (int, float)) else min(n + 1, len(p.c)),
+                         "r", start=1)
+        cost = _entries(p.c, n + 1, "c", linear=True)
+        cost[0] += p.s * orders[0]
+        cost[1:] -= price * orders[1:]
+        return rates + rates[-1:], orders.tolist(), cost.tolist()
 
 
 def mts_index(sys: MTSSystem, k: int, j: int) -> float:
@@ -401,7 +405,7 @@ def switching_curve(sys: RoutingSystem, bound: int, fit_from: int = 50) -> Switc
     if len(sys.queues) != 2:
         raise ValueError("switching curve is defined for exactly two queues")
     q1, q2 = sys.queues
-    heavy = (q1.constant_rate and q2.constant_rate
+    heavy = (isinstance(q1.mu, (int, float)) and isinstance(q2.mu, (int, float))
              and sys.lam / float(q1.mu) > 1.0 and sys.lam / float(q2.mu) > 1.0)
     t1 = routing_index_table(sys, 0, bound + 1)
     # queue 2's indices grow geometrically; extend until they top queue 1's range
@@ -410,10 +414,7 @@ def switching_curve(sys: RoutingSystem, bound: int, fit_from: int = 50) -> Switc
     while t2[-1] < t1[bound] and cap2 < 100 * (bound + 2):
         cap2 *= 2
         t2 = routing_index_table(sys, 1, cap2)
-    boundary = []
-    for j1 in range(bound + 1):
-        j2 = int(np.searchsorted(t2, t1[j1], side="left"))
-        boundary.append(j2)
+    boundary = np.searchsorted(t2, t1[:bound + 1], side="left").tolist()
     if not heavy:
         return SwitchingCurve(tuple(boundary), None, None, False)
     xs = np.arange(fit_from, bound + 1, dtype=float)

@@ -63,6 +63,35 @@ def test_assumptions_increasing_arrivals_fail():
     assert not report.ok and not report.dd_first_positive
 
 
+def test_assumption_report_pins_every_violation():
+    # all five conditions fail, several at more than one state; the messages
+    # run in state order, the surplus d before the cost h
+    m = ACModel(8, [1.0, 6.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 18.0],
+                [2.0, 7.0, 1.0, 8.0, 2.0, 8.0, 1.0, 8.0],
+                [0.0, 2.0, 1.0, 5.0, 3.5, 3.5, 9.0, 2.0, -6.0], 0.0)
+    report = validate_assumptions(m)
+    assert (report.dd_first_positive, report.dd_nonincreasing, report.dd_nonnegative,
+            report.dh_nondecreasing, report.dh_nonnegative) == (False,) * 5
+    assert report.violations == (
+        "delta_d[1] = -3 is not > 0",
+        "delta_d[2] > delta_d[1]",
+        "delta_d[3] = -3 < 0",
+        "delta_d[4] > delta_d[3]",
+        "delta_d[5] = -10 < 0",
+        "delta_d[6] > delta_d[5]",
+        "delta_d[7] = -11 < 0",
+        "delta_d[8] > delta_d[7]",
+        "delta_d[8] = -5 < 0",
+        "delta_h[2] < delta_h[1]",
+        "delta_h[2] = -1 < 0",
+        "delta_h[4] < delta_h[3]",
+        "delta_h[4] = -1.5 < 0",
+        "delta_h[7] < delta_h[6]",
+        "delta_h[8] < delta_h[7]",
+        "delta_h[7] = -7 < 0",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Uniformization
 # ---------------------------------------------------------------------------

@@ -264,6 +264,50 @@ def test_systems_refuse_nan_parameters():
         assert MTSSystem(products, nu=nu).nu == nu
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_specs_refuse_non_finite_rates_and_costs(bad):
+    # every rate and cost field, as a scalar and as a sequence entry; the
+    # message names the field (a make-to-stock lam used to surface as mu,
+    # its role in the product's admission model)
+    queue = {"n": 3, "mu": 1.0, "h": 1.0}
+    product = {"n": 3, "lam": 0.8, "mu": 1.2, "c": 1.0, "s": 0.5, "r": 0.7}
+    for spec, fields in ((QueueSpec, queue), (ProductSpec, product)):
+        for name in fields:
+            if name == "n":
+                continue
+            values = [bad] if name == "s" else [bad, [1.0, bad, 1.0, 1.0]]
+            for value in values:
+                with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+                    spec(**{**fields, name: value})
+    with pytest.raises(ValueError, match="^lam "):
+        MTSSystem((ProductSpec(3, bad, 1.2, 1.0, 0.5, 0.7),))
+
+
+@pytest.mark.parametrize("kind, spec, name, state", [
+    ("routing", {"mu": [1.0] * 3, "h": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}, "mu", 3),
+    ("routing", {"mu": [1.0] * 5, "h": [0.0, 1.0, 2.0]}, "h", 3),
+    ("routing", {"mu": [1.0] * 2, "h": [0.0]}, "mu", 2),
+    ("mts", {"lam": [1.0] * 4, "mu": [1.0] * 3, "c": 1.0, "r": 1.0}, "mu", 3),
+    ("mts", {"lam": [1.0] * 4, "mu": [1.0] * 5, "c": 1.0, "r": 1.0}, "lam", 4),
+    ("mts", {"lam": 1.0, "mu": 1.0, "c": [1.0] * 3, "r": [1.0] * 9}, "c", 3),
+    ("mts", {"lam": 1.0, "mu": 1.0, "c": [1.0] * 9, "r": [1.0] * 2}, "r", 2),
+    ("mts", {"lam": 1.0, "mu": 1.0, "c": [1.0] * 3, "r": [1.0] * 2}, "r", 2),
+    ("mts", {"lam": 1.0, "mu": 1.0, "c": [1.0] * 3, "r": [1.0] * 3}, "c", 3),
+    ("mts", {"lam": 1.0, "mu": 1.0, "c": [1.0], "r": []}, "c", 1),
+    ("mts", {"lam": 1.0, "mu": 1.0, "c": 1.0, "r": []}, "r", 1),
+])
+def test_levels_fail_at_the_first_state_a_sequence_lacks(kind, spec, name, state):
+    # the rate tables are sliced once, yet name the field and state that a
+    # level-by-level read (birth, death, then cost; c before r) meets first
+    if kind == "routing":
+        system = RoutingSystem(1.0, (QueueSpec(None, spec["mu"], spec["h"]),))
+    else:
+        system = MTSSystem((ProductSpec(None, spec["lam"], spec["mu"], spec["c"], 0.5,
+                                        spec["r"]),))
+    with pytest.raises(ValueError, match=f"^{name} sequence too short for state {state}$"):
+        system.levels(0, 5)
+
+
 def test_mts_per_state_production_needs_n_entries():
     # a finite product's per-state production rates cover levels 0..n-1
     scalar = MTSSystem((ProductSpec(4, 0.8, 1.2, 1.0, 0.5, 0.7),), alpha=0.2)
