@@ -40,7 +40,7 @@ print("max |recursion - DP bisection|:",
 
 # The optimal cost as a function of the rejection charge is piecewise
 # linear; its breakpoints are exactly the indices.
-segs = bandit.value_breakpoints(rb, threshold_family(n), i=0)
+segs = bandit.value_breakpoints(rb, rep, i=0)
 print("\nvalue-function breakpoints:", np.round(segs.breakpoints, 6))
 grid = np.linspace(nu[0] - 0.5, nu[-1] + 0.5, 5)
 print("value at sample charges (segments vs DP):")

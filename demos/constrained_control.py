@@ -30,7 +30,7 @@ for s, b, v in zip(chain, b_bars, v_bars):
 
 print("\ntrading rejections for holding cost:")
 for t in np.linspace(b_bars[-1] + 1e-6, b_bars[0] - 1e-6, 8):
-    pol = bandit.constrained_policy(rb, fam, float(t), report=rep)
+    pol = bandit.constrained_policy(rb, rep, float(t))
     mix = ("deterministic" if pol.deterministic
            else f"randomize state {pol.randomized_state} at p={pol.p_active:.3f}")
     rate = "-" if pol.marginal_rate is None else f"{pol.marginal_rate:.4f}"

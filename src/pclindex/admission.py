@@ -177,7 +177,11 @@ def ak_coefficients(m: ACModel) -> np.ndarray:
     feedback through one birth--death cycle; all values must stay
     positive, which the regularity conditions guarantee.  The rate
     products are arrays computed once; per state only a_k runs, on floats.
+    Every pivot recursion starts here, so a zero rate raises DegeneracyError here.
     """
+    if np.any(m.lam[: m.n] <= 0) or np.any(m.mu <= 0):
+        raise DegeneracyError("workload recursion needs positive lambda_0..lambda_{n-1} "
+                              "and mu_1..mu_n")
     s = m.alpha + m.lam[:-1] + m.mu
     a = [1.0]
     for k, (x, y) in enumerate(zip((m.lam[1:-1] * m.mu[:-1]).tolist(),
@@ -200,8 +204,7 @@ def _pivot_recursion(m: ACModel) -> tuple[np.ndarray, np.ndarray]:
     arrays computed once; per state only the recurrences run, on floats."""
     lam = m.lam[:-1]
     s, gain = (m.alpha + lam + m.mu).tolist(), (lam / ak_coefficients(m)).tolist()
-    with np.errstate(divide="ignore", invalid="ignore"):   # zero rates give inf/NaN
-        rho = m.rho.tolist()
+    rho = m.rho.tolist()
     fw, fc = (m.alpha + m.delta_d).tolist(), m.delta_h.tolist()
     pw, pc = _div(gain[0] * fw[0], s[0]), _div(gain[0] * fc[0], s[0])
     out_w, out_c = [pw], [pc]
@@ -215,17 +218,10 @@ def _pivot_recursion(m: ACModel) -> tuple[np.ndarray, np.ndarray]:
     return np.array(out_w), np.array(out_c)
 
 
-def _require_positive_rates(m: ACModel):
-    if np.any(m.lam[: m.n] <= 0) or np.any(m.mu <= 0):
-        raise DegeneracyError("workload recursion needs positive lambda_0..lambda_{n-1} "
-                              "and mu_1..mu_n")
-
-
 def workload_pivots(m: ACModel) -> np.ndarray:
     """Pivot workloads w(S_{k+2}, k) for k = 0..n-1, in O(n): each pivot
     follows from the previous one, so the index recursion needs no other
     entry of :func:`workload_table`."""
-    _require_positive_rates(m)
     return _pivot_recursion(m)[0]
 
 
@@ -272,7 +268,6 @@ def indices(m: ACModel) -> np.ndarray:
     :func:`_pivot_recursion` pass and the denominators from one array
     expression; per state only the nu update runs, on Python floats.
     """
-    _require_positive_rates(m)
     pivots_w, pivots_c = _pivot_recursion(m)
     e = m.alpha + m.delta_d
     with np.errstate(over="ignore", invalid="ignore"):   # reported below instead

@@ -256,6 +256,13 @@ class RBModel:
         return n_comp == 1
 
     @cached_property
+    def normalized_cost(self) -> np.ndarray:
+        """:func:`normalized_passive_cost`, computed once per model (read-only)."""
+        hhat = normalized_passive_cost(self)
+        hhat.setflags(write=False)
+        return hhat
+
+    @cached_property
     def average_kernel(self) -> _SolveKernel:
         """The solve kernel at beta = 1, which the average criterion reads
         whatever ``beta`` is; built once per model, on first use."""
@@ -363,7 +370,7 @@ def normalized_passive_cost(model: RBModel) -> np.ndarray:
 def normalized_model(model: RBModel) -> RBModel:
     """Same dynamics, passive cost replaced by the normalized vector and
     active cost set to zero."""
-    return RBModel(model.P0, model.P1, normalized_passive_cost(model),
+    return RBModel(model.P0, model.P1, model.normalized_cost,
                    np.zeros(model.n_states), model.theta1, model.beta,
                    model.controllable)
 
@@ -371,26 +378,6 @@ def normalized_model(model: RBModel) -> RBModel:
 # ---------------------------------------------------------------------------
 # Index machinery
 # ---------------------------------------------------------------------------
-
-class _MeasureCache:
-    """Per-model memo of set-indexed measures; not thread-safe, create one
-    per computation.  Measures are keyed by sets of ground elements
-    (positions ``e`` of the controllable state ``at[e]``), the family's
-    own members; ``w`` gives the marginal workloads over the ground."""
-
-    def __init__(self, model: RBModel):
-        self.ctrl = ctrl = sorted(model.controllable)
-        self.at = at = np.array(ctrl, dtype=int)
-
-        def rows(s: frozenset) -> np.ndarray:
-            mask = ~model.ctrl_mask
-            mask[at[list(s)]] = True
-            return mask
-        self.b = b = memoize(lambda s: _set_active_measure(model, rows(s), model.theta1, 0.0))
-        self.v = memoize(lambda s: _set_active_measure(model, rows(s), model.h1, model.h0))
-        self.w = memoize(lambda s: marginal_workload(model, None, b(s))[at])
-        self.limits = memoize(lambda s: average_limits(model, (ctrl[e] for e in s)))
-
 
 @dataclass(frozen=True)
 class PCLReport:
@@ -420,20 +407,32 @@ class PCLReport:
         return suffix_sets(self.state_order)
 
 
+def _require_ground(model: RBModel, sys: SetSystem):
+    if sys.n != len(model.controllable):
+        raise ValueError(f"set system has ground size {sys.n}, expected {len(model.controllable)}")
+
+
 def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
-    """The indexability test under either criterion: the marginal
-    workloads and the cost input come from the discounted measures or from
-    the long-run average limits."""
-    cache = _MeasureCache(model)
-    ctrl, at = cache.ctrl, cache.at
-    if sys.n != len(ctrl):
-        raise ValueError(f"set system has ground size {sys.n}, expected {len(ctrl)}")
-    workloads = (lambda s: cache.limits(s).w_bar[at]) if average else cache.w
-    violations = []
+    """The indexability test under either criterion: the family scan keeps
+    each member's marginal workloads over the ground (discounted) or its
+    long-run average limits, which also give the cost input."""
+    _require_ground(model, sys)
+    ctrl = sorted(model.controllable)
+    at = np.array(ctrl, dtype=int)
+    scan, violations = {}, []
     for s in sys.family:
-        w = workloads(s)
+        if average:
+            scan[s] = average_limits(model, (ctrl[e] for e in s))
+            w = scan[s].w_bar[at]
+        else:
+            mask = ~model.ctrl_mask
+            mask[at[list(s)]] = True
+            scan[s] = w = marginal_workload(model, None, _set_active_measure(
+                model, mask, model.theta1, 0.0))[at]
         violations.extend((s, e, float(w[e])) for e in np.flatnonzero(~(w > 0.0)))
-    cost = cache.limits(sys.ground).c_bar if average else normalized_passive_cost(model)
+    workloads = (lambda s: scan[s].w_bar[at]) if average else scan.__getitem__
+    cost = ((scan.get(sys.ground) or average_limits(model, ctrl)).c_bar if average
+            else model.normalized_cost)
     row = lambda s: workloads(s)[sorted(s)]
     if violations:   # the walk cannot pass a member with a nonpositive workload of its own
         inside = {s: (e, w) for s, e, w in reversed(violations) if e in s}   # first e per s
@@ -487,29 +486,32 @@ class ValueSegments:
         return self.intercepts[k] + nu * self.slopes[k]
 
 
-def value_breakpoints(model: RBModel, sys: SetSystem, i: int,
-                      report: PCLReport | None = None) -> ValueSegments:
+def _require_report(model: RBModel, report: PCLReport, cost: np.ndarray):
+    """Refuse a report of another model or criterion: its walk ran on another ``cost``."""
+    if not np.array_equal(report.ag.cost, cost[model.ctrl_mask]):
+        raise ValueError("PCL report was not computed for this model under this criterion")
+
+
+def value_breakpoints(model: RBModel, report: PCLReport, i: int) -> ValueSegments:
     """Breakpoint description of the charge-parametrized optimal value.
 
-    Requires the model to pass :func:`pcl_index`; segment k carries the
-    cost/activity measures of the k-th chain set, and the slopes are
-    checked to be nonincreasing (strict decrease is not guaranteed for a
-    fixed initial state, only for positively weighted averages).
+    ``report`` is the model's indexable :func:`pcl_index` report; segment
+    k carries the cost/activity measures of the k-th chain set, and the
+    slopes are checked to be nonincreasing (strict decrease is not
+    guaranteed for a fixed initial state, only for weighted averages).
     """
     _require_state(model, i)
-    rep = report if report is not None else pcl_index(model, sys)
-    if not rep.indexable:
+    _require_report(model, report, model.normalized_cost)
+    if not report.indexable:
         raise UnsupportedModelError("model is not PCL-indexable for this family")
-    chain = list(rep.ag.chain) + [frozenset()]
-    cache = _MeasureCache(model)
-    intercepts = [float(cache.v(s)[i]) for s in chain]
-    slopes = [float(cache.b(s)[i]) for s in chain]
+    chain = report.chain_states + (frozenset(),)
+    intercepts = [float(cost_measure(model, s)[i]) for s in chain]
+    slopes = [float(activity_measure(model, s)[i]) for s in chain]
     scale = max(1.0, max(abs(x) for x in slopes))
-    for k in range(len(slopes) - 1):
-        if slopes[k + 1] > slopes[k] + 1e-12 * scale:
-            raise InternalConsistencyError(
-                "value-function slopes are not nonincreasing along the chain")
-    bps = tuple(float(rep.ag.nu[e]) for e in rep.ag.pi)
+    if any(b > a + 1e-12 * scale for a, b in zip(slopes, slopes[1:])):
+        raise InternalConsistencyError(
+            "value-function slopes are not nonincreasing along the chain")
+    bps = tuple(float(report.ag.nu[e]) for e in report.ag.pi)
     return ValueSegments(bps, tuple(intercepts), tuple(slopes))
 
 
@@ -559,9 +561,9 @@ class DMRReport:
                 and self.min_form_ok and self.max_form_ok and self.rates_nondecreasing)
 
 
-def dmr_report(model: RBModel, sys: SetSystem, p=None,
-               report: PCLReport | None = None) -> DMRReport:
-    """Check that the indices are optimal marginal cost rates.
+def dmr_report(model: RBModel, report: PCLReport, p=None) -> DMRReport:
+    """Check that the indices of an indexable :func:`pcl_index` report
+    are optimal marginal cost rates.
 
     Aggregates measures under a positive initial distribution ``p``
     (uniform by default) and verifies: strictly increasing activity along
@@ -569,21 +571,22 @@ def dmr_report(model: RBModel, sys: SetSystem, p=None,
     min/max one-swap characterizations, and nondecreasing rates, each to
     ``DMR_TOL``.
     """
-    rep = report if report is not None else pcl_index(model, sys)
-    if not rep.indexable:
+    _require_report(model, report, model.normalized_cost)
+    if not report.indexable:
         raise UnsupportedModelError("model is not PCL-indexable for this family")
     n_states = model.n_states
     p = np.full(n_states, 1.0 / n_states) if p is None else np.asarray(p, dtype=float)
     if p.shape != (n_states,) or not np.all(p > 0):
         raise ValueError("initial distribution must be strictly positive over all states")
-    cache = _MeasureCache(model)
-    chain = rep.ag.chain + (frozenset(),)
-    b_agg = [float(p @ cache.b(s)) for s in chain]
-    v_agg = [float(p @ cache.v(s)) for s in chain]
+    # the p-aggregated activity and cost measures of the S-active policy, once per set
+    aggregates = memoize(lambda s: (float(p @ activity_measure(model, s)),
+                                    float(p @ cost_measure(model, s))))
+    chain = report.chain_states + (frozenset(),)
+    b_agg, v_agg = zip(*map(aggregates, chain))
     scale_b = max(1.0, max(abs(x) for x in b_agg))
     strict = all(b_agg[k] > b_agg[k + 1] + 1e-12 * scale_b for k in range(len(b_agg) - 1))
 
-    nu_seq = [float(rep.ag.nu[e]) for e in rep.ag.pi]
+    nu_seq = [float(report.ag.nu[e]) for e in report.ag.pi]
     worst = 0.0
     min_ok = max_ok = True
     for k, s in enumerate(chain[:-1]):
@@ -592,8 +595,8 @@ def dmr_report(model: RBModel, sys: SetSystem, p=None,
         worst = max(worst, abs(ratio - nu_seq[k]))
 
         def swap_ratio(base: int, t: frozenset) -> float:
-            return ((float(p @ cache.v(t)) - v_agg[base])
-                    / (b_agg[base] - float(p @ cache.b(t))))
+            b_t, v_t = aggregates(t)
+            return (v_t - v_agg[base]) / (b_agg[base] - b_t)
 
         # removing a state from S_k can only cost at rate >= nu_k ...
         m = min(swap_ratio(k, s - {j}) for j in sorted(s))
@@ -601,7 +604,7 @@ def dmr_report(model: RBModel, sys: SetSystem, p=None,
             min_ok = False
         # ... and adding one to the next chain set saves at rate <= nu_k
         succ = chain[k + 1]
-        mx = max(swap_ratio(k + 1, succ | {j}) for j in sorted(sys.ground - succ))
+        mx = max(swap_ratio(k + 1, succ | {j}) for j in sorted(model.controllable - succ))
         if abs(mx - nu_seq[k]) > DMR_TOL * max(1.0, abs(nu_seq[k])):
             max_ok = False
     scale_nu = max(1.0, max(abs(x) for x in nu_seq))
@@ -700,21 +703,21 @@ class ConstrainedPolicy:
         return self.randomized_state is None
 
 
-def constrained_policy(model: RBModel, sys: SetSystem, t: float,
-                       report: PCLReport | None = None) -> ConstrainedPolicy:
+def constrained_policy(model: RBModel, report: PCLReport, t: float) -> ConstrainedPolicy:
     """Minimize the average cost rate subject to average activity rate = t.
 
-    The optimum randomizes between two adjacent chain policies; its value
-    interpolates the chain values and its local sensitivity is the index
-    of the state being randomized (the cost saved per extra unit of
-    allowed activity, so the achieved cost is piecewise linear and convex
-    as a function of t).
+    The optimum randomizes between two adjacent chain policies of the
+    indexable :func:`average_pcl_index` report; its value interpolates the
+    chain values and its local sensitivity is the index of the state being
+    randomized (the cost saved per extra unit of allowed activity, so the
+    achieved cost is piecewise linear and convex as a function of t).
     """
-    rep = report if report is not None else average_pcl_index(model, sys)
-    if not rep.indexable:
+    chain = report.chain_states + (frozenset(),)
+    limits = [average_limits(model, chain[0])]
+    _require_report(model, report, limits[0].c_bar)
+    if not report.indexable:
         raise UnsupportedModelError("model is not PCL-indexable under the average criterion")
-    chain = list(rep.chain_states) + [frozenset()]
-    limits = [average_limits(model, s) for s in chain]
+    limits += [average_limits(model, s) for s in chain[1:]]
     b_bar = [al.b_bar for al in limits]
     v_bar = [al.v_bar for al in limits]
     scale = max(1.0, max(abs(x) for x in b_bar))
@@ -728,5 +731,5 @@ def constrained_policy(model: RBModel, sys: SetSystem, t: float,
     k = next(k for k in range(len(chain) - 1) if b_bar[k + 1] < t < b_bar[k])
     p = (t - b_bar[k + 1]) / (b_bar[k] - b_bar[k + 1])
     value = (1.0 - p) * v_bar[k + 1] + p * v_bar[k]
-    nu_k = float(rep.ag.nu[rep.ag.pi[k]])
-    return ConstrainedPolicy(chain[k + 1], rep.state_order[k], p, value, nu_k)
+    nu_k = float(report.ag.nu[report.ag.pi[k]])
+    return ConstrainedPolicy(chain[k + 1], report.state_order[k], p, value, nu_k)

@@ -18,7 +18,7 @@ import sys as _sys
 import numpy as np
 
 from . import __version__, admission, bandit, dp, policies
-from .errors import AssumptionError, InternalConsistencyError, PclIndexError
+from .errors import AssumptionError, InternalConsistencyError, PclIndexError, UnsupportedModelError
 from .simulate import SimConfig, simulate_all
 from .modelio import (ModelFileError, digest, document_from_model, load_model)
 from .setsystem import SetSystem, powerset_family, threshold_family
@@ -164,7 +164,11 @@ def cmd_dp_verify(args) -> int:
         raise ModelFileError(f"--eps must be finite and nonnegative, got {args.eps}")
     model, doc = load_model(args.file)
     if isinstance(model, admission.ACModel):
-        rb, fam, need = admission.uniformize(model), threshold_family(model.n), "alpha > 0"
+        try:
+            rb = admission.uniformize(model)
+        except ValueError as exc:   # a zero arrival rate at a controllable state
+            raise UnsupportedModelError(str(exc)) from exc
+        fam, need = threshold_family(model.n), "alpha > 0"
     elif isinstance(model, bandit.RBModel):
         rb, need = model, "beta < 1"
         fam = _family_for(len(model.controllable), args.family, doc)
@@ -178,7 +182,7 @@ def cmd_dp_verify(args) -> int:
         _emit(_report("dp-verify", doc, results))
         _log("model is not PCL-indexable for this family; nothing to verify")
         return EXIT_ASSUMPTION
-    check = dp.crosscheck_indices(rb, fam, rep, eps=args.eps)
+    check = dp.crosscheck_indices(rb, rep, eps=args.eps)
     results["crosscheck"] = {
         "grid": list(check.grid),
         "agree": check.agree,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import RBModel, normalized_passive_cost
+from .bandit import PCLReport, RBModel, _require_ground, _require_report
 from .errors import InternalConsistencyError
 from .setsystem import SetSystem
 
@@ -232,6 +232,8 @@ def nu_sweep(model: RBModel, grid, eps: float = DEFAULT_INDIFFERENCE,
     whether the sequence is nested decreasing and, when a family over
     sorted(controllable) is supplied, whether every set belongs to it.
     """
+    if family is not None:
+        _require_ground(model, family)
     grid = [float(g) for g in grid]
     if not all(map(math.isfinite, grid)):
         raise ValueError("grid charges must be finite")
@@ -239,7 +241,6 @@ def nu_sweep(model: RBModel, grid, eps: float = DEFAULT_INDIFFERENCE,
         raise ValueError("grid must be sorted ascending")
     closed = _Policies(model, eps).run(np.array(grid))[2]
     nested = not np.any(closed[1:] & ~closed[:-1])
-    # the family's ground indexes sorted(controllable)
     in_family = None if family is None else tuple(
         s in family for s in _sets(closed[:, model.ctrl_mask]))
     return SweepReport(tuple(grid), closed, nested, in_family)
@@ -263,9 +264,8 @@ def fair_charge(model: RBModel, j: int) -> float:
     def gap(nu: float) -> float:
         return float(policies.at(nu)[1][j])
 
-    hhat = normalized_passive_cost(model)
-    ctrl = sorted(model.controllable)
-    span = 10.0 * max(1.0, float(np.max(np.abs(hhat))) / float(np.min(model.theta1[ctrl])))
+    theta = model.theta1[model.ctrl_mask]
+    span = 10.0 * max(1.0, float(np.max(np.abs(model.normalized_cost))) / float(np.min(theta)))
     lo, hi = -span, span
     g_lo, g_hi = gap(lo), gap(hi)
     grow = 0
@@ -318,9 +318,9 @@ class CrosscheckReport:
         return _sets(self.observed_masks)
 
 
-def crosscheck_indices(model: RBModel, sys: SetSystem, pcl_report,
+def crosscheck_indices(model: RBModel, report: PCLReport,
                        eps: float = DEFAULT_INDIFFERENCE) -> CrosscheckReport:
-    """Compare greedy indices against the DP-optimal active sets.
+    """Compare the indices of a PCL-indexable report against the DP-optimal sets.
 
     Builds a charge grid from midpoints between consecutive distinct
     indices plus points beyond both extremes and the index values
@@ -328,29 +328,24 @@ def crosscheck_indices(model: RBModel, sys: SetSystem, pcl_report,
     {j : charge <= index_j} exactly; at a breakpoint the DP cannot separate
     the closed and open conventions, so both are accepted there.
     """
-    if not pcl_report.indexable:
+    _require_report(model, report, model.normalized_cost)
+    if not report.indexable:
         raise ValueError("cross-check requires a PCL-indexable report")
-    nu_by_state = pcl_report.nu_by_state
-    values = sorted(nu_by_state.values())
+    nus = report.nu   # one entry per controllable state, in state order
+    values = sorted(nus.tolist())
     span = max(1.0, values[-1] - values[0])
     distinct: list[float] = []
     for v in values:
         if not distinct or v - distinct[-1] > 1e-9 * span:
             distinct.append(v)
-    grid = [distinct[0] - 0.5 * span]
-    for a, b in zip(distinct, distinct[1:]):
-        grid.append(0.5 * (a + b))
-    grid.append(distinct[-1] + 0.5 * span)
-    grid = sorted(grid + distinct)
+    mids = [0.5 * (a + b) for a, b in zip(distinct, distinct[1:])]
+    grid = sorted([distinct[0] - 0.5 * span, *mids, distinct[-1] + 0.5 * span, *distinct])
 
     charges = np.array(grid)
     dp_sets = _Policies(model, eps).run(charges)[2]
-    states = np.array(sorted(nu_by_state))
-    nus = np.array([nu_by_state[j] for j in states])
-    closed = np.zeros_like(dp_sets)
-    near = np.zeros_like(dp_sets)
-    closed[:, states] = charges[:, None] <= nus
-    near[:, states] = np.abs(charges[:, None] - nus) <= 1e-9 * span
+    closed, near = np.zeros_like(dp_sets), np.zeros_like(dp_sets)
+    closed[:, model.ctrl_mask] = charges[:, None] <= nus
+    near[:, model.ctrl_mask] = np.abs(charges[:, None] - nus) <= 1e-9 * span
     # the DP set must lie between the open set (breakpoint states dropped) and the closed one
     bad = np.flatnonzero((closed & ~near & ~dp_sets).any(axis=1) | (dp_sets & ~closed).any(axis=1))
     mismatches = tuple(zip([grid[r] for r in bad], _sets(closed[bad]), _sets(dp_sets[bad])))

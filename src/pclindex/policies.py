@@ -179,46 +179,48 @@ class Rule:
     gated: bool
     scores: Callable[[object, Sequence[int]], list]
 
-    def gate(self, sys, nu: float | None = None) -> float:
-        """``nu`` if given, else the system's, for a gated rule; inf otherwise."""
-        return (sys.nu if nu is None else nu) if self.gated else math.inf
+    def gate(self, sys) -> float:
+        """The system's charge for a gated rule; inf otherwise."""
+        return sys.nu if self.gated else math.inf
 
-    def decide(self, sys, specs, state: Sequence[int], nu: float | None = None,
-               tables=None, full: Sequence[int | None] | None = None) -> Action:
-        """:func:`engage` at ``state``, with caps ``full`` if given, else the
-        buffer sizes (inf for an infinite buffer).  Without ``tables`` the
-        scores are built up to each buffer's current level."""
+    def decide(self, sys, specs, state: Sequence[int], tables=None,
+               full: Sequence[int | None] | None = None) -> Action:
+        """:func:`engage` at ``state``, one level in 0..cap per buffer, with
+        caps ``full`` if given, else the buffer sizes (inf for an infinite
+        buffer).  Without ``tables`` the scores are built up to each level."""
         caps = [math.inf if cap is None else cap
                 for cap in (full if full is not None else [spec.n for spec in specs])]
+        if not (len(state) == len(caps) == len(specs)
+                and all(0 <= j <= cap for j, cap in zip(state, caps))):
+            raise ValueError(f"state {list(state)} needs one level in 0..cap per buffer {caps}")
         if tables is None:
             tables = self.scores(sys, [j + 1 if j < cap else 0 for j, cap in zip(state, caps)])
-        return engage(state, tables, caps, self.gate(sys, nu))
+        return engage(state, tables, caps, self.gate(sys))
 
 
-def routing_decide(sys: RoutingSystem, state: Sequence[int], nu: float | None = None,
+def routing_decide(sys: RoutingSystem, state: Sequence[int],
                    tables: Sequence[np.ndarray] | None = None,
                    full: Sequence[int] | None = None) -> Action:
     """Route to the nonfull queue with the smallest index below the charge.
 
     Ties go to the lowest queue number; returns None (reject) when no
-    nonfull queue has an index below ``nu``.  ``tables``/``full`` allow a
-    simulator to pass precomputed index tables and truncation caps.
+    nonfull queue has an index below ``sys.nu``.  ``tables``/``full`` allow
+    a simulator to pass precomputed index tables and truncation caps.
     """
-    return ROUTING_RULES["index"].decide(sys, sys.queues, state, nu, tables, full)
+    return ROUTING_RULES["index"].decide(sys, sys.queues, state, tables, full)
 
 
 def shortest_queue_decide(sys: RoutingSystem, state: Sequence[int],
-                          nu: float | None = None,
                           full: Sequence[int] | None = None) -> Action:
     """Baseline: route to the shortest nonfull queue, never reject early."""
-    return ROUTING_RULES["shortest"].decide(sys, sys.queues, state, nu, None, full)
+    return ROUTING_RULES["shortest"].decide(sys, sys.queues, state, None, full)
 
 
-def naive_decide(sys: RoutingSystem, state: Sequence[int], nu: float | None = None,
+def naive_decide(sys: RoutingSystem, state: Sequence[int],
                  full: Sequence[int] | None = None) -> Action:
     """Baseline: route by the one-step rate h_k(j_k + 1) / mu_k(j_k + 1),
     with the same charge gate as the index policy."""
-    return ROUTING_RULES["naive"].decide(sys, sys.queues, state, nu, None, full)
+    return ROUTING_RULES["naive"].decide(sys, sys.queues, state, None, full)
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +333,19 @@ def mts_index_table(sys: MTSSystem, k: int, up_to: int) -> np.ndarray:
     return _index_table(sys, k, sys.products[k].n, up_to)
 
 
-def mts_decide(sys: MTSSystem, state: Sequence[int], nu: float | None = None,
+def mts_decide(sys: MTSSystem, state: Sequence[int],
                tables: Sequence[np.ndarray] | None = None,
                full: Sequence[int] | None = None) -> Action:
-    """Produce the product with the smallest index below the subsidy,
-    among those with nonfull stock; idle otherwise.  Ties go to the
-    lowest product number."""
-    return MTS_RULES["index"].decide(sys, sys.products, state, nu, tables, full)
+    """Produce the product with the smallest index below the subsidy
+    ``sys.nu``, among those with nonfull stock; idle otherwise.  Ties go
+    to the lowest product number."""
+    return MTS_RULES["index"].decide(sys, sys.products, state, tables, full)
 
 
-def least_stock_decide(sys: MTSSystem, state: Sequence[int], nu: float | None = None,
+def least_stock_decide(sys: MTSSystem, state: Sequence[int],
                        full: Sequence[int] | None = None) -> Action:
     """Baseline: always produce the product with the least stock."""
-    return MTS_RULES["least-stock"].decide(sys, sys.products, state, nu, None, full)
+    return MTS_RULES["least-stock"].decide(sys, sys.products, state, None, full)
 
 
 # ---------------------------------------------------------------------------

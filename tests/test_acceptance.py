@@ -118,7 +118,7 @@ def test_acceptance_05_dp_crosscheck_on_compliant_instances(rng):
         fam = threshold_family(n)
         rep = bandit.pcl_index(rb, fam)
         ok = ok and rep.indexable
-        check = dp.crosscheck_indices(rb, fam, rep)
+        check = dp.crosscheck_indices(rb, rep)
         ok = ok and check.agree
         count += 1
     report(5, f"DP cross-check on {count} compliant instances", ok and count >= 25)
@@ -167,7 +167,8 @@ def test_acceptance_08_diminishing_marginal_returns(rng):
     for _ in range(8):
         n = int(rng.integers(2, 7))
         m = random_compliant_admission(rng, n, float(rng.uniform(0.05, 0.9)))
-        rep = bandit.dmr_report(admission.uniformize(m), threshold_family(n))
+        rb = admission.uniformize(m)
+        rep = bandit.dmr_report(rb, bandit.pcl_index(rb, threshold_family(n)))
         ok = ok and rep.all_ok
     report(8, "diminishing marginal returns (parts a-c)", ok)
 
@@ -215,8 +216,7 @@ def test_acceptance_10_constrained_control(rng):
         for k in range(len(chain) - 1):
             lo, hi = b_bars[k + 1], b_bars[k]
             ts = np.linspace(lo + 1e-10, hi - 1e-10, 5)
-            vals = [bandit.constrained_policy(rb, fam, float(t), report=rep).value
-                    for t in ts]
+            vals = [bandit.constrained_policy(rb, rep, float(t)).value for t in ts]
             seg = np.diff(vals) / np.diff(ts)
             ok = ok and bool(np.all(np.abs(seg - seg[0]) <= 1e-8 * max(1, abs(seg[0]))))
             ok = ok and abs(seg[0] + nu_seq[k]) <= 1e-8 * max(1.0, abs(nu_seq[k]))

@@ -56,6 +56,9 @@ def ref_validate_assumptions(m):
 
 
 def ref_ak_coefficients(m):
+    if np.any(m.lam[: m.n] <= 0) or np.any(m.mu <= 0):
+        raise DegeneracyError("workload recursion needs positive lambda_0..lambda_{n-1} "
+                              "and mu_1..mu_n")
     lam, mu, alpha = m.lam, m.mu_full, m.alpha
     a = np.ones(m.n)
     for k in range(2, m.n + 1):
@@ -78,9 +81,6 @@ def ref_pivot_recursion(m, f):
 
 
 def ref_workload_pivots(m):
-    if np.any(m.lam[: m.n] <= 0) or np.any(m.mu <= 0):
-        raise DegeneracyError("workload recursion needs positive lambda_0..lambda_{n-1} "
-                              "and mu_1..mu_n")
     return ref_pivot_recursion(m, m.alpha + m.delta_d)
 
 
@@ -225,8 +225,8 @@ def irregular_queues(draw):
 
 @st.composite
 def zero_rate_queues(draw):
-    # some arrival and service rates are exactly 0, so the rate sums, the
-    # traffic ratios and the pivot denominators can vanish
+    # some arrival and service rates are exactly 0, which every pivot
+    # recursion refuses with the reference's DegeneracyError
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 30))
     lam = rng.uniform(0.1, 3.0, n + 1) * (rng.random(n + 1) < draw(st.floats(0.0, 1.0)))
@@ -271,10 +271,14 @@ def test_zero_denominator_quotient_is_numpy_division():
 
 
 def test_zero_denominators_keep_numpy_values():
-    # alpha = lambda_0 = mu_1 = 0 zeroes the first rate sum and lambda_1 = 0
-    # a traffic ratio, so the cost pivots divide by zero
+    # alpha = lambda_0 = mu_1 = 0 would zero the first rate sum and
+    # lambda_1 = 0 a traffic ratio: every pivot recursion refuses the zero
+    # rates, as the workload pivots always did, instead of returning NaN
     m = ACModel(3, [0.0, 0.0, 1.0, 2.0], [0.0, 1.0, 1.0], [0.0, 1.0, 3.0, 6.0], 0.0)
-    assert np.isnan(admission.marginal_cost_pivots(m)).any()
+    for fn in (admission.ak_coefficients, admission.marginal_cost_pivots,
+               admission.workload_pivots, admission.indices):
+        with pytest.raises(DegeneracyError, match="needs positive"):
+            fn(m)
     assert_matches_reference(m)
     # alpha + delta_d_1 = mu_1 - lambda_1 + lambda_0 = 0 zeroes nu_0's denominator
     m = ACModel(2, [1.0, 2.0, 1.0], [1.0, 2.0], [0.0, 1.0, 3.0], 0.0)

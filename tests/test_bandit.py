@@ -381,7 +381,7 @@ def test_value_breakpoints_structure_and_dp_agreement(rng):
     m = random_compliant_admission(rng, 5, alpha=0.35)
     rb = admission.uniformize(m)
     fam = threshold_family(5)
-    segs = value_breakpoints(rb, fam, i=2)
+    segs = value_breakpoints(rb, pcl_index(rb, fam), i=2)
     chain = [frozenset(range(k, 5)) for k in range(5)] + [frozenset()]
     # first and last branches carry the extreme active sets
     assert segs.intercepts[0] == pytest.approx(cost_measure(rb, chain[0])[2])
@@ -398,7 +398,8 @@ def test_initial_state_out_of_range_is_refused(rng, i):
     # IndexError; the decompositions inherit the check
     m = random_compliant_admission(rng, 4, alpha=0.35)
     rb, u = admission.uniformize(m), np.ones(5)
-    for call in (lambda: value_breakpoints(rb, threshold_family(4), i),
+    rep = pcl_index(rb, threshold_family(4))
+    for call in (lambda: value_breakpoints(rb, rep, i),
                  lambda: occupation_measures(rb, u, i),
                  lambda: verify_workload_decomposition(rb, u, frozenset({1}), i),
                  lambda: verify_cost_decomposition(rb, u, frozenset({1}), i)):
@@ -412,35 +413,73 @@ def test_value_breakpoints_requires_indexability(rng):
     rep = pcl_index(m, fam)
     if not rep.indexable:
         with pytest.raises(UnsupportedModelError):
-            value_breakpoints(m, fam, 0)
+            value_breakpoints(m, rep, 0)
+
+
+def readme_queue(h=(0.0, 1.0, 2.3, 3.9, 5.8, 8.0, 10.5)) -> RBModel:
+    """README's 6-slot queue: lam 1, speedup service, convex costs, alpha 0.1."""
+    return admission.uniformize(admission.ACModel(
+        6, np.full(7, 1.0), np.array([1.2, 1.35, 1.45, 1.5, 1.52, 1.53]), np.array(h), 0.1))
+
+
+WRONG_REPORT = "not computed for this model under this criterion"
+
+
+def test_certificates_refuse_a_report_of_the_other_criterion():
+    # the value_breakpoints of an average report were the average indices
+    # 0.8333, 2.2938, ..., and the constrained policy of a discounted report
+    # had marginal rate 5.089, the discounted index, for the average 6.851
+    rb, fam = readme_queue(), threshold_family(6)
+    discounted, average = pcl_index(rb, fam), average_pcl_index(rb, fam)
+    assert discounted.indexable and average.indexable
+    for call in (lambda: value_breakpoints(rb, average, 0), lambda: dmr_report(rb, average),
+                 lambda: constrained_policy(rb, discounted, 0.05)):
+        with pytest.raises(ValueError, match=WRONG_REPORT):
+            call()
+    assert value_breakpoints(rb, discounted, 0).breakpoints[3] == pytest.approx(5.0894, abs=1e-4)
+    assert dmr_report(rb, discounted).all_ok
+    assert constrained_policy(rb, average, 0.05).marginal_rate == pytest.approx(6.8510, abs=1e-4)
+
+
+def test_certificates_refuse_a_report_of_another_model():
+    rb, fam = readme_queue(), threshold_family(6)
+    other = readme_queue(h=(0.0, 2.0, 4.6, 7.8, 11.6, 16.0, 21.0))
+    discounted, average = pcl_index(other, fam), average_pcl_index(other, fam)
+    assert discounted.indexable and average.indexable
+    for call in (lambda: value_breakpoints(rb, discounted, 0), lambda: dmr_report(rb, discounted),
+                 lambda: constrained_policy(rb, average, 0.05)):
+        with pytest.raises(ValueError, match=WRONG_REPORT):
+            call()
 
 
 def test_dmr_report_compliant_instance(rng):
     m = random_compliant_admission(rng, 5, alpha=0.25)
-    rep = dmr_report(admission.uniformize(m), threshold_family(5))
-    assert rep.all_ok
+    rb = admission.uniformize(m)
+    assert dmr_report(rb, pcl_index(rb, threshold_family(5))).all_ok
 
 
 def test_dmr_report_single_state(rng):
     m = random_rb(rng, 2, 1, beta=0.9)
     sys = SetSystem(1, (frozenset(), frozenset({0})))
-    if pcl_index(m, sys).indexable:
-        rep = dmr_report(m, sys)
-        assert rep.ratio_matches_index and rep.activity_strictly_decreasing
+    rep = pcl_index(m, sys)
+    if rep.indexable:
+        dmr = dmr_report(m, rep)
+        assert dmr.ratio_matches_index and dmr.activity_strictly_decreasing
 
 
 def test_dmr_report_randomized_compliant_instances(rng):
     for _ in range(5):
         n = int(rng.integers(2, 7))
         m = random_compliant_admission(rng, n, alpha=float(rng.uniform(0.05, 0.8)))
-        assert dmr_report(admission.uniformize(m), threshold_family(n)).all_ok
+        rb = admission.uniformize(m)
+        assert dmr_report(rb, pcl_index(rb, threshold_family(n))).all_ok
 
 
 def test_dmr_rejects_nonpositive_distribution(rng):
     m = random_compliant_admission(rng, 3, alpha=0.2)
     rb = admission.uniformize(m)
     with pytest.raises(ValueError):
-        dmr_report(rb, threshold_family(3), p=np.array([0.5, 0.5, 0.0, 0.0]))
+        dmr_report(rb, pcl_index(rb, threshold_family(3)), p=np.array([0.5, 0.5, 0.0, 0.0]))
 
 
 def relabel(m: RBModel, perm) -> RBModel:
@@ -495,13 +534,12 @@ def test_reports_follow_a_non_identity_ground_to_state_map(rng):
         if rep.indexable:
             checked["indexable"] += 1
             for i in range(6):
-                segs = value_breakpoints(m, fam, i, report=rep)
-                moved_segs = value_breakpoints(moved, fam, PERM[i], report=moved_rep)
+                segs = value_breakpoints(m, rep, i)
+                moved_segs = value_breakpoints(moved, moved_rep, PERM[i])
                 for field in ("breakpoints", "intercepts", "slopes"):
                     assert getattr(moved_segs, field) == pytest.approx(
                         getattr(segs, field), rel=1e-9, abs=1e-12)
-            dmr, moved_dmr = dmr_report(m, fam, report=rep), dmr_report(moved, fam,
-                                                                         report=moved_rep)
+            dmr, moved_dmr = dmr_report(m, rep), dmr_report(moved, moved_rep)
             assert dmr.all_ok and moved_dmr.all_ok
             assert moved_dmr.worst_ratio_residual == pytest.approx(
                 dmr.worst_ratio_residual, abs=1e-12)
@@ -716,17 +754,17 @@ def test_constrained_policy_breakpoints_and_interpolation(rng):
     b_bars = [average_limits(rb, s).b_bar for s in chain]
     v_bars = [average_limits(rb, s).v_bar for s in chain]
     # exactly at a chain point: deterministic policy
-    pol = constrained_policy(rb, fam, b_bars[1], report=rep)
+    pol = constrained_policy(rb, rep, b_bars[1])
     assert pol.deterministic and pol.value == pytest.approx(v_bars[1])
     # midway: equal randomization and averaged value
     t_mid = 0.5 * (b_bars[1] + b_bars[2])
-    pol = constrained_policy(rb, fam, t_mid, report=rep)
+    pol = constrained_policy(rb, rep, t_mid)
     assert pol.p_active == pytest.approx(0.5, abs=1e-12)
     assert pol.value == pytest.approx(0.5 * (v_bars[1] + v_bars[2]), abs=1e-10)
     assert pol.randomized_state == rep.state_order[1]
     # outside the achievable range
     with pytest.raises(InfeasibleTargetError):
-        constrained_policy(rb, fam, b_bars[0] + 1.0, report=rep)
+        constrained_policy(rb, rep, b_bars[0] + 1.0)
 
 
 def test_constrained_policy_refuses_a_nan_target():
@@ -734,7 +772,7 @@ def test_constrained_policy_refuses_a_nan_target():
     m = admission.ACModel(5, np.full(6, 1.0), np.full(5, 1.3), np.arange(6.0) ** 2, 0.0)
     rb = admission.uniformize(m)
     with pytest.raises(InfeasibleTargetError, match="target nan outside"):
-        constrained_policy(rb, threshold_family(5), np.nan)
+        constrained_policy(rb, average_pcl_index(rb, threshold_family(5)), np.nan)
 
 
 def test_constrained_value_piecewise_linear_convex(rng):
@@ -752,7 +790,7 @@ def test_constrained_value_piecewise_linear_convex(rng):
     for k in range(len(chain) - 1):
         t0, t1 = b_bars[k + 1], b_bars[k]
         ts = np.linspace(t0 + 1e-9, t1 - 1e-9, 4)
-        vals = [constrained_policy(rb, fam, float(t), report=rep).value for t in ts]
+        vals = [constrained_policy(rb, rep, float(t)).value for t in ts]
         seg_slopes = np.diff(vals) / np.diff(ts)
         assert np.allclose(seg_slopes, seg_slopes[0], atol=1e-8)
         assert seg_slopes[0] == pytest.approx(-nu_seq[k], abs=1e-8)
@@ -785,7 +823,7 @@ def test_constrained_policy_evaluates_each_chain_set_once(monkeypatch):
         return average_limits(model, s)
 
     monkeypatch.setattr(bandit, "average_limits", counting)
-    constrained_policy(rb, fam, t, report=rep)
+    constrained_policy(rb, rep, t)
     assert len(chain) == 21
     assert sorted(calls, key=len) == sorted(chain, key=len)
 

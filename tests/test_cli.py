@@ -237,6 +237,18 @@ def test_dp_verify_vanishing_discount_is_an_input_error(tmp_path, capsys):
     assert out["error"] == "dp-verify needs a discounted model (alpha > 0)"
 
 
+def test_dp_verify_zero_arrival_rate_is_out_of_scope(tmp_path, capsys):
+    # a zero arrival rate at a controllable state leaves no activity weight
+    # to uniformize; the ValueError used to escape as a traceback (exit 1)
+    doc = {"kind": "admission", "n": 3, "lambda": [1, 0, 1, 1], "mu": [1, 1, 1],
+           "h": [0, 1, 2, 3], "alpha": 0.1}
+    code, out, err = run_cli(capsys, "dp-verify", write_doc(tmp_path, doc))
+    assert code == 3
+    assert out["exit_code"] == 3 and "results" not in out
+    assert out["error"].startswith("arrival rates at controllable states must be positive")
+    assert "Traceback" not in err
+
+
 def test_dp_verify_disagreement_exits_4(tmp_path, capsys):
     # an absurd indifference tolerance makes the DP call every state
     # indifferent, which cannot match the index sets: exit code 4

@@ -99,7 +99,7 @@ def test_bad_indifference_tolerance_is_refused(eps, call):
            "value": lambda: dp.solve(rb, 3.0, method="value", eps=eps),
            "nu_sweep": lambda: dp.nu_sweep(rb, [3.0], eps=eps),
            "crosscheck_indices": lambda: dp.crosscheck_indices(
-               rb, fam, bandit.pcl_index(rb, fam), eps=eps)}[call]
+               rb, bandit.pcl_index(rb, fam), eps=eps)}[call]
     with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
         run()
 
@@ -141,6 +141,17 @@ def test_sweep_counterexample_leaves_threshold_family():
     assert [sorted(s) for s in sweep.active_sets] == [[0, 1, 2], [0, 1], [0], []]
     assert sweep.in_family == (True, False, False, True)
     assert sweep.nested_decreasing
+
+
+def test_sweep_refuses_a_family_of_another_ground_size():
+    # the family's ground indexes sorted(controllable); a larger one used to
+    # report (False, False, True) and a smaller one all True
+    m = admission.ACModel(3, [1, 1, 1, 1], [1.2, 1.3, 1.4], [0, 1, 4, 9], 0.1)
+    rb = admission.uniformize(m)
+    assert all(dp.nu_sweep(rb, [0, 5, 50], family=threshold_family(3)).in_family)
+    for n in (2, 5):
+        with pytest.raises(ValueError, match=f"set system has ground size {n}, expected 3"):
+            dp.nu_sweep(rb, [0, 5, 50], family=threshold_family(n))
 
 
 def test_sweep_single_controllable_state_has_one_transition(rng):
@@ -226,7 +237,7 @@ def test_fair_charge_agrees_with_recursion_indices(rng):
 def test_crosscheck_compliant_instance_eleven_grid_points(rng):
     m, rb = compliant_rb(rng, n=5, alpha=0.3)
     rep = bandit.pcl_index(rb, threshold_family(5))
-    check = dp.crosscheck_indices(rb, threshold_family(5), rep)
+    check = dp.crosscheck_indices(rb, rep)
     assert check.agree
     assert len(check.grid) == 11   # 2 outside + 4 midpoints + 5 breakpoints
     assert check.expected[0] == frozenset(range(5))
@@ -239,7 +250,7 @@ def test_crosscheck_accepts_the_open_set_at_a_breakpoint():
     m = admission.ACModel(12, np.full(13, 1.0), np.full(12, 1.3),
                           np.arange(13.0) ** 2, 0.1)
     rb, fam = admission.uniformize(m), threshold_family(12)
-    check = dp.crosscheck_indices(rb, fam, bandit.pcl_index(rb, fam), eps=0.0)
+    check = dp.crosscheck_indices(rb, bandit.pcl_index(rb, fam), eps=0.0)
     assert check.agree
     assert any(o < e for e, o in zip(check.expected, check.observed))
 
@@ -260,7 +271,18 @@ def test_crosscheck_requires_indexable_report(rng):
     rep = bandit.pcl_index(m, fam)
     if not rep.indexable:
         with pytest.raises(ValueError):
-            dp.crosscheck_indices(m, fam, rep)
+            dp.crosscheck_indices(m, rep)
+
+
+def test_crosscheck_refuses_a_report_of_another_model_or_criterion():
+    rb, fam = six_state_queue(), threshold_family(5)
+    other = admission.uniformize(admission.ACModel(
+        5, np.full(6, 1.0), np.full(5, 1.3), np.arange(6.0) ** 3, 0.1))
+    for rep in (bandit.average_pcl_index(rb, fam), bandit.pcl_index(other, fam)):
+        assert rep.indexable
+        with pytest.raises(ValueError, match="not computed for this model under this criterion"):
+            dp.crosscheck_indices(rb, rep)
+    assert dp.crosscheck_indices(rb, bandit.pcl_index(rb, fam)).agree
 
 
 def test_crosscheck_evaluates_each_policy_once(monkeypatch):
@@ -279,7 +301,7 @@ def test_crosscheck_evaluates_each_policy_once(monkeypatch):
         return exact(mask, rhs)
 
     monkeypatch.setattr(rb.kernel, "solve", counting)
-    check = dp.crosscheck_indices(rb, fam, rep)
+    check = dp.crosscheck_indices(rb, rep)
     assert check.agree
     assert len(check.grid) == 201
     assert len(solved) <= 110

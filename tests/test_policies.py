@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,19 +137,43 @@ def test_equal_index_maps_reduce_to_shortest_queue(rng):
             shortest_queue_decide(sys, state)
 
 
-def test_explicit_charge_overrides_the_system_charge():
-    # an explicit nu gates the index and naive rules even when the system's
-    # charge is the default inf; the shortest-queue baseline ignores it
+def test_a_replaced_charge_gates_the_rules():
+    # the system's charge gates the index and naive rules, also when it is
+    # replaced on a copy of a system with the default inf; the
+    # shortest-queue baseline ignores it
     sys = RoutingSystem(1.0, (QueueSpec(None, 1.0, 1.0),))
     assert sys.nu == math.inf
-    assert routing_decide(sys, [5], nu=0.5) is None
-    assert naive_decide(sys, [5], nu=0.5) is None
-    assert shortest_queue_decide(sys, [5], nu=0.5) == 0
+    assert routing_decide(replace(sys, nu=0.5), [5]) is None
+    assert naive_decide(replace(sys, nu=0.5), [5]) is None
+    assert shortest_queue_decide(replace(sys, nu=0.5), [5]) == 0
     assert routing_decide(sys, [5]) == 0 and naive_decide(sys, [5]) == 0
     gated = two_queue_sys(nu=0.0)
-    assert routing_decide(gated, [0, 0], nu=np.inf) == 0
-    assert naive_decide(gated, [0, 0], nu=np.inf) == 0
-    assert shortest_queue_decide(gated, [1, 0], nu=-1.0) == 1
+    assert routing_decide(replace(gated, nu=np.inf), [0, 0]) == 0
+    assert naive_decide(replace(gated, nu=np.inf), [0, 0]) == 0
+    assert shortest_queue_decide(replace(gated, nu=-1.0), [1, 0]) == 1
+
+
+def test_decisions_refuse_a_malformed_state():
+    # a short state used to leave a queue out of the decision, a level past
+    # the cap read as a full queue, and a negative one raised IndexError
+    sys = RoutingSystem(1.0, (QueueSpec(5, 1.0, 1.0), QueueSpec(5, 1.5, 2.0)), alpha=0.1,
+                        nu=50.0)
+    assert routing_decide(sys, [4, 0]) == 1
+    for decide in (routing_decide, shortest_queue_decide, naive_decide):
+        for state in ([4], [4, 0, 0], [9, 0], [-1, 0], [0, 6]):
+            with pytest.raises(ValueError, match="needs one level in 0..cap per buffer"):
+                decide(sys, state)
+    # the caps come from ``full`` when it is given
+    assert shortest_queue_decide(sys, [7, 3], full=[8, 8]) == 1
+    with pytest.raises(ValueError, match="needs one level in 0..cap per buffer"):
+        routing_decide(sys, [3, 3], full=[2, 8])
+    spec = ProductSpec(4, 0.8, 1.2, 1.0, 0.5, 0.7)
+    mts = MTSSystem((spec, ProductSpec(None, 0.8, 1.2, 1.0, 0.5, 0.7)), alpha=0.1, nu=5.0)
+    assert least_stock_decide(mts, [4, 100]) == 1
+    for decide in (mts_decide, least_stock_decide):
+        for state in ([1], [5, 0], [0, -1]):
+            with pytest.raises(ValueError, match="needs one level in 0..cap per buffer"):
+                decide(mts, state)
 
 
 def test_naive_baseline_uses_one_step_rates():
@@ -235,8 +260,8 @@ def test_mts_index_at_the_last_level_reads_the_table():
     assert table[4] == pytest.approx(3.138, abs=5e-4)
     for j in range(5):
         assert mts_index(sys, 0, j) == table[j]
-    assert mts_decide(sys, [4], nu=3.0) is None
-    assert mts_decide(sys, [4], nu=3.2) == 0
+    assert mts_decide(replace(sys, nu=3.0), [4]) is None
+    assert mts_decide(replace(sys, nu=3.2), [4]) == 0
 
 
 def test_mts_index_rejects_full_stock():
@@ -339,15 +364,15 @@ def test_mts_identical_products_make_least_stock(rng):
             least_stock_decide(sys, state)
 
 
-def test_explicit_subsidy_overrides_the_system_subsidy():
+def test_a_replaced_subsidy_gates_the_index_rule():
     spec = ProductSpec(None, 0.8, 1.2, 1.0, 0.5, 0.7)
     sys = MTSSystem((spec, spec), alpha=0.1, nu=np.inf)
     assert mts_decide(sys, [3, 1]) == 1
-    assert mts_decide(sys, [3, 1], nu=-1e9) is None
-    assert least_stock_decide(sys, [3, 1], nu=-1e9) == 1
+    assert mts_decide(replace(sys, nu=-1e9), [3, 1]) is None
+    assert least_stock_decide(replace(sys, nu=-1e9), [3, 1]) == 1
     cheap = MTSSystem((spec, spec), alpha=0.1, nu=-1e9)
     assert mts_decide(cheap, [3, 1]) is None
-    assert mts_decide(cheap, [3, 1], nu=np.inf) == 1
+    assert mts_decide(replace(cheap, nu=np.inf), [3, 1]) == 1
 
 
 def test_mts_decide_idles_when_all_full_or_expensive():
@@ -367,8 +392,8 @@ def test_mts_policy_invariant_under_positive_index_scaling(rng):
     scale = float(spec.mu)
     for nu in (-1.0, 0.0, 0.4, 2.0):
         for j in range(10):
-            ours = mts_decide(sys, [j], nu=nu, tables=[table], full=[10])
-            scaled = mts_decide(sys, [j], nu=scale * nu,
+            ours = mts_decide(replace(sys, nu=nu), [j], tables=[table], full=[10])
+            scaled = mts_decide(replace(sys, nu=scale * nu), [j],
                                 tables=[scale * table], full=[10])
             assert ours == scaled
 

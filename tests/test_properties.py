@@ -159,22 +159,35 @@ def test_mts_table_decisions_match_decide_functions(sys, truncation, data):
     assert decide(state) == mts_decide(sys, state, full=caps)
 
 
+def level(spec, j: int, linear: bool = False) -> float:
+    """Entry j of a rate or cost written out per level: a scalar is the
+    same at every level (times j if ``linear``), a sequence gives entry j."""
+    if isinstance(spec, (int, float)):
+        return float(spec) * j if linear else float(spec)
+    return float(spec[j])
+
+
 @PROPERTY
 @given(sys=st.one_of(routing_systems(), mts_systems()), n=st.integers(1, LONG - 1))
 def test_levels_read_the_spec_rates(sys, n):
-    # the one table of a buffer's rates, and the admission project built from it
+    # the one table of a buffer's rates, against per-level formulas written
+    # out here, and the admission project built from it
     routing = isinstance(sys, RoutingSystem)
     for k, spec in enumerate(sys.queues if routing else sys.products):
         birth, death, cost = sys.levels(k, n)
         if routing:
+            # mu is given over occupancies 1..n, h over 0..n
             assert birth == [float(sys.lam)] * (n + 1)
-            assert death == [0.0] + [spec.mu_at(j) for j in range(1, n + 1)]
-            assert cost == [spec.h_at(j) for j in range(n + 1)]
+            assert death == [0.0] + [level(spec.mu, j - 1) for j in range(1, n + 1)]
+            assert cost == [level(spec.h, j, linear=True) for j in range(n + 1)]
         else:
-            # the cap keeps the last production rate; orders at level 0 are lost
-            assert birth == [spec.mu_at(j) for j in range(n)] + [spec.mu_at(n - 1)]
-            assert death == [spec.lam_at(j) for j in range(n + 1)]
-            assert cost == [spec.net_cost(j) for j in range(n + 1)]
+            # the cap keeps the last production rate; orders at level 0 are
+            # lost at cost s, orders above it sell at price r
+            assert birth == [level(spec.mu, j) for j in range(n)] + [level(spec.mu, n - 1)]
+            assert death == [level(spec.lam, j) for j in range(n + 1)]
+            assert cost == ([level(spec.c, 0, linear=True) + spec.s * level(spec.lam, 0)]
+                            + [level(spec.c, j, linear=True) - level(spec.r, j) * level(spec.lam, j)
+                               for j in range(1, n + 1)])
         model, want = sys.admission_model(k, n), ACModel(n, birth, death[1:], cost, sys.alpha)
         for field in ("n", "lam", "mu", "h", "alpha", "Lambda"):
             assert np.array_equal(getattr(model, field), getattr(want, field))
