@@ -34,7 +34,7 @@ for rep in simulate_all(sys, ["index", "shortest", "naive"], config):
 # Heavy traffic: the routing boundary approaches slope ln(rho1)/ln(rho2).
 heavy = RoutingSystem(4.0, (QueueSpec(None, 1.0, 1.0), QueueSpec(None, 2.0, 1.0)),
                       alpha=0.0)
-curve = switching_curve(heavy, bound=120, fit_from=50)
+curve = switching_curve(heavy, bound=120)
 print(f"\nswitching curve: empirical slope {curve.empirical_slope:.3f}, "
       f"limit {curve.limit_slope:.3f}")
 print("boundary sample (j1 -> smallest j2 preferring queue 1):",

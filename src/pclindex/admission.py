@@ -302,50 +302,32 @@ def average_indices(m: ACModel) -> np.ndarray:
 
 
 def closed_form_index(kind: str, lam: float, mu: float, h: float, j: int,
-                      delta_h=None, branch: str | None = None) -> float:
-    """Closed-form indices at constant rates under the average criterion.
+                      delta_h=None) -> float:
+    """Closed-form index of state j at constant rates under the average criterion.
 
-    ``kind`` is one of ``linear`` (h_i = h i), ``quadratic`` (h_i = h i^2)
-    or ``general-sum`` (arbitrary increments ``delta_h``, 1-indexed).
-    ``branch`` may force ``geometric`` (traffic ratio != 1) or ``critical``
-    (ratio == 1); by default it follows the actual ratio.
+    The finite sum (1/mu) sum_{l=0..j} rho^l T_l, with rho = lam/mu and
+    T_l = sum_{l<i<=j+1} delta_h_i the tail sums of the cost increments:
+    h for ``linear`` (h_i = h i), h (2i - 1) for ``quadratic`` (h_i = h i^2)
+    and ``delta_h`` (1-indexed) for ``general-sum``.  It holds at every
+    traffic ratio (at rho = 1 it is the critical form), and with positive
+    increments no term cancels near rho = 1.
     """
     if j < 0:
         raise ValueError("state index j must be >= 0")
-    rho = lam / mu
-    critical = abs(rho - 1.0) < 1e-14
-    if branch is None:
-        branch = "critical" if critical else "geometric"
-    if branch == "critical" and not critical:
-        raise ValueError(f"critical branch requested but rho = {rho:g} != 1")
-    if branch == "geometric" and critical:
-        raise ValueError("geometric branch requested but rho = 1")
-
     if kind == "general-sum":
         if delta_h is None:
             raise ValueError("general-sum form needs the increment sequence delta_h")
-        dh = np.asarray(delta_h, dtype=float)
+        dh = np.asarray(delta_h, dtype=float)[: j + 1]
         if len(dh) < j + 1:
             raise ValueError("delta_h too short for requested j")
-        if branch == "critical":
-            blocks = np.arange(1, j + 2, dtype=float)
-        else:
-            blocks = (rho ** np.arange(1, j + 2) - 1.0) / (rho - 1.0)
-        return float(dh[: j + 1] @ blocks) / mu
-    if kind == "linear":
-        if branch == "critical":
-            return (h / mu) * (j + 1) * (j + 2) / 2.0
-        # (rho^(j+2) - 1)/(rho - 1)^2 - (j + 2)/(rho - 1) as its finite sum
-        # of positive terms, which does not cancel near rho = 1
-        l = np.arange(j + 1)
-        return (h / mu) * float(np.sum((j + 1 - l) * rho ** l))
-    if kind == "quadratic":
-        if branch == "critical":
-            return (h / mu) * (j + 1) * (j + 2) * (4 * j + 3) / 6.0
-        # likewise its geometric form, as sum_{l<=j} ((j+1)^2 - l^2) rho^l
-        l = np.arange(j + 1)
-        return (h / mu) * float(np.sum(((j + 1) ** 2 - l ** 2) * rho ** l))
-    raise ValueError(f"unknown closed form kind {kind!r}")
+    elif kind == "linear":
+        dh = np.full(j + 1, float(h))
+    elif kind == "quadratic":
+        dh = h * (2.0 * np.arange(1, j + 2) - 1.0)
+    else:
+        raise ValueError(f"unknown closed form kind {kind!r}")
+    tails = np.cumsum(dh[::-1])[::-1]
+    return float(tails @ (lam / mu) ** np.arange(j + 1)) / mu
 
 
 def whittle_counterexample() -> tuple[ACModel, dict[int, float]]:

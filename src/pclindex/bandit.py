@@ -327,23 +327,24 @@ def occupation_measures(model: RBModel, u, i: int) -> tuple[np.ndarray, np.ndarr
     return x0, x1
 
 
-def marginal_workload(model: RBModel, s, b: np.ndarray | None = None) -> np.ndarray:
-    """Increment of the activity measure from a passive-to-active
-    interchange against the S-active policy; exactly zero at
-    uncontrollable states."""
-    if b is None:
-        b = activity_measure(model, s)
+def _workload(model: RBModel, b: np.ndarray) -> np.ndarray:
+    """Marginal workloads against a policy whose activity measure is ``b``."""
     w = model.theta1 + model.kernel.apply(model.kernel.dP, b)
     w[~model.ctrl_mask] = 0.0
     return w
 
 
-def marginal_cost(model: RBModel, s, v: np.ndarray | None = None) -> np.ndarray:
+def marginal_workload(model: RBModel, s) -> np.ndarray:
+    """Increment of the activity measure from a passive-to-active
+    interchange against the S-active policy; exactly zero at
+    uncontrollable states."""
+    return _workload(model, activity_measure(model, s))
+
+
+def marginal_cost(model: RBModel, s) -> np.ndarray:
     """Increment of the cost measure from a passive-to-active interchange
     against the S-active policy; exactly zero at uncontrollable states."""
-    if v is None:
-        v = cost_measure(model, s)
-    c = model.h0 - model.h1 - model.kernel.apply(model.kernel.dP, v)
+    c = model.h0 - model.h1 - model.kernel.apply(model.kernel.dP, cost_measure(model, s))
     c[~model.ctrl_mask] = 0.0
     return c
 
@@ -427,7 +428,7 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
         else:
             mask = ~model.ctrl_mask
             mask[at[list(s)]] = True
-            scan[s] = w = marginal_workload(model, None, _set_active_measure(
+            scan[s] = w = _workload(model, _set_active_measure(
                 model, mask, model.theta1, 0.0))[at]
         violations.extend((s, e, float(w[e])) for e in np.flatnonzero(~(w > 0.0)))
     workloads = (lambda s: scan[s].w_bar[at]) if average else scan.__getitem__

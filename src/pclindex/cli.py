@@ -168,12 +168,12 @@ def cmd_dp_verify(args) -> int:
             rb = admission.uniformize(model)
         except ValueError as exc:   # a zero arrival rate at a controllable state
             raise UnsupportedModelError(str(exc)) from exc
-        fam, need = threshold_family(model.n), "alpha > 0"
+        need = "alpha > 0"
     elif isinstance(model, bandit.RBModel):
         rb, need = model, "beta < 1"
-        fam = _family_for(len(model.controllable), args.family, doc)
     else:
         raise ModelFileError("dp-verify expects an 'rb' or 'admission' model")
+    fam = _family_for(len(rb.controllable), args.family, doc)
     if not rb.beta < 1:
         raise ModelFileError(f"dp-verify needs a discounted model ({need})")
     rep = bandit.pcl_index(rb, fam)

@@ -40,7 +40,6 @@ class DPResult:
     indifferent: frozenset
     gap: np.ndarray           # active minus passive continuation value
     iterations: int
-    method: str
 
     @property
     def active_closed(self) -> frozenset:
@@ -202,7 +201,7 @@ def solve(model: RBModel, nu: float, method: str = "policy",
         raise ValueError(f"unknown method {method!r}")
 
     active_opt, indifferent = _sets(model.ctrl_mask & np.array([gap < -eps, np.abs(gap) <= eps]))
-    return DPResult(v, active_opt, indifferent, gap, iterations, method)
+    return DPResult(v, active_opt, indifferent, gap, iterations)
 
 
 def _sets(masks: np.ndarray) -> tuple[frozenset, ...]:

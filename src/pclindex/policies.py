@@ -34,6 +34,7 @@ from . import admission
 from .admission import ACModel
 
 Action = int | None   # queue/product number, or None for reject/idle
+FIT_FROM = 50         # first queue-1 occupancy of the heavy-traffic slope fit
 
 
 def _entries(spec, stop: int, name: str, start: int = 0, linear: bool = False) -> np.ndarray:
@@ -185,13 +186,15 @@ class Rule:
 
     def decide(self, sys, specs, state: Sequence[int], tables=None,
                full: Sequence[int | None] | None = None) -> Action:
-        """:func:`engage` at ``state``, one level in 0..cap per buffer, with
-        caps ``full`` if given, else the buffer sizes (inf for an infinite
-        buffer).  Without ``tables`` the scores are built up to each level."""
+        """:func:`engage` at ``state``, one level in 0..cap per buffer (an
+        integer that ``operator.index`` takes, not a bool), with caps ``full``
+        if given, else the buffer sizes (inf for an infinite buffer).
+        Without ``tables`` the scores are built up to each level."""
         caps = [math.inf if cap is None else cap
                 for cap in (full if full is not None else [spec.n for spec in specs])]
         if not (len(state) == len(caps) == len(specs)
-                and all(0 <= j <= cap for j, cap in zip(state, caps))):
+                and all(hasattr(type(j), "__index__") and not isinstance(j, bool)
+                        and 0 <= j <= cap for j, cap in zip(state, caps))):
             raise ValueError(f"state {list(state)} needs one level in 0..cap per buffer {caps}")
         if tables is None:
             tables = self.scores(sys, [j + 1 if j < cap else 0 for j, cap in zip(state, caps)])
@@ -299,24 +302,18 @@ def mts_index(sys: MTSSystem, k: int, j: int) -> float:
 
 def mts_linear_index(c: float, mu: float, rho: float, s: float, r: float,
                      j: int) -> float:
-    """Closed-form production index: constant rates, linear stock cost,
-    constant price, average criterion, traffic ratio != 1.  Evaluated as
-    the finite sum (c/mu) sum_{l=0..j} (j+1-l) rho^-(l+1) - r - s, whose
-    terms are all positive, so it stays exact near rho = 1."""
-    if abs(rho - 1.0) < 1e-14:
-        raise ValueError("closed form needs traffic ratio != 1")
-    l = np.arange(j + 1)
-    return (c / mu) * float(np.sum((j + 1 - l) * rho ** -(l + 1.0))) - r - s
+    """Closed-form production index at constant rates, linear stock cost and
+    constant price, average criterion, any traffic ratio rho = lam/mu:
+    :func:`admission.closed_form_index` with the roles swapped as in
+    :meth:`MTSSystem.levels`, (c/mu) sum_{l=0..j} (j+1-l) rho^-(l+1) - r - s."""
+    return admission.closed_form_index("linear", mu, mu * rho, c, j) - r - s
 
 
 def mts_quadratic_index(c: float, mu: float, rho: float, s: float, r: float,
                         j: int) -> float:
-    """Closed-form production index: quadratic stock cost variant, as the
-    finite sum (c/mu) sum_{l=0..j} ((j+1)^2 - l^2) rho^-(l+1) - r - s."""
-    if abs(rho - 1.0) < 1e-14:
-        raise ValueError("closed form needs traffic ratio != 1")
-    l = np.arange(j + 1)
-    return (c / mu) * float(np.sum(((j + 1) ** 2 - l ** 2) * rho ** -(l + 1.0))) - r - s
+    """Quadratic stock cost variant of :func:`mts_linear_index`:
+    (c/mu) sum_{l=0..j} ((j+1)^2 - l^2) rho^-(l+1) - r - s."""
+    return admission.closed_form_index("quadratic", mu, mu * rho, c, j) - r - s
 
 
 def mts_index_table(sys: MTSSystem, k: int, up_to: int) -> np.ndarray:
@@ -396,12 +393,12 @@ class SwitchingCurve:
     heavy_traffic: bool
 
 
-def switching_curve(sys: RoutingSystem, bound: int, fit_from: int = 50) -> SwitchingCurve:
+def switching_curve(sys: RoutingSystem, bound: int) -> SwitchingCurve:
     """Trace the two-queue routing boundary on a state grid.
 
     For each occupancy j1 of queue 1 the boundary is the smallest j2 with
     index_2(j2) >= index_1(j1) (queue 1 then wins the tie-break).  In
-    heavy traffic the empirical slope is fitted on j1 >= fit_from and
+    heavy traffic the empirical slope is fitted on j1 >= FIT_FROM and
     reported next to its theoretical limit log(rho1)/log(rho2).
     """
     if len(sys.queues) != 2:
@@ -419,8 +416,8 @@ def switching_curve(sys: RoutingSystem, bound: int, fit_from: int = 50) -> Switc
     boundary = np.searchsorted(t2, t1[:bound + 1], side="left").tolist()
     if not heavy:
         return SwitchingCurve(tuple(boundary), None, None, False)
-    xs = np.arange(fit_from, bound + 1, dtype=float)
-    ys = np.array(boundary[fit_from:], dtype=float)
+    xs = np.arange(FIT_FROM, bound + 1, dtype=float)
+    ys = np.array(boundary[FIT_FROM:], dtype=float)
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else None
     limit = math.log(sys.lam / float(q1.mu)) / math.log(sys.lam / float(q2.mu))
     return SwitchingCurve(tuple(boundary), slope, limit, True)

@@ -159,33 +159,23 @@ def powerset_family(n: int) -> SetSystem:
     return SetSystem(n, tuple(members))
 
 
-def product(systems: Sequence[SetSystem], offsets: Sequence[int] | None = None) -> SetSystem:
+def product(systems: Sequence[SetSystem]) -> SetSystem:
     """Combine component systems on disjoint relabeled grounds.
 
-    Component k's elements are shifted by ``offsets[k]`` (default: stacked
-    consecutively), and the family of the product consists of all unions of
-    one member per component.  The product of valid systems is valid.
+    Component k's elements are shifted past those of components 0..k-1,
+    so the grounds are stacked consecutively and tile 0..n-1, and the
+    family of the product consists of all unions of one member per
+    component.  The product of valid systems is valid.
     """
     if not systems:
         raise ValueError("need at least one component system")
-    if offsets is None:
-        offsets = list(itertools.accumulate((s.n for s in systems[:-1]), initial=0))
-    if len(offsets) != len(systems):
-        raise ValueError("offsets and systems must have equal length")
-    ranges = [set(range(off, off + sys_k.n)) for sys_k, off in zip(systems, offsets)]
-    for a, b in itertools.combinations(ranges, 2):
-        if a & b:
-            raise ValueError("component ground sets overlap after relabeling")
-    total = set().union(*ranges)
-    if total != set(range(len(total))):
-        raise ValueError("relabeled grounds must tile 0..n-1 with no gaps")
-
+    offsets = itertools.accumulate((s.n for s in systems[:-1]), initial=0)
     shifted = [
         [frozenset(j + off for j in s) for s in sys_k.family]
         for sys_k, off in zip(systems, offsets)
     ]
     members = [frozenset().union(*combo) for combo in itertools.product(*shifted)]
-    return SetSystem(len(total), tuple(members))
+    return SetSystem(sum(s.n for s in systems), tuple(members))
 
 
 def enumerate_full_strings(sys: SetSystem, cap: int = 10) -> list[tuple[int, ...]]:

@@ -172,7 +172,7 @@ def _setup(system, config: SimConfig):
     return rules, caps, truncated, _Network(births, idle_birth, death, cost, *charges)
 
 
-def _decider(system, rules, caps: list[int], policy: Callable | str, name: str | None):
+def _decider(system, rules, caps: list[int], policy: Callable | str):
     """Decision function of the state and report name.  A built-in policy
     applies :func:`engage` to the score tables of its rule in
     :mod:`pclindex.policies`; a custom ``policy(state, tables, caps)``
@@ -180,14 +180,14 @@ def _decider(system, rules, caps: list[int], policy: Callable | str, name: str |
     if callable(policy):
         tables = rules["index"].scores(system, caps)
         decide = lambda state: policy(state, tables, caps)
-        return decide, name or getattr(policy, "__name__", "custom")
+        return decide, getattr(policy, "__name__", "custom")
     if policy not in rules:
         raise ValueError(f"unknown policy {policy!r}; the built-in rules are "
                          + ", ".join(rules))
     rule = rules[policy]
     scores = [np.asarray(table, dtype=float).tolist() for table in rule.scores(system, caps)]
     gate = rule.gate(system)
-    return lambda state: engage(state, scores, caps, gate), name or rule.label
+    return lambda state: engage(state, scores, caps, gate), rule.label
 
 
 def _event_row(net: _Network, caps: list[int], truncated: list[int], decide,
@@ -249,7 +249,7 @@ class _Rows:
         after[miss] = self.nexts.take(edges[miss])
 
 
-def simulate(system, policy, config: SimConfig, name: str | None = None) -> SimReport:
+def simulate(system, policy, config: SimConfig) -> SimReport:
     """Simulate a policy on a routing or make-to-stock system.
 
     Routing: ``policy`` is "index", "shortest" or "naive"; each arrival
@@ -264,24 +264,25 @@ def simulate(system, policy, config: SimConfig, name: str | None = None) -> SimR
     over the index tables, which must be a deterministic function of the
     state: the policy is consulted once per distinct joint state in a
     call, when its event row is built, and the replications share the
-    rows.
+    rows.  The report is labelled by the rule's label or the callable's name.
     """
-    return simulate_all(system, [policy], config, [name])[0]
+    return simulate_all(system, [policy], config)[0]
 
 
-def simulate_all(system, policies, config: SimConfig, names=None) -> list[SimReport]:
-    """Report p is ``simulate(system, policies[p], config, names[p])``; the
-    budget and every policy are checked (``ValueError``) before anything is
-    drawn.  Row ``r * P + p`` (replication r, policy p) runs in a batch of
-    whole replications and at most ``BATCH`` rows, and the steps in spans
-    of at most ``CELLS`` steps x rows: a span records each row's slot,
-    outcome and epoch, then array expressions accrue it."""
+def simulate_all(system, policies, config: SimConfig) -> list[SimReport]:
+    """Report p is ``simulate(system, policies[p], config)``; the budget and
+    the policies, at least one and each known, are checked (``ValueError``)
+    before anything is drawn.  Row ``r * P + p`` (replication r, policy p)
+    runs in a batch of whole replications and at most ``BATCH`` rows, and
+    the steps in spans of at most ``CELLS`` steps x rows: a span records
+    each row's slot, outcome and epoch, then array expressions accrue it."""
+    if not policies:
+        raise ValueError("no policy given to simulate")
     rules, caps, truncated, net = _setup(system, config)
     horizon = config.horizon if config.horizon is not None else math.inf
     budget = config.max_events if config.max_events is not None else math.inf
     start, warmup_events = _warmup(system.alpha, horizon, config)
-    decide, labels = zip(*(_decider(system, rules, caps, policy, name) for policy, name
-                           in zip(policies, names or [None] * len(policies), strict=True)))
+    decide, labels = zip(*(_decider(system, rules, caps, policy) for policy in policies))
     size = math.prod(cap + 1 for cap in caps)   # policy p's codes are p * size + code
     place = [math.prod(cap + 1 for cap in caps[:k]) for k in range(len(caps))]
     rows = _Rows(lambda code: _event_row(net, caps, truncated, decide[code // size], place,

@@ -242,7 +242,7 @@ def test_acceptance_11_simulation_sanity():
     # (b) two-queue switching curve slope in heavy traffic
     sys2 = RoutingSystem(4.0, (QueueSpec(None, 1.0, 1.0), QueueSpec(None, 2.0, 1.0)),
                          alpha=0.0)
-    curve = switching_curve(sys2, bound=120, fit_from=50)
+    curve = switching_curve(sys2, bound=120)
     slope_ok = (curve.limit_slope == pytest.approx(2.0)
                 and abs(curve.empirical_slope - curve.limit_slope)
                 / curve.limit_slope <= 0.10)

@@ -400,13 +400,6 @@ def test_quadratic_geometric_branch_near_critical_ratio():
     assert got == pytest.approx(want, rel=1e-8)
 
 
-def test_branch_errors():
-    with pytest.raises(ValueError):
-        closed_form_index("linear", 1.0, 1.0, 1.0, 2, branch="geometric")
-    with pytest.raises(ValueError):
-        closed_form_index("linear", 2.0, 1.0, 1.0, 2, branch="critical")
-
-
 # ---------------------------------------------------------------------------
 # Average criterion
 # ---------------------------------------------------------------------------

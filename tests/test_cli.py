@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from pclindex import admission, cli
+from pclindex import admission, cli, dp
 from pclindex.modelio import (canonical_json, document_from_model, load_model,
                               model_from_document, save_model)
+from pclindex.setsystem import powerset_family
 
 from conftest import random_rb
 
@@ -247,6 +248,21 @@ def test_dp_verify_zero_arrival_rate_is_out_of_scope(tmp_path, capsys):
     assert out["exit_code"] == 3 and "results" not in out
     assert out["error"].startswith("arrival rates at controllable states must be positive")
     assert "Traceback" not in err
+
+
+def test_dp_verify_admission_file_reads_the_family_option(tmp_path, capsys, monkeypatch):
+    # the option used to be ignored on admission files: explicit exited 0
+    # (index exits 2) and powerset swept the threshold family
+    path = write_doc(tmp_path, dict(ADMISSION_DOC, alpha=0.3))
+    code, out, _ = run_cli(capsys, "dp-verify", path, "--family", "explicit")
+    assert code == 2 and out["exit_code"] == 2
+    assert "requires a 'family' field" in out["error"]
+    swept, sweep = [], dp.nu_sweep
+    monkeypatch.setattr(dp, "nu_sweep",
+                        lambda *args, **kw: swept.append(kw["family"]) or sweep(*args, **kw))
+    code, out, _ = run_cli(capsys, "dp-verify", path, "--family", "powerset")
+    assert code == 0 and out["results"]["crosscheck"]["agree"]
+    assert set(swept[0].family) == set(powerset_family(4).family)
 
 
 def test_dp_verify_disagreement_exits_4(tmp_path, capsys):

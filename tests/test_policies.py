@@ -155,12 +155,16 @@ def test_a_replaced_charge_gates_the_rules():
 
 def test_decisions_refuse_a_malformed_state():
     # a short state used to leave a queue out of the decision, a level past
-    # the cap read as a full queue, and a negative one raised IndexError
+    # the cap read as a full queue, a negative one raised IndexError, a
+    # fractional one a bare TypeError, and a bool one numpy's ambiguous-truth
+    # error or a silent decision
     sys = RoutingSystem(1.0, (QueueSpec(5, 1.0, 1.0), QueueSpec(5, 1.5, 2.0)), alpha=0.1,
                         nu=50.0)
     assert routing_decide(sys, [4, 0]) == 1
+    assert routing_decide(sys, [np.int64(4), np.int32(0)]) == 1   # numpy integers are levels
     for decide in (routing_decide, shortest_queue_decide, naive_decide):
-        for state in ([4], [4, 0, 0], [9, 0], [-1, 0], [0, 6]):
+        for state in ([4], [4, 0, 0], [9, 0], [-1, 0], [0, 6], [1.5, 0], [True, 0],
+                      [np.float64(2.0), 0], [np.True_, 0]):
             with pytest.raises(ValueError, match="needs one level in 0..cap per buffer"):
                 decide(sys, state)
     # the caps come from ``full`` when it is given
@@ -170,8 +174,9 @@ def test_decisions_refuse_a_malformed_state():
     spec = ProductSpec(4, 0.8, 1.2, 1.0, 0.5, 0.7)
     mts = MTSSystem((spec, ProductSpec(None, 0.8, 1.2, 1.0, 0.5, 0.7)), alpha=0.1, nu=5.0)
     assert least_stock_decide(mts, [4, 100]) == 1
+    assert least_stock_decide(mts, np.array([4, 100])) == 1
     for decide in (mts_decide, least_stock_decide):
-        for state in ([1], [5, 0], [0, -1]):
+        for state in ([1], [5, 0], [0, -1], [True, 0], [0, 1.5], [np.float64(0.0), 0]):
             with pytest.raises(ValueError, match="needs one level in 0..cap per buffer"):
                 decide(mts, state)
 
@@ -237,7 +242,7 @@ def test_mts_critical_ratio_falls_back_to_general_sum():
 
 
 def test_mts_index_near_critical_ratio_matches_table():
-    # the closed form cancels catastrophically this close to rho = 1
+    # a geometric closed form cancels catastrophically this close to rho = 1
     sys = MTSSystem((ProductSpec(None, 1 + 1e-9, 1.0, 1.0, 0.5, 0.7),), alpha=0.0)
     got = [mts_index(sys, 0, j) for j in range(4)]
     assert got == pytest.approx(mts_index_table(sys, 0, 4), abs=1e-6)
@@ -245,10 +250,9 @@ def test_mts_index_near_critical_ratio_matches_table():
 
 
 def test_mts_linear_closed_form_near_critical_ratio():
-    # the former closed form cancelled to -1.2 here
+    # the former closed form cancelled to -1.2 here; at rho = 1 it is the critical value
     assert mts_linear_index(1.0, 1.0, 1 + 1e-9, 0.5, 0.7, 3) == pytest.approx(8.8, rel=1e-8)
-    with pytest.raises(ValueError):
-        mts_linear_index(1.0, 1.0, 1.0, 0.5, 0.7, 3)
+    assert mts_linear_index(1.0, 1.0, 1.0, 0.5, 0.7, 3) == pytest.approx(8.8, rel=1e-14)
 
 
 def test_mts_index_at_the_last_level_reads_the_table():

@@ -1,4 +1,5 @@
-"""Property tests: index tables against the closed forms, the simulator's
+"""Property tests: index tables against the closed forms, the closed forms
+against an exact rational sum, the simulator's
 tabulated decisions against the public decision functions, the per-level
 rate tables against the spec accessors, the lockstep
 simulator against a per-event reference loop, the make-to-stock table
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
@@ -29,8 +30,8 @@ from pclindex.greedy import (WorkloadOracle, ag1, ag2, dual_solution, local_minm
                              lp_value, objective_representation_check, primal_vertex)
 from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                                least_stock_decide, mts_decide, mts_index_table,
-                               mts_quadratic_index, naive_decide, routing_decide,
-                               routing_index_table, shortest_queue_decide)
+                               mts_linear_index, mts_quadratic_index, naive_decide,
+                               routing_decide, routing_index_table, shortest_queue_decide)
 from pclindex.setsystem import powerset_family, product, threshold_family
 from pclindex.simulate import CHUNK, SimConfig, _decider, _setup, simulate, simulate_all
 
@@ -74,11 +75,42 @@ def test_quadratic_forms_match_tables_near_unit_traffic(mu, h, n, eps, s, r):
     sys = RoutingSystem(rho * mu, (QueueSpec(None, mu, costs),), alpha=0.0)
     want = [closed_form_index("quadratic", rho * mu, mu, h, j) for j in range(n)]
     assert routing_index_table(sys, 0, n) == pytest.approx(want, rel=1e-6)
-    assume(abs(rho - 1.0) >= 1e-14)
     sys = MTSSystem((ProductSpec(None, rho * mu, mu, costs, s, r),), alpha=0.0)
     want = [mts_quadratic_index(h, mu, rho, s, r, j) for j in range(n)]
     scale = (h / mu) * (n + 1) ** 3
     assert mts_index_table(sys, 0, n) == pytest.approx(want, rel=1e-6, abs=1e-9 * scale)
+
+
+def exact_tail_sum(kind: str, rho: Fraction, h: float, j: int, dh=None) -> Fraction:
+    """sum_{l<=j} rho^l T_l with T_l = dh_{l+1} + ... + dh_{j+1}, exactly,
+    where dh_i is h (linear), h (2i - 1) (quadratic) or the given increment."""
+    step = {"linear": lambda i: Fraction(h), "quadratic": lambda i: Fraction(h) * (2 * i - 1),
+            "general-sum": lambda i: Fraction(dh[i - 1])}[kind]
+    steps = [step(i) for i in range(1, j + 2)]
+    return sum(rho ** l * sum(steps[l:]) for l in range(j + 1))
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["linear", "quadratic", "general-sum"]),
+       rho=st.sampled_from([1.0, 1.0 - 1e-9, 1.0 + 1e-9]) | st.floats(0.25, 4.0),
+       mu=st.floats(0.25, 4.0), h=st.floats(0.1, 10.0), j=st.integers(0, 40),
+       dh=st.lists(st.floats(0.01, 10.0), min_size=41, max_size=41),
+       s=st.floats(0.1, 3.0), r=st.floats(0.1, 3.0))
+@example(kind="general-sum", rho=1.0 + 1e-9, mu=1.0, h=1.0, j=40, dh=[1.0] * 41, s=0.5,
+         r=0.7)
+@example(kind="linear", rho=1.0, mu=1.0, h=1.0, j=3, dh=[1.0] * 41, s=0.5, r=0.7)
+def test_closed_forms_match_an_exact_rational_sum(kind, rho, mu, h, j, dh, s, r):
+    # every traffic ratio, including exactly 1 and 1e-9 away from it
+    lam = rho * mu
+    want = exact_tail_sum(kind, Fraction(lam) / Fraction(mu), h, j, dh) / Fraction(mu)
+    got = closed_form_index(kind, lam, mu, h, j, delta_h=dh)
+    assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
+    # make-to-stock: order ratio rho, so the production project runs at 1/rho;
+    # the tolerance is relative to the sum and to r + s, which it subtracts
+    for form, name in ((mts_linear_index, "linear"), (mts_quadratic_index, "quadratic")):
+        total = exact_tail_sum(name, 1 / Fraction(rho), h, j) / (Fraction(mu) * Fraction(rho))
+        err = Fraction(form(h, mu, rho, s, r, j)) - (total - Fraction(r) - Fraction(s))
+        assert abs(err) <= Fraction(1e-12) * (total + Fraction(r) + Fraction(s))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +165,7 @@ def test_routing_table_decisions_match_decide_functions(sys, truncation, data):
               "naive": naive_decide}
     rules, caps, _, _ = _setup(sys, config)
     for policy, decide_fn in public.items():
-        decide, _ = _decider(sys, rules, caps, policy, None)
+        decide, _ = _decider(sys, rules, caps, policy)
         state = data.draw(states(caps))
         assert decide(state) == decide_fn(sys, state, full=caps)
 
@@ -153,9 +185,9 @@ def test_mts_table_decisions_match_decide_functions(sys, truncation, data):
     config = SimConfig(max_events=1, truncation=truncation)
     rules, caps, _, _ = _setup(sys, config)
     state = data.draw(states(caps))
-    decide, _ = _decider(sys, rules, caps, "least-stock", None)
+    decide, _ = _decider(sys, rules, caps, "least-stock")
     assert decide(state) == least_stock_decide(sys, state, full=caps)
-    decide, _ = _decider(sys, rules, caps, "index", None)
+    decide, _ = _decider(sys, rules, caps, "index")
     assert decide(state) == mts_decide(sys, state, full=caps)
 
 
@@ -251,7 +283,7 @@ def reference_simulate(system, policy, config: SimConfig, lumps: list | None = N
     ``default_rng([seed, r])`` as its events reach each block.  Each charge lumped into the objective is
     appended to ``lumps`` as (replication, event count, amount)."""
     rules, caps, truncated, _ = _setup(system, config)
-    decide, _ = _decider(system, rules, caps, policy, None)
+    decide, _ = _decider(system, rules, caps, policy)
     birth, death, cost = zip(*(system.levels(k, cap) for k, cap in enumerate(caps)))
     nu = system.nu if math.isfinite(system.nu) else 0.0
     # routing: arrivals feed a queue or are rejected at the charge;

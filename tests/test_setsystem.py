@@ -146,12 +146,6 @@ def test_product_single_system_is_identity():
     assert product([sys]).family == sys.family
 
 
-def test_product_rejects_overlap():
-    one = SetSystem(1, (frozenset(), frozenset({0})))
-    with pytest.raises(ValueError):
-        product([one, one], offsets=[0, 0])
-
-
 def test_enumerate_full_strings_threshold_unique():
     assert enumerate_full_strings(threshold_family(3)) == [(0, 1, 2)]
 

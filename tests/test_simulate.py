@@ -181,8 +181,7 @@ def test_mts_single_product_matches_birth_death_oracle():
     spec = ProductSpec(5, 1.0, 1.3, 1.0, 0.7, 0.4)
     sys = MTSSystem((spec,), alpha=0.0, nu=0.3)
     config = SimConfig(max_events=30_000, replications=10, seed=13)
-    rep = simulate(sys, lambda st, tb, cp: 0 if st[0] < 5 else None, config,
-                   name="always-produce")
+    rep = simulate(sys, lambda st, tb, cp: 0 if st[0] < 5 else None, config)
     m = sys.admission_model(0, 5)
     p, _, _ = admission.threshold_steady_state(m, 6)   # gate always open
     net = sum(p[j] * spec.net_cost(j) for j in range(6))
@@ -195,7 +194,7 @@ def test_custom_policy_may_not_overfill_a_buffer():
     sys = RoutingSystem(3.0, (QueueSpec(2, 1.0, 1.0),), alpha=0.0)
     config = SimConfig(max_events=500, replications=1, seed=1)
     with pytest.raises(ValueError, match="at its cap"):
-        simulate(sys, lambda st, tb, cp: 0, config, name="always-join")
+        simulate(sys, lambda st, tb, cp: 0, config)
 
 
 def test_config_validation():
@@ -281,11 +280,8 @@ def test_simulate_all_equals_one_call_per_policy(monkeypatch, sys, policies, bud
 
 def test_simulate_all_names_its_reports():
     config = SimConfig(max_events=300, replications=2, seed=1)
-    reps = simulate_all(ROUTING_TRUNCATED[1], ["index", lowest_level, "naive"], config,
-                        names=["a", None, "c"])
-    assert [rep.policy for rep in reps] == ["a", "lowest_level", "c"]
-    with pytest.raises(ValueError):   # one name per policy, or none
-        simulate_all(ROUTING_TRUNCATED[1], ["index", "naive"], config, names=["a"])
+    reps = simulate_all(ROUTING_TRUNCATED[1], ["index", lowest_level, "naive"], config)
+    assert [rep.policy for rep in reps] == ["index", "lowest_level", "naive-rate"]
 
 
 def test_simulate_all_checks_every_policy_before_drawing(monkeypatch):
@@ -297,6 +293,9 @@ def test_simulate_all_checks_every_policy_before_drawing(monkeypatch):
                                          "rules are index, shortest, naive"):
         simulate_all(ROUTING_TRUNCATED[0], ["index", "least-stock"],
                      SimConfig(max_events=100, replications=2))
+    # an empty list used to fail unpacking zero decision functions
+    with pytest.raises(ValueError, match="no policy given"):
+        simulate_all(ROUTING_TRUNCATED[0], [], SimConfig(max_events=100, replications=2))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
