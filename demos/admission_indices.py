@@ -33,9 +33,11 @@ print("\ngreedy route indexable:", rep.indexable)
 print("max |recursion - greedy|:",
       max(abs(rep.nu_by_state[j] - nu[j]) for j in range(n)))
 
-# And from the DP oracle, one bisection per state.
-charges = [dp.fair_charge(rb, j) for j in range(n)]
-print("max |recursion - DP bisection|:",
+# And from the DP oracle: each state's critical charge is the breakpoint
+# of the exact optimal-policy path where its action switches.
+path = dp.charge_path(rb)
+charges = [dp.fair_charge(path, j) for j in range(n)]
+print("max |recursion - DP charge path|:",
       max(abs(c - v) for c, v in zip(charges, nu)))
 
 # The optimal cost as a function of the rejection charge is piecewise

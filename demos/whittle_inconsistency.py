@@ -17,16 +17,16 @@ print("buffer size:", model.n, " arrival rates:", model.lam,
       " service rate:", model.mu[0], " discount rate:", model.alpha)
 
 whittle_rb = admission.whittle_variant(model)
+path = dp.charge_path(whittle_rb)
 print("\nWhittle indices (unit activity weights, per-time charge):")
 for j in sorted(expected):
-    got = dp.fair_charge(whittle_rb, j)
+    got = dp.fair_charge(path, j)
     print(f"  state {j}: {got:.10f}   (exact {expected[j]:.10f})")
 
 print("\nranking decreases with the queue length -> shutting the gate is "
       "preferred at SHORTER queues: inconsistent with threshold policies")
 
-sweep = dp.nu_sweep(whittle_rb,
-                    [-0.1, 0.25, 0.53, 0.7], family=threshold_family(3))
+sweep = dp.nu_sweep(path, [-0.1, 0.25, 0.53, 0.7], family=threshold_family(3))
 print("optimal rejection sets along the charge axis:",
       [sorted(s) for s in sweep.active_sets])
 print("feasible (suffix) rejection sets?", sweep.in_family)

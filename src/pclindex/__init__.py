@@ -25,7 +25,8 @@ from .bandit import (AverageLimits, ConstrainedPolicy, DMRReport, PCLReport,
                      normalized_passive_cost,
                      occupation_measures, pcl_index, value_breakpoints,
                      verify_cost_decomposition, verify_workload_decomposition)
-from .dp import DPResult, crosscheck_indices, fair_charge, nu_sweep, solve
+from .dp import (ChargePath, DPResult, charge_path, crosscheck_indices, fair_charge,
+                 nu_sweep, solve)
 from .admission import (ACModel, ak_coefficients, average_indices,
                         closed_form_index, indices, marginal_cost_pivots,
                         threshold_steady_state, uniformize, validate_assumptions,

@@ -301,6 +301,11 @@ def average_indices(m: ACModel) -> np.ndarray:
     return indices(m if m.alpha == 0 else ACModel(m.n, m.lam, m.mu, m.h, 0.0, m.Lambda))
 
 
+def _is_level(j, cap) -> bool:
+    """Whether j is a level in 0..cap: an integer ``operator.index`` takes, not a bool."""
+    return hasattr(type(j), "__index__") and not isinstance(j, bool) and 0 <= j <= cap
+
+
 def closed_form_index(kind: str, lam: float, mu: float, h: float, j: int,
                       delta_h=None) -> float:
     """Closed-form index of state j at constant rates under the average criterion.
@@ -312,8 +317,10 @@ def closed_form_index(kind: str, lam: float, mu: float, h: float, j: int,
     traffic ratio (at rho = 1 it is the critical form), and with positive
     increments no term cancels near rho = 1.
     """
-    if j < 0:
-        raise ValueError("state index j must be >= 0")
+    if not all(math.isfinite(x) and x > 0 for x in (lam, mu)):
+        raise ValueError(f"rates must be finite and positive, got lam = {lam}, mu = {mu}")
+    if not _is_level(j, math.inf):
+        raise ValueError(f"state index j must be an integer >= 0, got {j!r}")
     if kind == "general-sum":
         if delta_h is None:
             raise ValueError("general-sum form needs the increment sequence delta_h")

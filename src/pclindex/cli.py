@@ -182,7 +182,8 @@ def cmd_dp_verify(args) -> int:
         _emit(_report("dp-verify", doc, results))
         _log("model is not PCL-indexable for this family; nothing to verify")
         return EXIT_ASSUMPTION
-    check = dp.crosscheck_indices(rb, rep, eps=args.eps)
+    path = dp.charge_path(rb, eps=args.eps)
+    check = dp.crosscheck_indices(path, rep)
     results["crosscheck"] = {
         "grid": list(check.grid),
         "agree": check.agree,
@@ -194,7 +195,7 @@ def cmd_dp_verify(args) -> int:
     values = sorted(set(rep.nu_by_state.values()))
     span = max(1.0, values[-1] - values[0])
     grid = np.linspace(values[0] - 0.25 * span, values[-1] + 0.25 * span, args.grid)
-    sweep = dp.nu_sweep(rb, grid, eps=args.eps, family=fam)
+    sweep = dp.nu_sweep(path, grid, family=fam)
     results["sweep"] = {
         "grid": list(sweep.grid),
         "active_sets": [np.flatnonzero(row).tolist() for row in sweep.active_masks],
@@ -240,7 +241,8 @@ def cmd_counterexample(args) -> int:
     model, expected = admission.whittle_counterexample()
     doc = document_from_model(model)
     rb = admission.whittle_variant(model)
-    computed = {j: dp.fair_charge(rb, j) for j in sorted(expected)}
+    path = dp.charge_path(rb)
+    computed = {j: dp.fair_charge(path, j) for j in sorted(expected)}
     worst = max(abs(computed[j] - expected[j]) for j in expected)
     match = worst <= 1e-8
     ordered = [computed[j] for j in sorted(computed)]

@@ -1,14 +1,14 @@
 """Ground-truth solver for the charge-parametrized control problem.
 
 For a given activity charge the optimal value satisfies a two-action
-Bellman equation; this module solves it exactly by policy iteration (with
-a value-iteration fallback kept as an independent path), sweeps the charge
-to trace out the optimal active sets, locates each state's critical charge
-by bisection, and cross-checks index vectors produced by the greedy
-machinery against the sets the DP actually prefers.
+Bellman equation; ``solve`` solves it exactly by policy iteration, with a
+value-iteration fallback kept as an independent path.
 
-A fixed policy's value is linear in the charge, so policy iteration over
-a sequence of charges solves each policy once and reuses it.
+A fixed policy's values are linear in the charge, so the optimal policy is
+piecewise constant in it, with exact breakpoints where some state's action
+gap changes sign (the parametric-objective simplex on the MDP's linear
+program).  ``charge_path`` walks those pieces once; the charge sweep, the
+index cross-check and the critical charges read the path.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandit import PCLReport, RBModel, _require_ground, _require_report
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, UnsupportedModelError
 from .setsystem import SetSystem
 
 DEFAULT_INDIFFERENCE = 1e-8
-FAIR_CHARGE_TOL = 1e-10    # width at which the critical-charge bisection stops
 PI_SOFT_ITER_BOUND = 30
-EVALUATIONS_KEPT = 32      # policy evaluations cached per charge sequence
 
 
 @dataclass(frozen=True)
@@ -55,136 +53,71 @@ def _action_values(model: RBModel, nu: float, v: np.ndarray):
 
 
 def _checked_gap(model: RBModel, v: np.ndarray, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
-    """The action gap q1 - q0, after checking the Bellman residual of each
-    row of ``v`` against 1e-8 times that row's scale (a NaN fails)."""
-    scale = np.maximum(1.0, np.abs(v).max(axis=-1))
+    """The action gap q1 - q0, after checking the Bellman residual of ``v``
+    against 1e-8 times its scale (a NaN fails)."""
     bellman = np.where(model.ctrl_mask, np.minimum(q0, q1), q1)
-    if not np.all(np.abs(bellman - v).max(axis=-1) <= 1e-8 * scale):
+    if not np.abs(bellman - v).max() <= 1e-8 * max(1.0, float(np.abs(v).max())):
         raise InternalConsistencyError("Bellman residual too large after solve")
     return q1 - q0
 
 
-class _Policies:
-    """Policy iteration at a sequence of charges, each started from the
-    previous charge's closed optimal set (all-active at first).
+def _check(model: RBModel, eps: float) -> None:
+    if not model.beta < 1.0:
+        raise ValueError("DP solve requires beta < 1")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"tolerance eps must be finite and nonnegative, got {eps}")
 
-    A policy S costs h_S + nu*theta_S, so it is solved once, for both
-    columns, and its action-value pieces are kept for the most recent
-    ``EVALUATIONS_KEPT`` policies.  Every test at a charge (improvement at
-    1e-12 times the value scale, Bellman residual, eps classification) is
-    that of a fresh policy iteration there.
-    """
 
-    def __init__(self, model: RBModel, eps: float = DEFAULT_INDIFFERENCE):
-        if not model.beta < 1.0:
-            raise ValueError("DP solve requires beta < 1")
-        if not (math.isfinite(eps) and eps >= 0.0):
-            raise ValueError(f"tolerance eps must be finite and nonnegative, got {eps}")
-        self.model, self.eps = model, eps
-        self.forced = ~model.ctrl_mask
-        self.start = np.ones(model.n_states, dtype=bool)
-        self.limit = 2 ** max(1, len(model.controllable)) + 2
-        self._pieces: dict[bytes, tuple] = {}
-        self._on = np.array([model.h1, model.theta1]).T
-        self._off = np.array([model.h0, np.zeros(model.n_states)]).T
+def _lines(model: RBModel, active: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(vh, vt, a0, b0, a1, b1) of the policy ``active`` from one solve for its
+    cost and activity columns: values vh + nu*vt, q0 = a0 + nu*b0, q1 = a1 + nu*b1."""
+    k = model.kernel
+    rhs = np.where(active, [model.h1, model.theta1], [model.h0, np.zeros(model.n_states)]).T
+    vh, vt = np.ascontiguousarray(k.solve(active, rhs).T)
+    return (vh, vt, model.h0 + k.apply(k.bP0, vh), k.apply(k.bP0, vt),
+            model.h1 + k.apply(k.bP1, vh), model.theta1 + k.apply(k.bP1, vt))
 
-    def _test(self, active: np.ndarray, nus: np.ndarray):
-        """Values, action values and improving switches of the policy
-        ``active`` at a column of charges, one row per charge."""
-        key = active.tobytes()
-        if key not in self._pieces:
-            m, k = self.model, self.model.kernel
-            rhs = np.where(active[:, None], self._on, self._off)   # [h_S, theta_S]
-            vh, vt = np.ascontiguousarray(k.solve(active, rhs).T)
-            if len(self._pieces) == EVALUATIONS_KEPT:
-                del self._pieces[next(iter(self._pieces))]
-            # q0 = a0 + nu*b0 and q1 = a1 + nu*b1
-            self._pieces[key] = (vh, vt, m.h0 + k.apply(k.bP0, vh), k.apply(k.bP0, vt),
-                                 m.h1 + k.apply(k.bP1, vh), m.theta1 + k.apply(k.bP1, vt))
-        vh, vt, a0, b0, a1, b1 = self._pieces[key]
-        v = vh + nus * vt
-        q0 = a0 + nus * b0
-        q1 = a1 + nus * b1
-        tol = 1e-12 * np.maximum(1.0, np.abs(v).max(axis=1, keepdims=True))
-        better = np.where(active, q0 < q1 - tol, q1 < q0 - tol) & self.model.ctrl_mask
-        return v, q0, q1, better
 
-    def run(self, nus: np.ndarray):
-        """Policy iteration at each charge of ``nus`` in turn: (v, gap,
-        closed mask, passes), one row per charge.
-
-        A pass tests one policy at a window of charges from the current one
-        in one array expression.  Once the policy is optimal at the current
-        charge, it also settles the next charges while each settled one's
-        closed set is the policy (the next start) and the next finds no
-        improving switch.  Along an ascending sequence a policy stays
-        optimal over a run of charges, so the window is sized by the last
-        run, and grows while the current run fills it.
-        """
-        k, n = len(nus), self.model.n_states
-        values, gaps = np.empty((k, n)), np.empty((k, n))
-        closed, iterations = np.empty((k, n), dtype=bool), np.ones(k, dtype=int)
-        active, passes, i, w, run = self.start, 1, 0, 1, 0
-        while i < k:
-            v, q0, q1, better = self._test(active, nus[i:i + w, None])
-            if better[0].any():
-                if passes == self.limit:
-                    raise InternalConsistencyError("policy iteration failed to terminate")
-                active, passes = active ^ better[0], passes + 1
-                w, run = (run + 1 if run > 1 else 1), 0
-                continue
-            if passes > PI_SOFT_ITER_BOUND:
-                warnings.warn(f"policy iteration took {passes} passes")
-            gap = q1 - q0
-            cl = self.model.ctrl_mask & ((gap < -self.eps) | (np.abs(gap) <= self.eps))
-            start = self.forced | cl
-            kept = (start == active).all(axis=1)
-            rows = settled = len(v)
-            if rows > 1:
-                ok = kept[:-1] & ~better[1:].any(axis=1)
-                if not ok.all():
-                    settled = 1 + int(ok.argmin())
-            _checked_gap(self.model, v[:settled], q0[:settled], q1[:settled])
-            done = slice(i, i + settled)
-            values[done], gaps[done], closed[done] = v[:settled], gap[:settled], cl[:settled]
-            iterations[i] = passes
-            i += settled
-            run += settled
-            if kept[settled - 1] and settled == rows:
-                passes, w = 1, run
-                continue
-            w, run = (run + 1 if run > 1 else 1), 0
-            if kept[settled - 1]:   # the next charge starts from this policy and improves on it
-                active, passes = active ^ better[settled], 2
-            else:
-                active, passes = start[settled - 1], 1
-        self.start = active
-        return values, gaps, closed, iterations
-
-    def at(self, nu: float):
-        """``run`` at one charge: (v, gap, closed mask, passes)."""
-        return tuple(a[0] for a in self.run(np.array([nu], dtype=float)))
+def _optimal(model: RBModel, active: np.ndarray, nu: float, lines=None):
+    """Policy iteration at charge ``nu`` from the policy ``active`` (whose
+    ``_lines`` may be given): the optimal policy, its lines, its values,
+    its checked action gap and the number of passes.  A switch improves
+    when it gains more than 1e-12 times the value scale."""
+    passes = 1
+    lines = _lines(model, active) if lines is None else lines
+    while True:
+        vh, vt, a0, b0, a1, b1 = lines
+        v, q0, q1 = vh + nu * vt, a0 + nu * b0, a1 + nu * b1
+        tol = 1e-12 * max(1.0, float(np.abs(v).max()))
+        better = np.where(active, q0 < q1 - tol, q1 < q0 - tol) & model.ctrl_mask
+        if not better.any():
+            break
+        if passes == 2 ** max(1, len(model.controllable)) + 2:
+            raise InternalConsistencyError("policy iteration failed to terminate")
+        active, passes = active ^ better, passes + 1
+        lines = _lines(model, active)
+    if passes > PI_SOFT_ITER_BOUND:
+        warnings.warn(f"policy iteration took {passes} passes")
+    return active, lines, v, _checked_gap(model, v, q0, q1), passes
 
 
 def solve(model: RBModel, nu: float, method: str = "policy",
           eps: float = DEFAULT_INDIFFERENCE) -> DPResult:
     """Solve the charge problem exactly at a fixed charge.
 
-    Policy iteration (the one-charge case of the charge-sequence engine)
-    evaluates each candidate policy by a linear solve and improves
-    greedily from the all-active policy, so termination is finite.  Value
-    iteration is the independent fallback (sup-norm stop 1e-12).
-    Uncontrollable states are forced active.
+    Policy iteration evaluates each candidate policy by a linear solve and
+    improves greedily from the all-active policy, so termination is
+    finite.  Value iteration is the independent fallback (sup-norm stop
+    1e-12).  Uncontrollable states are forced active.
     """
-    policies = _Policies(model, eps)   # checks beta and eps for both methods
+    _check(model, eps)
     if not math.isfinite(nu):
         raise ValueError(f"charge must be finite, got {nu}")
 
     if method == "policy":
-        v, gap, _, passes = policies.at(nu)
-        iterations = int(passes)
+        _, _, v, gap, iterations = _optimal(model, np.ones(model.n_states, dtype=bool), nu)
     elif method == "value":
-        forced, v = policies.forced, np.zeros(model.n_states)
+        forced, v = ~model.ctrl_mask, np.zeros(model.n_states)
         iterations = 0
         # geometric contraction: bound the pass count from beta, generously
         max_iter = 10_000 if model.beta == 0 else int(60 / max(1e-12, -np.log10(model.beta))) + 10_000
@@ -210,6 +143,89 @@ def _sets(masks: np.ndarray) -> tuple[frozenset, ...]:
 
 
 @dataclass(frozen=True)
+class ChargePath:
+    """The optimal policy at every charge, one piece per policy.
+
+    Piece k holds from ``breakpoints[k - 1]`` to ``breakpoints[k]``
+    (unbounded at either end; ascending, and equal only where roundoff
+    made two flips at one charge).  Its policy is ``policies[k]`` (active mask,
+    uncontrollable states active), under which the action gap q1 - q0 of
+    every state is the line ``gap_const[k] + nu * gap_slope[k]``.  ``eps``
+    is the indifference band of the sets read off the path.
+    """
+
+    model: RBModel
+    eps: float
+    breakpoints: np.ndarray
+    policies: np.ndarray
+    gap_const: np.ndarray
+    gap_slope: np.ndarray
+
+    @property
+    def switches(self) -> tuple[frozenset, ...]:
+        """The states whose optimal action changes at each breakpoint."""
+        return _sets(self.policies[1:] ^ self.policies[:-1])
+
+    def closed(self, charges: np.ndarray) -> np.ndarray:
+        """The closed optimal set (gap at most ``eps``) at each charge, one mask
+        row per charge; a breakpoint reads the piece on its left."""
+        k = np.searchsorted(self.breakpoints, charges)
+        gap = self.gap_const[k] + charges[:, None] * self.gap_slope[k]
+        return self.model.ctrl_mask & (gap <= self.eps)
+
+
+def charge_path(model: RBModel, eps: float = DEFAULT_INDIFFERENCE) -> ChargePath:
+    """The optimal policy at every charge, walked from the far left.
+
+    Start: policy iteration at a charge left of every crossing of the
+    policy's gap lines, from all-active and then from each optimum found,
+    until the optimum is the policy it started from.  Walk: at the nearest
+    charge where a controllable state's gap line turns against its action,
+    flip every state that turns within 1e-12 (relative) of it; policy
+    iteration just right of that breakpoint certifies or improves the
+    result; a crossing that roundoff puts left of the last breakpoint flips
+    at it, so the breakpoints never descend.  Each piece's policy is solved
+    once and passes the Bellman residual check.  A slope within 1e-12 of
+    the largest activity theta/(1 - beta) counts as flat.  Meeting a policy
+    twice, which no exact path does, raises InternalConsistencyError.
+    """
+    _check(model, eps)
+    ctrl = model.ctrl_mask
+    flat = 1e-12 * float(np.abs(model.theta1).max()) / (1.0 - model.beta)
+    active = np.ones(model.n_states, dtype=bool)
+    lines = _lines(model, active)
+    for _ in range(2 ** max(1, len(model.controllable)) + 2):
+        const, slope = lines[4] - lines[2], lines[5] - lines[3]
+        sloped = ctrl & (np.abs(slope) > flat)
+        nu = float(np.min(-const[sloped] / slope[sloped], initial=0.0))
+        nu -= max(1.0, abs(nu))
+        start, lines, _, _, _ = _optimal(model, active, nu, lines)
+        if np.array_equal(start, active):
+            break
+        active = start
+    else:
+        raise InternalConsistencyError("no policy is optimal at every charge far left")
+
+    breakpoints, pieces, seen = [], [(active, const, slope)], {active.tobytes()}
+    while True:
+        turning = ctrl & (np.where(active, slope, -slope) > flat)
+        if not turning.any():
+            break
+        at = np.where(turning, -const / np.where(turning, slope, 1.0), np.inf)
+        r = max(float(at.min()), breakpoints[-1] if breakpoints else nu)
+        t = r + 1e-12 * max(1.0, abs(r))
+        active, lines, _, _, _ = _optimal(model, active ^ (at <= t), t)
+        if active.tobytes() in seen:
+            raise InternalConsistencyError(f"the charge path met a policy twice, at charge {r}")
+        seen.add(active.tobytes())
+        const, slope = lines[4] - lines[2], lines[5] - lines[3]
+        breakpoints.append(r)
+        pieces.append((active, const, slope))
+    masks, consts, slopes = (np.array(col) for col in zip(*pieces))
+    return ChargePath(model, eps, np.array(breakpoints, dtype=float), masks, consts, slopes)
+
+
+@dataclass(frozen=True)
 class SweepReport:
     """The DP-optimal active sets along a charge grid, one mask row per charge."""
 
@@ -223,14 +239,14 @@ class SweepReport:
         return _sets(self.active_masks)
 
 
-def nu_sweep(model: RBModel, grid, eps: float = DEFAULT_INDIFFERENCE,
-             family: SetSystem | None = None) -> SweepReport:
-    """Trace the optimal active set over an ascending charge grid.
+def nu_sweep(path: ChargePath, grid, family: SetSystem | None = None) -> SweepReport:
+    """The optimal active set at each charge of an ascending grid, read off the path.
 
     Sets use the closed convention (indifferent states included).  Reports
     whether the sequence is nested decreasing and, when a family over
     sorted(controllable) is supplied, whether every set belongs to it.
     """
+    model = path.model
     if family is not None:
         _require_ground(model, family)
     grid = [float(g) for g in grid]
@@ -238,63 +254,26 @@ def nu_sweep(model: RBModel, grid, eps: float = DEFAULT_INDIFFERENCE,
         raise ValueError("grid charges must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted ascending")
-    closed = _Policies(model, eps).run(np.array(grid))[2]
+    closed = path.closed(np.array(grid))
     nested = not np.any(closed[1:] & ~closed[:-1])
     in_family = None if family is None else tuple(
         s in family for s in _sets(closed[:, model.ctrl_mask]))
     return SweepReport(tuple(grid), closed, nested, in_family)
 
 
-def fair_charge(model: RBModel, j: int) -> float:
-    """Critical charge at which both actions are optimal in state j.
+def fair_charge(path: ChargePath, j: int) -> float:
+    """The critical charge of state j: the one breakpoint of the path where
+    j's optimal action switches (never -0.0).
 
-    Bisection on the action gap at j under the optimal continuation value,
-    down to a bracket of width ``FAIR_CHARGE_TOL`` or the float spacing.
-    The initial bracket scales with the normalized passive costs and is
-    expanded geometrically until the gap changes sign; if a coarse scan of
-    the final bracket reveals several crossings a warning listing the
-    bracketing subintervals is emitted.
+    Raises UnsupportedModelError, naming the charges, when j switches at no
+    breakpoint or at several.
     """
-    if j not in model.controllable:
+    if j not in path.model.controllable:
         raise ValueError(f"state {j} is not controllable")
-
-    policies = _Policies(model)
-
-    def gap(nu: float) -> float:
-        return float(policies.at(nu)[1][j])
-
-    theta = model.theta1[model.ctrl_mask]
-    span = 10.0 * max(1.0, float(np.max(np.abs(model.normalized_cost))) / float(np.min(theta)))
-    lo, hi = -span, span
-    g_lo, g_hi = gap(lo), gap(hi)
-    grow = 0
-    while g_lo > 0 and grow < 80:
-        lo *= 4.0
-        g_lo = gap(lo)
-        grow += 1
-    while g_hi < 0 and grow < 160:
-        hi *= 4.0
-        g_hi = gap(hi)
-        grow += 1
-    if g_lo > 0 or g_hi < 0:
-        raise InternalConsistencyError("failed to bracket the critical charge")
-    scan_lo, scan_hi = lo, hi
-    while hi - lo > FAIR_CHARGE_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:   # the tolerance is below the float spacing here
-            break
-        if gap(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    pts = np.linspace(scan_lo, scan_hi, 33)
-    vals = policies.run(pts)[1][:, j]
-    crossings = [(float(pts[k]), float(pts[k + 1])) for k in range(len(pts) - 1)
-                 if (vals[k] < 0.0) != (vals[k + 1] < 0.0)]
-    if len(crossings) > 1:
-        warnings.warn(f"action gap at state {j} crosses zero in several "
-                      f"intervals: {crossings}; returning bisection root")
-    return 0.5 * (lo + hi)
+    at = [r for r, states in zip(path.breakpoints.tolist(), path.switches) if j in states]
+    if len(at) != 1:
+        raise UnsupportedModelError(f"state {j} switches at {len(at)} charges, not one: {at}")
+    return at[0] + 0.0
 
 
 @dataclass(frozen=True)
@@ -317,9 +296,9 @@ class CrosscheckReport:
         return _sets(self.observed_masks)
 
 
-def crosscheck_indices(model: RBModel, report: PCLReport,
-                       eps: float = DEFAULT_INDIFFERENCE) -> CrosscheckReport:
-    """Compare the indices of a PCL-indexable report against the DP-optimal sets.
+def crosscheck_indices(path: ChargePath, report: PCLReport) -> CrosscheckReport:
+    """Compare the indices of a PCL-indexable report of ``path.model``
+    against the DP-optimal sets read off the path.
 
     Builds a charge grid from midpoints between consecutive distinct
     indices plus points beyond both extremes and the index values
@@ -327,6 +306,7 @@ def crosscheck_indices(model: RBModel, report: PCLReport,
     {j : charge <= index_j} exactly; at a breakpoint the DP cannot separate
     the closed and open conventions, so both are accepted there.
     """
+    model = path.model
     _require_report(model, report, model.normalized_cost)
     if not report.indexable:
         raise ValueError("cross-check requires a PCL-indexable report")
@@ -341,7 +321,7 @@ def crosscheck_indices(model: RBModel, report: PCLReport,
     grid = sorted([distinct[0] - 0.5 * span, *mids, distinct[-1] + 0.5 * span, *distinct])
 
     charges = np.array(grid)
-    dp_sets = _Policies(model, eps).run(charges)[2]
+    dp_sets = path.closed(charges)
     closed, near = np.zeros_like(dp_sets), np.zeros_like(dp_sets)
     closed[:, model.ctrl_mask] = charges[:, None] <= nus
     near[:, model.ctrl_mask] = np.abs(charges[:, None] - nus) <= 1e-9 * span

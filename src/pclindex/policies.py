@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import admission
-from .admission import ACModel
+from .admission import ACModel, _is_level
 
 Action = int | None   # queue/product number, or None for reject/idle
 FIT_FROM = 50         # first queue-1 occupancy of the heavy-traffic slope fit
@@ -126,10 +126,19 @@ class RoutingSystem(_Buffers):
                 _entries(q.h, n + 1, "h", linear=True).tolist())
 
 
+def _index_entry(table, sys, k: int, n: int | None, j) -> float:
+    """Entry j of ``table(sys, k, j + 1)``, for a level j below the size n of buffer k."""
+    cap = math.inf if n is None else n - 1
+    if not _is_level(j, cap):
+        raise ValueError(f"level {j!r} needs an integer in 0..{cap}; "
+                         "the index is undefined at a full buffer")
+    return float(table(sys, k, j + 1)[j])
+
+
 def routing_index(sys: RoutingSystem, k: int, j: int) -> float:
     """Fair rejection charge of queue k at occupancy j (an entry of
     :func:`routing_index_table`)."""
-    return float(routing_index_table(sys, k, j + 1)[j])
+    return _index_entry(routing_index_table, sys, k, sys.queues[k].n, j)
 
 
 def routing_index_table(sys: RoutingSystem, k: int, up_to: int) -> np.ndarray:
@@ -193,8 +202,7 @@ class Rule:
         caps = [math.inf if cap is None else cap
                 for cap in (full if full is not None else [spec.n for spec in specs])]
         if not (len(state) == len(caps) == len(specs)
-                and all(hasattr(type(j), "__index__") and not isinstance(j, bool)
-                        and 0 <= j <= cap for j, cap in zip(state, caps))):
+                and all(_is_level(j, cap) for j, cap in zip(state, caps))):
             raise ValueError(f"state {list(state)} needs one level in 0..cap per buffer {caps}")
         if tables is None:
             tables = self.scores(sys, [j + 1 if j < cap else 0 for j, cap in zip(state, caps)])
@@ -297,7 +305,7 @@ class MTSSystem(_Buffers):
 def mts_index(sys: MTSSystem, k: int, j: int) -> float:
     """Critical production subsidy for product k at stock level j (an
     entry of :func:`mts_index_table`)."""
-    return float(mts_index_table(sys, k, j + 1)[j])
+    return _index_entry(mts_index_table, sys, k, sys.products[k].n, j)
 
 
 def mts_linear_index(c: float, mu: float, rho: float, s: float, r: float,

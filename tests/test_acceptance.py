@@ -30,7 +30,8 @@ def test_acceptance_01_whittle_counterexample_golden():
     start = time.perf_counter()
     model, expected = admission.whittle_counterexample()
     rb = admission.whittle_variant(model)
-    computed = {j: dp.fair_charge(rb, j) for j in expected}
+    path = dp.charge_path(rb)
+    computed = {j: dp.fair_charge(path, j) for j in expected}
     elapsed = time.perf_counter() - start
     values_ok = all(abs(computed[j] - expected[j]) <= 1e-8 for j in expected)
     # consistency with threshold policies would need the index to be
@@ -118,7 +119,7 @@ def test_acceptance_05_dp_crosscheck_on_compliant_instances(rng):
         fam = threshold_family(n)
         rep = bandit.pcl_index(rb, fam)
         ok = ok and rep.indexable
-        check = dp.crosscheck_indices(rb, rep)
+        check = dp.crosscheck_indices(dp.charge_path(rb), rep)
         ok = ok and check.agree
         count += 1
     report(5, f"DP cross-check on {count} compliant instances", ok and count >= 25)

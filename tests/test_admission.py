@@ -337,7 +337,7 @@ def test_full_buffer_arrival_rate_moves_only_top_index(rng):
     assert abs(nu1[-1] - nu2[-1]) > 1e-3
     rep = bandit.pcl_index(uniformize(m2), threshold_family(4))
     assert rep.nu_by_state[3] == pytest.approx(nu2[-1], abs=1e-9)
-    assert dp.fair_charge(uniformize(m2), 3) == pytest.approx(nu2[-1], abs=1e-8)
+    assert dp.fair_charge(dp.charge_path(uniformize(m2)), 3) == pytest.approx(nu2[-1], abs=1e-8)
 
 
 def test_monotone_index_with_concave_increasing_costs():
@@ -373,6 +373,17 @@ def test_quadratic_critical_branch():
 
 def test_linear_geometric_example():
     assert closed_form_index("linear", 2.0, 1.0, 1.0, 0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("lam, mu, j", [
+    (1.0, 0.0, 2), (1.0, -1.0, 2), (0.0, 1.0, 2), (np.nan, 1.0, 2), (1.0, np.inf, 2),
+    (1.0, 1.0, 2.5), (1.0, 1.0, True), (1.0, 1.0, np.float64(2.0)), (1.0, 1.0, -1)])
+def test_closed_form_index_refuses_bad_rates_and_levels(lam, mu, j):
+    # mu = 0 raised a bare ZeroDivisionError, j = 2.5 numpy's TypeError, and
+    # mu = -1 returned -2.0
+    with pytest.raises(ValueError, match="rates must be finite and positive|must be an integer >= 0"):
+        closed_form_index("linear", lam, mu, 1.0, j)
+    assert closed_form_index("linear", 1.0, 1.0, 1.0, np.int64(2)) == 6.0
 
 
 def test_quadratic_geometric_matches_increment_sum():

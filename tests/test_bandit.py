@@ -900,7 +900,7 @@ def test_three_state_whittle_model_stays_dense(monkeypatch):
     wrb = admission.whittle_variant(model)
     assert wrb.kernel.band is None
     pcl_index(wrb, powerset_family(3))
-    dp.fair_charge(wrb, 0)
+    dp.fair_charge(dp.charge_path(wrb), 0)
     assert calls == []
     # the same counter sees the solves of a banded model
     activity_measure(admission.uniformize(regular_admission(10)), frozenset({0}))

@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from pclindex import admission, cli, dp
+from pclindex import admission, bandit, cli, dp
 from pclindex.modelio import (canonical_json, document_from_model, load_model,
                               model_from_document, save_model)
-from pclindex.setsystem import powerset_family
+from pclindex.setsystem import powerset_family, threshold_family
 
 from conftest import random_rb
 
@@ -300,6 +300,28 @@ def test_dp_verify_report_is_pinned(tmp_path, capsys):
         "076d462708f3c411d9485eaa2da346c40097dad96ca016cf04dadbe9ae49cb18"
 
 
+def test_dp_verify_solves_each_path_policy_once(tmp_path, capsys, monkeypatch):
+    # regular queue at n = 100 (lam 1, mu 1.3, h_i = i^2, alpha 0.1): the
+    # cross-check and the sweep read one charge path, whose 101 threshold
+    # policies are solved once each, besides the solves of pcl_index
+    n = 100
+    doc = {"kind": "admission", "n": n, "alpha": 0.1, "lambda": [1.0] * (n + 1),
+           "mu": [1.3] * n, "h": [float(j * j) for j in range(n + 1)]}
+    path = write_doc(tmp_path, doc)
+    calls, exact = [0], bandit._SolveKernel.solve
+
+    def counting(self, *args, **kw):
+        calls[0] += 1
+        return exact(self, *args, **kw)
+
+    monkeypatch.setattr(bandit._SolveKernel, "solve", counting)
+    bandit.pcl_index(admission.uniformize(load_model(path)[0]), threshold_family(n))
+    pcl, calls[0] = calls[0], 0
+    code, out, _ = run_cli(capsys, "dp-verify", path)
+    assert code == 0 and out["results"]["crosscheck"]["agree"]
+    assert pcl < calls[0] <= pcl + n + 5
+
+
 def test_dp_verify_mismatch_report_is_pinned(tmp_path, capsys):
     # pinned like the report above, on the disagreement path: the
     # mismatch rows and the sweep's sets printed from the boolean masks
@@ -438,14 +460,17 @@ def test_counterexample_passes_end_to_end(capsys):
     assert res["match_1e-8"]
     assert not res["monotone_in_state"]
     assert res["extended_monotone"] and res["extended_pcl_indexable"]
-    assert res["whittle_indices"]["1"] == pytest.approx(3300 / 6767, abs=1e-8)
-    assert res["whittle_indices"]["0"] == pytest.approx(11022 / 19111, abs=1e-8)
+    assert res["whittle_indices"]["1"] == pytest.approx(3300 / 6767, abs=1e-13)
+    assert res["whittle_indices"]["0"] == pytest.approx(11022 / 19111, abs=1e-13)
+    assert res["whittle_indices"]["2"] == 0.0
+    assert res["max_abs_error"] <= 1e-13
     assert "PASS" in err
 
 
 def test_counterexample_report_is_pinned(capsys):
-    # pinned like the dp-verify report
+    # pinned like the dp-verify report; the Whittle indices are the exact
+    # breakpoints of the charge path, within 6.7e-15 of their fractions
     assert cli.main(["counterexample"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "0ad7bed71c35247ca4ac4738cd273449d1fc6a8274cb2ffea8db3c4f39100187"
+        "0e009f51d75d8b12329b0891e6c0f73329c73929bd104938a8de9507013903e0"

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from pclindex import admission, bandit, dp
 from pclindex.bandit import RBModel
+from pclindex.errors import UnsupportedModelError
 from pclindex.setsystem import threshold_family
 
 from conftest import random_compliant_admission, random_rb
@@ -83,7 +85,7 @@ def test_non_finite_charge_is_refused(rng, nu):
         with pytest.raises(ValueError, match="finite"):
             dp.solve(m, nu, method=method)
     with pytest.raises(ValueError, match="finite"):
-        dp.nu_sweep(m, [0.0, nu])
+        dp.nu_sweep(dp.charge_path(m), [0.0, nu])
 
 
 @pytest.mark.parametrize("eps", [np.nan, -1.0, np.inf])
@@ -97,9 +99,9 @@ def test_bad_indifference_tolerance_is_refused(eps, call):
     fam = threshold_family(5)
     run = {"policy": lambda: dp.solve(rb, 3.0, eps=eps),
            "value": lambda: dp.solve(rb, 3.0, method="value", eps=eps),
-           "nu_sweep": lambda: dp.nu_sweep(rb, [3.0], eps=eps),
+           "nu_sweep": lambda: dp.nu_sweep(dp.charge_path(rb, eps=eps), [3.0]),
            "crosscheck_indices": lambda: dp.crosscheck_indices(
-               rb, bandit.pcl_index(rb, fam), eps=eps)}[call]
+               dp.charge_path(rb, eps=eps), bandit.pcl_index(rb, fam))}[call]
     with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
         run()
 
@@ -122,7 +124,7 @@ def test_sweep_nested_and_dropping_one_state_per_breakpoint(rng):
     nu = admission.indices(m)
     mids = [(a + b) / 2 for a, b in zip(nu, nu[1:])]
     grid = [nu[0] - 1.0] + mids + [nu[-1] + 1.0]
-    sweep = dp.nu_sweep(rb, grid, family=threshold_family(5))
+    sweep = dp.nu_sweep(dp.charge_path(rb), grid, family=threshold_family(5))
     assert sweep.nested_decreasing
     sizes = [len(s) for s in sweep.active_sets]
     assert sizes == list(range(5, -1, -1))
@@ -135,7 +137,7 @@ def test_sweep_counterexample_leaves_threshold_family():
     mid_high = 0.5 * (expected[1] + expected[0])
     grid = [expected[2] - 0.1, 0.5 * (expected[2] + expected[1]), mid_high,
             expected[0] + 0.1]
-    sweep = dp.nu_sweep(wrb, grid, family=threshold_family(3))
+    sweep = dp.nu_sweep(dp.charge_path(wrb), grid, family=threshold_family(3))
     # states drop in the order 2, 1, 0: the middle sets keep LOW states
     # active, which no feasible rejection (suffix) set does
     assert [sorted(s) for s in sweep.active_sets] == [[0, 1, 2], [0, 1], [0], []]
@@ -148,16 +150,18 @@ def test_sweep_refuses_a_family_of_another_ground_size():
     # report (False, False, True) and a smaller one all True
     m = admission.ACModel(3, [1, 1, 1, 1], [1.2, 1.3, 1.4], [0, 1, 4, 9], 0.1)
     rb = admission.uniformize(m)
-    assert all(dp.nu_sweep(rb, [0, 5, 50], family=threshold_family(3)).in_family)
+    path = dp.charge_path(rb)
+    assert all(dp.nu_sweep(path, [0, 5, 50], family=threshold_family(3)).in_family)
     for n in (2, 5):
         with pytest.raises(ValueError, match=f"set system has ground size {n}, expected 3"):
-            dp.nu_sweep(rb, [0, 5, 50], family=threshold_family(n))
+            dp.nu_sweep(path, [0, 5, 50], family=threshold_family(n))
 
 
 def test_sweep_single_controllable_state_has_one_transition(rng):
     m = random_rb(rng, 3, 1, beta=0.9)
-    root = dp.fair_charge(m, 0)
-    sweep = dp.nu_sweep(m, [root - 0.5, root + 0.5])
+    path = dp.charge_path(m)
+    root = dp.fair_charge(path, 0)
+    sweep = dp.nu_sweep(path, [root - 0.5, root + 0.5])
     assert sweep.active_sets[0] == frozenset({0})
     assert sweep.active_sets[1] == frozenset()
 
@@ -165,7 +169,7 @@ def test_sweep_single_controllable_state_has_one_transition(rng):
 def test_sweep_rejects_unsorted_grid(rng):
     m = random_rb(rng, 3, 1)
     with pytest.raises(ValueError):
-        dp.nu_sweep(m, [1.0, 0.0])
+        dp.nu_sweep(dp.charge_path(m), [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -174,60 +178,69 @@ def test_sweep_rejects_unsorted_grid(rng):
 
 def test_fair_charge_reproduces_counterexample_fractions():
     model, expected = admission.whittle_counterexample()
-    rb = admission.whittle_variant(model)
+    path = dp.charge_path(admission.whittle_variant(model))
     for j, val in expected.items():
-        assert dp.fair_charge(rb, j) == pytest.approx(val, abs=1e-8)
+        assert dp.fair_charge(path, j) == pytest.approx(val, abs=1e-13)
+    # the full-buffer state switches exactly at 0, reported as +0.0
+    assert math.copysign(1.0, dp.fair_charge(path, 2)) == 1.0
 
 
 def test_fair_charge_quadratic_closed_form_at_vanishing_discount():
     lam, mu, h, n = 1.0, 2.0, 1.0, 7
     m = admission.ACModel(n, np.full(n + 1, lam), np.full(n, mu),
                           h * np.arange(n + 1.0) ** 2, alpha=1e-6)
-    rb = admission.uniformize(m)
+    path = dp.charge_path(admission.uniformize(m))
     for j in (0, 2, 4):
         want = admission.closed_form_index("quadratic", lam, mu, h, j)
-        assert dp.fair_charge(rb, j) == pytest.approx(want, abs=1e-4)
+        assert dp.fair_charge(path, j) == pytest.approx(want, abs=1e-4)
 
 
-def test_fair_charge_stops_when_the_bracket_reaches_float_spacing(monkeypatch):
-    # indices near 1e8 have a float spacing far above the absolute
-    # tolerance; the bisection must stop there instead of running forever
-    at, calls = dp._Policies.at, [0]
-
-    def counted(self, nu):
-        calls[0] += 1
-        if calls[0] > 5000:
-            raise RuntimeError("fair_charge made over 5000 one-charge DP queries")
-        return at(self, nu)
-
-    monkeypatch.setattr(dp._Policies, "at", counted)
+def test_fair_charge_is_exact_at_large_costs():
+    # indices near 1e8, where the float spacing is far above any absolute
+    # tolerance: the breakpoints are still exact to a relative 1e-12
     m = admission.ACModel(10, [1.0] * 11, [1.3] * 10, [1e7 * i * i for i in range(11)], 0.1)
     want = admission.indices(m)
-    rb = admission.uniformize(m)
+    path = dp.charge_path(admission.uniformize(m))
     for j in (2, 5, 9):
-        assert dp.fair_charge(rb, j) == pytest.approx(want[j], rel=1e-12, abs=0)
-    assert calls[0] > 0   # the cap counts the bisection's queries
+        assert dp.fair_charge(path, j) == pytest.approx(want[j], rel=1e-12, abs=0)
 
 
 def test_fair_charge_zero_when_actions_differ_only_through_charge(rng):
     P = np.array([[0.3, 0.7], [0.6, 0.4]])
     m = RBModel(P, P, np.array([1.0, 2.0]), np.array([1.0, 2.0]),
                 np.array([0.5, 1.5]), 0.9, frozenset({0, 1}))
+    path = dp.charge_path(m)
     for j in (0, 1):
-        assert dp.fair_charge(m, j) == pytest.approx(0.0, abs=1e-9)
+        assert dp.fair_charge(path, j) == 0.0
+
+
+def test_fair_charge_refuses_a_state_that_switches_twice():
+    # a random model that is not indexable: state 2 is passive far left,
+    # active between two breakpoints and passive again, as cold solves
+    # confirm; its gap crosses zero twice, so it has no critical charge
+    m = random_rb(np.random.default_rng(14), 4, 4, beta=0.9)
+    path = dp.charge_path(m)
+    lo, hi = path.breakpoints[0], path.breakpoints[2]
+    for method in ("policy", "value"):
+        assert [2 in dp.solve(m, nu, method=method).active_closed
+                for nu in (lo - 1.0, 0.5 * (lo + hi), hi + 1.0)] == [False, True, False]
+    with pytest.raises(UnsupportedModelError, match=r"state 2 switches at 2 charges, not one: \[-19\.27"):
+        dp.fair_charge(path, 2)
+    assert [dp.fair_charge(path, j) for j in (0, 1, 3)] == path.breakpoints[[3, 4, 1]].tolist()
 
 
 def test_fair_charge_requires_controllable_state(rng):
     m = random_rb(rng, 3, 1)
     with pytest.raises(ValueError):
-        dp.fair_charge(m, 2)
+        dp.fair_charge(dp.charge_path(m), 2)
 
 
 def test_fair_charge_agrees_with_recursion_indices(rng):
     m, rb = compliant_rb(rng, n=4, alpha=0.5)
     nu = admission.indices(m)
+    path = dp.charge_path(rb)
     for j in range(4):
-        assert dp.fair_charge(rb, j) == pytest.approx(nu[j], abs=1e-8)
+        assert dp.fair_charge(path, j) == pytest.approx(nu[j], abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +250,7 @@ def test_fair_charge_agrees_with_recursion_indices(rng):
 def test_crosscheck_compliant_instance_eleven_grid_points(rng):
     m, rb = compliant_rb(rng, n=5, alpha=0.3)
     rep = bandit.pcl_index(rb, threshold_family(5))
-    check = dp.crosscheck_indices(rb, rep)
+    check = dp.crosscheck_indices(dp.charge_path(rb), rep)
     assert check.agree
     assert len(check.grid) == 11   # 2 outside + 4 midpoints + 5 breakpoints
     assert check.expected[0] == frozenset(range(5))
@@ -250,7 +263,7 @@ def test_crosscheck_accepts_the_open_set_at_a_breakpoint():
     m = admission.ACModel(12, np.full(13, 1.0), np.full(12, 1.3),
                           np.arange(13.0) ** 2, 0.1)
     rb, fam = admission.uniformize(m), threshold_family(12)
-    check = dp.crosscheck_indices(rb, bandit.pcl_index(rb, fam), eps=0.0)
+    check = dp.crosscheck_indices(dp.charge_path(rb, eps=0.0), bandit.pcl_index(rb, fam))
     assert check.agree
     assert any(o < e for e, o in zip(check.expected, check.observed))
 
@@ -271,24 +284,26 @@ def test_crosscheck_requires_indexable_report(rng):
     rep = bandit.pcl_index(m, fam)
     if not rep.indexable:
         with pytest.raises(ValueError):
-            dp.crosscheck_indices(m, rep)
+            dp.crosscheck_indices(dp.charge_path(m), rep)
 
 
 def test_crosscheck_refuses_a_report_of_another_model_or_criterion():
     rb, fam = six_state_queue(), threshold_family(5)
     other = admission.uniformize(admission.ACModel(
         5, np.full(6, 1.0), np.full(5, 1.3), np.arange(6.0) ** 3, 0.1))
+    path = dp.charge_path(rb)
     for rep in (bandit.average_pcl_index(rb, fam), bandit.pcl_index(other, fam)):
         assert rep.indexable
         with pytest.raises(ValueError, match="not computed for this model under this criterion"):
-            dp.crosscheck_indices(rb, rep)
-    assert dp.crosscheck_indices(rb, bandit.pcl_index(rb, fam)).agree
+            dp.crosscheck_indices(path, rep)
+    assert dp.crosscheck_indices(path, bandit.pcl_index(rb, fam)).agree
 
 
 def test_crosscheck_evaluates_each_policy_once(monkeypatch):
-    # regular queue: lam 1, mu 1.3, h_i = i^2, alpha 0.1; each of the 201
-    # charges settles on one of about 100 threshold policies, and each
-    # policy is solved once, for its cost and activity columns together
+    # regular queue: lam 1, mu 1.3, h_i = i^2, alpha 0.1; the path has one
+    # piece per threshold policy, 101 in all, and each policy is solved
+    # once, for its cost and activity columns together; the 201 charges of
+    # the cross-check read the path without a solve
     m = admission.ACModel(100, np.full(101, 1.0), np.full(100, 1.3),
                           np.arange(101.0) ** 2, 0.1)
     rb, fam = admission.uniformize(m), threshold_family(100)
@@ -301,9 +316,15 @@ def test_crosscheck_evaluates_each_policy_once(monkeypatch):
         return exact(mask, rhs)
 
     monkeypatch.setattr(rb.kernel, "solve", counting)
-    check = dp.crosscheck_indices(rb, rep)
+    path = dp.charge_path(rb)
+    assert len(path.breakpoints) == 100
+    count = len(solved)
+    check = dp.crosscheck_indices(path, rep)
     assert check.agree
     assert len(check.grid) == 201
-    assert len(solved) <= 110
+    assert len(solved) == count <= 110
+    # the breakpoints are the indices of the admission recursion
+    want = admission.indices(m)
+    assert np.allclose([dp.fair_charge(path, j) for j in range(100)], want, rtol=1e-10, atol=0)
     assert len({mask for mask, _ in solved}) == len(solved)
     assert all(shape == (101, 2) for _, shape in solved)

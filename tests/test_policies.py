@@ -45,6 +45,23 @@ def test_routing_index_rejects_full_buffer():
         routing_index(sys, 0, 4)
 
 
+@pytest.mark.parametrize("j", [1.5, -1, True, np.float64(1.0), np.True_])
+def test_indices_refuse_a_level_that_is_not_one(j):
+    # on both a finite and an infinite buffer, a fractional level raised a
+    # bare TypeError, a negative one an IndexError and a bool one a TypeError
+    route = RoutingSystem(1.0, (QueueSpec(5, 1.0, 1.0), QueueSpec(None, 1.5, 2.0)),
+                          alpha=0.1, nu=50.0)
+    spec = ProductSpec(5, 0.8, 1.2, 1.0, 0.5, 0.7)
+    stock = MTSSystem((spec, replace(spec, n=None)), alpha=0.1, nu=5.0)
+    for index, sys in ((routing_index, route), (mts_index, stock)):
+        for k in (0, 1):
+            with pytest.raises(ValueError, match="needs an integer in 0.."):
+                index(sys, k, j)
+        assert index(sys, 1, np.int64(2)) == index(sys, 1, 2)
+        with pytest.raises(ValueError, match="undefined at a full buffer"):
+            index(sys, 0, 5)
+
+
 def test_routing_index_general_path_matches_closed_form():
     # the same queue written with explicit arrays goes through the
     # admission recursion and must agree with the closed form

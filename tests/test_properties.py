@@ -535,9 +535,10 @@ def test_mts_table_matches_dp_and_greedy_on_constant_rate_products(n, lam, mu, c
     rb = uniformize(sys.admission_model(0, n))
     rep = bandit.pcl_index(rb, threshold_family(n))
     assert rep.indexable
+    path = dp.charge_path(rb)
     for j in range(n):
         scale = max(1.0, abs(table[j]))
-        assert abs(dp.fair_charge(rb, j) - table[j]) <= 1e-9 * scale
+        assert abs(dp.fair_charge(path, j) - table[j]) <= 1e-9 * scale
         assert abs(rep.nu_by_state[j] - table[j]) <= 1e-9 * scale
 
 
@@ -808,47 +809,42 @@ def test_average_limits_match_dense_bordered_system(seed, n, lower, upper, beta)
 
 
 # ---------------------------------------------------------------------------
-# Charge-parametric policy iteration vs. cold value iteration
+# The exact charge path vs. cold policy and value iteration
 # ---------------------------------------------------------------------------
 
 @settings(PROPERTY, max_examples=60)
 @given(seed=seeds, n=st.integers(1, 30), lower=st.integers(0, 3), upper=st.integers(0, 3),
-       dense=st.booleans(), beta=st.floats(0.5, 0.99), ascending=st.booleans(),
+       dense=st.booleans(), beta=st.floats(0.5, 0.99),
        charges=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12))
-def test_warm_started_sweep_matches_cold_solves(seed, n, lower, upper, dense, beta,
-                                                ascending, charges):
+def test_charge_path_matches_cold_solves(seed, n, lower, upper, dense, beta, charges):
+    # random models, non-indexable ones included: at each charge the path's
+    # piece is an optimal policy, so its gap lines give the optimal gap and
+    # its closed set is the one a cold solve finds
     rng = np.random.default_rng(seed)
     if dense:
         m = random_rb(rng, n, int(rng.integers(0, n + 1)), beta=beta)
     else:
         m = banded_rb(rng, n, lower, upper, beta)
     scale = max(1.0, float(np.max(np.abs(bandit.normalized_passive_cost(m)))))
-    nus = [c * scale / float(np.min(m.theta1)) for c in charges]
-    if ascending:
-        nus.sort()
-    v, gap, closed, passes = dp._Policies(m).run(np.array(nus))
-    # the whole sequence at once settles each charge bit for bit as
-    # one-charge queries in turn do, in as many passes
-    one = dp._Policies(m)
-    for got, want in zip((v, gap, closed, passes), zip(*(one.at(nu) for nu in nus))):
-        assert np.array_equal(got, np.array(want))
+    nus = np.array([c * scale / float(np.min(m.theta1)) for c in charges])
+    path = dp.charge_path(m)
+    assert np.all(np.diff(path.breakpoints) >= 0)
+    closed = path.closed(nus)
+    piece = np.searchsorted(path.breakpoints, nus)
+    gaps = path.gap_const[piece] + nus[:, None] * path.gap_slope[piece]
     eps = dp.DEFAULT_INDIFFERENCE
     for k, nu in enumerate(nus):
         got = frozenset(np.flatnonzero(closed[k]).tolist())
-        # warm starts against a cold policy iteration from all-active
         cold = dp.solve(m, nu)
-        assert_close(v[k], cold.v)
+        gap_scale = 1e-9 * max(1.0, float(np.max(np.abs(cold.v))))
+        assert np.all(np.abs(gaps[k] - cold.gap)[m.ctrl_mask] <= gap_scale)
         # a gap this close to the indifference band may fall on either side
         if not np.any(np.abs(np.abs(cold.gap[m.ctrl_mask]) - eps) <= 1e-9):
             assert got == cold.active_closed
         # and against the independent value iteration
         cold = dp.solve(m, nu, method="value")
-        assert np.max(np.abs(v[k] - cold.v)) <= 1e-9 * max(1.0, float(np.max(np.abs(cold.v))))
         if np.all(np.abs(cold.gap[m.ctrl_mask]) > 1e-6):
             assert got == cold.active_closed
-    if ascending:
-        sweep = dp.nu_sweep(m, nus)
-        assert sweep.active_sets == tuple(frozenset(np.flatnonzero(c).tolist()) for c in closed)
 
 
 # ---------------------------------------------------------------------------
