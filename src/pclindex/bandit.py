@@ -445,7 +445,7 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
                     f"marginal workload w({sorted(ctrl[i] for i in s)}, {ctrl[e]}) = {w} is "
                     "not positive on the adaptive-greedy chain")
             return read(s)
-    out = ag2(cost[at], WorkloadOracle(row=row), sys)
+    out = ag2(cost[at], WorkloadOracle(row), sys)
     positive = not violations
     return PCLReport(
         indexable=positive and out.admissible,

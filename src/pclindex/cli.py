@@ -218,7 +218,7 @@ def cmd_simulate(args) -> int:
             horizon=args.horizon, max_events=args.events,
             replications=args.reps, seed=args.seed, truncation=args.truncation)
     except ValueError as exc:
-        raise ModelFileError(f"bad simulation budget: {exc}") from exc
+        raise ModelFileError(f"bad simulation settings: {exc}") from exc
     names = list(dict.fromkeys(name.strip() for name in args.policy.split(",")))
     try:   # an unknown policy, or a warm-up that uses up the event budget
         reports = simulate_all(model, names, config)

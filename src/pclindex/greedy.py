@@ -32,46 +32,28 @@ MINMAX_TOL = 1e-9    # residual allowed in the min/max rate characterizations
 
 
 class WorkloadOracle:
-    """Evaluator of marginal workloads w(S, j) and optional right-hand sides b(S).
+    """Evaluator of marginal workloads w(S, .) and optional right-hand sides b(S).
 
-    Built from a scalar evaluator ``w(S, j)``, or from a row evaluator
-    ``row(S)`` that returns w(S, j) for every j in sorted(S) in one call.
-    Positivity of every queried workload is checked at query time.  The
-    ``monotone`` flag declares that w(S, j) is nondecreasing in S (needed
-    by the max-form index characterization); it is trusted, not verified.
+    ``row(S)`` returns w(S, j) for every j in sorted(S) in one call; that
+    row is the only form a workload is read in.  Positivity of every
+    queried row is checked at query time.  The ``monotone`` flag declares
+    that w(S, j) is nondecreasing in S (needed by the max-form index
+    characterization); it is trusted, not verified.
     """
 
-    def __init__(self, w: Callable[[frozenset, int], float] | None = None,
+    def __init__(self, row: Callable[[frozenset], np.ndarray | Sequence[float]],
                  b: Callable[[frozenset], float] | None = None,
-                 monotone: bool = False,
-                 row: Callable[[frozenset], np.ndarray] | None = None):
-        if (w is None) == (row is None):
-            raise ValueError("give exactly one of a scalar evaluator w and a row evaluator")
-        self._w = w
+                 monotone: bool = False):
         self._row = row
         self._b = b
         self.monotone = monotone
 
-    def workload(self, s: frozenset, j: int | None = None):
-        """w(S, j); with j omitted, the row of w(S, j) over j in sorted(S)
-        as an array (one evaluator call for a row evaluator)."""
-        if j is not None:
-            if self._w is not None:
-                val = float(self._w(s, j))
-            elif j in s:
-                val = float(self._row(s)[sorted(s).index(j)])
-            else:
-                raise ValueError(f"element {j} not in {sorted(s)}")
-            if not val > 0.0:
-                raise ValueError(f"workload w({sorted(s)}, {j}) = {val} is not positive")
-            return val
-        elems = sorted(s)
-        if self._row is not None:
-            vals = np.asarray(self._row(s), dtype=float)
-        else:
-            vals = np.array([self._w(s, i) for i in elems], dtype=float)
+    def workload(self, s: frozenset) -> np.ndarray:
+        """The row of w(S, j) over j in sorted(S), as an array, checked positive."""
+        vals = np.asarray(self._row(s), dtype=float)
         bad = np.flatnonzero(~(vals > 0.0))
         if bad.size:
+            elems = sorted(s)
             raise ValueError(f"workload w({elems}, {elems[bad[0]]}) = {vals[bad[0]]} "
                              "is not positive")
         return vals
@@ -87,7 +69,8 @@ class WorkloadOracle:
                     monotone: bool = False) -> "WorkloadOracle":
         w = {frozenset(s): dict(row) for s, row in w.items()}
         b = None if b is None else {frozenset(s): float(v) for s, v in b.items()}
-        return cls(lambda s, j: w[s][j], None if b is None else (lambda s: b[s]), monotone)
+        return cls(lambda s: [w[s][j] for j in sorted(s)],
+                   None if b is None else (lambda s: b[s]), monotone)
 
 
 @dataclass(frozen=True)
@@ -143,6 +126,8 @@ def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
     inner-boundary call, then peels off the boundary element with the
     smallest rate.  Arrays run over the whole ground set, NaN outside S_k.
     """
+    if tie_break not in ("low", "high"):
+        raise ValueError(f"tie_break must be 'low' or 'high', got {tie_break!r}")
     c = np.asarray(c, dtype=float)
     if c.shape != (sys.n,):
         raise ValueError(f"cost vector must have shape ({sys.n},), got {c.shape}")
@@ -263,17 +248,17 @@ def lp_value(out: AGOutput, oracle: WorkloadOracle) -> float:
     return float(out.dual @ np.array([oracle.rhs(s) for s in out.chain]))
 
 
-def objective_representation_check(c, out: AGOutput, oracle: WorkloadOracle, x) -> float:
+def objective_representation_check(out: AGOutput, x) -> float:
     """Residual of the index-based objective representation at an arbitrary x.
 
-    |c.x - (nu_1 W_1(x) + sum_k (nu_k - nu_{k-1}) W_k(x))| where W_k(x) is
-    the S_k-workload of x.  Zero (to rounding) for every x, by construction
-    of the dual increments.
+    |c.x - (nu_1 W_1(x) + sum_k (nu_k - nu_{k-1}) W_k(x))| where c is the
+    cost the walk ran on and W_k(x) is the S_k-workload of x, both read from
+    the walk's record.  Zero (to rounding) for every x, by construction of
+    the dual increments.
     """
-    c = np.asarray(c, dtype=float)
     x = np.asarray(x, dtype=float)
     chain_workloads = np.nan_to_num(out.workloads, nan=0.0) @ x
-    return abs(float(c @ x) - float(out.dual @ chain_workloads))
+    return abs(float(out.cost @ x) - float(out.dual @ chain_workloads))
 
 
 @dataclass(frozen=True)
@@ -312,7 +297,8 @@ def second_order_workload_recursion(sys: SetSystem, oracle: WorkloadOracle,
     Requires i1 and i2 to be removable in either order (both orders stay in
     the family) and relies on symmetric marginal costs plus nondecreasing
     workloads; returns w(S \\ {i1, i2}, j) without ever evaluating the
-    doubly-reduced set directly.
+    doubly-reduced set directly.  Reads the rows of S, S \\ {i1} and
+    S \\ {i2}, each checked positive as a whole.
     """
     s = frozenset(s)
     if not oracle.monotone:
@@ -324,10 +310,11 @@ def second_order_workload_recursion(sys: SetSystem, oracle: WorkloadOracle,
         raise ValueError("i1 and i2 must be removable in either order")
     if j not in s - {i1, i2}:
         raise ValueError(f"element {j} not in S minus {{i1, i2}}")
-    r1 = oracle.workload(s, i1) / oracle.workload(s2, i1)
-    r2 = oracle.workload(s, i2) / oracle.workload(s1, i2)
+    w, w1, w2 = (dict(zip(sorted(u), oracle.workload(u).tolist())) for u in (s, s1, s2))
+    r1 = w[i1] / w2[i1]
+    r2 = w[i2] / w1[i2]
     denom = r1 + r2 - 1.0
     if denom <= 0.0:
         raise DegeneracyError(f"degenerate denominator {denom:g} in double-removal recursion")
-    num = r1 * oracle.workload(s2, j) + r2 * oracle.workload(s1, j) - oracle.workload(s, j)
+    num = r1 * w2[j] + r2 * w1[j] - w[j]
     return num / denom

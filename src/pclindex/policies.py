@@ -411,6 +411,8 @@ def switching_curve(sys: RoutingSystem, bound: int) -> SwitchingCurve:
     """
     if len(sys.queues) != 2:
         raise ValueError("switching curve is defined for exactly two queues")
+    if not _is_level(bound, math.inf):
+        raise ValueError(f"bound must be an integer >= 0, got {bound!r}")
     q1, q2 = sys.queues
     heavy = (isinstance(q1.mu, (int, float)) and isinstance(q2.mu, (int, float))
              and sys.lam / float(q1.mu) > 1.0 and sys.lam / float(q2.mu) > 1.0)

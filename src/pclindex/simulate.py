@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .admission import _is_level
 from .policies import MTS_RULES, ROUTING_RULES, MTSSystem, RoutingSystem, engage
 
 BOUNDARY_FLAG_FRACTION = 1e-3
@@ -58,17 +59,19 @@ class SimConfig:
     warmup_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
         if self.horizon is None and self.max_events is None:
             raise ValueError("set a time horizon or an event budget")
-        # the chained tests also refuse NaN
+        # the chained test also refuses NaN
         if self.horizon is not None and not 0 < self.horizon < math.inf:
             raise ValueError("horizon must be finite and positive")
-        if self.max_events is not None and not 1 <= self.max_events < math.inf:
-            raise ValueError("the event budget must be a finite number of at least one event")
-        if self.truncation < 1:
-            raise ValueError("truncation must be at least 1")
+        # counts are integers operator.index takes, not bools
+        counts = [("replications", self.replications, 1),
+                  ("truncation", self.truncation, 1), ("seed", self.seed, 0)]
+        if self.max_events is not None:
+            counts.append(("the event budget", self.max_events, 1))
+        for name, value, least in counts:
+            if not (_is_level(value, math.inf) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup fraction must lie in [0, 1)")
 

@@ -135,13 +135,11 @@ def star_system(model: RBModel, sys: SetSystem, initial: int):
     def states_of(s):
         return frozenset(ctrl[e] for e in s if e < n)
 
-    def w(s: frozenset, j: int) -> float:
-        if j == n:
-            return 1.0
+    def row(s: frozenset) -> list[float]:
         states = states_of(s)
-        if states not in w_cache:
+        if states and states not in w_cache:
             w_cache[states] = bandit.marginal_workload(model, states)
-        return float(w_cache[states][ctrl[j]])
+        return [1.0 if j == n else float(w_cache[states][ctrl[j]]) for j in sorted(s)]
 
     def b(s: frozenset) -> float:
         if n not in s:
@@ -151,7 +149,7 @@ def star_system(model: RBModel, sys: SetSystem, initial: int):
             b_cache[states] = bandit.activity_measure(model, states)
         return float(b_cache[states][initial])
 
-    return sys_star, WorkloadOracle(w, b)
+    return sys_star, WorkloadOracle(row, b)
 
 
 @pytest.fixture

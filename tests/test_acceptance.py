@@ -100,9 +100,10 @@ def test_acceptance_04_brute_force_lp_optimality(rng):
         for s in sys_star.family:
             if s and s != sys_star.ground:
                 ok = ok and y.get(s, 0.0) >= -1e-9
+        rows = {s: dict(zip(sorted(s), oracle.workload(s).tolist()))
+                for s in sys_star.family if s}
         for j in range(sys_star.n):
-            lhs = sum(y.get(s, 0.0) * oracle.workload(s, j)
-                      for s in sys_star.family if s and j in s)
+            lhs = sum(y.get(s, 0.0) * row[j] for s, row in rows.items() if j in s)
             ok = ok and lhs <= c[j] + 1e-9 * max(1.0, abs(c[j]))
     report(4, f"brute-force LP optimality and duality ({checked} admissible runs)",
            ok and checked >= 25)

@@ -15,8 +15,7 @@ from conftest import (random_positive_workload_rb, random_valid_family,
 
 
 def unit_oracle(sys, b=None):
-    return WorkloadOracle(lambda s, j: 1.0,
-                          None if b is None else (lambda s: b(s)))
+    return WorkloadOracle(lambda s: np.ones(len(s)), b)
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +25,7 @@ def unit_oracle(sys, b=None):
 @pytest.mark.parametrize("algo", [ag1, ag2])
 def test_single_element_run(algo):
     sys = SetSystem(1, (frozenset(), frozenset({0})))
-    out = algo([5.0], WorkloadOracle(lambda s, j: 1.0), sys)
+    out = algo([5.0], WorkloadOracle(lambda s: np.ones(len(s))), sys)
     assert out.pi == (0,)
     assert out.nu[0] == 5.0
     assert out.admissible
@@ -66,7 +65,7 @@ def test_ag_raises_when_ground_set_missing():
 def test_ag_rejects_nonpositive_workload():
     sys = powerset_family(2)
     with pytest.raises(ValueError):
-        ag2([1.0, 2.0], WorkloadOracle(lambda s, j: -1.0), sys)
+        ag2([1.0, 2.0], WorkloadOracle(lambda s: np.full(len(s), -1.0)), sys)
 
 
 def test_decreasing_index_is_inadmissible_over_the_full_walk():
@@ -83,9 +82,9 @@ class CountingOracle(WorkloadOracle):
         super().__init__(*args, **kwargs)
         self.queries = []
 
-    def workload(self, s, j=None):
-        self.queries.append((s, j))
-        return super().workload(s, j)
+    def workload(self, s):
+        self.queries.append(s)
+        return super().workload(s)
 
 
 @pytest.mark.parametrize("algo", [ag1, ag2])
@@ -97,7 +96,7 @@ def test_walker_queries_one_row_and_one_boundary_per_chain_set(algo, family, rng
     else:
         sys = product([threshold_family(20), random_valid_family(rng, 5),
                        threshold_family(25)])
-    oracle = CountingOracle(lambda s, j: 1.0 + 0.1 * len(s) + 0.01 * j)
+    oracle = CountingOracle(lambda s: [1.0 + 0.1 * len(s) + 0.01 * j for j in sorted(s)])
     boundary_calls = []
     inner_boundary = SetSystem.inner_boundary
 
@@ -108,37 +107,29 @@ def test_walker_queries_one_row_and_one_boundary_per_chain_set(algo, family, rng
     monkeypatch.setattr(SetSystem, "inner_boundary", counted)
     out = algo(rng.uniform(-5.0, 5.0, sys.n), oracle, sys)
     assert len(out.chain) == sys.n
-    assert oracle.queries == [(s, None) for s in out.chain]
+    assert oracle.queries == list(out.chain)
     assert boundary_calls == list(out.chain)
 
 
-def test_row_oracle_matches_scalar_oracle():
+def test_row_oracle_matches_table_oracle():
+    # a row evaluator and from_tables over the same workloads give the same
+    # rows, in sorted order, and the same walk
     def w(s, j):
         return 1.0 + len(s) + 0.5 * j
 
-    scalar = WorkloadOracle(w)
-    rows = WorkloadOracle(row=lambda s: np.array([w(s, j) for j in sorted(s)]))
-    s = frozenset({4, 1, 2})
-    assert rows.workload(s).tolist() == scalar.workload(s).tolist() == [4.5, 5.0, 6.0]
-    assert rows.workload(s, 2) == scalar.workload(s, 2) == 5.0
-    with pytest.raises(ValueError, match="not in"):
-        rows.workload(s, 3)
-    c = np.array([3.0, 1.0, 2.0, 0.5, 4.0])
     sys = powerset_family(5)
-    assert ag2(c, rows, sys).nu.tolist() == ag2(c, scalar, sys).nu.tolist()
+    rows = WorkloadOracle(lambda s: np.array([w(s, j) for j in sorted(s)]))
+    tables = WorkloadOracle.from_tables({s: {j: w(s, j) for j in s} for s in sys.family})
+    s = frozenset({4, 1, 2})
+    assert rows.workload(s).tolist() == tables.workload(s).tolist() == [4.5, 5.0, 6.0]
+    c = np.array([3.0, 1.0, 2.0, 0.5, 4.0])
+    assert ag2(c, rows, sys).nu.tolist() == ag2(c, tables, sys).nu.tolist()
 
 
 def test_row_query_names_first_nonpositive_element():
-    oracle = WorkloadOracle(row=lambda s: np.array([1.0, 0.0, -1.0]))
+    oracle = WorkloadOracle(lambda s: np.array([1.0, 0.0, -1.0]))
     with pytest.raises(ValueError, match=r"w\(\[0, 3, 5\], 3\) = 0.0 is not positive"):
         oracle.workload(frozenset({0, 3, 5}))
-
-
-def test_oracle_needs_exactly_one_evaluator():
-    with pytest.raises(ValueError):
-        WorkloadOracle()
-    with pytest.raises(ValueError):
-        WorkloadOracle(lambda s, j: 1.0, row=lambda s: np.ones(len(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +137,12 @@ def test_oracle_needs_exactly_one_evaluator():
 # ---------------------------------------------------------------------------
 
 def test_primal_vertex_single():
-    oracle = WorkloadOracle(lambda s, j: 1.0, lambda s: 2.0)
+    oracle = WorkloadOracle(lambda s: np.ones(len(s)), lambda s: 2.0)
     assert np.allclose(primal_vertex([0], oracle), [2.0])
 
 
 def test_primal_vertex_uniform():
-    oracle = WorkloadOracle(lambda s, j: 1.0, lambda s: float(len(s)))
+    oracle = WorkloadOracle(lambda s: np.ones(len(s)), lambda s: float(len(s)))
     assert np.allclose(primal_vertex([2, 0, 1], oracle), np.ones(3))
 
 
@@ -184,7 +175,7 @@ def test_dual_solution_telescopes():
 
 def test_dual_solution_single():
     sys = SetSystem(1, (frozenset(), frozenset({0})))
-    out = ag1([4.0], WorkloadOracle(lambda s, j: 2.0), sys)
+    out = ag1([4.0], WorkloadOracle(lambda s: np.full(len(s), 2.0)), sys)
     assert dual_solution(out)[frozenset({0})] == pytest.approx(2.0)
 
 
@@ -203,7 +194,7 @@ def test_dual_increments_nonnegative_when_admissible(rng):
 
 def test_lp_value_single():
     sys = SetSystem(1, (frozenset(), frozenset({0})))
-    oracle = WorkloadOracle(lambda s, j: 1.0, lambda s: 3.0)
+    oracle = WorkloadOracle(lambda s: np.ones(len(s)), lambda s: 3.0)
     out = ag1([5.0], oracle, sys)
     assert lp_value(out, oracle) == pytest.approx(15.0)
 
@@ -223,9 +214,7 @@ def test_objective_representation_zero_vector(rng):
     sys = random_valid_family(rng, 4)
     w, b = random_workload_tables(rng, sys)
     out = ag1(rng.uniform(-5, 5, 4), WorkloadOracle.from_tables(w, b), sys)
-    assert objective_representation_check(out.cost, out,
-                                          WorkloadOracle.from_tables(w, b),
-                                          np.zeros(4)) <= 1e-12
+    assert objective_representation_check(out, np.zeros(4)) <= 1e-12
 
 
 def test_objective_representation_arbitrary_vectors(rng):
@@ -239,7 +228,7 @@ def test_objective_representation_arbitrary_vectors(rng):
         out = ag2(c, oracle, sys)
         for _ in range(5):
             x = rng.uniform(0, 3, n)
-            assert objective_representation_check(c, out, oracle, x) \
+            assert objective_representation_check(out, x) \
                 <= 1e-9 * max(1.0, float(np.abs(c) @ np.abs(x)))
 
 
@@ -252,7 +241,7 @@ def test_local_minmax_unit_workloads(rng):
 
 def test_local_minmax_single():
     sys = SetSystem(1, (frozenset(), frozenset({0})))
-    out = ag2([2.5], WorkloadOracle(lambda s, j: 5.0), sys)
+    out = ag2([2.5], WorkloadOracle(lambda s: np.full(len(s), 5.0)), sys)
     assert local_minmax_check(out).min_form_ok
 
 
@@ -282,7 +271,7 @@ def test_monotone_rate_chain_under_monotone_workloads(rng):
 
 def test_second_order_recursion_constant_workloads():
     sys = powerset_family(4)
-    oracle = WorkloadOracle(lambda s, j: 2.5, monotone=True)
+    oracle = WorkloadOracle(lambda s: np.full(len(s), 2.5), monotone=True)
     got = second_order_workload_recursion(sys, oracle, {0, 1, 2, 3}, 0, 1, 2)
     assert got == pytest.approx(2.5)
 
@@ -291,8 +280,7 @@ def test_second_order_recursion_matches_direct_rb_solve(rng):
     sys = powerset_family(4)
     model = random_positive_workload_rb(rng, sys, n_states=4)
     oracle = WorkloadOracle(
-        lambda s, j: float(bandit.marginal_workload(model, frozenset(s))[j]),
-        monotone=True)
+        lambda s: bandit.marginal_workload(model, frozenset(s))[sorted(s)], monotone=True)
     s = frozenset({0, 1, 2, 3})
     got = second_order_workload_recursion(sys, oracle, s, 0, 1, 2)
     direct = bandit.marginal_workload(model, s - {0, 1})[2]
@@ -303,8 +291,7 @@ def test_second_order_recursion_symmetric_in_removal_order(rng):
     sys = powerset_family(4)
     model = random_positive_workload_rb(rng, sys, n_states=4)
     oracle = WorkloadOracle(
-        lambda s, j: float(bandit.marginal_workload(model, frozenset(s))[j]),
-        monotone=True)
+        lambda s: bandit.marginal_workload(model, frozenset(s))[sorted(s)], monotone=True)
     s = frozenset({0, 1, 2, 3})
     a = second_order_workload_recursion(sys, oracle, s, 0, 1, 3)
     b = second_order_workload_recursion(sys, oracle, s, 1, 0, 3)
@@ -352,6 +339,17 @@ def test_equivalence_holds_under_alternate_tie_break(rng):
     assert low.pi != high.pi
     assert np.allclose(low.nu, high.nu, atol=1e-12)
     assert low.admissible == high.admissible
+
+
+@pytest.mark.parametrize("algo", [ag1, ag2])
+@pytest.mark.parametrize("tie_break", ["hi", "LOW", "", None])
+def test_unknown_tie_break_is_refused(algo, tie_break):
+    # "hi" used to run silently as "high": pi (2, 1, 0) where "low" gives (1, 2, 0)
+    sys, c = powerset_family(3), [2.0, 1.0, 1.0]
+    assert algo(c, unit_oracle(None), sys).pi == (1, 2, 0)
+    assert algo(c, unit_oracle(None), sys, tie_break="high").pi == (2, 1, 0)
+    with pytest.raises(ValueError, match="tie_break"):
+        algo(c, unit_oracle(None), sys, tie_break=tie_break)
 
 
 def test_index_equals_own_rate_table_entry(rng):
@@ -410,15 +408,14 @@ def test_brute_force_lp_optimality_and_duality(rng):
         for s in sys_star.family:
             if s and s != sys_star.ground:
                 assert y.get(s, 0.0) >= -1e-9
+        rows = {s: dict(zip(sorted(s), oracle.workload(s).tolist()))
+                for s in sys_star.family if s}
         for j in range(sys_star.n):
-            lhs = sum(y.get(s, 0.0) * oracle.workload(s, j)
-                      for s in sys_star.family if s and j in s)
+            lhs = sum(y.get(s, 0.0) * row[j] for s, row in rows.items() if j in s)
             assert lhs <= c[j] + 1e-9 * max(1.0, abs(c[j]))
         # the vertex is feasible for every family constraint
-        for s in sys_star.family:
-            if not s:
-                continue
-            load = sum(oracle.workload(s, j) * x_star[j] for j in s)
+        for s, row in rows.items():
+            load = sum(row[j] * x_star[j] for j in s)
             rhs = oracle.rhs(s)
             slack = 1e-9 * max(1.0, abs(rhs), abs(load))
             if s == sys_star.ground:
@@ -499,7 +496,7 @@ def test_index_decomposition_over_products(rng):
             raise KeyError(j)
 
         c = rng.uniform(-10, 10, joint.n)
-        out = ag2(c, WorkloadOracle(joint_w), joint)
+        out = ag2(c, WorkloadOracle(lambda s: [joint_w(s, j) for j in sorted(s)]), joint)
         parts_admissible = []
         for k, part in enumerate(parts):
             off = offsets[k]

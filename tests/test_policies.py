@@ -440,6 +440,17 @@ def test_switching_curve_heavy_traffic_slope():
     assert abs(curve.empirical_slope - 2.0) / 2.0 <= 0.10
 
 
+@pytest.mark.parametrize("bound", [-1, 2.5, True, None])
+def test_switching_curve_refuses_a_bound_that_is_not_a_level(bound):
+    # -1 used to raise a bare IndexError, 2.5 a TypeError and True numpy's
+    # "truth value of an array is ambiguous"
+    sys = RoutingSystem(1.0, (linear_queue(None, 2.0), linear_queue(None, 3.0)),
+                        alpha=0.0)
+    with pytest.raises(ValueError, match="bound must be an integer >= 0"):
+        switching_curve(sys, bound=bound)
+    assert len(switching_curve(sys, bound=0).boundary) == 1
+
+
 def test_switching_curve_light_traffic_reports_boundary_only():
     sys = RoutingSystem(1.0, (linear_queue(None, 2.0), linear_queue(None, 3.0)),
                         alpha=0.0)

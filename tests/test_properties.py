@@ -621,7 +621,7 @@ def test_chain_record_matches_loop_references(seed, n):
 
         terms = [y[s] * sum(w[s][j] * x[j] for j in s) for s in chain]
         resid = abs(float(c @ x) - sum(terms))
-        assert _close(objective_representation_check(c, out, oracle, x), resid,
+        assert _close(objective_representation_check(out, x), resid,
                       float(np.abs(c) @ x) + sum(map(abs, terms)))
         assert dual_solution(out) == y
         lp = [y[s] * b[s] for s in chain]
@@ -643,6 +643,17 @@ def test_pcl_index_on_uniformized_model_matches_recursion(seed, n, alpha):
     assert rep.indexable
     greedy = np.array([rep.nu_by_state[j] for j in range(n)])
     assert np.max(np.abs(greedy - nu)) <= 1e-9 * max(1.0, float(np.max(np.abs(nu))))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(seed=seeds, n=st.integers(1, 60), alpha=st.floats(1e-3, 1.0))
+def test_charge_path_indices_match_recursion(seed, n, alpha):
+    # the DP oracle's exact critical charges against the closed recursion
+    m = random_compliant_admission(np.random.default_rng(seed), n, alpha)
+    nu = indices(m)
+    path = dp.charge_path(uniformize(m))
+    charges = np.array([dp.fair_charge(path, j) for j in range(n)])
+    assert np.max(np.abs(charges - nu)) <= 1e-10 * max(1.0, float(np.max(np.abs(nu))))
 
 
 def exact_average_indices(m: ACModel) -> list[float]:

@@ -216,6 +216,22 @@ def test_config_validation():
                    {"max_events": math.nan}, {"max_events": math.inf}):
         with pytest.raises(ValueError, match="horizon|event budget"):
             SimConfig(replications=2, **budget)
+    # counts are integers, not bools: a fractional event budget used to hang
+    # (the second chunk ran int(0.5) = 0 events), True ran as 1, and the
+    # other fractions or a negative seed failed mid-run
+    for count, word in (({"max_events": 2.5}, "event budget"),
+                        ({"max_events": True}, "event budget"),
+                        ({"replications": True}, "replications"),
+                        ({"replications": 2.5}, "replications"),
+                        ({"truncation": 6.5}, "truncation"),
+                        ({"truncation": True}, "truncation"),
+                        ({"seed": 1.5}, "seed"), ({"seed": -1}, "seed"),
+                        ({"seed": False}, "seed")):
+        with pytest.raises(ValueError, match=word):
+            SimConfig(**{"max_events": 10, **count})
+    ok = SimConfig(max_events=np.int64(10), replications=np.int64(2), seed=np.int64(0),
+                   truncation=np.int64(1))
+    assert (ok.max_events, ok.replications, ok.seed, ok.truncation) == (10, 2, 0, 1)
 
 
 def test_custom_policy_is_consulted_once_per_visited_state():
