@@ -24,7 +24,7 @@ import numpy as np
 
 from .bandit import RBModel
 from .errors import (AssumptionError, DegeneracyError, InternalConsistencyError,
-                     NumericalRangeError)
+                     NumericalRangeError, _is_level)
 
 SIGN_SLACK = 1e-12  # slack for strict-inequality checks, scaled by magnitude
 
@@ -43,8 +43,8 @@ class ACModel:
     Lambda: float | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"buffer size must be >= 1, got {self.n}")
+        if not (_is_level(self.n, math.inf) and self.n >= 1):
+            raise ValueError(f"buffer size must be an integer >= 1, got {self.n!r}")
         lam = np.array(self.lam, dtype=float)
         mu = np.array(self.mu, dtype=float)
         h = np.array(self.h, dtype=float)
@@ -69,7 +69,8 @@ class ACModel:
             raise ValueError(f"uniformization rate {big} below max(lambda_i + mu_i) = {needed}")
         for arr in (lam, mu, h):
             arr.setflags(write=False)
-        for name, value in (("lam", lam), ("mu", mu), ("h", h), ("Lambda", big)):
+        for name, value in (("n", int(self.n)), ("lam", lam), ("mu", mu), ("h", h),
+                            ("Lambda", big)):
             object.__setattr__(self, name, value)
 
     @property
@@ -301,11 +302,6 @@ def average_indices(m: ACModel) -> np.ndarray:
     return indices(m if m.alpha == 0 else ACModel(m.n, m.lam, m.mu, m.h, 0.0, m.Lambda))
 
 
-def _is_level(j, cap) -> bool:
-    """Whether j is a level in 0..cap: an integer ``operator.index`` takes, not a bool."""
-    return hasattr(type(j), "__index__") and not isinstance(j, bool) and 0 <= j <= cap
-
-
 def closed_form_index(kind: str, lam: float, mu: float, h: float, j: int,
                       delta_h=None) -> float:
     """Closed-form index of state j at constant rates under the average criterion.
@@ -381,8 +377,9 @@ def threshold_steady_state(m: ACModel, k: int) -> tuple[np.ndarray, float, float
     The chain then lives on {0, ..., k-1}; detailed balance gives the
     distribution in closed form.  k = n+1 means the gate is always open.
     """
-    if not 1 <= k <= m.n + 1:
-        raise ValueError(f"threshold chain position k must be in 1..{m.n + 1}")
+    if not (_is_level(k, m.n + 1) and k >= 1):
+        raise ValueError(f"threshold chain position k must be an integer in 1..{m.n + 1}, "
+                         f"got {k!r}")
     top = k - 1 if k <= m.n else m.n
     weights = np.zeros(m.n + 1)
     weights[0] = 1.0

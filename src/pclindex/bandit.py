@@ -27,7 +27,7 @@ from scipy.linalg.lapack import dgbsv, dgtsv
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (InfeasibleTargetError, InternalConsistencyError,
+from .errors import (InfeasibleTargetError, InternalConsistencyError, _is_level,
                      UnsupportedModelError)
 from .greedy import AGOutput, WorkloadOracle, ag2
 from .setsystem import SetSystem, suffix_sets
@@ -275,8 +275,8 @@ def _require_discounted(model: RBModel):
 
 
 def _require_state(model: RBModel, i: int):
-    if not 0 <= i < model.n_states:
-        raise ValueError(f"initial state {i} outside 0..{model.n_states - 1}")
+    if not _is_level(i, model.n_states - 1):
+        raise ValueError(f"initial state {i!r} is not an integer in 0..{model.n_states - 1}")
 
 
 def _set_active_measure(model: RBModel, mask: np.ndarray, active, passive) -> np.ndarray:

@@ -144,7 +144,7 @@ def cmd_index(args) -> int:
         results["pcl"] = _pcl_results(rep)
         agree = max(abs(rep.nu_by_state[j] - nu[j]) for j in range(model.n))
         results["recursion_vs_greedy_gap"] = float(agree)
-        if agree > 1e-9 * max(1.0, float(np.max(np.abs(nu)))):
+        if agree > dp.INDEX_REL_TOL * max(1.0, float(np.max(np.abs(nu)))):
             _emit(_report("index", doc, results))
             _log("closed recursion and greedy route disagree")
             return EXIT_INCONSISTENT
@@ -185,12 +185,12 @@ def cmd_dp_verify(args) -> int:
     path = dp.charge_path(rb, eps=args.eps)
     check = dp.crosscheck_indices(path, rep)
     results["crosscheck"] = {
-        "grid": list(check.grid),
         "agree": check.agree,
-        "mismatches": [
-            {"nu": g, "expected": sorted(e), "observed": sorted(o)}
-            for g, e, o in check.mismatches
-        ],
+        "dp_indices": {str(j): v for j, v in
+                       zip(sorted(rb.controllable), check.dp_indices.tolist())},
+        "dp_vs_pcl_gap": check.gap,
+        "mismatches": [{"state": j, "pcl_index": nu, "dp_switches": list(at)}
+                       for j, nu, at in check.mismatches],
     }
     values = sorted(set(rep.nu_by_state.values()))
     span = max(1.0, values[-1] - values[0])
@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="threshold",
                    choices=["threshold", "powerset", "explicit"])
     p.add_argument("--grid", type=int, default=21)
-    p.add_argument("--eps", type=float, default=dp.DEFAULT_INDIFFERENCE)
+    p.add_argument("--eps", type=float, default=dp.DEFAULT_INDIFFERENCE,
+                   help="indifference band of the sweep's active sets (the cross-check ignores it)")
     p.set_defaults(fn=cmd_dp_verify)
 
     p = subs.add_parser("simulate", help="evaluate policies by simulation")

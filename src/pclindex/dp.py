@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandit import PCLReport, RBModel, _require_ground, _require_report
-from .errors import InternalConsistencyError, UnsupportedModelError
+from .errors import InternalConsistencyError, UnsupportedModelError, _is_level
 from .setsystem import SetSystem
 
 DEFAULT_INDIFFERENCE = 1e-8
+INDEX_REL_TOL = 1e-9   # DP and PCL indices agree within this, relative to max(1, max |nu|)
 PI_SOFT_ITER_BOUND = 30
 
 
@@ -151,7 +152,7 @@ class ChargePath:
     made two flips at one charge).  Its policy is ``policies[k]`` (active mask,
     uncontrollable states active), under which the action gap q1 - q0 of
     every state is the line ``gap_const[k] + nu * gap_slope[k]``.  ``eps``
-    is the indifference band of the sets read off the path.
+    is the indifference band of the closed sets the charge sweep reads.
     """
 
     model: RBModel
@@ -162,9 +163,10 @@ class ChargePath:
     gap_slope: np.ndarray
 
     @property
-    def switches(self) -> tuple[frozenset, ...]:
-        """The states whose optimal action changes at each breakpoint."""
-        return _sets(self.policies[1:] ^ self.policies[:-1])
+    def flips(self) -> np.ndarray:
+        """The states whose optimal action changes at each breakpoint, one
+        mask row per breakpoint."""
+        return self.policies[1:] ^ self.policies[:-1]
 
     def closed(self, charges: np.ndarray) -> np.ndarray:
         """The closed optimal set (gap at most ``eps``) at each charge, one mask
@@ -268,9 +270,9 @@ def fair_charge(path: ChargePath, j: int) -> float:
     Raises UnsupportedModelError, naming the charges, when j switches at no
     breakpoint or at several.
     """
-    if j not in path.model.controllable:
+    if not (_is_level(j, path.model.n_states - 1) and path.model.ctrl_mask[j]):
         raise ValueError(f"state {j} is not controllable")
-    at = [r for r, states in zip(path.breakpoints.tolist(), path.switches) if j in states]
+    at = path.breakpoints[path.flips[:, j]].tolist()
     if len(at) != 1:
         raise UnsupportedModelError(f"state {j} switches at {len(at)} charges, not one: {at}")
     return at[0] + 0.0
@@ -278,54 +280,39 @@ def fair_charge(path: ChargePath, j: int) -> float:
 
 @dataclass(frozen=True)
 class CrosscheckReport:
-    """Index sets {j : charge <= nu_j} against DP-optimal sets, one mask row
-    per charge; the failing rows as (charge, expected set, observed set)."""
+    """The DP index of each controllable state, in state order (NaN where
+    the state does not go from active to passive at exactly one
+    breakpoint), its largest distance ``gap`` from the PCL index (inf when
+    some index is NaN), and the states off by more than the bound, as
+    (state, PCL index, charges where the state switches)."""
 
-    grid: tuple[float, ...]
-    expected_masks: np.ndarray
-    observed_masks: np.ndarray
-    mismatches: tuple[tuple[float, frozenset, frozenset], ...]
+    dp_indices: np.ndarray
+    gap: float
+    mismatches: tuple[tuple[int, float, tuple[float, ...]], ...]
     agree: bool
-
-    @property
-    def expected(self) -> tuple[frozenset, ...]:
-        return _sets(self.expected_masks)
-
-    @property
-    def observed(self) -> tuple[frozenset, ...]:
-        return _sets(self.observed_masks)
 
 
 def crosscheck_indices(path: ChargePath, report: PCLReport) -> CrosscheckReport:
     """Compare the indices of a PCL-indexable report of ``path.model``
-    against the DP-optimal sets read off the path.
+    with the DP indices read off the path.
 
-    Builds a charge grid from midpoints between consecutive distinct
-    indices plus points beyond both extremes and the index values
-    themselves.  Off the breakpoints the DP set must equal
-    {j : charge <= index_j} exactly; at a breakpoint the DP cannot separate
-    the closed and open conventions, so both are accepted there.
+    The DP index of state j is the one breakpoint where j switches, when
+    j is active on the first piece and passive on the last.  The two agree
+    when every DP index is within INDEX_REL_TOL * max(1, max |nu|) of the
+    PCL index.
     """
     model = path.model
     _require_report(model, report, model.normalized_cost)
     if not report.indexable:
         raise ValueError("cross-check requires a PCL-indexable report")
-    nus = report.nu   # one entry per controllable state, in state order
-    values = sorted(nus.tolist())
-    span = max(1.0, values[-1] - values[0])
-    distinct: list[float] = []
-    for v in values:
-        if not distinct or v - distinct[-1] > 1e-9 * span:
-            distinct.append(v)
-    mids = [0.5 * (a + b) for a, b in zip(distinct, distinct[1:])]
-    grid = sorted([distinct[0] - 0.5 * span, *mids, distinct[-1] + 0.5 * span, *distinct])
-
-    charges = np.array(grid)
-    dp_sets = path.closed(charges)
-    closed, near = np.zeros_like(dp_sets), np.zeros_like(dp_sets)
-    closed[:, model.ctrl_mask] = charges[:, None] <= nus
-    near[:, model.ctrl_mask] = np.abs(charges[:, None] - nus) <= 1e-9 * span
-    # the DP set must lie between the open set (breakpoint states dropped) and the closed one
-    bad = np.flatnonzero((closed & ~near & ~dp_sets).any(axis=1) | (dp_sets & ~closed).any(axis=1))
-    mismatches = tuple(zip([grid[r] for r in bad], _sets(closed[bad]), _sets(dp_sets[bad])))
-    return CrosscheckReport(tuple(grid), closed, dp_sets, mismatches, not mismatches)
+    nus, ctrl = report.nu, model.ctrl_mask   # one index per controllable state, in state order
+    flips = path.flips[:, ctrl]
+    once = (flips.sum(axis=0) == 1) & path.policies[0, ctrl] & ~path.policies[-1, ctrl]
+    dp_nu = np.full(once.size, np.nan)
+    dp_nu[once] = path.breakpoints[np.nonzero(flips[:, once].T)[1]] + 0.0
+    dist = np.where(once, np.abs(dp_nu - nus), np.inf)
+    bad = np.flatnonzero(dist > INDEX_REL_TOL * max(1.0, float(np.abs(nus).max())))
+    states = np.flatnonzero(ctrl)
+    mismatches = tuple((int(states[c]), float(nus[c]),
+                        tuple(path.breakpoints[flips[:, c]].tolist())) for c in bad)
+    return CrosscheckReport(dp_nu, float(dist.max()), mismatches, not mismatches)

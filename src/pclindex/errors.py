@@ -1,9 +1,15 @@
 """Exception types shared across the package.
 
 Plain ``ValueError`` is used for malformed arguments (non-permutations,
-out-of-range indices, bad shapes).  The classes below mark failures that
-carry domain meaning and that callers may want to catch selectively.
+out-of-range indices, bad shapes); :func:`_is_level` is the one test of a
+state or level argument.  The classes below mark failures that carry
+domain meaning and that callers may want to catch selectively.
 """
+
+
+def _is_level(j, cap) -> bool:
+    """Whether j is a level in 0..cap: an integer ``operator.index`` takes, not a bool."""
+    return hasattr(type(j), "__index__") and not isinstance(j, bool) and 0 <= j <= cap
 
 
 class PclIndexError(Exception):

@@ -35,7 +35,8 @@ SCHEMAS: dict[str, dict] = {
         "properties": {
             "kind": {"const": "rb"},
             "states": {"type": "integer", "minimum": 1},
-            "controllable": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+            "controllable": {"type": "array", "uniqueItems": True,
+                             "items": {"type": "integer", "minimum": 0}},
             "P0": _MAT, "P1": _MAT,
             "h0": _VEC, "h1": _VEC, "theta1": _VEC,
             "beta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
@@ -167,10 +168,14 @@ def model_from_document(doc: dict):
     kind = validate_document(doc)
     try:
         if kind == "rb":
-            return RBModel(np.array(doc["P0"]), np.array(doc["P1"]),
-                           np.array(doc["h0"]), np.array(doc["h1"]),
-                           np.array(doc["theta1"]), float(doc["beta"]),
-                           frozenset(doc["controllable"]))
+            model = RBModel(np.array(doc["P0"]), np.array(doc["P1"]),
+                            np.array(doc["h0"]), np.array(doc["h1"]),
+                            np.array(doc["theta1"]), float(doc["beta"]),
+                            frozenset(doc["controllable"]))
+            if doc["states"] != model.n_states:
+                raise ValueError(f"'states' is {doc['states']}, but the matrices "
+                                 f"have {model.n_states} states")
+            return model
         if kind == "admission":
             return ACModel(int(doc["n"]), np.array(doc["lambda"]),
                            np.array(doc["mu"]), np.array(doc["h"]),

@@ -31,7 +31,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import admission
-from .admission import ACModel, _is_level
+from .admission import ACModel
+from .errors import _is_level
 
 Action = int | None   # queue/product number, or None for reject/idle
 FIT_FROM = 50         # first queue-1 occupancy of the heavy-traffic slope fit

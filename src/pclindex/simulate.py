@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .admission import _is_level
+from .errors import _is_level
 from .policies import MTS_RULES, ROUTING_RULES, MTSSystem, RoutingSystem, engage
 
 BOUNDARY_FLAG_FRACTION = 1e-3

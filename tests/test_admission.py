@@ -47,6 +47,15 @@ def test_non_finite_entries_are_rejected(name, value):
         ACModel(**fields)
 
 
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_buffer_size_must_be_an_integer(n):
+    # n = True was accepted and then written to model files as "n": true,
+    # which the schema refuses on reload
+    size = int(n)
+    with pytest.raises(ValueError, match="buffer size must be an integer >= 1"):
+        ACModel(n, np.ones(size + 1), np.ones(size), np.arange(size + 1.0), 0.1)
+
+
 def test_assumptions_constant_rates_linear_costs_pass():
     assert validate_assumptions(constant_rate_model(5, 1.0, 1.5)).ok
 
@@ -455,6 +464,13 @@ def test_whittle_counterexample_extended_index_is_monotone():
     rep = bandit.pcl_index(uniformize(model), threshold_family(model.n))
     assert rep.indexable
     assert rep.nu_by_state[0] <= rep.nu_by_state[1]
+
+
+@pytest.mark.parametrize("k", [True, 1.5, 2.0])
+def test_threshold_steady_state_refuses_a_bool_or_a_float(k):
+    # k = True ran as k = 1, and k = 1.5 raised a bare TypeError
+    with pytest.raises(ValueError, match=r"must be an integer in 1\.\.6"):
+        threshold_steady_state(constant_rate_model(5, 1.0, 1.5), k)
 
 
 def test_threshold_steady_state_matches_average_limits(rng):

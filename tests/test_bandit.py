@@ -389,10 +389,11 @@ def test_value_breakpoints_structure_and_dp_agreement(rng):
         assert segs.evaluate(float(nu)) == pytest.approx(ref, abs=1e-7 * max(1, abs(ref)))
 
 
-@pytest.mark.parametrize("i", [-1, 5])
+@pytest.mark.parametrize("i", [-1, 5, True, 1.5])
 def test_initial_state_out_of_range_is_refused(rng, i):
-    # i = -1 used to read state n's values, and i = n_states raised a bare
-    # IndexError; the decompositions inherit the check
+    # i = -1 used to read state n's values, i = n_states and i = 1.5 raised a
+    # bare IndexError, and i = True set every entry of the initial vector;
+    # the decompositions inherit the check
     m = random_compliant_admission(rng, 4, alpha=0.35)
     rb, u = admission.uniformize(m), np.ones(5)
     rep = pcl_index(rb, threshold_family(4))

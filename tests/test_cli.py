@@ -71,6 +71,14 @@ def test_rb_round_trip_through_file(tmp_path):
     assert np.allclose(reloaded.P0, model.P0)
 
 
+def test_numpy_integer_buffer_size_round_trips():
+    # a numpy integer n was stored as given, and writing the model's
+    # document then raised json's TypeError
+    model = admission.ACModel(np.int64(2), [1.0] * 3, [1.0] * 2, [0.0, 1.0, 2.0], 0.1)
+    assert type(model.n) is int
+    assert json.loads(canonical_json(document_from_model(model)))["n"] == 2
+
+
 def test_schema_rejects_unknown_kind(tmp_path, capsys):
     path = write_doc(tmp_path, {"kind": "mystery"})
     code, out, _ = run_cli(capsys, "index", path)
@@ -83,6 +91,17 @@ def test_schema_rejects_bad_shapes(tmp_path, capsys):
     doc["mu"] = [2.0, 2.0]   # wrong length
     code, out, _ = run_cli(capsys, "index", write_doc(tmp_path, doc))
     assert code == 2
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("states", 7, "'states' is 7, but the matrices have 3 states"),
+    ("controllable", [0, 0, 1], "schema violation at controllable"),
+], ids=["states", "controllable"])
+def test_rb_file_fields_agree_with_the_matrices(tmp_path, capsys, field, value, message):
+    # 'states' was never read, so a 3-state file claiming 7 loaded as 3
+    # states; a repeated controllable state loaded and dumped once
+    code, out, _ = run_cli(capsys, "index", write_doc(tmp_path, dict(rb_doc(), **{field: value})))
+    assert code == 2 and out["error"].startswith(message)
 
 
 @pytest.mark.parametrize("command", ["index", "dp-verify"])
@@ -265,15 +284,25 @@ def test_dp_verify_admission_file_reads_the_family_option(tmp_path, capsys, monk
     assert set(swept[0].family) == set(powerset_family(4).family)
 
 
+# n = 50, lam 1, mu 1/1.3, h_i = i^2, alpha 1e-6: near-critical discounting
+# pushes the PCL indices of states 26..49 up to 911 (1.1e-5 relative) off
+# the charge path's exact breakpoints, while both keep the same order
+DRIFTING_N50 = {"kind": "admission", "n": 50, "alpha": 1e-6, "lambda": [1.0] * 51,
+                "mu": [1 / 1.3] * 50, "h": [float(j * j) for j in range(51)]}
+
+
 def test_dp_verify_disagreement_exits_4(tmp_path, capsys):
-    # an absurd indifference tolerance makes the DP call every state
-    # indifferent, which cannot match the index sets: exit code 4
-    doc = dict(ADMISSION_DOC)
-    doc["alpha"] = 0.3
-    code, out, _ = run_cli(capsys, "dp-verify", write_doc(tmp_path, doc),
-                           "--eps", "1e9")
+    # both index paths keep the same order here, but the numbers differ:
+    # exit code 4, naming the states
+    code, out, _ = run_cli(capsys, "dp-verify", write_doc(tmp_path, DRIFTING_N50))
     assert code == 4
-    assert out["results"]["crosscheck"]["mismatches"]
+    check = out["results"]["crosscheck"]
+    assert not check["agree"] and out["results"]["sweep"]["nested_decreasing"]
+    assert [row["state"] for row in check["mismatches"]] == list(range(26, 50))
+    assert 900 < check["dp_vs_pcl_gap"] < 920
+    assert check["dp_vs_pcl_gap"] == max(
+        abs(check["dp_indices"][str(row["state"])] - row["pcl_index"])
+        for row in check["mismatches"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -297,7 +326,7 @@ def test_dp_verify_report_is_pinned(tmp_path, capsys):
     assert cli.main(["dp-verify", write_doc(tmp_path, doc)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "076d462708f3c411d9485eaa2da346c40097dad96ca016cf04dadbe9ae49cb18"
+        "562dfeae267076cdcb1d72973e94490080e2e1539acf02057ad582f95a7aeff4"
 
 
 def test_dp_verify_solves_each_path_policy_once(tmp_path, capsys, monkeypatch):
@@ -325,11 +354,10 @@ def test_dp_verify_solves_each_path_policy_once(tmp_path, capsys, monkeypatch):
 def test_dp_verify_mismatch_report_is_pinned(tmp_path, capsys):
     # pinned like the report above, on the disagreement path: the
     # mismatch rows and the sweep's sets printed from the boolean masks
-    doc = dict(ADMISSION_DOC, alpha=0.3)
-    assert cli.main(["dp-verify", write_doc(tmp_path, doc), "--eps", "1e9"]) == 4
+    assert cli.main(["dp-verify", write_doc(tmp_path, DRIFTING_N50)]) == 4
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "1ff2f6794637016481b364f2e5373ba4c8bb3c5cc44e633b424e28cc6f04bddb"
+        "9d34e9fa490a96420f118975feab73951108bcf97636ede1adb0e29ec25eb442"
 
 
 PINNED_N30 = {"kind": "admission", "n": 30, "alpha": 0.1, "lambda": [1.0] * 31,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,7 +8,8 @@ import pytest
 from pclindex import admission, bandit, dp
 from pclindex.bandit import RBModel
 from pclindex.errors import UnsupportedModelError
-from pclindex.setsystem import threshold_family
+from pclindex.greedy import AGOutput
+from pclindex.setsystem import powerset_family, threshold_family
 
 from conftest import random_compliant_admission, random_rb
 
@@ -229,6 +231,15 @@ def test_fair_charge_refuses_a_state_that_switches_twice():
     assert [dp.fair_charge(path, j) for j in (0, 1, 3)] == path.breakpoints[[3, 4, 1]].tolist()
 
 
+@pytest.mark.parametrize("j", [True, 1.0, np.float64(1.0)], ids=["bool", "float", "float64"])
+def test_fair_charge_refuses_a_bool_or_a_float(j):
+    # True and 1.0 used to read state 1's charge
+    path = dp.charge_path(six_state_queue())
+    with pytest.raises(ValueError, match="is not controllable"):
+        dp.fair_charge(path, j)
+    assert dp.fair_charge(path, np.int64(1)) == dp.fair_charge(path, 1)
+
+
 def test_fair_charge_requires_controllable_state(rng):
     m = random_rb(rng, 3, 1)
     with pytest.raises(ValueError):
@@ -247,25 +258,71 @@ def test_fair_charge_agrees_with_recursion_indices(rng):
 # crosscheck_indices
 # ---------------------------------------------------------------------------
 
-def test_crosscheck_compliant_instance_eleven_grid_points(rng):
+def test_crosscheck_compliant_instance_matches_each_index(rng):
     m, rb = compliant_rb(rng, n=5, alpha=0.3)
     rep = bandit.pcl_index(rb, threshold_family(5))
     check = dp.crosscheck_indices(dp.charge_path(rb), rep)
-    assert check.agree
-    assert len(check.grid) == 11   # 2 outside + 4 midpoints + 5 breakpoints
-    assert check.expected[0] == frozenset(range(5))
-    assert check.expected[-1] == frozenset()
+    assert check.agree and check.mismatches == ()
+    assert check.dp_indices == pytest.approx(rep.nu, rel=1e-9, abs=1e-9)
+    assert check.gap == np.abs(check.dp_indices - rep.nu).max()
 
 
-def test_crosscheck_accepts_the_open_set_at_a_breakpoint():
-    # with no indifference band the DP settles each breakpoint state by the
-    # sign of a roundoff-sized gap, so some breakpoints see the open set
+def test_crosscheck_ignores_the_indifference_band():
+    # eps sets only the sweep's closed sets: with no band at all the DP
+    # indices are the same breakpoints, bit for bit
     m = admission.ACModel(12, np.full(13, 1.0), np.full(12, 1.3),
                           np.arange(13.0) ** 2, 0.1)
     rb, fam = admission.uniformize(m), threshold_family(12)
-    check = dp.crosscheck_indices(dp.charge_path(rb, eps=0.0), bandit.pcl_index(rb, fam))
-    assert check.agree
-    assert any(o < e for e, o in zip(check.expected, check.observed))
+    rep = bandit.pcl_index(rb, fam)
+    sharp, banded = (dp.crosscheck_indices(dp.charge_path(rb, eps=eps), rep)
+                     for eps in (0.0, dp.DEFAULT_INDIFFERENCE))
+    assert sharp.agree and banded.agree
+    assert sharp.dp_indices.tobytes() == banded.dp_indices.tobytes()
+
+
+def test_crosscheck_names_a_state_whose_index_is_off():
+    # one PCL index moved by 1e-6 relative keeps the order of the indices;
+    # the numbers still name the state
+    rb, fam = six_state_queue(), threshold_family(5)
+    rep = bandit.pcl_index(rb, fam)
+    nu = rep.nu.copy()
+    nu[3] *= 1.0 + 1e-6
+    off = dataclasses.replace(rep, ag=dataclasses.replace(rep.ag, nu=nu))
+    path = dp.charge_path(rb)
+    assert dp.crosscheck_indices(path, rep).agree
+    check = dp.crosscheck_indices(path, off)
+    assert not check.agree
+    assert [row[:2] for row in check.mismatches] == [(3, nu[3])]
+    assert check.mismatches[0][2] == (dp.fair_charge(path, 3),)
+    assert check.gap == pytest.approx(1e-6 * rep.nu[3], rel=1e-6)
+
+
+def test_crosscheck_reads_the_counterexample_breakpoints():
+    # the Whittle variant is PCL-indexable over the powerset family; its
+    # full-buffer state switches at the path's -0.0, read as +0.0 as
+    # fair_charge reads it
+    rb = admission.whittle_variant(admission.whittle_counterexample()[0])
+    path = dp.charge_path(rb)
+    check = dp.crosscheck_indices(path, bandit.pcl_index(rb, powerset_family(3)))
+    assert check.agree and check.gap <= 1e-13
+    assert check.dp_indices.tolist() == [dp.fair_charge(path, j) for j in range(3)]
+    assert math.copysign(1.0, check.dp_indices[2]) == 1.0
+
+
+@pytest.mark.parametrize("seed, switches", [(14, 2), (64, 3)])
+def test_crosscheck_reads_nan_where_a_state_does_not_switch_once(seed, switches):
+    # state 2 switches twice in the seed-14 model (see the fair_charge test
+    # above) and three times in the seed-64 one, so a report that claims
+    # indexability meets a NaN DP index there and an infinite gap
+    m = random_rb(np.random.default_rng(seed), 4, 4, beta=0.9)
+    assert dp.charge_path(m).flips[:, 2].sum() == switches
+    nu = np.arange(4.0)
+    ag = AGOutput(True, (0, 1, 2, 3), nu, nu, np.zeros((4, 4)), np.ones((4, 4)),
+                  m.normalized_cost[m.ctrl_mask])
+    claimed = bandit.PCLReport(True, True, True, (), dict(enumerate(nu)), (0, 1, 2, 3), ag)
+    check = dp.crosscheck_indices(dp.charge_path(m), claimed)
+    assert math.isnan(check.dp_indices[2]) and check.gap == math.inf
+    assert not check.agree and 2 in [row[0] for row in check.mismatches]
 
 
 def test_crosscheck_extremes(rng):
@@ -302,8 +359,8 @@ def test_crosscheck_refuses_a_report_of_another_model_or_criterion():
 def test_crosscheck_evaluates_each_policy_once(monkeypatch):
     # regular queue: lam 1, mu 1.3, h_i = i^2, alpha 0.1; the path has one
     # piece per threshold policy, 101 in all, and each policy is solved
-    # once, for its cost and activity columns together; the 201 charges of
-    # the cross-check read the path without a solve
+    # once, for its cost and activity columns together; the cross-check
+    # reads the path without a solve
     m = admission.ACModel(100, np.full(101, 1.0), np.full(100, 1.3),
                           np.arange(101.0) ** 2, 0.1)
     rb, fam = admission.uniformize(m), threshold_family(100)
@@ -321,7 +378,6 @@ def test_crosscheck_evaluates_each_policy_once(monkeypatch):
     count = len(solved)
     check = dp.crosscheck_indices(path, rep)
     assert check.agree
-    assert len(check.grid) == 201
     assert len(solved) == count <= 110
     # the breakpoints are the indices of the admission recursion
     want = admission.indices(m)

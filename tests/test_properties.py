@@ -26,6 +26,7 @@ from jsonschema import Draft202012Validator
 from pclindex import admission, bandit, cli, dp, modelio
 from pclindex.admission import (ACModel, closed_form_index, indices, uniformize,
                                 workload_pivots, workload_table)
+from pclindex.errors import UnsupportedModelError
 from pclindex.greedy import (WorkloadOracle, ag1, ag2, dual_solution, local_minmax_check,
                              lp_value, objective_representation_check, primal_vertex)
 from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
@@ -856,6 +857,31 @@ def test_charge_path_matches_cold_solves(seed, n, lower, upper, dense, beta, cha
         cold = dp.solve(m, nu, method="value")
         if np.all(np.abs(cold.gap[m.ctrl_mask]) > 1e-6):
             assert got == cold.active_closed
+
+
+@settings(PROPERTY, max_examples=60)
+@given(seed=seeds, n=st.integers(1, 7), lower=st.integers(0, 3), upper=st.integers(0, 3),
+       dense=st.booleans(), beta=st.floats(0.5, 0.99))
+def test_crosscheck_reads_the_critical_charges(seed, n, lower, upper, dense, beta):
+    # random models that are PCL-indexable over the powerset family: the
+    # DP index of each state is the critical charge fair_charge reads, bit
+    # for bit, and it agrees with the PCL index
+    rng = np.random.default_rng(seed)
+    if dense:
+        m = random_rb(rng, n, int(rng.integers(1, n + 1)), beta=beta)
+    else:
+        m = banded_rb(rng, n, lower, upper, beta)
+    assume(m.controllable)
+    try:
+        rep = bandit.pcl_index(m, powerset_family(len(m.controllable)))
+    except UnsupportedModelError:   # a nonpositive workload on the greedy chain
+        rep = None
+    assume(rep is not None and rep.indexable)
+    path = dp.charge_path(m)
+    check = dp.crosscheck_indices(path, rep)
+    assert check.agree, check.mismatches
+    critical = np.array([dp.fair_charge(path, j) for j in sorted(m.controllable)])
+    assert check.dp_indices.tobytes() == critical.tobytes()
 
 
 # ---------------------------------------------------------------------------
