@@ -16,6 +16,7 @@ birth--death models of :mod:`pclindex.admission` are), densely otherwise.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from functools import cache as memoize, cached_property
@@ -35,6 +36,7 @@ from .setsystem import SetSystem, suffix_sets
 SOFT_STATE_CAP = 2000
 DMR_TOL = 1e-9           # residual allowed in the diminishing-marginal-returns checks
 TARGET_REL_TOL = 1e-12   # activity targets this close to a chain value hit it exactly
+SCAN_ENTRIES = 1 << 18   # operator entries held by one batch of the discounted family scan
 
 
 def solve_banded(band: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -79,7 +81,7 @@ class _SolveKernel:
             rows = np.arange(-upper, lower + 1)[:, None] + states
             inside = (rows >= 0) & (rows < n)
             # the matrix row of each band entry, and the diagonal's band row
-            self._rows, self._diag = np.clip(rows, 0, n - 1), upper
+            self._rows, self._diag = np.clip(rows, 0, n - 1), (upper, slice(None))
             ops = tuple(np.where(inside, M[self._rows, states], 0.0) for M in ops)
         for M in ops:
             M.setflags(write=False)
@@ -87,8 +89,9 @@ class _SolveKernel:
 
     def _mixed(self, mask: np.ndarray) -> np.ndarray:
         """beta*P_S, with the rows of beta*P1 where ``mask`` holds and the
-        rows of beta*P0 elsewhere, in this kernel's storage."""
-        return np.where(mask[self._rows], self.bP1, self.bP0)
+        rows of beta*P0 elsewhere, in this kernel's storage; an (m, n)
+        stack of masks gives a stack of m operators."""
+        return np.where(mask[..., self._rows], self.bP1, self.bP0)
 
     def edges(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (source, target) states of the positive entries of beta*P_S,
@@ -101,9 +104,9 @@ class _SolveKernel:
         return src[order], cols[order]
 
     def system(self, mask: np.ndarray) -> np.ndarray:
-        """I - beta*P_S in this kernel's storage."""
+        """I - beta*P_S in this kernel's storage, stacked like ``mask``."""
         A = -self._mixed(mask)
-        A[self._diag] += 1.0
+        A[(..., *self._diag)] += 1.0
         return A
 
     def occupancy(self, mask: np.ndarray) -> np.ndarray:
@@ -128,10 +131,9 @@ class _SolveKernel:
         vector, or with each column of an (n, k) array."""
         if self.band is None:
             return M @ x
-        if x.ndim > 1:
-            return np.array([self.apply(M, col) for col in x.T]).T
         lower, upper = self.band
         n = x.shape[0]
+        M = M.reshape(M.shape + (1,) * (x.ndim - 1))   # broadcast over the columns
         y = M[upper] * x
         for d in range(1, upper + 1):
             y[:n - d] += M[upper - d, d:] * x[d:]
@@ -149,15 +151,36 @@ class _SolveKernel:
         if anchor is not None:
             A[anchor if self.band is None else self.band[1], anchor] += 1.0
         x = np.linalg.solve(A, rhs) if self.band is None else solve_banded(self.band, A, rhs)
-        err = np.abs(self.apply(A, x) - rhs)
-        # the scales are at least 1, so they are needed only past 1e-10
-        if not err.max() <= 1e-10:
-            res = err.max(axis=0)
-            scale = np.maximum(1.0, np.maximum(np.abs(rhs).max(axis=0), np.abs(x).max(axis=0)))
-            if not (res <= 1e-10 * scale).all():
-                raise InternalConsistencyError(
-                    f"linear solve residual {res.max():g} exceeds tolerance")
+        _check_residual(self.apply(A, x), rhs, x, 0)
         return x
+
+    def solve_rows(self, masks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The rows x of (I - beta*P_S) x = rhs for (m, n) stacks of masks and
+        right-hand sides, each checked against its own scale.  Banded systems
+        are the diagonal blocks of one band: zero couplings keep every bit."""
+        A = self.system(masks)
+        if self.band is None:
+            x = np.linalg.solve(A, rhs[..., None])
+            ax = np.matmul(A, x)
+        else:
+            A = A.transpose(1, 0, 2).reshape(A.shape[1], -1)
+            x = solve_banded(self.band, A, rhs.ravel())
+            ax = self.apply(A, x)
+        x, ax = x.reshape(rhs.shape), ax.reshape(rhs.shape)
+        _check_residual(ax, rhs, x, -1)
+        return x
+
+
+def _check_residual(ax: np.ndarray, rhs: np.ndarray, x: np.ndarray, axis: int):
+    """Refuse a residual over 1e-10 * max(1, |rhs|, |x|), per system along ``axis``."""
+    err = np.abs(ax - rhs)
+    # the scales are at least 1, so they are needed only past 1e-10
+    if not err.max() <= 1e-10:
+        res = err.max(axis=axis)
+        scale = np.maximum(1.0, np.maximum(np.abs(rhs).max(axis=axis), np.abs(x).max(axis=axis)))
+        if not (res <= 1e-10 * scale).all():
+            raise InternalConsistencyError(
+                f"linear solve residual {res.max():g} exceeds tolerance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,9 +234,10 @@ class RBModel:
             raise ValueError("activity weights theta1 must be strictly positive")
         if not (0.0 <= self.beta <= 1.0):
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        ctrl = frozenset(int(j) for j in self.controllable)
-        if not ctrl <= set(range(n)):
-            raise ValueError("controllable states out of range")
+        ctrl = frozenset(self.controllable)
+        if not all(_is_level(j, n - 1) for j in ctrl):   # a bool or 1.5 is refused, not cut
+            raise ValueError(f"controllable states must be integers in 0..{n - 1}")
+        ctrl = frozenset(map(int, ctrl))
         for i in sorted(set(range(n)) - ctrl):
             if np.max(np.abs(P0[i] - P1[i])) > 1e-12 or abs(h0[i] - h1[i]) > 1e-12:
                 raise ValueError(
@@ -327,18 +351,13 @@ def occupation_measures(model: RBModel, u, i: int) -> tuple[np.ndarray, np.ndarr
     return x0, x1
 
 
-def _workload(model: RBModel, b: np.ndarray) -> np.ndarray:
-    """Marginal workloads against a policy whose activity measure is ``b``."""
-    w = model.theta1 + model.kernel.apply(model.kernel.dP, b)
-    w[~model.ctrl_mask] = 0.0
-    return w
-
-
 def marginal_workload(model: RBModel, s) -> np.ndarray:
     """Increment of the activity measure from a passive-to-active
     interchange against the S-active policy; exactly zero at
     uncontrollable states."""
-    return _workload(model, activity_measure(model, s))
+    w = model.theta1 + model.kernel.apply(model.kernel.dP, activity_measure(model, s))
+    w[~model.ctrl_mask] = 0.0
+    return w
 
 
 def marginal_cost(model: RBModel, s) -> np.ndarray:
@@ -415,26 +434,43 @@ def _require_ground(model: RBModel, sys: SetSystem):
 
 def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
     """The indexability test under either criterion: the family scan keeps
-    each member's marginal workloads over the ground (discounted) or its
-    long-run average limits, which also give the cost input."""
+    each member's marginal workloads over sorted(S), from batches of at
+    most ``SCAN_ENTRIES`` operator entries solved together (discounted) or
+    from its long-run average limits, which also give the cost input."""
     _require_ground(model, sys)
     ctrl = sorted(model.controllable)
     at = np.array(ctrl, dtype=int)
-    scan, violations = {}, []
-    for s in sys.family:
-        if average:
-            scan[s] = average_limits(model, (ctrl[e] for e in s))
-            w = scan[s].w_bar[at]
+    family = sys.family
+    if not average:
+        _require_discounted(model)
+    size = 1 if average else max(1, SCAN_ENTRIES // model.kernel.dP.size)
+    scan, violations, limits = {}, [], {}
+    for lo in range(0, len(family), size):
+        batch = family[lo:lo + size]
+        sizes = list(map(len, batch))
+        member = np.zeros((len(batch), sys.n), dtype=bool)
+        member[np.repeat(np.arange(len(batch)), sizes),
+               np.fromiter(itertools.chain.from_iterable(batch), int, sum(sizes))] = True
+        if average:    # one member per batch, whose row is read off its limits
+            limits[batch[0]] = average_limits(model, [ctrl[e] for e in batch[0]])
+            W = limits[batch[0]].w_bar[at][None]
         else:
-            mask = ~model.ctrl_mask
-            mask[at[list(s)]] = True
-            scan[s] = w = _workload(model, _set_active_measure(
-                model, mask, model.theta1, 0.0))[at]
-        violations.extend((s, e, float(w[e])) for e in np.flatnonzero(~(w > 0.0)))
-    workloads = (lambda s: scan[s].w_bar[at]) if average else scan.__getitem__
-    cost = ((scan.get(sys.ground) or average_limits(model, ctrl)).c_bar if average
+            # one stacked solve, then a stacked gemv per member as in
+            # marginal_workload: a gemm's bits differ
+            kernel = model.kernel
+            masks = np.tile(~model.ctrl_mask, (len(batch), 1))
+            masks[:, at] = member
+            B = kernel.solve_rows(masks, np.where(masks, model.theta1, 0.0))
+            d = (np.matmul(kernel.dP, B[..., None])[..., 0] if kernel.band is None
+                 else kernel.apply(kernel.dP, B.T).T)
+            W = model.theta1[at] + d[:, at]
+        for r, e in zip(*np.nonzero(~(W > 0.0))):
+            violations.append((batch[r], e, float(W[r, e])))
+        # W[member] lists each row's entries in sorted(S) order
+        scan.update(zip(batch, np.split(W[member], np.cumsum(sizes[:-1]))))
+    cost = ((limits.get(sys.ground) or average_limits(model, ctrl)).c_bar if average
             else model.normalized_cost)
-    row = lambda s: workloads(s)[sorted(s)]
+    row = scan.__getitem__
     if violations:   # the walk cannot pass a member with a nonpositive workload of its own
         inside = {s: (e, w) for s, e, w in reversed(violations) if e in s}   # first e per s
 
@@ -453,8 +489,8 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
         admissible=out.admissible,
         workload_violations=tuple((frozenset(ctrl[e] for e in s), ctrl[j], w)
                                   for s, j, w in violations),
-        nu_by_state={ctrl[e]: float(out.nu[e]) for e in range(sys.n)},
-        state_order=tuple(ctrl[e] for e in out.pi),
+        nu_by_state=dict(zip(ctrl, out.nu.tolist())),
+        state_order=tuple(at[list(out.pi)].tolist()),
         ag=out,
     )
 

@@ -51,8 +51,8 @@ class WorkloadOracle:
     def workload(self, s: frozenset) -> np.ndarray:
         """The row of w(S, j) over j in sorted(S), as an array, checked positive."""
         vals = np.asarray(self._row(s), dtype=float)
-        bad = np.flatnonzero(~(vals > 0.0))
-        if bad.size:
+        if not (vals > 0.0).all():
+            bad = np.flatnonzero(~(vals > 0.0))
             elems = sorted(s)
             raise ValueError(f"workload w({elems}, {elems[bad[0]]}) = {vals[bad[0]]} "
                              "is not positive")

@@ -171,7 +171,7 @@ def model_from_document(doc: dict):
             model = RBModel(np.array(doc["P0"]), np.array(doc["P1"]),
                             np.array(doc["h0"]), np.array(doc["h1"]),
                             np.array(doc["theta1"]), float(doc["beta"]),
-                            frozenset(doc["controllable"]))
+                            frozenset(map(int, doc["controllable"])))   # the schema admits 1.0
             if doc["states"] != model.n_states:
                 raise ValueError(f"'states' is {doc['states']}, but the matrices "
                                  f"have {model.n_states} states")

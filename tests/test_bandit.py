@@ -74,6 +74,18 @@ def test_theta_must_be_positive():
                 frozenset({0, 1}))
 
 
+@pytest.mark.parametrize("controllable", [frozenset({1.5, True}), frozenset({True}),
+                                          frozenset({0.5}), frozenset({1.0}), frozenset({2})],
+                         ids=["fraction-and-bool", "bool", "fraction", "float", "out-of-range"])
+def test_controllable_entries_must_be_integer_levels(controllable):
+    # int() cut {1.5, True} down to {1} without a word
+    P = np.array([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"controllable states must be integers in 0\.\.1"):
+        RBModel(P, P, np.zeros(2), np.zeros(2), np.ones(2), 0.9, controllable)
+    m = RBModel(P, P, np.zeros(2), np.zeros(2), np.ones(2), 0.9, frozenset({np.int64(1), 0}))
+    assert m.controllable == {0, 1} and all(type(j) is int for j in m.controllable)
+
+
 def test_model_copies_caller_arrays():
     P = np.array([[0.5, 0.5], [0.5, 0.5]])
     h = np.zeros(2)
@@ -849,6 +861,57 @@ def test_perturbed_banded_solve_fails_the_residual_check(monkeypatch):
                        frozenset(range(5)))
 
 
+def test_solve_rows_checks_each_row_against_its_own_scale(monkeypatch):
+    # two stacked systems whose scales differ by 1e6: an error of 1e-8 in
+    # the small one is far past its own tolerance, but a tolerance scaled
+    # over the whole batch would let it through
+    kernel = admission.uniformize(regular_admission(10)).kernel
+    n = 11
+    masks = np.zeros((2, n), dtype=bool)
+    masks[:, :5] = True
+    rhs = np.vstack((np.linspace(0.5, 1.0, n), np.linspace(0.5, 1.0, n) * 1e6))
+    x = kernel.solve_rows(masks, rhs)
+    for r in range(2):
+        assert np.array_equal(x[r], kernel.solve(masks[r], rhs[r]))
+    exact = bandit.solve_banded
+
+    def perturbed(*args, **kw):
+        y = exact(*args, **kw)
+        y[0] += 1e-8            # the first entry of the small system
+        return y
+
+    monkeypatch.setattr(bandit, "solve_banded", perturbed)
+    with pytest.raises(InternalConsistencyError, match="residual"):
+        kernel.solve_rows(masks, rhs)
+
+
+def test_solve_rows_stacks_dense_systems_bit_for_bit(rng):
+    model = random_rb(rng, 6, 4)
+    assert model.kernel.band is None
+    masks = rng.random((5, 6)) < 0.5
+    rhs = rng.uniform(-1.0, 1.0, (5, 6))
+    x = model.kernel.solve_rows(masks, rhs)
+    for r in range(5):
+        assert np.array_equal(x[r], model.kernel.solve(masks[r], rhs[r]))
+
+
+@pytest.mark.parametrize("band", [(0, 0), (1, 0), (1, 1), (2, 1), (0, 3), (3, 2)])
+def test_banded_apply_broadcasts_over_columns_bit_for_bit(band):
+    rng = np.random.default_rng(sum(band) + 11)
+    n, (lower, upper) = 12, band
+    i, j = np.indices((n, n))
+    inside = (i - j <= lower) & (j - i <= upper)
+    P0, P1 = (np.where(inside, rng.uniform(0.1, 1.0, (n, n)), 0.0) for _ in range(2))
+    P0, P1 = (P / P.sum(axis=1, keepdims=True) for P in (P0, P1))
+    kernel = bandit._SolveKernel(P0, P1, 0.9)
+    assert kernel.band == band
+    x = rng.uniform(-1.0, 1.0, (n, 5))
+    for M in (kernel.bP0, kernel.bP1, kernel.dP, kernel.system(rng.random(n) < 0.5)):
+        columns = np.column_stack([kernel.apply(M, np.ascontiguousarray(c)) for c in x.T])
+        assert np.array_equal(kernel.apply(M, x), columns)
+        assert np.array_equal(kernel.apply(M, x.T.copy().T), columns)   # any memory layout
+
+
 def test_anchored_solve_is_the_bordered_gain_bias_system():
     # (I - P + e_r e_r^T) [y, z] = [r, 1] on a two-state cycle-with-rest
     # chain: stationary (2/3, 1/3), so z[r] = 1 / pi_r and the gain is
@@ -915,3 +978,21 @@ def test_pcl_index_matches_recursion_at_400_states():
     assert rep.indexable
     greedy = np.array([rep.nu_by_state[j] for j in range(400)])
     assert np.max(np.abs(greedy - nu)) <= 1e-9 * max(1.0, float(np.max(np.abs(nu))))
+
+
+def test_family_scan_peak_memory_stays_under_24_mib():
+    # batches of at most SCAN_ENTRIES operator entries keep the scan's
+    # peak near 20.5 MiB at n = 1000; 2^20 entries per batch take it to
+    # 30.5 MiB and one stack of the whole family to 63 MiB
+    m = regular_admission(1000)
+    rb, fam = admission.uniformize(m), threshold_family(1000)
+    rb.normalized_cost
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rep = pcl_index(rb, fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.indexable
+    assert peak <= 24 * 2**20

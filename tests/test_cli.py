@@ -104,6 +104,16 @@ def test_rb_file_fields_agree_with_the_matrices(tmp_path, capsys, field, value, 
     assert code == 2 and out["error"].startswith(message)
 
 
+def test_rb_file_with_integer_valued_float_states_loads(tmp_path, capsys):
+    # the schema's "integer" admits 1.0; the model refuses a float, so the
+    # loader passes the validated entries on as ints
+    doc = dict(rb_doc(), controllable=[0, 1.0, 2])
+    model = model_from_document(doc)
+    assert model.controllable == {0, 1, 2} and all(type(j) is int for j in model.controllable)
+    code, out, _ = run_cli(capsys, "index", write_doc(tmp_path, doc))
+    assert code == 0 and sorted(out["results"]["pcl"]["indices"]) == ["0", "1", "2"]
+
+
 @pytest.mark.parametrize("command", ["index", "dp-verify"])
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
 def test_non_finite_numbers_are_input_errors(tmp_path, capsys, command, literal):

@@ -885,6 +885,89 @@ def test_crosscheck_reads_the_critical_charges(seed, n, lower, upper, dense, bet
 
 
 # ---------------------------------------------------------------------------
+# The batched family scan vs. one solve per member
+# ---------------------------------------------------------------------------
+
+FAMILIES = {"powerset": powerset_family, "threshold": threshold_family,
+            "product": lambda c: product([threshold_family(1), powerset_family(c - 1)])}
+
+
+@settings(PROPERTY, max_examples=80)
+@given(seed=seeds, n=st.integers(2, 10), lower=st.integers(0, 3), upper=st.integers(0, 3),
+       dense=st.booleans(), beta=st.floats(0.5, 0.99), skew=st.booleans(),
+       kind=st.sampled_from(sorted(FAMILIES)), share=st.floats(0.0, 1.0))
+# draws whose walk passes while members off the chain have nonpositive
+# workloads at several elements: the report lists them, dense and banded
+@example(seed=71, n=6, lower=1, upper=1, dense=True, beta=0.9, skew=False, kind="powerset",
+         share=1.0)
+@example(seed=32, n=6, lower=1, upper=1, dense=False, beta=0.9, skew=True, kind="product",
+         share=1.0)
+@example(seed=32, n=6, lower=1, upper=1, dense=False, beta=0.9, skew=True, kind="product",
+         share=0.0)
+def test_batched_family_scan_matches_one_solve_per_member(seed, n, lower, upper, dense, beta,
+                                                          skew, kind, share):
+    # the scan runs in batches of any size short of the family whose last
+    # one is partial (``share`` picks the size among them); each batch is
+    # one stacked solve whose rows are activity_measure's, bit for bit; the
+    # walk reads each member's row at sorted(S) as marginal_workload gives
+    # it, and the violations come in family order, then element
+    rng = np.random.default_rng(seed)
+    if dense:
+        m = random_rb(rng, n, int(rng.integers(2, n + 1)), beta=beta)
+    else:
+        n = max(n, lower + upper + 2)
+        m = banded_rb(rng, n, lower, upper, beta)
+    if skew:   # an activity weight near zero leaves some of its workloads nonpositive
+        theta = m.theta1.copy()
+        theta[rng.integers(n)] *= 1e-3
+        m = bandit.RBModel(m.P0, m.P1, m.h0, m.h1, theta, beta, m.controllable)
+    ctrl = sorted(m.controllable)
+    assume(2 <= len(ctrl) and (kind == "threshold" or len(ctrl) <= 7))
+    fam = FAMILIES[kind](len(ctrl))
+    count = len(fam.family)
+    sizes = [b for b in range(2, count) if count % b]
+    size = sizes[round(share * (len(sizes) - 1))]
+    solves, oracles = [], []
+    solve, walk = m.kernel.solve_rows, bandit.ag2
+
+    def solve_spy(masks, rhs):
+        solves.append((masks.copy(), solve(masks, rhs)))
+        return solves[-1][1]
+
+    def walk_spy(c, oracle, sys):
+        oracles.append(oracle)
+        return walk(c, oracle, sys)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bandit, "SCAN_ENTRIES", size * m.kernel.dP.size)
+        mp.setattr(m.kernel, "solve_rows", solve_spy)
+        mp.setattr(bandit, "ag2", walk_spy)
+        try:
+            rep = bandit.pcl_index(m, fam)
+        except UnsupportedModelError:   # the walk reached a member with one of its own
+            rep = None
+    assert [len(masks) for masks, _ in solves] == [size] * (count // size) + [count % size]
+    members = [frozenset(np.flatnonzero(row).tolist()) for masks, _ in solves
+               for row in masks[:, ctrl]]
+    assert members == list(fam.family)
+    violations = []
+    for s, b in zip(fam.family, (b for _, B in solves for b in B)):
+        states = [ctrl[e] for e in sorted(s)]
+        assert b.tobytes() == bandit.activity_measure(m, states).tobytes()
+        want = bandit.marginal_workload(m, states)[ctrl]
+        bad = np.flatnonzero(~(want > 0.0)).tolist()
+        violations += [(frozenset(states), ctrl[e], float(want[e])) for e in bad]
+        if any(e in s for e in bad):
+            with pytest.raises(UnsupportedModelError, match="not positive on the adaptive"):
+                oracles[0].workload(s)
+        else:
+            assert oracles[0].workload(s).tobytes() == want[sorted(s)].tobytes()
+    if rep is not None:
+        assert rep.workload_violations == tuple(violations)
+        assert rep.positive_workloads == (not violations)
+
+
+# ---------------------------------------------------------------------------
 # The CLI report writer vs. json.dumps
 # ---------------------------------------------------------------------------
 
