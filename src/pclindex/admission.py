@@ -24,7 +24,7 @@ import numpy as np
 
 from .bandit import RBModel
 from .errors import (AssumptionError, DegeneracyError, InternalConsistencyError,
-                     NumericalRangeError, _is_level)
+                     NumericalRangeError, UnsupportedModelError, _is_level)
 
 SIGN_SLACK = 1e-12  # slack for strict-inequality checks, scaled by magnitude
 
@@ -150,9 +150,9 @@ def uniformize(m: ACModel) -> RBModel:
     """
     n, big = m.n, float(m.Lambda)
     lam, mu = m.lam, m.mu_full
-    if not np.all(lam[: n] > 0):
-        raise ValueError("arrival rates at controllable states must be positive "
-                         "(zero arrivals make the activity weight vanish)")
+    if not np.all(lam > 0):
+        raise UnsupportedModelError("arrival rates lambda_0..lambda_n must be positive "
+                                    "(zero arrivals make the activity weight vanish)")
     P0, P1, i = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1)), np.arange(n + 1)
     P0[i[1:], i[:-1]] = P1[i[1:], i[:-1]] = mu[1:] / big
     P0[i[:-1], i[1:]] = lam[:n] / big     # no arrival is admitted into the full buffer

@@ -16,7 +16,6 @@ birth--death models of :mod:`pclindex.admission` are), densely otherwise.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 from functools import cache as memoize, cached_property
@@ -387,14 +386,6 @@ def normalized_passive_cost(model: RBModel) -> np.ndarray:
     return hhat
 
 
-def normalized_model(model: RBModel) -> RBModel:
-    """Same dynamics, passive cost replaced by the normalized vector and
-    active cost set to zero."""
-    return RBModel(model.P0, model.P1, model.normalized_cost,
-                   np.zeros(model.n_states), model.theta1, model.beta,
-                   model.controllable)
-
-
 # ---------------------------------------------------------------------------
 # Index machinery
 # ---------------------------------------------------------------------------
@@ -446,11 +437,7 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
     size = 1 if average else max(1, SCAN_ENTRIES // model.kernel.dP.size)
     scan, violations, limits = {}, [], {}
     for lo in range(0, len(family), size):
-        batch = family[lo:lo + size]
-        sizes = list(map(len, batch))
-        member = np.zeros((len(batch), sys.n), dtype=bool)
-        member[np.repeat(np.arange(len(batch)), sizes),
-               np.fromiter(itertools.chain.from_iterable(batch), int, sum(sizes))] = True
+        batch, member = family[lo:lo + size], sys.rows(slice(lo, lo + size))
         if average:    # one member per batch, whose row is read off its limits
             limits[batch[0]] = average_limits(model, [ctrl[e] for e in batch[0]])
             W = limits[batch[0]].w_bar[at][None]
@@ -466,8 +453,8 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
             W = model.theta1[at] + d[:, at]
         for r, e in zip(*np.nonzero(~(W > 0.0))):
             violations.append((batch[r], e, float(W[r, e])))
-        # W[member] lists each row's entries in sorted(S) order
-        scan.update(zip(batch, np.split(W[member], np.cumsum(sizes[:-1]))))
+        # W[r][member[r]] lists row r's entries in sorted(S) order
+        scan.update(zip(batch, map(np.compress, member, W)))
     cost = ((limits.get(sys.ground) or average_limits(model, ctrl)).c_bar if average
             else model.normalized_cost)
     row = scan.__getitem__

@@ -18,10 +18,10 @@ import sys as _sys
 import numpy as np
 
 from . import __version__, admission, bandit, dp, policies
-from .errors import AssumptionError, InternalConsistencyError, PclIndexError, UnsupportedModelError
+from .errors import AssumptionError, InternalConsistencyError, PclIndexError, StructureError
 from .simulate import SimConfig, simulate_all
 from .modelio import (ModelFileError, digest, document_from_model, load_model)
-from .setsystem import SetSystem, powerset_family, threshold_family
+from .setsystem import SetSystem, powerset_family, require_valid, threshold_family
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -102,9 +102,11 @@ def _family_for(n: int, name: str, doc: dict) -> SetSystem:
         if fam is None:
             raise ModelFileError("--family=explicit requires a 'family' field in the model file")
         try:
-            return SetSystem(n, tuple(frozenset(s) for s in fam))
-        except ValueError as exc:
+            sys = SetSystem(n, tuple(frozenset(s) for s in fam))
+            require_valid(sys)
+        except (ValueError, StructureError) as exc:
             raise ModelFileError(f"bad 'family': {exc}") from exc
+        return sys
     raise ModelFileError(f"unknown family {name!r}")
 
 
@@ -164,11 +166,7 @@ def cmd_dp_verify(args) -> int:
         raise ModelFileError(f"--eps must be finite and nonnegative, got {args.eps}")
     model, doc = load_model(args.file)
     if isinstance(model, admission.ACModel):
-        try:
-            rb = admission.uniformize(model)
-        except ValueError as exc:   # a zero arrival rate at a controllable state
-            raise UnsupportedModelError(str(exc)) from exc
-        need = "alpha > 0"
+        rb, need = admission.uniformize(model), "alpha > 0"
     elif isinstance(model, bandit.RBModel):
         rb, need = model, "beta < 1"
     else:

@@ -110,21 +110,13 @@ class AGOutput:
         return out
 
 
-def _argmin_boundary(rate: np.ndarray, boundary: frozenset, tie_break: str) -> int:
-    if not boundary:
-        raise StructureError("empty inner boundary mid-run; system is not accessible")
-    cand = np.fromiter(boundary, dtype=int, count=len(boundary))
-    vals = rate[cand]
-    ties = cand[vals == vals.min()]
-    return int(ties.min() if tie_break == "low" else ties.max())
-
-
 def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
           dual_increments: bool) -> AGOutput:
     """The chain walk shared by both algorithms, which differ only in the
-    rate update.  Step k makes one row query for the chain set S_k and one
-    inner-boundary call, then peels off the boundary element with the
-    smallest rate.  Arrays run over the whole ground set, NaN outside S_k.
+    rate update.  Step k holds the member id i of the chain set S_k, makes
+    one row query for S_k and one inner-neighbour query for i, then peels
+    off the boundary element with the smallest rate.  Arrays run over the
+    whole ground set, NaN outside S_k.
     """
     if tie_break not in ("low", "high"):
         raise ValueError(f"tie_break must be 'low' or 'high', got {tie_break!r}")
@@ -136,7 +128,8 @@ def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
     if sys.ground not in sys:
         raise StructureError("ground set J is not a member of the family")
     n = sys.n
-    s = sys.ground
+    i = sys.member_id(sys.ground)
+    sign = 1 if tie_break == "low" else -1      # ties go to the lowest (highest) element
     alive = np.ones(n, dtype=bool)
     tables = np.full((2, n, n), np.nan)     # rate rows inherit the NaN of w
     wtab, rtab = tables
@@ -146,7 +139,7 @@ def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
     nu_seq: list[float] = []
     for k in range(n):
         wk = wtab[k]
-        wk[alive] = oracle.workload(s)
+        wk[alive] = oracle.workload(sys.family[i])
         if dual_increments:
             if k:
                 acc = acc + (bracket[pivot] / w_prev[pivot]) * w_prev
@@ -157,11 +150,13 @@ def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
         else:
             rate = rate + (w_prev / wk - 1.0) * (rate - pivot_rate)
         rtab[k] = rate
-        pivot = _argmin_boundary(rate, sys.inner_boundary(s), tie_break)
+        inner = sys.neighbours(i, -1)
+        if not inner:
+            raise StructureError("empty inner boundary mid-run; system is not accessible")
+        pivot, i = min(inner, key=lambda p: (rate[p[0]], sign * p[0]))
         pivot_rate = float(rate[pivot])
         pi.append(pivot)
         nu_seq.append(pivot_rate)
-        s = s - {pivot}
         alive[pivot] = False
         w_prev = wk
     nu = np.empty(n)

@@ -35,7 +35,7 @@ SCHEMAS: dict[str, dict] = {
         "properties": {
             "kind": {"const": "rb"},
             "states": {"type": "integer", "minimum": 1},
-            "controllable": {"type": "array", "uniqueItems": True,
+            "controllable": {"type": "array", "uniqueItems": True, "minItems": 1,
                              "items": {"type": "integer", "minimum": 0}},
             "P0": _MAT, "P1": _MAT,
             "h0": _VEC, "h1": _VEC, "theta1": _VEC,

@@ -6,11 +6,12 @@ family F of subsets.  Priority orders whose suffix sets all belong to F
 in :mod:`pclindex.greedy`: the family encodes which active sets a policy
 class is allowed to use (e.g. the nested family of threshold policies).
 
-The family is indexed by cardinality, each member with its bit mask, so
-the inner boundary of S is read off the members one size smaller (T is
-one of them iff T | S == S as masks).  A step of the greedy walk down a
-chain thus costs one mask test per member one size smaller: O(1) for
-the threshold family, and at most |F| tests over a whole walk.
+A member is known by its id, its position in the canonical ``family``,
+and each id has one bit mask.  The members one element away from member
+i are read off the layer one size smaller or larger (T is one size
+smaller and inside S iff T | S == S as masks), so a step of the greedy
+walk down a chain costs one mask test per member one size smaller: O(1)
+for the threshold family, and at most |F| tests over a whole walk.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import StructureError
 
@@ -34,15 +37,18 @@ class SetSystem:
     """Ground set {0..n-1} plus an explicit family of subsets.
 
     The family is stored in a canonical order (by cardinality, then
-    lexicographically) so iteration is deterministic; layer k of the
-    private index maps each member of size k to its bit mask, and
-    membership and both boundaries go through it.  Instances are
+    lexicographically) so iteration is deterministic; a member's id is
+    its position in it, and the members of size k hold the ids
+    ``_starts[k]:_starts[k + 1]``.  Membership, both boundaries and the
+    membership rows all read the one mask per id.  Instances are
     immutable and safe to share across threads.
     """
 
     n: int
     family: FrozenSets = field(default=())
-    _layers: tuple[dict[frozenset, int], ...] = field(init=False, repr=False, compare=False)
+    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _ids: dict[frozenset, int] = field(init=False, repr=False, compare=False)
+    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -61,39 +67,53 @@ class SetSystem:
                     else sum(map(pow2.__getitem__, elems)))
             keyed.append((k, elems, s, mask))
         keyed.sort()                                # distinct members never tie on (k, elems)
-        layers = tuple({} for _ in range(n + 1))
-        for k, _, s, mask in keyed:
-            layers[k][s] = mask
-        object.__setattr__(self, "family", tuple(s for layer in layers for s in layer))
-        object.__setattr__(self, "_layers", layers)
+        family = tuple(s for _, _, s, _ in keyed)
+        sizes = [k for k, _, _, _ in keyed]
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "_masks", tuple(mask for _, _, _, mask in keyed))
+        object.__setattr__(self, "_ids", {s: i for i, s in enumerate(family)})
+        object.__setattr__(self, "_starts", tuple(np.searchsorted(sizes, range(n + 2)).tolist()))
 
     @property
     def ground(self) -> frozenset:
         return frozenset(range(self.n))
 
     def __contains__(self, s: Iterable) -> bool:
-        fs = frozenset(s)
-        return len(fs) <= self.n and fs in self._layers[len(fs)]
+        return frozenset(s) in self._ids
 
-    def _neighbours(self, s: Iterable, step: int) -> tuple[int, Iterable[int]]:
-        """Bit mask of the member S and the masks of the members of size
-        |S| + step; ValueError when S is not a member."""
+    def member_id(self, s: Iterable) -> int:
+        """The id of the member S, its position in ``family``; ValueError
+        when S is not a member."""
         fs = frozenset(s)
-        k = len(fs)
-        m = self._layers[k].get(fs) if k <= self.n else None
-        if m is None:
+        i = self._ids.get(fs)
+        if i is None:
             raise ValueError(f"set {sorted(fs)} is not a member of the family")
-        return m, self._layers[k + step].values() if 0 <= k + step <= self.n else ()
+        return i
+
+    def neighbours(self, i: int, step: int) -> list[tuple[int, int]]:
+        """The pairs (j, t), in id order, with ``family[t]`` equal to
+        ``family[i]`` minus {j} (step -1) or plus {j} (step +1)."""
+        m, masks, k = self._masks[i], self._masks, len(self.family[i]) + step
+        ids = range(self._starts[k], self._starts[k + 1]) if 0 <= k <= self.n else ()
+        # a member one size away is a neighbour iff its union with S is the larger set
+        return [((m ^ masks[t]).bit_length() - 1, t) for t in ids
+                if m | masks[t] == (m if step < 0 else masks[t])]
+
+    def rows(self, ids: slice) -> np.ndarray:
+        """Boolean membership rows of the members ``ids``, one row of n per member."""
+        width = (self.n + 7) // 8
+        packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in self._masks[ids]),
+                               np.uint8)
+        return np.unpackbits(packed.reshape(-1, width), axis=1, count=self.n,
+                             bitorder="little").view(bool)
 
     def inner_boundary(self, s: Iterable) -> frozenset:
         """Elements j of S whose removal stays in the family: {j in S : S\\{j} in F}."""
-        m, inner = self._neighbours(s, -1)
-        return frozenset((m ^ t).bit_length() - 1 for t in inner if t | m == m)
+        return frozenset(j for j, _ in self.neighbours(self.member_id(s), -1))
 
     def outer_boundary(self, s: Iterable) -> frozenset:
         """Elements j outside S whose addition stays in the family: {j not in S : S+{j} in F}."""
-        m, outer = self._neighbours(s, 1)
-        return frozenset((m ^ t).bit_length() - 1 for t in outer if t & m == m)
+        return frozenset(j for j, _ in self.neighbours(self.member_id(s), 1))
 
     def is_full_string(self, pi: Sequence[int]) -> bool:
         """True iff every suffix set {pi_k, ..., pi_n} belongs to the family."""
@@ -192,16 +212,16 @@ def enumerate_full_strings(sys: SetSystem, cap: int = 10) -> list[tuple[int, ...
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
-    def descend(s: frozenset):
-        if not s:
+    def descend(i: int):
+        if not sys.family[i]:
             out.append(tuple(prefix))
             return
-        for j in sorted(sys.inner_boundary(s)):
+        for j, t in sorted(sys.neighbours(i, -1)):
             prefix.append(j)
-            descend(s - {j})
+            descend(t)
             prefix.pop()
 
-    descend(sys.ground)
+    descend(sys.member_id(sys.ground))
     return out
 
 

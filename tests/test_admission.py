@@ -7,7 +7,7 @@ from pclindex.admission import (ACModel, ak_coefficients, average_indices,
                                 threshold_steady_state, uniformize,
                                 validate_assumptions, whittle_counterexample,
                                 workload_table)
-from pclindex.errors import NumericalRangeError
+from pclindex.errors import NumericalRangeError, UnsupportedModelError
 from pclindex.setsystem import threshold_family
 
 from conftest import random_compliant_admission
@@ -113,9 +113,11 @@ def test_uniformize_counterexample_discount_factor():
 
 
 def test_uniformize_rejects_zero_arrivals():
-    m = ACModel(2, np.zeros(3), np.array([1.0, 1.0]), np.arange(3.0), 0.1)
-    with pytest.raises(ValueError):
-        uniformize(m)
+    # lambda_n = 0 too: the activity weight vanishes at the full buffer
+    for lam in ([0.0, 0.0, 0.0], [1.0, 1.0, 0.0]):
+        m = ACModel(2, np.array(lam), np.array([1.0, 1.0]), np.arange(3.0), 0.1)
+        with pytest.raises(UnsupportedModelError, match="lambda_0..lambda_n must be positive"):
+            uniformize(m)
 
 
 def test_uniformize_small_explicit_matrices():

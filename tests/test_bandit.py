@@ -12,7 +12,7 @@ from pclindex import admission, bandit, dp
 from pclindex.bandit import (RBModel, activity_measure, average_limits,
                              average_pcl_index, constrained_policy, cost_measure,
                              dmr_report, marginal_cost, marginal_workload,
-                             normalized_model, normalized_passive_cost,
+                             normalized_passive_cost,
                              occupation_measures, pcl_index, value_breakpoints,
                              verify_cost_decomposition,
                              verify_workload_decomposition)
@@ -248,7 +248,8 @@ def test_value_reconstruction_from_normalized_model(rng):
     # optimal value = always-active cost + normalized problem's optimal value
     m = random_rb(rng, 5, 3)
     v_full = cost_measure(m, frozenset(range(3)))
-    nm = normalized_model(m)
+    nm = RBModel(m.P0, m.P1, m.normalized_cost, np.zeros(m.n_states), m.theta1, m.beta,
+                 m.controllable)
     for nu in [-2.0, 0.0, 1.5]:
         lhs = dp.solve(m, nu).v
         rhs = v_full + dp.solve(nm, nu).v

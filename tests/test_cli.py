@@ -275,8 +275,37 @@ def test_dp_verify_zero_arrival_rate_is_out_of_scope(tmp_path, capsys):
     code, out, err = run_cli(capsys, "dp-verify", write_doc(tmp_path, doc))
     assert code == 3
     assert out["exit_code"] == 3 and "results" not in out
-    assert out["error"].startswith("arrival rates at controllable states must be positive")
+    assert out["error"].startswith("arrival rates lambda_0..lambda_n must be positive")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["index", "dp-verify"])
+def test_zero_arrival_rate_at_the_full_buffer_is_out_of_scope(tmp_path, capsys, command):
+    # lambda_n = 0 zeroes the activity weight of the uncontrollable state:
+    # index used to exit 1 with RBModel's ValueError as a traceback
+    doc = {"kind": "admission", "n": 2, "alpha": 0.1, "lambda": [1, 1, 0], "mu": [1, 1],
+           "h": [0, 1, 4]}
+    code, out, err = run_cli(capsys, command, write_doc(tmp_path, doc))
+    assert code == 3 and out["exit_code"] == 3
+    assert out["error"].startswith("arrival rates lambda_0..lambda_n must be positive")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["index", "dp-verify"])
+def test_rb_file_without_controllable_states_is_an_input_error(tmp_path, capsys, command):
+    # threshold_family(0) used to raise a ValueError: exit 1
+    code, out, _ = run_cli(capsys, command, write_doc(tmp_path, dict(rb_doc(), controllable=[])))
+    assert code == 2 and out["exit_code"] == 2
+    assert out["error"].startswith("schema violation at controllable")
+
+
+@pytest.mark.parametrize("command", ["index", "dp-verify"])
+def test_explicit_family_without_the_empty_set_is_an_input_error(tmp_path, capsys, command):
+    # the walk used to reach {1} and exit 3 as "not accessible"
+    doc = dict(rb_doc(), family=[[2], [1, 2], [0, 1, 2]])
+    code, out, _ = run_cli(capsys, command, write_doc(tmp_path, doc), "--family", "explicit")
+    assert code == 2 and out["exit_code"] == 2
+    assert out["error"].startswith("bad 'family': set system invalid: missing empty set")
 
 
 def test_dp_verify_admission_file_reads_the_family_option(tmp_path, capsys, monkeypatch):

@@ -98,17 +98,20 @@ def test_walker_queries_one_row_and_one_boundary_per_chain_set(algo, family, rng
                        threshold_family(25)])
     oracle = CountingOracle(lambda s: [1.0 + 0.1 * len(s) + 0.01 * j for j in sorted(s)])
     boundary_calls = []
-    inner_boundary = SetSystem.inner_boundary
+    neighbours = SetSystem.neighbours
 
-    def counted(self, s):
-        boundary_calls.append(frozenset(s))
-        return inner_boundary(self, s)
+    def counted(self, i, step):
+        boundary_calls.append((i, step))
+        return neighbours(self, i, step)
 
-    monkeypatch.setattr(SetSystem, "inner_boundary", counted)
+    monkeypatch.setattr(SetSystem, "neighbours", counted)
+    monkeypatch.setattr(SetSystem, "inner_boundary", None)   # the walk reads ids only
     out = algo(rng.uniform(-5.0, 5.0, sys.n), oracle, sys)
     assert len(out.chain) == sys.n
     assert oracle.queries == list(out.chain)
-    assert boundary_calls == list(out.chain)
+    # the walk hands the oracle the family's own stored members
+    assert all(q is sys.family[sys.member_id(q)] for q in oracle.queries)
+    assert boundary_calls == [(sys.member_id(s), -1) for s in out.chain]
 
 
 def test_row_oracle_matches_table_oracle():

@@ -490,9 +490,11 @@ def test_replication_value_does_not_depend_on_replication_count(sys, budget, see
 @st.composite
 def set_systems(draw):
     rng = np.random.default_rng(draw(seeds))
-    kind = draw(st.sampled_from(["valid", "product", "powerset"]))
+    kind = draw(st.sampled_from(["valid", "product", "powerset", "threshold"]))
     if kind == "valid":
         return random_valid_family(rng, draw(st.integers(1, 7)))
+    if kind == "threshold":
+        return threshold_family(draw(st.integers(1, 12)))
     if kind == "powerset":
         return powerset_family(draw(st.integers(1, 7)))
     n1 = draw(st.integers(1, 4))
@@ -505,10 +507,18 @@ def set_systems(draw):
 @given(sys=set_systems(), data=st.data())
 def test_layered_boundaries_match_their_definitions(sys, data):
     members = set(sys.family)
-    for s in sys.family:
-        assert s in sys
+    for i, s in enumerate(sys.family):
+        assert s in sys and sys.member_id(s) == i
         assert sys.inner_boundary(s) == {j for j in s if s - {j} in members}
         assert sys.outer_boundary(s) == {j for j in sys.ground - s if s | {j} in members}
+        for step, move in ((-1, frozenset.__sub__), (1, frozenset.__or__)):
+            pairs = sys.neighbours(i, step)
+            assert [t for _, t in pairs] == sorted(t for _, t in pairs)
+            assert all(sys.family[t] == move(s, {j}) for j, t in pairs)
+            assert {j for j, _ in pairs} == (sys.inner_boundary(s) if step < 0
+                                             else sys.outer_boundary(s))
+    rows = sys.rows(slice(None))
+    assert rows.tolist() == [[j in s for j in range(sys.n)] for s in sys.family]
     other = frozenset(data.draw(st.sets(st.integers(0, sys.n))))
     if other in members:
         return

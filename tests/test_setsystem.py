@@ -32,8 +32,9 @@ def test_layer_masks_and_canonical_order():
                                       {0, 6}, {2, 3})]
     sys = SetSystem(7, tuple(members))
     assert sys.family == tuple(sorted(members, key=lambda s: (len(s), sorted(s))))
-    for s in members:
-        assert sys._layers[len(s)][s] == sum(1 << j for j in s)
+    for i, s in enumerate(sys.family):
+        assert sys.member_id(s) == i and sys._masks[i] == sum(1 << j for j in s)
+    assert sys.rows(slice(2, 2)).shape == (0, 7)
 
 
 def test_validate_smallest_violating_case():
