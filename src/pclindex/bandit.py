@@ -128,16 +128,21 @@ class _SolveKernel:
     def apply(self, M: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Product of an operator held in this kernel's storage with a
         vector, or with each column of an (n, k) array."""
+        return M @ x if self.band is None else self.apply_rows(M, x.T).T
+
+    def apply_rows(self, M: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Product of an operator held in this kernel's storage with each
+        row of x (states on the last axis), bit for bit as with each row
+        alone: a stacked gemv when dense, as a gemm's bits differ."""
         if self.band is None:
-            return M @ x
+            return np.matmul(M, x[..., None])[..., 0]
         lower, upper = self.band
-        n = x.shape[0]
-        M = M.reshape(M.shape + (1,) * (x.ndim - 1))   # broadcast over the columns
+        n = x.shape[-1]
         y = M[upper] * x
         for d in range(1, upper + 1):
-            y[:n - d] += M[upper - d, d:] * x[d:]
+            y[..., :n - d] += M[upper - d, d:] * x[..., d:]
         for d in range(1, lower + 1):
-            y[d:] += M[upper + d, :n - d] * x[:n - d]
+            y[..., d:] += M[upper + d, :n - d] * x[..., :n - d]
         return y
 
     def solve(self, mask: np.ndarray, rhs: np.ndarray, anchor: int | None = None) -> np.ndarray:
@@ -154,17 +159,19 @@ class _SolveKernel:
         return x
 
     def solve_rows(self, masks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """The rows x of (I - beta*P_S) x = rhs for (m, n) stacks of masks and
-        right-hand sides, each checked against its own scale.  Banded systems
-        are the diagonal blocks of one band: zero couplings keep every bit."""
-        A = self.system(masks)
+        """The rows x of (I - beta*P_S) x = rhs for an (m, n) stack of masks
+        and an (m, n) stack of right-hand sides, or a (c, m, n) stack of c
+        right-hand sides per system, each solved in one call with the others
+        of its system and checked against its own scale.  Banded systems are
+        the diagonal blocks of one band: zero couplings keep every bit."""
+        A, cols = self.system(masks), rhs.reshape(-1, *masks.shape)
         if self.band is None:
-            x = np.linalg.solve(A, rhs[..., None])
-            ax = np.matmul(A, x)
+            x = np.linalg.solve(A, cols.transpose(1, 2, 0))
+            x, ax = x.transpose(2, 0, 1), np.matmul(A, x).transpose(2, 0, 1)
         else:
             A = A.transpose(1, 0, 2).reshape(A.shape[1], -1)
-            x = solve_banded(self.band, A, rhs.ravel())
-            ax = self.apply(A, x)
+            x = solve_banded(self.band, A, cols.reshape(len(cols), -1).T).T
+            ax = self.apply_rows(A, x)
         x, ax = x.reshape(rhs.shape), ax.reshape(rhs.shape)
         _check_residual(ax, rhs, x, -1)
         return x
@@ -442,15 +449,12 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
             limits[batch[0]] = average_limits(model, [ctrl[e] for e in batch[0]])
             W = limits[batch[0]].w_bar[at][None]
         else:
-            # one stacked solve, then a stacked gemv per member as in
-            # marginal_workload: a gemm's bits differ
+            # one stacked solve, then a product per member as in marginal_workload
             kernel = model.kernel
             masks = np.tile(~model.ctrl_mask, (len(batch), 1))
             masks[:, at] = member
             B = kernel.solve_rows(masks, np.where(masks, model.theta1, 0.0))
-            d = (np.matmul(kernel.dP, B[..., None])[..., 0] if kernel.band is None
-                 else kernel.apply(kernel.dP, B.T).T)
-            W = model.theta1[at] + d[:, at]
+            W = model.theta1[at] + kernel.apply_rows(kernel.dP, B)[:, at]
         for r, e in zip(*np.nonzero(~(W > 0.0))):
             violations.append((batch[r], e, float(W[r, e])))
         # W[r][member[r]] lists row r's entries in sorted(S) order

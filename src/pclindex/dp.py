@@ -7,8 +7,10 @@ value-iteration fallback kept as an independent path.
 A fixed policy's values are linear in the charge, so the optimal policy is
 piecewise constant in it, with exact breakpoints where some state's action
 gap changes sign (the parametric-objective simplex on the MDP's linear
-program).  ``charge_path`` walks those pieces once; the charge sweep, the
-index cross-check and the critical charges read the path.
+program).  ``charge_path`` walks those pieces once, a speculative batch at
+a time: it predicts the next policies, solves them in one stacked call
+and keeps the prefix that the one-piece-at-a-time walk would take; the
+charge sweep, the index cross-check and the critical charges read the path.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .setsystem import SetSystem
 DEFAULT_INDIFFERENCE = 1e-8
 INDEX_REL_TOL = 1e-9   # DP and PCL indices agree within this, relative to max(1, max |nu|)
 PI_SOFT_ITER_BOUND = 30
+BATCH_ENTRIES = 1 << 16   # operator entries held by one batch of the charge path's solves
 
 
 @dataclass(frozen=True)
@@ -70,13 +74,14 @@ def _check(model: RBModel, eps: float) -> None:
 
 
 def _lines(model: RBModel, active: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(vh, vt, a0, b0, a1, b1) of the policy ``active`` from one solve for its
-    cost and activity columns: values vh + nu*vt, q0 = a0 + nu*b0, q1 = a1 + nu*b1."""
+    """(vh, vt, a0, b0, a1, b1), each (m, n), of each policy of an (m, n)
+    stack ``active``, from one stacked solve for their cost and activity
+    rows: values vh + nu*vt, q0 = a0 + nu*b0, q1 = a1 + nu*b1."""
     k = model.kernel
-    rhs = np.where(active, [model.h1, model.theta1], [model.h0, np.zeros(model.n_states)]).T
-    vh, vt = np.ascontiguousarray(k.solve(active, rhs).T)
-    return (vh, vt, model.h0 + k.apply(k.bP0, vh), k.apply(k.bP0, vt),
-            model.h1 + k.apply(k.bP1, vh), model.theta1 + k.apply(k.bP1, vt))
+    x = k.solve_rows(active, np.where(active, np.stack((model.h1, model.theta1))[:, None],
+                                      np.stack((model.h0, np.zeros(model.n_states)))[:, None]))
+    q0, q1 = k.apply_rows(k.bP0, x), k.apply_rows(k.bP1, x)
+    return x[0], x[1], model.h0 + q0[0], q0[1], model.h1 + q1[0], model.theta1 + q1[1]
 
 
 def _optimal(model: RBModel, active: np.ndarray, nu: float, lines=None):
@@ -85,8 +90,8 @@ def _optimal(model: RBModel, active: np.ndarray, nu: float, lines=None):
     its checked action gap and the number of passes.  A switch improves
     when it gains more than 1e-12 times the value scale."""
     passes = 1
-    lines = _lines(model, active) if lines is None else lines
     while True:
+        lines = [a[0] for a in _lines(model, active[None])] if lines is None else lines
         vh, vt, a0, b0, a1, b1 = lines
         v, q0, q1 = vh + nu * vt, a0 + nu * b0, a1 + nu * b1
         tol = 1e-12 * max(1.0, float(np.abs(v).max()))
@@ -95,8 +100,7 @@ def _optimal(model: RBModel, active: np.ndarray, nu: float, lines=None):
             break
         if passes == 2 ** max(1, len(model.controllable)) + 2:
             raise InternalConsistencyError("policy iteration failed to terminate")
-        active, passes = active ^ better, passes + 1
-        lines = _lines(model, active)
+        active, passes, lines = active ^ better, passes + 1, None
     if passes > PI_SOFT_ITER_BOUND:
         warnings.warn(f"policy iteration took {passes} passes")
     return active, lines, v, _checked_gap(model, v, q0, q1), passes
@@ -186,16 +190,28 @@ def charge_path(model: RBModel, eps: float = DEFAULT_INDIFFERENCE) -> ChargePath
     flip every state that turns within 1e-12 (relative) of it; policy
     iteration just right of that breakpoint certifies or improves the
     result; a crossing that roundoff puts left of the last breakpoint flips
-    at it, so the breakpoints never descend.  Each piece's policy is solved
-    once and passes the Bellman residual check.  A slope within 1e-12 of
-    the largest activity theta/(1 - beta) counts as flat.  Meeting a policy
-    twice, which no exact path does, raises InternalConsistencyError.
+    at it, so the breakpoints never descend.  Each piece's policy passes the
+    Bellman residual check.  A slope within 1e-12 of the largest activity
+    theta/(1 - beta) counts as flat.  Meeting a policy twice, which no exact
+    path does, raises InternalConsistencyError.
+
+    Batches: from the current piece, the next K policies are predicted by
+    flipping its turning states one at a time, by ascending crossing, and
+    all K are solved in one stacked call.  Array expressions then repeat
+    the walk's step from each piece (turning set, breakpoint, candidate,
+    policy-iteration certificate, residual and met-twice checks), and the
+    confirmed prefix is kept; at the first miss the walk takes one step by
+    policy iteration.  K starts at 1, doubles after a fully confirmed batch
+    and is at most 2c + 1 after a batch that confirmed c, so the wasted
+    solves never exceed the confirmed ones plus the misses; a batch holds at
+    most ``BATCH_ENTRIES`` operator entries (at least one system).  The path
+    is the one-step walk's, bit for bit.
     """
     _check(model, eps)
     ctrl = model.ctrl_mask
     flat = 1e-12 * float(np.abs(model.theta1).max()) / (1.0 - model.beta)
     active = np.ones(model.n_states, dtype=bool)
-    lines = _lines(model, active)
+    lines = [a[0] for a in _lines(model, active[None])]
     for _ in range(2 ** max(1, len(model.controllable)) + 2):
         const, slope = lines[4] - lines[2], lines[5] - lines[3]
         sloped = ctrl & (np.abs(slope) > flat)
@@ -208,22 +224,59 @@ def charge_path(model: RBModel, eps: float = DEFAULT_INDIFFERENCE) -> ChargePath
     else:
         raise InternalConsistencyError("no policy is optimal at every charge far left")
 
-    breakpoints, pieces, seen = [], [(active, const, slope)], {active.tobytes()}
+    pieces, breakpoints, seen = [(active[None], const[None], slope[None])], [], {active.tobytes()}
+    size, cap = 1, max(1, BATCH_ENTRIES // model.kernel.bP0.size)
     while True:
         turning = ctrl & (np.where(active, slope, -slope) > flat)
         if not turning.any():
             break
+        # predict: flip the turning states one at a time, by ascending crossing
         at = np.where(turning, -const / np.where(turning, slope, 1.0), np.inf)
-        r = max(float(at.min()), breakpoints[-1] if breakpoints else nu)
-        t = r + 1e-12 * max(1.0, abs(r))
-        active, lines, _, _, _ = _optimal(model, active ^ (at <= t), t)
+        size = min(size, cap, int(turning.sum()))
+        rank = np.full(model.n_states, size)
+        rank[np.argsort(at, kind="stable")[:size]] = np.arange(size)
+        guess = active ^ (rank <= np.arange(size)[:, None])
+        lines = _lines(model, guess)
+        # verify: the one-piece step from each piece before the path's end,
+        # with the policies and gap lines of the current piece in row 0
+        A = np.vstack((active, guess))
+        C, S = np.vstack((const, lines[4] - lines[2])), np.vstack((slope, lines[5] - lines[3]))
+        turns = ctrl & (np.where(A, S, -S) > flat)
+        j = min(size, int(np.argmin(np.append(turns.any(axis=1), False))))
+        turns = turns[:j]
+        at = np.where(turns, -C[:j] / np.where(turns, S[:j], 1.0), np.inf)
+        # the breakpoints: a running max(crossing, last breakpoint), in that order
+        r = np.array(list(accumulate(at.min(axis=1).tolist(), lambda a, b: max(b, a),
+                                     initial=breakpoints[-1] if breakpoints else nu))[1:])
+        t = (r + 1e-12 * np.maximum(1.0, np.abs(r)))[:, None]
+        vh, vt, a0, b0, a1, b1 = (a[:j] for a in lines)
+        v, q0, q1 = vh + t * vt, a0 + t * b0, a1 + t * b1
+        scale = np.maximum(1.0, np.abs(v).max(axis=1))
+        tol = 1e-12 * scale[:, None]
+        better = np.where(guess[:j], q0 < q1 - tol, q1 < q0 - tol) & ctrl
+        residual = np.abs(np.where(ctrl, np.minimum(q0, q1), q1) - v).max(axis=1)
+        ok = (((A[:j] ^ (at <= t)) == guess[:j]).all(axis=1) & ~better.any(axis=1)
+              & (residual <= 1e-8 * scale))
+        c = 0
+        while c < j and ok[c] and guess[c].tobytes() not in seen:
+            seen.add(guess[c].tobytes())
+            c += 1
+        pieces.append((guess[:c], C[1:c + 1], S[1:c + 1]))
+        breakpoints.extend(r[:c].tolist())
+        active, const, slope = A[c], C[c], S[c]
+        size = 2 * size if c == size else 2 * c + 1
+        if c == j:
+            continue
+        # a miss: one step, by policy iteration from the step's candidate
+        breakpoints.append(float(r[c]))
+        active, lines, _, _, _ = _optimal(model, active ^ (at[c] <= t[c]), float(t[c, 0]))
         if active.tobytes() in seen:
-            raise InternalConsistencyError(f"the charge path met a policy twice, at charge {r}")
+            raise InternalConsistencyError(
+                f"the charge path met a policy twice, at charge {breakpoints[-1]}")
         seen.add(active.tobytes())
         const, slope = lines[4] - lines[2], lines[5] - lines[3]
-        breakpoints.append(r)
-        pieces.append((active, const, slope))
-    masks, consts, slopes = (np.array(col) for col in zip(*pieces))
+        pieces.append((active[None], const[None], slope[None]))
+    masks, consts, slopes = (np.concatenate(col) for col in zip(*pieces))
     return ChargePath(model, eps, np.array(breakpoints, dtype=float), masks, consts, slopes)
 
 

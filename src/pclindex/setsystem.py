@@ -226,10 +226,13 @@ def enumerate_full_strings(sys: SetSystem, cap: int = 10) -> list[tuple[int, ...
 
 
 def require_valid(sys: SetSystem) -> None:
-    """Raise StructureError unless the system passes all three conditions."""
+    """Raise StructureError unless the system passes all three conditions,
+    naming every failed one; the violating set is the access or
+    augmentation witness."""
     report = validate(sys)
     if not report.valid:
-        what = "missing empty set" if not report.has_empty else (
-            "not accessible" if not report.accessible else "not augmentable")
+        what = "; ".join(fault for fault, ok in (("missing empty set", report.has_empty),
+                                                 ("not accessible", report.accessible),
+                                                 ("not augmentable", report.augmentable)) if not ok)
         bad = sorted(report.violating_set) if report.violating_set is not None else None
         raise StructureError(f"set system invalid: {what} (violating set: {bad})")

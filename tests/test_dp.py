@@ -359,20 +359,20 @@ def test_crosscheck_refuses_a_report_of_another_model_or_criterion():
 def test_crosscheck_evaluates_each_policy_once(monkeypatch):
     # regular queue: lam 1, mu 1.3, h_i = i^2, alpha 0.1; the path has one
     # piece per threshold policy, 101 in all, and each policy is solved
-    # once, for its cost and activity columns together; the cross-check
+    # once, for its cost and activity rows together; the cross-check
     # reads the path without a solve
     m = admission.ACModel(100, np.full(101, 1.0), np.full(100, 1.3),
                           np.arange(101.0) ** 2, 0.1)
     rb, fam = admission.uniformize(m), threshold_family(100)
     rep = bandit.pcl_index(rb, fam)
     solved = []
-    exact = rb.kernel.solve
+    exact = rb.kernel.solve_rows
 
-    def counting(mask, rhs):
-        solved.append((mask.tobytes(), rhs.shape))
-        return exact(mask, rhs)
+    def counting(masks, rhs):
+        solved.extend((mask.tobytes(), rhs.shape[::2]) for mask in masks)
+        return exact(masks, rhs)
 
-    monkeypatch.setattr(rb.kernel, "solve", counting)
+    monkeypatch.setattr(rb.kernel, "solve_rows", counting)
     path = dp.charge_path(rb)
     assert len(path.breakpoints) == 100
     count = len(solved)
@@ -383,4 +383,4 @@ def test_crosscheck_evaluates_each_policy_once(monkeypatch):
     want = admission.indices(m)
     assert np.allclose([dp.fair_charge(path, j) for j in range(100)], want, rtol=1e-10, atol=0)
     assert len({mask for mask, _ in solved}) == len(solved)
-    assert all(shape == (101, 2) for _, shape in solved)
+    assert all(shape == (2, 101) for _, shape in solved)

@@ -206,3 +206,13 @@ def test_threshold_unique_full_string_for_all_n():
 def test_require_valid_raises_with_witness():
     with pytest.raises(StructureError):
         require_valid(SetSystem(2, (frozenset(), frozenset({0, 1}))))
+
+
+def test_require_valid_names_every_fault_with_its_witness():
+    # without the empty set the singleton {1} is inaccessible too: the
+    # witness belongs to that fault, not to the missing empty set
+    with pytest.raises(StructureError, match=r"^set system invalid: missing empty set; "
+                                             r"not accessible \(violating set: \[1\]\)$"):
+        require_valid(SetSystem(2, (frozenset({1}), frozenset({0, 1}))))
+    with pytest.raises(StructureError, match=r": not augmentable \(violating set: \[\]\)$"):
+        require_valid(SetSystem(1, (frozenset(),)))
