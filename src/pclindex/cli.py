@@ -162,8 +162,6 @@ def cmd_index(args) -> int:
 def cmd_dp_verify(args) -> int:
     if args.grid < 2:
         raise ModelFileError(f"--grid must be at least 2, got {args.grid}")
-    if not (np.isfinite(args.eps) and args.eps >= 0):
-        raise ModelFileError(f"--eps must be finite and nonnegative, got {args.eps}")
     model, doc = load_model(args.file)
     if isinstance(model, admission.ACModel):
         rb, need = admission.uniformize(model), "alpha > 0"
@@ -180,7 +178,7 @@ def cmd_dp_verify(args) -> int:
         _emit(_report("dp-verify", doc, results))
         _log("model is not PCL-indexable for this family; nothing to verify")
         return EXIT_ASSUMPTION
-    path = dp.charge_path(rb, eps=args.eps)
+    path = dp.charge_path(rb)
     check = dp.crosscheck_indices(path, rep)
     results["crosscheck"] = {
         "agree": check.agree,
@@ -285,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="threshold",
                    choices=["threshold", "powerset", "explicit"])
     p.add_argument("--grid", type=int, default=21)
-    p.add_argument("--eps", type=float, default=dp.DEFAULT_INDIFFERENCE,
-                   help="indifference band of the sweep's active sets (the cross-check ignores it)")
     p.set_defaults(fn=cmd_dp_verify)
 
     p = subs.add_parser("simulate", help="evaluate policies by simulation")

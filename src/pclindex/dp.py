@@ -10,7 +10,8 @@ gap changes sign (the parametric-objective simplex on the MDP's linear
 program).  ``charge_path`` walks those pieces once, a speculative batch at
 a time: it predicts the next policies, solves them in one stacked call
 and keeps the prefix that the one-piece-at-a-time walk would take; the
-charge sweep, the index cross-check and the critical charges read the path.
+charge sweep, the index cross-check and the critical charges read the path,
+its pieces' policies and the breakpoints between them.
 """
 
 from __future__ import annotations
@@ -57,20 +58,24 @@ def _action_values(model: RBModel, nu: float, v: np.ndarray):
     return q0, q1
 
 
+def _improving(ctrl, active, v, q0, q1) -> np.ndarray:
+    """The states where switching the action of policy ``active`` gains more
+    than 1e-12 times its value scale; policies stack on the leading axes."""
+    tol = 1e-12 * np.fmax(1.0, np.abs(v).max(axis=-1, keepdims=True))
+    return np.where(active, q0 < q1 - tol, q1 < q0 - tol) & ctrl
+
+
+def _settled(ctrl, v, q0, q1) -> np.ndarray:
+    """Whether the Bellman residual of ``v`` is within 1e-8 times its scale (a NaN fails)."""
+    residual = np.abs(np.where(ctrl, np.minimum(q0, q1), q1) - v).max(axis=-1)
+    return residual <= 1e-8 * np.fmax(1.0, np.abs(v).max(axis=-1))
+
+
 def _checked_gap(model: RBModel, v: np.ndarray, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
-    """The action gap q1 - q0, after checking the Bellman residual of ``v``
-    against 1e-8 times its scale (a NaN fails)."""
-    bellman = np.where(model.ctrl_mask, np.minimum(q0, q1), q1)
-    if not np.abs(bellman - v).max() <= 1e-8 * max(1.0, float(np.abs(v).max())):
+    """The action gap q1 - q0, after the Bellman residual check of ``v``."""
+    if not _settled(model.ctrl_mask, v, q0, q1):
         raise InternalConsistencyError("Bellman residual too large after solve")
     return q1 - q0
-
-
-def _check(model: RBModel, eps: float) -> None:
-    if not model.beta < 1.0:
-        raise ValueError("DP solve requires beta < 1")
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise ValueError(f"tolerance eps must be finite and nonnegative, got {eps}")
 
 
 def _lines(model: RBModel, active: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -94,8 +99,7 @@ def _optimal(model: RBModel, active: np.ndarray, nu: float, lines=None):
         lines = [a[0] for a in _lines(model, active[None])] if lines is None else lines
         vh, vt, a0, b0, a1, b1 = lines
         v, q0, q1 = vh + nu * vt, a0 + nu * b0, a1 + nu * b1
-        tol = 1e-12 * max(1.0, float(np.abs(v).max()))
-        better = np.where(active, q0 < q1 - tol, q1 < q0 - tol) & model.ctrl_mask
+        better = _improving(model.ctrl_mask, active, v, q0, q1)
         if not better.any():
             break
         if passes == 2 ** max(1, len(model.controllable)) + 2:
@@ -115,7 +119,10 @@ def solve(model: RBModel, nu: float, method: str = "policy",
     finite.  Value iteration is the independent fallback (sup-norm stop
     1e-12).  Uncontrollable states are forced active.
     """
-    _check(model, eps)
+    if not model.beta < 1.0:
+        raise ValueError("DP solve requires beta < 1")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"tolerance eps must be finite and nonnegative, got {eps}")
     if not math.isfinite(nu):
         raise ValueError(f"charge must be finite, got {nu}")
 
@@ -123,11 +130,9 @@ def solve(model: RBModel, nu: float, method: str = "policy",
         _, _, v, gap, iterations = _optimal(model, np.ones(model.n_states, dtype=bool), nu)
     elif method == "value":
         forced, v = ~model.ctrl_mask, np.zeros(model.n_states)
-        iterations = 0
         # geometric contraction: bound the pass count from beta, generously
         max_iter = 10_000 if model.beta == 0 else int(60 / max(1e-12, -np.log10(model.beta))) + 10_000
-        for _ in range(max_iter):
-            iterations += 1
+        for iterations in range(1, max_iter + 1):
             q0, q1 = _action_values(model, nu, v)
             v, v_old = np.where(forced, q1, np.minimum(q0, q1)), v
             if float(np.max(np.abs(v - v_old))) < 1e-12:
@@ -153,18 +158,13 @@ class ChargePath:
 
     Piece k holds from ``breakpoints[k - 1]`` to ``breakpoints[k]``
     (unbounded at either end; ascending, and equal only where roundoff
-    made two flips at one charge).  Its policy is ``policies[k]`` (active mask,
-    uncontrollable states active), under which the action gap q1 - q0 of
-    every state is the line ``gap_const[k] + nu * gap_slope[k]``.  ``eps``
-    is the indifference band of the closed sets the charge sweep reads.
+    made two flips at one charge), with the policy ``policies[k]`` (active
+    mask, uncontrollable states active): O(pieces x n) bytes in all.
     """
 
     model: RBModel
-    eps: float
     breakpoints: np.ndarray
     policies: np.ndarray
-    gap_const: np.ndarray
-    gap_slope: np.ndarray
 
     @property
     def flips(self) -> np.ndarray:
@@ -173,14 +173,12 @@ class ChargePath:
         return self.policies[1:] ^ self.policies[:-1]
 
     def closed(self, charges: np.ndarray) -> np.ndarray:
-        """The closed optimal set (gap at most ``eps``) at each charge, one mask
-        row per charge; a breakpoint reads the piece on its left."""
-        k = np.searchsorted(self.breakpoints, charges)
-        gap = self.gap_const[k] + charges[:, None] * self.gap_slope[k]
-        return self.model.ctrl_mask & (gap <= self.eps)
+        """The optimal active set at each charge, one mask row per charge; a
+        breakpoint reads its left piece, where the states turning passive are active."""
+        return self.policies[np.searchsorted(self.breakpoints, charges)] & self.model.ctrl_mask
 
 
-def charge_path(model: RBModel, eps: float = DEFAULT_INDIFFERENCE) -> ChargePath:
+def charge_path(model: RBModel) -> ChargePath:
     """The optimal policy at every charge, walked from the far left.
 
     Start: policy iteration at a charge left of every crossing of the
@@ -207,7 +205,8 @@ def charge_path(model: RBModel, eps: float = DEFAULT_INDIFFERENCE) -> ChargePath
     most ``BATCH_ENTRIES`` operator entries (at least one system).  The path
     is the one-step walk's, bit for bit.
     """
-    _check(model, eps)
+    if not model.beta < 1.0:
+        raise ValueError("DP solve requires beta < 1")
     ctrl = model.ctrl_mask
     flat = 1e-12 * float(np.abs(model.theta1).max()) / (1.0 - model.beta)
     active = np.ones(model.n_states, dtype=bool)
@@ -224,7 +223,7 @@ def charge_path(model: RBModel, eps: float = DEFAULT_INDIFFERENCE) -> ChargePath
     else:
         raise InternalConsistencyError("no policy is optimal at every charge far left")
 
-    pieces, breakpoints, seen = [(active[None], const[None], slope[None])], [], {active.tobytes()}
+    pieces, breakpoints, seen = [active[None]], [], {active.tobytes()}
     size, cap = 1, max(1, BATCH_ENTRIES // model.kernel.bP0.size)
     while True:
         turning = ctrl & (np.where(active, slope, -slope) > flat)
@@ -249,19 +248,13 @@ def charge_path(model: RBModel, eps: float = DEFAULT_INDIFFERENCE) -> ChargePath
         r = np.array(list(accumulate(at.min(axis=1).tolist(), lambda a, b: max(b, a),
                                      initial=breakpoints[-1] if breakpoints else nu))[1:])
         t = (r + 1e-12 * np.maximum(1.0, np.abs(r)))[:, None]
-        vh, vt, a0, b0, a1, b1 = (a[:j] for a in lines)
-        v, q0, q1 = vh + t * vt, a0 + t * b0, a1 + t * b1
-        scale = np.maximum(1.0, np.abs(v).max(axis=1))
-        tol = 1e-12 * scale[:, None]
-        better = np.where(guess[:j], q0 < q1 - tol, q1 < q0 - tol) & ctrl
-        residual = np.abs(np.where(ctrl, np.minimum(q0, q1), q1) - v).max(axis=1)
-        ok = (((A[:j] ^ (at <= t)) == guess[:j]).all(axis=1) & ~better.any(axis=1)
-              & (residual <= 1e-8 * scale))
-        c = 0
-        while c < j and ok[c] and guess[c].tobytes() not in seen:
-            seen.add(guess[c].tobytes())
-            c += 1
-        pieces.append((guess[:c], C[1:c + 1], S[1:c + 1]))
+        v, q0, q1 = (lines[k][:j] + t * lines[k + 1][:j] for k in (0, 2, 4))
+        ok = (((A[:j] ^ (at <= t)) == guess[:j]).all(axis=1) & _settled(ctrl, v, q0, q1)
+              & ~_improving(ctrl, guess[:j], v, q0, q1).any(axis=1))
+        # the guesses differ from each other, so one pass finds the first repeat
+        c = next((i for i in range(j) if not ok[i] or guess[i].tobytes() in seen), j)
+        seen.update(g.tobytes() for g in guess[:c])
+        pieces.append(guess[:c])
         breakpoints.extend(r[:c].tolist())
         active, const, slope = A[c], C[c], S[c]
         size = 2 * size if c == size else 2 * c + 1
@@ -275,9 +268,8 @@ def charge_path(model: RBModel, eps: float = DEFAULT_INDIFFERENCE) -> ChargePath
                 f"the charge path met a policy twice, at charge {breakpoints[-1]}")
         seen.add(active.tobytes())
         const, slope = lines[4] - lines[2], lines[5] - lines[3]
-        pieces.append((active[None], const[None], slope[None]))
-    masks, consts, slopes = (np.concatenate(col) for col in zip(*pieces))
-    return ChargePath(model, eps, np.array(breakpoints, dtype=float), masks, consts, slopes)
+        pieces.append(active[None])
+    return ChargePath(model, np.array(breakpoints, dtype=float), np.concatenate(pieces))
 
 
 @dataclass(frozen=True)
@@ -297,9 +289,10 @@ class SweepReport:
 def nu_sweep(path: ChargePath, grid, family: SetSystem | None = None) -> SweepReport:
     """The optimal active set at each charge of an ascending grid, read off the path.
 
-    Sets use the closed convention (indifferent states included).  Reports
-    whether the sequence is nested decreasing and, when a family over
-    sorted(controllable) is supplied, whether every set belongs to it.
+    A breakpoint reads the piece on its left, so states that turn passive
+    there count as active.  Reports whether the sequence is nested
+    decreasing and, when a family over sorted(controllable) is supplied,
+    whether every set belongs to it.
     """
     model = path.model
     if family is not None:

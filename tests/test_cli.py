@@ -348,10 +348,15 @@ def test_dp_verify_disagreement_exits_4(tmp_path, capsys):
     ["--grid", "-3"], ["--grid", "0"], ["--grid", "1"],
     ["--eps", "-1"], ["--eps", "nan"], ["--eps", "inf"]])
 def test_dp_verify_bad_option_is_an_input_error(tmp_path, capsys, argv):
-    # a negative grid ended in a traceback, an empty one checked nothing
-    # and passed, and a negative or NaN eps was reported as an oracle
-    # disagreement (exit 4)
+    # a negative grid ended in a traceback and an empty one checked
+    # nothing and passed; the sweep's sets no longer take an indifference
+    # band, so --eps is an unknown option, which argparse refuses (exit 2)
     doc = dict(ADMISSION_DOC, alpha=0.3)
+    if argv[0] == "--eps":
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["dp-verify", write_doc(tmp_path, doc), *argv])
+        assert exit_.value.code == 2 and capsys.readouterr().out == ""
+        return
     code, out, _ = run_cli(capsys, "dp-verify", write_doc(tmp_path, doc), *argv)
     assert code == 2
     assert out["exit_code"] == 2 and "results" not in out

@@ -91,21 +91,14 @@ def test_non_finite_charge_is_refused(rng, nu):
 
 
 @pytest.mark.parametrize("eps", [np.nan, -1.0, np.inf])
-@pytest.mark.parametrize("call", ["policy", "value", "nu_sweep", "crosscheck_indices"])
+@pytest.mark.parametrize("call", ["policy", "value"])
 def test_bad_indifference_tolerance_is_refused(eps, call):
     # a NaN eps classified no state as active, a negative one put states
-    # with a positive action gap in the closed set, and either made the
-    # cross-check report a disagreement; an infinite one made every state
-    # indifferent
+    # with a positive action gap in the closed set; an infinite one made
+    # every state indifferent
     rb = six_state_queue()
-    fam = threshold_family(5)
-    run = {"policy": lambda: dp.solve(rb, 3.0, eps=eps),
-           "value": lambda: dp.solve(rb, 3.0, method="value", eps=eps),
-           "nu_sweep": lambda: dp.nu_sweep(dp.charge_path(rb, eps=eps), [3.0]),
-           "crosscheck_indices": lambda: dp.crosscheck_indices(
-               dp.charge_path(rb, eps=eps), bandit.pcl_index(rb, fam))}[call]
     with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
-        run()
+        dp.solve(rb, 3.0, method=call, eps=eps)
 
 
 def test_value_concave_in_charge(rng):
@@ -265,19 +258,6 @@ def test_crosscheck_compliant_instance_matches_each_index(rng):
     assert check.agree and check.mismatches == ()
     assert check.dp_indices == pytest.approx(rep.nu, rel=1e-9, abs=1e-9)
     assert check.gap == np.abs(check.dp_indices - rep.nu).max()
-
-
-def test_crosscheck_ignores_the_indifference_band():
-    # eps sets only the sweep's closed sets: with no band at all the DP
-    # indices are the same breakpoints, bit for bit
-    m = admission.ACModel(12, np.full(13, 1.0), np.full(12, 1.3),
-                          np.arange(13.0) ** 2, 0.1)
-    rb, fam = admission.uniformize(m), threshold_family(12)
-    rep = bandit.pcl_index(rb, fam)
-    sharp, banded = (dp.crosscheck_indices(dp.charge_path(rb, eps=eps), rep)
-                     for eps in (0.0, dp.DEFAULT_INDIFFERENCE))
-    assert sharp.agree and banded.agree
-    assert sharp.dp_indices.tobytes() == banded.dp_indices.tobytes()
 
 
 def test_crosscheck_names_a_state_whose_index_is_off():

@@ -1,7 +1,7 @@
 """The charge path's speculative batches against the walk that takes one
-piece at a time: the same four arrays bit for bit, a bounded number of
-stacked solves, no warning where the path ends inside a batch, and a
-memory peak that the batch cap keeps near the path's own size."""
+piece at a time: the same breakpoints and policies bit for bit, a bounded
+number of stacked solves, no warning where the path ends inside a batch,
+a memory peak that the batch cap bounds, and the met-twice error."""
 
 import gc
 import math
@@ -22,7 +22,7 @@ from pclindex.errors import InternalConsistencyError
 from conftest import random_rb
 
 
-def sequential_path(model: RBModel, eps: float = dp.DEFAULT_INDIFFERENCE) -> dp.ChargePath:
+def sequential_path(model: RBModel) -> dp.ChargePath:
     """The charge path walked one piece at a time: at the nearest crossing,
     flip every state that turns within 1e-12 of it and run policy iteration
     just right of it.  The reference the batched walk must repeat."""
@@ -41,7 +41,7 @@ def sequential_path(model: RBModel, eps: float = dp.DEFAULT_INDIFFERENCE) -> dp.
         active = start
     else:
         raise InternalConsistencyError("no policy is optimal at every charge far left")
-    breakpoints, pieces, seen = [], [(active, const, slope)], {active.tobytes()}
+    breakpoints, pieces, seen = [], [active], {active.tobytes()}
     while True:
         turning = ctrl & (np.where(active, slope, -slope) > flat)
         if not turning.any():
@@ -55,14 +55,13 @@ def sequential_path(model: RBModel, eps: float = dp.DEFAULT_INDIFFERENCE) -> dp.
         seen.add(active.tobytes())
         const, slope = lines[4] - lines[2], lines[5] - lines[3]
         breakpoints.append(r)
-        pieces.append((active, const, slope))
-    masks, consts, slopes = (np.array(col) for col in zip(*pieces))
-    return dp.ChargePath(model, eps, np.array(breakpoints, dtype=float), masks, consts, slopes)
+        pieces.append(active)
+    return dp.ChargePath(model, np.array(breakpoints, dtype=float), np.array(pieces))
 
 
 def assert_same_path(model: RBModel):
-    """The batched and the sequential walk give the same four arrays, bit
-    for bit, or raise the same error."""
+    """The batched and the sequential walk give the same breakpoints and
+    policies, bit for bit, or raise the same error."""
     try:
         want = sequential_path(model)
     except InternalConsistencyError as err:
@@ -70,7 +69,7 @@ def assert_same_path(model: RBModel):
             dp.charge_path(model)
         return
     got = dp.charge_path(model)
-    for name in ("breakpoints", "policies", "gap_const", "gap_slope"):
+    for name in ("breakpoints", "policies"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
@@ -187,10 +186,9 @@ def test_a_path_that_ends_inside_a_batch_warns_nothing(monkeypatch):
 
 
 def test_batch_cap_bounds_the_memory_peak():
-    # n = 1000: the path itself is 16 MiB of gap lines and masks, and
-    # stacking its pieces at the end doubles that; batches of up to 2^16
-    # operator entries add little, where doubling without a cap reached
-    # 512 policies and a peak of 4.8 times the path
+    # n = 1000: the path is its 1001 policies, under 1 MiB of masks, and a
+    # batch of up to 2^16 operator entries (21 policies here) peaks at
+    # 6.1 MiB; doubling without a cap reached 512 policies and 74 MiB
     n = 1000
     m = admission.ACModel(n, np.full(n + 1, 1.0), np.full(n, 1.3), np.arange(n + 1.0) ** 2, 0.1)
     rb = admission.uniformize(m)
@@ -202,6 +200,30 @@ def test_batch_cap_bounds_the_memory_peak():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    size = path.policies.nbytes + path.gap_const.nbytes + path.gap_slope.nbytes
     assert len(path.policies) == n + 1
-    assert peak <= 2.5 * size
+    assert peak <= 8 * 2**20
+
+
+def test_a_policy_met_twice_is_an_internal_error(monkeypatch):
+    # consistent lines per policy (each policy's values solve its own
+    # Bellman equation) for one state, whose gap is nu when it is active
+    # and 0.5 - nu when it is passive; at a value scale of 1e12 policy
+    # iteration accepts gaps up to 1, so the walk turns the state passive
+    # at charge 0 and back on at 0.5, where the active policy passes again
+    big = 1e12
+    on = (big, 0.0, big, -1.0, big, 0.0)         # (vh, vt, a0, b0, a1, b1)
+    off = (big, 0.0, big, 0.0, big + 0.5, -1.0)
+    calls = []
+
+    def lines(model, active):
+        calls.append(len(active))
+        assert len(calls) < 50, "the walk cycles"
+        return tuple(np.where(active, a, b) for a, b in zip(on, off))
+
+    model = RBModel(np.ones((1, 1)), np.ones((1, 1)), np.zeros(1), np.zeros(1), np.ones(1), 0.5,
+                    frozenset({0}))
+    monkeypatch.setattr(dp, "_lines", lines)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^the charge path met a policy twice, at charge 0\.5$"):
+        dp.charge_path(model)
+    assert_same_path(model)

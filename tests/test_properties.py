@@ -841,7 +841,7 @@ def test_average_limits_match_dense_bordered_system(seed, n, lower, upper, beta)
 def test_charge_path_matches_cold_solves(seed, n, lower, upper, dense, beta, charges):
     # random models, non-indexable ones included: at each charge the path's
     # piece is an optimal policy, so its gap lines give the optimal gap and
-    # its closed set is the one a cold solve finds
+    # its active set lies between a cold solve's strict and closed sets
     rng = np.random.default_rng(seed)
     if dense:
         m = random_rb(rng, n, int(rng.integers(0, n + 1)), beta=beta)
@@ -852,21 +852,45 @@ def test_charge_path_matches_cold_solves(seed, n, lower, upper, dense, beta, cha
     path = dp.charge_path(m)
     assert np.all(np.diff(path.breakpoints) >= 0)
     closed = path.closed(nus)
-    piece = np.searchsorted(path.breakpoints, nus)
-    gaps = path.gap_const[piece] + nus[:, None] * path.gap_slope[piece]
+    _, _, a0, b0, a1, b1 = dp._lines(m, path.policies[np.searchsorted(path.breakpoints, nus)])
+    gaps = a1 - a0 + nus[:, None] * (b1 - b0)
     eps = dp.DEFAULT_INDIFFERENCE
     for k, nu in enumerate(nus):
         got = frozenset(np.flatnonzero(closed[k]).tolist())
         cold = dp.solve(m, nu)
         gap_scale = 1e-9 * max(1.0, float(np.max(np.abs(cold.v))))
         assert np.all(np.abs(gaps[k] - cold.gap)[m.ctrl_mask] <= gap_scale)
-        # a gap this close to the indifference band may fall on either side
-        if not np.any(np.abs(np.abs(cold.gap[m.ctrl_mask]) - eps) <= 1e-9):
+        assert cold.active_opt <= got <= cold.active_closed
+        # a state indifferent within roundoff may be on either side
+        if not np.any(np.abs(cold.gap[m.ctrl_mask]) <= eps + 1e-9):
             assert got == cold.active_closed
         # and against the independent value iteration
         cold = dp.solve(m, nu, method="value")
         if np.all(np.abs(cold.gap[m.ctrl_mask]) > 1e-6):
             assert got == cold.active_closed
+
+
+@settings(PROPERTY, max_examples=60)
+@given(seed=seeds, n=st.integers(1, 30), lower=st.integers(0, 3), upper=st.integers(0, 3),
+       dense=st.booleans(), beta=st.floats(0.5, 0.99))
+def test_a_breakpoint_reads_the_piece_on_its_left(seed, n, lower, upper, dense, beta):
+    # random models, non-indexable ones included: at a breakpoint the
+    # active set is the left piece's policy, so a state that turns passive
+    # there is still active and one that turns active is not yet; just
+    # right of it, the set is the right piece's policy
+    rng = np.random.default_rng(seed)
+    if dense:
+        m = random_rb(rng, n, int(rng.integers(0, n + 1)), beta=beta)
+    else:
+        m = banded_rb(rng, n, lower, upper, beta)
+    path, ctrl = dp.charge_path(m), m.ctrl_mask
+    b = path.breakpoints
+    right = b + 1e-12 * np.maximum(1.0, np.abs(b))
+    # a breakpoint that roundoff doubled, or one with the next within the
+    # step right of it, reads another piece
+    lone = (np.append(-np.inf, b[:-1]) < b) & (right < np.append(b[1:], np.inf))
+    assert np.array_equal(path.closed(b)[lone], path.policies[:-1][lone] & ctrl)
+    assert np.array_equal(path.closed(right)[lone], path.policies[1:][lone] & ctrl)
 
 
 @settings(PROPERTY, max_examples=60)
