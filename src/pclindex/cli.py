@@ -265,8 +265,18 @@ def cmd_counterexample(args) -> int:
     return EXIT_INCONSISTENT
 
 
+class _Parser(argparse.ArgumentParser):
+    """An unknown option or a malformed value is an input error like any
+    other: ``main`` reports it as JSON with exit code 2, where argparse
+    exits with only its usage on stderr."""
+
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        raise ModelFileError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pclindex",
         description="Allocation indices for restless bandits and queueing control")
     parser.add_argument("--version", action="version", version=__version__)
@@ -302,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
+    try:   # --help and --version still exit from argparse, with code 0
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ModelFileError as exc:
         _emit({"error": str(exc), "exit_code": EXIT_INPUT})

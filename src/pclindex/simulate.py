@@ -12,14 +12,17 @@ subsidies are lumped at their event epochs with the appropriate discount.
 Every policy of a :func:`simulate_all` call and every replication is one
 row of a single lockstep, ``CHUNK`` events at a time: replication r
 draws ``standard_exponential(CHUNK)`` and then ``random(CHUNK)`` from its
-own ``default_rng([seed, r])`` per chunk, every policy's row r reads that
-block (common random numbers), and event i of a chunk takes the clock
-E[i] / total and the outcome ``bisect_right(cuts, U[i] * total)``.  So a
-row's value depends neither on how many replications nor on which other
-policies run.  Costs accrue in event order (holding cost, then charge) by
-one cumulative sum per span of steps, so memory is O(rows x CHUNK) for
-the draws, in batches of at most ``BATCH`` rows, and the report always
-carries the confidence interval, never a bare mean.
+own ``default_rng([seed, r])`` per chunk, into one preallocated block,
+and every policy's row r reads that block (common random numbers).  The
+seed states of a batch's generators are hashed in one pass of array
+arithmetic, bit for bit as ``SeedSequence([seed, r])`` hashes each one.
+Event i of a chunk takes the clock E[i] / total and the outcome
+``bisect_right(cuts, U[i] * total)``.  So a row's value depends neither
+on how many replications nor on which other policies run.  Costs accrue
+in event order (holding cost, then charge) by one cumulative sum per
+span of steps, so memory is O(rows x CHUNK) for the draws, in batches of
+at most ``BATCH`` rows, and the report always carries the confidence
+interval, never a bare mean.
 """
 
 from __future__ import annotations
@@ -252,6 +255,72 @@ class _Rows:
         after[miss] = self.nexts.take(edges[miss])
 
 
+def _hashes(first: int, mult: int):
+    """SeedSequence's running hash constants from ``first``: the pairs
+    (c, c * mult mod 2**32), each pair's second the next pair's first."""
+    while True:
+        last, first = first, first * mult & 0xFFFFFFFF
+        yield last, first
+
+
+def _hash(value, consts):
+    """SeedSequence's hash of uint32 words by its next constants: xor,
+    multiply, xorshift."""
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult
+    return value ^ value >> 16
+
+
+def _seed_states(seed: int, reps: range) -> np.ndarray:
+    """Row i is ``SeedSequence([seed, reps[i]]).generate_state(4, np.uint64)``,
+    for all rows in one pass of uint32 array arithmetic: SeedSequence
+    hashes the 32-bit words of seed and then of r (least significant
+    first, at least one each) into a pool of 4 words, mixes them, and
+    hashes the pool into 8 words, read in little-endian pairs.  Needs
+    r < 2**64."""
+    seed_words = [seed >> at & 0xFFFFFFFF for at in range(0, max(1, seed.bit_length()), 32)]
+    out, lo = np.empty((len(reps), 4), dtype=np.uint64), reps.start
+    while lo < reps.stop:   # one pass per count of r's words
+        width = max(1, -(-lo.bit_length() // 32))
+        hi = min(reps.stop, 1 << 32 * width)
+        r = np.arange(lo, hi, dtype=np.uint64)
+        words = [np.full(r.size, w, dtype=np.uint32) for w in seed_words]
+        words += [(r >> 32 * k & 0xFFFFFFFF).astype(np.uint32) for k in range(width)]
+        words += [np.zeros(r.size, dtype=np.uint32)] * (4 - len(words))
+        consts = _hashes(0x43b0d7e5, 0x931e8875)
+        pool = [_hash(word, consts) for word in words[:4]]
+
+        def mix(dst, word):
+            mixed = pool[dst] * 0xca01f9dd - _hash(word, consts) * 0x4973f715
+            pool[dst] = mixed ^ mixed >> 16
+
+        for src in range(4):   # each pool word into the other three
+            for dst in range(4):
+                if dst != src:
+                    mix(dst, pool[src])
+        for word in words[4:]:   # then each further word into all four
+            for dst in range(4):
+                mix(dst, word)
+        consts = _hashes(0x8b51f9dd, 0x58f38ded)
+        state = np.stack([_hash(pool[i % 4], consts) for i in range(8)], axis=1)
+        out[lo - reps.start:hi - reps.start] = state.astype("<u4").view("<u8")
+        lo = hi
+    return out
+
+
+class _State(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state is already computed: it answers only the
+    request ``PCG64`` makes, ``generate_state(4, np.uint64)``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a precomputed seed state holds 4 uint64 words only")
+        return self.words
+
+
 def simulate(system, policy, config: SimConfig) -> SimReport:
     """Simulate a policy on a routing or make-to-stock system.
 
@@ -296,14 +365,19 @@ def simulate_all(system, policies, config: SimConfig) -> list[SimReport]:
     events, hits = np.zeros((2, P * reps), dtype=np.intp)
     for first in range(0, reps, per):
         batch = range(first, min(reps, first + per))
-        rngs = {rep: np.random.default_rng([config.seed, rep]) for rep in batch}
+        # default_rng([seed, r]) for each replication r, its seed state hashed for all at once
+        rngs = [np.random.Generator(np.random.PCG64(_State(words)))
+                for words in _seed_states(config.seed, batch)]
+        block = np.empty((len(batch), 2, CHUNK))   # each replication's draws, written in place
         live, done = np.arange(batch.start * P, batch.stop * P), 0
         while live.size and done < budget:
             n, m = int(min(CHUNK, budget - done)), live.size
-            drawn, col = np.unique(live // P, return_inverse=True)
+            drawn, col = np.unique(live // P - first, return_inverse=True)
+            for row, rep in zip(block, drawn.tolist()):
+                rngs[rep].standard_exponential(out=row[0])
+                rngs[rep].random(out=row[1])
             # one block per replication, read by each of its rows: (n, m) each, step-major
-            E, U = np.array([(g.standard_exponential(CHUNK), g.random(CHUNK)) for g in map(
-                rngs.get, drawn.tolist())])[col, :, :n].transpose(1, 2, 0).copy()
+            E, U = block.transpose(1, 2, 0)[:, :n].take(col, axis=2)
             span = max(1, min(n, CELLS // m))
             at, outcome = np.empty((2, span, m), dtype=np.intp)   # slot and outcome per step
             clock = np.empty((span + 1, m))                       # event epochs

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from pclindex import admission, bandit, cli, dp
+from pclindex import __version__, admission, bandit, cli, dp
 from pclindex.modelio import (canonical_json, document_from_model, load_model,
                               model_from_document, save_model)
 from pclindex.setsystem import powerset_family, threshold_family
@@ -346,20 +346,37 @@ def test_dp_verify_disagreement_exits_4(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--grid", "-3"], ["--grid", "0"], ["--grid", "1"],
-    ["--eps", "-1"], ["--eps", "nan"], ["--eps", "inf"]])
+    ["--eps", "-1"], ["--eps", "nan"], ["--eps", "inf"], ["--grid", "abc"],
+    ["--family", "nope"]])
 def test_dp_verify_bad_option_is_an_input_error(tmp_path, capsys, argv):
     # a negative grid ended in a traceback and an empty one checked
-    # nothing and passed; the sweep's sets no longer take an indifference
-    # band, so --eps is an unknown option, which argparse refuses (exit 2)
+    # nothing and passed; the sweep's sets take no indifference band, so
+    # --eps is an unknown option.  Each is reported as JSON, exit 2
     doc = dict(ADMISSION_DOC, alpha=0.3)
-    if argv[0] == "--eps":
-        with pytest.raises(SystemExit) as exit_:
-            cli.main(["dp-verify", write_doc(tmp_path, doc), *argv])
-        assert exit_.value.code == 2 and capsys.readouterr().out == ""
-        return
-    code, out, _ = run_cli(capsys, "dp-verify", write_doc(tmp_path, doc), *argv)
+    code, out, err = run_cli(capsys, "dp-verify", write_doc(tmp_path, doc), *argv)
     assert code == 2
     assert out["exit_code"] == 2 and "results" not in out
+    if argv[0] != "--grid" or argv[1] == "abc":   # argparse's own errors keep their usage
+        assert argv[0] in out["error"] and err.startswith("usage: pclindex")
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["simulate"], ["index", "m.json", "--x"],
+                                  ["simulate", "m.json", "--seed", "1.5"]])
+def test_usage_errors_are_reported_as_json(capsys, argv):
+    # a missing or unknown subcommand, a missing file, an unknown option and
+    # a malformed value: argparse's errors, each a JSON report with exit 2
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out["exit_code"] == 2 and out["error"].startswith("pclindex")
+    assert "usage: pclindex" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["simulate", "--help"]])
+def test_help_and_version_still_exit_cleanly(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: pclindex") if "--help" in argv else out.strip() == __version__
 
 
 def test_dp_verify_report_is_pinned(tmp_path, capsys):

@@ -2,7 +2,8 @@
 against an exact rational sum, the simulator's
 tabulated decisions against the public decision functions, the per-level
 rate tables against the spec accessors, the lockstep
-simulator against a per-event reference loop, the make-to-stock table
+simulator against a per-event reference loop, its one-pass seed states
+against ``SeedSequence``, the make-to-stock table
 against the DP and greedy indices of its project, the three routes to the
 admission indices against each other, the average indices against an
 exact rational reference, the banded set-active solves and average
@@ -34,7 +35,8 @@ from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                                mts_linear_index, mts_quadratic_index, naive_decide,
                                routing_decide, routing_index_table, shortest_queue_decide)
 from pclindex.setsystem import powerset_family, product, threshold_family
-from pclindex.simulate import CHUNK, SimConfig, _decider, _setup, simulate, simulate_all
+from pclindex.simulate import (CHUNK, SimConfig, _decider, _seed_states, _setup, _State,
+                               simulate, simulate_all)
 
 from conftest import (random_compliant_admission, random_rb, random_valid_family,
                       random_workload_tables)
@@ -43,6 +45,10 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 positive = st.floats(0.2, 5.0)
 seeds = st.integers(0, 2**32 - 1)
+# simulation seeds of one to five 32-bit words; with r's word, five or
+# more reach SeedSequence's pool-overflow branch
+sim_seeds = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5).map(
+    lambda words: sum(w << 32 * i for i, w in enumerate(words)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +378,7 @@ budgets = st.one_of(
 @settings(PROPERTY, max_examples=100)
 @given(sys=st.one_of(routing_systems(), mts_systems()), budget=budgets,
        warmup=st.sampled_from([0.0, 0.1, 0.2, 0.5]), truncation=st.integers(3, 10),
-       replications=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+       replications=st.integers(1, 3), seed=sim_seeds, data=st.data())
 def test_simulate_matches_reference_loop(sys, budget, warmup, truncation, replications,
                                          seed, data):
     config = SimConfig(replications=replications, seed=seed, truncation=truncation,
@@ -397,7 +403,7 @@ def _warmup_takes_budget(sys, config: SimConfig) -> bool:
 @settings(PROPERTY, max_examples=80)
 @given(sys=st.one_of(routing_systems(), mts_systems()), budget=budgets,
        warmup=st.sampled_from([0.0, 0.2, 0.5]), truncation=st.integers(3, 10),
-       replications=st.integers(1, 4), seed=seeds, batch=st.sampled_from([1, 3, 4096]),
+       replications=st.integers(1, 4), seed=sim_seeds, batch=st.sampled_from([1, 3, 4096]),
        cells=st.sampled_from([1, 7, 8192]), data=st.data())
 def test_simulate_all_matches_one_call_per_policy(sys, budget, warmup, truncation,
                                                   replications, seed, batch, cells, data):
@@ -467,7 +473,7 @@ def test_simulate_matches_reference_loop_over_several_blocks(alpha):
 
 @settings(PROPERTY, max_examples=40)
 @given(sys=st.one_of(routing_systems(), mts_systems()), budget=budgets,
-       seed=st.integers(0, 2 ** 32 - 1), rep=st.integers(0, 3), data=st.data())
+       seed=sim_seeds, rep=st.integers(0, 3), data=st.data())
 def test_replication_value_does_not_depend_on_replication_count(sys, budget, seed, rep,
                                                                 data):
     builtin = ["index", "shortest", "naive"] if isinstance(sys, RoutingSystem) \
@@ -481,6 +487,34 @@ def test_replication_value_does_not_depend_on_replication_count(sys, budget, see
         return
     few, many = (simulate(sys, policy, config) for config in configs)
     assert repr(few.per_replication[rep]) == repr(many.per_replication[rep])
+
+
+@settings(PROPERTY, max_examples=200)
+@given(seed=sim_seeds, first=st.integers(0, 2**33), count=st.integers(1, 4))
+@example(seed=2**96, first=0, count=2)              # five entropy words: the pool overflows
+@example(seed=2**64 + 1, first=2**32 - 2, count=4)  # r crosses into a second word
+@example(seed=0, first=0, count=1)
+def test_one_pass_seed_states_are_seed_sequence_states(seed, first, count):
+    # the batch's hashed seed states are SeedSequence([seed, r])'s, word for
+    # word, and a generator seeded with one draws what default_rng([seed, r]) draws
+    reps = range(first, first + count)
+    states = _seed_states(seed, reps)
+    assert states.dtype == np.uint64 and states.shape == (count, 4)
+    for r, words in zip(reps, states):
+        want = np.random.SeedSequence([seed, r]).generate_state(4, np.uint64)
+        assert words.tolist() == want.tolist(), r
+    ours = np.random.Generator(np.random.PCG64(_State(states[-1])))
+    stock = np.random.default_rng([seed, reps[-1]])
+    for draw in ("standard_exponential", "random"):
+        assert getattr(ours, draw)(CHUNK).tobytes() == getattr(stock, draw)(CHUNK).tobytes()
+
+
+def test_precomputed_seed_state_answers_only_the_pcg64_request():
+    state = _State(_seed_states(5, range(1))[0])
+    assert state.generate_state(4, np.uint64) is state.words
+    for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            state.generate_state(n_words, dtype)
 
 
 # ---------------------------------------------------------------------------
