@@ -9,8 +9,8 @@ running subsidy and idles when none qualifies.
 
 import numpy as np
 
-from pclindex.policies import (MTSSystem, ProductSpec, mts_index_table,
-                               mts_linear_index)
+from pclindex.admission import closed_form_index
+from pclindex.policies import MTSSystem, ProductSpec, mts_index_table
 from pclindex.simulate import SimConfig, simulate_all
 
 products = (
@@ -23,8 +23,9 @@ print("critical production subsidies by stock level:")
 for k, p in enumerate(products):
     table = mts_index_table(sys, k, p.n)
     print(f"  product {k}:", np.round(table, 3))
-    closed = [mts_linear_index(float(p.c), float(p.mu),
-                               float(p.lam) / float(p.mu), p.s, float(p.r), j)
+    mu, rho = float(p.mu), float(p.lam) / float(p.mu)
+    # the admission closed form with the roles of the two rates swapped
+    closed = [closed_form_index("linear", mu, mu * rho, float(p.c), j) - float(p.r) - p.s
               for j in range(p.n)]
     print(f"   (closed form agrees to {max(abs(a - b) for a, b in zip(table, closed)):.2e})")
 

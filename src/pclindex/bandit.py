@@ -126,14 +126,10 @@ class _SolveKernel:
         return solve_banded((upper, lower), T, ones)
 
     def apply(self, M: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Product of an operator held in this kernel's storage with a
-        vector, or with each column of an (n, k) array."""
-        return M @ x if self.band is None else self.apply_rows(M, x.T).T
-
-    def apply_rows(self, M: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Product of an operator held in this kernel's storage with each
         row of x (states on the last axis), bit for bit as with each row
-        alone: a stacked gemv when dense, as a gemm's bits differ."""
+        alone: a stacked gemv when dense, as a gemm's bits differ.  A dense
+        (m, n, n) stack of operators pairs with x's rows system by system."""
         if self.band is None:
             return np.matmul(M, x[..., None])[..., 0]
         lower, upper = self.band
@@ -145,48 +141,37 @@ class _SolveKernel:
             y[..., d:] += M[upper + d, :n - d] * x[..., :n - d]
         return y
 
-    def solve(self, mask: np.ndarray, rhs: np.ndarray, anchor: int | None = None) -> np.ndarray:
-        """Solve (I - beta*P_S + e_r e_r^T) x = rhs, with the last term
-        only if an ``anchor`` state r is given, for one right-hand side or
-        an (n, k) array of them, and check the residual of each column.
-        At beta = 1 the anchored matrix is nonsingular exactly when P_S is
-        unichain and r is recurrent."""
-        A = self.system(mask)
+    def solve(self, masks: np.ndarray, rhs: np.ndarray, anchor: int | None = None) -> np.ndarray:
+        """The x of (I - beta*P_S + e_r e_r^T) x = rhs, with the last term
+        only if an ``anchor`` state r is given, for one mask or an (m, n)
+        stack of them.  ``rhs`` is shaped like ``masks`` (states on the last
+        axis), or has a leading axis of c right-hand sides per system; each
+        system's are solved in one call, and each is checked against its own
+        scale, 1e-10 * max(1, |rhs|, |x|).  Banded systems are the diagonal
+        blocks of one band: zero couplings keep every bit.  At beta = 1 the
+        anchored matrix is nonsingular exactly when P_S is unichain and r is
+        recurrent."""
+        n = masks.shape[-1]
+        A = self.system(masks.reshape(-1, n))
         if anchor is not None:
-            A[anchor if self.band is None else self.band[1], anchor] += 1.0
-        x = np.linalg.solve(A, rhs) if self.band is None else solve_banded(self.band, A, rhs)
-        _check_residual(self.apply(A, x), rhs, x, 0)
-        return x
-
-    def solve_rows(self, masks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """The rows x of (I - beta*P_S) x = rhs for an (m, n) stack of masks
-        and an (m, n) stack of right-hand sides, or a (c, m, n) stack of c
-        right-hand sides per system, each solved in one call with the others
-        of its system and checked against its own scale.  Banded systems are
-        the diagonal blocks of one band: zero couplings keep every bit."""
-        A, cols = self.system(masks), rhs.reshape(-1, *masks.shape)
+            A[:, anchor if self.band is None else self.band[1], anchor] += 1.0
+        b = rhs.reshape(-1, len(A), n)
         if self.band is None:
-            x = np.linalg.solve(A, cols.transpose(1, 2, 0))
-            x, ax = x.transpose(2, 0, 1), np.matmul(A, x).transpose(2, 0, 1)
+            x = np.linalg.solve(A, b.transpose(1, 2, 0)).transpose(2, 0, 1)
+            ax = self.apply(A, x)
         else:
             A = A.transpose(1, 0, 2).reshape(A.shape[1], -1)
-            x = solve_banded(self.band, A, cols.reshape(len(cols), -1).T).T
-            ax = self.apply_rows(A, x)
-        x, ax = x.reshape(rhs.shape), ax.reshape(rhs.shape)
-        _check_residual(ax, rhs, x, -1)
-        return x
-
-
-def _check_residual(ax: np.ndarray, rhs: np.ndarray, x: np.ndarray, axis: int):
-    """Refuse a residual over 1e-10 * max(1, |rhs|, |x|), per system along ``axis``."""
-    err = np.abs(ax - rhs)
-    # the scales are at least 1, so they are needed only past 1e-10
-    if not err.max() <= 1e-10:
-        res = err.max(axis=axis)
-        scale = np.maximum(1.0, np.maximum(np.abs(rhs).max(axis=axis), np.abs(x).max(axis=axis)))
-        if not (res <= 1e-10 * scale).all():
-            raise InternalConsistencyError(
-                f"linear solve residual {res.max():g} exceeds tolerance")
+            x = solve_banded(self.band, A, b.reshape(len(b), -1).T).T
+            x, ax = x.reshape(b.shape), self.apply(A, x).reshape(b.shape)
+        err = np.abs(ax - b)
+        # the scales are at least 1, so they are needed only past 1e-10
+        if not err.max() <= 1e-10:
+            res = err.max(axis=-1)
+            scale = np.maximum(1.0, np.maximum(np.abs(b).max(axis=-1), np.abs(x).max(axis=-1)))
+            if not (res <= 1e-10 * scale).all():
+                raise InternalConsistencyError(
+                    f"linear solve residual {res.max():g} exceeds tolerance")
+        return x.reshape(rhs.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,11 +254,12 @@ class RBModel:
 
     def active_rows(self, s: Iterable) -> np.ndarray:
         """Boolean mask of states engaged under the S-active policy."""
-        s = frozenset(s)
-        if not s <= self.controllable:
+        s = list(s)   # a bool or 1.0 hashes as 1: each member is tested itself
+        n = self.n_states
+        if not (all(_is_level(j, n - 1) for j in s) and self.controllable.issuperset(s)):
             raise ValueError("active set must consist of controllable states")
         mask = ~self.ctrl_mask
-        mask[list(s)] = True
+        mask[s] = True
         return mask
 
     @cached_property
@@ -453,8 +439,8 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
             kernel = model.kernel
             masks = np.tile(~model.ctrl_mask, (len(batch), 1))
             masks[:, at] = member
-            B = kernel.solve_rows(masks, np.where(masks, model.theta1, 0.0))
-            W = model.theta1[at] + kernel.apply_rows(kernel.dP, B)[:, at]
+            B = kernel.solve(masks, np.where(masks, model.theta1, 0.0))
+            W = model.theta1[at] + kernel.apply(kernel.dP, B)[:, at]
         for r, e in zip(*np.nonzero(~(W > 0.0))):
             violations.append((batch[r], e, float(W[r, e])))
         # W[r][member[r]] lists row r's entries in sorted(S) order
@@ -691,16 +677,16 @@ def average_limits(model: RBModel, s) -> AverageLimits:
             f"policy chain is multichain ({len(classes)} recurrent classes)")
     recurrent = classes[0]
     anchor = recurrent[int(np.argmax(kernel.occupancy(mask)[recurrent]))]
-    rhs = np.column_stack((np.where(mask, model.theta1, 0.0),
-                           np.where(mask, model.h1, model.h0), np.ones(model.n_states)))
+    rhs = np.stack((np.where(mask, model.theta1, 0.0),
+                    np.where(mask, model.h1, model.h0), np.ones(model.n_states)))
     y = kernel.solve(mask, rhs, anchor)
-    gains = y[anchor, :2] / y[anchor, 2]
-    bias = y[:, :2] - y[:, 2:] * gains
-    bias -= bias[recurrent[0]]
+    gains = y[:2, anchor] / y[2, anchor]
+    bias = y[:2] - y[2] * gains[:, None]
+    bias -= bias[:, recurrent[0], None]
     d = kernel.apply(kernel.dP, bias)
-    w_bar = np.where(model.ctrl_mask, model.theta1 + d[:, 0], 0.0)
-    c_bar = np.where(model.ctrl_mask, model.h0 - model.h1 - d[:, 1], 0.0)
-    return AverageLimits(float(gains[0]), float(gains[1]), *bias.T, w_bar, c_bar)
+    w_bar = np.where(model.ctrl_mask, model.theta1 + d[0], 0.0)
+    c_bar = np.where(model.ctrl_mask, model.h0 - model.h1 - d[1], 0.0)
+    return AverageLimits(float(gains[0]), float(gains[1]), *bias, w_bar, c_bar)
 
 
 def average_pcl_index(model: RBModel, sys: SetSystem) -> PCLReport:

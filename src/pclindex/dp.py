@@ -83,9 +83,9 @@ def _lines(model: RBModel, active: np.ndarray) -> tuple[np.ndarray, ...]:
     stack ``active``, from one stacked solve for their cost and activity
     rows: values vh + nu*vt, q0 = a0 + nu*b0, q1 = a1 + nu*b1."""
     k = model.kernel
-    x = k.solve_rows(active, np.where(active, np.stack((model.h1, model.theta1))[:, None],
-                                      np.stack((model.h0, np.zeros(model.n_states)))[:, None]))
-    q0, q1 = k.apply_rows(k.bP0, x), k.apply_rows(k.bP1, x)
+    x = k.solve(active, np.where(active, np.stack((model.h1, model.theta1))[:, None],
+                                 np.stack((model.h0, np.zeros(model.n_states)))[:, None]))
+    q0, q1 = k.apply(k.bP0, x), k.apply(k.bP1, x)
     return x[0], x[1], model.h0 + q0[0], q0[1], model.h1 + q1[0], model.theta1 + q1[1]
 
 

@@ -309,22 +309,6 @@ def mts_index(sys: MTSSystem, k: int, j: int) -> float:
     return _index_entry(mts_index_table, sys, k, sys.products[k].n, j)
 
 
-def mts_linear_index(c: float, mu: float, rho: float, s: float, r: float,
-                     j: int) -> float:
-    """Closed-form production index at constant rates, linear stock cost and
-    constant price, average criterion, any traffic ratio rho = lam/mu:
-    :func:`admission.closed_form_index` with the roles swapped as in
-    :meth:`MTSSystem.levels`, (c/mu) sum_{l=0..j} (j+1-l) rho^-(l+1) - r - s."""
-    return admission.closed_form_index("linear", mu, mu * rho, c, j) - r - s
-
-
-def mts_quadratic_index(c: float, mu: float, rho: float, s: float, r: float,
-                        j: int) -> float:
-    """Quadratic stock cost variant of :func:`mts_linear_index`:
-    (c/mu) sum_{l=0..j} ((j+1)^2 - l^2) rho^-(l+1) - r - s."""
-    return admission.closed_form_index("quadratic", mu, mu * rho, c, j) - r - s
-
-
 def mts_index_table(sys: MTSSystem, k: int, up_to: int) -> np.ndarray:
     """Indices of product k for stock levels 0..up_to-1 in one pass.
 
@@ -332,9 +316,9 @@ def mts_index_table(sys: MTSSystem, k: int, up_to: int) -> np.ndarray:
     (:meth:`MTSSystem.admission_model`) of size n, or up_to+1 when the
     stock is infinite.  Entry j is the critical charge per unit of
     production forgone by idling at level j: the critical subsidy per
-    completed item at a constant production rate, not otherwise.  The
-    closed forms of :func:`mts_linear_index` and
-    :func:`mts_quadratic_index` are reference formulas only.
+    completed item at a constant production rate, not otherwise; there it
+    is ``admission.closed_form_index(kind, mu, mu * rho, c, j) - r - s``,
+    the role swap of :meth:`MTSSystem.levels`.
     """
     return _index_table(sys, k, sys.products[k].n, up_to)
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import StructureError, _is_level
 
 FrozenSets = tuple[frozenset, ...]
 
@@ -30,6 +30,11 @@ FrozenSets = tuple[frozenset, ...]
 def suffix_sets(seq: Sequence[int]) -> FrozenSets:
     """The suffix sets {seq[k], seq[k+1], ...} of a sequence, k = 0, 1, ..."""
     return tuple(frozenset(seq[k:]) for k in range(len(seq)))
+
+
+def _is_size(n) -> bool:
+    """Whether n is a ground set size: an integer >= 1, not a bool."""
+    return _is_level(n, n) and n >= 1
 
 
 @dataclass(frozen=True)
@@ -52,8 +57,8 @@ class SetSystem:
 
     def __post_init__(self):
         n = self.n
-        if n < 1:
-            raise ValueError(f"ground set size must be >= 1, got {n}")
+        if not _is_size(n):
+            raise ValueError(f"ground set size must be an integer >= 1, got {n!r}")
         pow2 = [1 << j for j in range(n)]
         keyed = []
         for s in {frozenset(s) for s in self.family}:
@@ -166,15 +171,15 @@ def threshold_family(n: int) -> SetSystem:
     buffer of size n: shutting the gate at occupancy j shuts it at all
     higher occupancies too.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not _is_size(n):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return SetSystem(n, suffix_sets(range(n)) + (frozenset(),))
 
 
 def powerset_family(n: int) -> SetSystem:
     """The unrestricted family 2^J."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not _is_size(n):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     members = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(range(n), r)]
     return SetSystem(n, tuple(members))
 

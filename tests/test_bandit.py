@@ -86,6 +86,17 @@ def test_controllable_entries_must_be_integer_levels(controllable):
     assert m.controllable == {0, 1} and all(type(j) is int for j in m.controllable)
 
 
+@pytest.mark.parametrize("s", [[True], [1.0], [True, 2]], ids=["bool", "float", "bool-and-int"])
+def test_active_sets_must_be_integer_levels(s):
+    # True and 1.0 hash as 1, so a subset test alone let them through: numpy
+    # then refused them as indices, or read True as state 1 without a word
+    m = admission.uniformize(regular_admission(4))
+    for f in (m.active_rows, lambda s: activity_measure(m, s)):
+        with pytest.raises(ValueError, match="active set must consist of controllable states"):
+            f(s)
+    assert np.array_equal(m.active_rows([np.int64(1), 2]), m.active_rows([1, 2]))
+
+
 def test_model_copies_caller_arrays():
     P = np.array([[0.5, 0.5], [0.5, 0.5]])
     h = np.zeros(2)
@@ -862,7 +873,7 @@ def test_perturbed_banded_solve_fails_the_residual_check(monkeypatch):
                        frozenset(range(5)))
 
 
-def test_solve_rows_checks_each_row_against_its_own_scale(monkeypatch):
+def test_stacked_solve_checks_each_row_against_its_own_scale(monkeypatch):
     # two stacked systems whose scales differ by 1e6: an error of 1e-8 in
     # the small one is far past its own tolerance, but a tolerance scaled
     # over the whole batch would let it through
@@ -871,7 +882,7 @@ def test_solve_rows_checks_each_row_against_its_own_scale(monkeypatch):
     masks = np.zeros((2, n), dtype=bool)
     masks[:, :5] = True
     rhs = np.vstack((np.linspace(0.5, 1.0, n), np.linspace(0.5, 1.0, n) * 1e6))
-    x = kernel.solve_rows(masks, rhs)
+    x = kernel.solve(masks, rhs)
     for r in range(2):
         assert np.array_equal(x[r], kernel.solve(masks[r], rhs[r]))
     exact = bandit.solve_banded
@@ -883,15 +894,15 @@ def test_solve_rows_checks_each_row_against_its_own_scale(monkeypatch):
 
     monkeypatch.setattr(bandit, "solve_banded", perturbed)
     with pytest.raises(InternalConsistencyError, match="residual"):
-        kernel.solve_rows(masks, rhs)
+        kernel.solve(masks, rhs)
 
 
-def test_solve_rows_stacks_dense_systems_bit_for_bit(rng):
+def test_stacked_solve_stacks_dense_systems_bit_for_bit(rng):
     model = random_rb(rng, 6, 4)
     assert model.kernel.band is None
     masks = rng.random((5, 6)) < 0.5
     rhs = rng.uniform(-1.0, 1.0, (5, 6))
-    x = model.kernel.solve_rows(masks, rhs)
+    x = model.kernel.solve(masks, rhs)
     for r in range(5):
         assert np.array_equal(x[r], model.kernel.solve(masks[r], rhs[r]))
 
@@ -906,11 +917,11 @@ def test_banded_apply_broadcasts_over_columns_bit_for_bit(band):
     P0, P1 = (P / P.sum(axis=1, keepdims=True) for P in (P0, P1))
     kernel = bandit._SolveKernel(P0, P1, 0.9)
     assert kernel.band == band
-    x = rng.uniform(-1.0, 1.0, (n, 5))
+    x = rng.uniform(-1.0, 1.0, (5, n))
     for M in (kernel.bP0, kernel.bP1, kernel.dP, kernel.system(rng.random(n) < 0.5)):
-        columns = np.column_stack([kernel.apply(M, np.ascontiguousarray(c)) for c in x.T])
-        assert np.array_equal(kernel.apply(M, x), columns)
-        assert np.array_equal(kernel.apply(M, x.T.copy().T), columns)   # any memory layout
+        rows = np.array([kernel.apply(M, np.ascontiguousarray(r)) for r in x])
+        assert np.array_equal(kernel.apply(M, x), rows)
+        assert np.array_equal(kernel.apply(M, x.T.copy().T), rows)   # any memory layout
 
 
 def test_anchored_solve_is_the_bordered_gain_bias_system():
@@ -920,13 +931,33 @@ def test_anchored_solve_is_the_bordered_gain_bias_system():
     P = np.array([[0.5, 0.5], [1.0, 0.0]])
     kernel = bandit._SolveKernel(P, P, 1.0)
     mask = np.zeros(2, dtype=bool)
-    rhs = np.column_stack(([3.0, 0.0], np.ones(2)))
+    rhs = np.stack(([3.0, 0.0], np.ones(2)))
     for anchor, pi in ((0, 2 / 3), (1, 1 / 3)):
         y = kernel.solve(mask, rhs, anchor)
-        assert y[anchor, 1] == pytest.approx(1.0 / pi)
-        assert y[anchor, 0] / y[anchor, 1] == pytest.approx(2.0)
+        assert y[1, anchor] == pytest.approx(1.0 / pi)
+        assert y[0, anchor] / y[1, anchor] == pytest.approx(2.0)
     with pytest.raises(np.linalg.LinAlgError):
         kernel.solve(mask, rhs)        # I - P alone is singular
+
+
+@pytest.mark.parametrize("banded", [True, False])
+def test_anchored_stacked_solve_matches_each_system_bit_for_bit(rng, banded):
+    # at beta = 1 an anchor makes each unichain system nonsingular; a stack
+    # of them, with three right-hand sides each as average_limits has, gives
+    # every system's own anchored solve
+    if banded:
+        model = admission.uniformize(regular_admission(12, alpha=0.0))
+    else:
+        model = random_rb(rng, 6, 4, beta=1.0)
+    kernel, n = model.kernel, model.n_states
+    assert model.beta == 1.0 and (kernel.band is not None) == banded
+    masks = np.tile(~model.ctrl_mask, (5, 1))
+    masks[:, model.ctrl_mask] = rng.random((5, len(model.controllable))) < 0.5
+    rhs = rng.uniform(-1.0, 1.0, (3, 5, n))
+    x = kernel.solve(masks, rhs, 0)
+    assert x.shape == rhs.shape
+    for r in range(5):
+        assert np.array_equal(x[:, r], kernel.solve(masks[r], rhs[:, r], 0))
 
 
 @pytest.mark.parametrize("band", [(0, 0), (1, 0), (1, 1), (2, 1), (0, 3), (3, 3)])

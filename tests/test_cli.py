@@ -399,18 +399,13 @@ def test_dp_verify_solves_each_path_policy_once(tmp_path, capsys, monkeypatch):
     doc = {"kind": "admission", "n": n, "alpha": 0.1, "lambda": [1.0] * (n + 1),
            "mu": [1.3] * n, "h": [float(j * j) for j in range(n + 1)]}
     path = write_doc(tmp_path, doc)
-    calls, exact, stacked = [0], bandit._SolveKernel.solve, bandit._SolveKernel.solve_rows
+    calls, exact = [0], bandit._SolveKernel.solve
 
-    def counting(self, *args, **kw):
-        calls[0] += 1
-        return exact(self, *args, **kw)
-
-    def counting_rows(self, masks, rhs):
-        calls[0] += len(masks)
-        return stacked(self, masks, rhs)
+    def counting(self, masks, *args, **kw):
+        calls[0] += len(np.atleast_2d(masks))
+        return exact(self, masks, *args, **kw)
 
     monkeypatch.setattr(bandit._SolveKernel, "solve", counting)
-    monkeypatch.setattr(bandit._SolveKernel, "solve_rows", counting_rows)
     bandit.pcl_index(admission.uniformize(load_model(path)[0]), threshold_family(n))
     pcl, calls[0] = calls[0], 0
     code, out, _ = run_cli(capsys, "dp-verify", path)

@@ -346,13 +346,13 @@ def test_crosscheck_evaluates_each_policy_once(monkeypatch):
     rb, fam = admission.uniformize(m), threshold_family(100)
     rep = bandit.pcl_index(rb, fam)
     solved = []
-    exact = rb.kernel.solve_rows
+    exact = rb.kernel.solve
 
-    def counting(masks, rhs):
+    def counting(masks, rhs, anchor=None):
         solved.extend((mask.tobytes(), rhs.shape[::2]) for mask in masks)
-        return exact(masks, rhs)
+        return exact(masks, rhs, anchor)
 
-    monkeypatch.setattr(rb.kernel, "solve_rows", counting)
+    monkeypatch.setattr(rb.kernel, "solve", counting)
     path = dp.charge_path(rb)
     assert len(path.breakpoints) == 100
     count = len(solved)

@@ -152,13 +152,13 @@ def test_stacked_solves_on_the_benchmark_queue(monkeypatch):
     # 101 pieces: one solve for the start, then batches of 1, 2, 4, ... with
     # no miss, so about log2(n) stacked calls and no system solved twice
     rb = benchmark_queue(100)
-    systems, exact = [], rb.kernel.solve_rows
+    systems, exact = [], rb.kernel.solve
 
-    def counting(masks, rhs):
+    def counting(masks, rhs, anchor=None):
         systems.append(len(masks))
-        return exact(masks, rhs)
+        return exact(masks, rhs, anchor)
 
-    monkeypatch.setattr(rb.kernel, "solve_rows", counting)
+    monkeypatch.setattr(rb.kernel, "solve", counting)
     path = dp.charge_path(rb)
     assert len(path.policies) == 101
     assert len(systems) <= 2 * math.log2(100) + 2

@@ -7,8 +7,7 @@ import pytest
 from pclindex import admission
 from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                                least_stock_decide, mts_decide, mts_index,
-                               mts_index_table, mts_linear_index,
-                               mts_quadratic_index, naive_decide, routing_decide,
+                               mts_index_table, naive_decide, routing_decide,
                                routing_index, routing_index_table,
                                shortest_queue_decide, switching_curve)
 
@@ -215,7 +214,8 @@ def test_mts_bracket_example():
     r, s = 0.3, 0.2
     sys = MTSSystem((ProductSpec(None, 0.5, 1.0, 1.0, s, r),), alpha=0.0)
     assert mts_index(sys, 0, 0) == pytest.approx(2.0 - r - s)
-    assert mts_linear_index(1.0, 1.0, 0.5, s, r, 0) == pytest.approx(2.0 - r - s)
+    closed = admission.closed_form_index("linear", 1.0, 0.5, 1.0, 0) - r - s
+    assert closed == pytest.approx(2.0 - r - s)
 
 
 def test_mts_closed_form_matches_role_swapped_recursion():
@@ -225,7 +225,7 @@ def test_mts_closed_form_matches_role_swapped_recursion():
         sys = MTSSystem((spec,), alpha=0.0)
         table = mts_index_table(sys, 0, 12)   # always the general route
         for j in range(12):
-            want = mts_linear_index(0.4, mu, rho, 1.5, 2.0, j)
+            want = admission.closed_form_index("linear", mu, mu * rho, 0.4, j) - 2.0 - 1.5
             assert table[j] == pytest.approx(want, rel=1e-9)
 
 
@@ -236,7 +236,7 @@ def test_mts_quadratic_closed_form_matches_general_route():
         sys = MTSSystem((spec,), alpha=0.0)
         table = mts_index_table(sys, 0, 10)
         for j in range(10):
-            want = mts_quadratic_index(c, mu, rho, s, r, j)
+            want = admission.closed_form_index("quadratic", mu, mu * rho, c, j) - r - s
             assert table[j] == pytest.approx(want, rel=1e-9)
 
 
@@ -244,7 +244,7 @@ def test_mts_quadratic_closed_form_near_unit_ratio():
     # the former closed form cancelled to -1.2 at rho = 1 + 1e-9
     spec = ProductSpec(None, 1.0 + 1e-9, 1.0, [j ** 2 for j in range(30)], 0.5, 0.7)
     table = mts_index_table(MTSSystem((spec,), alpha=0.0), 0, 4)
-    got = mts_quadratic_index(1.0, 1.0, 1.0 + 1e-9, 0.5, 0.7, 3)
+    got = admission.closed_form_index("quadratic", 1.0, 1.0 + 1e-9, 1.0, 3) - 0.7 - 0.5
     assert got == pytest.approx(48.8, rel=1e-8)
     assert got == pytest.approx(table[3], rel=1e-8)
 
@@ -268,8 +268,9 @@ def test_mts_index_near_critical_ratio_matches_table():
 
 def test_mts_linear_closed_form_near_critical_ratio():
     # the former closed form cancelled to -1.2 here; at rho = 1 it is the critical value
-    assert mts_linear_index(1.0, 1.0, 1 + 1e-9, 0.5, 0.7, 3) == pytest.approx(8.8, rel=1e-8)
-    assert mts_linear_index(1.0, 1.0, 1.0, 0.5, 0.7, 3) == pytest.approx(8.8, rel=1e-14)
+    for rho, rel in ((1 + 1e-9, 1e-8), (1.0, 1e-14)):
+        got = admission.closed_form_index("linear", 1.0, rho, 1.0, 3) - 0.7 - 0.5
+        assert got == pytest.approx(8.8, rel=rel)
 
 
 def test_mts_index_at_the_last_level_reads_the_table():

@@ -31,8 +31,7 @@ from pclindex.errors import UnsupportedModelError
 from pclindex.greedy import (WorkloadOracle, ag1, ag2, dual_solution, local_minmax_check,
                              lp_value, objective_representation_check, primal_vertex)
 from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
-                               least_stock_decide, mts_decide, mts_index_table,
-                               mts_linear_index, mts_quadratic_index, naive_decide,
+                               least_stock_decide, mts_decide, mts_index_table, naive_decide,
                                routing_decide, routing_index_table, shortest_queue_decide)
 from pclindex.setsystem import powerset_family, product, threshold_family
 from pclindex.simulate import (CHUNK, SimConfig, _decider, _seed_states, _setup, _State,
@@ -83,7 +82,7 @@ def test_quadratic_forms_match_tables_near_unit_traffic(mu, h, n, eps, s, r):
     want = [closed_form_index("quadratic", rho * mu, mu, h, j) for j in range(n)]
     assert routing_index_table(sys, 0, n) == pytest.approx(want, rel=1e-6)
     sys = MTSSystem((ProductSpec(None, rho * mu, mu, costs, s, r),), alpha=0.0)
-    want = [mts_quadratic_index(h, mu, rho, s, r, j) for j in range(n)]
+    want = [closed_form_index("quadratic", mu, mu * rho, h, j) - r - s for j in range(n)]
     scale = (h / mu) * (n + 1) ** 3
     assert mts_index_table(sys, 0, n) == pytest.approx(want, rel=1e-6, abs=1e-9 * scale)
 
@@ -114,9 +113,10 @@ def test_closed_forms_match_an_exact_rational_sum(kind, rho, mu, h, j, dh, s, r)
     assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
     # make-to-stock: order ratio rho, so the production project runs at 1/rho;
     # the tolerance is relative to the sum and to r + s, which it subtracts
-    for form, name in ((mts_linear_index, "linear"), (mts_quadratic_index, "quadratic")):
+    for name in ("linear", "quadratic"):
         total = exact_tail_sum(name, 1 / Fraction(rho), h, j) / (Fraction(mu) * Fraction(rho))
-        err = Fraction(form(h, mu, rho, s, r, j)) - (total - Fraction(r) - Fraction(s))
+        got = closed_form_index(name, mu, mu * rho, h, j) - r - s
+        err = Fraction(got) - (total - Fraction(r) - Fraction(s))
         assert abs(err) <= Fraction(1e-12) * (total + Fraction(r) + Fraction(s))
 
 
@@ -829,9 +829,9 @@ def test_multi_column_solve_matches_column_solves(seed, n, lower, upper, beta, c
     rng = np.random.default_rng(seed)
     m = banded_rb(rng, n, lower, upper, beta)
     mask = m.active_rows(j for j in m.controllable if rng.random() < 0.5)
-    rhs = rng.uniform(-5.0, 5.0, (n, columns))
+    rhs = rng.uniform(-5.0, 5.0, (columns, n))
     x = m.kernel.solve(mask, rhs)
-    one = np.array([m.kernel.solve(mask, np.ascontiguousarray(b)) for b in rhs.T]).T
+    one = np.array([m.kernel.solve(mask, b) for b in rhs])
     if m.kernel.band is not None:
         assert np.array_equal(x, one)
     else:
@@ -996,11 +996,13 @@ def test_batched_family_scan_matches_one_solve_per_member(seed, n, lower, upper,
     sizes = [b for b in range(2, count) if count % b]
     size = sizes[round(share * (len(sizes) - 1))]
     solves, oracles = [], []
-    solve, walk = m.kernel.solve_rows, bandit.ag2
+    solve, walk = m.kernel.solve, bandit.ag2
 
-    def solve_spy(masks, rhs):
-        solves.append((masks.copy(), solve(masks, rhs)))
-        return solves[-1][1]
+    def solve_spy(masks, rhs, anchor=None):
+        x = solve(masks, rhs, anchor)
+        if masks.ndim == 2:   # the scan's stacked solves, not the normalized cost's one
+            solves.append((masks.copy(), x))
+        return x
 
     def walk_spy(c, oracle, sys):
         oracles.append(oracle)
@@ -1008,7 +1010,7 @@ def test_batched_family_scan_matches_one_solve_per_member(seed, n, lower, upper,
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bandit, "SCAN_ENTRIES", size * m.kernel.dP.size)
-        mp.setattr(m.kernel, "solve_rows", solve_spy)
+        mp.setattr(m.kernel, "solve", solve_spy)
         mp.setattr(bandit, "ag2", walk_spy)
         try:
             rep = bandit.pcl_index(m, fam)

@@ -129,6 +129,20 @@ def test_threshold_family_rejects_zero():
         threshold_family(0)
 
 
+@pytest.mark.parametrize("build, n, message", [
+    (lambda n: SetSystem(n, ()), 1.5, "ground set size must be"),
+    (lambda n: SetSystem(n, ()), True, "ground set size must be"),
+    (threshold_family, 2.5, "n must be"),
+    (threshold_family, True, "n must be"),
+    (powerset_family, 3.0, "n must be"),
+], ids=["system-fraction", "system-bool", "threshold-fraction", "threshold-bool",
+        "powerset-float"])
+def test_ground_size_must_be_an_integer(build, n, message):
+    # a float failed in range() with a bare TypeError, and True built a one-element system
+    with pytest.raises(ValueError, match=message):
+        build(n)
+
+
 def test_product_of_two_singletons():
     one = SetSystem(1, (frozenset(), frozenset({0})))
     joint = product([one, one])
