@@ -35,7 +35,7 @@ from .setsystem import SetSystem, suffix_sets
 SOFT_STATE_CAP = 2000
 DMR_TOL = 1e-9           # residual allowed in the diminishing-marginal-returns checks
 TARGET_REL_TOL = 1e-12   # activity targets this close to a chain value hit it exactly
-SCAN_ENTRIES = 1 << 18   # operator entries held by one batch of the discounted family scan
+SCAN_ENTRIES = 1 << 18   # operator entries held by one batch of a family scan
 
 
 def solve_banded(band: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -94,13 +94,11 @@ class _SolveKernel:
 
     def edges(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (source, target) states of the positive entries of beta*P_S,
-        read from this kernel's storage, in row-major order."""
-        rows, cols = np.nonzero(self._mixed(mask) > 0)
-        if self.band is None:
-            return rows, cols
-        src = self._rows[rows, cols]
-        order = np.lexsort((cols, src))
-        return src[order], cols[order]
+        read from this kernel's storage; an (m, n) stack of masks gives the
+        union of m graphs, system k's states numbered from k*n."""
+        n = mask.shape[-1]
+        k, rows, cols = np.nonzero(self._mixed(mask.reshape(-1, n)) > 0)
+        return k * n + (rows if self.band is None else self._rows[rows, cols]), k * n + cols
 
     def system(self, mask: np.ndarray) -> np.ndarray:
         """I - beta*P_S in this kernel's storage, stacked like ``mask``."""
@@ -111,19 +109,19 @@ class _SolveKernel:
     def occupancy(self, mask: np.ndarray) -> np.ndarray:
         """The u with (I - b*beta*P_S)^T u = 1 for b = 1 - 1e-9: the
         expected time in each state over about 1e9 steps, summed over the
-        initial states."""
-        b = 1.0 - 1e-9
+        initial states; stacked like ``mask``, banded stacks as one band."""
+        b, n = 1.0 - 1e-9, mask.shape[-1]
         A = b * self.system(mask)
-        A[self._diag] += 1.0 - b
-        ones = np.ones(A.shape[1])
+        A[(..., *self._diag)] += 1.0 - b
         if self.band is None:
-            return np.linalg.solve(A.T, ones)
-        (lower, upper), n = self.band, A.shape[1]
+            return np.linalg.solve(np.swapaxes(A, -1, -2), np.ones((*A.shape[:-1], 1)))[..., 0]
+        lower, upper = self.band
         q = np.arange(lower + upper + 1)[:, None]   # A^T, stored with the band (upper, lower)
         cols = np.arange(n) + q - lower
         inside = (cols >= 0) & (cols < n)
-        T = np.where(inside, A[lower + upper - q, np.clip(cols, 0, n - 1)], 0.0)
-        return solve_banded((upper, lower), T, ones)
+        T = np.where(inside, A[..., lower + upper - q, np.clip(cols, 0, n - 1)], 0.0)
+        T = T.reshape(-1, len(q), n).transpose(1, 0, 2).reshape(len(q), -1)
+        return solve_banded((upper, lower), T, np.ones(T.shape[1])).reshape(mask.shape)
 
     def apply(self, M: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Product of an operator held in this kernel's storage with each
@@ -141,20 +139,20 @@ class _SolveKernel:
             y[..., d:] += M[upper + d, :n - d] * x[..., :n - d]
         return y
 
-    def solve(self, masks: np.ndarray, rhs: np.ndarray, anchor: int | None = None) -> np.ndarray:
+    def solve(self, masks: np.ndarray, rhs: np.ndarray, anchor=None) -> np.ndarray:
         """The x of (I - beta*P_S + e_r e_r^T) x = rhs, with the last term
-        only if an ``anchor`` state r is given, for one mask or an (m, n)
-        stack of them.  ``rhs`` is shaped like ``masks`` (states on the last
-        axis), or has a leading axis of c right-hand sides per system; each
-        system's are solved in one call, and each is checked against its own
-        scale, 1e-10 * max(1, |rhs|, |x|).  Banded systems are the diagonal
-        blocks of one band: zero couplings keep every bit.  At beta = 1 the
-        anchored matrix is nonsingular exactly when P_S is unichain and r is
-        recurrent."""
+        only if an ``anchor`` state r is given (one, or one per system), for
+        one mask or an (m, n) stack of them.  ``rhs`` is shaped like ``masks``
+        (states on the last axis), or has a leading axis of c right-hand sides
+        per system; each system's are solved in one call, and each is checked
+        against its own scale, 1e-10 * max(1, |rhs|, |x|).  Banded systems
+        are the diagonal blocks of one band: zero couplings keep every bit.
+        At beta = 1 the anchored matrix is nonsingular exactly when P_S is
+        unichain and r is recurrent."""
         n = masks.shape[-1]
         A = self.system(masks.reshape(-1, n))
         if anchor is not None:
-            A[:, anchor if self.band is None else self.band[1], anchor] += 1.0
+            A[np.arange(len(A)), anchor if self.band is None else self.band[1], anchor] += 1.0
         b = rhs.reshape(-1, len(A), n)
         if self.band is None:
             x = np.linalg.solve(A, b.transpose(1, 2, 0)).transpose(2, 0, 1)
@@ -419,34 +417,32 @@ def _require_ground(model: RBModel, sys: SetSystem):
 def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
     """The indexability test under either criterion: the family scan keeps
     each member's marginal workloads over sorted(S), from batches of at
-    most ``SCAN_ENTRIES`` operator entries solved together (discounted) or
-    from its long-run average limits, which also give the cost input."""
+    most ``SCAN_ENTRIES`` operator entries evaluated together, discounted
+    or average; under the latter the ground set's row gives the cost input."""
     _require_ground(model, sys)
-    ctrl = sorted(model.controllable)
+    ctrl, family = sorted(model.controllable), sys.family
     at = np.array(ctrl, dtype=int)
-    family = sys.family
     if not average:
         _require_discounted(model)
-    size = 1 if average else max(1, SCAN_ENTRIES // model.kernel.dP.size)
-    scan, violations, limits = {}, [], {}
+    kernel = model.average_kernel if average else model.kernel
+    size = max(1, SCAN_ENTRIES // kernel.dP.size)
+    scan, violations = {}, []
     for lo in range(0, len(family), size):
         batch, member = family[lo:lo + size], sys.rows(slice(lo, lo + size))
-        if average:    # one member per batch, whose row is read off its limits
-            limits[batch[0]] = average_limits(model, [ctrl[e] for e in batch[0]])
-            W = limits[batch[0]].w_bar[at][None]
-        else:
-            # one stacked solve, then a product per member as in marginal_workload
-            kernel = model.kernel
-            masks = np.tile(~model.ctrl_mask, (len(batch), 1))
-            masks[:, at] = member
+        masks = np.tile(~model.ctrl_mask, (len(batch), 1))
+        masks[:, at] = member
+        if average:   # the ground set, when a member, is the last batch's last row
+            *_, w, c_bar = _average_rows(model, masks)
+        else:   # one stacked solve, then a product per member as in marginal_workload
             B = kernel.solve(masks, np.where(masks, model.theta1, 0.0))
-            W = model.theta1[at] + kernel.apply(kernel.dP, B)[:, at]
-        for r, e in zip(*np.nonzero(~(W > 0.0))):
-            violations.append((batch[r], e, float(W[r, e])))
+            w = model.theta1 + kernel.apply(kernel.dP, B)
+        W = w[:, at]
+        violations += [(batch[r], e, float(W[r, e])) for r, e in zip(*np.nonzero(~(W > 0.0)))]
         # W[r][member[r]] lists row r's entries in sorted(S) order
         scan.update(zip(batch, map(np.compress, member, W)))
-    cost = ((limits.get(sys.ground) or average_limits(model, ctrl)).c_bar if average
-            else model.normalized_cost)
+    if average and family[-1:] != (sys.ground,):
+        c_bar = _average_rows(model, np.ones((1, model.n_states), dtype=bool))[3]
+    cost = c_bar[-1] if average else model.normalized_cost
     row = scan.__getitem__
     if violations:   # the walk cannot pass a member with a nonpositive workload of its own
         inside = {s: (e, w) for s, e, w in reversed(violations) if e in s}   # first e per s
@@ -645,16 +641,42 @@ class AverageLimits:
     c_bar: np.ndarray
 
 
-def _recurrent_classes(n: int, src: np.ndarray, dst: np.ndarray) -> list[list[int]]:
-    """The closed strong components of the graph on n states with the
-    edges src -> dst, given in row-major order, in label order: a
-    component is closed when no edge leaves it."""
-    indptr = np.searchsorted(src, np.arange(n + 1))
-    graph = csr_array((np.ones(len(src)), np.ascontiguousarray(dst), indptr), shape=(n, n))
+def _recurrent_classes(shape: tuple[int, int], src: np.ndarray, dst: np.ndarray) -> tuple:
+    """The number of closed strong components (no edge leaves them) of each
+    of m graphs on n states, and the (m, n) mask of their states, from the
+    edges src -> dst of their union, graph k's states numbered from k*n."""
+    (m, n), size = shape, shape[0] * shape[1]
+    graph = csr_array((np.ones(len(src)), (src, dst)), shape=(size, size))
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
     closed = np.ones(n_comp, dtype=bool)
     closed[labels[src][labels[src] != labels[dst]]] = False
-    return [np.flatnonzero(labels == comp).tolist() for comp in np.flatnonzero(closed)]
+    system = np.empty(n_comp, dtype=int)
+    system[labels] = np.arange(size) // n
+    return np.bincount(system[closed], minlength=m), closed[labels].reshape(m, n)
+
+
+def _average_rows(model: RBModel, masks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`average_limits` of the policies of an (m, n) stack of masks:
+    gains (2, m), biases (2, m, n), w_bar and c_bar, from one class pass,
+    one occupancy solve, one solve with an anchor per system, one product."""
+    if not model.communicating:
+        raise UnsupportedModelError("model is not communicating")
+    kernel, systems = model.average_kernel, np.arange(len(masks))
+    counts, recurrent = _recurrent_classes(masks.shape, *kernel.edges(masks))
+    if (counts != 1).any():
+        raise UnsupportedModelError(
+            f"policy chain is multichain ({counts[counts != 1][0]} recurrent classes)")
+    anchor = np.where(recurrent, kernel.occupancy(masks), -np.inf).argmax(axis=1)
+    rhs = np.stack((np.where(masks, model.theta1, 0.0),
+                    np.where(masks, model.h1, model.h0), np.ones(masks.shape)))
+    y = kernel.solve(masks, rhs, anchor)
+    gains = y[:2, systems, anchor] / y[2, systems, anchor]
+    bias = y[:2] - y[2] * gains[..., None]
+    bias -= bias[:, systems, recurrent.argmax(axis=1)][..., None]   # the lowest recurrent state
+    d = kernel.apply(kernel.dP, bias)
+    w_bar = np.where(model.ctrl_mask, model.theta1 + d[0], 0.0)
+    c_bar = np.where(model.ctrl_mask, model.h0 - model.h1 - d[1], 0.0)
+    return gains, bias, w_bar, c_bar
 
 
 def average_limits(model: RBModel, s) -> AverageLimits:
@@ -668,25 +690,8 @@ def average_limits(model: RBModel, s) -> AverageLimits:
     z[r] = 1 / pi_r, and y - gain * z loses the digits of z, the anchor is
     the recurrent state of largest occupancy over about 1e9 steps.
     """
-    if not model.communicating:
-        raise UnsupportedModelError("model is not communicating")
-    mask, kernel = model.active_rows(s), model.average_kernel
-    classes = _recurrent_classes(model.n_states, *kernel.edges(mask))
-    if len(classes) != 1:
-        raise UnsupportedModelError(
-            f"policy chain is multichain ({len(classes)} recurrent classes)")
-    recurrent = classes[0]
-    anchor = recurrent[int(np.argmax(kernel.occupancy(mask)[recurrent]))]
-    rhs = np.stack((np.where(mask, model.theta1, 0.0),
-                    np.where(mask, model.h1, model.h0), np.ones(model.n_states)))
-    y = kernel.solve(mask, rhs, anchor)
-    gains = y[:2, anchor] / y[2, anchor]
-    bias = y[:2] - y[2] * gains[:, None]
-    bias -= bias[:, recurrent[0], None]
-    d = kernel.apply(kernel.dP, bias)
-    w_bar = np.where(model.ctrl_mask, model.theta1 + d[0], 0.0)
-    c_bar = np.where(model.ctrl_mask, model.h0 - model.h1 - d[1], 0.0)
-    return AverageLimits(float(gains[0]), float(gains[1]), *bias, w_bar, c_bar)
+    gains, bias, w_bar, c_bar = _average_rows(model, model.active_rows(s)[None])
+    return AverageLimits(*gains[:, 0].tolist(), *bias[:, 0], w_bar[0], c_bar[0])
 
 
 def average_pcl_index(model: RBModel, sys: SetSystem) -> PCLReport:
@@ -726,14 +731,18 @@ def constrained_policy(model: RBModel, report: PCLReport, t: float) -> Constrain
     randomized (the cost saved per extra unit of allowed activity, so the
     achieved cost is piecewise linear and convex as a function of t).
     """
-    chain = report.chain_states + (frozenset(),)
-    limits = [average_limits(model, chain[0])]
-    _require_report(model, report, limits[0].c_bar)
+    order = report.state_order
+    rank = np.where(model.active_rows(order), len(order), -1)   # uncontrollable: always active
+    rank[list(order)] = np.arange(len(order))
+    masks = rank >= np.arange(len(order) + 1)[:, None]   # row k: the chain set order[k:]
+    gains, _, _, c_bar = _average_rows(model, masks[:1])
+    _require_report(model, report, c_bar[0])
     if not report.indexable:
         raise UnsupportedModelError("model is not PCL-indexable under the average criterion")
-    limits += [average_limits(model, s) for s in chain[1:]]
-    b_bar = [al.b_bar for al in limits]
-    v_bar = [al.v_bar for al in limits]
+    size = max(1, SCAN_ENTRIES // model.average_kernel.dP.size)
+    gains = [gains] + [_average_rows(model, masks[lo:lo + size])[0]
+                       for lo in range(1, len(masks), size)]
+    b_bar, v_bar = np.hstack(gains).tolist()
     scale = max(1.0, max(abs(x) for x in b_bar))
     lo, hi = b_bar[-1], b_bar[0]
     if not lo - TARGET_REL_TOL * scale <= t <= hi + TARGET_REL_TOL * scale:   # a NaN target too
@@ -741,9 +750,9 @@ def constrained_policy(model: RBModel, report: PCLReport, t: float) -> Constrain
             f"target {t} outside achievable activity range [{lo:g}, {hi:g}]")
     for k, bk in enumerate(b_bar):
         if abs(t - bk) <= TARGET_REL_TOL * scale:
-            return ConstrainedPolicy(chain[k], None, None, v_bar[k], None)
-    k = next(k for k in range(len(chain) - 1) if b_bar[k + 1] < t < b_bar[k])
+            return ConstrainedPolicy(frozenset(order[k:]), None, None, v_bar[k], None)
+    k = next(k for k in range(len(order)) if b_bar[k + 1] < t < b_bar[k])
     p = (t - b_bar[k + 1]) / (b_bar[k] - b_bar[k + 1])
     value = (1.0 - p) * v_bar[k + 1] + p * v_bar[k]
     nu_k = float(report.ag.nu[report.ag.pi[k]])
-    return ConstrainedPolicy(chain[k + 1], report.state_order[k], p, value, nu_k)
+    return ConstrainedPolicy(frozenset(order[k + 1:]), order[k], p, value, nu_k)

@@ -311,26 +311,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code and log label of each error class main reports; the first match wins
+_ERRORS = ((ModelFileError, EXIT_INPUT, "input error"),
+           (AssumptionError, EXIT_ASSUMPTION, "assumption violation"),
+           (InternalConsistencyError, EXIT_INCONSISTENT, "internal consistency failure"),
+           (PclIndexError, EXIT_ASSUMPTION, "error"))
+
+
 def main(argv=None) -> int:
     try:   # --help and --version still exit from argparse, with code 0
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except ModelFileError as exc:
-        _emit({"error": str(exc), "exit_code": EXIT_INPUT})
-        _log(f"input error: {exc}")
-        return EXIT_INPUT
-    except AssumptionError as exc:
-        _emit({"error": str(exc), "exit_code": EXIT_ASSUMPTION})
-        _log(f"assumption violation: {exc}")
-        return EXIT_ASSUMPTION
-    except InternalConsistencyError as exc:
-        _emit({"error": str(exc), "exit_code": EXIT_INCONSISTENT})
-        _log(f"internal consistency failure: {exc}")
-        return EXIT_INCONSISTENT
-    except PclIndexError as exc:
-        _emit({"error": str(exc), "exit_code": EXIT_ASSUMPTION})
-        _log(f"error: {exc}")
-        return EXIT_ASSUMPTION
+    except (ModelFileError, PclIndexError) as exc:
+        code, label = next((code, label) for cls, code, label in _ERRORS if isinstance(exc, cls))
+        _emit({"error": str(exc), "exit_code": code})
+        _log(f"{label}: {exc}")
+        return code
 
 
 if __name__ == "__main__":

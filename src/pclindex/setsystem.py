@@ -62,7 +62,7 @@ class SetSystem:
         pow2 = [1 << j for j in range(n)]
         keyed = []
         for s in {frozenset(s) for s in self.family}:
-            ints = all(map(isinstance, s, itertools.repeat(int)))
+            ints = set(map(type, s)) <= {int}     # exactly int: a bool is refused
             elems = sorted(s) if ints else list(s)
             if not ints or elems and not (0 <= elems[0] and elems[-1] < n):
                 raise ValueError(f"family member {elems} not a subset of 0..{n - 1}")

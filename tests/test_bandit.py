@@ -657,8 +657,9 @@ def test_average_limits_rejects_noncommunicating():
 
 def test_communication_is_decided_once_per_model(rng, monkeypatch):
     # every strong-components pass outside _recurrent_classes is a
-    # communication check; average_pcl_index makes one per chain set
-    # without the per-model cache
+    # communication check; average_pcl_index makes one per batch of its
+    # family scan, here 4 batches of at most 2 members, without the
+    # per-model cache
     passes = {"all": 0, "classes": 0}
     components, classes = bandit.connected_components, bandit._recurrent_classes
 
@@ -673,33 +674,52 @@ def test_communication_is_decided_once_per_model(rng, monkeypatch):
     monkeypatch.setattr(bandit, "connected_components", counted_components)
     monkeypatch.setattr(bandit, "_recurrent_classes", counted_classes)
     m = admission.uniformize(random_compliant_admission(rng, 6, alpha=0.0))
+    monkeypatch.setattr(bandit, "SCAN_ENTRIES", 2 * m.kernel.dP.size)
     rep = average_pcl_index(m, threshold_family(6))
     assert rep.indexable
-    assert passes["classes"] > 6
+    assert passes["classes"] == 4
     assert passes["all"] - passes["classes"] == 1
     assert m.communicating
     assert passes["all"] - passes["classes"] == 1
 
 
-def test_average_limits_makes_one_class_pass_per_chain_set(rng, monkeypatch):
-    # the activity and cost rewards share one recurrent-class pass and one
-    # anchored solve
-    calls = {"limits": 0, "classes": 0}
-    limits, classes = bandit.average_limits, bandit._recurrent_classes
+def test_average_scan_makes_one_class_pass_per_batch(rng, monkeypatch):
+    # a batch of the average family scan, with its members' activity and
+    # cost rewards, shares one recurrent-class pass over the union of its
+    # graphs, one occupancy solve and one anchored solve; the 7 members
+    # run in batches of 3, 3 and 1, each member in exactly one
+    m = admission.uniformize(random_compliant_admission(rng, 6, alpha=0.0))
+    kernel = m.average_kernel
+    calls = {"rows": [], "classes": 0, "occupancy": 0, "solve": 0}
+    rows, classes = bandit._average_rows, bandit._recurrent_classes
+    occupancy, solve = kernel.occupancy, kernel.solve
 
-    def counted_limits(model, s):
-        calls["limits"] += 1
-        return limits(model, s)
+    def counted_rows(model, masks):
+        calls["rows"].append(masks.copy())
+        return rows(model, masks)
 
     def counted_classes(*args):
         calls["classes"] += 1
         return classes(*args)
 
-    monkeypatch.setattr(bandit, "average_limits", counted_limits)
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(bandit, "SCAN_ENTRIES", 3 * kernel.dP.size)
+    monkeypatch.setattr(bandit, "_average_rows", counted_rows)
     monkeypatch.setattr(bandit, "_recurrent_classes", counted_classes)
-    m = admission.uniformize(random_compliant_admission(rng, 6, alpha=0.0))
-    assert average_pcl_index(m, threshold_family(6)).indexable
-    assert calls == {"limits": 7, "classes": 7}
+    monkeypatch.setattr(kernel, "occupancy", counted("occupancy", occupancy))
+    monkeypatch.setattr(kernel, "solve", counted("solve", solve))
+    fam = threshold_family(6)
+    assert average_pcl_index(m, fam).indexable
+    assert [len(masks) for masks in calls["rows"]] == [3, 3, 1]
+    assert all(masks[:, ~m.ctrl_mask].all() for masks in calls["rows"])
+    assert [frozenset(np.flatnonzero(row & m.ctrl_mask).tolist()) for masks in calls["rows"]
+            for row in masks] == list(fam.family)
+    assert (calls["classes"], calls["occupancy"], calls["solve"]) == (3, 3, 3)
 
 
 def test_average_limits_rejects_multichain_policy():
@@ -732,6 +752,8 @@ def _random_multichain(rng, n, n_closed):
 
 
 def test_recurrent_classes_match_component_loop(rng):
+    # the classes of each graph of a disjoint union, as one pass over the
+    # union gives them, are those of a component loop on that graph alone
     from scipy.sparse.csgraph import connected_components
 
     def reference(P):
@@ -745,25 +767,37 @@ def test_recurrent_classes_match_component_loop(rng):
                 leaves.append(sorted(int(m) for m in members))
         return leaves
 
-    def classes(P):
-        # the edges as the average criterion's kernel reads them from its storage
-        kernel = bandit._SolveKernel(P, P, 1.0)
-        return bandit._recurrent_classes(len(P), *kernel.edges(np.zeros(len(P), dtype=bool)))
+    def check(Ps, got):
+        counts, recurrent = got
+        assert counts.tolist() == [len(reference(P)) for P in Ps]
+        for P, row in zip(Ps, recurrent):
+            assert np.flatnonzero(row).tolist() == sorted(sum(reference(P), []))
 
-    for _ in range(60):
-        n = int(rng.integers(2, 30))
-        n_closed = int(rng.integers(1, min(n, 5)))
-        P = _random_multichain(rng, n, n_closed)
-        want = reference(P)
-        assert len(want) == n_closed
-        assert bandit._recurrent_classes(n, *np.nonzero(P > 0)) == want
-        assert classes(P) == want
+    def union(Ps):
+        k, rows, cols = np.nonzero(np.array(Ps) > 0)
+        n = len(Ps[0])
+        return k * n + rows, k * n + cols
+
+    def kernel_union(P0, P1, masks):
+        # the edges as the average criterion's kernel reads them from its
+        # storage: system k is P1's rows on masks[k] and P0's elsewhere
+        kernel = bandit._SolveKernel(P0, P1, 1.0)
+        check([np.where(mask[:, None], P1, P0) for mask in masks],
+              bandit._recurrent_classes(masks.shape, *kernel.edges(masks)))
+        return kernel
+
+    for _ in range(30):
+        n, m = int(rng.integers(2, 30)), int(rng.integers(1, 5))
+        Ps = [_random_multichain(rng, n, int(rng.integers(1, min(n, 5)))) for _ in range(m)]
+        check(Ps, bandit._recurrent_classes((m, n), *union(Ps)))
+        masks = rng.random((m, n)) < 0.5
+        kernel_union(Ps[0], Ps[-1], masks)
         # keep two diagonals each side, so that the kernel stores a band past 5 states
-        B = np.triu(np.tril(P, 2), -2) + np.eye(n)
-        B /= B.sum(axis=1, keepdims=True)
-        assert n <= 5 or bandit._SolveKernel(B, B, 1.0).band is not None
-        assert classes(B) == reference(B)
-    assert bandit._recurrent_classes(3, *np.nonzero(np.eye(3))) == [[0], [1], [2]]
+        B0, B1 = (np.triu(np.tril(P, 2), -2) + np.eye(n) for P in (Ps[0], Ps[-1]))
+        B0, B1 = (B / B.sum(axis=1, keepdims=True) for B in (B0, B1))
+        assert n <= 5 or kernel_union(B0, B1, masks).band is not None
+    counts, recurrent = bandit._recurrent_classes((2, 3), *union([np.eye(3), np.ones((3, 3))]))
+    assert counts.tolist() == [3, 1] and recurrent.all()
 
 
 def test_constrained_policy_breakpoints_and_interpolation(rng):
@@ -833,21 +867,28 @@ def regular_admission(n: int, alpha: float = 0.1) -> admission.ACModel:
 
 
 def test_constrained_policy_evaluates_each_chain_set_once(monkeypatch):
+    # the first chain set alone, to check the report against it, then the
+    # rest in batches of at most SCAN_ENTRIES operator entries: 5 here
     rb = admission.uniformize(regular_admission(20, alpha=0.0))
     fam = threshold_family(20)
     rep = average_pcl_index(rb, fam)
     chain = list(rep.chain_states) + [frozenset()]
     t = 0.5 * (average_limits(rb, chain[3]).b_bar + average_limits(rb, chain[4]).b_bar)
-    calls = []
+    batches, rows = [], bandit._average_rows
 
-    def counting(model, s):
-        calls.append(frozenset(s))
-        return average_limits(model, s)
+    def counting(model, masks):
+        assert masks[:, ~model.ctrl_mask].all()
+        batches.append([frozenset(np.flatnonzero(row & model.ctrl_mask).tolist())
+                        for row in masks])
+        return rows(model, masks)
 
-    monkeypatch.setattr(bandit, "average_limits", counting)
-    constrained_policy(rb, rep, t)
+    monkeypatch.setattr(bandit, "SCAN_ENTRIES", 5 * rb.kernel.dP.size)
+    monkeypatch.setattr(bandit, "_average_rows", counting)
+    pol = constrained_policy(rb, rep, t)
     assert len(chain) == 21
-    assert sorted(calls, key=len) == sorted(chain, key=len)
+    assert [len(b) for b in batches] == [1, 5, 5, 5, 5]
+    assert sum(batches, []) == chain
+    assert (pol.base_set, pol.randomized_state) == (chain[4], rep.state_order[3])
 
 
 def test_state_cap_warning_only_on_dense_path(monkeypatch, rng):
@@ -943,8 +984,9 @@ def test_anchored_solve_is_the_bordered_gain_bias_system():
 @pytest.mark.parametrize("banded", [True, False])
 def test_anchored_stacked_solve_matches_each_system_bit_for_bit(rng, banded):
     # at beta = 1 an anchor makes each unichain system nonsingular; a stack
-    # of them, with three right-hand sides each as average_limits has, gives
-    # every system's own anchored solve
+    # of them, with three right-hand sides each as average_limits has and
+    # one anchor for all or one per system, gives every system's own
+    # anchored solve
     if banded:
         model = admission.uniformize(regular_admission(12, alpha=0.0))
     else:
@@ -958,6 +1000,12 @@ def test_anchored_stacked_solve_matches_each_system_bit_for_bit(rng, banded):
     assert x.shape == rhs.shape
     for r in range(5):
         assert np.array_equal(x[:, r], kernel.solve(masks[r], rhs[:, r], 0))
+    # one anchor per system, each a recurrent state of its own chain
+    _, recurrent = bandit._recurrent_classes(masks.shape, *kernel.edges(masks))
+    anchors = np.array([rng.choice(np.flatnonzero(row)) for row in recurrent])
+    x = kernel.solve(masks, rhs, anchors)
+    for r in range(5):
+        assert np.array_equal(x[:, r], kernel.solve(masks[r], rhs[:, r], anchors[r]))
 
 
 @pytest.mark.parametrize("band", [(0, 0), (1, 0), (1, 1), (2, 1), (0, 3), (3, 3)])

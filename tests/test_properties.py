@@ -8,7 +8,8 @@ against the DP and greedy indices of its project, the three routes to the
 admission indices against each other, the average indices against an
 exact rational reference, the banded set-active solves and average
 limits against dense linear algebra, the multi-column kernel solve against
-column-by-column solves, the charge-sequence policy iteration against
+column-by-column solves, the batched family scans of both criteria
+against one solve per member, the charge-sequence policy iteration against
 cold value iteration, the CLI report writer against ``json.dumps`` and
 the one-pass schema check against stock jsonschema."""
 
@@ -1035,6 +1036,93 @@ def test_batched_family_scan_matches_one_solve_per_member(seed, n, lower, upper,
     if rep is not None:
         assert rep.workload_violations == tuple(violations)
         assert rep.positive_workloads == (not violations)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(seed=seeds, n=st.integers(3, 10), lower=st.integers(1, 3), upper=st.integers(1, 3),
+       dense=st.booleans(), frozen=st.integers(0, 3), kind=st.sampled_from(sorted(FAMILIES)),
+       share=st.floats(0.0, 1.0))
+# draws whose first multichain member is the third of its batch of 3
+# (banded) and the seventeenth of its batch of 35 (dense)
+@example(seed=0, n=6, lower=1, upper=1, dense=False, frozen=3, kind="threshold", share=0.5)
+@example(seed=0, n=6, lower=1, upper=1, dense=True, frozen=3, kind="powerset", share=0.5)
+def test_average_scan_batches_match_one_mask_limits(seed, n, lower, upper, dense, frozen, kind,
+                                                    share):
+    # the average family scan in batches of any size short of the family,
+    # the last one partial: each member's gains, biases, w_bar and c_bar in
+    # its batch's stacked rows, and its scanned workload row, are its own
+    # average_limits' bit for bit.  Up to ``frozen`` controllable states
+    # are made absorbing when active, so a policy active at two of them is
+    # multichain; the scan then raises the message of the first such
+    # member's own call, wherever it sits in its batch
+    rng = np.random.default_rng(seed)
+    if dense:
+        m = random_rb(rng, n, int(rng.integers(2, n + 1)), beta=1.0)
+    else:
+        n = max(n, lower + upper + 2)
+        m = banded_rb(rng, n, lower, upper, 1.0)
+    ctrl = sorted(m.controllable)
+    assume(2 <= len(ctrl) and (kind == "threshold" or len(ctrl) <= 7))
+    P1 = m.P1.copy()
+    for i in rng.choice(ctrl, min(frozen, len(ctrl)), replace=False):
+        P1[i] = np.eye(n)[i]
+    m = bandit.RBModel(m.P0, P1, m.h0, m.h1, m.theta1, 1.0, m.controllable)
+    fam = FAMILIES[kind](len(ctrl))
+    count = len(fam.family)
+    sizes = [b for b in range(2, count) if count % b]
+    size = sizes[round(share * (len(sizes) - 1))]
+    batches, walks = [], []
+    rows, walk = bandit._average_rows, bandit.ag2
+
+    def rows_spy(model, masks):
+        out = rows(model, masks)
+        batches.append((masks.copy(), out))
+        return out
+
+    def walk_spy(c, oracle, sys):
+        walks.append((c, oracle))
+        return walk(c, oracle, sys)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bandit, "SCAN_ENTRIES", size * m.average_kernel.dP.size)
+        mp.setattr(bandit, "_average_rows", rows_spy)
+        mp.setattr(bandit, "ag2", walk_spy)
+        try:
+            bandit.average_pcl_index(m, fam)
+            error = None
+        except UnsupportedModelError as exc:
+            error = str(exc)
+
+    def own(s):
+        try:
+            return bandit.average_limits(m, [ctrl[e] for e in sorted(s)]), None
+        except UnsupportedModelError as exc:
+            return None, str(exc)
+
+    lengths = [size] * (count // size) + [count % size]
+    assert [len(masks) for masks, _ in batches] == lengths[:len(batches)]
+    scanned = [(frozenset(np.flatnonzero(row[ctrl]).tolist()), r, out)
+               for masks, out in batches for r, row in enumerate(masks)]
+    assert [s for s, _, _ in scanned] == list(fam.family[:len(scanned)])
+    for s, r, (gains, bias, w_bar, c_bar) in scanned:
+        al, _ = own(s)
+        assert gains[:, r].tolist() == [al.b_bar, al.v_bar]
+        for got, want in ((bias[0, r], al.a), (bias[1, r], al.f), (w_bar[r], al.w_bar),
+                          (c_bar[r], al.c_bar)):
+            assert got.tobytes() == want.tobytes()
+    if len(scanned) < count:   # the next batch raised the error of its first failing member
+        assert error == next(err for s in fam.family[len(scanned):] for _, err in [own(s)] if err)
+        return
+    assert error is None or "not positive on the adaptive" in error
+    cost, oracle = walks[0]
+    assert cost.tobytes() == own(fam.ground)[0].c_bar[ctrl].tobytes()
+    for s in fam.family:
+        w = own(s)[0].w_bar[ctrl]
+        if any(not w[e] > 0.0 for e in s):
+            with pytest.raises(UnsupportedModelError, match="not positive on the adaptive"):
+                oracle.workload(s)
+        else:
+            assert oracle.workload(s).tobytes() == w[sorted(s)].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ def brute_force_validate(sys: SetSystem):
     return has_empty, accessible, augmentable
 
 
-@pytest.mark.parametrize("bad", [{0.5}, {"a"}, {1, "a"}, {-1}, {3}, {0, 3}, {None}])
+# a bool is an int subclass that hashes as 0 or 1: {True} was member {1}
+@pytest.mark.parametrize("bad", [{0.5}, {"a"}, {1, "a"}, {-1}, {3}, {0, 3}, {None}, {True},
+                                 {0, True}])
 def test_members_must_be_int_subsets_of_the_ground(bad):
     with pytest.raises(ValueError, match="not a subset of 0..2"):
         SetSystem(3, (frozenset(), frozenset(bad)))
