@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cache as memoize, cached_property
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -27,8 +27,8 @@ from scipy.linalg.lapack import dgbsv, dgtsv
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (InfeasibleTargetError, InternalConsistencyError, _is_level,
-                     UnsupportedModelError)
+from .errors import (DegeneracyError, InfeasibleTargetError, InternalConsistencyError,
+                     _is_level, UnsupportedModelError)
 from .greedy import AGOutput, WorkloadOracle, ag2
 from .setsystem import SetSystem, suffix_sets
 
@@ -105,6 +105,11 @@ class _SolveKernel:
         A = -self._mixed(mask)
         A[(..., *self._diag)] += 1.0
         return A
+
+    def batches(self, m: int) -> list[slice]:
+        """Slices of m systems, each at most ``SCAN_ENTRIES`` operator entries."""
+        size = max(1, SCAN_ENTRIES // self.dP.size)
+        return [slice(lo, lo + size) for lo in range(0, m, size)]
 
     def occupancy(self, mask: np.ndarray) -> np.ndarray:
         """The u with (I - b*beta*P_S)^T u = 1 for b = 1 - 1e-9: the
@@ -311,6 +316,14 @@ def cost_measure(model: RBModel, s) -> np.ndarray:
     return _set_active_measure(model, model.active_rows(s), model.h1, model.h0)
 
 
+def _measures(model: RBModel, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The activity and cost measures of an (m, n) stack of masks, bit for
+    bit as one mask gives them: a stacked solve per measure and batch."""
+    return tuple(np.vstack([_set_active_measure(model, masks[part], active, passive)
+                            for part in model.kernel.batches(len(masks))])
+                 for active, passive in ((model.theta1, 0.0), (model.h1, model.h0)))
+
+
 def occupation_measures(model: RBModel, u, i: int) -> tuple[np.ndarray, np.ndarray]:
     """State-action occupation measures (x0, x1) of a stationary policy:
     a dense transposed solve that bypasses the kernel, kept as the
@@ -425,10 +438,9 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
     if not average:
         _require_discounted(model)
     kernel = model.average_kernel if average else model.kernel
-    size = max(1, SCAN_ENTRIES // kernel.dP.size)
     scan, violations = {}, []
-    for lo in range(0, len(family), size):
-        batch, member = family[lo:lo + size], sys.rows(slice(lo, lo + size))
+    for part in kernel.batches(len(family)):
+        batch, member = family[part], sys.rows(part)
         masks = np.tile(~model.ctrl_mask, (len(batch), 1))
         masks[:, at] = member
         if average:   # the ground set, when a member, is the last batch's last row
@@ -502,6 +514,15 @@ def _require_report(model: RBModel, report: PCLReport, cost: np.ndarray):
         raise ValueError("PCL report was not computed for this model under this criterion")
 
 
+def _chain_masks(model: RBModel, report: PCLReport) -> np.ndarray:
+    """The report's chain as one mask stack: row k is the S-active mask of
+    ``state_order[k:]``, the last row that of the empty set."""
+    order = report.state_order
+    rank = np.where(model.active_rows(order), len(order), -1)   # uncontrollable: always active
+    rank[list(order)] = np.arange(len(order))
+    return rank >= np.arange(len(order) + 1)[:, None]
+
+
 def value_breakpoints(model: RBModel, report: PCLReport, i: int) -> ValueSegments:
     """Breakpoint description of the charge-parametrized optimal value.
 
@@ -514,15 +535,12 @@ def value_breakpoints(model: RBModel, report: PCLReport, i: int) -> ValueSegment
     _require_report(model, report, model.normalized_cost)
     if not report.indexable:
         raise UnsupportedModelError("model is not PCL-indexable for this family")
-    chain = report.chain_states + (frozenset(),)
-    intercepts = [float(cost_measure(model, s)[i]) for s in chain]
-    slopes = [float(activity_measure(model, s)[i]) for s in chain]
-    scale = max(1.0, max(abs(x) for x in slopes))
-    if any(b > a + 1e-12 * scale for a, b in zip(slopes, slopes[1:])):
+    slopes, intercepts = (x[:, i] for x in _measures(model, _chain_masks(model, report)))
+    if (slopes[1:] > slopes[:-1] + 1e-12 * max(1.0, np.abs(slopes).max())).any():
         raise InternalConsistencyError(
             "value-function slopes are not nonincreasing along the chain")
-    bps = tuple(float(report.ag.nu[e]) for e in report.ag.pi)
-    return ValueSegments(bps, tuple(intercepts), tuple(slopes))
+    bps = report.ag.nu[list(report.ag.pi)]
+    return ValueSegments(*(tuple(x.tolist()) for x in (bps, intercepts, slopes)))
 
 
 def verify_workload_decomposition(model: RBModel, u, s, i: int) -> float:
@@ -575,7 +593,7 @@ def dmr_report(model: RBModel, report: PCLReport, p=None) -> DMRReport:
     """Check that the indices of an indexable :func:`pcl_index` report
     are optimal marginal cost rates.
 
-    Aggregates measures under a positive initial distribution ``p``
+    Aggregates measures under a finite positive initial distribution ``p``
     (uniform by default) and verifies: strictly increasing activity along
     the chain, the index as the chain cost/activity difference ratio, its
     min/max one-swap characterizations, and nondecreasing rates, each to
@@ -586,41 +604,33 @@ def dmr_report(model: RBModel, report: PCLReport, p=None) -> DMRReport:
         raise UnsupportedModelError("model is not PCL-indexable for this family")
     n_states = model.n_states
     p = np.full(n_states, 1.0 / n_states) if p is None else np.asarray(p, dtype=float)
-    if p.shape != (n_states,) or not np.all(p > 0):
+    if p.shape != (n_states,) or not np.all((p > 0) & np.isfinite(p)):
         raise ValueError("initial distribution must be strictly positive over all states")
-    # the p-aggregated activity and cost measures of the S-active policy, once per set
-    aggregates = memoize(lambda s: (float(p @ activity_measure(model, s)),
-                                    float(p @ cost_measure(model, s))))
-    chain = report.chain_states + (frozenset(),)
-    b_agg, v_agg = zip(*map(aggregates, chain))
-    scale_b = max(1.0, max(abs(x) for x in b_agg))
-    strict = all(b_agg[k] > b_agg[k + 1] + 1e-12 * scale_b for k in range(len(b_agg) - 1))
 
-    nu_seq = [float(report.ag.nu[e]) for e in report.ag.pi]
-    worst = 0.0
-    min_ok = max_ok = True
-    for k, s in enumerate(chain[:-1]):
-        denom = b_agg[k] - b_agg[k + 1]
-        ratio = (v_agg[k + 1] - v_agg[k]) / denom
-        worst = max(worst, abs(ratio - nu_seq[k]))
+    def aggregates(masks):   # the p-aggregated activity and cost measures, row by row
+        return [np.array([p @ row for row in x]) for x in _measures(model, masks)]
 
-        def swap_ratio(base: int, t: frozenset) -> float:
-            b_t, v_t = aggregates(t)
-            return (v_t - v_agg[base]) / (b_agg[base] - b_t)
-
-        # removing a state from S_k can only cost at rate >= nu_k ...
-        m = min(swap_ratio(k, s - {j}) for j in sorted(s))
-        if abs(m - nu_seq[k]) > DMR_TOL * max(1.0, abs(nu_seq[k])):
-            min_ok = False
-        # ... and adding one to the next chain set saves at rate <= nu_k
-        succ = chain[k + 1]
-        mx = max(swap_ratio(k + 1, succ | {j}) for j in sorted(model.controllable - succ))
-        if abs(mx - nu_seq[k]) > DMR_TOL * max(1.0, abs(nu_seq[k])):
-            max_ok = False
-    scale_nu = max(1.0, max(abs(x) for x in nu_seq))
-    ratio_ok = worst <= DMR_TOL * scale_nu
-    nondec = all(nu_seq[k + 1] >= nu_seq[k] - DMR_TOL * scale_nu for k in range(len(nu_seq) - 1))
-    return DMRReport(strict, ratio_ok, min_ok, max_ok, nondec, worst)
+    masks, order = _chain_masks(model, report), list(report.state_order)
+    b, v = aggregates(masks)
+    strict = bool((b[:-1] > b[1:] + 1e-12 * max(1.0, np.abs(b).max())).all())
+    rates = np.empty((3, len(order)))   # per chain step: its own rate, the min and max forms
+    for k, cut in enumerate(range(len(order), 0, -1)):
+        # S_k less each of its states (first order[k], which leaves S_{k+1})
+        # costs at rate >= nu_k, and S_{k+1} plus each state it lacks saves at
+        # rate <= nu_k: the cost increase per unit of activity removed
+        swaps = np.repeat(masks[k:k + 2], (cut, k + 1), axis=0)
+        swaps[np.arange(len(swaps)), order[k:] + order[:k + 1]] ^= True
+        (b_t, v_t), base = aggregates(swaps), np.repeat([k, k + 1], (cut, k + 1))
+        if (b[base] == b_t).any():
+            raise DegeneracyError("dmr_report compares two policies of equal activity")
+        r = (v_t - v[base]) / (b[base] - b_t)
+        rates[:, k] = r[0], r[:cut].min(), r[cut:].max()
+    nu = report.ag.nu[list(report.ag.pi)]
+    worst = float(np.abs(rates[0] - nu).max(initial=0.0))
+    ok = np.abs(rates - nu) <= DMR_TOL * np.maximum(1.0, np.abs(nu))
+    scale_nu = max(1.0, np.abs(nu).max())
+    return DMRReport(strict, bool(worst <= DMR_TOL * scale_nu), bool(ok[1].all()),
+                     bool(ok[2].all()), bool((nu[1:] >= nu[:-1] - DMR_TOL * scale_nu).all()), worst)
 
 
 # ---------------------------------------------------------------------------
@@ -731,17 +741,13 @@ def constrained_policy(model: RBModel, report: PCLReport, t: float) -> Constrain
     randomized (the cost saved per extra unit of allowed activity, so the
     achieved cost is piecewise linear and convex as a function of t).
     """
-    order = report.state_order
-    rank = np.where(model.active_rows(order), len(order), -1)   # uncontrollable: always active
-    rank[list(order)] = np.arange(len(order))
-    masks = rank >= np.arange(len(order) + 1)[:, None]   # row k: the chain set order[k:]
+    order, masks = report.state_order, _chain_masks(model, report)
     gains, _, _, c_bar = _average_rows(model, masks[:1])
     _require_report(model, report, c_bar[0])
     if not report.indexable:
         raise UnsupportedModelError("model is not PCL-indexable under the average criterion")
-    size = max(1, SCAN_ENTRIES // model.average_kernel.dP.size)
-    gains = [gains] + [_average_rows(model, masks[lo:lo + size])[0]
-                       for lo in range(1, len(masks), size)]
+    gains = [gains] + [_average_rows(model, masks[1:][part])[0]
+                       for part in model.average_kernel.batches(len(masks) - 1)]
     b_bar, v_bar = np.hstack(gains).tolist()
     scale = max(1.0, max(abs(x) for x in b_bar))
     lo, hi = b_bar[-1], b_bar[0]

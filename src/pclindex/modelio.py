@@ -249,9 +249,3 @@ def load_model(path: str):
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"invalid JSON in {path}: {exc}") from exc
     return model_from_document(doc), doc
-
-
-def save_model(model, path: str):
-    with open(path, "w") as fh:
-        fh.write(canonical_json(document_from_model(model)))
-        fh.write("\n")

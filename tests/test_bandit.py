@@ -16,8 +16,8 @@ from pclindex.bandit import (RBModel, activity_measure, average_limits,
                              occupation_measures, pcl_index, value_breakpoints,
                              verify_cost_decomposition,
                              verify_workload_decomposition)
-from pclindex.errors import (InfeasibleTargetError, InternalConsistencyError,
-                             UnsupportedModelError)
+from pclindex.errors import (DegeneracyError, InfeasibleTargetError,
+                             InternalConsistencyError, UnsupportedModelError)
 from pclindex.setsystem import SetSystem, powerset_family, threshold_family
 
 from conftest import (random_compliant_admission, random_positive_workload_rb,
@@ -498,10 +498,32 @@ def test_dmr_report_randomized_compliant_instances(rng):
 
 
 def test_dmr_rejects_nonpositive_distribution(rng):
+    # an infinite weight used to pass, and gave a report with
+    # activity_strictly_decreasing False and worst_ratio_residual 0.0
     m = random_compliant_admission(rng, 3, alpha=0.2)
     rb = admission.uniformize(m)
-    with pytest.raises(ValueError):
-        dmr_report(rb, pcl_index(rb, threshold_family(3)), p=np.array([0.5, 0.5, 0.0, 0.0]))
+    rep = pcl_index(rb, threshold_family(3))
+    for p in ([0.5, 0.5, 0.0, 0.0], [np.inf, 1.0, 1.0, 1.0], [1.0, np.nan, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="strictly positive"):
+            dmr_report(rb, rep, p=np.array(p))
+
+
+def test_dmr_report_refuses_equal_activity_and_fails_undefined_rates(monkeypatch):
+    # a zero activity difference has no rate: it raised ZeroDivisionError
+    # from a float division, and raises a typed error now; a NaN rate fails
+    # its checks, where max(0.0, nan) and abs(nan - nu) > tol let it pass
+    rb = readme_queue()
+    rep, measures = pcl_index(rb, threshold_family(6)), bandit._measures
+    assert dmr_report(rb, rep).all_ok
+    monkeypatch.setattr(bandit, "_measures",
+                        lambda m, masks: (np.ones(masks.shape), measures(m, masks)[1]))
+    with pytest.raises(DegeneracyError, match="equal activity"):
+        dmr_report(rb, rep)
+    monkeypatch.setattr(bandit, "_measures",
+                        lambda m, masks: (measures(m, masks)[0], np.full(masks.shape, np.inf)))
+    with np.errstate(invalid="ignore"):   # inf - inf
+        dmr = dmr_report(rb, rep)
+    assert not (dmr.ratio_matches_index or dmr.min_form_ok or dmr.max_form_ok)
 
 
 def relabel(m: RBModel, perm) -> RBModel:

@@ -9,7 +9,8 @@ admission indices against each other, the average indices against an
 exact rational reference, the banded set-active solves and average
 limits against dense linear algebra, the multi-column kernel solve against
 column-by-column solves, the batched family scans of both criteria
-against one solve per member, the charge-sequence policy iteration against
+against one solve per member, the certificates' chain stacks against one
+measure solve per set, the charge-sequence policy iteration against
 cold value iteration, the CLI report writer against ``json.dumps`` and
 the one-pass schema check against stock jsonschema."""
 
@@ -28,7 +29,8 @@ from jsonschema import Draft202012Validator
 from pclindex import admission, bandit, cli, dp, modelio
 from pclindex.admission import (ACModel, closed_form_index, indices, uniformize,
                                 workload_pivots, workload_table)
-from pclindex.errors import UnsupportedModelError
+from pclindex.errors import (DegeneracyError, InternalConsistencyError, PclIndexError,
+                             UnsupportedModelError)
 from pclindex.greedy import (WorkloadOracle, ag1, ag2, dual_solution, local_minmax_check,
                              lp_value, objective_representation_check, primal_vertex)
 from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
@@ -1123,6 +1125,106 @@ def test_average_scan_batches_match_one_mask_limits(seed, n, lower, upper, dense
                 oracle.workload(s)
         else:
             assert oracle.workload(s).tobytes() == w[sorted(s)].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The certificates' batched chain stacks vs. one measure solve per set
+# ---------------------------------------------------------------------------
+
+def per_set_value_breakpoints(m: bandit.RBModel, rep, i: int) -> bandit.ValueSegments:
+    """value_breakpoints read off one activity_measure/cost_measure per chain set."""
+    chain = rep.chain_states + (frozenset(),)
+    intercepts = [float(bandit.cost_measure(m, s)[i]) for s in chain]
+    slopes = [float(bandit.activity_measure(m, s)[i]) for s in chain]
+    scale = max(1.0, max(abs(x) for x in slopes))
+    if any(b > a + 1e-12 * scale for a, b in zip(slopes, slopes[1:])):
+        raise InternalConsistencyError(
+            "value-function slopes are not nonincreasing along the chain")
+    bps = tuple(float(rep.ag.nu[e]) for e in rep.ag.pi)
+    return bandit.ValueSegments(bps, tuple(intercepts), tuple(slopes))
+
+
+def per_set_dmr_report(m: bandit.RBModel, rep, p) -> bandit.DMRReport:
+    """dmr_report from the p-aggregated measures of each set, one pair of
+    solves per distinct set, with the checks written one step at a time."""
+    memo = {}
+
+    def aggregates(s):
+        if s not in memo:
+            memo[s] = (float(p @ bandit.activity_measure(m, s)),
+                       float(p @ bandit.cost_measure(m, s)))
+        return memo[s]
+
+    def rate(base, t):   # the cost increase per unit of activity removed
+        (b_s, v_s), (b_t, v_t) = aggregates(base), aggregates(t)
+        if b_s == b_t:
+            raise DegeneracyError("dmr_report compares two policies of equal activity")
+        return (v_t - v_s) / (b_s - b_t)
+
+    chain = rep.chain_states + (frozenset(),)
+    b_agg = [aggregates(s)[0] for s in chain]
+    scale_b = max(1.0, max(abs(x) for x in b_agg))
+    strict = all(b_agg[k] > b_agg[k + 1] + 1e-12 * scale_b for k in range(len(b_agg) - 1))
+    nu = [float(rep.ag.nu[e]) for e in rep.ag.pi]
+    worst, min_ok, max_ok = 0.0, True, True
+    for k, s in enumerate(chain[:-1]):
+        tol = bandit.DMR_TOL * max(1.0, abs(nu[k]))
+        worst = max(worst, abs(rate(s, chain[k + 1]) - nu[k]))
+        min_ok &= abs(min(rate(s, s - {j}) for j in sorted(s)) - nu[k]) <= tol
+        succ = chain[k + 1]
+        others = sorted(m.controllable - succ)
+        max_ok &= abs(max(rate(succ, succ | {j}) for j in others) - nu[k]) <= tol
+    scale_nu = max(1.0, max(abs(x) for x in nu))
+    nondecreasing = all(nu[k + 1] >= nu[k] - bandit.DMR_TOL * scale_nu
+                        for k in range(len(nu) - 1))
+    return bandit.DMRReport(strict, worst <= bandit.DMR_TOL * scale_nu, min_ok, max_ok,
+                            nondecreasing, worst)
+
+
+def outcome(call):
+    """A call's result as its repr (every float's bits), or its error's type and message."""
+    try:
+        return repr(call())
+    except PclIndexError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(seed=seeds, n=st.integers(1, 9), dense=st.booleans(), compliant=st.booleans(),
+       kind=st.sampled_from(["powerset", "threshold"]), share=st.floats(0.0, 1.0))
+def test_certificate_chain_stacks_match_one_solve_per_set(seed, n, dense, compliant, kind,
+                                                          share):
+    # dmr_report and value_breakpoints evaluate the report's chain, and each
+    # step's one-swap neighbours, as mask stacks in batches of SCAN_ENTRIES
+    # operator entries, here cut so that batches split mid-stack: every
+    # field is the per-set computation's bit for bit, and so is every error
+    rng = np.random.default_rng(seed)
+    if dense:
+        m = random_rb(rng, n + 1, int(rng.integers(1, min(n, 5) + 1)),
+                      beta=float(rng.uniform(0.5, 0.95)), near=compliant)
+        fam = FAMILIES[kind](len(m.controllable))
+    else:
+        alpha = float(rng.uniform(0.05, 0.8))
+        if compliant:
+            queue = random_compliant_admission(rng, n, alpha)
+        else:   # arbitrary rates and costs: many such queues are not indexable
+            queue = ACModel(n, rng.uniform(0.5, 2.0, n + 1), rng.uniform(0.5, 2.0, n),
+                            rng.uniform(0.0, 5.0, n + 1), alpha)
+        m, fam = uniformize(queue), threshold_family(n)
+    try:
+        rep = bandit.pcl_index(m, fam)
+    except UnsupportedModelError:   # the walk reached a member with one of its own
+        rep = None
+    assume(rep is not None and rep.indexable)
+    size = 1 + round(share * (len(m.controllable) - 1))   # fewer than the n + 1 sets of a stack
+    p = rng.uniform(0.01, 3.0, m.n_states)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bandit, "SCAN_ENTRIES", size * m.kernel.dP.size)
+        assert outcome(lambda: bandit.dmr_report(m, rep, p)) == \
+            outcome(lambda: per_set_dmr_report(m, rep, p))
+        for i in range(m.n_states):
+            assert outcome(lambda: bandit.value_breakpoints(m, rep, i)) == \
+                outcome(lambda: per_set_value_breakpoints(m, rep, i))
 
 
 # ---------------------------------------------------------------------------
