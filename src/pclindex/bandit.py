@@ -22,8 +22,7 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv, dgtsv
+from scipy.linalg import solve_banded
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
@@ -36,23 +35,6 @@ SOFT_STATE_CAP = 2000
 DMR_TOL = 1e-9           # residual allowed in the diminishing-marginal-returns checks
 TARGET_REL_TOL = 1e-12   # activity targets this close to a chain value hit it exactly
 SCAN_ENTRIES = 1 << 18   # operator entries held by one batch of a family scan
-
-
-def solve_banded(band: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.solve_banded(band, ab, b)`` for float64 input and
-    n > 1, bit for bit, minus scipy's per-call validation and finiteness
-    scan: LAPACK ``dgtsv`` when band == (1, 1), ``dgbsv`` otherwise.
-    Leaves ``ab`` and ``b`` unchanged; LinAlgError when singular."""
-    lower, upper = band
-    if lower == upper == 1:
-        x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
-    else:
-        lu = np.zeros((2 * lower + upper + 1, ab.shape[1]))
-        lu[lower:] = ab
-        x, info = dgbsv(lower, upper, lu, b, overwrite_ab=True)[2:]
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    return x
 
 
 class _SolveKernel:
@@ -126,7 +108,8 @@ class _SolveKernel:
         inside = (cols >= 0) & (cols < n)
         T = np.where(inside, A[..., lower + upper - q, np.clip(cols, 0, n - 1)], 0.0)
         T = T.reshape(-1, len(q), n).transpose(1, 0, 2).reshape(len(q), -1)
-        return solve_banded((upper, lower), T, np.ones(T.shape[1])).reshape(mask.shape)
+        return solve_banded((upper, lower), T, np.ones(T.shape[1]),
+                            check_finite=False).reshape(mask.shape)
 
     def apply(self, M: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Product of an operator held in this kernel's storage with each
@@ -164,7 +147,7 @@ class _SolveKernel:
             ax = self.apply(A, x)
         else:
             A = A.transpose(1, 0, 2).reshape(A.shape[1], -1)
-            x = solve_banded(self.band, A, b.reshape(len(b), -1).T).T
+            x = solve_banded(self.band, A, b.reshape(len(b), -1).T, check_finite=False).T
             x, ax = x.reshape(b.shape), self.apply(A, x).reshape(b.shape)
         err = np.abs(ax - b)
         # the scales are at least 1, so they are needed only past 1e-10

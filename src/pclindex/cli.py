@@ -12,6 +12,7 @@ log lines go to stderr.  Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 
@@ -45,51 +46,8 @@ def _report(command: str, doc, results: dict, seed: int | None = None) -> dict:
     return out
 
 
-_COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=True)
-_NESTED = (dict, list, tuple, str)
-
-
-def _dumps(o, indent: str = "") -> str:
-    """``json.dumps(o, sort_keys=True, indent=2, allow_nan=True)`` for str
-    keys, in one pass: scalars, and the values of flat lists and dicts of
-    numbers, bools and nulls, go through json's C encoder, and the
-    indentation is added here."""
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = indent + "  "
-        keys = sorted(o)
-        values = [o[k] for k in keys]
-        # a dict may mix scalars and containers in any order, so look at every value
-        flat = not any(isinstance(v, _NESTED) for v in values) and _flat(values)
-        parts = flat.split(",") if flat else [_dumps(v, inner) for v in values]
-        items = (f"{inner}{_COMPACT.encode(k)}: {p}" for k, p in zip(keys, parts))
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = indent + "  "
-        flat = _flat(o)
-        if flat:
-            body = inner + flat.replace(",", ",\n" + inner)
-        else:
-            body = ",\n".join(inner + _dumps(v, inner) for v in o)
-        return "[\n" + body + "\n" + indent + "]"
-    return _COMPACT.encode(o)
-
-
-def _flat(values) -> str | None:
-    """The compact encodings of ``values``, comma-separated, from one
-    C-encoder pass; None when some value is a string or a container."""
-    # a nested first element rules the flat form out without encoding
-    flat = not isinstance(values[0], _NESTED) and _COMPACT.encode(values)
-    if flat and not ('"' in flat or "{" in flat or "[" in flat[1:]):
-        return flat[1:-1]
-    return None
-
-
 def _emit(report: dict) -> None:
-    _sys.stdout.write(_dumps(report) + "\n")
+    _sys.stdout.write(json.dumps(report, sort_keys=True, indent=2, allow_nan=True) + "\n")
 
 
 def _family_for(n: int, name: str, doc: dict) -> SetSystem:
@@ -275,6 +233,7 @@ class _Parser(argparse.ArgumentParser):
         raise ModelFileError(f"{self.prog}: {message}")
 
 
+@functools.cache   # one parser per process: main parses each argv with it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pclindex",

@@ -163,6 +163,11 @@ def _maybe_scalar(x):
     return x if isinstance(x, (int, float)) else list(x)
 
 
+def _size(x):
+    """A validated buffer size, None or an int (the schema admits 5.0)."""
+    return None if x is None else int(x)
+
+
 def model_from_document(doc: dict):
     """Build the internal model object from a validated document."""
     kind = validate_document(doc)
@@ -181,12 +186,12 @@ def model_from_document(doc: dict):
                            np.array(doc["mu"]), np.array(doc["h"]),
                            float(doc["alpha"]), doc.get("Lambda"))
         if kind == "routing":
-            queues = tuple(QueueSpec(q.get("n"), _maybe_scalar(q["mu"]),
+            queues = tuple(QueueSpec(_size(q.get("n")), _maybe_scalar(q["mu"]),
                                      _maybe_scalar(q["h"])) for q in doc["queues"])
             return RoutingSystem(float(doc["lambda"]), queues,
                                  float(doc.get("alpha", 0.0)),
                                  float(doc.get("nu", np.inf)))
-        products = tuple(ProductSpec(p.get("n"), _maybe_scalar(p["lambda"]),
+        products = tuple(ProductSpec(_size(p.get("n")), _maybe_scalar(p["lambda"]),
                                      _maybe_scalar(p["mu"]), _maybe_scalar(p["c"]),
                                      float(p["s"]), _maybe_scalar(p["r"]))
                          for p in doc["products"])

@@ -57,8 +57,11 @@ def _at(spec, j: int, name: str, linear: bool = False) -> float:
 
 class _Spec:
     def __post_init__(self):
-        """Refuse a NaN or infinite rate or cost (every field after the
-        buffer size ``n``), scalar or sequence entry."""
+        """Refuse a buffer size ``n`` that is neither None nor an integer
+        >= 1, and a NaN or infinite rate or cost (every later field),
+        scalar or sequence entry."""
+        if not (self.n is None or _is_level(self.n, math.inf) and self.n >= 1):
+            raise ValueError(f"buffer size must be None or an integer >= 1, got {self.n!r}")
         for field in fields(self)[1:]:
             if not np.all(np.isfinite(np.asarray(getattr(self, field.name), dtype=float))):
                 raise ValueError(f"{field.name} has non-finite entries")

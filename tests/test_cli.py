@@ -114,6 +114,20 @@ def test_rb_file_with_integer_valued_float_states_loads(tmp_path, capsys):
     assert code == 0 and sorted(out["results"]["pcl"]["indices"]) == ["0", "1", "2"]
 
 
+@pytest.mark.parametrize("doc, key", [(ROUTING_DOC, "queues"), (MTS_DOC, "products")],
+                         ids=["routing", "mts"])
+def test_integer_valued_float_buffer_size_simulates(tmp_path, capsys, doc, key):
+    # the schema's "integer" admits 5.0, which passed validation and then
+    # ended simulate in a TypeError traceback; the loader passes it on as an int
+    floats = dict(doc, **{key: [dict(spec, n=float(spec["n"])) for spec in doc[key]]})
+    assert all(type(spec.n) is int for spec in getattr(model_from_document(floats), key))
+    argv = ["--events", "500", "--reps", "2", "--seed", "1"]
+    reports = [run_cli(capsys, "simulate", write_doc(tmp_path, d, name), *argv)
+               for d, name in ((doc, "ints.json"), (floats, "floats.json"))]
+    assert [code for code, _, _ in reports] == [0, 0]
+    assert reports[1][1]["results"] == reports[0][1]["results"]
+
+
 @pytest.mark.parametrize("command", ["index", "dp-verify"])
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
 def test_non_finite_numbers_are_input_errors(tmp_path, capsys, command, literal):
@@ -377,6 +391,34 @@ def test_help_and_version_still_exit_cleanly(capsys, argv):
     assert exit_.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: pclindex") if "--help" in argv else out.strip() == __version__
+
+
+def test_parser_is_built_once_and_each_call_gets_its_own_defaults(tmp_path, capsys,
+                                                                  monkeypatch):
+    # one parser serves every call in a process, so an option given in one
+    # call must not leak into the next
+    built = []
+
+    class Spy(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Spy)
+    cli.build_parser.cache_clear()
+    try:
+        route = write_doc(tmp_path, ROUTING_DOC, "route.json")
+        model = write_doc(tmp_path, rb_doc(), "rb.json")
+        argv = ["simulate", route, "--policy", "index", "--events", "200", "--reps", "2"]
+        seeds = [run_cli(capsys, *argv, *seed)[1]["seed"] for seed in (["--seed", "3"], [])]
+        assert seeds == [3, 0]
+        pcl = [run_cli(capsys, "index", model, *family)[1]["results"]["pcl"]
+               for family in ([], ["--family", "powerset"], [])]
+        assert pcl[2] == pcl[0] != pcl[1]
+        # the parser and its four subcommands' parsers, once for the five calls
+        assert built.count("pclindex") == 1 and len(built) == 5
+    finally:
+        cli.build_parser.cache_clear()   # the next test builds a stock parser
 
 
 def test_dp_verify_report_is_pinned(tmp_path, capsys):

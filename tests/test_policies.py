@@ -330,6 +330,18 @@ def test_specs_refuse_non_finite_rates_and_costs(bad):
         MTSSystem((ProductSpec(3, bad, 1.2, 1.0, 0.5, 0.7),))
 
 
+@pytest.mark.parametrize("n", [0, -2, 2.5, 2.0, True, "3", math.inf])
+def test_specs_refuse_bad_buffer_sizes(n):
+    # a negative size failed later with numpy's "negative dimensions", a
+    # fractional one with a bare TypeError; None (infinite) and integers >= 1 pass
+    with pytest.raises(ValueError, match="^buffer size must be None or an integer >= 1"):
+        QueueSpec(n, 1.0, 1.0)
+    with pytest.raises(ValueError, match="^buffer size must be None or an integer >= 1"):
+        ProductSpec(n, 0.8, 1.2, 1.0, 0.5, 0.7)
+    for ok in (None, 1, np.int64(3)):
+        assert QueueSpec(ok, 1.0, 1.0).n == ProductSpec(ok, 0.8, 1.2, 1.0, 0.5, 0.7).n
+
+
 @pytest.mark.parametrize("kind, spec, name, state", [
     ("routing", {"mu": [1.0] * 3, "h": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}, "mu", 3),
     ("routing", {"mu": [1.0] * 5, "h": [0.0, 1.0, 2.0]}, "h", 3),

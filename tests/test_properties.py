@@ -11,8 +11,8 @@ limits against dense linear algebra, the multi-column kernel solve against
 column-by-column solves, the batched family scans of both criteria
 against one solve per member, the certificates' chain stacks against one
 measure solve per set, the charge-sequence policy iteration against
-cold value iteration, the CLI report writer against ``json.dumps`` and
-the one-pass schema check against stock jsonschema."""
+cold value iteration, and the one-pass schema check against stock
+jsonschema."""
 
 import importlib
 import itertools
@@ -26,7 +26,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from pclindex import admission, bandit, cli, dp, modelio
+from pclindex import admission, bandit, dp, modelio
 from pclindex.admission import (ACModel, closed_form_index, indices, uniformize,
                                 workload_pivots, workload_table)
 from pclindex.errors import (DegeneracyError, InternalConsistencyError, PclIndexError,
@@ -1225,30 +1225,6 @@ def test_certificate_chain_stacks_match_one_solve_per_set(seed, n, dense, compli
         for i in range(m.n_states):
             assert outcome(lambda: bandit.value_breakpoints(m, rep, i)) == \
                 outcome(lambda: per_set_value_breakpoints(m, rep, i))
-
-
-# ---------------------------------------------------------------------------
-# The CLI report writer vs. json.dumps
-# ---------------------------------------------------------------------------
-
-tricky_text = st.text(st.one_of(st.sampled_from(',"[{}]\n\\ \u00e9\u20ac\U0001f600'),
-                                st.characters()), max_size=6)
-json_numbers = st.one_of(
-    st.integers(), st.integers(-2**70, 2**70), st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324]))
-json_scalars = st.one_of(st.none(), st.booleans(), json_numbers, tricky_text)
-flat_lists = st.lists(st.one_of(json_numbers, st.booleans(), st.none()), max_size=8)
-json_trees = st.recursive(
-    st.one_of(json_scalars, flat_lists),
-    lambda kids: st.one_of(st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
-                           st.dictionaries(tricky_text, kids, max_size=5)),
-    max_leaves=30)
-
-
-@PROPERTY
-@given(tree=json_trees)
-def test_report_writer_matches_json_dumps(tree):
-    assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2, allow_nan=True)
 
 
 # ---------------------------------------------------------------------------
