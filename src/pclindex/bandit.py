@@ -361,7 +361,7 @@ def normalized_passive_cost(model: RBModel) -> np.ndarray:
     at uncontrollable states (verified to 1e-10, then zeroed exactly).
     """
     kernel = model.kernel
-    inner = cost_measure(model, model.controllable)
+    inner = _set_active_measure(model, np.ones(model.n_states, dtype=bool), model.h1, model.h0)
     hhat = model.h0 - kernel.apply(kernel.system(np.zeros(model.n_states, dtype=bool)), inner)
     unctrl = sorted(model.uncontrollable)
     if unctrl:
@@ -412,19 +412,19 @@ def _require_ground(model: RBModel, sys: SetSystem):
 
 def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
     """The indexability test under either criterion: the family scan keeps
-    each member's marginal workloads over sorted(S), from batches of at
+    each member's marginal workloads over sorted(S), by id, from batches of at
     most ``SCAN_ENTRIES`` operator entries evaluated together, discounted
     or average; under the latter the ground set's row gives the cost input."""
     _require_ground(model, sys)
-    ctrl, family = sorted(model.controllable), sys.family
+    ctrl = sorted(model.controllable)
     at = np.array(ctrl, dtype=int)
     if not average:
         _require_discounted(model)
     kernel = model.average_kernel if average else model.kernel
-    scan, violations = {}, []
-    for part in kernel.batches(len(family)):
-        batch, member = family[part], sys.rows(part)
-        masks = np.tile(~model.ctrl_mask, (len(batch), 1))
+    scan, violations = [], []
+    for part in kernel.batches(len(sys)):
+        member = sys.rows(part)
+        masks = np.tile(~model.ctrl_mask, (len(member), 1))
         masks[:, at] = member
         if average:   # the ground set, when a member, is the last batch's last row
             *_, w, c_bar = _average_rows(model, masks)
@@ -432,31 +432,30 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
             B = kernel.solve(masks, np.where(masks, model.theta1, 0.0))
             w = model.theta1 + kernel.apply(kernel.dP, B)
         W = w[:, at]
-        violations += [(batch[r], e, float(W[r, e])) for r, e in zip(*np.nonzero(~(W > 0.0)))]
+        violations += [(part.start + r, e, float(W[r, e])) for r, e in np.argwhere(~(W > 0.0))]
         # W[r][member[r]] lists row r's entries in sorted(S) order
-        scan.update(zip(batch, map(np.compress, member, W)))
-    if average and family[-1:] != (sys.ground,):
+        scan += map(np.compress, member, W)
+    if average and sys.ground not in sys:
         c_bar = _average_rows(model, np.ones((1, model.n_states), dtype=bool))[3]
     cost = c_bar[-1] if average else model.normalized_cost
-    row = scan.__getitem__
-    if violations:   # the walk cannot pass a member with a nonpositive workload of its own
-        inside = {s: (e, w) for s, e, w in reversed(violations) if e in s}   # first e per s
 
-        def row(s, read=row):
-            if s in inside:
-                e, w = inside[s]
-                raise UnsupportedModelError(
-                    f"marginal workload w({sorted(ctrl[i] for i in s)}, {ctrl[e]}) = {w} is "
-                    "not positive on the adaptive-greedy chain")
-            return read(s)
-    out = ag2(cost[at], WorkloadOracle(row), sys)
+    def row(i):   # the walk cannot pass a member with a nonpositive workload of its own
+        w = scan[i]
+        if violations and not (w > 0.0).all():
+            s, k = sorted(ctrl[e] for e in sys.member(i)), int(np.argmin(w > 0.0))
+            raise UnsupportedModelError(f"marginal workload w({s}, {s[k]}) = {float(w[k])} is "
+                                        "not positive on the adaptive-greedy chain")
+        return w
+    oracle = WorkloadOracle(lambda s: row(sys.member_id(s)))
+    oracle.member_row = lambda _, i: row(i)   # the walk reads its rows by id
+    out = ag2(cost[at], oracle, sys)
     positive = not violations
     return PCLReport(
         indexable=positive and out.admissible,
         positive_workloads=positive,
         admissible=out.admissible,
-        workload_violations=tuple((frozenset(ctrl[e] for e in s), ctrl[j], w)
-                                  for s, j, w in violations),
+        workload_violations=tuple((frozenset(ctrl[e] for e in sys.member(i)), ctrl[j], w)
+                                  for i, j, w in violations),
         nu_by_state=dict(zip(ctrl, out.nu.tolist())),
         state_order=tuple(at[list(out.pi)].tolist()),
         ag=out,

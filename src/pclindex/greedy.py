@@ -11,7 +11,7 @@ dual increments.  The certificates below are array
 expressions over that record.
 
 Workload coefficients are supplied by a :class:`WorkloadOracle`, queried
-lazily one row per chain set the run actually visits.
+lazily, by member id, one row per chain set the run actually visits.
 """
 
 from __future__ import annotations
@@ -57,6 +57,10 @@ class WorkloadOracle:
             raise ValueError(f"workload w({elems}, {elems[bad[0]]}) = {vals[bad[0]]} "
                              "is not positive")
         return vals
+
+    def member_row(self, sys: SetSystem, i: int) -> np.ndarray:
+        """The row of member i of ``sys``: :meth:`workload` of its frozenset."""
+        return self.workload(sys.member(i))
 
     def rhs(self, s: frozenset) -> float:
         if self._b is None:
@@ -139,7 +143,7 @@ def _walk(c, oracle: WorkloadOracle, sys: SetSystem, tie_break: str,
     nu_seq: list[float] = []
     for k in range(n):
         wk = wtab[k]
-        wk[alive] = oracle.workload(sys.family[i])
+        wk[alive] = oracle.member_row(sys, i)
         if dual_increments:
             if k:
                 acc = acc + (bracket[pivot] / w_prev[pivot]) * w_prev

@@ -36,6 +36,7 @@ from .errors import _is_level
 
 Action = int | None   # queue/product number, or None for reject/idle
 FIT_FROM = 50         # first queue-1 occupancy of the heavy-traffic slope fit
+LEVEL_CAP = 10**6     # highest buffer level: a larger size or truncation is refused
 
 
 def _entries(spec, stop: int, name: str, start: int = 0, linear: bool = False) -> np.ndarray:
@@ -58,10 +59,12 @@ def _at(spec, j: int, name: str, linear: bool = False) -> float:
 class _Spec:
     def __post_init__(self):
         """Refuse a buffer size ``n`` that is neither None nor an integer
-        >= 1, and a NaN or infinite rate or cost (every later field),
-        scalar or sequence entry."""
+        in 1..``LEVEL_CAP``, and a NaN or infinite rate or cost (every
+        later field), scalar or sequence entry."""
         if not (self.n is None or _is_level(self.n, math.inf) and self.n >= 1):
             raise ValueError(f"buffer size must be None or an integer >= 1, got {self.n!r}")
+        if self.n is not None and self.n > LEVEL_CAP:
+            raise ValueError(f"buffer size {self.n} exceeds the level cap {LEVEL_CAP}")
         for field in fields(self)[1:]:
             if not np.all(np.isfinite(np.asarray(getattr(self, field.name), dtype=float))):
                 raise ValueError(f"{field.name} has non-finite entries")

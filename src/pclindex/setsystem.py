@@ -6,18 +6,18 @@ family F of subsets.  Priority orders whose suffix sets all belong to F
 in :mod:`pclindex.greedy`: the family encodes which active sets a policy
 class is allowed to use (e.g. the nested family of threshold policies).
 
-A member is known by its id, its position in the canonical ``family``,
-and each id has one bit mask.  The members one element away from member
-i are read off the layer one size smaller or larger (T is one size
-smaller and inside S iff T | S == S as masks), so a step of the greedy
-walk down a chain costs one mask test per member one size smaller: O(1)
-for the threshold family, and at most |F| tests over a whole walk.
+A member is known by its id, its position in the canonical order, and is
+held only as its bit mask.  The members one element away from member i are
+read off the layer one size smaller or larger (T is one size smaller and
+inside S iff T | S == S as masks), so a step of the greedy walk down a
+chain costs one mask test per member one size smaller: O(1) for the
+threshold family, and at most |F| tests over a whole walk.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,68 +37,85 @@ def _is_size(n) -> bool:
     return _is_level(n, n) and n >= 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SetSystem:
     """Ground set {0..n-1} plus an explicit family of subsets.
 
-    The family is stored in a canonical order (by cardinality, then
-    lexicographically) so iteration is deterministic; a member's id is
-    its position in it, and the members of size k hold the ids
-    ``_starts[k]:_starts[k + 1]``.  Membership, both boundaries and the
-    membership rows all read the one mask per id.  Instances are
+    The family is held as one bit mask per member, in a canonical order (by
+    cardinality, then lexicographically); a member's id is its position in
+    it, and the members of size k hold the ids ``_starts[k]:_starts[k + 1]``.
+    Membership, both boundaries and the membership rows all read the one
+    mask per id; equality and hashing go by (n, masks).  Instances are
     immutable and safe to share across threads.
     """
 
     n: int
-    family: FrozenSets = field(default=())
-    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _ids: dict[frozenset, int] = field(init=False, repr=False, compare=False)
-    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _masks: tuple[int, ...]   # also set: the dict _ids of mask -> id, and _starts
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, family: Iterable[Iterable[int]] = ()):
         if not _is_size(n):
             raise ValueError(f"ground set size must be an integer >= 1, got {n!r}")
-        pow2 = [1 << j for j in range(n)]
-        keyed = []
-        for s in {frozenset(s) for s in self.family}:
+        object.__setattr__(self, "n", n)
+        members = {frozenset(s) for s in family}
+        for s in members:
             ints = set(map(type, s)) <= {int}     # exactly int: a bool is refused
-            elems = sorted(s) if ints else list(s)
-            if not ints or elems and not (0 <= elems[0] and elems[-1] < n):
+            if not ints or self._lookup(s) < 0:
+                elems = sorted(s) if ints else list(s)
                 raise ValueError(f"family member {elems} not a subset of 0..{n - 1}")
-            k = len(elems)
-            # k distinct ints spanning k values are an interval: one shifted mask
-            mask = (((1 << k) - 1) << elems[0] if k and elems[-1] - elems[0] == k - 1
-                    else sum(map(pow2.__getitem__, elems)))
-            keyed.append((k, elems, s, mask))
-        keyed.sort()                                # distinct members never tie on (k, elems)
-        family = tuple(s for _, _, s, _ in keyed)
-        sizes = [k for k, _, _, _ in keyed]
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "_masks", tuple(mask for _, _, _, mask in keyed))
-        object.__setattr__(self, "_ids", {s: i for i, s in enumerate(family)})
-        object.__setattr__(self, "_starts", tuple(np.searchsorted(sizes, range(n + 2)).tolist()))
+        self._hold(map(self._lookup, members))
+
+    def _hold(self, masks: Iterable[int]) -> "SetSystem":
+        """Store the distinct masks in canonical order; returns self."""
+        n, order = self.n, sorted(set(masks), key=int.bit_count)
+        starts = np.searchsorted([m.bit_count() for m in order], range(n + 2)).tolist()
+        for lo, hi in zip(starts, starts[1:]):
+            if hi - lo > 1:   # sorted(S) < sorted(T) iff the lowest bit of S ^ T is in S
+                order[lo:hi] = sorted(order[lo:hi], key=lambda m: f"{m:0{n}b}"[::-1])[::-1]
+        self.__dict__.update(_masks=tuple(order), _starts=tuple(starts),
+                             _ids={m: i for i, m in enumerate(order)})
+        return self
 
     @property
     def ground(self) -> frozenset:
         return frozenset(range(self.n))
 
+    @property
+    def family(self) -> FrozenSets:
+        """The members as frozensets, in id order, built anew on each access: bind them once."""
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.rows(slice(None)))
+
+    def member(self, i: int) -> frozenset:
+        """Member i as a frozenset."""
+        return frozenset(np.flatnonzero(self.rows(slice(i, i + 1))[0]).tolist())
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def _lookup(self, s: frozenset) -> int:
+        """The mask of s if it is a set of ground elements (True is 1), else -1."""
+        elems = sorted(s) if set(map(type, s)) <= {int} else [j for j in range(self.n) if j in s]
+        if len(elems) != len(s) or elems and not (0 <= elems[0] and elems[-1] < self.n):
+            return -1
+        k = len(elems)   # k distinct ints spanning k values are an interval: one shifted mask
+        return (((1 << k) - 1) << elems[0] if k and elems[-1] - elems[0] == k - 1
+                else sum(1 << j for j in elems))
+
     def __contains__(self, s: Iterable) -> bool:
-        return frozenset(s) in self._ids
+        return self._lookup(frozenset(s)) in self._ids
 
     def member_id(self, s: Iterable) -> int:
         """The id of the member S, its position in ``family``; ValueError
         when S is not a member."""
         fs = frozenset(s)
-        i = self._ids.get(fs)
+        i = self._ids.get(self._lookup(fs))
         if i is None:
             raise ValueError(f"set {sorted(fs)} is not a member of the family")
         return i
 
     def neighbours(self, i: int, step: int) -> list[tuple[int, int]]:
-        """The pairs (j, t), in id order, with ``family[t]`` equal to
-        ``family[i]`` minus {j} (step -1) or plus {j} (step +1)."""
-        m, masks, k = self._masks[i], self._masks, len(self.family[i]) + step
+        """The pairs (j, t), in id order, with member t equal to member i
+        minus {j} (step -1) or plus {j} (step +1)."""
+        m, masks, k = self._masks[i], self._masks, self._masks[i].bit_count() + step
         ids = range(self._starts[k], self._starts[k + 1]) if 0 <= k <= self.n else ()
         # a member one size away is a neighbour iff its union with S is the larger set
         return [((m ^ masks[t]).bit_length() - 1, t) for t in ids
@@ -152,15 +169,15 @@ def validate(sys: SetSystem) -> ValidationReport:
     Augmentable: every member other than the ground set has a nonempty
     outer boundary.  Returns the first violating set found, if any.
     """
-    if not sys.family:
+    if not len(sys):
         raise ValueError("family is empty")
     has_empty = frozenset() in sys
-    for s in sys.family:
-        if s and not sys.inner_boundary(s):
-            return ValidationReport(has_empty, False, True, violating_set=s)
-    for s in sys.family:
-        if len(s) < sys.n and not sys.outer_boundary(s):
-            return ValidationReport(has_empty, True, False, violating_set=s)
+    for i, m in enumerate(sys._masks):
+        if m and not sys.neighbours(i, -1):
+            return ValidationReport(has_empty, False, True, violating_set=sys.member(i))
+    for i, m in enumerate(sys._masks):
+        if m.bit_count() < sys.n and not sys.neighbours(i, 1):
+            return ValidationReport(has_empty, True, False, violating_set=sys.member(i))
     return ValidationReport(has_empty, True, True)
 
 
@@ -173,15 +190,14 @@ def threshold_family(n: int) -> SetSystem:
     """
     if not _is_size(n):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return SetSystem(n, suffix_sets(range(n)) + (frozenset(),))
+    return SetSystem(n)._hold((1 << n) - (1 << k) for k in range(n + 1))
 
 
 def powerset_family(n: int) -> SetSystem:
     """The unrestricted family 2^J."""
     if not _is_size(n):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    members = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(range(n), r)]
-    return SetSystem(n, tuple(members))
+    return SetSystem(n)._hold(range(1 << n))
 
 
 def product(systems: Sequence[SetSystem]) -> SetSystem:
@@ -195,12 +211,8 @@ def product(systems: Sequence[SetSystem]) -> SetSystem:
     if not systems:
         raise ValueError("need at least one component system")
     offsets = itertools.accumulate((s.n for s in systems[:-1]), initial=0)
-    shifted = [
-        [frozenset(j + off for j in s) for s in sys_k.family]
-        for sys_k, off in zip(systems, offsets)
-    ]
-    members = [frozenset().union(*combo) for combo in itertools.product(*shifted)]
-    return SetSystem(sum(s.n for s in systems), tuple(members))
+    shifted = [[m << off for m in sys_k._masks] for sys_k, off in zip(systems, offsets)]
+    return SetSystem(sum(s.n for s in systems))._hold(map(sum, itertools.product(*shifted)))
 
 
 def enumerate_full_strings(sys: SetSystem, cap: int = 10) -> list[tuple[int, ...]]:
@@ -218,7 +230,7 @@ def enumerate_full_strings(sys: SetSystem, cap: int = 10) -> list[tuple[int, ...
     prefix: list[int] = []
 
     def descend(i: int):
-        if not sys.family[i]:
+        if not sys._masks[i]:
             out.append(tuple(prefix))
             return
         for j, t in sorted(sys.neighbours(i, -1)):

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import _is_level
-from .policies import MTS_RULES, ROUTING_RULES, MTSSystem, RoutingSystem, engage
+from .policies import LEVEL_CAP, MTS_RULES, ROUTING_RULES, MTSSystem, RoutingSystem, engage
 
 BOUNDARY_FLAG_FRACTION = 1e-3
 CHUNK = 256   # events per block of random draws; part of the stream definition
@@ -48,10 +48,10 @@ class SimConfig:
 
     ``horizon`` is finite simulated time per replication; ``max_events``
     caps the event count instead when set.  Infinite buffers are truncated
-    at ``truncation`` and the report flags runs where the truncation boundary
-    was hit too often: a boundary hit is an event epoch at which some
-    truncated buffer is at its cap.  Under the average criterion the first
-    ``warmup_fraction`` of the horizon is discarded.
+    at ``truncation``, at most ``LEVEL_CAP``, and the report flags runs
+    where the truncation boundary was hit too often: a boundary hit is an
+    event epoch at which some truncated buffer is at its cap.  Under the
+    average criterion the first ``warmup_fraction`` of the horizon is discarded.
     """
 
     horizon: float | None = None
@@ -75,6 +75,8 @@ class SimConfig:
         for name, value, least in counts:
             if not (_is_level(value, math.inf) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.truncation > LEVEL_CAP:
+            raise ValueError(f"truncation {self.truncation} exceeds the level cap {LEVEL_CAP}")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup fraction must lie in [0, 1)")
 

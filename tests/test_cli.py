@@ -527,6 +527,18 @@ def test_simulate_bad_budget_is_an_input_error(tmp_path, capsys, argv):
     assert out["exit_code"] == 2 and "results" not in out
 
 
+@pytest.mark.parametrize("queue, argv", [
+    ({"n": 10**15, "mu": 1.0, "h": 1.0}, []),
+    ({"mu": 1.0, "h": 1.0}, ["--truncation", str(10**15)])], ids=["buffer", "truncation"])
+def test_simulate_past_the_level_cap_is_an_input_error(tmp_path, capsys, queue, argv):
+    # a buffer of 10**15 levels, given or truncated, ended in a MemoryError traceback
+    doc = dict(ROUTING_DOC, queues=[queue, ROUTING_DOC["queues"][1]])
+    code, out, _ = run_cli(capsys, "simulate", write_doc(tmp_path, doc), "--events", "100",
+                           *argv)
+    assert code == 2
+    assert out["exit_code"] == 2 and "exceeds the level cap" in out["error"]
+
+
 @pytest.mark.parametrize("argv, sha", [
     (["--events", "3000", "--reps", "4", "--seed", "2"],
      "54e433cc56490ae37aef04d1730a2c7ea5e6949824e1eb61029cebb8bc32e2d7"),

@@ -109,8 +109,9 @@ def test_walker_queries_one_row_and_one_boundary_per_chain_set(algo, family, rng
     out = algo(rng.uniform(-5.0, 5.0, sys.n), oracle, sys)
     assert len(out.chain) == sys.n
     assert oracle.queries == list(out.chain)
-    # the walk hands the oracle the family's own stored members
-    assert all(q is sys.family[sys.member_id(q)] for q in oracle.queries)
+    # the walk hands the oracle the family's own members
+    family = sys.family
+    assert all(q == family[sys.member_id(q)] for q in oracle.queries)
     assert boundary_calls == [(sys.member_id(s), -1) for s in out.chain]
 
 

@@ -4,12 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pclindex import admission
-from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
+from pclindex import admission, policies
+from pclindex.policies import (LEVEL_CAP, MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                                least_stock_decide, mts_decide, mts_index,
                                mts_index_table, naive_decide, routing_decide,
                                routing_index, routing_index_table,
                                shortest_queue_decide, switching_curve)
+from pclindex.simulate import SimConfig
 
 
 def linear_queue(n, mu, h=1.0):
@@ -328,6 +329,20 @@ def test_specs_refuse_non_finite_rates_and_costs(bad):
                     spec(**{**fields, name: value})
     with pytest.raises(ValueError, match="^lam "):
         MTSSystem((ProductSpec(3, bad, 1.2, 1.0, 0.5, 0.7),))
+
+
+def test_specs_and_sim_config_refuse_levels_past_the_cap(monkeypatch):
+    # a buffer of 10**15 levels ended in a MemoryError while its rate
+    # tables were built; now the size is refused before any table is
+    monkeypatch.setattr(policies, "_entries", None)
+    assert QueueSpec(LEVEL_CAP, 1.0, 1.0).n == ProductSpec(LEVEL_CAP, 0.8, 1.2, 1.0, 0.5, 0.7).n
+    with pytest.raises(ValueError, match=f"^buffer size {LEVEL_CAP + 1} exceeds the level cap"):
+        QueueSpec(LEVEL_CAP + 1, 1.0, 1.0)
+    with pytest.raises(ValueError, match=f"^buffer size {LEVEL_CAP + 1} exceeds the level cap"):
+        ProductSpec(LEVEL_CAP + 1, 0.8, 1.2, 1.0, 0.5, 0.7)
+    assert SimConfig(max_events=1, truncation=LEVEL_CAP).truncation == LEVEL_CAP
+    with pytest.raises(ValueError, match=f"^truncation {LEVEL_CAP + 1} exceeds the level cap"):
+        SimConfig(max_events=1, truncation=LEVEL_CAP + 1)
 
 
 @pytest.mark.parametrize("n", [0, -2, 2.5, 2.0, True, "3", math.inf])

@@ -36,7 +36,8 @@ from pclindex.greedy import (WorkloadOracle, ag1, ag2, dual_solution, local_minm
 from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                                least_stock_decide, mts_decide, mts_index_table, naive_decide,
                                routing_decide, routing_index_table, shortest_queue_decide)
-from pclindex.setsystem import powerset_family, product, threshold_family
+from pclindex.setsystem import (SetSystem, powerset_family, product, suffix_sets,
+                                threshold_family)
 from pclindex.simulate import (CHUNK, SimConfig, _decider, _seed_states, _setup, _State,
                                simulate, simulate_all)
 
@@ -526,36 +527,58 @@ def test_precomputed_seed_state_answers_only_the_pcg64_request():
 
 @st.composite
 def set_systems(draw):
+    """A set system and its members, the latter built without SetSystem
+    except for the random valid families."""
     rng = np.random.default_rng(draw(seeds))
-    kind = draw(st.sampled_from(["valid", "product", "powerset", "threshold"]))
+    kind = draw(st.sampled_from(["valid", "product", "powerset", "threshold", "explicit",
+                                 "chain"]))
     if kind == "valid":
-        return random_valid_family(rng, draw(st.integers(1, 7)))
+        sys = random_valid_family(rng, draw(st.integers(1, 7)))
+        return sys, set(sys.family)
     if kind == "threshold":
-        return threshold_family(draw(st.integers(1, 12)))
+        n = draw(st.integers(1, 12))
+        return threshold_family(n), {frozenset(range(k, n)) for k in range(n + 1)}
     if kind == "powerset":
-        return powerset_family(draw(st.integers(1, 7)))
+        n = draw(st.integers(1, 7))
+        return powerset_family(n), {frozenset(c) for r in range(n + 1)
+                                    for c in itertools.combinations(range(n), r)}
+    if kind in ("explicit", "chain"):   # members as lists or sets, in shuffled order
+        n = draw(st.integers(1, 7 if kind == "explicit" else 12))
+        members = (list(random_valid_family(rng, n).family) if kind == "explicit"
+                   else [frozenset(s) for s in suffix_sets(rng.permutation(n).tolist())]
+                   + [frozenset()])
+        given = [set(s) if rng.random() < 0.5 else rng.permutation(sorted(s)).tolist()
+                 for s in members]
+        rng.shuffle(given)
+        return SetSystem(n, given + given[:draw(st.integers(0, 1))]), set(members)
     n1 = draw(st.integers(1, 4))
     n2 = draw(st.integers(1, 7 - n1))
+    first = random_valid_family(rng, n1)
     second = threshold_family(n2) if draw(st.booleans()) else random_valid_family(rng, n2)
-    return product([random_valid_family(rng, n1), second])
+    return product([first, second]), {a | {j + n1 for j in b} for a in first.family
+                                      for b in second.family}
 
 
 @PROPERTY
-@given(sys=set_systems(), data=st.data())
-def test_layered_boundaries_match_their_definitions(sys, data):
-    members = set(sys.family)
-    for i, s in enumerate(sys.family):
-        assert s in sys and sys.member_id(s) == i
+@given(drawn=set_systems(), data=st.data())
+def test_layered_boundaries_match_their_definitions(drawn, data):
+    sys, members = drawn
+    family = sys.family
+    assert list(family) == sorted(members, key=lambda s: (len(s), sorted(s)))
+    assert SetSystem(sys.n, reversed(family)) == sys
+    assert hash(SetSystem(sys.n, reversed(family))) == hash(sys)
+    for i, s in enumerate(family):
+        assert s in sys and sys.member_id(s) == i and sys.member(i) == s
         assert sys.inner_boundary(s) == {j for j in s if s - {j} in members}
         assert sys.outer_boundary(s) == {j for j in sys.ground - s if s | {j} in members}
         for step, move in ((-1, frozenset.__sub__), (1, frozenset.__or__)):
             pairs = sys.neighbours(i, step)
             assert [t for _, t in pairs] == sorted(t for _, t in pairs)
-            assert all(sys.family[t] == move(s, {j}) for j, t in pairs)
+            assert all(family[t] == move(s, {j}) for j, t in pairs)
             assert {j for j, _ in pairs} == (sys.inner_boundary(s) if step < 0
                                              else sys.outer_boundary(s))
     rows = sys.rows(slice(None))
-    assert rows.tolist() == [[j in s for j in range(sys.n)] for s in sys.family]
+    assert rows.tolist() == [[j in s for j in range(sys.n)] for s in family]
     other = frozenset(data.draw(st.sets(st.integers(0, sys.n))))
     if other in members:
         return

@@ -1,5 +1,7 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from pclindex.errors import StructureError
@@ -27,6 +29,61 @@ def brute_force_validate(sys: SetSystem):
 def test_members_must_be_int_subsets_of_the_ground(bad):
     with pytest.raises(ValueError, match="not a subset of 0..2"):
         SetSystem(3, (frozenset(), frozenset(bad)))
+
+
+# sets given to member_id and `in`: members, and sets that are not sets of
+# ground elements; True, 1.0 and np.int64(2) equal 1, 1 and 2 under frozenset lookup
+PROBES = [set(), {0}, {1}, {2}, {3}, {0, 2}, {1, 2}, {0, 1, 2}, {True}, {False, 2}, {1.0},
+          {np.int64(2)}, {0.5}, {"a"}, {1, "a"}, {None}, {-1}, {-1, 0}, {0, 3}, {0, 1, 2, 3},
+          [2, 1], (1, 2, 2), range(3)]
+
+
+def outcome(call, *args):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return call(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("members", [
+    [(), (2,), (1, 2), (0, 1, 2)],
+    [{0, 1, 2}, [2, 0], set(), [1], (0,), {0, 1}, [2]],
+    [[], [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2], [1, 0]],
+    [[2, 0, 1], [1], [], (1, 2)],
+], ids=["threshold", "shuffled", "powerset", "no-middle"])
+def test_lookups_match_a_frozenset_brute_force(members):
+    # the systems hold masks only; member, member_id, `in`, == and hash
+    # answer as a sorted list of frozensets would
+    sys = SetSystem(3, members)
+    canon = sorted({frozenset(s) for s in members}, key=lambda s: (len(s), sorted(s)))
+
+    def brute_id(s):
+        fs = frozenset(s)
+        if fs not in canon:
+            raise ValueError(f"set {sorted(fs)} is not a member of the family")
+        return canon.index(fs)
+
+    assert [sys.member(i) for i in range(len(sys))] == list(sys.family) == canon
+    for probe in PROBES:
+        assert (probe in sys) == (frozenset(probe) in canon)
+        assert outcome(sys.member_id, probe) == outcome(brute_id, probe)
+    same = SetSystem(3, reversed([sorted(s, reverse=True) for s in canon]))
+    assert same == sys and hash(same) == hash(sys) and same.family == sys.family
+    for other in (SetSystem(3, canon[1:]), SetSystem(4, canon), threshold_family(2)):
+        assert other != sys and (other.n, other.family) != (sys.n, sys.family)
+
+
+def test_threshold_family_builds_no_member_sets():
+    # its n + 1 members are masks: 2000 suffix frozensets peaked at 204 MB
+    tracemalloc.start()
+    try:
+        sys = threshold_family(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert len(sys) == 2001 and sys.member(1) == {1999}
 
 
 def test_layer_masks_and_canonical_order():
