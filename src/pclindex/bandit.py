@@ -74,13 +74,32 @@ class _SolveKernel:
         stack of masks gives a stack of m operators."""
         return np.where(mask[..., self._rows], self.bP1, self.bP0)
 
+    def _by_rows(self, M: np.ndarray) -> np.ndarray:
+        """A banded operator's entries row by row: entry (i, d) holds matrix
+        entry (i, i - l + d), and 0 outside the matrix; stacked like M."""
+        lower, upper = self.band
+        n, d = M.shape[-1], np.arange(lower + upper + 1)
+        cols = np.arange(n)[:, None] + d - lower
+        inside = (cols >= 0) & (cols < n)
+        return np.where(inside, M[..., lower + upper - d, np.clip(cols, 0, n - 1)], 0.0)
+
+    @cached_property
+    def _patterns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where beta*P0 is positive, and where beta*P1's sign pattern differs
+        from it, row by row (a band laid out by ``_by_rows``); built on first
+        use, so only the class pass pays for them."""
+        p0, p1 = ((M if self.band is None else self._by_rows(M)) > 0
+                  for M in (self.bP0, self.bP1))
+        return p0, p0 ^ p1
+
     def edges(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (source, target) states of the positive entries of beta*P_S,
-        read from this kernel's storage; an (m, n) stack of masks gives the
-        union of m graphs, system k's states numbered from k*n."""
-        n = mask.shape[-1]
-        k, rows, cols = np.nonzero(self._mixed(mask.reshape(-1, n)) > 0)
-        return k * n + (rows if self.band is None else self._rows[rows, cols]), k * n + cols
+        sources ascending; an (m, n) stack of masks gives the union of m
+        graphs, system k's states numbered from k*n."""
+        n, (p0, flip) = mask.shape[-1], self._patterns
+        src, c = np.divmod(np.flatnonzero(p0 ^ (mask.reshape(-1, n)[..., None] & flip)),
+                           p0.shape[1])
+        return src, src + c - (src % n if self.band is None else self.band[0])
 
     def system(self, mask: np.ndarray) -> np.ndarray:
         """I - beta*P_S in this kernel's storage, stacked like ``mask``."""
@@ -102,13 +121,10 @@ class _SolveKernel:
         A[(..., *self._diag)] += 1.0 - b
         if self.band is None:
             return np.linalg.solve(np.swapaxes(A, -1, -2), np.ones((*A.shape[:-1], 1)))[..., 0]
-        lower, upper = self.band
-        q = np.arange(lower + upper + 1)[:, None]   # A^T, stored with the band (upper, lower)
-        cols = np.arange(n) + q - lower
-        inside = (cols >= 0) & (cols < n)
-        T = np.where(inside, A[..., lower + upper - q, np.clip(cols, 0, n - 1)], 0.0)
-        T = T.reshape(-1, len(q), n).transpose(1, 0, 2).reshape(len(q), -1)
-        return solve_banded((upper, lower), T, np.ones(T.shape[1]),
+        # A's rows are A^T's columns, so A^T is stored with the band (upper, lower)
+        T = self._by_rows(A).reshape(-1, n, sum(self.band) + 1)
+        T = T.transpose(2, 0, 1).reshape(T.shape[2], -1)
+        return solve_banded(self.band[::-1], T, np.ones(T.shape[1]),
                             check_finite=False).reshape(mask.shape)
 
     def apply(self, M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -636,12 +652,14 @@ class AverageLimits:
 def _recurrent_classes(shape: tuple[int, int], src: np.ndarray, dst: np.ndarray) -> tuple:
     """The number of closed strong components (no edge leaves them) of each
     of m graphs on n states, and the (m, n) mask of their states, from the
-    edges src -> dst of their union, graph k's states numbered from k*n."""
+    edges src -> dst of their union, sources ascending, graph k's states
+    numbered from k*n."""
     (m, n), size = shape, shape[0] * shape[1]
-    graph = csr_array((np.ones(len(src)), (src, dst)), shape=(size, size))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=size))))
+    graph = csr_array((np.ones(len(src)), dst, indptr), shape=(size, size))
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
-    closed = np.ones(n_comp, dtype=bool)
-    closed[labels[src][labels[src] != labels[dst]]] = False
+    closed, source = np.ones(n_comp, dtype=bool), labels[src]
+    closed[source[source != labels[dst]]] = False
     system = np.empty(n_comp, dtype=int)
     system[labels] = np.arange(size) // n
     return np.bincount(system[closed], minlength=m), closed[labels].reshape(m, n)

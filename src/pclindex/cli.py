@@ -54,7 +54,10 @@ def _family_for(n: int, name: str, doc: dict) -> SetSystem:
     if name == "threshold":
         return threshold_family(n)
     if name == "powerset":
-        return powerset_family(n)
+        try:
+            return powerset_family(n)
+        except ValueError as exc:
+            raise ModelFileError(f"--family=powerset: {exc}") from exc
     if name == "explicit":
         fam = doc.get("family")
         if fam is None:

@@ -199,11 +199,12 @@ def charge_path(model: RBModel) -> ChargePath:
     the walk's step from each piece (turning set, breakpoint, candidate,
     policy-iteration certificate, residual and met-twice checks), and the
     confirmed prefix is kept; at the first miss the walk takes one step by
-    policy iteration.  K starts at 1, doubles after a fully confirmed batch
-    and is at most 2c + 1 after a batch that confirmed c, so the wasted
-    solves never exceed the confirmed ones plus the misses; a batch holds at
-    most ``BATCH_ENTRIES`` operator entries (at least one system).  The path
-    is the one-step walk's, bit for bit.
+    policy iteration.  The first batch predicts every turning state of the
+    starting piece; after that, K doubles after a fully confirmed batch and
+    is at most 2c + 1 after a batch that confirmed c.  So the wasted solves are
+    at most one first batch, plus the confirmed solves, plus the misses; a
+    batch holds at most ``BATCH_ENTRIES`` operator entries (at least one
+    system).  The path is the one-step walk's, bit for bit.
     """
     if not model.beta < 1.0:
         raise ValueError("DP solve requires beta < 1")
@@ -224,7 +225,7 @@ def charge_path(model: RBModel) -> ChargePath:
         raise InternalConsistencyError("no policy is optimal at every charge far left")
 
     pieces, breakpoints, seen = [active[None]], [], {active.tobytes()}
-    size, cap = 1, max(1, BATCH_ENTRIES // model.kernel.bP0.size)
+    size = cap = max(1, BATCH_ENTRIES // model.kernel.bP0.size)
     while True:
         turning = ctrl & (np.where(active, slope, -slope) > flat)
         if not turning.any():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -537,6 +538,20 @@ def test_simulate_past_the_level_cap_is_an_input_error(tmp_path, capsys, queue, 
                            *argv)
     assert code == 2
     assert out["exit_code"] == 2 and "exceeds the level cap" in out["error"]
+
+
+@pytest.mark.parametrize("command", ["index", "dp-verify"])
+def test_powerset_past_its_limit_is_an_input_error(tmp_path, capsys, command):
+    # the 2^200 members of the powerset of a 200-state queue were built until
+    # the process was killed; the limit refuses them before any is built
+    n = 200
+    doc = {"kind": "admission", "n": n, "lambda": [1.0] * (n + 1), "mu": [1.3] * n,
+           "h": [float(i * i) for i in range(n + 1)], "alpha": 0.1}
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, command, write_doc(tmp_path, doc), "--family", "powerset")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out["exit_code"] == 2
+    assert out["error"].startswith("--family=powerset: the powerset family of 200 elements")
 
 
 @pytest.mark.parametrize("argv, sha", [

@@ -4,7 +4,6 @@ number of stacked solves, no warning where the path ends inside a batch,
 a memory peak that the batch cap bounds, and the met-twice error."""
 
 import gc
-import math
 import re
 import tracemalloc
 import warnings
@@ -137,10 +136,10 @@ def test_a_miss_takes_one_step_by_policy_iteration(monkeypatch, model, passes):
     assert_same_path(model)
 
 
-def benchmark_queue(n: int) -> RBModel:
-    """The regular admission queue the benchmark draws for seed 1: lam = 1,
+def benchmark_queue(n: int, seed: int = 1) -> RBModel:
+    """The regular admission queue the benchmark draws for ``seed``: lam = 1,
     concave increasing service rates, convex costs, discount rate 0.1."""
-    rng = np.random.default_rng([1, 20_230_401])
+    rng = np.random.default_rng([seed, 20_230_401])
     mu0, a, scale = rng.uniform(0.8, 1.2), rng.uniform(0.2, 0.6), rng.uniform(5.0, 20.0)
     c, p = rng.uniform(0.5, 2.0), rng.uniform(1.5, 2.0)
     i = np.arange(n + 1.0)
@@ -149,28 +148,62 @@ def benchmark_queue(n: int) -> RBModel:
 
 
 def test_stacked_solves_on_the_benchmark_queue(monkeypatch):
-    # 101 pieces: one solve for the start, then batches of 1, 2, 4, ... with
-    # no miss, so about log2(n) stacked calls and no system solved twice
-    rb = benchmark_queue(100)
-    systems, exact = [], rb.kernel.solve
+    # 101 pieces, whose crossing order the first piece already gives: one
+    # solve for the start, then one batch of all 100 turning states, all
+    # confirmed, so two stacked calls and no system solved twice (a
+    # schedule that starts at one policy and doubles takes 8 calls)
+    exact = dp._lines
+    for seed in range(10):
+        rb, systems = benchmark_queue(100, seed), []
+        monkeypatch.setattr(dp, "_lines", lambda m, a: systems.append(len(a)) or exact(m, a))
+        path = dp.charge_path(rb)
+        assert len(path.policies) == 101 and systems == [1, 100], seed
+        monkeypatch.undo()
+        assert_same_path(rb)
 
-    def counting(masks, rhs, anchor=None):
-        systems.append(len(masks))
-        return exact(masks, rhs, anchor)
 
-    monkeypatch.setattr(rb.kernel, "solve", counting)
-    path = dp.charge_path(rb)
-    assert len(path.policies) == 101
-    assert len(systems) <= 2 * math.log2(100) + 2
-    assert sum(systems) <= 2 * len(path.policies)
-    monkeypatch.undo()
-    assert_same_path(rb)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(model=models(), cap=st.sampled_from([1, 60, 300, dp.BATCH_ENTRIES]))
+@example(model=TIED, cap=dp.BATCH_ENTRIES)
+@example(model=IMPROVED, cap=dp.BATCH_ENTRIES)
+def test_wasted_solves_stay_within_the_bound(model, cap):
+    # the batches waste at most one first batch, plus the confirmed solves,
+    # plus the misses; the first batch is at most one policy per
+    # controllable state and at most the cap's systems
+    systems, steps, inside, lines, optimal = [], [], [], dp._lines, dp._optimal
+
+    def counting_lines(model, active):   # the start's solve and the batches'
+        if not inside:
+            systems.append(len(active))
+        return lines(model, active)
+
+    def counting_optimal(model, active, nu, ls=None):
+        steps.append(ls)
+        inside.append(True)
+        try:
+            return optimal(model, active, nu, ls)
+        finally:
+            inside.pop()
+
+    with mock.patch.object(dp, "BATCH_ENTRIES", cap), \
+            mock.patch.object(dp, "_lines", counting_lines), \
+            mock.patch.object(dp, "_optimal", counting_optimal):
+        try:
+            path = dp.charge_path(model)
+        except InternalConsistencyError:
+            return
+    batches, misses = systems[1:], sum(ls is None for ls in steps)
+    confirmed = len(path.policies) - 1 - misses
+    assert sum(batches) - confirmed <= (batches[0] if batches else 0) + confirmed + misses
+    if batches:
+        assert batches[0] <= min(len(model.controllable),
+                                 max(1, cap // model.kernel.bP0.size))
 
 
 def test_a_path_that_ends_inside_a_batch_warns_nothing(monkeypatch):
-    # batches of 1, 2 and 4 policies, the last of which predicts one piece
-    # more than the path has left: that row is solved but never verified
-    # (its charges would be inf)
+    # the start's two one-policy solves, then one batch of all 7 turning
+    # states, which predicts one piece more than the 6 the path has left:
+    # that row is solved but never verified (its charges would be inf)
     model = random_rb(np.random.default_rng(138936996), 7, 7)
     systems, steps, lines, optimal = [], [], dp._lines, dp._optimal
     monkeypatch.setattr(dp, "_lines", lambda m, a: systems.append(len(a)) or lines(m, a))
@@ -180,7 +213,7 @@ def test_a_path_that_ends_inside_a_batch_warns_nothing(monkeypatch):
         warnings.simplefilter("error")
         path = dp.charge_path(model)
     assert all(ls is not None for ls in steps)       # no miss
-    assert systems[-3:] == [1, 2, 4] and len(path.policies) == 7
+    assert systems == [1, 1, 7] and len(path.policies) == 7
     monkeypatch.undo()
     assert_same_path(model)
 

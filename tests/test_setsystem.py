@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pclindex import setsystem
 from pclindex.errors import StructureError
 from pclindex.setsystem import (SetSystem, enumerate_full_strings, powerset_family,
                                 product, require_valid, threshold_family, validate)
@@ -200,6 +201,16 @@ def test_ground_size_must_be_an_integer(build, n, message):
     # a float failed in range() with a bare TypeError, and True built a one-element system
     with pytest.raises(ValueError, match=message):
         build(n)
+
+
+def test_powerset_refuses_a_ground_past_its_limit(monkeypatch):
+    # 2^n members: the limit is checked before any is built
+    with pytest.raises(ValueError, match=r"^the powerset family of 21 elements has 2\^21 "):
+        powerset_family(setsystem.POWERSET_MAX_GROUND + 1)
+    monkeypatch.setattr(setsystem, "POWERSET_MAX_GROUND", 3)
+    assert len(powerset_family(3)) == 8
+    with pytest.raises(ValueError, match="at most 3 elements are supported"):
+        powerset_family(4)
 
 
 def test_product_of_two_singletons():
