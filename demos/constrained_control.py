@@ -10,7 +10,7 @@ concave: equal increments of allowed activity buy less and less.
 import numpy as np
 
 from pclindex import admission, bandit
-from pclindex.setsystem import threshold_family
+from pclindex.setsystem import suffix_sets, threshold_family
 
 n = 5
 model = admission.ACModel(n, np.full(n + 1, 1.0), np.full(n, 1.6),
@@ -21,7 +21,7 @@ fam = threshold_family(n)
 rep = bandit.average_pcl_index(rb, fam)
 print("average-criterion indices:", np.round([rep.nu_by_state[j] for j in range(n)], 4))
 
-chain = list(rep.chain_states) + [frozenset()]
+chain = list(suffix_sets(rep.state_order)) + [frozenset()]
 b_bars = [bandit.average_limits(rb, s).b_bar for s in chain]
 v_bars = [bandit.average_limits(rb, s).v_bar for s in chain]
 print("\nchain policies (rejection rate, holding cost rate):")

@@ -148,22 +148,26 @@ def uniformize(m: ACModel) -> RBModel:
     shut gate) and discount factor Lambda/(alpha+Lambda).  The full-buffer
     state is uncontrollable.
     """
+    scale = m.alpha + float(m.Lambda)
+    return _uniformized(m, m.h / scale, m.lam / scale, frozenset(range(m.n)))
+
+
+def _uniformized(m: ACModel, h: np.ndarray, theta: np.ndarray,
+                 controllable: frozenset) -> RBModel:
+    """The queue sampled at the uniformization rate, with per-period costs
+    ``h`` and activity weights ``theta``; P0 and P1 are written in band
+    storage, one sub- and one superdiagonal."""
     n, big = m.n, float(m.Lambda)
     lam, mu = m.lam, m.mu_full
     if not np.all(lam > 0):
         raise UnsupportedModelError("arrival rates lambda_0..lambda_n must be positive "
                                     "(zero arrivals make the activity weight vanish)")
-    P0, P1, i = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1)), np.arange(n + 1)
-    P0[i[1:], i[:-1]] = P1[i[1:], i[:-1]] = mu[1:] / big
-    P0[i[:-1], i[1:]] = lam[:n] / big     # no arrival is admitted into the full buffer
-    P0[i, i] = (big - np.append(lam[:n], 0.0) - mu) / big
-    P1[i, i] = (big - mu) / big
-    scale = m.alpha + big
-    hbar = m.h / scale
-    theta = lam / scale
-    beta = big / scale
-    return RBModel(P0, P1, hbar, hbar, theta, beta,
-                   controllable=frozenset(range(n)))
+    P = np.zeros((2, 3, n + 1))     # rows: the super-, main and subdiagonal
+    P[:, 2, :-1] = mu[1:] / big
+    P[0, 0, 1:] = lam[:n] / big     # no arrival is admitted into the full buffer
+    P[0, 1] = (big - np.append(lam[:n], 0.0) - mu) / big
+    P[1, 1] = (big - mu) / big
+    return RBModel._banded((1, 1), P, h, h, theta, big / (m.alpha + big), controllable)
 
 
 def _div(x: float, y: float) -> float:
@@ -364,9 +368,7 @@ def whittle_variant(m: ACModel) -> RBModel:
     Costs stay in rate units (no 1/(alpha+Lambda) scaling), so the critical
     charge of the discrete-time model is the fair subsidy per unit of
     continuous time."""
-    rb = uniformize(m)
-    return RBModel(rb.P0, rb.P1, m.h, m.h, np.ones(rb.n_states), rb.beta,
-                   controllable=frozenset(range(rb.n_states)))
+    return _uniformized(m, m.h, np.ones(m.n + 1), frozenset(range(m.n + 1)))
 
 
 def threshold_steady_state(m: ACModel, k: int) -> tuple[np.ndarray, float, float]:

@@ -23,13 +23,13 @@ from typing import Iterable
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, dia_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (DegeneracyError, InfeasibleTargetError, InternalConsistencyError,
                      _is_level, UnsupportedModelError)
 from .greedy import AGOutput, WorkloadOracle, ag2
-from .setsystem import SetSystem, suffix_sets
+from .setsystem import SetSystem
 
 SOFT_STATE_CAP = 2000
 DMR_TOL = 1e-9           # residual allowed in the diminishing-marginal-returns checks
@@ -37,33 +37,53 @@ TARGET_REL_TOL = 1e-12   # activity targets this close to a chain value hit it e
 SCAN_ENTRIES = 1 << 18   # operator entries held by one batch of a family scan
 
 
+def _band_rows(n: int, band: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix row of each entry of (l, u) band storage over n columns,
+    clipped into the matrix, and whether the entry lies inside it."""
+    lower, upper = band
+    rows = np.arange(-upper, lower + 1)[:, None] + np.arange(n)
+    return np.clip(rows, 0, n - 1), (rows >= 0) & (rows < n)
+
+
+def _by_rows(M: np.ndarray, band: tuple[int, int]) -> np.ndarray:
+    """An operator's entries held in (l, u) band storage, row by row: entry
+    (i, d) holds matrix entry (i, i - l + d), and 0 outside the matrix;
+    stacked like M."""
+    lower, upper = band
+    n, d = M.shape[-1], np.arange(lower + upper + 1)
+    cols = np.arange(n)[:, None] + d - lower
+    inside = (cols >= 0) & (cols < n)
+    return np.where(inside, M[..., lower + upper - d, np.clip(cols, 0, n - 1)], 0.0)
+
+
+def _dense(M: np.ndarray, band: tuple[int, int]) -> np.ndarray:
+    """The matrices held in (l, u) band storage by M, dense; stacked like M."""
+    n = M.shape[-1]
+    rows, inside = _band_rows(n, band)
+    P = np.zeros((*M.shape[:-2], n, n))
+    P[..., rows[inside], np.nonzero(inside)[1]] = M[..., inside]
+    return P
+
+
 class _SolveKernel:
     """The one-step operators beta*P0, beta*P1 and beta*(P1 - P0) of a
     model, and the set-active systems I - beta*P_S built from them.
 
-    When the nonzero pattern of P0|P1 lies within l sub- and u
-    superdiagonals and l + u + 1 < n, everything is held in LAPACK band
-    storage (entry (i, j) at row u + i - j, column j) and each solve or
-    product costs O(n * (l + u + 1)); otherwise the operators are dense.
+    ``P`` stacks P0 and P1 in their model's storage: LAPACK band storage
+    (entry (i, j) at row u + i - j, column j) when ``band`` is (l, u), in
+    which each solve or product costs O(n * (l + u + 1)); dense when
+    ``band`` is None.
     """
 
-    def __init__(self, P0: np.ndarray, P1: np.ndarray, beta: float):
-        n = P0.shape[0]
-        nonzero = (P0 != 0) | (P1 != 0)
+    def __init__(self, band: tuple[int, int] | None, P: np.ndarray, beta: float):
+        n = P.shape[-1]
         states = np.arange(n)
-        first = nonzero.argmax(axis=1)                      # every row has a nonzero
-        last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
-        lower = int(max(0, np.max(states - first)))
-        upper = int(max(0, np.max(last - states)))
-        self.band = (lower, upper) if lower + upper + 1 < n else None
-        ops = (beta * P0, beta * P1, beta * (P1 - P0))
+        self.band = band
         self._rows, self._diag = states[:, None], (states, states)
-        if self.band is not None:
-            rows = np.arange(-upper, lower + 1)[:, None] + states
-            inside = (rows >= 0) & (rows < n)
+        if band is not None:
             # the matrix row of each band entry, and the diagonal's band row
-            self._rows, self._diag = np.clip(rows, 0, n - 1), (upper, slice(None))
-            ops = tuple(np.where(inside, M[self._rows, states], 0.0) for M in ops)
+            self._rows, self._diag = _band_rows(n, band)[0], (band[1], slice(None))
+        ops = (beta * P[0], beta * P[1], beta * (P[1] - P[0]))
         for M in ops:
             M.setflags(write=False)
         self.bP0, self.bP1, self.dP = ops
@@ -74,21 +94,12 @@ class _SolveKernel:
         stack of masks gives a stack of m operators."""
         return np.where(mask[..., self._rows], self.bP1, self.bP0)
 
-    def _by_rows(self, M: np.ndarray) -> np.ndarray:
-        """A banded operator's entries row by row: entry (i, d) holds matrix
-        entry (i, i - l + d), and 0 outside the matrix; stacked like M."""
-        lower, upper = self.band
-        n, d = M.shape[-1], np.arange(lower + upper + 1)
-        cols = np.arange(n)[:, None] + d - lower
-        inside = (cols >= 0) & (cols < n)
-        return np.where(inside, M[..., lower + upper - d, np.clip(cols, 0, n - 1)], 0.0)
-
     @cached_property
     def _patterns(self) -> tuple[np.ndarray, np.ndarray]:
         """Where beta*P0 is positive, and where beta*P1's sign pattern differs
         from it, row by row (a band laid out by ``_by_rows``); built on first
         use, so only the class pass pays for them."""
-        p0, p1 = ((M if self.band is None else self._by_rows(M)) > 0
+        p0, p1 = ((M if self.band is None else _by_rows(M, self.band)) > 0
                   for M in (self.bP0, self.bP1))
         return p0, p0 ^ p1
 
@@ -122,7 +133,7 @@ class _SolveKernel:
         if self.band is None:
             return np.linalg.solve(np.swapaxes(A, -1, -2), np.ones((*A.shape[:-1], 1)))[..., 0]
         # A's rows are A^T's columns, so A^T is stored with the band (upper, lower)
-        T = self._by_rows(A).reshape(-1, n, sum(self.band) + 1)
+        T = _by_rows(A, self.band).reshape(-1, n, sum(self.band) + 1)
         T = T.transpose(2, 0, 1).reshape(T.shape[2], -1)
         return solve_banded(self.band[::-1], T, np.ones(T.shape[1]),
                             check_finite=False).reshape(mask.shape)
@@ -176,7 +187,7 @@ class _SolveKernel:
         return x.reshape(rhs.shape)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RBModel:
     """Finite restless bandit in discrete time.
 
@@ -190,10 +201,13 @@ class RBModel:
     ``beta < 1``.  Construction derives
     ``ctrl_mask``, the boolean mask of controllable states, and
     ``kernel``, the solve kernel of the model's operators at ``beta``.
+
+    The two matrices are held once, in the kernel's storage: band storage
+    when their nonzero pattern lies within l sub- and u superdiagonals with
+    l + u + 1 < n, dense otherwise; they are checked there.  ``P0`` and
+    ``P1`` are read-only dense arrays, built on first access.
     """
 
-    P0: np.ndarray
-    P1: np.ndarray
     h0: np.ndarray
     h1: np.ndarray
     theta1: np.ndarray
@@ -202,53 +216,96 @@ class RBModel:
     kernel: _SolveKernel = field(init=False, repr=False)
     ctrl_mask: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        P0 = np.array(self.P0, dtype=float)
-        P1 = np.array(self.P1, dtype=float)
-        h0 = np.array(self.h0, dtype=float)
-        h1 = np.array(self.h1, dtype=float)
-        theta1 = np.array(self.theta1, dtype=float)
-        n = P0.shape[0]
-        if P0.shape != (n, n) or P1.shape != (n, n):
-            raise ValueError("P0 and P1 must be square matrices of equal size")
+    def __init__(self, P0, P1, h0, h1, theta1, beta: float, controllable: Iterable):
+        P0, P1 = (np.array(P, dtype=float) for P in (P0, P1))
+        n = len(P0) if P0.ndim else 0
+        if not n or P0.shape != (n, n) or P1.shape != (n, n):
+            raise ValueError("P0 and P1 must be nonempty square matrices of equal size")
+        self._build(None, np.stack((P0, P1)), h0, h1, theta1, beta, controllable)
+
+    @classmethod
+    def _banded(cls, band: tuple[int, int], P: np.ndarray, *args) -> "RBModel":
+        """The model whose P0 and P1, stacked in ``P``, are given in (l, u)
+        band storage, zeros outside the matrix; ``args`` as for the constructor."""
+        model = cls.__new__(cls)
+        model._build(band, P, *args)
+        return model
+
+    def _build(self, band, P, h0, h1, theta1, beta, controllable):
+        """Store the stack P (dense, or in ``band`` storage) in the narrowest
+        band that holds its nonzero entries, then check the model there and
+        derive its kernel."""
+        n, (k, j) = P.shape[-1], np.nonzero((P != 0).any(axis=0))
+        offsets = k - j if band is None else k - band[1]    # i - j of each nonzero entry
+        lower, upper = int(offsets.max(initial=0)), int(-offsets.min(initial=0))
+        if lower + upper + 1 >= n:     # the band covers the matrix
+            P = P if band is None else _dense(P, band)
+            band = None
+        else:
+            rows, inside = _band_rows(n, (lower, upper))
+            P = (np.where(inside, P[:, rows, np.arange(n)], 0.0) if band is None
+                 else P[:, band[1] - upper:band[1] + lower + 1])
+            band = (lower, upper)
+        h0, h1, theta1 = (np.array(v, dtype=float) for v in (h0, h1, theta1))
         for name, v in (("h0", h0), ("h1", h1), ("theta1", theta1)):
             if v.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
-        for name, v in (("P0", P0), ("P1", P1), ("h0", h0), ("h1", h1), ("theta1", theta1)):
+        R0, R1 = P if band is None else _by_rows(P, band)   # the matrices' rows
+        for name, v in (("P0", R0), ("P1", R1), ("h0", h0), ("h1", h1), ("theta1", theta1)):
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} has non-finite entries")
-        for name, P in (("P0", P0), ("P1", P1)):
-            if np.any(P < -1e-12):
+        for name, R in (("P0", R0), ("P1", R1)):
+            if np.any(R < -1e-12):
                 raise ValueError(f"{name} has negative entries")
-            rowsums = P.sum(axis=1)
-            if np.max(np.abs(rowsums - 1.0)) > 1e-12:
+            if np.max(np.abs(R.sum(axis=1) - 1.0)) > 1e-12:
                 raise ValueError(f"{name} rows must sum to 1 within 1e-12")
         if not np.all(theta1 > 0):
             raise ValueError("activity weights theta1 must be strictly positive")
-        if not (0.0 <= self.beta <= 1.0):
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        ctrl = frozenset(self.controllable)
-        if not all(_is_level(j, n - 1) for j in ctrl):   # a bool or 1.5 is refused, not cut
+        if not (0.0 <= beta <= 1.0):
+            raise ValueError(f"beta must lie in [0, 1], got {beta}")
+        ctrl = frozenset(controllable)
+        plain = set(map(type, ctrl)) <= {int}     # then the range alone decides
+        if not (plain and 0 <= min(ctrl, default=0) and max(ctrl, default=0) < n
+                or all(_is_level(j, n - 1) for j in ctrl)):   # a bool or 1.5 is refused, not cut
             raise ValueError(f"controllable states must be integers in 0..{n - 1}")
         ctrl = frozenset(map(int, ctrl))
-        for i in sorted(set(range(n)) - ctrl):
-            if np.max(np.abs(P0[i] - P1[i])) > 1e-12 or abs(h0[i] - h1[i]) > 1e-12:
-                raise ValueError(
-                    f"state {i} declared uncontrollable but its two actions differ")
         ctrl_mask = np.zeros(n, dtype=bool)
         ctrl_mask[sorted(ctrl)] = True
-        kernel = _SolveKernel(P0, P1, self.beta)
-        if n > SOFT_STATE_CAP and kernel.band is None:
+        fixed = np.flatnonzero(~ctrl_mask)
+        differ = ((np.abs(R0[fixed] - R1[fixed]).max(axis=1, initial=0.0) > 1e-12)
+                  | (np.abs(h0[fixed] - h1[fixed]) > 1e-12))
+        if differ.any():
+            raise ValueError(f"state {fixed[differ.argmax()]} declared uncontrollable "
+                             "but its two actions differ")
+        kernel = _SolveKernel(band, P, beta)
+        if n > SOFT_STATE_CAP and band is None:
             warnings.warn(f"model has {n} states; dense linear algebra may be slow")
-        for arr in (P0, P1, h0, h1, theta1, ctrl_mask):
+        for arr in (P, h0, h1, theta1, ctrl_mask):
             arr.setflags(write=False)
-        for name, value in (("P0", P0), ("P1", P1), ("h0", h0), ("h1", h1), ("theta1", theta1),
-                            ("controllable", ctrl), ("kernel", kernel), ("ctrl_mask", ctrl_mask)):
+        for name, value in (("_band", band), ("_P", P), ("h0", h0), ("h1", h1),
+                            ("theta1", theta1), ("beta", beta), ("controllable", ctrl),
+                            ("kernel", kernel), ("ctrl_mask", ctrl_mask)):
             object.__setattr__(self, name, value)
+
+    def _matrix(self, a: int) -> np.ndarray:
+        """P_a as a read-only dense array."""
+        P = self._P[a] if self._band is None else _dense(self._P[a], self._band)
+        P.setflags(write=False)
+        return P
+
+    @cached_property
+    def P0(self) -> np.ndarray:
+        """The passive transition matrix, dense and read-only."""
+        return self._matrix(0)
+
+    @cached_property
+    def P1(self) -> np.ndarray:
+        """The active transition matrix, dense and read-only."""
+        return self._matrix(1)
 
     @property
     def n_states(self) -> int:
-        return self.P0.shape[0]
+        return self._P.shape[-1]
 
     @property
     def uncontrollable(self) -> frozenset:
@@ -268,9 +325,11 @@ class RBModel:
     def communicating(self) -> bool:
         """True iff every state is reachable from every other under some
         policy (strong connectivity of the union of the two transition
-        graphs), decided once per model, on first use."""
-        adj = ((self.P0 > 0) | (self.P1 > 0)).astype(int)
-        n_comp, _ = connected_components(adj, directed=True, connection="strong")
+        graphs), decided once per model, on first use, from its storage."""
+        edges, band = (self._P > 0).any(axis=0), self._band
+        graph = edges if band is None else dia_array(   # scipy's DIA layout is band storage
+            (edges, np.arange(band[1], -band[0] - 1, -1)), shape=(self.n_states,) * 2)
+        n_comp, _ = connected_components(graph, directed=True, connection="strong")
         return n_comp == 1
 
     @cached_property
@@ -284,7 +343,7 @@ class RBModel:
     def average_kernel(self) -> _SolveKernel:
         """The solve kernel at beta = 1, which the average criterion reads
         whatever ``beta`` is; built once per model, on first use."""
-        return self.kernel if self.beta == 1 else _SolveKernel(self.P0, self.P1, 1.0)
+        return self.kernel if self.beta == 1 else _SolveKernel(self._band, self._P, 1.0)
 
 
 def _require_discounted(model: RBModel):
@@ -415,11 +474,6 @@ class PCLReport:
     def nu(self) -> np.ndarray:
         return self.ag.nu
 
-    @property
-    def chain_states(self) -> tuple[frozenset, ...]:
-        """The sets ``state_order[k:]``, built anew on each access: bind them once."""
-        return suffix_sets(self.state_order)
-
 
 def _require_ground(model: RBModel, sys: SetSystem):
     if sys.n != len(model.controllable):
@@ -449,8 +503,9 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
             w = model.theta1 + kernel.apply(kernel.dP, B)
         W = w[:, at]
         violations += [(part.start + r, e, float(W[r, e])) for r, e in np.argwhere(~(W > 0.0))]
-        # W[r][member[r]] lists row r's entries in sorted(S) order
-        scan += map(np.compress, member, W)
+        # one gather lists row r's entries in sorted(S) order, row after row
+        rows, ends = W[member], np.cumsum(member.sum(axis=1)).tolist()
+        scan += [rows[lo:hi] for lo, hi in zip([0] + ends, ends)]
     if average and sys.ground not in sys:
         c_bar = _average_rows(model, np.ones((1, model.n_states), dtype=bool))[3]
     cost = c_bar[-1] if average else model.normalized_cost

@@ -10,7 +10,7 @@ import pytest
 from pclindex import admission, bandit, dp
 from pclindex.greedy import WorkloadOracle, ag1, ag2, dual_solution, primal_vertex
 from pclindex.policies import QueueSpec, RoutingSystem, switching_curve
-from pclindex.setsystem import enumerate_full_strings, threshold_family
+from pclindex.setsystem import enumerate_full_strings, suffix_sets, threshold_family
 from pclindex.simulate import SimConfig, simulate
 
 from conftest import (random_compliant_admission, random_positive_workload_rb,
@@ -211,7 +211,7 @@ def test_acceptance_10_constrained_control(rng):
         fam = threshold_family(n)
         rep = bandit.average_pcl_index(rb, fam)
         ok = ok and rep.indexable
-        chain = list(rep.chain_states) + [frozenset()]
+        chain = list(suffix_sets(rep.state_order)) + [frozenset()]
         b_bars = [bandit.average_limits(rb, s).b_bar for s in chain]
         nu_seq = [rep.nu_by_state[j] for j in rep.state_order]
         slopes_in_t = []

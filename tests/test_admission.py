@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +130,26 @@ def test_uniformize_small_explicit_matrices():
     assert np.allclose(rb.P1, [[1.0, 0.0], [0.5, 0.5]])
     assert np.allclose(rb.P0, [[0.5, 0.5], [0.5, 0.5]])
     assert rb.beta == pytest.approx(1.0)
+
+
+def test_uniformize_writes_the_band_and_no_dense_matrix():
+    # n = 4000: the band storage of P0/P1 is under 0.2 MiB, where the two
+    # dense matrices would take 256 MiB; each is built when first read
+    n = 4000
+    m = ACModel(n, np.full(n + 1, 1.0), np.full(n, 1.3), np.arange(n + 1.0) ** 2, 0.1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rb = uniformize(m)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert rb.kernel.band == (1, 1) and "P0" not in vars(rb) and "P1" not in vars(rb)
+    assert rb.P0.shape == (n + 1, n + 1) and not rb.P0.flags.writeable
+    assert rb.P0[n, n - 1] == 1.3 / 2.3 and rb.P0[0, 1] == 1.0 / 2.3 and rb.P0[0, 2] == 0.0
+    assert "P0" in vars(rb) and "P1" not in vars(rb)
 
 
 def test_uniformize_rows_stochastic(rng):

@@ -17,7 +17,7 @@ from pclindex.bandit import (RBModel, activity_measure, average_limits,
                              verify_workload_decomposition)
 from pclindex.errors import (DegeneracyError, InfeasibleTargetError,
                              InternalConsistencyError, UnsupportedModelError)
-from pclindex.setsystem import SetSystem, powerset_family, threshold_family
+from pclindex.setsystem import SetSystem, powerset_family, suffix_sets, threshold_family
 
 from conftest import (random_compliant_admission, random_positive_workload_rb,
                       random_rb)
@@ -74,8 +74,10 @@ def test_theta_must_be_positive():
 
 
 @pytest.mark.parametrize("controllable", [frozenset({1.5, True}), frozenset({True}),
-                                          frozenset({0.5}), frozenset({1.0}), frozenset({2})],
-                         ids=["fraction-and-bool", "bool", "fraction", "float", "out-of-range"])
+                                          frozenset({0.5}), frozenset({1.0}), frozenset({2}),
+                                          frozenset({-1, 0})],
+                         ids=["fraction-and-bool", "bool", "fraction", "float", "out-of-range",
+                              "negative"])
 def test_controllable_entries_must_be_integer_levels(controllable):
     # int() cut {1.5, True} down to {1} without a word
     P = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -548,8 +550,8 @@ def assert_reports_match_under_relabelling(rep, moved):
     assert moved.state_order == tuple(PERM[i] for i in rep.state_order)
     assert moved.nu_by_state == pytest.approx(
         {PERM[i]: v for i, v in rep.nu_by_state.items()}, rel=1e-9, abs=1e-12)
-    assert moved.chain_states == tuple(frozenset(PERM[i] for i in s)
-                                       for s in rep.chain_states)
+    assert suffix_sets(moved.state_order) == tuple(frozenset(PERM[i] for i in s)
+                                                   for s in suffix_sets(rep.state_order))
     assert [(s, j) for s, j, _ in moved.workload_violations] == \
         [(frozenset(PERM[i] for i in s), PERM[j]) for s, j, _ in rep.workload_violations]
     assert (moved.indexable, moved.admissible) == (rep.indexable, rep.admissible)
@@ -754,6 +756,13 @@ def test_average_limits_rejects_multichain_policy():
     assert al.b_bar == pytest.approx(1.0)
 
 
+def kernel_of(P0, P1, beta):
+    """The solve kernel at ``beta`` of a model with transition matrices P0
+    and P1, every state controllable."""
+    n = len(P0)
+    return RBModel(P0, P1, np.zeros(n), np.zeros(n), np.ones(n), beta, frozenset(range(n))).kernel
+
+
 def _random_multichain(rng, n, n_closed):
     """Row-stochastic matrix on n shuffled states: n_closed irreducible
     closed blocks, the rest transient with random edges (cycles among the
@@ -802,7 +811,7 @@ def test_recurrent_classes_match_component_loop(rng):
     def kernel_union(P0, P1, masks):
         # the edges as the average criterion's kernel reads them from its
         # storage: system k is P1's rows on masks[k] and P0's elsewhere
-        kernel = bandit._SolveKernel(P0, P1, 1.0)
+        kernel = kernel_of(P0, P1, 1.0)
         check([np.where(mask[:, None], P1, P0) for mask in masks],
               bandit._recurrent_classes(masks.shape, *kernel.edges(masks)))
         return kernel
@@ -827,7 +836,7 @@ def test_constrained_policy_breakpoints_and_interpolation(rng):
     fam = threshold_family(4)
     rep = average_pcl_index(rb, fam)
     assert rep.indexable
-    chain = list(rep.chain_states) + [frozenset()]
+    chain = list(suffix_sets(rep.state_order)) + [frozenset()]
     b_bars = [average_limits(rb, s).b_bar for s in chain]
     v_bars = [average_limits(rb, s).v_bar for s in chain]
     # exactly at a chain point: deterministic policy
@@ -860,7 +869,7 @@ def test_constrained_value_piecewise_linear_convex(rng):
     rb = admission.uniformize(m)
     fam = threshold_family(4)
     rep = average_pcl_index(rb, fam)
-    chain = list(rep.chain_states) + [frozenset()]
+    chain = list(suffix_sets(rep.state_order)) + [frozenset()]
     b_bars = [average_limits(rb, s).b_bar for s in chain]
     nu_seq = [rep.nu_by_state[j] for j in rep.state_order]
     slopes = []
@@ -893,7 +902,7 @@ def test_constrained_policy_evaluates_each_chain_set_once(monkeypatch):
     rb = admission.uniformize(regular_admission(20, alpha=0.0))
     fam = threshold_family(20)
     rep = average_pcl_index(rb, fam)
-    chain = list(rep.chain_states) + [frozenset()]
+    chain = list(suffix_sets(rep.state_order)) + [frozenset()]
     t = 0.5 * (average_limits(rb, chain[3]).b_bar + average_limits(rb, chain[4]).b_bar)
     batches, rows = [], bandit._average_rows
 
@@ -977,7 +986,7 @@ def test_banded_apply_broadcasts_over_columns_bit_for_bit(band):
     inside = (i - j <= lower) & (j - i <= upper)
     P0, P1 = (np.where(inside, rng.uniform(0.1, 1.0, (n, n)), 0.0) for _ in range(2))
     P0, P1 = (P / P.sum(axis=1, keepdims=True) for P in (P0, P1))
-    kernel = bandit._SolveKernel(P0, P1, 0.9)
+    kernel = kernel_of(P0, P1, 0.9)
     assert kernel.band == band
     x = rng.uniform(-1.0, 1.0, (5, n))
     for M in (kernel.bP0, kernel.bP1, kernel.dP, kernel.system(rng.random(n) < 0.5)):
@@ -991,7 +1000,7 @@ def test_anchored_solve_is_the_bordered_gain_bias_system():
     # chain: stationary (2/3, 1/3), so z[r] = 1 / pi_r and the gain is
     # y[r] / z[r] whichever recurrent state anchors it
     P = np.array([[0.5, 0.5], [1.0, 0.0]])
-    kernel = bandit._SolveKernel(P, P, 1.0)
+    kernel = kernel_of(P, P, 1.0)
     mask = np.zeros(2, dtype=bool)
     rhs = np.stack(([3.0, 0.0], np.ones(2)))
     for anchor, pi in ((0, 2 / 3), (1, 1 / 3)):

@@ -339,8 +339,12 @@ def test_dp_verify_admission_file_reads_the_family_option(tmp_path, capsys, monk
 
 
 # n = 50, lam 1, mu 1/1.3, h_i = i^2, alpha 1e-6: near-critical discounting
-# pushes the PCL indices of states 26..49 up to 911 (1.1e-5 relative) off
-# the charge path's exact breakpoints, while both keep the same order
+# puts the PCL indices of states 26..49 up to 911 (1.1e-5 relative) off
+# the charge path's breakpoints, while both keep the same order.  Neither
+# path is exact here: against exact rational indices (a Fraction solve on
+# the uniformized model's own float bits, at states 0, 10, 26, 35 and 49)
+# the breakpoints are up to 6.8e-6 off and the PCL indices up to 4e-7, so
+# the disagreement is mostly the DP's own error
 DRIFTING_N50 = {"kind": "admission", "n": 50, "alpha": 1e-6, "lambda": [1.0] * 51,
                 "mu": [1 / 1.3] * 50, "h": [float(j * j) for j in range(51)]}
 

@@ -136,6 +136,20 @@ def test_a_miss_takes_one_step_by_policy_iteration(monkeypatch, model, passes):
     assert_same_path(model)
 
 
+def test_the_batch_after_a_miss_holds_2c_plus_1_policies(monkeypatch):
+    # the start's solve, then a batch of all 5 turning states that confirms
+    # c = 1 and misses at the next; the miss's step takes one policy
+    # iteration pass, and the next batch holds 2c + 1 = 3 policies, fewer
+    # than the 4 states then turning (4K = 20 would be cut to those 4)
+    model = random_model(59, 5, 5, (1, 1), 0.99)
+    systems, lines = [], dp._lines
+    monkeypatch.setattr(dp, "_lines", lambda m, a: systems.append(len(a)) or lines(m, a))
+    path = dp.charge_path(model)
+    assert systems == [1, 5, 1, 3] and len(path.policies) == 6
+    monkeypatch.undo()
+    assert_same_path(model)
+
+
 def benchmark_queue(n: int, seed: int = 1) -> RBModel:
     """The regular admission queue the benchmark draws for ``seed``: lam = 1,
     concave increasing service rates, convex costs, discount rate 0.1."""

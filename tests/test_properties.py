@@ -10,10 +10,12 @@ exact rational reference, the banded set-active solves and average
 limits against dense linear algebra, the multi-column kernel solve against
 column-by-column solves, the batched family scans of both criteria
 against one solve per member, the certificates' chain stacks against one
-measure solve per set, the charge-sequence policy iteration against
-cold value iteration, and the one-pass schema check against stock
-jsonschema."""
+measure solve per set, the band-native uniformized queues against the
+models rebuilt from their dense matrices, the charge-sequence policy
+iteration against cold value iteration, and the one-pass schema check
+against stock jsonschema."""
 
+import dataclasses
 import importlib
 import itertools
 import json
@@ -891,6 +893,83 @@ def test_average_limits_match_dense_bordered_system(seed, n, lower, upper, beta)
 
 
 # ---------------------------------------------------------------------------
+# Band-native uniformized queues vs. the models rebuilt from their dense P0/P1
+# ---------------------------------------------------------------------------
+
+def bits(x):
+    """``x`` as a comparable value that two results share only when they are
+    equal bit for bit: arrays and floats by their bytes (NaN payloads too),
+    reports field by field."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return np.float64(x).tobytes()
+    if isinstance(x, (bandit.PCLReport, bandit.AGOutput)):
+        return tuple(bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, dict):
+        return tuple((k, bits(v)) for k, v in sorted(x.items()))
+    if isinstance(x, (tuple, list)):
+        return tuple(map(bits, x))
+    return x
+
+
+def result_bits(f, *args):
+    """The bits of f(*args), or the type and message of the error it raises."""
+    try:
+        return bits(f(*args))
+    except (PclIndexError, ValueError) as err:
+        return type(err), str(err)
+
+
+@st.composite
+def queues(draw):
+    """Random admission queues (not necessarily regular): positive arrival
+    rates, service rates that may vanish, any holding costs, alpha 0 or
+    not, the default or a larger uniformization rate."""
+    n, rng = draw(st.integers(1, 60)), np.random.default_rng(draw(seeds))
+    lam, mu = rng.uniform(0.2, 2.0, n + 1), rng.uniform(0.2, 2.0, n)
+    mu[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    alpha = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    big = None if draw(st.booleans()) else float(np.max(lam[1:] + mu) + 1.0)
+    return ACModel(n, lam, mu, rng.uniform(-2.0, 5.0, n + 1), alpha, big)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(m=queues())
+@example(m=ACModel(1, np.ones(2), np.ones(1), np.arange(2.0), 0.0))
+@example(m=ACModel(2, np.ones(3), np.ones(2), np.arange(3.0), 0.1))
+def test_band_native_queue_is_its_dense_rebuild(m):
+    # the queue as uniformize writes it (band storage, or dense when the
+    # band covers the matrix) and as RBModel stores its dense P0/P1: the
+    # same kernels, communication and reports, bit for bit
+    rb = uniformize(m)
+    n, big, mu = m.n, float(m.Lambda), m.mu_full
+    P0, P1 = np.zeros((2, n + 1, n + 1))      # the tridiagonal matrices, entry by entry
+    for i in range(n + 1):
+        if i:
+            P0[i, i - 1] = P1[i, i - 1] = mu[i] / big
+        if i < n:
+            P0[i, i + 1] = m.lam[i] / big
+        P0[i, i] = (big - (m.lam[i] if i < n else 0.0) - mu[i]) / big
+        P1[i, i] = (big - mu[i]) / big
+    assert bits(rb.P0) == bits(P0) and bits(rb.P1) == bits(P1)
+    assert not (rb.P0.flags.writeable or rb.P1.flags.writeable)
+    dense = bandit.RBModel(rb.P0, rb.P1, rb.h0, rb.h1, rb.theta1, rb.beta, rb.controllable)
+    for a, b in ((rb.kernel, dense.kernel), (rb.average_kernel, dense.average_kernel)):
+        assert a.band == b.band
+        assert all(bits(getattr(a, k)) == bits(getattr(b, k)) for k in ("bP0", "bP1", "dP"))
+    assert rb.communicating == dense.communicating
+    fam = threshold_family(n)
+    for f in (bandit.pcl_index, bandit.average_pcl_index):
+        assert result_bits(f, rb, fam) == result_bits(f, dense, fam)
+
+    def path(model):
+        p = dp.charge_path(model)
+        return p.breakpoints, p.policies
+    assert result_bits(path, rb) == result_bits(path, dense)
+
+
+# ---------------------------------------------------------------------------
 # The exact charge path vs. cold policy and value iteration
 # ---------------------------------------------------------------------------
 
@@ -1156,7 +1235,7 @@ def test_average_scan_batches_match_one_mask_limits(seed, n, lower, upper, dense
 
 def per_set_value_breakpoints(m: bandit.RBModel, rep, i: int) -> bandit.ValueSegments:
     """value_breakpoints read off one activity_measure/cost_measure per chain set."""
-    chain = rep.chain_states + (frozenset(),)
+    chain = suffix_sets(rep.state_order) + (frozenset(),)
     intercepts = [float(bandit.cost_measure(m, s)[i]) for s in chain]
     slopes = [float(bandit.activity_measure(m, s)[i]) for s in chain]
     scale = max(1.0, max(abs(x) for x in slopes))
@@ -1184,7 +1263,7 @@ def per_set_dmr_report(m: bandit.RBModel, rep, p) -> bandit.DMRReport:
             raise DegeneracyError("dmr_report compares two policies of equal activity")
         return (v_t - v_s) / (b_s - b_t)
 
-    chain = rep.chain_states + (frozenset(),)
+    chain = suffix_sets(rep.state_order) + (frozenset(),)
     b_agg = [aggregates(s)[0] for s in chain]
     scale_b = max(1.0, max(abs(x) for x in b_agg))
     strict = all(b_agg[k] > b_agg[k + 1] + 1e-12 * scale_b for k in range(len(b_agg) - 1))
