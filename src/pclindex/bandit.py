@@ -23,8 +23,6 @@ from typing import Iterable
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.sparse import csr_array, dia_array
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (DegeneracyError, InfeasibleTargetError, InternalConsistencyError,
                      _is_level, UnsupportedModelError)
@@ -326,11 +324,11 @@ class RBModel:
         """True iff every state is reachable from every other under some
         policy (strong connectivity of the union of the two transition
         graphs), decided once per model, on first use, from its storage."""
+        from scipy.sparse import dia_array
         edges, band = (self._P > 0).any(axis=0), self._band
         graph = edges if band is None else dia_array(   # scipy's DIA layout is band storage
             (edges, np.arange(band[1], -band[0] - 1, -1)), shape=(self.n_states,) * 2)
-        n_comp, _ = connected_components(graph, directed=True, connection="strong")
-        return n_comp == 1
+        return _strong_components(graph)[0] == 1
 
     @cached_property
     def normalized_cost(self) -> np.ndarray:
@@ -704,15 +702,23 @@ class AverageLimits:
     c_bar: np.ndarray
 
 
+def _strong_components(graph) -> tuple:
+    """The number and labels of a graph's strong components.  Only the
+    average criterion imports scipy.sparse, so discounted jobs never load it."""
+    from scipy.sparse.csgraph import connected_components
+    return connected_components(graph, directed=True, connection="strong")
+
+
 def _recurrent_classes(shape: tuple[int, int], src: np.ndarray, dst: np.ndarray) -> tuple:
     """The number of closed strong components (no edge leaves them) of each
     of m graphs on n states, and the (m, n) mask of their states, from the
     edges src -> dst of their union, sources ascending, graph k's states
     numbered from k*n."""
+    from scipy.sparse import csr_array
     (m, n), size = shape, shape[0] * shape[1]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=size))))
     graph = csr_array((np.ones(len(src)), dst, indptr), shape=(size, size))
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
+    n_comp, labels = _strong_components(graph)
     closed, source = np.ones(n_comp, dtype=bool), labels[src]
     closed[source[source != labels[dst]]] = False
     system = np.empty(n_comp, dtype=int)

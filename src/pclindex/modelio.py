@@ -2,7 +2,10 @@
 
 One document describes one model, discriminated by its ``kind``:
 ``rb`` (general restless bandit), ``admission`` (birth--death admission
-control), ``routing`` (parallel queues) or ``mts`` (make-to-stock).
+control), ``routing`` (parallel queues) or ``mts`` (make-to-stock).  A
+routing or make-to-stock rate field is a number or a nonempty number array,
+one schema of both types (``"type": ["number", "array"]``, not ``oneOf``),
+so an error names the failing element.
 Serialization is canonical: sorted keys, compact separators, full
 double-precision decimal numbers; loading then dumping a document is
 idempotent byte-for-byte.
@@ -25,7 +28,7 @@ from .policies import MTSSystem, ProductSpec, QueueSpec, RoutingSystem
 _NUM = {"type": "number"}
 _VEC = {"type": "array", "items": _NUM, "minItems": 1}
 _MAT = {"type": "array", "items": _VEC, "minItems": 1}
-_SCALAR_OR_VEC = {"oneOf": [_NUM, _VEC]}
+_SCALAR_OR_VEC = {"type": ["number", "array"], "items": _NUM, "minItems": 1}
 
 SCHEMAS: dict[str, dict] = {
     "rb": {

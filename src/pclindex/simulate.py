@@ -22,7 +22,10 @@ on how many replications nor on which other policies run.  Costs accrue
 in event order (holding cost, then charge) by one cumulative sum per
 span of steps, so memory is O(rows x CHUNK) for the draws, in batches of
 at most ``BATCH`` rows, and the report always carries the confidence
-interval, never a bare mean.
+interval, never a bare mean.  A run with an event budget and no horizon
+skips every horizon statement (the per-step cut of rows past it and the
+clamp of their clocks), and boundary hits are counted only when some
+buffer is truncated.
 """
 
 from __future__ import annotations
@@ -365,6 +368,7 @@ def simulate_all(system, policies, config: SimConfig) -> list[SimReport]:
     slots, per = np.tile([rows.slot(p * size) for p in range(P)], reps), max(1, BATCH // P)
     (t, acc), disc, warm = np.zeros((2, P * reps)), np.ones(P * reps), np.full(P * reps, start)
     events, hits = np.zeros((2, P * reps), dtype=np.intp)
+    timed = math.isfinite(horizon)   # an event-budget run skips every horizon statement
     for first in range(0, reps, per):
         batch = range(first, min(reps, first + per))
         # default_rng([seed, r]) for each replication r, its seed state hashed for all at once
@@ -381,46 +385,51 @@ def simulate_all(system, policies, config: SimConfig) -> list[SimReport]:
             # one block per replication, read by each of its rows: (n, m) each, step-major
             E, U = block.transpose(1, 2, 0)[:, :n].take(col, axis=2)
             span = max(1, min(n, CELLS // m))
-            at, outcome = np.empty((2, span, m), dtype=np.intp)   # slot and outcome per step
-            clock = np.empty((span + 1, m))                       # event epochs
-            clock[0], s, a, d, w = t[live], slots[live], acc[live], disc[live], warm[live]
-            ev = hit = 0
+            at, outcome = np.empty((2, span + 1, m), dtype=np.intp)   # slot, outcome per step
+            clock, later = np.empty((2, span + 1, m))   # event epochs, discount factors
+            clock[0], at[0], later[0] = t[live], slots[live], disc[live]
+            a, w, ev, hit, edges = acc[live], warm[live], 0, 0, np.empty(m, dtype=np.intp)
             for lo in range(0, n, span):
                 j = min(span, n - lo)
                 for i in range(j):
-                    at[i], v = s, rows.vals.take(s, 0).T
+                    v = rows.vals.take(at[i], 0).T
                     np.add(clock[i], E[lo + i] * v[0], out=clock[i + 1])
                     np.less_equal(v[5:], U[lo + i] * v[1], order="C").sum(0, out=outcome[i])
-                    edges = s * width + outcome[i]
-                    s = rows.nexts.take(edges)
-                    s[clock[i + 1] >= horizon] = 0
+                    np.add(np.multiply(at[i], width, out=edges), outcome[i], out=edges)
+                    # edges are in range, so "clip" never acts; it spares take a buffered copy
+                    s = rows.nexts.take(edges, out=at[i + 1], mode="clip")
+                    if timed:
+                        s[clock[i + 1] >= horizon] = 0
                     if s.min() < 0:
                         rows.follow(edges, s)
                 # steps end at a dead state, the budget or the horizon (accrued to, no event)
-                total, rate, charge, flag = (rows.vals[:, c].take(at[:j]) for c in range(1, 5))
-                tnext = np.minimum(clock[1:j + 1], horizon)
-                event = (total > 0) & (clock[1:j + 1] <= horizon)
+                total, rate, charge = (rows.vals[:, c].take(at[:j]) for c in range(1, 4))
+                tnext, event = clock[1:j + 1], total > 0
+                if timed:
+                    event, tnext = event & (tnext <= horizon), np.minimum(tnext, horizon)
                 lump = event & (outcome[:j] == 0)
                 k = warmup_events - done - lo - 1   # the warm-up's last event, in the span
                 after = np.where(event[k], tnext[k], w) if 0 <= k < j else w
                 terms = np.empty((2 * j + 1, m))   # the objective, then cost and charge per step
                 terms[0] = a
-                if alpha > 0:
-                    later = np.exp(-alpha * tnext)
-                    terms[1::2] = rate * (np.concatenate([d[None], later[:-1]]) - later) / alpha
-                    terms[2::2] = np.where(lump, charge * later, 0.0)
-                    d = later[-1]
+                if alpha > 0:   # later[0] is the factor at the span's start
+                    now = later[1:j + 1]
+                    np.exp(np.multiply(tnext, -alpha, out=now), out=now)
+                    terms[1::2] = rate * (later[:j] - now) / alpha
+                    terms[2::2] = np.where(lump, np.multiply(charge, now, out=charge), 0.0)
+                    later[0] = later[j]
                 else:
                     gate = np.where(np.arange(j)[:, None] >= k, after, w)
                     terms[1::2] = rate * np.maximum(tnext - np.maximum(clock[:j], gate), 0.0)
                     terms[2::2] = np.where(lump & (tnext >= gate), charge, 0.0)
                 a = np.add.accumulate(terms, out=terms)[-1]
-                ev, hit = ev + event.sum(0), hit + (event & (flag > 0)).sum(0)
-                w, clock[0] = after, clock[j]
+                ev = ev + event.sum(0)
+                if truncated:
+                    hit = hit + (event & (rows.vals[:, 4].take(at[:j]) > 0)).sum(0)
+                w, clock[0], at[0] = after, clock[j], at[j]
             del E, U   # before the next chunk's draws
-            acc[live], disc[live], warm[live], t[live], slots[live] = a, d, w, tnext[-1], s
-            events[live] += ev
-            hits[live] += hit
+            acc[live], disc[live], warm[live], t[live] = a, later[0], w, tnext[-1]
+            slots[live], events[live], hits[live] = at[0], events[live] + ev, hits[live] + hit
             live, done = live[event[-1] & (clock[0] < horizon)], done + n
     values = acc if alpha > 0 else acc / np.maximum(t - warm, 1e-300)
     return [_finish_report(label, values[p::P].tolist(), int(events[p::P].sum()),

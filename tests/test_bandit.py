@@ -684,17 +684,17 @@ def test_communication_is_decided_once_per_model(rng, monkeypatch):
     # family scan, here 4 batches of at most 2 members, without the
     # per-model cache
     passes = {"all": 0, "classes": 0}
-    components, classes = bandit.connected_components, bandit._recurrent_classes
+    components, classes = bandit._strong_components, bandit._recurrent_classes
 
-    def counted_components(*args, **kwargs):
+    def counted_components(*args):
         passes["all"] += 1
-        return components(*args, **kwargs)
+        return components(*args)
 
     def counted_classes(*args):
         passes["classes"] += 1
         return classes(*args)
 
-    monkeypatch.setattr(bandit, "connected_components", counted_components)
+    monkeypatch.setattr(bandit, "_strong_components", counted_components)
     monkeypatch.setattr(bandit, "_recurrent_classes", counted_classes)
     m = admission.uniformize(random_compliant_admission(rng, 6, alpha=0.0))
     monkeypatch.setattr(bandit, "SCAN_ENTRIES", 2 * m.kernel.dP.size)

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -637,3 +641,32 @@ def test_counterexample_report_is_pinned(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "0e009f51d75d8b12329b0891e6c0f73329c73929bd104938a8de9507013903e0"
+
+
+# ---------------------------------------------------------------------------
+# Cold start
+# ---------------------------------------------------------------------------
+
+SPARSE_PROBE = """import sys
+from pclindex import cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print("scipy.sparse" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("alpha, loaded", [(None, False), (0.1, False), (0.0, True)],
+                         ids=["import", "discounted-index", "average-index"])
+def test_scipy_sparse_is_loaded_by_the_average_criterion_only(tmp_path, alpha, loaded):
+    # in a fresh process, importing the CLI and a discounted index job leave
+    # scipy.sparse unloaded; the average criterion's communication and
+    # recurrent-class checks import it
+    argv = [] if alpha is None else ["index", write_doc(tmp_path, dict(ADMISSION_DOC,
+                                                                       alpha=alpha))]
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SPARSE_PROBE, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split()[-1] == str(loaded)

@@ -1349,8 +1349,8 @@ def _schema_docs() -> dict:
 
 
 # every number array of the four documents (top level, matrix rows, and the
-# vector branches of the routing and make-to-stock oneOf fields), and the
-# rb document's integer arrays, whose items stay with the stock keyword
+# array values of the routing and make-to-stock rate fields), and the rb
+# document's integer arrays, whose items stay with the stock keyword
 ARRAYS = [
     ("rb", ("controllable",)), ("rb", ("family", 2)),
     ("rb", ("h0",)), ("rb", ("theta1",)), ("rb", ("P0", 1)), ("rb", ("P1", 0)),
@@ -1397,3 +1397,30 @@ def test_one_pass_schema_check_matches_stock_jsonschema(kind, path, tmp_path):
         with pytest.raises(modelio.ModelFileError) as exc:
             modelio.load_model(str(file))
         assert str(exc.value) == f"schema violation at {'/'.join(map(str, where))}: {message}"
+
+
+# the scalar-or-vector rate fields of routing and make-to-stock files, and
+# the form their schema had before it was one schema of both types
+RATE_FIELDS = [("routing", ("queues", 0, key)) for key in ("mu", "h")] + [
+    ("mts", ("products", 0, key)) for key in ("lambda", "mu", "c", "r")]
+ONE_OF_RATE = {"oneOf": [{"type": "number"},
+                         {"type": "array", "items": {"type": "number"}, "minItems": 1}]}
+RATE_VALUES = [0, 3, -2, 0.0, 1.5, -0.25, True, False, None, "a", "", {}, [], [1.0],
+               [1, True], [[1.0]], ["a"]]
+
+
+@pytest.mark.parametrize("kind, path", RATE_FIELDS,
+                         ids=["/".join(map(str, (k,) + p)) for k, p in RATE_FIELDS])
+def test_rate_field_schema_accepts_what_the_one_of_form_accepted(kind, path):
+    schema = json.loads(json.dumps(modelio.SCHEMAS[kind]))
+    fields = _array_at(schema, ("properties", path[0], "items", "properties"))
+    assert fields[path[-1]] == modelio._SCALAR_OR_VEC
+    fields[path[-1]] = ONE_OF_RATE
+    one_of = Draft202012Validator(schema)
+    for value in RATE_VALUES:
+        doc = _schema_docs()[kind]
+        _array_at(doc, path[:-1])[path[-1]] = value
+        accepted = type(value) in (int, float) or value == [1.0]
+        assert one_of.is_valid(doc) == accepted, value
+        assert Draft202012Validator(modelio.SCHEMAS[kind]).is_valid(doc) == accepted, value
+        assert modelio._VALIDATORS[kind].is_valid(doc) == accepted, value

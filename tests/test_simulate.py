@@ -294,6 +294,27 @@ def test_simulate_all_equals_one_call_per_policy(monkeypatch, sys, policies, bud
         assert min(rep.events for rep in together) > 2 * CHUNK * config.replications
 
 
+@pytest.mark.parametrize("sys, policies, warmup", [
+    (ROUTING_TRUNCATED[1], ["index", "shortest", lowest_level, "naive"], 0.2),
+    (ROUTING_TRUNCATED[0], ["index", "shortest", lowest_level, "naive"], 0.0),
+    (MTS_PAIR[1], ["least-stock", "index"], 0.2),
+    (MTS_PAIR[0], ["least-stock", "index"], 0.0)],
+    ids=["routing-discounted", "routing-average", "mts-discounted", "mts-average"])
+def test_horizon_past_the_event_budget_changes_nothing(monkeypatch, sys, policies, warmup):
+    # an event-budget run skips every horizon statement, and a horizon that
+    # no row reaches takes them: the rows must agree.  A finite horizon
+    # makes an average run's warm-up a time, not an event count, so the
+    # average runs have none; spans of 2 to 12 steps carry the discount
+    config = dict(max_events=700, replications=5, seed=9, truncation=6,
+                  warmup_fraction=warmup)
+    monkeypatch.setattr(SIMULATE, "CELLS", 50)
+    budget = simulate_all(sys, policies, SimConfig(**config))
+    both = simulate_all(sys, policies, SimConfig(horizon=1e9, **config))
+    assert list(map(run_signature, both)) == list(map(run_signature, budget))
+    if isinstance(sys, RoutingSystem):
+        assert sum(rep.boundary_hits for rep in budget) > 0
+
+
 def test_simulate_all_names_its_reports():
     config = SimConfig(max_events=300, replications=2, seed=1)
     reps = simulate_all(ROUTING_TRUNCATED[1], ["index", lowest_level, "naive"], config)
