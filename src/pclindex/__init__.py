@@ -33,8 +33,7 @@ from .admission import (ACModel, ak_coefficients, average_indices,
                         whittle_counterexample, whittle_variant, workload_pivots,
                         workload_table)
 from .policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
-                       mts_decide, mts_index, routing_decide, routing_index,
-                       switching_curve)
+                       mts_decide, routing_decide, switching_curve)
 from .simulate import SimConfig, SimReport, simulate, simulate_all
 from .errors import (AssumptionError, DegeneracyError, InfeasibleTargetError,
                      InternalConsistencyError, NumericalRangeError, PclIndexError,

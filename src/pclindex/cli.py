@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ASSUMPTION = 3
 EXIT_INCONSISTENT = 4
+GRID_CAP = 10**4   # most dp-verify sweep charges: the report prints each one's active set
 
 
 def _log(msg: str):
@@ -121,8 +122,8 @@ def cmd_index(args) -> int:
 
 
 def cmd_dp_verify(args) -> int:
-    if args.grid < 2:
-        raise ModelFileError(f"--grid must be at least 2, got {args.grid}")
+    if not 2 <= args.grid <= GRID_CAP:
+        raise ModelFileError(f"--grid must be in 2..{GRID_CAP}, got {args.grid}")
     model, doc = load_model(args.file)
     if isinstance(model, admission.ACModel):
         rb, need = admission.uniformize(model), "alpha > 0"

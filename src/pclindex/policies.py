@@ -133,21 +133,6 @@ class RoutingSystem(_Buffers):
                 _entries(q.h, n + 1, "h", linear=True).tolist())
 
 
-def _index_entry(table, sys, k: int, n: int | None, j) -> float:
-    """Entry j of ``table(sys, k, j + 1)``, for a level j below the size n of buffer k."""
-    cap = math.inf if n is None else n - 1
-    if not _is_level(j, cap):
-        raise ValueError(f"level {j!r} needs an integer in 0..{cap}; "
-                         "the index is undefined at a full buffer")
-    return float(table(sys, k, j + 1)[j])
-
-
-def routing_index(sys: RoutingSystem, k: int, j: int) -> float:
-    """Fair rejection charge of queue k at occupancy j (an entry of
-    :func:`routing_index_table`)."""
-    return _index_entry(routing_index_table, sys, k, sys.queues[k].n, j)
-
-
 def routing_index_table(sys: RoutingSystem, k: int, up_to: int) -> np.ndarray:
     """Indices of queue k for occupancies 0..up_to-1 in one pass.
 
@@ -307,12 +292,6 @@ class MTSSystem(_Buffers):
         cost[0] += p.s * orders[0]
         cost[1:] -= price * orders[1:]
         return rates + rates[-1:], orders.tolist(), cost.tolist()
-
-
-def mts_index(sys: MTSSystem, k: int, j: int) -> float:
-    """Critical production subsidy for product k at stock level j (an
-    entry of :func:`mts_index_table`)."""
-    return _index_entry(mts_index_table, sys, k, sys.products[k].n, j)
 
 
 def mts_index_table(sys: MTSSystem, k: int, up_to: int) -> np.ndarray:

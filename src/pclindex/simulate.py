@@ -43,6 +43,7 @@ BOUNDARY_FLAG_FRACTION = 1e-3
 CHUNK = 256   # events per block of random draws; part of the stream definition
 BATCH = 4096  # most rows (policy x replication) per lockstep batch; bounds memory only
 CELLS = 8192  # most steps x rows accrued by one pass of array expressions; speed only
+REPLICATION_CAP = 10**5   # most replications per study: each policy keeps a row per replication
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,7 @@ class SimConfig:
     where the truncation boundary was hit too often: a boundary hit is an
     event epoch at which some truncated buffer is at its cap.  Under the
     average criterion the first ``warmup_fraction`` of the horizon is discarded.
+    At most ``REPLICATION_CAP`` replications run.
     """
 
     horizon: float | None = None
@@ -80,6 +82,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.truncation > LEVEL_CAP:
             raise ValueError(f"truncation {self.truncation} exceeds the level cap {LEVEL_CAP}")
+        if self.replications > REPLICATION_CAP:
+            raise ValueError(f"replications {self.replications} exceed the cap {REPLICATION_CAP}")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup fraction must lie in [0, 1)")
 

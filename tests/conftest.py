@@ -1,4 +1,4 @@
-"""Shared randomized-instance generators for the test suite.
+"""Shared randomized-instance generators and CLI runners for the test suite.
 
 Everything is seeded through numpy Generators passed in by the tests, so
 runs are reproducible; helpers that retry (e.g. until marginal workloads
@@ -8,11 +8,14 @@ come out positive) draw from the same stream.
 from __future__ import annotations
 
 import itertools
+import json
+import os
+import pathlib
 
 import numpy as np
 import pytest
 
-from pclindex import bandit
+from pclindex import bandit, cli
 from pclindex.admission import ACModel
 from pclindex.bandit import RBModel
 from pclindex.greedy import WorkloadOracle
@@ -150,6 +153,45 @@ def star_system(model: RBModel, sys: SetSystem, initial: int):
         return float(b_cache[states][initial])
 
     return sys_star, WorkloadOracle(row, b)
+
+
+ROUTING_DOC = {
+    "kind": "routing", "lambda": 2.0, "alpha": 0.0, "nu": 5.0,
+    "queues": [{"n": 5, "mu": 1.0, "h": 1.0}, {"n": 5, "mu": 1.5, "h": 2.0}],
+}
+
+
+def write_doc(tmp_path, doc, name="model.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def assert_canonical(text: str) -> dict:
+    """The parsed report, after checking that it is ``json.dumps(report,
+    sort_keys=True, indent=2)`` plus a newline, byte for byte."""
+    report = json.loads(text)
+    canonical = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if text != canonical:   # no bare assert: pytest's diff of two long reports takes minutes
+        at = len(os.path.commonprefix([text, canonical]))
+        pytest.fail(f"report is not canonical JSON at character {at}: "
+                    f"{text[max(0, at - 30):at + 30]!r}")
+    return report
+
+
+def run_cli(capsys, *argv):
+    """``cli.main`` in this process: its exit code, canonical report and stderr."""
+    code = cli.main(list(argv))
+    out = capsys.readouterr()
+    return code, assert_canonical(out.out), out.err
+
+
+def package_env() -> dict:
+    """The environment with the imported package's parent dir first on
+    PYTHONPATH, so that a fresh ``python`` process imports this pclindex."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 import hashlib
 import json
-import os
-import pathlib
+import math
 import subprocess
 import sys
 import time
@@ -13,20 +12,9 @@ from pclindex import __version__, admission, bandit, cli, dp
 from pclindex.modelio import (canonical_json, document_from_model, load_model,
                               model_from_document)
 from pclindex.setsystem import powerset_family, threshold_family
+from pclindex.simulate import REPLICATION_CAP
 
-from conftest import random_rb
-
-
-def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
-    out = capsys.readouterr()
-    return code, json.loads(out.out), out.err
-
-
-def write_doc(tmp_path, doc, name="model.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return str(path)
+from conftest import ROUTING_DOC, package_env, random_rb, run_cli, write_doc
 
 
 ADMISSION_DOC = {
@@ -35,11 +23,6 @@ ADMISSION_DOC = {
     "mu": [2.0, 2.0, 2.0, 2.0],
     "h": [0.0, 1.0, 2.0, 3.0, 4.0],
     "alpha": 0.0,
-}
-
-ROUTING_DOC = {
-    "kind": "routing", "lambda": 2.0, "alpha": 0.0, "nu": 5.0,
-    "queues": [{"n": 5, "mu": 1.0, "h": 1.0}, {"n": 5, "mu": 1.5, "h": 2.0}],
 }
 
 MTS_DOC = {
@@ -370,11 +353,12 @@ def test_dp_verify_disagreement_exits_4(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["--grid", "-3"], ["--grid", "0"], ["--grid", "1"],
     ["--eps", "-1"], ["--eps", "nan"], ["--eps", "inf"], ["--grid", "abc"],
-    ["--family", "nope"]])
+    ["--family", "nope"], ["--eps", "1"], ["--grid", str(cli.GRID_CAP + 1)]])
 def test_dp_verify_bad_option_is_an_input_error(tmp_path, capsys, argv):
-    # a negative grid ended in a traceback and an empty one checked
-    # nothing and passed; the sweep's sets take no indifference band, so
-    # --eps is an unknown option.  Each is reported as JSON, exit 2
+    # a negative grid ended in a traceback, an empty one checked nothing
+    # and passed, and 10**9 charges ended in numpy's _ArrayMemoryError; the
+    # sweep's sets take no indifference band, so --eps is an unknown
+    # option.  Each is reported as JSON, exit 2
     doc = dict(ADMISSION_DOC, alpha=0.3)
     code, out, err = run_cli(capsys, "dp-verify", write_doc(tmp_path, doc), *argv)
     assert code == 2
@@ -509,14 +493,16 @@ def test_simulate_routing_reports_all_policies(tmp_path, capsys):
     for rep in out["results"].values():
         lo, hi = rep["ci95"]
         assert lo <= rep["mean"] <= hi
+        assert math.isfinite(rep["mean"]) and rep["events"] > 0
 
 
 def test_simulate_mts(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "simulate", write_doc(tmp_path, MTS_DOC),
-        "--policy", "index", "--events", "2000", "--reps", "3", "--seed", "1")
+        "--policy", "index,least-stock", "--events", "2000", "--reps", "3", "--seed", "1")
     assert code == 0
-    assert "index" in out["results"]
+    assert set(out["results"]) == {"index", "least-stock"}
+    assert all(math.isfinite(r["mean"]) and r["events"] > 0 for r in out["results"].values())
 
 
 def test_simulate_rejects_admission_kind(tmp_path, capsys):
@@ -527,10 +513,12 @@ def test_simulate_rejects_admission_kind(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--events", "0"], ["--events", "-3"], ["--events", "100", "--reps", "0"],
-    ["--horizon", "0"], ["--events", "100", "--truncation", "0"], ["--horizon", "nan"]])
+    ["--horizon", "0"], ["--events", "100", "--truncation", "0"], ["--horizon", "nan"],
+    ["--events", "10", "--reps", str(REPLICATION_CAP + 1)]])
 def test_simulate_bad_budget_is_an_input_error(tmp_path, capsys, argv):
-    # an empty budget used to report mean 0.0 with exit 0, and a bad
-    # replication count or horizon ended in a traceback
+    # an empty budget used to report mean 0.0 with exit 0, a bad
+    # replication count or horizon ended in a traceback, and 10**9
+    # replications in numpy's _ArrayMemoryError
     code, out, _ = run_cli(capsys, "simulate", write_doc(tmp_path, ROUTING_DOC), *argv)
     assert code == 2
     assert out["exit_code"] == 2 and "results" not in out
@@ -663,10 +651,7 @@ def test_scipy_sparse_is_loaded_by_the_average_criterion_only(tmp_path, alpha, l
     # recurrent-class checks import it
     argv = [] if alpha is None else ["index", write_doc(tmp_path, dict(ADMISSION_DOC,
                                                                        alpha=alpha))]
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", SPARSE_PROBE, *argv], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", SPARSE_PROBE, *argv], cwd=tmp_path,
+                          env=package_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.split()[-1] == str(loaded)

@@ -6,9 +6,8 @@ import pytest
 
 from pclindex import admission, policies
 from pclindex.policies import (LEVEL_CAP, MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
-                               least_stock_decide, mts_decide, mts_index,
-                               mts_index_table, naive_decide, routing_decide,
-                               routing_index, routing_index_table,
+                               least_stock_decide, mts_decide, mts_index_table,
+                               naive_decide, routing_decide, routing_index_table,
                                shortest_queue_decide, switching_curve)
 from pclindex.simulate import SimConfig
 
@@ -23,43 +22,27 @@ def linear_queue(n, mu, h=1.0):
 
 def test_routing_index_closed_form_example():
     sys = RoutingSystem(lam=2.0, queues=(linear_queue(None, 1.0),), alpha=0.0)
-    assert routing_index(sys, 0, 0) == pytest.approx(1.0)
+    assert routing_index_table(sys, 0, 1)[0] == pytest.approx(1.0)
 
 
 def test_routing_index_critical_ratio_uses_other_branch():
     sys = RoutingSystem(lam=1.0, queues=(linear_queue(None, 1.0),), alpha=0.0)
-    assert routing_index(sys, 0, 2) == pytest.approx(6.0)   # (j+1)(j+2)/2
+    assert routing_index_table(sys, 0, 3)[2] == pytest.approx(6.0)   # (j+1)(j+2)/2
 
 
 def test_routing_index_near_critical_ratio_follows_the_recursion():
     # lam/mu = 1 + 1e-9 is within rounding of the critical branch
     # (j+1)(j+2)/2; the geometric closed form cancels to 0.0 there
     sys = RoutingSystem(1.0 + 1e-9, (linear_queue(None, 1.0),), alpha=0.0)
-    got = [routing_index(sys, 0, j) for j in range(5)]
+    got = [routing_index_table(sys, 0, j + 1)[j] for j in range(5)]
     assert got == pytest.approx([1.0, 3.0, 6.0, 10.0, 15.0], rel=1e-6)
 
 
 def test_routing_index_rejects_full_buffer():
     sys = RoutingSystem(lam=1.0, queues=(linear_queue(4, 2.0),), alpha=0.0)
-    with pytest.raises(ValueError):
-        routing_index(sys, 0, 4)
-
-
-@pytest.mark.parametrize("j", [1.5, -1, True, np.float64(1.0), np.True_])
-def test_indices_refuse_a_level_that_is_not_one(j):
-    # on both a finite and an infinite buffer, a fractional level raised a
-    # bare TypeError, a negative one an IndexError and a bool one a TypeError
-    route = RoutingSystem(1.0, (QueueSpec(5, 1.0, 1.0), QueueSpec(None, 1.5, 2.0)),
-                          alpha=0.1, nu=50.0)
-    spec = ProductSpec(5, 0.8, 1.2, 1.0, 0.5, 0.7)
-    stock = MTSSystem((spec, replace(spec, n=None)), alpha=0.1, nu=5.0)
-    for index, sys in ((routing_index, route), (mts_index, stock)):
-        for k in (0, 1):
-            with pytest.raises(ValueError, match="needs an integer in 0.."):
-                index(sys, k, j)
-        assert index(sys, 1, np.int64(2)) == index(sys, 1, 2)
-        with pytest.raises(ValueError, match="undefined at a full buffer"):
-            index(sys, 0, 5)
+    assert len(routing_index_table(sys, 0, 4)) == 4
+    with pytest.raises(ValueError, match="undefined at a full buffer"):
+        routing_index_table(sys, 0, 5)
 
 
 def test_routing_index_general_path_matches_closed_form():
@@ -69,9 +52,8 @@ def test_routing_index_general_path_matches_closed_form():
     fast = RoutingSystem(lam, (linear_queue(n, mu),), alpha=0.0)
     slow = RoutingSystem(lam, (QueueSpec(n, [mu] * n, [float(j) for j in range(n + 1)]),),
                          alpha=0.0)
-    for j in range(n):
-        assert routing_index(slow, 0, j) == pytest.approx(
-            routing_index(fast, 0, j), rel=1e-10)
+    assert routing_index_table(slow, 0, n) == pytest.approx(
+        routing_index_table(fast, 0, n), rel=1e-10)
 
 
 def test_routing_index_state_dependent_rates_match_admission(rng):
@@ -81,7 +63,7 @@ def test_routing_index_state_dependent_rates_match_admission(rng):
     sys = RoutingSystem(0.8, (QueueSpec(n, list(mu), list(h)),), alpha=0.3)
     model = admission.ACModel(n, np.full(n + 1, 0.8), mu, h, 0.3)
     want = admission.indices(model)
-    got = [routing_index(sys, 0, j) for j in range(n)]
+    got = routing_index_table(sys, 0, n)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -97,7 +79,7 @@ def test_infinite_buffer_truncation_is_exact(rng):
     # the recursion is forward: indices never depend on states above them
     sys = RoutingSystem(1.0, (QueueSpec(None, [1.5] * 40, [0.7 * j for j in range(41)]),),
                         alpha=0.0)
-    short = [routing_index(sys, 0, j) for j in range(6)]
+    short = routing_index_table(sys, 0, 6)
     table = routing_index_table(sys, 0, 20)
     assert np.allclose(short, table[:6], atol=1e-12)
 
@@ -214,7 +196,7 @@ def test_mts_bracket_example():
     # rho = 1/2, c = mu = 1, j = 0: bracket is 2, index 2 - r - s
     r, s = 0.3, 0.2
     sys = MTSSystem((ProductSpec(None, 0.5, 1.0, 1.0, s, r),), alpha=0.0)
-    assert mts_index(sys, 0, 0) == pytest.approx(2.0 - r - s)
+    assert mts_index_table(sys, 0, 1)[0] == pytest.approx(2.0 - r - s)
     closed = admission.closed_form_index("linear", 1.0, 0.5, 1.0, 0) - r - s
     assert closed == pytest.approx(2.0 - r - s)
 
@@ -252,7 +234,7 @@ def test_mts_quadratic_closed_form_near_unit_ratio():
 
 def test_mts_critical_ratio_falls_back_to_general_sum():
     sys = MTSSystem((ProductSpec(None, 1.0, 1.0, 1.0, 0.0, 0.0),), alpha=0.0)
-    got = mts_index(sys, 0, 3)
+    got = mts_index_table(sys, 0, 4)[3]
     assert np.isfinite(got)
     # role-swapped model at rho' = 1: increments are the net-cost steps
     table = mts_index_table(sys, 0, 5)
@@ -262,7 +244,7 @@ def test_mts_critical_ratio_falls_back_to_general_sum():
 def test_mts_index_near_critical_ratio_matches_table():
     # a geometric closed form cancels catastrophically this close to rho = 1
     sys = MTSSystem((ProductSpec(None, 1 + 1e-9, 1.0, 1.0, 0.5, 0.7),), alpha=0.0)
-    got = [mts_index(sys, 0, j) for j in range(4)]
+    got = [mts_index_table(sys, 0, j + 1)[j] for j in range(4)]
     assert got == pytest.approx(mts_index_table(sys, 0, 4), abs=1e-6)
     assert got == pytest.approx([-0.2, 1.8, 4.8, 8.8], abs=1e-6)
 
@@ -282,16 +264,14 @@ def test_mts_index_at_the_last_level_reads_the_table():
     table = mts_index_table(sys, 0, 5)
     assert table[4] == pytest.approx(3.138, abs=5e-4)
     for j in range(5):
-        assert mts_index(sys, 0, j) == table[j]
+        assert mts_index_table(sys, 0, j + 1)[j] == table[j]
     assert mts_decide(replace(sys, nu=3.0), [4]) is None
     assert mts_decide(replace(sys, nu=3.2), [4]) == 0
 
 
 def test_mts_index_rejects_full_stock():
     sys = MTSSystem((ProductSpec(5, 0.8, 1.2, 1.0, 0.5, 0.7),), alpha=0.3)
-    with pytest.raises(ValueError):
-        mts_index(sys, 0, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="undefined at a full buffer"):
         mts_index_table(sys, 0, 6)
 
 

@@ -12,7 +12,7 @@ from pclindex import admission
 from pclindex.modelio import model_from_document
 from pclindex.policies import (MTSSystem, ProductSpec, QueueSpec, RoutingSystem,
                                mts_index_table, routing_index_table)
-from pclindex.simulate import CHUNK, SimConfig, simulate, simulate_all
+from pclindex.simulate import CHUNK, REPLICATION_CAP, SimConfig, simulate, simulate_all
 
 SIMULATE = importlib.import_module("pclindex.simulate")   # the module, not the function
 
@@ -209,6 +209,11 @@ def test_config_validation():
             SimConfig(max_events=events)
     with pytest.raises(ValueError, match="truncation"):
         SimConfig(max_events=10, truncation=0)
+    # simulate_all keeps a row per policy and replication, so 10**9
+    # replications ended in numpy's _ArrayMemoryError
+    assert SimConfig(max_events=10, replications=REPLICATION_CAP).replications == REPLICATION_CAP
+    with pytest.raises(ValueError, match=f"^replications {REPLICATION_CAP + 1} exceed the cap"):
+        SimConfig(max_events=10, replications=REPLICATION_CAP + 1)
     # a NaN horizon or event budget used to run no event and report a mean
     # (NaN or 0.0), and an infinite horizon alone never returned
     for budget in ({"horizon": math.nan}, {"horizon": math.inf},
