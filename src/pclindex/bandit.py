@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import (DegeneracyError, InfeasibleTargetError, InternalConsistencyError,
-                     _is_level, UnsupportedModelError)
+                     NumericalRangeError, _is_level, UnsupportedModelError)
 from .greedy import AGOutput, WorkloadOracle, ag2
 from .setsystem import SetSystem
 
@@ -70,27 +70,23 @@ class _SolveKernel:
     ``P`` stacks P0 and P1 in their model's storage: LAPACK band storage
     (entry (i, j) at row u + i - j, column j) when ``band`` is (l, u), in
     which each solve or product costs O(n * (l + u + 1)); dense when
-    ``band`` is None.
+    ``band`` is None.  ``system`` lays a batch of set-active systems out
+    once, as the solves read it, and ``solve`` and ``occupancy`` take
+    that build.
     """
 
     def __init__(self, band: tuple[int, int] | None, P: np.ndarray, beta: float):
-        n = P.shape[-1]
-        states = np.arange(n)
-        self.band = band
-        self._rows, self._diag = states[:, None], (states, states)
+        n, states = P.shape[-1], np.arange(P.shape[-1])
+        self.band, self._rows, self._diag = band, states[:, None], (states, states)
         if band is not None:
             # the matrix row of each band entry, and the diagonal's band row
             self._rows, self._diag = _band_rows(n, band)[0], (band[1], slice(None))
-        ops = (beta * P[0], beta * P[1], beta * (P[1] - P[0]))
+        ops = beta * P[0], beta * P[1], beta * (P[1] - P[0]), -beta * P[0], -beta * P[1]
+        for M in ops[3:]:   # I - beta*P0 and I - beta*P1, whose rows ``system`` picks
+            M[self._diag] += 1.0
         for M in ops:
             M.setflags(write=False)
-        self.bP0, self.bP1, self.dP = ops
-
-    def _mixed(self, mask: np.ndarray) -> np.ndarray:
-        """beta*P_S, with the rows of beta*P1 where ``mask`` holds and the
-        rows of beta*P0 elsewhere, in this kernel's storage; an (m, n)
-        stack of masks gives a stack of m operators."""
-        return np.where(mask[..., self._rows], self.bP1, self.bP0)
+        self.bP0, self.bP1, self.dP, *self._systems = ops
 
     @cached_property
     def _patterns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -110,31 +106,36 @@ class _SolveKernel:
                            p0.shape[1])
         return src, src + c - (src % n if self.band is None else self.band[0])
 
-    def system(self, mask: np.ndarray) -> np.ndarray:
-        """I - beta*P_S in this kernel's storage, stacked like ``mask``."""
-        A = -self._mixed(mask)
-        A[(..., *self._diag)] += 1.0
-        return A
+    def system(self, masks: np.ndarray) -> np.ndarray:
+        """I - beta*P_S of one mask or an (m, n) stack of them, laid out as the
+        solves read it: dense, stacked like ``masks``; banded, one band over
+        m*n columns whose diagonal blocks are the m systems, uncoupled."""
+        S0, S1 = self._systems
+        if self.band is None:
+            return np.where(masks[..., None], S1, S0)
+        # entry (d, k, j) is mask k at band entry (d, j)'s row, copied: np.where is fastest so
+        at = masks.reshape(-1, masks.shape[-1])[:, self._rows].transpose(1, 0, 2).copy()
+        return np.where(at, S1[:, None], S0[:, None]).reshape(len(S0), -1)
 
     def batches(self, m: int) -> list[slice]:
         """Slices of m systems, each at most ``SCAN_ENTRIES`` operator entries."""
         size = max(1, SCAN_ENTRIES // self.dP.size)
         return [slice(lo, lo + size) for lo in range(0, m, size)]
 
-    def occupancy(self, mask: np.ndarray) -> np.ndarray:
-        """The u with (I - b*beta*P_S)^T u = 1 for b = 1 - 1e-9: the
-        expected time in each state over about 1e9 steps, summed over the
-        initial states; stacked like ``mask``, banded stacks as one band."""
-        b, n = 1.0 - 1e-9, mask.shape[-1]
-        A = b * self.system(mask)
+    def occupancy(self, A: np.ndarray) -> np.ndarray:
+        """The u with (I - b*beta*P_S)^T u = 1 for b = 1 - 1e-9, for each
+        system of a ``system`` build: the expected time in each state over
+        about 1e9 steps, summed over the initial states; one row per system."""
+        b, n = 1.0 - 1e-9, self.dP.shape[-1]
+        A = b * A
         A[(..., *self._diag)] += 1.0 - b
         if self.band is None:
-            return np.linalg.solve(np.swapaxes(A, -1, -2), np.ones((*A.shape[:-1], 1)))[..., 0]
-        # A's rows are A^T's columns, so A^T is stored with the band (upper, lower)
-        T = _by_rows(A, self.band).reshape(-1, n, sum(self.band) + 1)
-        T = T.transpose(2, 0, 1).reshape(T.shape[2], -1)
-        return solve_banded(self.band[::-1], T, np.ones(T.shape[1]),
-                            check_finite=False).reshape(mask.shape)
+            u = _lapack(np.linalg.solve, np.swapaxes(A, -1, -2), np.ones((*A.shape[:-1], 1)))
+        else:   # A^T in (upper, lower) band storage: A's band rows reversed, row r shifted
+            # r - upper; what a roll wraps round lands outside the matrix, where LAPACK never reads
+            T = np.stack([np.roll(row, r - self.band[1]) for r, row in enumerate(A)][::-1])
+            u = _lapack(solve_banded, self.band[::-1], T, np.ones(A.shape[1]), check_finite=False)
+        return u.reshape(-1, n)
 
     def apply(self, M: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Product of an operator held in this kernel's storage with each
@@ -152,28 +153,28 @@ class _SolveKernel:
             y[..., d:] += M[upper + d, :n - d] * x[..., :n - d]
         return y
 
-    def solve(self, masks: np.ndarray, rhs: np.ndarray, anchor=None) -> np.ndarray:
-        """The x of (I - beta*P_S + e_r e_r^T) x = rhs, with the last term
-        only if an ``anchor`` state r is given (one, or one per system), for
-        one mask or an (m, n) stack of them.  ``rhs`` is shaped like ``masks``
+    def solve(self, A: np.ndarray, rhs: np.ndarray, anchor=None) -> np.ndarray:
+        """The x of (I - beta*P_S + e_r e_r^T) x = rhs for each system of a
+        ``system`` build A, with the last term only if an ``anchor`` state r
+        is given (one, or one per system).  ``rhs`` is shaped like the masks
         (states on the last axis), or has a leading axis of c right-hand sides
         per system; each system's are solved in one call, and each is checked
         against its own scale, 1e-10 * max(1, |rhs|, |x|).  Banded systems
         are the diagonal blocks of one band: zero couplings keep every bit.
         At beta = 1 the anchored matrix is nonsingular exactly when P_S is
-        unichain and r is recurrent."""
-        n = masks.shape[-1]
-        A = self.system(masks.reshape(-1, n))
-        if anchor is not None:
-            A[np.arange(len(A)), anchor if self.band is None else self.band[1], anchor] += 1.0
-        b = rhs.reshape(-1, len(A), n)
+        unichain and r is recurrent; a singular one raises NumericalRangeError."""
+        n, m = self.dP.shape[-1], A.size // self.dP.size
+        A = A.reshape(m, n, n) if self.band is None else A
+        if anchor is not None:   # on a copy: the build stays I - beta*P_S
+            A = A.copy()
+            A[(np.arange(m), anchor, anchor) if self.band is None
+              else (self.band[1], np.arange(0, m * n, n) + anchor)] += 1.0
+        b = rhs.reshape(-1, m, n)
         if self.band is None:
-            x = np.linalg.solve(A, b.transpose(1, 2, 0)).transpose(2, 0, 1)
-            ax = self.apply(A, x)
-        else:
-            A = A.transpose(1, 0, 2).reshape(A.shape[1], -1)
-            x = solve_banded(self.band, A, b.reshape(len(b), -1).T, check_finite=False).T
-            x, ax = x.reshape(b.shape), self.apply(A, x).reshape(b.shape)
+            x = _lapack(np.linalg.solve, A, b.transpose(1, 2, 0)).transpose(2, 0, 1)
+        else:   # one band: x holds each right-hand side's m*n entries in a row
+            x = _lapack(solve_banded, self.band, A, b.reshape(len(b), -1).T, check_finite=False).T
+        x, ax = x.reshape(b.shape), self.apply(A, x).reshape(b.shape)
         err = np.abs(ax - b)
         # the scales are at least 1, so they are needed only past 1e-10
         if not err.max() <= 1e-10:
@@ -183,6 +184,14 @@ class _SolveKernel:
                 raise InternalConsistencyError(
                     f"linear solve residual {res.max():g} exceeds tolerance")
         return x.reshape(rhs.shape)
+
+
+def _lapack(solver, *args, **kw) -> np.ndarray:
+    """A LAPACK solve; a singular system, as at a discount factor rounded to 1, is out of range."""
+    try:
+        return solver(*args, **kw)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalRangeError(f"set-active system is singular ({exc})") from exc
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -358,7 +367,7 @@ def _set_active_measure(model: RBModel, mask: np.ndarray, active, passive) -> np
     """Expected total discounted per-period reward (``active`` where the
     policy engages, on ``mask``, ``passive`` elsewhere), over initial states."""
     _require_discounted(model)
-    return model.kernel.solve(mask, np.where(mask, active, passive))
+    return model.kernel.solve(model.kernel.system(mask), np.where(mask, active, passive))
 
 
 def activity_measure(model: RBModel, s) -> np.ndarray:
@@ -373,11 +382,13 @@ def cost_measure(model: RBModel, s) -> np.ndarray:
 
 
 def _measures(model: RBModel, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The activity and cost measures of an (m, n) stack of masks, bit for
-    bit as one mask gives them: a stacked solve per measure and batch."""
-    return tuple(np.vstack([_set_active_measure(model, masks[part], active, passive)
-                            for part in model.kernel.batches(len(masks))])
-                 for active, passive in ((model.theta1, 0.0), (model.h1, model.h0)))
+    """The activity and cost measures of an (m, n) stack of masks of a
+    discounted model, bit for bit as one mask gives them: each batch is built
+    once, then solved once per measure (two columns would move a dense bit)."""
+    k, rewards = model.kernel, ((model.theta1, 0.0), (model.h1, model.h0))
+    out = [[k.solve(A, np.where(mask, a, p)) for a, p in rewards]
+           for mask, A in ((masks[part], k.system(masks[part])) for part in k.batches(len(masks)))]
+    return tuple(map(np.vstack, zip(*out)))
 
 
 def occupation_measures(model: RBModel, u, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -486,8 +497,6 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
     _require_ground(model, sys)
     ctrl = sorted(model.controllable)
     at = np.array(ctrl, dtype=int)
-    if not average:
-        _require_discounted(model)
     kernel = model.average_kernel if average else model.kernel
     scan, violations = [], []
     for part in kernel.batches(len(sys)):
@@ -497,7 +506,7 @@ def _pcl_report(model: RBModel, sys: SetSystem, average: bool) -> PCLReport:
         if average:   # the ground set, when a member, is the last batch's last row
             *_, w, c_bar = _average_rows(model, masks)
         else:   # one stacked solve, then a product per member as in marginal_workload
-            B = kernel.solve(masks, np.where(masks, model.theta1, 0.0))
+            B = _set_active_measure(model, masks, model.theta1, 0.0)
             w = model.theta1 + kernel.apply(kernel.dP, B)
         W = w[:, at]
         violations += [(part.start + r, e, float(W[r, e])) for r, e in np.argwhere(~(W > 0.0))]
@@ -737,10 +746,11 @@ def _average_rows(model: RBModel, masks: np.ndarray) -> tuple[np.ndarray, ...]:
     if (counts != 1).any():
         raise UnsupportedModelError(
             f"policy chain is multichain ({counts[counts != 1][0]} recurrent classes)")
-    anchor = np.where(recurrent, kernel.occupancy(masks), -np.inf).argmax(axis=1)
+    A = kernel.system(masks)
+    anchor = np.where(recurrent, kernel.occupancy(A), -np.inf).argmax(axis=1)
     rhs = np.stack((np.where(masks, model.theta1, 0.0),
                     np.where(masks, model.h1, model.h0), np.ones(masks.shape)))
-    y = kernel.solve(masks, rhs, anchor)
+    y = kernel.solve(A, rhs, anchor)
     gains = y[:2, systems, anchor] / y[2, systems, anchor]
     bias = y[:2] - y[2] * gains[..., None]
     bias -= bias[:, systems, recurrent.argmax(axis=1)][..., None]   # the lowest recurrent state

@@ -36,15 +36,9 @@ def _log(msg: str):
 
 
 def _report(command: str, doc, results: dict, seed: int | None = None) -> dict:
-    out = {
-        "command": command,
-        "version": __version__,
-        "input_digest": digest(doc) if doc is not None else None,
-        "results": results,
-    }
-    if seed is not None:
-        out["seed"] = seed
-    return out
+    out = {"command": command, "version": __version__, "results": results,
+           "input_digest": digest(doc) if doc is not None else None}
+    return out if seed is None else {**out, "seed": seed}
 
 
 def _emit(report: dict) -> None:

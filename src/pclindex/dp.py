@@ -82,9 +82,9 @@ def _lines(model: RBModel, active: np.ndarray) -> tuple[np.ndarray, ...]:
     """(vh, vt, a0, b0, a1, b1), each (m, n), of each policy of an (m, n)
     stack ``active``, from one stacked solve for their cost and activity
     rows: values vh + nu*vt, q0 = a0 + nu*b0, q1 = a1 + nu*b1."""
-    k = model.kernel
-    x = k.solve(active, np.where(active, np.stack((model.h1, model.theta1))[:, None],
-                                 np.stack((model.h0, np.zeros(model.n_states)))[:, None]))
+    k, zero = model.kernel, np.zeros(model.n_states)
+    x = k.solve(k.system(active), np.where(active, np.stack((model.h1, model.theta1))[:, None],
+                                           np.stack((model.h0, zero))[:, None]))
     q0, q1 = k.apply(k.bP0, x), k.apply(k.bP1, x)
     return x[0], x[1], model.h0 + q0[0], q0[1], model.h1 + q1[0], model.theta1 + q1[1]
 

@@ -207,21 +207,13 @@ def model_from_document(doc: dict):
 def document_from_model(model) -> dict:
     """Serialize a model object back into its document form."""
     if isinstance(model, RBModel):
-        return {
-            "kind": "rb",
-            "states": model.n_states,
-            "controllable": sorted(model.controllable),
-            "P0": model.P0.tolist(), "P1": model.P1.tolist(),
-            "h0": model.h0.tolist(), "h1": model.h1.tolist(),
-            "theta1": model.theta1.tolist(), "beta": model.beta,
-        }
+        return {"kind": "rb", "states": model.n_states, "controllable": sorted(model.controllable),
+                "P0": model.P0.tolist(), "P1": model.P1.tolist(), "h0": model.h0.tolist(),
+                "h1": model.h1.tolist(), "theta1": model.theta1.tolist(), "beta": model.beta}
     if isinstance(model, ACModel):
-        return {
-            "kind": "admission", "n": model.n,
-            "lambda": model.lam.tolist(), "mu": model.mu.tolist(),
-            "h": model.h.tolist(), "alpha": model.alpha,
-            "Lambda": float(model.Lambda),
-        }
+        return {"kind": "admission", "n": model.n, "lambda": model.lam.tolist(),
+                "mu": model.mu.tolist(), "h": model.h.tolist(), "alpha": model.alpha,
+                "Lambda": float(model.Lambda)}
     if isinstance(model, RoutingSystem):
         queues = [{"n": q.n, "mu": _maybe_scalar(q.mu), "h": _maybe_scalar(q.h)}
                   for q in model.queues]

@@ -170,17 +170,20 @@ def validate(sys: SetSystem) -> ValidationReport:
 
     Accessible: every nonempty member has a nonempty inner boundary.
     Augmentable: every member other than the ground set has a nonempty
-    outer boundary.  Returns the first violating set found, if any.
+    outer boundary.  Returns the first violating set, in id order, of the
+    first failed condition, if any.  A member stops at its first neighbour,
+    probing its lowest element first to drop, its highest missing one to add.
     """
     if not len(sys):
         raise ValueError("family is empty")
-    has_empty = frozenset() in sys
-    for i, m in enumerate(sys._masks):
-        if m and not sys.neighbours(i, -1):
-            return ValidationReport(has_empty, False, True, violating_set=sys.member(i))
-    for i, m in enumerate(sys._masks):
-        if m.bit_count() < sys.n and not sys.neighbours(i, 1):
-            return ValidationReport(has_empty, True, False, violating_set=sys.member(i))
+    has_empty, full, ids = frozenset() in sys, (1 << sys.n) - 1, sys._ids
+    for access in (True, False):
+        for i, m in enumerate(sys._masks):
+            r = m if access else full ^ m   # the elements to drop, or to add, not yet probed
+            while r and m ^ (b := r & -r if access else 1 << r.bit_length() - 1) not in ids:
+                r ^= b
+            if not r and m != (0 if access else full):
+                return ValidationReport(has_empty, not access, access, sys.member(i))
     return ValidationReport(has_empty, True, True)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import json
 import re
@@ -15,8 +16,8 @@ from pclindex.bandit import (RBModel, activity_measure, average_limits,
                              occupation_measures, pcl_index, value_breakpoints,
                              verify_cost_decomposition,
                              verify_workload_decomposition)
-from pclindex.errors import (DegeneracyError, InfeasibleTargetError,
-                             InternalConsistencyError, UnsupportedModelError)
+from pclindex.errors import (DegeneracyError, InfeasibleTargetError, InternalConsistencyError,
+                             NumericalRangeError, UnsupportedModelError)
 from pclindex.setsystem import SetSystem, powerset_family, suffix_sets, threshold_family
 
 from conftest import (random_compliant_admission, random_positive_workload_rb,
@@ -921,6 +922,57 @@ def test_constrained_policy_evaluates_each_chain_set_once(monkeypatch):
     assert (pol.base_set, pol.randomized_state) == (chain[4], rep.state_order[3])
 
 
+@pytest.mark.parametrize("dense", [False, True])
+def test_each_batch_of_systems_is_built_once(monkeypatch, rng, dense):
+    # the certificate measures, the average rows, the discounted family
+    # scan and the DP lines each lay a batch out by one ``system`` call,
+    # and every solve and occupancy solve of that batch reads the build
+    if dense:
+        rb, avg = random_rb(rng, 6, 4, beta=0.9), random_rb(rng, 6, 4, beta=1.0)
+    else:
+        rb, avg = (admission.uniformize(regular_admission(5, alpha)) for alpha in (0.1, 0.0))
+    assert (rb.kernel.band is None) == (avg.kernel.band is None) == dense
+    rb.normalized_cost   # its own two builds, before the spies
+    masks = np.tile(~rb.ctrl_mask, (7, 1))
+    masks[:, rb.ctrl_mask] = rng.random((7, len(rb.controllable))) < 0.5
+    builds, reads = [], []
+
+    def spy(kernel):
+        system, solve, occupancy = kernel.system, kernel.solve, kernel.occupancy
+
+        def built(masks):
+            builds.append(system(masks))
+            reads.append([len(np.atleast_2d(masks))])
+            return builds[-1]
+
+        def reading(f):
+            def read(A, *args):
+                assert A is builds[-1]
+                reads[-1].append(f.__name__)
+                return f(A, *args)
+            return read
+        monkeypatch.setattr(kernel, "system", built)
+        monkeypatch.setattr(kernel, "solve", reading(solve))
+        monkeypatch.setattr(kernel, "occupancy", reading(occupancy))
+
+    spy(rb.kernel)
+    spy(avg.average_kernel)
+    monkeypatch.setattr(bandit, "SCAN_ENTRIES", 3 * rb.kernel.dP.size)
+    bandit._measures(rb, masks)
+    assert reads == [[3, "solve", "solve"], [3, "solve", "solve"], [1, "solve", "solve"]]
+    reads.clear()
+    bandit._average_rows(avg, np.ones((4, avg.n_states), dtype=bool))
+    assert reads == [[4, "occupancy", "solve"]]
+    reads.clear()
+    fam = threshold_family(len(rb.controllable))
+    with contextlib.suppress(UnsupportedModelError):   # the walk, after the scan
+        pcl_index(rb, fam)
+    assert reads == [[3, "solve"], [len(fam) - 3, "solve"]]
+    reads.clear()
+    dp._lines(rb, masks)
+    assert reads == [[7, "solve"]]
+
+
 def test_state_cap_warning_only_on_dense_path(monkeypatch, rng):
     monkeypatch.setattr(bandit, "SOFT_STATE_CAP", 5)
     with warnings.catch_warnings():
@@ -953,9 +1005,9 @@ def test_stacked_solve_checks_each_row_against_its_own_scale(monkeypatch):
     masks = np.zeros((2, n), dtype=bool)
     masks[:, :5] = True
     rhs = np.vstack((np.linspace(0.5, 1.0, n), np.linspace(0.5, 1.0, n) * 1e6))
-    x = kernel.solve(masks, rhs)
+    x = kernel.solve(kernel.system(masks), rhs)
     for r in range(2):
-        assert np.array_equal(x[r], kernel.solve(masks[r], rhs[r]))
+        assert np.array_equal(x[r], kernel.solve(kernel.system(masks[r]), rhs[r]))
     exact = bandit.solve_banded
 
     def perturbed(*args, **kw):
@@ -965,7 +1017,7 @@ def test_stacked_solve_checks_each_row_against_its_own_scale(monkeypatch):
 
     monkeypatch.setattr(bandit, "solve_banded", perturbed)
     with pytest.raises(InternalConsistencyError, match="residual"):
-        kernel.solve(masks, rhs)
+        kernel.solve(kernel.system(masks), rhs)
 
 
 def test_stacked_solve_stacks_dense_systems_bit_for_bit(rng):
@@ -973,9 +1025,10 @@ def test_stacked_solve_stacks_dense_systems_bit_for_bit(rng):
     assert model.kernel.band is None
     masks = rng.random((5, 6)) < 0.5
     rhs = rng.uniform(-1.0, 1.0, (5, 6))
-    x = model.kernel.solve(masks, rhs)
+    kernel = model.kernel
+    x = kernel.solve(kernel.system(masks), rhs)
     for r in range(5):
-        assert np.array_equal(x[r], model.kernel.solve(masks[r], rhs[r]))
+        assert np.array_equal(x[r], kernel.solve(kernel.system(masks[r]), rhs[r]))
 
 
 @pytest.mark.parametrize("band", [(0, 0), (1, 0), (1, 1), (2, 1), (0, 3), (3, 2)])
@@ -1004,11 +1057,11 @@ def test_anchored_solve_is_the_bordered_gain_bias_system():
     mask = np.zeros(2, dtype=bool)
     rhs = np.stack(([3.0, 0.0], np.ones(2)))
     for anchor, pi in ((0, 2 / 3), (1, 1 / 3)):
-        y = kernel.solve(mask, rhs, anchor)
+        y = kernel.solve(kernel.system(mask), rhs, anchor)
         assert y[1, anchor] == pytest.approx(1.0 / pi)
         assert y[0, anchor] / y[1, anchor] == pytest.approx(2.0)
-    with pytest.raises(np.linalg.LinAlgError):
-        kernel.solve(mask, rhs)        # I - P alone is singular
+    with pytest.raises(NumericalRangeError, match="singular"):
+        kernel.solve(kernel.system(mask), rhs)        # I - P alone is singular
 
 
 @pytest.mark.parametrize("banded", [True, False])
@@ -1026,16 +1079,18 @@ def test_anchored_stacked_solve_matches_each_system_bit_for_bit(rng, banded):
     masks = np.tile(~model.ctrl_mask, (5, 1))
     masks[:, model.ctrl_mask] = rng.random((5, len(model.controllable))) < 0.5
     rhs = rng.uniform(-1.0, 1.0, (3, 5, n))
-    x = kernel.solve(masks, rhs, 0)
+    A = kernel.system(masks)
+    x = kernel.solve(A, rhs, 0)
     assert x.shape == rhs.shape
     for r in range(5):
-        assert np.array_equal(x[:, r], kernel.solve(masks[r], rhs[:, r], 0))
+        assert np.array_equal(x[:, r], kernel.solve(kernel.system(masks[r]), rhs[:, r], 0))
     # one anchor per system, each a recurrent state of its own chain
     _, recurrent = bandit._recurrent_classes(masks.shape, *kernel.edges(masks))
     anchors = np.array([rng.choice(np.flatnonzero(row)) for row in recurrent])
-    x = kernel.solve(masks, rhs, anchors)
+    x = kernel.solve(A, rhs, anchors)      # the anchored solve above left A as built
     for r in range(5):
-        assert np.array_equal(x[:, r], kernel.solve(masks[r], rhs[:, r], anchors[r]))
+        assert np.array_equal(x[:, r],
+                              kernel.solve(kernel.system(masks[r]), rhs[:, r], anchors[r]))
 
 
 @pytest.mark.parametrize("band", [(0, 0), (1, 0), (1, 1), (2, 1), (0, 3), (3, 3)])

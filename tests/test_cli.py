@@ -207,6 +207,17 @@ def test_index_nonpositive_workload_on_the_chain_exits_3(tmp_path, capsys):
     assert "not positive on the adaptive-greedy chain" in out["error"]
 
 
+@pytest.mark.parametrize("big", [1e17, 1e100, 1e308])
+def test_index_singular_set_active_system_exits_3(tmp_path, capsys, big):
+    # Lambda >= max(lam + mu) passes the schema, but at alpha 0.1 the
+    # discount factor Lambda / (alpha + Lambda) rounds to 1, and the
+    # anchored systems of the average scan are singular
+    doc = dict(ADMISSION_DOC, alpha=0.1, Lambda=big)
+    code, out, _ = run_cli(capsys, "index", write_doc(tmp_path, doc))
+    assert code == 3 and out["exit_code"] == 3
+    assert out["error"].startswith("set-active system is singular")
+
+
 def test_index_rb_nonpositive_workload_on_the_chain_exits_3(tmp_path, capsys):
     # the 84th draw has w(J, 0) = -0.048 at the whole ground set J, where
     # the powerset walk starts
@@ -429,18 +440,18 @@ def test_dp_verify_solves_each_path_policy_once(tmp_path, capsys, monkeypatch):
     # regular queue at n = 100 (lam 1, mu 1.3, h_i = i^2, alpha 0.1): the
     # cross-check and the sweep read one charge path, whose 101 threshold
     # policies are solved once each, besides the solves of pcl_index; a
-    # stacked solve counts one system per mask row
+    # stacked build counts one system per mask row
     n = 100
     doc = {"kind": "admission", "n": n, "alpha": 0.1, "lambda": [1.0] * (n + 1),
            "mu": [1.3] * n, "h": [float(j * j) for j in range(n + 1)]}
     path = write_doc(tmp_path, doc)
-    calls, exact = [0], bandit._SolveKernel.solve
+    calls, exact = [0], bandit._SolveKernel.system
 
-    def counting(self, masks, *args, **kw):
+    def counting(self, masks):
         calls[0] += len(np.atleast_2d(masks))
-        return exact(self, masks, *args, **kw)
+        return exact(self, masks)
 
-    monkeypatch.setattr(bandit._SolveKernel, "solve", counting)
+    monkeypatch.setattr(bandit._SolveKernel, "system", counting)
     bandit.pcl_index(admission.uniformize(load_model(path)[0]), threshold_family(n))
     pcl, calls[0] = calls[0], 0
     code, out, _ = run_cli(capsys, "dp-verify", path)

@@ -345,14 +345,19 @@ def test_crosscheck_evaluates_each_policy_once(monkeypatch):
                           np.arange(101.0) ** 2, 0.1)
     rb, fam = admission.uniformize(m), threshold_family(100)
     rep = bandit.pcl_index(rb, fam)
-    solved = []
-    exact = rb.kernel.solve
+    solved, shapes = [], []
+    system, solve = rb.kernel.system, rb.kernel.solve
 
-    def counting(masks, rhs, anchor=None):
-        solved.extend((mask.tobytes(), rhs.shape[::2]) for mask in masks)
-        return exact(masks, rhs, anchor)
+    def counting(masks):   # a build per stack of masks, one system per row
+        solved.extend(mask.tobytes() for mask in np.atleast_2d(masks))
+        return system(masks)
 
-    monkeypatch.setattr(rb.kernel, "solve", counting)
+    def columns(A, rhs, anchor=None):   # the right-hand sides of each system
+        shapes.extend([rhs.shape[::2]] * rhs.shape[1])
+        return solve(A, rhs, anchor)
+
+    monkeypatch.setattr(rb.kernel, "system", counting)
+    monkeypatch.setattr(rb.kernel, "solve", columns)
     path = dp.charge_path(rb)
     assert len(path.breakpoints) == 100
     count = len(solved)
@@ -362,5 +367,5 @@ def test_crosscheck_evaluates_each_policy_once(monkeypatch):
     # the breakpoints are the indices of the admission recursion
     want = admission.indices(m)
     assert np.allclose([dp.fair_charge(path, j) for j in range(100)], want, rtol=1e-10, atol=0)
-    assert len({mask for mask, _ in solved}) == len(solved)
-    assert all(shape == (2, 101) for _, shape in solved)
+    assert len(set(solved)) == len(solved)
+    assert shapes == [(2, 101)] * len(solved)

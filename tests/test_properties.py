@@ -839,7 +839,8 @@ def test_banded_measures_match_dense_solves(seed, n, lower, upper, beta):
     assert_close(bandit.normalized_passive_cost(m), hhat)
     b = 1.0 - 1e-9                       # the occupancy's fixed discount
     P = np.where(mask[:, None], m.P1, m.P0)
-    assert_close(m.kernel.occupancy(mask), np.linalg.solve((np.eye(n) - b * m.beta * P).T, np.ones(n)))
+    assert_close(m.kernel.occupancy(m.kernel.system(mask))[0],
+                 np.linalg.solve((np.eye(n) - b * m.beta * P).T, np.ones(n)))
 
     nu = float(rng.uniform(-1.0, 1.0) * max(1.0, float(np.max(np.abs(hhat)))))
     got = dp.solve(m, nu)
@@ -858,8 +859,9 @@ def test_multi_column_solve_matches_column_solves(seed, n, lower, upper, beta, c
     m = banded_rb(rng, n, lower, upper, beta)
     mask = m.active_rows(j for j in m.controllable if rng.random() < 0.5)
     rhs = rng.uniform(-5.0, 5.0, (columns, n))
-    x = m.kernel.solve(mask, rhs)
-    one = np.array([m.kernel.solve(mask, b) for b in rhs])
+    A = m.kernel.system(mask)
+    x = m.kernel.solve(A, rhs)
+    one = np.array([m.kernel.solve(A, b) for b in rhs])
     if m.kernel.band is not None:
         assert np.array_equal(x, one)
     else:
@@ -1100,13 +1102,18 @@ def test_batched_family_scan_matches_one_solve_per_member(seed, n, lower, upper,
     count = len(fam.family)
     sizes = [b for b in range(2, count) if count % b]
     size = sizes[round(share * (len(sizes) - 1))]
-    solves, oracles = [], []
-    solve, walk = m.kernel.solve, bandit.ag2
+    builds, solves, oracles = [], [], []
+    system, solve, walk = m.kernel.system, m.kernel.solve, bandit.ag2
 
-    def solve_spy(masks, rhs, anchor=None):
-        x = solve(masks, rhs, anchor)
-        if masks.ndim == 2:   # the scan's stacked solves, not the normalized cost's one
-            solves.append((masks.copy(), x))
+    def system_spy(masks):
+        if masks.ndim == 2:   # the scan's stacked builds, not the normalized cost's
+            builds.append(masks.copy())
+        return system(masks)
+
+    def solve_spy(A, rhs, anchor=None):
+        x = solve(A, rhs, anchor)
+        if rhs.ndim == 2:
+            solves.append(x)
         return x
 
     def walk_spy(c, oracle, sys):
@@ -1115,18 +1122,20 @@ def test_batched_family_scan_matches_one_solve_per_member(seed, n, lower, upper,
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bandit, "SCAN_ENTRIES", size * m.kernel.dP.size)
+        mp.setattr(m.kernel, "system", system_spy)
         mp.setattr(m.kernel, "solve", solve_spy)
         mp.setattr(bandit, "ag2", walk_spy)
         try:
             rep = bandit.pcl_index(m, fam)
         except UnsupportedModelError:   # the walk reached a member with one of its own
             rep = None
-    assert [len(masks) for masks, _ in solves] == [size] * (count // size) + [count % size]
-    members = [frozenset(np.flatnonzero(row).tolist()) for masks, _ in solves
+    assert [len(masks) for masks in builds] == [size] * (count // size) + [count % size]
+    assert [len(x) for x in solves] == [len(masks) for masks in builds]
+    members = [frozenset(np.flatnonzero(row).tolist()) for masks in builds
                for row in masks[:, ctrl]]
     assert members == list(fam.family)
     violations = []
-    for s, b in zip(fam.family, (b for _, B in solves for b in B)):
+    for s, b in zip(fam.family, (b for B in solves for b in B)):
         states = [ctrl[e] for e in sorted(s)]
         assert b.tobytes() == bandit.activity_measure(m, states).tobytes()
         want = bandit.marginal_workload(m, states)[ctrl]

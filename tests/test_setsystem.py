@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 from pclindex import setsystem
 from pclindex.errors import StructureError
-from pclindex.setsystem import (SetSystem, enumerate_full_strings, powerset_family,
-                                product, require_valid, threshold_family, validate)
+from pclindex.setsystem import (SetSystem, ValidationReport, enumerate_full_strings,
+                                powerset_family, product, require_valid, threshold_family,
+                                validate)
 
 from conftest import random_valid_family
 
@@ -106,6 +108,37 @@ def test_validate_smallest_violating_case():
 
 def test_validate_singleton_family_valid():
     assert validate(SetSystem(1, (frozenset(), frozenset({0})))).valid
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_reports_brute_force_and_the_first_violating_set(seed):
+    # random families, most of them invalid: accessibility is judged
+    # first, and the violating set is the first member, in id order, that
+    # fails the failed condition
+    rng = np.random.default_rng(seed)
+    for _ in range(150):
+        n = int(rng.integers(1, 6))
+        sys = SetSystem(n, [np.flatnonzero(rng.random(n) < 0.5).tolist()
+                            for _ in range(rng.integers(1, 20))]
+                        + [[]] * int(rng.integers(2)) + [range(n)] * int(rng.integers(2)))
+        members, ground = set(sys.family), sys.ground
+        has_empty, accessible, augmentable = brute_force_validate(sys)
+        stuck = [s for s in sys.family if s and not any(s - {j} in members for j in s)]
+        if accessible:
+            stuck = [s for s in sys.family
+                     if s != ground and not any(s | {j} in members for j in ground - s)]
+        want = ValidationReport(has_empty, accessible, augmentable or not accessible,
+                                stuck[0] if stuck else None)
+        assert validate(sys) == want
+
+
+def test_validate_stops_at_each_members_first_neighbour():
+    # a scan of the next layer made powerset_family(14) take seconds; a
+    # probe per element, stopping at the first member, takes hundredths
+    start = time.perf_counter()
+    report = validate(powerset_family(14))
+    assert time.perf_counter() - start < 1.0
+    assert report == ValidationReport(True, True, True)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
